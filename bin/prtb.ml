@@ -211,13 +211,14 @@ let check_lr_topo topo g k sym =
    | None ->
      Printf.printf "Lemma 6.1 (generalized): holds on every reachable state\n%!"
    | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
+  let arrows = LR.Proof.arrows_topo inst in
   List.iter
     (fun a ->
        Format.printf "%-5s attained %s (%s)@." a.LR.Proof.label
          (Q.to_string a.LR.Proof.attained)
          (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    (LR.Proof.arrows_topo inst);
-  (match LR.Proof.composed_topo inst with
+    arrows;
+  (match LR.Proof.compose_arrows_topo inst arrows with
    | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
    | Error e -> Printf.printf "composition failed: %s\n" e);
   Printf.printf "direct 13-unit minimum: %s; worst expected time: %.3f\n"
@@ -234,6 +235,7 @@ let check_lr n g k sym =
    | None -> Printf.printf "Lemma 6.1: holds on every reachable state\n%!"
    | Some s ->
      Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
+  let arrows = LR.Proof.arrows inst in
   List.iter
     (fun a ->
        Format.printf "%-5s %s -%s->_%s %s : attained %s (%s)@."
@@ -243,8 +245,8 @@ let check_lr n g k sym =
          (Core.Pred.name a.LR.Proof.post)
          (Q.to_string a.LR.Proof.attained)
          (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    (LR.Proof.arrows inst);
-  (match LR.Proof.composed inst with
+    arrows;
+  (match LR.Proof.compose_arrows inst arrows with
    | Ok claim ->
      Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
        Core.Claim.pp_derivation claim
@@ -261,13 +263,14 @@ let check_election n g k sym =
   print_states "reachable states"
     (Mdp.Arena.num_states inst.IR.Proof.arena) inst.IR.Proof.sym;
   print_cert inst.IR.Proof.sym;
+  let arrows = IR.Proof.arrows inst in
   List.iter
     (fun a ->
        Format.printf "%-4s attained %s (%s)@." a.IR.Proof.label
          (Q.to_string a.IR.Proof.attained)
          (match a.IR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    (IR.Proof.arrows inst);
-  (match IR.Proof.composed inst with
+    arrows;
+  (match IR.Proof.compose_arrows arrows with
    | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
    | Error e -> Printf.printf "composition failed: %s\n" e);
   Printf.printf "expected bound: %s; measured worst case: %.3f\n"
@@ -280,13 +283,14 @@ let check_coin n bound sym =
   print_states "reachable states"
     (Mdp.Arena.num_states inst.SC.Proof.arena) inst.SC.Proof.sym;
   print_cert inst.SC.Proof.sym;
+  let arrows = SC.Proof.arrows inst in
   List.iter
     (fun a ->
        Format.printf "%-4s attained %s (%s)@." a.SC.Proof.label
          (Q.to_string a.SC.Proof.attained)
          (match a.SC.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    (SC.Proof.arrows inst);
-  (match SC.Proof.composed inst with
+    arrows;
+  (match SC.Proof.compose_arrows arrows with
    | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
    | Error e -> Printf.printf "composition failed: %s\n" e);
   Printf.printf

@@ -36,26 +36,61 @@ exception Not_certified of string
    new state appears.  Orbits of the models here are tiny (at most the
    process count for rotations, [n!] for full symmetric groups at small
    [n]), so a list with linear membership is the right structure --
-   anything fancier would pay more in hashing than it saves. *)
+   anything fancier would pay more in hashing than it saves.
 
-let orbit ?(max_orbit = 40_320) ~equal gens s =
-  let members = ref [ s ] in
-  let frontier = ref [ s ] in
+   [close] numbers the members in discovery order and returns them
+   newest first, with their count; that list order is the one every
+   caller iterates in.  [edge x j y] is told that generator [j] maps
+   member [x] to member [y], for every member and generator.  Past
+   [indexed_above] members, when the caller supplies a [hash], a table
+   takes over from the list, so that a runaway closure (a declared
+   "permutation" that is not a bijection) reaches its cap in linear
+   time. *)
+
+let indexed_above = 64
+
+let rec index_of equal y = function
+  | [] -> -1
+  | (i, m) :: rest -> if equal y m then i else index_of equal y rest
+
+let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
+  let members = ref [ (0, s) ] and count = ref 1 in
+  let frontier = ref [ (0, s) ] in
+  let table = ref None in
+  let find y =
+    match !table with
+    | Some t -> Option.value (Mdp.Funtbl.find t y) ~default:(-1)
+    | None -> index_of equal y !members
+  in
+  let add y =
+    let i = !count in
+    let m = (i, y) in
+    incr count;
+    members := m :: !members;
+    frontier := m :: !frontier;
+    match (!table, hash) with
+    | Some t, _ -> Mdp.Funtbl.add t y i
+    | None, Some hash when !count > indexed_above ->
+      let t = Mdp.Funtbl.create ~equal ~hash (2 * !count) in
+      List.iter (fun (i, x) -> Mdp.Funtbl.add t x i) !members;
+      table := Some t
+    | None, _ -> ()
+  in
   let overflow = ref false in
   while !frontier <> [] && not !overflow do
     let work = !frontier in
     frontier := [];
     List.iter
-      (fun x ->
-         List.iter
-           (fun g ->
-              let y = g.on_state x in
-              if not (List.exists (equal y) !members) then begin
-                if List.length !members >= max_orbit then overflow := true
-                else begin
-                  members := y :: !members;
-                  frontier := y :: !frontier
-                end
+      (fun (x, sx) ->
+         List.iteri
+           (fun j g ->
+              let y = g.on_state sx in
+              let i = find y in
+              if i >= 0 then edge x j i
+              else if !count >= max_orbit then overflow := true
+              else begin
+                edge x j !count;
+                add y
               end)
            gens)
       work
@@ -66,17 +101,22 @@ let orbit ?(max_orbit = 40_320) ~equal gens s =
          "Symmetry.orbit: orbit exceeded %d states (is a declared \
           permutation really a bijection?)"
          max_orbit);
-  !members
+  (!members, !count)
 
-let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ~equal spec =
+let no_edge _ _ _ = ()
+
+let orbit ?max_orbit ?hash ~equal gens s =
+  List.map snd (fst (close ?max_orbit ?hash ~equal ~edge:no_edge gens s))
+
+let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ?hash ~equal spec =
   match spec.generators with
   | [] -> fun s -> s
   | gens ->
     fun s ->
       List.fold_left
-        (fun best x -> if compare x best < 0 then x else best)
+        (fun best (_, x) -> if compare x best < 0 then x else best)
         s
-        (orbit ?max_orbit ~equal gens s)
+        (fst (close ?max_orbit ?hash ~equal ~edge:no_edge gens s))
 
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)
@@ -147,26 +187,31 @@ let rec remove_step ~equal ~equal_action (a, outs) = function
   | x :: rest ->
     Option.map (fun r -> x :: r) (remove_step ~equal ~equal_action (a, outs) rest)
 
-(* Does [enabled (g s)] equal the g-image of [enabled s] as a multiset
-   of (action, distribution) pairs? *)
-let equivariant_at ~equal ~equal_action pa g s =
+(* What the checks read of one state, each computed once: an orbit
+   member is the source of one check per generator and the target of
+   one per generator too. *)
+type ('s, 'a) facts = {
+  state : 's;
+  hash : int;
+  steps : ('s, 'a) Core.Pa.step list;
+  merged : ('a * ('s * Q.t) list) list;  (** [steps], supports merged *)
+  holds : bool array;  (** the spec's predicates, in order *)
+}
+
+(* Does [t]'s multiset of (action, distribution) pairs equal the
+   g-image of [s]'s, where [t] is [g s]? *)
+let equivariant ~equal ~equal_action g s t =
   let image_steps =
     List.map
       (fun st ->
          ( g.on_action st.Core.Pa.action,
            merged_support ~equal
              (List.map
-                (fun (t, w) -> (g.on_state t, w))
+                (fun (u, w) -> (g.on_state u, w))
                 (Proba.Dist.support st.Core.Pa.dist)) ))
-      (Core.Pa.enabled pa s)
+      s.steps
   in
-  let target_steps =
-    List.map
-      (fun st ->
-         ( st.Core.Pa.action,
-           merged_support ~equal (Proba.Dist.support st.Core.Pa.dist) ))
-      (Core.Pa.enabled pa (g.on_state s))
-  in
+  let target_steps = t.merged in
   List.length image_steps = List.length target_steps
   && (let remaining = ref target_steps in
       List.for_all
@@ -184,6 +229,16 @@ let equivariant_at ~equal ~equal_action pa g s =
    compared at a glance. *)
 let mix fp h = ((fp * 131) + h + 1) land 0x3FFFFFFF
 
+(* Slot of each name: the index of its first occurrence.  Generators
+   (predicates) sharing a name share one verdict, witness and
+   fingerprint. *)
+let slots names =
+  Array.map
+    (fun name ->
+       let rec first j = if names.(j) = name then j else first (j + 1) in
+       first 0)
+    names
+
 let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
     spec expl =
   let pa = Mdp.Explore.automaton expl in
@@ -191,9 +246,12 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
   let equal_action = Core.Pa.equal_action pa in
   let hash = Core.Pa.hash_state pa in
   let pp_state s = Format.asprintf "%a" (Core.Pa.pp_state pa) s in
-  let gens = spec.generators in
+  let gens = Array.of_list spec.generators in
+  let preds = Array.of_list spec.invariant_preds in
+  let gnames = Array.map (fun g -> g.gen_name) gens in
+  let pnames = Array.map fst preds in
   let n = Mdp.Explore.num_states expl in
-  let ngens = List.length gens in
+  let ngens = Array.length gens in
   (* Check every state of every orbit when that fits [max_checks]
      (state, generator) evaluations; otherwise stride-sample the
      representatives.  The certificate records actual coverage. *)
@@ -204,61 +262,104 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
     if reduced then 1 (* orbit expansion below handles the volume *)
     else max 1 ((n + budget_per_gen - 1) / max 1 budget_per_gen)
   in
-  let pa030 : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  let pa031 : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  let fps : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  List.iter (fun g -> Hashtbl.replace fps g.gen_name 0) gens;
+  let gslot = slots gnames and pslot = slots pnames in
+  let pa030 = Array.make ngens None in
+  let pa031 = Array.make (Array.length preds) None in
+  let fps = Array.make ngens 0 in
   (* Start-set invariance: the image of a start state must be a start
      state, else the permutation moves the automaton, not just its
      state space. *)
   let starts = Core.Pa.start pa in
-  List.iter
-    (fun g ->
+  Array.iteri
+    (fun j g ->
        List.iter
          (fun s0 ->
             let img = g.on_state s0 in
-            if not (List.exists (equal img) starts)
-            && not (Hashtbl.mem pa030 g.gen_name) then
-              Hashtbl.replace pa030 g.gen_name
-                (Printf.sprintf
-                   "start state %s maps to %s, which is not a start state"
-                   (pp_state s0) (pp_state img)))
+            if not (List.exists (equal img) starts) && pa030.(gslot.(j)) = None
+            then
+              pa030.(gslot.(j)) <-
+                Some
+                  (Printf.sprintf
+                     "start state %s maps to %s, which is not a start state"
+                     (pp_state s0) (pp_state img)))
          starts)
     gens;
-  let check_state s =
+  let facts s =
+    let steps = Core.Pa.enabled pa s in
+    { state = s;
+      hash = hash s;
+      steps;
+      merged =
+        List.map
+          (fun st ->
+             ( st.Core.Pa.action,
+               merged_support ~equal (Proba.Dist.support st.Core.Pa.dist) ))
+          steps;
+      holds = Array.map (fun (_, pred) -> pred s) preds }
+  in
+  (* [s] against [targets.(j)], its image under generator [j]. *)
+  let check s targets =
     incr states_checked;
-    List.iter
-      (fun g ->
-         if not (Hashtbl.mem pa030 g.gen_name) then begin
-           Hashtbl.replace fps g.gen_name
-             (mix (Hashtbl.find fps g.gen_name)
-                (hash s + hash (g.on_state s)));
-           if not (equivariant_at ~equal ~equal_action pa g s) then
-             Hashtbl.replace pa030 g.gen_name
-               (Printf.sprintf
-                  "steps(%s) is not the %s-image of steps(%s)"
-                  (pp_state (g.on_state s)) g.gen_name (pp_state s))
+    Array.iteri
+      (fun j g ->
+         let slot = gslot.(j) in
+         if pa030.(slot) = None then begin
+           let t = targets.(j) in
+           fps.(slot) <- mix fps.(slot) (s.hash + t.hash);
+           if not (equivariant ~equal ~equal_action g s t) then
+             pa030.(slot) <-
+               Some
+                 (Printf.sprintf "steps(%s) is not the %s-image of steps(%s)"
+                    (pp_state t.state) g.gen_name (pp_state s.state))
          end)
       gens;
-    List.iter
-      (fun (pname, pred) ->
-         if not (Hashtbl.mem pa031 pname) then
-           let here = pred s in
-           List.iter
-             (fun g ->
-                if not (Hashtbl.mem pa031 pname)
-                && pred (g.on_state s) <> here then
-                  Hashtbl.replace pa031 pname
-                    (Printf.sprintf
-                       "%s holds of %s but not of its %s-image %s"
-                       pname
-                       (pp_state (if here then s else g.on_state s))
-                       g.gen_name
-                       (pp_state (if here then g.on_state s else s))))
-             gens)
-      spec.invariant_preds
+    Array.iteri
+      (fun q pname ->
+         let slot = pslot.(q) in
+         if pa031.(slot) = None then begin
+           let here = s.holds.(q) in
+           Array.iteri
+             (fun j g ->
+                let t = targets.(j) in
+                if pa031.(slot) = None && t.holds.(q) <> here then
+                  pa031.(slot) <-
+                    Some
+                      (Printf.sprintf
+                         "%s holds of %s but not of its %s-image %s" pname
+                         (pp_state (if here then s.state else t.state))
+                         g.gen_name
+                         (pp_state (if here then t.state else s.state))))
+             gens
+         end)
+      pnames
   in
-  if gens <> [] then
+  (* Check a set of states in order.  [image p j] is the index in the
+     set of generator [j]'s image of member [p], or [-1] when the set
+     does not hold it and the image is computed directly. *)
+  let check_set members image =
+    Array.iteri
+      (fun p s ->
+         check s
+           (Array.mapi
+              (fun j g ->
+                 let i = image p j in
+                 if i >= 0 then members.(i) else facts (g.on_state s.state))
+              gens))
+      members
+  in
+  (* The orbit closure's image table by discovery index, reused from
+     orbit to orbit. *)
+  let edges = ref [||] in
+  let edge x j y =
+    let at = (x * ngens) + j in
+    if at >= Array.length !edges then begin
+      let grown = Array.make (2 * (at + 1)) 0 in
+      Array.blit !edges 0 grown 0 (Array.length !edges);
+      edges := grown
+    end;
+    !edges.(at) <- y
+  in
+  if ngens > 0 then
     for i = 0 to n - 1 do
       let rep = Mdp.Explore.state expl i in
       if reduced then begin
@@ -266,54 +367,61 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
            checking equivariance at EVERY orbit member is what makes
            the certificate cover the unreduced reachable set: the
            orbits of the representatives are exactly the reachable
-           states of the full automaton. *)
-        let members = orbit ?max_orbit ~equal gens rep in
-        full_states := !full_states + List.length members;
-        List.iter check_state members
+           states of the full automaton.  The orbit is closed, so every
+           image is a member; member [p] of the newest-first list has
+           discovery index [k - 1 - p]. *)
+        let members, k =
+          close ?max_orbit ~hash ~equal ~edge spec.generators rep
+        in
+        full_states := !full_states + k;
+        let members =
+          Array.of_list (List.map (fun (_, s) -> facts s) members)
+        in
+        check_set members (fun p j ->
+            k - 1 - !edges.(((k - 1 - p) * ngens) + j))
       end
       else begin
         incr full_states;
-        if i mod stride = 0 then check_state rep
+        if i mod stride = 0 then check_set [| facts rep |] (fun _ _ -> -1)
       end
     done;
-  let diags =
-    List.filter_map
-      (fun g ->
-         Option.map
-           (fun w ->
-              Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error
-                ~model
-                (Printf.sprintf
-                   "declared permutation %s is not an automorphism of the \
-                    explored fragment"
-                   g.gen_name))
-           (Hashtbl.find_opt pa030 g.gen_name))
-      gens
-    @ List.filter_map
-        (fun (pname, _) ->
-           Option.map
-             (fun w ->
-                Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error
-                  ~model
-                  (Printf.sprintf
-                     "predicate %s is not invariant under the declared \
-                      symmetry group; orbit reduction would be unsound"
-                     pname))
-             (Hashtbl.find_opt pa031 pname))
-        spec.invariant_preds
+  (* One diagnostic per declared name whose slot holds a witness. *)
+  let failed slot table names diag =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i name ->
+               match table.(slot.(i)) with
+               | Some w -> [ diag name w ]
+               | None -> [])
+            names))
   in
-  if diags <> [] || gens = [] then (diags, None)
+  let diags =
+    failed gslot pa030 gnames (fun name w ->
+        Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error ~model
+          (Printf.sprintf
+             "declared permutation %s is not an automorphism of the \
+              explored fragment"
+             name))
+    @ failed pslot pa031 pnames (fun pname w ->
+        Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error ~model
+          (Printf.sprintf
+             "predicate %s is not invariant under the declared symmetry \
+              group; orbit reduction would be unsound"
+             pname))
+  in
+  if diags <> [] || ngens = 0 then (diags, None)
   else begin
     let cert =
       { cert_generators =
-          List.map
-            (fun g ->
-               (g.gen_name, Printf.sprintf "%08x" (Hashtbl.find fps g.gen_name)))
-            gens;
+          Array.to_list
+            (Array.mapi
+               (fun j name -> (name, Printf.sprintf "%08x" fps.(gslot.(j))))
+               gnames);
         states_checked = !states_checked;
         full_states = !full_states;
         reduced;
-        preds_checked = List.map fst spec.invariant_preds }
+        preds_checked = Array.to_list pnames }
     in
     (* PA032: the group is certified but the fragment was explored
        unreduced -- measure what reduction would save. *)
@@ -367,7 +475,8 @@ let explored ~model ~mode ?max_states ?max_orbit ?max_checks spec pa =
   | Off -> (Mdp.Explore.run ?max_states pa, None)
   | On | Auto ->
     let equal = Core.Pa.equal_state pa in
-    let canon = canonicalizer ?max_orbit ~equal spec in
+    let hash = Core.Pa.hash_state pa in
+    let canon = canonicalizer ?max_orbit ~hash ~equal spec in
     let expl = Mdp.Explore.run ?max_states ~canon pa in
     (match
        verify ~model ~reduced:true ?max_orbit ?max_checks spec expl

@@ -452,7 +452,7 @@ let e9_election ctx =
        let arrows = IR.Proof.arrows inst in
        let all_ok = List.for_all (fun a -> a.IR.Proof.claim <> None) arrows in
        let composed =
-         match IR.Proof.composed inst with
+         match IR.Proof.compose_arrows arrows with
          | Ok c -> Format.asprintf "%a" Core.Claim.pp c
          | Error e -> "FAILED: " ^ e
        in
@@ -497,7 +497,7 @@ let e10_topologies ctx =
          | None -> "?"
        in
        let composed =
-         match LR.Proof.composed_topo inst with
+         match LR.Proof.compose_arrows_topo inst arrows with
          | Ok c ->
            Printf.sprintf "(%s, %s)"
              (Q.to_string (Core.Claim.time c))
@@ -535,7 +535,7 @@ let e11_shared_coin ctx =
        let arrows = SC.Proof.arrows inst in
        let ok = List.length (List.filter (fun a -> a.SC.Proof.claim <> None) arrows) in
        let composed =
-         match SC.Proof.composed inst with
+         match SC.Proof.compose_arrows arrows with
          | Ok c ->
            Printf.sprintf "(%s, %s)"
              (Q.to_string (Core.Claim.time c))

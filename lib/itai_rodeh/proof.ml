@@ -46,30 +46,29 @@ let rec downfrom k = if k < 2 then [] else k :: downfrom (k - 1)
 
 let arrows inst = List.map (rung inst) (downfrom inst.params.Automaton.n)
 
-let composed inst =
-  let claims =
-    List.map
-      (fun k ->
-         let a = rung inst k in
+(* Chain the rungs with Theorem 3.4; the first rung that does not hold
+   is the error. *)
+let compose_arrows arrows =
+  let ( let* ) = Result.bind in
+  let* claims =
+    List.fold_left
+      (fun acc a ->
+         let* claims = acc in
          match a.claim with
-         | Some c -> Ok c
+         | Some c -> Ok (c :: claims)
          | None ->
            Error
              (Printf.sprintf "rung %s attained only %s" a.label
                 (Q.to_string a.attained)))
-      (downfrom inst.params.Automaton.n)
+      (Ok []) arrows
   in
-  let rec sequence = function
-    | [] -> Ok []
-    | Ok x :: rest -> Result.map (fun xs -> x :: xs) (sequence rest)
-    | Error e :: _ -> Error e
-  in
-  match sequence claims with
-  | Error e -> Error e
-  | Ok [] -> Error "ring too small: no rungs"
-  | Ok claims ->
+  match List.rev claims with
+  | [] -> Error "ring too small: no rungs"
+  | claims ->
     (try Ok (Core.Claim.compose_all claims)
      with Core.Claim.Rule_violation msg -> Error msg)
+
+let composed inst = compose_arrows (arrows inst)
 
 let leader_pred = Automaton.at_most 1
 

@@ -43,6 +43,12 @@ val arrows : instance -> arrow list
 (** [at_most(n) -(n-1)->_{2^-(n-1)} at_most(1)] via Theorem 3.4. *)
 val composed : instance -> (Automaton.state Core.Claim.t, string) result
 
+(** [compose_arrows arrows] composes rungs already checked, in
+    {!arrows}' order, so a caller that also reports them checks each
+    rung once: [composed inst] is [compose_arrows (arrows inst)]. *)
+val compose_arrows :
+  arrow list -> (Automaton.state Core.Claim.t, string) result
+
 (** Exact min probability of electing within [n-1] time units (the
     direct counterpart of {!composed}). *)
 val direct_bound : instance -> Proba.Rational.t

@@ -89,54 +89,62 @@ let canonicalize arena claim ~pre ~post =
   in
   Core.Claim.weaken_post (Core.Claim.strengthen_pre claim to_pre) to_post
 
-let composed_on arena ~granularity ~g_pred =
-  let get spec =
-    let a = spec_on arena ~granularity ~g_pred spec in
-    match a.claim with
-    | Some c -> Ok (a, c)
-    | None ->
-      Error
-        (Printf.sprintf
-           "%s does not hold at the paper's bound: attained %s < %s"
-           a.label (Q.to_string a.attained) (Q.to_string a.prob))
-  in
+(* The paper's ladder over the five checked arrows, in [all_specs]
+   order: pad each arrow with the already-reached set via Proposition
+   3.2, canonicalize the set names with verified inclusions, then chain
+   with Theorem 3.4.  The first arrow that does not hold is the
+   error. *)
+let compose_on arena ~g_pred arrows =
   let ( let* ) = Result.bind in
-  let* _, a1 = get `P_to_C in
-  let* _, a3 = get `T_to_RTC in
-  let* _, a15 = get `RT_to_FGP in
-  let* _, a14 = get `F_to_GP in
-  let* _, a11 = get `G_to_P in
-  (* The paper's ladder: pad each arrow with the already-reached set via
-     Proposition 3.2, canonicalize the set names with verified
-     inclusions, then chain with Theorem 3.4. *)
-  let fgp_or_c =
-    Core.Pred.union (Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
-      Regions.c
+  let* claims =
+    List.fold_left
+      (fun acc a ->
+         let* claims = acc in
+         match a.claim with
+         | Some c -> Ok (c :: claims)
+         | None ->
+           Error
+             (Printf.sprintf
+                "%s does not hold at the paper's bound: attained %s < %s"
+                a.label (Q.to_string a.attained) (Q.to_string a.prob)))
+      (Ok []) arrows
   in
-  let gp_or_c = Core.Pred.union (Core.Pred.union g_pred Regions.p) Regions.c in
-  try
-    let step1 = a3 in
-    let step2 =
-      canonicalize arena
-        (Core.Claim.union a15 Regions.c)
-        ~pre:Regions.rt_or_c ~post:fgp_or_c
-    in
-    let step3 =
-      canonicalize arena
-        (Core.Claim.union a14 gp_or_c)
-        ~pre:fgp_or_c ~post:gp_or_c
-    in
-    let step4 =
-      canonicalize arena
-        (Core.Claim.union a11 Regions.p_or_c)
-        ~pre:gp_or_c ~post:Regions.p_or_c
-    in
-    let step5 =
-      canonicalize arena (Core.Claim.union a1 Regions.c) ~pre:Regions.p_or_c
-        ~post:Regions.c
-    in
-    Ok (Core.Claim.compose_all [ step1; step2; step3; step4; step5 ])
-  with Failure msg | Core.Claim.Rule_violation msg -> Error msg
+  match List.rev claims with
+  | [ a1; a3; a15; a14; a11 ] -> (
+      let fgp_or_c =
+        Core.Pred.union (Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
+          Regions.c
+      in
+      let gp_or_c =
+        Core.Pred.union (Core.Pred.union g_pred Regions.p) Regions.c
+      in
+      try
+        let step1 = a3 in
+        let step2 =
+          canonicalize arena
+            (Core.Claim.union a15 Regions.c)
+            ~pre:Regions.rt_or_c ~post:fgp_or_c
+        in
+        let step3 =
+          canonicalize arena
+            (Core.Claim.union a14 gp_or_c)
+            ~pre:fgp_or_c ~post:gp_or_c
+        in
+        let step4 =
+          canonicalize arena
+            (Core.Claim.union a11 Regions.p_or_c)
+            ~pre:gp_or_c ~post:Regions.p_or_c
+        in
+        let step5 =
+          canonicalize arena (Core.Claim.union a1 Regions.c)
+            ~pre:Regions.p_or_c ~post:Regions.c
+        in
+        Ok (Core.Claim.compose_all [ step1; step2; step3; step4; step5 ])
+      with Failure msg | Core.Claim.Rule_violation msg -> Error msg)
+  | claims ->
+    Error
+      (Printf.sprintf "the ladder composes 5 arrows, not %d"
+         (List.length claims))
 
 let direct_bound_on arena ~granularity =
   let target = Mdp.Arena.indicator arena Regions.c in
@@ -172,9 +180,8 @@ let arrows inst =
   arrows_on inst.arena ~granularity:inst.params.Automaton.g
     ~g_pred:Regions.g
 
-let composed inst =
-  composed_on inst.arena ~granularity:inst.params.Automaton.g
-    ~g_pred:Regions.g
+let compose_arrows inst arrows = compose_on inst.arena ~g_pred:Regions.g arrows
+let composed inst = compose_arrows inst (arrows inst)
 
 let direct_bound inst =
   direct_bound_on inst.arena ~granularity:inst.params.Automaton.g
@@ -246,9 +253,10 @@ let arrows_topo inst =
   arrows_on inst.tarena ~granularity:inst.tg
     ~g_pred:(Regions.g_of inst.topo)
 
-let composed_topo inst =
-  composed_on inst.tarena ~granularity:inst.tg
-    ~g_pred:(Regions.g_of inst.topo)
+let compose_arrows_topo inst arrows =
+  compose_on inst.tarena ~g_pred:(Regions.g_of inst.topo) arrows
+
+let composed_topo inst = compose_arrows_topo inst (arrows_topo inst)
 
 let direct_bound_topo inst = direct_bound_on inst.tarena ~granularity:inst.tg
 let max_expected_time_topo inst =

@@ -54,6 +54,13 @@ val arrows : instance -> arrow list
     with an explanation if some arrow failed to check. *)
 val composed : instance -> (State.t Core.Claim.t, string) result
 
+(** [compose_arrows inst arrows] composes arrows already checked on
+    [inst], in {!arrows}' order, so a caller that also reports the
+    arrows checks each one once: [composed inst] is
+    [compose_arrows inst (arrows inst)]. *)
+val compose_arrows :
+  instance -> arrow list -> (State.t Core.Claim.t, string) result
+
 (** Exact minimum of [P(reach C within 13)] over reachable [T]-states:
     the direct model-checking counterpart of {!composed}, used to show
     how conservative the paper's [1/8] is. *)
@@ -105,6 +112,10 @@ val build_topo :
 
 val arrows_topo : topo_instance -> arrow list
 val composed_topo : topo_instance -> (State.t Core.Claim.t, string) result
+
+(** {!compose_arrows} for a topology instance, over {!arrows_topo}. *)
+val compose_arrows_topo :
+  topo_instance -> arrow list -> (State.t Core.Claim.t, string) result
 val direct_bound_topo : topo_instance -> Proba.Rational.t
 val max_expected_time_topo : topo_instance -> float
 val liveness_topo : topo_instance -> bool

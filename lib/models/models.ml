@@ -341,46 +341,50 @@ end
 (* Claim extraction from the proof modules *)
 
 let lr_claims inst =
+  let checked = LR.Proof.arrows inst in
   let arrows =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.LR.Proof.label, c)) a.LR.Proof.claim)
-      (LR.Proof.arrows inst)
+      checked
   in
-  match LR.Proof.composed inst with
+  match LR.Proof.compose_arrows inst checked with
   | Ok c -> arrows @ [ ("composed", c) ]
   | Error _ -> arrows
 
 let lr_topo_claims inst =
+  let checked = LR.Proof.arrows_topo inst in
   let arrows =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.LR.Proof.label, c)) a.LR.Proof.claim)
-      (LR.Proof.arrows_topo inst)
+      checked
   in
-  match LR.Proof.composed_topo inst with
+  match LR.Proof.compose_arrows_topo inst checked with
   | Ok c -> arrows @ [ ("composed", c) ]
   | Error _ -> arrows
 
 let ir_claims inst =
+  let checked = IR.Proof.arrows inst in
   let arrows =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.IR.Proof.label, c)) a.IR.Proof.claim)
-      (IR.Proof.arrows inst)
+      checked
   in
-  match IR.Proof.composed inst with
+  match IR.Proof.compose_arrows checked with
   | Ok c -> arrows @ [ ("composed", c) ]
   | Error _ -> arrows
 
 let sc_claims inst =
+  let checked = SC.Proof.arrows inst in
   let arrows =
     List.filter_map
       (fun a ->
          Option.map (fun c -> (a.SC.Proof.label, c)) a.SC.Proof.claim)
-      (SC.Proof.arrows inst)
+      checked
   in
-  match SC.Proof.composed inst with
+  match SC.Proof.compose_arrows checked with
   | Ok c -> arrows @ [ ("composed", c) ]
   | Error _ -> arrows
 

@@ -164,6 +164,7 @@ let check_lr_ring ~max_states (c : Protocol.check_query) =
     Models.lr ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
       ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n ()
   in
+  let arrows = LR.Proof.arrows inst in
   check_header ~verdict:"complete" c
     [ ("states",
        J.Int (arena_states inst.LR.Proof.sym inst.LR.Proof.arena));
@@ -172,8 +173,8 @@ let check_lr_ring ~max_states (c : Protocol.check_query) =
           (match LR.Invariant.check inst.LR.Proof.expl with
            | None -> "holds"
            | Some _ -> "violated") );
-      ("arrows", J.Arr (List.map lr_arrow_json (LR.Proof.arrows inst)));
-      ("composed", composed_json (LR.Proof.composed inst));
+      ("arrows", J.Arr (List.map lr_arrow_json arrows));
+      ("composed", composed_json (LR.Proof.compose_arrows inst arrows));
       ("direct_bound", rat (LR.Proof.direct_bound inst));
       ( "expected_bound",
         rat (Core.Expected.value (LR.Proof.expected_bound ())) );
@@ -189,6 +190,7 @@ let check_lr_topo ~max_states (c : Protocol.check_query) =
     Models.lr_topo ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
       ~sym:(sym_mode c.Protocol.sym) ~topo ()
   in
+  let arrows = LR.Proof.arrows_topo inst in
   check_header ~verdict:"complete" c
     [ ("states",
        J.Int (arena_states inst.LR.Proof.tsym inst.LR.Proof.tarena));
@@ -197,8 +199,8 @@ let check_lr_topo ~max_states (c : Protocol.check_query) =
           (match LR.Proof.invariant_topo inst with
            | None -> "holds"
            | Some _ -> "violated") );
-      ("arrows", J.Arr (List.map lr_arrow_json (LR.Proof.arrows_topo inst)));
-      ("composed", composed_json (LR.Proof.composed_topo inst));
+      ("arrows", J.Arr (List.map lr_arrow_json arrows));
+      ("composed", composed_json (LR.Proof.compose_arrows_topo inst arrows));
       ("direct_bound", rat (LR.Proof.direct_bound_topo inst));
       ("max_expected_time", J.Num (LR.Proof.max_expected_time_topo inst)) ]
 
@@ -215,11 +217,12 @@ let check_election ~max_states (c : Protocol.check_query) =
         ("attained", rat a.IR.Proof.attained);
         ("holds", J.Bool (a.IR.Proof.claim <> None)) ]
   in
+  let arrows = IR.Proof.arrows inst in
   check_header ~verdict:"complete" c
     [ ("states",
        J.Int (arena_states inst.IR.Proof.sym inst.IR.Proof.arena));
-      ("arrows", J.Arr (List.map arrow (IR.Proof.arrows inst)));
-      ("composed", composed_json (IR.Proof.composed inst));
+      ("arrows", J.Arr (List.map arrow arrows));
+      ("composed", composed_json (IR.Proof.compose_arrows arrows));
       ( "expected_bound",
         rat (Core.Expected.value (IR.Proof.expected_bound ~n:c.Protocol.n)) );
       ("max_expected_time", J.Num (IR.Proof.max_expected_time inst)) ]
@@ -237,11 +240,12 @@ let check_coin ~max_states (c : Protocol.check_query) =
         ("attained", rat a.SC.Proof.attained);
         ("holds", J.Bool (a.SC.Proof.claim <> None)) ]
   in
+  let arrows = SC.Proof.arrows inst in
   check_header ~verdict:"complete" c
     [ ("states",
        J.Int (arena_states inst.SC.Proof.sym inst.SC.Proof.arena));
-      ("arrows", J.Arr (List.map arrow (SC.Proof.arrows inst)));
-      ("composed", composed_json (SC.Proof.composed inst));
+      ("arrows", J.Arr (List.map arrow arrows));
+      ("composed", composed_json (SC.Proof.compose_arrows arrows));
       ("direct_bound", rat (SC.Proof.direct_bound inst));
       ("expected_exact", J.Num (SC.Proof.expected_exact inst));
       ("expected_theory", J.Num (SC.Proof.expected_theory inst)) ]

@@ -46,26 +46,27 @@ let rungs inst = List.init inst.params.Automaton.bound (fun d -> d)
 
 let arrows inst = List.map (rung inst) (rungs inst)
 
-let composed inst =
-  let claims =
-    List.map
-      (fun d ->
-         match (rung inst d).claim with
-         | Some c -> Ok c
-         | None -> Error (Printf.sprintf "rung D%d failed" d))
-      (rungs inst)
+(* Chain the rungs with Theorem 3.4; the first rung that does not hold
+   is the error. *)
+let compose_arrows arrows =
+  let ( let* ) = Result.bind in
+  let* claims =
+    List.fold_left
+      (fun acc a ->
+         let* claims = acc in
+         match a.claim with
+         | Some c -> Ok (c :: claims)
+         | None ->
+           Error (Printf.sprintf "rung %s failed" a.label))
+      (Ok []) arrows
   in
-  let rec sequence = function
-    | [] -> Ok []
-    | Ok x :: rest -> Result.map (fun xs -> x :: xs) (sequence rest)
-    | Error e :: _ -> Error e
-  in
-  match sequence claims with
-  | Error e -> Error e
-  | Ok [] -> Error "bound too small"
-  | Ok claims ->
+  match List.rev claims with
+  | [] -> Error "bound too small"
+  | claims ->
     (try Ok (Core.Claim.compose_all claims)
      with Core.Claim.Rule_violation msg -> Error msg)
+
+let composed inst = compose_arrows (arrows inst)
 
 let decided_pred inst =
   Automaton.at_least inst.params inst.params.Automaton.bound

@@ -47,6 +47,12 @@ val arrows : instance -> arrow list
 (** [at_least 0 -bound->_{2^-bound} at_least bound] via Theorem 3.4. *)
 val composed : instance -> (Automaton.state Core.Claim.t, string) result
 
+(** [compose_arrows arrows] composes rungs already checked, in
+    {!arrows}' order, so a caller that also reports them checks each
+    rung once: [composed inst] is [compose_arrows (arrows inst)]. *)
+val compose_arrows :
+  arrow list -> (Automaton.state Core.Claim.t, string) result
+
 (** Exact minimum probability of deciding within [bound] time units
     (the composed claim's horizon): shows how loose [2^-bound] is. *)
 val direct_bound : instance -> Proba.Rational.t

@@ -11,6 +11,7 @@ module N = Cert.Node
 module V = Cert.Verify
 module LR = Lehmann_rabin
 module IR = Itai_rodeh
+module SC = Shared_coin
 
 (* ------------------------------------------------------------------ *)
 (* Helpers. *)
@@ -329,6 +330,95 @@ let test_parse_strictness () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Composition from arrows already checked: what a surface composes from
+   the arrows it has just rendered must be what [composed] derives on its
+   own, down to the certificate bytes; and /check must check each arrow
+   once. *)
+
+let claim_text = function
+  | Ok c -> Format.asprintf "%a" Core.Claim.pp c
+  | Error e -> "error: " ^ e
+
+let cert_bytes arena = function
+  | Ok c ->
+    J.to_string
+      (N.to_json
+         (Cert.Emit.emit ~config:cfg ~fingerprint:(Mdp.Arena.fingerprint arena)
+            c))
+  | Error e -> "error: " ^ e
+
+let same_composition name arena ~precomputed ~composed =
+  Alcotest.(check string) (name ^ " claim") (claim_text composed)
+    (claim_text precomputed);
+  Alcotest.(check string) (name ^ " certificate bytes")
+    (cert_bytes arena composed) (cert_bytes arena precomputed);
+  Alcotest.(check bool) (name ^ " composes") true (Result.is_ok precomputed)
+
+let test_compose_lr_ring () =
+  let inst = Models.lr ~n:3 () in
+  let arrows = LR.Proof.arrows inst in
+  same_composition "lr ring" inst.LR.Proof.arena
+    ~precomputed:(LR.Proof.compose_arrows inst arrows)
+    ~composed:(LR.Proof.composed inst);
+  (* The first arrow that does not hold names the failure, as when
+     [composed] checked them itself; the ladder needs all five. *)
+  let broken =
+    List.map
+      (fun (a : LR.Proof.arrow) ->
+         if a.LR.Proof.label = "A.15" || a.LR.Proof.label = "A.11" then
+           { a with LR.Proof.claim = None; attained = Q.zero }
+         else a)
+      arrows
+  in
+  Alcotest.(check string) "first failing arrow"
+    "error: A.15 does not hold at the paper's bound: attained 0 < 1"
+    (claim_text (LR.Proof.compose_arrows inst broken));
+  Alcotest.(check string) "four arrows refused"
+    "error: the ladder composes 5 arrows, not 4"
+    (claim_text (LR.Proof.compose_arrows inst (List.tl arrows)))
+
+let test_compose_lr_star () =
+  let inst = Models.lr_topo ~topo:(LR.Topology.star 3) () in
+  same_composition "lr star" inst.LR.Proof.tarena
+    ~precomputed:
+      (LR.Proof.compose_arrows_topo inst (LR.Proof.arrows_topo inst))
+    ~composed:(LR.Proof.composed_topo inst)
+
+let test_compose_election () =
+  let inst = Models.election ~n:3 () in
+  same_composition "election" inst.IR.Proof.arena
+    ~precomputed:(IR.Proof.compose_arrows (IR.Proof.arrows inst))
+    ~composed:(IR.Proof.composed inst)
+
+let test_compose_coin () =
+  let inst = Models.coin ~n:2 ~bound:3 () in
+  same_composition "coin" inst.SC.Proof.arena
+    ~precomputed:(SC.Proof.compose_arrows (SC.Proof.arrows inst))
+    ~composed:(SC.Proof.composed inst)
+
+(* Interval-plane passes are the checker's unit of work: a /check body
+   costs its arrows once plus the direct bound and the expected time,
+   with no second round of arrow checks for the composed claim. *)
+let test_check_json_checks_arrows_once () =
+  let passes f =
+    let before = (Mdp.Plane.stats ()).Mdp.Plane.interval_passes in
+    ignore (Sys.opaque_identity (f ()));
+    (Mdp.Plane.stats ()).Mdp.Plane.interval_passes - before
+  in
+  let inst = Models.lr ~n:3 () in
+  let q = query ~model:`Lr ~n:3 () in
+  ignore (Server.Service.check_json q);
+  let arrows = passes (fun () -> LR.Proof.arrows inst) in
+  let rest =
+    passes (fun () ->
+        (LR.Proof.direct_bound inst, LR.Proof.max_expected_time inst))
+  in
+  Alcotest.(check bool) "the arrows run interval passes" true (arrows >= 5);
+  Alcotest.(check int) "check_json: arrows once, then the bounds"
+    (arrows + rest)
+    (passes (fun () -> Server.Service.check_json q))
+
+(* ------------------------------------------------------------------ *)
 (* Arena fingerprints. *)
 
 let fp_lr ?g ?sym n =
@@ -467,6 +557,17 @@ let () =
             test_fingerprint_deterministic;
           Alcotest.test_case "distinct across configurations" `Quick
             test_fingerprint_distinct ] );
+      ( "composition",
+        [ Alcotest.test_case "lr ring from checked arrows" `Quick
+            test_compose_lr_ring;
+          Alcotest.test_case "lr star from checked arrows" `Quick
+            test_compose_lr_star;
+          Alcotest.test_case "election from checked arrows" `Quick
+            test_compose_election;
+          Alcotest.test_case "coin from checked arrows" `Quick
+            test_compose_coin;
+          Alcotest.test_case "check_json checks arrows once" `Quick
+            test_check_json_checks_arrows_once ] );
       ( "bigint wire",
         [ Alcotest.test_case "rationals round-trip exactly" `Quick
             test_bigint_wire_roundtrip;

@@ -44,6 +44,300 @@ let min_float_over arena ~pred ~target ~ticks =
 let bits = Int64.bits_of_float
 
 (* ------------------------------------------------------------------ *)
+(* The verifier as it stood before orbits were certified in one pass:
+   every (member, generator) pair ran [enabled] at both ends, and the
+   verdicts lived in tables keyed by name.  Copied verbatim (with the
+   orbit closure and canonicalizer it used), as the reference the
+   current [Sym.verify] must agree with bit for bit. *)
+
+module Legacy = struct
+  open Analysis
+  open Symmetry
+
+  let orbit ?(max_orbit = 40_320) ~equal gens s =
+    let members = ref [ s ] in
+    let frontier = ref [ s ] in
+    let overflow = ref false in
+    while !frontier <> [] && not !overflow do
+      let work = !frontier in
+      frontier := [];
+      List.iter
+        (fun x ->
+           List.iter
+             (fun g ->
+                let y = g.on_state x in
+                if not (List.exists (equal y) !members) then begin
+                  if List.length !members >= max_orbit then overflow := true
+                  else begin
+                    members := y :: !members;
+                    frontier := y :: !frontier
+                  end
+                end)
+             gens)
+        work
+    done;
+    if !overflow then
+      invalid_arg
+        (Printf.sprintf
+           "Symmetry.orbit: orbit exceeded %d states (is a declared \
+            permutation really a bijection?)"
+           max_orbit);
+    !members
+
+  let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ~equal spec =
+    match spec.generators with
+    | [] -> fun s -> s
+    | gens ->
+      fun s ->
+        List.fold_left
+          (fun best x -> if compare x best < 0 then x else best)
+          s
+          (orbit ?max_orbit ~equal gens s)
+
+  (* ------------------------------------------------------------------ *)
+  (* Equivariance verification. *)
+
+  (* Distribution support with outcomes merged up to [equal] -- the image
+     of a distribution under a permutation may identify targets the
+     original kept apart only when the permutation is NOT injective,
+     which is exactly what the comparison below would then expose. *)
+  let merged_support ~equal outs =
+    List.fold_left
+      (fun acc (t, w) ->
+         let rec go = function
+           | [] -> [ (t, w) ]
+           | (t', w') :: rest when equal t t' -> (t', Q.add w w') :: rest
+           | x :: rest -> x :: go rest
+         in
+         go acc)
+      [] outs
+
+  let rec remove_outcome ~equal t w = function
+    | [] -> None
+    | (t', w') :: rest when equal t t' && Q.equal w w' -> Some rest
+    | x :: rest ->
+      Option.map (fun r -> x :: r) (remove_outcome ~equal t w rest)
+
+  let dist_equal ~equal a b =
+    List.length a = List.length b
+    && (let remaining = ref b in
+        List.for_all
+          (fun (t, w) ->
+             match remove_outcome ~equal t w !remaining with
+             | Some rest ->
+               remaining := rest;
+               true
+             | None -> false)
+          a)
+
+  let rec remove_step ~equal ~equal_action (a, outs) = function
+    | [] -> None
+    | (a', outs') :: rest when equal_action a a' && dist_equal ~equal outs outs'
+      ->
+      Some rest
+    | x :: rest ->
+      Option.map (fun r -> x :: r) (remove_step ~equal ~equal_action (a, outs) rest)
+
+  (* Does [enabled (g s)] equal the g-image of [enabled s] as a multiset
+     of (action, distribution) pairs? *)
+  let equivariant_at ~equal ~equal_action pa g s =
+    let image_steps =
+      List.map
+        (fun st ->
+           ( g.on_action st.Core.Pa.action,
+             merged_support ~equal
+               (List.map
+                  (fun (t, w) -> (g.on_state t, w))
+                  (Proba.Dist.support st.Core.Pa.dist)) ))
+        (Core.Pa.enabled pa s)
+    in
+    let target_steps =
+      List.map
+        (fun st ->
+           ( st.Core.Pa.action,
+             merged_support ~equal (Proba.Dist.support st.Core.Pa.dist) ))
+        (Core.Pa.enabled pa (g.on_state s))
+    in
+    List.length image_steps = List.length target_steps
+    && (let remaining = ref target_steps in
+        List.for_all
+          (fun step ->
+             match remove_step ~equal ~equal_action step !remaining with
+             | Some rest ->
+               remaining := rest;
+               true
+             | None -> false)
+          image_steps)
+
+  (* Deterministic 30-bit fingerprint accumulator: position-dependent
+     mixing of the state hashes a generator was spot-checked at, printed
+     as hex in the certificate so two runs over the same fragment can be
+     compared at a glance. *)
+  let mix fp h = ((fp * 131) + h + 1) land 0x3FFFFFFF
+
+  let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
+      spec expl =
+    let pa = Mdp.Explore.automaton expl in
+    let equal = Core.Pa.equal_state pa in
+    let equal_action = Core.Pa.equal_action pa in
+    let hash = Core.Pa.hash_state pa in
+    let pp_state s = Format.asprintf "%a" (Core.Pa.pp_state pa) s in
+    let gens = spec.generators in
+    let n = Mdp.Explore.num_states expl in
+    let ngens = List.length gens in
+    (* Check every state of every orbit when that fits [max_checks]
+       (state, generator) evaluations; otherwise stride-sample the
+       representatives.  The certificate records actual coverage. *)
+    let full_states = ref 0 in
+    let states_checked = ref 0 in
+    let budget_per_gen = if ngens = 0 then max_checks else max_checks / ngens in
+    let stride =
+      if reduced then 1 (* orbit expansion below handles the volume *)
+      else max 1 ((n + budget_per_gen - 1) / max 1 budget_per_gen)
+    in
+    let pa030 : (string, string) Hashtbl.t = Hashtbl.create 4 in
+    let pa031 : (string, string) Hashtbl.t = Hashtbl.create 4 in
+    let fps : (string, int) Hashtbl.t = Hashtbl.create 4 in
+    List.iter (fun g -> Hashtbl.replace fps g.gen_name 0) gens;
+    (* Start-set invariance: the image of a start state must be a start
+       state, else the permutation moves the automaton, not just its
+       state space. *)
+    let starts = Core.Pa.start pa in
+    List.iter
+      (fun g ->
+         List.iter
+           (fun s0 ->
+              let img = g.on_state s0 in
+              if not (List.exists (equal img) starts)
+              && not (Hashtbl.mem pa030 g.gen_name) then
+                Hashtbl.replace pa030 g.gen_name
+                  (Printf.sprintf
+                     "start state %s maps to %s, which is not a start state"
+                     (pp_state s0) (pp_state img)))
+           starts)
+      gens;
+    let check_state s =
+      incr states_checked;
+      List.iter
+        (fun g ->
+           if not (Hashtbl.mem pa030 g.gen_name) then begin
+             Hashtbl.replace fps g.gen_name
+               (mix (Hashtbl.find fps g.gen_name)
+                  (hash s + hash (g.on_state s)));
+             if not (equivariant_at ~equal ~equal_action pa g s) then
+               Hashtbl.replace pa030 g.gen_name
+                 (Printf.sprintf
+                    "steps(%s) is not the %s-image of steps(%s)"
+                    (pp_state (g.on_state s)) g.gen_name (pp_state s))
+           end)
+        gens;
+      List.iter
+        (fun (pname, pred) ->
+           if not (Hashtbl.mem pa031 pname) then
+             let here = pred s in
+             List.iter
+               (fun g ->
+                  if not (Hashtbl.mem pa031 pname)
+                  && pred (g.on_state s) <> here then
+                    Hashtbl.replace pa031 pname
+                      (Printf.sprintf
+                         "%s holds of %s but not of its %s-image %s"
+                         pname
+                         (pp_state (if here then s else g.on_state s))
+                         g.gen_name
+                         (pp_state (if here then g.on_state s else s))))
+               gens)
+        spec.invariant_preds
+    in
+    if gens <> [] then
+      for i = 0 to n - 1 do
+        let rep = Mdp.Explore.state expl i in
+        if reduced then begin
+          (* A reduced fragment stores one representative per orbit;
+             checking equivariance at EVERY orbit member is what makes
+             the certificate cover the unreduced reachable set: the
+             orbits of the representatives are exactly the reachable
+             states of the full automaton. *)
+          let members = orbit ?max_orbit ~equal gens rep in
+          full_states := !full_states + List.length members;
+          List.iter check_state members
+        end
+        else begin
+          incr full_states;
+          if i mod stride = 0 then check_state rep
+        end
+      done;
+    let diags =
+      List.filter_map
+        (fun g ->
+           Option.map
+             (fun w ->
+                Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error
+                  ~model
+                  (Printf.sprintf
+                     "declared permutation %s is not an automorphism of the \
+                      explored fragment"
+                     g.gen_name))
+             (Hashtbl.find_opt pa030 g.gen_name))
+        gens
+      @ List.filter_map
+          (fun (pname, _) ->
+             Option.map
+               (fun w ->
+                  Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error
+                    ~model
+                    (Printf.sprintf
+                       "predicate %s is not invariant under the declared \
+                        symmetry group; orbit reduction would be unsound"
+                       pname))
+               (Hashtbl.find_opt pa031 pname))
+          spec.invariant_preds
+    in
+    if diags <> [] || gens = [] then (diags, None)
+    else begin
+      let cert =
+        { cert_generators =
+            List.map
+              (fun g ->
+                 (g.gen_name, Printf.sprintf "%08x" (Hashtbl.find fps g.gen_name)))
+              gens;
+          states_checked = !states_checked;
+          full_states = !full_states;
+          reduced;
+          preds_checked = List.map fst spec.invariant_preds }
+      in
+      (* PA032: the group is certified but the fragment was explored
+         unreduced -- measure what reduction would save. *)
+      let advisory =
+        if reduced then []
+        else begin
+          let canon = canonicalizer ~equal spec in
+          let reps = Mdp.Funtbl.create ~equal ~hash 1024 in
+          let distinct = ref 0 in
+          for i = 0 to n - 1 do
+            ignore
+              (Mdp.Funtbl.find_or_add reps (canon (Mdp.Explore.state expl i))
+                 (fun () ->
+                    incr distinct;
+                    !distinct))
+          done;
+          if !distinct < n then
+            [ Diagnostic.v Diagnostic.PA032 Diagnostic.Info ~model
+                (Printf.sprintf
+                   "model is symmetric under the certified group but was \
+                    explored unreduced: %d states collapse to %d orbit \
+                    representatives (%.2fx); explore with symmetry reduction \
+                    (--sym on) to check the quotient"
+                   n !distinct
+                   (float_of_int n /. float_of_int !distinct)) ]
+          else []
+        end
+      in
+      (advisory, Some cert)
+    end
+end
+
+(* ------------------------------------------------------------------ *)
 (* Differential: reduced vs unreduced, all four case studies. *)
 
 let test_lr_differential () =
@@ -208,6 +502,101 @@ let test_pa032_advisory () =
     cert.Sym.full_states
 
 (* ------------------------------------------------------------------ *)
+(* The verifier against its pre-rewrite copy: the same diagnostics,
+   witness text included, and the same certificate, fingerprints
+   included, on reduced, unreduced and stride-sampled fragments of every
+   case study and on the broken fixtures. *)
+
+let verdict_text (diags, cert) =
+  String.concat "\n"
+    (List.map
+       (fun d ->
+          Format.asprintf "%a | witness: %s" Analysis.Diagnostic.pp d
+            (Option.value d.Analysis.Diagnostic.witness ~default:"-"))
+       diags
+     @ [ (match cert with
+         | None -> "no certificate"
+         | Some c -> Analysis.Json.to_string (Sym.certificate_to_json c)) ])
+
+let same_as_legacy name ?reduced ?max_checks spec expl =
+  let before = Legacy.verify ~model:name ?reduced ?max_checks spec expl in
+  let now = Sym.verify ~model:name ?reduced ?max_checks spec expl in
+  Alcotest.(check string) (name ^ ": diagnostics and certificate")
+    (verdict_text before) (verdict_text now);
+  Alcotest.(check bool) (name ^ ": structurally equal") true (before = now);
+  now
+
+let reduced_expl spec pa =
+  Mdp.Explore.run
+    ~canon:(Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec) pa
+
+let legacy_modes name spec pa =
+  let certified (_, cert) = ignore (cert_exn cert) in
+  certified (same_as_legacy (name ^ " reduced") ~reduced:true spec
+               (reduced_expl spec pa));
+  let expl = Mdp.Explore.run pa in
+  certified (same_as_legacy (name ^ " unreduced") spec expl);
+  let _, cert =
+    same_as_legacy (name ^ " sampled")
+      ~max_checks:(Mdp.Explore.num_states expl / 4)
+      spec expl
+  in
+  Alcotest.(check bool) (name ^ " sampled: a strict subset") true
+    ((cert_exn cert).Sym.states_checked < Mdp.Explore.num_states expl)
+
+let test_legacy_lr () =
+  legacy_modes "lr" (LR.Symmetry.ring ~n:3 ())
+    (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 })
+
+let test_legacy_star () =
+  let topo = LR.Topology.star 3 in
+  legacy_modes "lr:star" (LR.Symmetry.spec topo)
+    (LR.Automaton.make_general ~topo ~g:1 ~k:1)
+
+let test_legacy_election () =
+  let params = { IR.Automaton.n = 3; g = 1; k = 1 } in
+  legacy_modes "itai_rodeh" (IR.Symmetry.spec params) (IR.Automaton.make params)
+
+let test_legacy_coin () =
+  let params = { SC.Automaton.n = 2; bound = 3; g = 1; k = 1 } in
+  legacy_modes "shared_coin" (SC.Symmetry.spec params)
+    (SC.Automaton.make params)
+
+let test_legacy_consensus () =
+  let initial = [| false; false; true |] in
+  let params = { BO.Automaton.n = 3; f = 1; cap = 2; g = 1; k = 1 } in
+  legacy_modes "ben_or"
+    (BO.Symmetry.spec params ~initial)
+    (BO.Automaton.make ~initial params)
+
+let test_legacy_fixtures () =
+  let fires code name ?reduced spec expl =
+    let diags, _ = same_as_legacy name ?reduced spec expl in
+    Alcotest.(check bool) (name ^ " fires") true (has_code code diags)
+  in
+  let topo = LR.Topology.line 3 in
+  let line = LR.Automaton.make_general ~topo ~g:1 ~k:1 in
+  let broken = broken_line_spec topo in
+  fires Analysis.Diagnostic.PA030 "lr-line-broken" broken
+    (Mdp.Explore.run line);
+  fires Analysis.Diagnostic.PA030 "lr-line-broken reduced" ~reduced:true
+    broken (reduced_expl broken line);
+  let pred0 s = s.LR.State.procs.(0).LR.State.region = LR.State.Crit in
+  let pinned = LR.Symmetry.ring ~extra:[ ("proc0-crit", pred0) ] ~n:3 () in
+  let ring = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
+  fires Analysis.Diagnostic.PA031 "lr-proc0" pinned (Mdp.Explore.run ring);
+  fires Analysis.Diagnostic.PA031 "lr-proc0 reduced" ~reduced:true pinned
+    (reduced_expl pinned ring);
+  (* Two predicates under one name share one verdict and one witness. *)
+  let pred1 s = s.LR.State.procs.(1).LR.State.region = LR.State.Crit in
+  let twice =
+    LR.Symmetry.ring ~extra:[ ("proc-crit", pred1); ("proc-crit", pred0) ]
+      ~n:3 ()
+  in
+  fires Analysis.Diagnostic.PA031 "lr-proc-crit twice" twice
+    (Mdp.Explore.run ring)
+
+(* ------------------------------------------------------------------ *)
 (* Mechanics: orbits and canonicalizers. *)
 
 let rot3 =
@@ -218,6 +607,20 @@ let test_orbit () =
   let orbit = Sym.orbit ~equal:Int.equal [ rot3 ] 1 in
   Alcotest.(check (list int)) "orbit of 1 under +1 mod 3" [ 0; 1; 2 ]
     (List.sort compare orbit)
+
+(* A generator that is not a bijection has an unbounded orbit; the
+   closure refuses it by name at the cap, in linear time when given a
+   hash (the verifier and [explored] always pass the automaton's). *)
+let test_orbit_refuses_non_bijection () =
+  let succ =
+    Sym.generator ~name:"succ" ~on_state:(fun i -> i + 1) ~on_action:Fun.id
+  in
+  Alcotest.check_raises "named refusal at the default cap"
+    (Invalid_argument
+       "Symmetry.orbit: orbit exceeded 40320 states (is a declared \
+        permutation really a bijection?)")
+    (fun () ->
+       ignore (Sym.orbit ~hash:Hashtbl.hash ~equal:Int.equal [ succ ] 0))
 
 let test_canonicalizer () =
   let canon = Sym.canonicalizer ~equal:Int.equal (Sym.spec [ rot3 ]) in
@@ -247,7 +650,17 @@ let () =
             test_pa031_fires;
           Alcotest.test_case "PA032: unreduced advisory" `Quick
             test_pa032_advisory ] );
+      ( "legacy verifier",
+        [ Alcotest.test_case "lr ring" `Quick test_legacy_lr;
+          Alcotest.test_case "lr star" `Quick test_legacy_star;
+          Alcotest.test_case "election" `Quick test_legacy_election;
+          Alcotest.test_case "coin" `Quick test_legacy_coin;
+          Alcotest.test_case "consensus" `Quick test_legacy_consensus;
+          Alcotest.test_case "PA030/PA031 witnesses" `Quick
+            test_legacy_fixtures ] );
       ( "mechanics",
         [ Alcotest.test_case "orbit closure" `Quick test_orbit;
+          Alcotest.test_case "non-bijection refused" `Quick
+            test_orbit_refuses_non_bijection;
           Alcotest.test_case "canonicalizer" `Quick test_canonicalizer ] )
     ]
