@@ -41,41 +41,16 @@ exception Not_certified of string
    [close] numbers the members in discovery order and returns them
    newest first, with their count; that list order is the one every
    caller iterates in.  [edge x j y] is told that generator [j] maps
-   member [x] to member [y], for every member and generator.  Past
-   [indexed_above] members, when the caller supplies a [hash], a table
-   takes over from the list, so that a runaway closure (a declared
-   "permutation" that is not a bijection) reaches its cap in linear
-   time. *)
-
-let indexed_above = 64
+   member [x] to member [y], for every member and generator.  The
+   count is kept as it grows, so the cap costs nothing to test. *)
 
 let rec index_of equal y = function
   | [] -> -1
   | (i, m) :: rest -> if equal y m then i else index_of equal y rest
 
-let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
+let close ?(max_orbit = 40_320) ~equal ~edge gens s =
   let members = ref [ (0, s) ] and count = ref 1 in
   let frontier = ref [ (0, s) ] in
-  let table = ref None in
-  let find y =
-    match !table with
-    | Some t -> Option.value (Mdp.Funtbl.find t y) ~default:(-1)
-    | None -> index_of equal y !members
-  in
-  let add y =
-    let i = !count in
-    let m = (i, y) in
-    incr count;
-    members := m :: !members;
-    frontier := m :: !frontier;
-    match (!table, hash) with
-    | Some t, _ -> Mdp.Funtbl.add t y i
-    | None, Some hash when !count > indexed_above ->
-      let t = Mdp.Funtbl.create ~equal ~hash (2 * !count) in
-      List.iter (fun (i, x) -> Mdp.Funtbl.add t x i) !members;
-      table := Some t
-    | None, _ -> ()
-  in
   let overflow = ref false in
   while !frontier <> [] && not !overflow do
     let work = !frontier in
@@ -85,12 +60,15 @@ let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
          List.iteri
            (fun j g ->
               let y = g.on_state sx in
-              let i = find y in
+              let i = index_of equal y !members in
               if i >= 0 then edge x j i
               else if !count >= max_orbit then overflow := true
               else begin
+                let m = (!count, y) in
                 edge x j !count;
-                add y
+                incr count;
+                members := m :: !members;
+                frontier := m :: !frontier
               end)
            gens)
       work
@@ -105,10 +83,10 @@ let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
 
 let no_edge _ _ _ = ()
 
-let orbit ?max_orbit ?hash ~equal gens s =
-  List.map snd (fst (close ?max_orbit ?hash ~equal ~edge:no_edge gens s))
+let orbit ?max_orbit ~equal gens s =
+  List.map snd (fst (close ?max_orbit ~equal ~edge:no_edge gens s))
 
-let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ?hash ~equal spec =
+let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ~equal spec =
   match spec.generators with
   | [] -> fun s -> s
   | gens ->
@@ -116,7 +94,7 @@ let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ?hash ~equal spec =
       List.fold_left
         (fun best (_, x) -> if compare x best < 0 then x else best)
         s
-        (fst (close ?max_orbit ?hash ~equal ~edge:no_edge gens s))
+        (fst (close ?max_orbit ~equal ~edge:no_edge gens s))
 
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)
@@ -371,7 +349,7 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
            image is a member; member [p] of the newest-first list has
            discovery index [k - 1 - p]. *)
         let members, k =
-          close ?max_orbit ~hash ~equal ~edge spec.generators rep
+          close ?max_orbit ~equal ~edge spec.generators rep
         in
         full_states := !full_states + k;
         let members =
@@ -475,8 +453,7 @@ let explored ~model ~mode ?max_states ?max_orbit ?max_checks spec pa =
   | Off -> (Mdp.Explore.run ?max_states pa, None)
   | On | Auto ->
     let equal = Core.Pa.equal_state pa in
-    let hash = Core.Pa.hash_state pa in
-    let canon = canonicalizer ?max_orbit ~hash ~equal spec in
+    let canon = canonicalizer ?max_orbit ~equal spec in
     let expl = Mdp.Explore.run ?max_states ~canon pa in
     (match
        verify ~model ~reduced:true ?max_orbit ?max_checks spec expl

@@ -63,21 +63,17 @@ exception Not_certified of string
 
 (** [orbit ~equal gens s]: closure of [s] under the generators.
     Raises [Invalid_argument] past [max_orbit] (default [40_320]
-    = 8!), which indicates a non-bijective declaration.  Membership is
-    a linear scan, which suits small orbits; with [hash] (agreeing with
-    [equal]) large orbits are indexed, so reaching the cap takes
-    linear time. *)
+    = 8!), which indicates a non-bijective declaration. *)
 val orbit :
-  ?max_orbit:int -> ?hash:('s -> int) -> equal:('s -> 's -> bool) ->
+  ?max_orbit:int -> equal:('s -> 's -> bool) ->
   ('s, 'a) generator list -> 's -> 's list
 
 (** [canonicalizer ~equal spec] maps each state to its orbit
     representative: the minimum of the orbit under [compare] (default
     [Stdlib.compare]).  With no generators this is the identity.
-    Intended as the [canon] argument of [Mdp.Explore.run]; [hash] as
-    in {!orbit}. *)
+    Intended as the [canon] argument of [Mdp.Explore.run]. *)
 val canonicalizer :
-  ?compare:('s -> 's -> int) -> ?max_orbit:int -> ?hash:('s -> int) ->
+  ?compare:('s -> 's -> int) -> ?max_orbit:int ->
   equal:('s -> 's -> bool) -> ('s, 'a) spec -> 's -> 's
 
 (** Evidence that the group was verified on a fragment: per-generator

@@ -49,22 +49,16 @@ let arrows inst = List.map (rung inst) (downfrom inst.params.Automaton.n)
 (* Chain the rungs with Theorem 3.4; the first rung that does not hold
    is the error. *)
 let compose_arrows arrows =
-  let ( let* ) = Result.bind in
-  let* claims =
-    List.fold_left
-      (fun acc a ->
-         let* claims = acc in
-         match a.claim with
-         | Some c -> Ok (c :: claims)
-         | None ->
-           Error
-             (Printf.sprintf "rung %s attained only %s" a.label
-                (Q.to_string a.attained)))
-      (Ok []) arrows
-  in
-  match List.rev claims with
-  | [] -> Error "ring too small: no rungs"
-  | claims ->
+  match
+    ( List.find_opt (fun a -> Option.is_none a.claim) arrows,
+      List.filter_map (fun a -> a.claim) arrows )
+  with
+  | Some a, _ ->
+    Error
+      (Printf.sprintf "rung %s attained only %s" a.label
+         (Q.to_string a.attained))
+  | None, [] -> Error "ring too small: no rungs"
+  | None, claims ->
     (try Ok (Core.Claim.compose_all claims)
      with Core.Claim.Rule_violation msg -> Error msg)
 

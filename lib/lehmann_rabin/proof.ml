@@ -95,22 +95,15 @@ let canonicalize arena claim ~pre ~post =
    with Theorem 3.4.  The first arrow that does not hold is the
    error. *)
 let compose_on arena ~g_pred arrows =
-  let ( let* ) = Result.bind in
-  let* claims =
-    List.fold_left
-      (fun acc a ->
-         let* claims = acc in
-         match a.claim with
-         | Some c -> Ok (c :: claims)
-         | None ->
-           Error
-             (Printf.sprintf
-                "%s does not hold at the paper's bound: attained %s < %s"
-                a.label (Q.to_string a.attained) (Q.to_string a.prob)))
-      (Ok []) arrows
-  in
-  match List.rev claims with
-  | [ a1; a3; a15; a14; a11 ] -> (
+  match
+    ( List.find_opt (fun a -> Option.is_none a.claim) arrows,
+      List.filter_map (fun a -> a.claim) arrows )
+  with
+  | Some a, _ ->
+    Error
+      (Printf.sprintf "%s does not hold at the paper's bound: attained %s < %s"
+         a.label (Q.to_string a.attained) (Q.to_string a.prob))
+  | None, [ a1; a3; a15; a14; a11 ] -> (
       let fgp_or_c =
         Core.Pred.union (Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
           Regions.c
@@ -141,10 +134,7 @@ let compose_on arena ~g_pred arrows =
         in
         Ok (Core.Claim.compose_all [ step1; step2; step3; step4; step5 ])
       with Failure msg | Core.Claim.Rule_violation msg -> Error msg)
-  | claims ->
-    Error
-      (Printf.sprintf "the ladder composes 5 arrows, not %d"
-         (List.length claims))
+  | None, _ -> invalid_arg "Proof.compose_arrows: not the five ladder arrows"
 
 let direct_bound_on arena ~granularity =
   let target = Mdp.Arena.indicator arena Regions.c in

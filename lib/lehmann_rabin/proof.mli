@@ -55,9 +55,11 @@ val arrows : instance -> arrow list
 val composed : instance -> (State.t Core.Claim.t, string) result
 
 (** [compose_arrows inst arrows] composes arrows already checked on
-    [inst], in {!arrows}' order, so a caller that also reports the
-    arrows checks each one once: [composed inst] is
-    [compose_arrows inst (arrows inst)]. *)
+    [inst], so a caller that also reports the arrows checks each one
+    once: [composed inst] is [compose_arrows inst (arrows inst)].
+    [arrows] must be [arrows inst] (or [arrows_topo] for a topology
+    instance), in that order; the ladder reads the five by position
+    and raises [Invalid_argument] on a list of any other length. *)
 val compose_arrows :
   instance -> arrow list -> (State.t Core.Claim.t, string) result
 

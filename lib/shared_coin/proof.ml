@@ -49,20 +49,13 @@ let arrows inst = List.map (rung inst) (rungs inst)
 (* Chain the rungs with Theorem 3.4; the first rung that does not hold
    is the error. *)
 let compose_arrows arrows =
-  let ( let* ) = Result.bind in
-  let* claims =
-    List.fold_left
-      (fun acc a ->
-         let* claims = acc in
-         match a.claim with
-         | Some c -> Ok (c :: claims)
-         | None ->
-           Error (Printf.sprintf "rung %s failed" a.label))
-      (Ok []) arrows
-  in
-  match List.rev claims with
-  | [] -> Error "bound too small"
-  | claims ->
+  match
+    ( List.find_opt (fun a -> Option.is_none a.claim) arrows,
+      List.filter_map (fun a -> a.claim) arrows )
+  with
+  | Some a, _ -> Error (Printf.sprintf "rung %s failed" a.label)
+  | None, [] -> Error "bound too small"
+  | None, claims ->
     (try Ok (Core.Claim.compose_all claims)
      with Core.Claim.Rule_violation msg -> Error msg)
 
