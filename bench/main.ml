@@ -10,7 +10,8 @@
       micro-benchmarks.
 
    Flags: --quick (smaller experiment instances), --tables-only,
-   --bench-only, --domains N (install the worker pool the engines use),
+   --bench-only, --domains N (install the worker pool the Monte Carlo
+   batches use),
    --json PATH (persist per-kernel ns/run + run metadata, the format of
    the committed BENCH_baseline.json), --check-against PATH (exit
    nonzero if any guarded kernel -- the e* experiment pipelines plus
@@ -205,7 +206,8 @@ let bench_tests () =
     Test.make ~name:"engine:A.11 with pure rationals (n=3)"
       (Staged.stage (fun () ->
            let target = Mdp.Arena.indicator arena LR.Regions.p in
-           Mdp.Finite_horizon.min_reach_rational arena ~target ~ticks:5))
+           Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact arena ~target
+             ~ticks:5))
   in
   let substrate =
     let a = Proba.Bigint.of_string "123456789123456789123456789" in
@@ -218,10 +220,6 @@ let bench_tests () =
         (Staged.stage (fun () -> Proba.Bigint.divmod a b));
       Test.make ~name:"substrate:rational add"
         (Staged.stage (fun () -> Q.add q1 q2));
-      Test.make ~name:"substrate:dyadic add"
-        (let a = Proba.Dyadic.of_rational (Q.of_ints 3 8) in
-         let b = Proba.Dyadic.of_rational (Q.of_ints 5 64) in
-         Staged.stage (fun () -> Proba.Dyadic.add a b));
       Test.make ~name:"substrate:rng bits64"
         (let rng = Proba.Rng.create ~seed:1 in
          Staged.stage (fun () -> Proba.Rng.bits64 rng));

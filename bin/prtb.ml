@@ -27,11 +27,11 @@ let domains_arg =
   in
   Arg.(value & opt (some pos_int) None
        & info [ "domains" ] ~docv:"N"
-           ~doc:"Run the exact engines and Monte Carlo batches on a pool \
-                 of N domains.  Exact results and seeded estimates are \
-                 bit-identical for every N (including 1); omitting the \
-                 flag keeps the sequential legacy code path.  See \
-                 docs/PERFORMANCE.md.")
+           ~doc:"Run Monte Carlo batches (the $(b,--faults --budget) \
+                 fallback on $(b,check)) on a pool of N domains.  Seeded \
+                 estimates are bit-identical for every N (including 1); \
+                 the exact engines are sequential and never read the \
+                 pool.  See docs/PERFORMANCE.md.")
 
 let install_domains = function
   | None -> ()
@@ -257,9 +257,8 @@ let check_lr n g k sym =
     (LR.Proof.max_expected_time inst)
 
 let check_election n g k sym =
-  ignore g; ignore k;
   Printf.printf "Leader election, n=%d\n%!" n;
-  let inst = Models.election ~n ~sym () in
+  let inst = Models.election ~g ~k ~n ~sym () in
   print_states "reachable states"
     (Mdp.Arena.num_states inst.IR.Proof.arena) inst.IR.Proof.sym;
   print_cert inst.IR.Proof.sym;
@@ -277,9 +276,9 @@ let check_election n g k sym =
     (Q.to_string (Core.Expected.value (IR.Proof.expected_bound ~n)))
     (IR.Proof.max_expected_time inst)
 
-let check_coin n bound sym =
+let check_coin n g k bound sym =
   Printf.printf "Shared coin, n=%d barrier=±%d\n%!" n bound;
-  let inst = Models.coin ~n ~bound ~sym () in
+  let inst = Models.coin ~g ~k ~n ~bound ~sym () in
   print_states "reachable states"
     (Mdp.Arena.num_states inst.SC.Proof.arena) inst.SC.Proof.sym;
   print_cert inst.SC.Proof.sym;
@@ -337,12 +336,12 @@ let check_lr_faults n g k faults budget release seed =
     Printf.printf "  direct 13-unit minimum: %s\n"
       (Q.to_string d.Faults.Lr.direct)
 
-let check_consensus n cap sym =
+let check_consensus n g k cap sym =
   let f = (n - 1) / 2 in
   let initial = Array.init n (fun i -> i = n - 1) in
   Printf.printf "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start\n%!"
     n f cap;
-  let inst = BO.Proof.build ~n ~f ~cap ~initial ~sym () in
+  let inst = Models.consensus ~g ~k ~n ~f ~cap ~initial ~sym () in
   print_states "reachable states"
     (Mdp.Explore.num_states inst.BO.Proof.expl) inst.BO.Proof.sym;
   print_cert inst.BO.Proof.sym;
@@ -543,8 +542,8 @@ let check_cmd =
            failwith
              "fault injection is currently modelled for the lr system only"
          | `Election -> check_election n g k sym
-         | `Coin -> check_coin n bound sym
-         | `Consensus -> check_consensus n cap sym);
+         | `Coin -> check_coin n g k bound sym
+         | `Consensus -> check_consensus n g k cap sym);
          report_stats stats)
     with
     | Failure msg -> Error (`Msg msg)
@@ -659,9 +658,7 @@ let compile_cmd =
                    is keyed correctly anyway (the daemon's ceiling is \
                    applied at preload time).")
   in
-  let run domains stats system n g k topology bound cap sym max_states
-      output =
-    install_domains domains;
+  let run stats system n g k topology bound cap sym max_states output =
     try
       let topology = Option.value topology ~default:"ring" in
       (match system, topology with
@@ -734,7 +731,7 @@ let compile_cmd =
              snapshots at startup and answers the first matching query \
              with no exploration and no compile (see docs/SNAPSHOTS.md).")
     Term.(term_result
-            (const run $ domains_arg $ stats_arg $ system_arg
+            (const run $ stats_arg $ system_arg
              $ n_arg ~default:3 $ g_arg $ k_arg $ topology_arg $ bound_arg
              $ cap_arg $ sym_arg $ max_states $ output))
 

@@ -11,7 +11,6 @@ type ('s, 'a) t = {
   prob_f : float array;
   tick : bool array;
   actions : 'a array;
-  dyadic : Proba.Dyadic.t array option Atomic.t;
   interval : (float array * float array) option Atomic.t;
   fp : string option Atomic.t;
   zero_time : Zero_time.t option Atomic.t;
@@ -67,7 +66,6 @@ let compile ?is_tick expl =
     prob_f;
     tick;
     actions = Array.of_list (List.rev !actions_rev);
-    dyadic = Atomic.make None;
     interval = Atomic.make None;
     fp = Atomic.make None;
     zero_time = Atomic.make None }
@@ -103,7 +101,6 @@ let assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl =
     prob_f = Array.map Q.to_float prob_q;
     tick;
     actions;
-    dyadic = Atomic.make None;
     interval = Atomic.make None;
     fp = Atomic.make None;
     zero_time = Atomic.make None }
@@ -112,21 +109,6 @@ let assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl =
    worker domains sweeping one shared arena may race here, in which
    case both compute the (identical, immutable) plane and the loser
    adopts the published copy — no lock, no torn reads. *)
-
-(* [of_rational] raises [Not_dyadic] before anything is cached, so a
-   failed conversion leaves the arena unchanged and every later caller
-   re-raises consistently. *)
-let dyadic_plane a =
-  match Atomic.get a.dyadic with
-  | Some plane -> plane
-  | None ->
-    let plane = Array.map Proba.Dyadic.of_rational a.prob_q in
-    if Atomic.compare_and_set a.dyadic None (Some plane) then plane
-    else begin
-      match Atomic.get a.dyadic with
-      | Some published -> published
-      | None -> plane (* unreachable: the memo is write-once *)
-    end
 
 let interval_plane a =
   match Atomic.get a.interval with

@@ -42,8 +42,6 @@ type ('s, 'a) t = private {
   prob_f : float array;  (** float probability plane (same order) *)
   tick : bool array;  (** per-step tick mask *)
   actions : 'a array;  (** per-step original action *)
-  dyadic : Proba.Dyadic.t array option Atomic.t;
-      (** memoized dyadic plane; use {!dyadic_plane} *)
   interval : (float array * float array) option Atomic.t;
       (** memoized interval plane; use {!interval_plane} *)
   fp : string option Atomic.t;
@@ -80,25 +78,19 @@ val assemble :
   ('s, 'a) Explore.t ->
   ('s, 'a) t
 
-(** The dyadic probability plane, converted from [prob_q] on first use
-    and memoized.  Raises {!Proba.Dyadic.Not_dyadic} (caching nothing)
-    when some probability is not a dyadic rational.  Domain-safe: the
-    memo is a write-once [Atomic]; racing domains both compute the
-    identical plane and one copy wins. *)
-val dyadic_plane : ('s, 'a) t -> Proba.Dyadic.t array
-
 (** The outward-rounded interval plane as parallel [lo]/[hi] endpoint
     arrays in branch order: [lo.(o) <= prob_q.(o) <= hi.(o)] with
     correctly-rounded directed endpoints (equal whenever the
     probability is a finite double, which covers all dyadic models).
-    Computed from [prob_q] on first use and memoized like
-    {!dyadic_plane} (domain-safe, write-once). *)
+    Computed from [prob_q] on first use and memoized: the memo is a
+    write-once [Atomic], so racing domains both compute the identical
+    plane and one copy wins. *)
 val interval_plane : ('s, 'a) t -> float array * float array
 
 (** The strongly connected components of the zero-time (non-tick) step
     graph, successors first (see {!Zero_time}).  Independent of any
     target set; computed on first use and memoized like
-    {!dyadic_plane} (domain-safe, write-once). *)
+    {!interval_plane} (domain-safe, write-once). *)
 val zero_time : ('s, 'a) t -> Zero_time.t
 
 (** A deterministic structural digest of the compiled fragment (32 hex

@@ -6,12 +6,9 @@
    conversion cost. *)
 
 (* Which way the adversary optimizes.  Passed as a variant (rather
-   than [Float.max]/[Float.min] closures) so the hot sequential sweep
-   below can make direct, float-unboxed calls; the closure form
-   remains for the pooled path. *)
+   than [Float.max]/[Float.min] closures) so the hot sweep below can
+   make direct, float-unboxed calls. *)
 type objective = Maximize | Minimize
-
-let best_of = function Maximize -> Float.max | Minimize -> Float.min
 
 let expectation (a : _ Arena.t) v k =
   let acc = ref 0.0 in
@@ -20,27 +17,8 @@ let expectation (a : _ Arena.t) v k =
   done;
   !acc
 
-let state_value (a : _ Arena.t) ~finite ~target ~best v i =
-  if target.(i) then 0.0
-  else if not finite.(i) then infinity
-  else begin
-    let lo = a.Arena.step_off.(i) and hi = a.Arena.step_off.(i + 1) in
-    if hi = lo then infinity
-    else begin
-      let candidate k =
-        let cost = if a.Arena.tick.(k) then 1.0 else 0.0 in
-        cost +. expectation a v k
-      in
-      let acc = ref (candidate lo) in
-      for k = lo + 1 to hi - 1 do
-        acc := best !acc (candidate k)
-      done;
-      !acc
-    end
-  end
-
-(* The sequential sweep is the hot loop of the [e3] kernel, so it is
-   written allocation-free: CSR arrays hoisted into locals, bounds
+(* The sweep is the hot loop of the [e3] kernel, so it is written
+   allocation-free: CSR arrays hoisted into locals, bounds
    checks elided (offsets are trusted by construction), folds carried
    in unboxed float accumulators, and the objective dispatched to
    direct [Float.max]/[Float.min] calls.  The arithmetic -- a left
@@ -48,7 +26,7 @@ let state_value (a : _ Arena.t) ~finite ~target ~best v i =
    [best]-fold over steps seeded with the first candidate -- is the
    exact operation sequence of the historical option-fold code, so
    fixpoints are bit-identical. *)
-let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
+let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
     ~max_sweeps =
   let n = a.Arena.n in
   let step_off = a.Arena.step_off and out_off = a.Arena.out_off in
@@ -118,74 +96,18 @@ let value_iterate_seq (a : _ Arena.t) ~finite ~target ~obj ~epsilon
   go 0;
   v
 
-(* Pooled variant: double-buffered Jacobi sweeps.  Each state update
-   reads only the previous iterate and the per-sweep delta is combined
-   with [Float.max] (associative and order-independent), so the result
-   is bit-identical for any pool size. *)
-let value_iterate_par pool (a : _ Arena.t) ~finite ~target ~best ~epsilon
-    ~max_sweeps =
-  let n = a.Arena.n in
-  let init i =
-    if target.(i) then 0.0 else if finite.(i) then 0.0 else infinity
-  in
-  let stop = Core.Budget.deadline_stop () in
-  let cur = ref (Array.init n init) in
-  let nxt = ref (Array.make n 0.0) in
-  let sweep () =
-    let cur = !cur and nxt = !nxt in
-    Parallel.Pool.map_reduce pool ?stop ~n ~init:0.0 ~combine:Float.max
-      (fun i ->
-         if (not target.(i)) && finite.(i)
-            && a.Arena.step_off.(i + 1) > a.Arena.step_off.(i)
-         then begin
-           let fresh = state_value a ~finite ~target ~best cur i in
-           nxt.(i) <- fresh;
-           Float.abs (fresh -. cur.(i))
-         end
-         else begin
-           nxt.(i) <- init i;
-           0.0
-         end)
-  in
-  let rec go k =
-    if k > max_sweeps then
-      failwith "Expected_time: value iteration did not converge"
-    else if sweep () > epsilon then begin
-      let t = !cur in
-      cur := !nxt;
-      nxt := t;
-      go (k + 1)
-    end
-    else cur := !nxt
-  in
-  go 0;
-  !cur
-
-let value_iterate ?pool a ~finite ~target ~obj ~epsilon ~max_sweeps =
-  let pool =
-    match pool with Some _ -> pool | None -> Parallel.Pool.get_default ()
-  in
-  match pool with
-  | Some p ->
-    (try
-       value_iterate_par p a ~finite ~target ~best:(best_of obj) ~epsilon
-         ~max_sweeps
-     with Parallel.Pool.Cancelled reason ->
-       raise (Core.Budget.Deadline_exceeded reason))
-  | None -> value_iterate_seq a ~finite ~target ~obj ~epsilon ~max_sweeps
-
-let max_expected_ticks ?pool a ~target ?(epsilon = 1e-12)
+let max_expected_ticks a ~target ?(epsilon = 1e-12)
     ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in
-  value_iterate ?pool a ~finite ~target ~obj:Maximize ~epsilon ~max_sweeps
+  value_iterate a ~finite ~target ~obj:Maximize ~epsilon ~max_sweeps
 
-let min_expected_ticks ?pool a ~target ?(epsilon = 1e-12)
+let min_expected_ticks a ~target ?(epsilon = 1e-12)
     ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.some_reaches_certainly a ~target in
-  value_iterate ?pool a ~finite ~target ~obj:Minimize ~epsilon ~max_sweeps
+  value_iterate a ~finite ~target ~obj:Minimize ~epsilon ~max_sweeps
 
 (* Certified two-sided bracket of the max-expected-time iteration: the
-   same Gauss-Seidel schedule as [value_iterate_seq], carried on the
+   same Gauss-Seidel schedule as [value_iterate], carried on the
    outward-rounded interval plane.  At every sweep
    [vlo.(i) <= (real-arithmetic iterate) <= vhi.(i)], so the returned
    envelope soundly brackets what exact real value iteration would
@@ -267,12 +189,11 @@ let max_expected_ticks_interval (a : _ Arena.t) ~target
   go 0;
   (vlo, vhi)
 
-let max_expected_ticks_with_policy ?pool (a : _ Arena.t) ~target
+let max_expected_ticks_with_policy (a : _ Arena.t) ~target
     ?(epsilon = 1e-12) ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in
   let v =
-    value_iterate ?pool a ~finite ~target ~obj:Maximize ~epsilon
-      ~max_sweeps
+    value_iterate a ~finite ~target ~obj:Maximize ~epsilon ~max_sweeps
   in
   let n = a.Arena.n in
   let policy =

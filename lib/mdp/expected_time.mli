@@ -17,11 +17,9 @@
     plane is the same [Rational.to_float] image the historical code
     computed per access, so the fixpoints are bit-identical.
 
-    With [?pool] (or the session default installed by [--domains]) the
-    sweeps run as double-buffered Jacobi iterations across the pool's
-    domains; results are bit-identical for any number of domains, but
-    may differ in low-order bits from the sequential in-place schedule
-    used when no pool is set. *)
+    The iteration is one sequential, in-place Gauss-Seidel sweep in
+    state-index order; its printed value depends on that schedule in
+    the low-order bits, which is why there is exactly one. *)
 
 (** [max_expected_ticks arena ~target ()] returns per-state worst-case
     expected ticks-to-target ([infinity] where some adversary avoids
@@ -30,7 +28,6 @@
     hit, whichever is first; raises [Failure] when the sweep budget runs
     out. *)
 val max_expected_ticks :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array
 
@@ -38,7 +35,6 @@ val max_expected_ticks :
     even the best adversary cannot reach the target almost surely
     (detected by a max-probability qualitative check). *)
 val min_expected_ticks :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array
 
@@ -48,8 +44,7 @@ val min_expected_ticks :
     [lo.(i) <= v <= hi.(i)] for the exact real-arithmetic iterate [v]
     at every sweep -- a soundness envelope the bare float plane cannot
     provide.  Stops on the same [epsilon]/[max_sweeps] rule applied to
-    the largest endpoint movement.  Sequential only (the bracket is a
-    certificate of the sequential schedule). *)
+    the largest endpoint movement. *)
 val max_expected_ticks_interval :
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array * float array
@@ -62,6 +57,5 @@ val max_expected_ticks_interval :
     can be replayed by the simulator to cross-validate the value
     iteration (experiment E8). *)
 val max_expected_ticks_with_policy :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array * int array

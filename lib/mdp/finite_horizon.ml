@@ -40,18 +40,6 @@ module Num_rational : NUM with type t = Q.t = struct
   let max = Q.max
 end
 
-module Num_dyadic : NUM with type t = Proba.Dyadic.t = struct
-  type t = Proba.Dyadic.t
-
-  let zero = Proba.Dyadic.zero
-  let one = Proba.Dyadic.one
-  let add = Proba.Dyadic.add
-  let scale = Proba.Dyadic.mul
-  let equal = Proba.Dyadic.equal
-  let min = Proba.Dyadic.min
-  let max = Proba.Dyadic.max
-end
-
 module Num_float : NUM with type t = float = struct
   type t = float
 
@@ -91,25 +79,6 @@ module Engine (N : NUM) = struct
       plane;
       zero_time = Arena.zero_time a }
 
-  (* Per-index parallel fill, or a plain loop when no pool is in
-     effect.  Writes go to distinct slots, so results never depend on
-     the pool size.  Both paths observe the ambient deadline: the pool
-     via a [?stop] probe (consulted before every chunk claim), the
-     plain loop via one poll per fill. *)
-  let pfor pool ~n f =
-    match pool with
-    | Some p ->
-      (try
-         Parallel.Pool.parallel_for p ?stop:(Core.Budget.deadline_stop ())
-           ~n f
-       with Parallel.Pool.Cancelled reason ->
-         raise (Core.Budget.Deadline_exceeded reason))
-    | None ->
-      Core.Budget.poll ();
-      for i = 0 to n - 1 do
-        f i
-      done
-
   (* Expectation of step [k] under value vector [v]: a left fold over
      the step's branch range, the same association order as the
      historical per-step outcome arrays. *)
@@ -119,13 +88,6 @@ module Engine (N : NUM) = struct
       acc := N.add !acc (N.scale c.plane.(o) v.(c.tgt.(o)))
     done;
     !acc
-
-  (* Precompute the expectations of tick steps against [v_next]; slots
-     for non-tick steps stay [N.zero] and are never read. *)
-  let fill_tick_exp c tick_exp v_next lo hi =
-    for k = lo to hi - 1 do
-      if c.tick.(k) then tick_exp.(k) <- expectation c v_next k
-    done
 
   (* One tick layer: given the value vector [v_next] for one tick less
      of budget, compute the fixpoint of
@@ -139,7 +101,7 @@ module Engine (N : NUM) = struct
      from [init] until unchanged.  Any schedule of this monotone
      operator that closes from [init] closes at the same extremal
      fixpoint, so the values equal those of whole-arena sweeps. *)
-  let layer_seq c ~best ~init v_next =
+  let layer c ~best ~init v_next =
     let v = Array.init c.n init in
     (* fold in step order, seeded with the first candidate: the same
        association as the historical option fold, minus its per-step
@@ -193,64 +155,6 @@ module Engine (N : NUM) = struct
     done;
     v
 
-  (* The pooled layer runs Jacobi sweeps (double-buffered: each sweep
-     reads only the previous iterate), so every per-state slot is an
-     independent write and the result is bit-identical for any pool
-     size -- including 1.  Both schedules iterate the same monotone
-     layer operator from the same starting vector, so for the exact
-     numeric types they close at the same fixpoint as the sequential
-     component walk; Jacobi needs at most one sweep per state on a
-     zero-time chain, which stays within the same [n + 2] cap. *)
-  let layer_par pool c ~best ~init v_next =
-    let stop = Core.Budget.deadline_stop () in
-    let tick_exp = Array.make (Array.length c.tick) N.zero in
-    Parallel.Pool.parallel_for pool ?stop ~n:c.n (fun s ->
-        fill_tick_exp c tick_exp v_next c.step_off.(s) c.step_off.(s + 1));
-    let cur = ref (Array.init c.n init) in
-    let nxt = ref (Array.make c.n N.zero) in
-    let sweep () =
-      let cur = !cur and nxt = !nxt in
-      Parallel.Pool.map_reduce pool ?stop ~n:c.n ~init:false ~combine:( || )
-        (fun s ->
-            let lo = c.step_off.(s) and hi = c.step_off.(s + 1) in
-            if c.target.(s) || hi = lo then begin
-              nxt.(s) <- cur.(s);
-              false
-            end
-            else begin
-              let candidate k =
-                if c.tick.(k) then tick_exp.(k) else expectation c cur k
-              in
-              let acc = ref (candidate lo) in
-              for k = lo + 1 to hi - 1 do
-                acc := best !acc (candidate k)
-              done;
-              let fresh = !acc in
-              nxt.(s) <- fresh;
-              not (N.equal fresh cur.(s))
-            end)
-    in
-    let max_sweeps = c.n + 2 in
-    let rec go k =
-      if k > max_sweeps then no_convergence max_sweeps
-      else if sweep () then begin
-        let t = !cur in
-        cur := !nxt;
-        nxt := t;
-        go (k + 1)
-      end
-    in
-    go 0;
-    !cur
-
-  let layer pool c ~best ~init v_next =
-    match pool with
-    | Some p ->
-      (try layer_par p c ~best ~init v_next
-       with Parallel.Pool.Cancelled reason ->
-         raise (Core.Budget.Deadline_exceeded reason))
-    | None -> layer_seq c ~best ~init v_next
-
   let min_init c s =
     if c.target.(s) then N.one
     else if c.step_off.(s + 1) = c.step_off.(s) then N.zero
@@ -258,27 +162,20 @@ module Engine (N : NUM) = struct
 
   let max_init c s = if c.target.(s) then N.one else N.zero
 
-  (* An explicit [?pool] wins; otherwise the session default installed
-     by [--domains] applies. *)
-  let resolve_pool = function
-    | Some _ as p -> p
-    | None -> Parallel.Pool.get_default ()
-
-  let run ?pool arena ~plane ~target ~ticks ~best ~init =
+  let run arena ~plane ~target ~ticks ~best ~init =
     if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-    let pool = resolve_pool pool in
     let c = compact arena ~plane ~target in
     let v = ref (Array.make c.n N.zero) in
     for _t = 0 to ticks do
-      v := layer pool c ~best ~init:(init c) !v
+      v := layer c ~best ~init:(init c) !v
     done;
     !v
 
-  let min_reach ?pool arena ~plane ~target ~ticks =
-    run ?pool arena ~plane ~target ~ticks ~best:N.min ~init:min_init
+  let min_reach arena ~plane ~target ~ticks =
+    run arena ~plane ~target ~ticks ~best:N.min ~init:min_init
 
-  let max_reach ?pool arena ~plane ~target ~ticks =
-    run ?pool arena ~plane ~target ~ticks ~best:N.max ~init:max_init
+  let max_reach arena ~plane ~target ~ticks =
+    run arena ~plane ~target ~ticks ~best:N.max ~init:max_init
 
   let argbest c ~best v_next v =
     Array.init c.n (fun s ->
@@ -304,61 +201,52 @@ module Engine (N : NUM) = struct
           !best_k
         end)
 
-  let min_reach_with_policy ?pool arena ~plane ~target ~ticks =
+  let min_reach_with_policy arena ~plane ~target ~ticks =
     if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-    let pool = resolve_pool pool in
     let c = compact arena ~plane ~target in
     let policy = Array.make (ticks + 1) [||] in
     let v = ref (Array.make c.n N.zero) in
     for t = 0 to ticks do
-      let fresh = layer pool c ~best:N.min ~init:(min_init c) !v in
+      let fresh = layer c ~best:N.min ~init:(min_init c) !v in
       policy.(t) <- argbest c ~best:N.min !v fresh;
       v := fresh
     done;
     (!v, policy)
 
   (* Step-bounded: every step consumes one unit of horizon, so plain
-     backward induction suffices; the tick mask is ignored.  Already
-     double-buffered, so the parallel fill is bit-identical to the
-     sequential one. *)
-  let run_steps ?pool arena ~plane ~target ~steps ~best =
+     backward induction suffices; the tick mask is ignored. *)
+  let run_steps arena ~plane ~target ~steps ~best =
     if steps < 0 then invalid_arg "Finite_horizon: negative step horizon";
-    let pool = resolve_pool pool in
     let c = compact arena ~plane ~target in
-    let n = c.n in
     let v =
-      ref (Array.init n (fun s -> if target.(s) then N.one else N.zero))
+      ref (Array.init c.n (fun s -> if target.(s) then N.one else N.zero))
     in
     for _k = 1 to steps do
+      Core.Budget.poll ();
       let prev = !v in
-      let fresh = Array.make n N.zero in
-      pfor pool ~n (fun s ->
-          fresh.(s) <-
-            (if target.(s) then N.one
-             else begin
-               let lo = c.step_off.(s) and hi = c.step_off.(s + 1) in
-               if hi = lo then N.zero
-               else begin
-                 let acc = ref (expectation c prev lo) in
-                 for k = lo + 1 to hi - 1 do
-                   acc := best !acc (expectation c prev k)
-                 done;
-                 !acc
-               end
-             end));
-      v := fresh
+      v :=
+        Array.init c.n (fun s ->
+            let lo = c.step_off.(s) and hi = c.step_off.(s + 1) in
+            if target.(s) then N.one
+            else if hi = lo then N.zero
+            else begin
+              let acc = ref (expectation c prev lo) in
+              for k = lo + 1 to hi - 1 do
+                acc := best !acc (expectation c prev k)
+              done;
+              !acc
+            end)
     done;
     !v
 
-  let min_reach_steps ?pool arena ~plane ~target ~steps =
-    run_steps ?pool arena ~plane ~target ~steps ~best:N.min
+  let min_reach_steps arena ~plane ~target ~steps =
+    run_steps arena ~plane ~target ~steps ~best:N.min
 
-  let max_reach_steps ?pool arena ~plane ~target ~steps =
-    run_steps ?pool arena ~plane ~target ~steps ~best:N.max
+  let max_reach_steps arena ~plane ~target ~steps =
+    run_steps arena ~plane ~target ~steps ~best:N.max
 end
 
 module Exact = Engine (Num_rational)
-module Exact_dyadic = Engine (Num_dyadic)
 module Approx = Engine (Num_float)
 
 (* ------------------------------------------------------------------ *)
@@ -644,65 +532,29 @@ module Guided = struct
     loop 0 ~vq ~vlo ~vhi ~wq ~wlo ~whi
 end
 
-(* All shipped case studies only flip fair coins, so their transition
-   probabilities are dyadic and the shift-based arithmetic applies; the
-   rational engine remains the fallback for automata with arbitrary
-   probabilities.  Both are exact, so results are interchangeable.
-   [Arena.dyadic_plane] raises before caching when some probability is
-   not dyadic, so the fallback triggers exactly as it did when the
-   conversion lived inside the engine. *)
-let exact_fast engine_dyadic engine_rational ?pool a ~target ~ticks =
-  match Arena.dyadic_plane a with
-  | plane ->
-    Array.map Proba.Dyadic.to_rational
-      (engine_dyadic ?pool a ~plane ~target ~ticks)
-  | exception Proba.Dyadic.Not_dyadic _ ->
-    engine_rational ?pool a ~plane:a.Arena.prob_q ~target ~ticks
-
 (* [?plane] selects the sweeping strategy only; the returned rationals
-   are bit-identical either way.  The guided engine is sequential (its
-   exact fixpoints are schedule-independent), so [?pool] applies to
-   the exact path only. *)
-let min_reach ?pool ?plane a ~target ~ticks =
+   are bit-identical either way. *)
+let min_reach ?plane (a : _ Arena.t) ~target ~ticks =
   match Plane.resolve plane with
   | Plane.Interval -> Guided.run Guided.Min a ~target ~ticks
-  | Plane.Exact ->
-    exact_fast Exact_dyadic.min_reach Exact.min_reach ?pool a ~target ~ticks
+  | Plane.Exact -> Exact.min_reach a ~plane:a.Arena.prob_q ~target ~ticks
 
-let max_reach ?pool ?plane a ~target ~ticks =
+let max_reach ?plane (a : _ Arena.t) ~target ~ticks =
   match Plane.resolve plane with
   | Plane.Interval -> Guided.run Guided.Max a ~target ~ticks
-  | Plane.Exact ->
-    exact_fast Exact_dyadic.max_reach Exact.max_reach ?pool a ~target ~ticks
+  | Plane.Exact -> Exact.max_reach a ~plane:a.Arena.prob_q ~target ~ticks
 
-let min_reach_with_policy ?pool (a : _ Arena.t) ~target ~ticks =
-  Exact.min_reach_with_policy ?pool a ~plane:a.Arena.prob_q ~target ~ticks
+let min_reach_with_policy (a : _ Arena.t) ~target ~ticks =
+  Exact.min_reach_with_policy a ~plane:a.Arena.prob_q ~target ~ticks
 
-let min_reach_steps ?pool (a : _ Arena.t) ~target ~steps =
-  match Arena.dyadic_plane a with
-  | plane ->
-    Array.map Proba.Dyadic.to_rational
-      (Exact_dyadic.min_reach_steps ?pool a ~plane ~target ~steps)
-  | exception Proba.Dyadic.Not_dyadic _ ->
-    Exact.min_reach_steps ?pool a ~plane:a.Arena.prob_q ~target ~steps
+let min_reach_steps (a : _ Arena.t) ~target ~steps =
+  Exact.min_reach_steps a ~plane:a.Arena.prob_q ~target ~steps
 
-let max_reach_steps ?pool (a : _ Arena.t) ~target ~steps =
-  match Arena.dyadic_plane a with
-  | plane ->
-    Array.map Proba.Dyadic.to_rational
-      (Exact_dyadic.max_reach_steps ?pool a ~plane ~target ~steps)
-  | exception Proba.Dyadic.Not_dyadic _ ->
-    Exact.max_reach_steps ?pool a ~plane:a.Arena.prob_q ~target ~steps
+let max_reach_steps (a : _ Arena.t) ~target ~steps =
+  Exact.max_reach_steps a ~plane:a.Arena.prob_q ~target ~steps
 
-(* The rational-only engine, exposed for cross-checking. *)
-let min_reach_rational ?pool (a : _ Arena.t) ~target ~ticks =
-  Exact.min_reach ?pool a ~plane:a.Arena.prob_q ~target ~ticks
+let min_reach_float (a : _ Arena.t) ~target ~ticks =
+  Approx.min_reach a ~plane:a.Arena.prob_f ~target ~ticks
 
-let max_reach_rational ?pool (a : _ Arena.t) ~target ~ticks =
-  Exact.max_reach ?pool a ~plane:a.Arena.prob_q ~target ~ticks
-
-let min_reach_float ?pool (a : _ Arena.t) ~target ~ticks =
-  Approx.min_reach ?pool a ~plane:a.Arena.prob_f ~target ~ticks
-
-let max_reach_float ?pool (a : _ Arena.t) ~target ~ticks =
-  Approx.max_reach ?pool a ~plane:a.Arena.prob_f ~target ~ticks
+let max_reach_float (a : _ Arena.t) ~target ~ticks =
+  Approx.max_reach a ~plane:a.Arena.prob_f ~target ~ticks

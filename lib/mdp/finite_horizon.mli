@@ -24,20 +24,11 @@
     make every minimum trivially zero; the timing schemas of the paper
     (e.g. [Unit-Time]) likewise force time to keep flowing.
 
-    Every entry point accepts [?pool].  With a pool (explicit or the
-    session default installed by [--domains]), layer sweeps run as
-    double-buffered Jacobi iterations split across the pool's domains;
-    the chunk grid depends only on the state count, so the results are
-    bit-identical for any number of domains.  Without a pool the
-    sequential component walk runs; every schedule that closes reaches
-    the same extremal fixpoint of the monotone layer operator, so both
-    give the same values (see docs/PERFORMANCE.md).
-
-    The engines read the arena's probability planes directly (exact
-    plane for rationals, the memoized dyadic plane for the fast path,
-    the float plane for the floating-point twins); branch order is the
-    exploration order, so values are bit-identical to the historical
-    path that converted per call. *)
+    Every engine is sequential and reads the arena's probability
+    planes directly (the exact plane for rationals, the interval plane
+    for the guided oracle, the float plane for the floating-point
+    twins); branch order is the exploration order, so values are
+    bit-identical to the historical path that converted per call. *)
 
 exception No_convergence of string
 
@@ -51,20 +42,15 @@ exception No_convergence of string
     Under {!Plane.Interval} each layer runs an outward-rounded
     interval fixpoint first and recomputes exactly only the residue
     states whose interval stayed wide (see docs/PERFORMANCE.md).
-    Under {!Plane.Exact}: when every transition probability is dyadic
-    (the case for all fair-coin protocols) the computation runs on
-    {!Proba.Dyadic} arithmetic -- exactly the same results, several
-    times faster than general rationals; otherwise it falls back
-    transparently to pure rationals. *)
+    Under {!Plane.Exact} every layer is solved in rational arithmetic
+    over the exact plane. *)
 val min_reach :
-  ?pool:Parallel.Pool.t ->
   ?plane:Plane.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
 
 (** Maximum over all adversaries (best-case scheduling). *)
 val max_reach :
-  ?pool:Parallel.Pool.t ->
   ?plane:Plane.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
@@ -74,7 +60,6 @@ val max_reach :
     minimizing adversary takes at state [s] with [t] ticks of budget
     remaining ([-1] when the state is in the target, or terminal). *)
 val min_reach_with_policy :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array * int array array
 
@@ -84,12 +69,10 @@ val min_reach_with_policy :
     inner fixpoint is needed. *)
 
 val min_reach_steps :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array -> steps:int ->
   Proba.Rational.t array
 
 val max_reach_steps :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array -> steps:int ->
   Proba.Rational.t array
 
@@ -103,24 +86,7 @@ val max_reach_steps :
     functions above. *)
 
 val min_reach_float :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int -> float array
 
 val max_reach_float :
-  ?pool:Parallel.Pool.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int -> float array
-
-(** {1 Cross-checking}
-
-    The pure-rational engines (no dyadic fast path), exposed so tests
-    and benches can compare the two exact implementations. *)
-
-val min_reach_rational :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
-  Proba.Rational.t array
-
-val max_reach_rational :
-  ?pool:Parallel.Pool.t ->
-  ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
-  Proba.Rational.t array

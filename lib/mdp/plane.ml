@@ -8,7 +8,7 @@
    purely about speed.
 
    The default and the skip counters are process-global [Atomic]s:
-   engines run inside worker domains ([Parallel.Pool]) and the server
+   engines run inside the server's worker domains and the server
    mutates the default from the control domain. *)
 
 type t = Exact | Interval
@@ -22,9 +22,7 @@ let set_default m = Atomic.set default m
    one request instead of mutating the process default ([prtb serve]
    workers answering a [plane=...] wire field).  Domain-local so
    concurrent requests with different planes cannot race each other's
-   choice; worker-pool domains spawned by an engine fall back to the
-   process default, which only costs them the oracle, never the
-   verdict. *)
+   choice. *)
 let ambient : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

@@ -24,10 +24,9 @@ val get_default : unit -> t
     [None]) answers [p] inside [f], and the previous ambient is
     restored on exit, normal or exceptional.  Scopes a plane choice to
     one request without mutating the process default -- the server
-    wires each query's [plane] field through this.  Worker-pool
-    domains spawned inside [f] see the process default instead (the
-    override is domain-local); that only affects which oracle those
-    sweeps consult, never the verdict. *)
+    wires each query's [plane] field through this.  The override is
+    domain-local, so concurrent requests cannot race each other's
+    choice. *)
 val with_ambient : t -> (unit -> 'a) -> 'a
 
 (** [resolve plane] is [plane] when given, the global default

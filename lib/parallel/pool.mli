@@ -95,8 +95,9 @@ val pending : t -> int
 
 (** {1 Session default}
 
-    The CLI installs a pool once per process ([--domains N]); engines
-    with no explicit [?pool] argument pick it up here.  [set_default]
+    The CLI installs a pool once per process ([--domains N]); the
+    [Sim.Monte_carlo] estimators called with no explicit [?pool] pick
+    it up here.  [set_default]
     shuts down any previously installed pool and registers an [at_exit]
     shutdown so worker domains never outlive the main domain. *)
 

@@ -206,8 +206,8 @@ let check_lr_topo ~max_states (c : Protocol.check_query) =
 
 let check_election ~max_states (c : Protocol.check_query) =
   let inst =
-    Models.election ~max_states ~sym:(sym_mode c.Protocol.sym)
-      ~n:c.Protocol.n ()
+    Models.election ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
+      ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n ()
   in
   let arrow (a : IR.Proof.arrow) =
     J.Obj
@@ -229,8 +229,8 @@ let check_election ~max_states (c : Protocol.check_query) =
 
 let check_coin ~max_states (c : Protocol.check_query) =
   let inst =
-    Models.coin ~max_states ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n
-      ~bound:c.Protocol.bound ()
+    Models.coin ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
+      ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n ~bound:c.Protocol.bound ()
   in
   let arrow (a : SC.Proof.arrow) =
     J.Obj
@@ -255,8 +255,8 @@ let check_consensus ~max_states (c : Protocol.check_query) =
   let f = (n - 1) / 2 in
   let initial = Array.init n (fun i -> i = n - 1) in
   let inst =
-    Models.consensus ~max_states ~sym:(sym_mode c.Protocol.sym) ~n ~f
-      ~cap:c.Protocol.cap ~initial ()
+    Models.consensus ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
+      ~sym:(sym_mode c.Protocol.sym) ~n ~f ~cap:c.Protocol.cap ~initial ()
   in
   let curve =
     BO.Proof.decision_curve inst
@@ -485,12 +485,15 @@ let cert_json ?(max_states = default_max_states) (c : Protocol.check_query) =
             in
             emit inst.LR.Proof.tarena (LR.Proof.composed_topo inst)
           | `Election ->
-            let inst = Models.election ~max_states ~sym ~n:c.Protocol.n () in
+            let inst =
+              Models.election ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
+                ~sym ~n:c.Protocol.n ()
+            in
             emit inst.IR.Proof.arena (IR.Proof.composed inst)
           | `Coin ->
             let inst =
-              Models.coin ~max_states ~sym ~n:c.Protocol.n
-                ~bound:c.Protocol.bound ()
+              Models.coin ~max_states ~g:c.Protocol.g ~k:c.Protocol.k ~sym
+                ~n:c.Protocol.n ~bound:c.Protocol.bound ()
             in
             emit inst.SC.Proof.arena (SC.Proof.composed inst)
           | `Consensus ->
@@ -498,8 +501,8 @@ let cert_json ?(max_states = default_max_states) (c : Protocol.check_query) =
             let f = (n - 1) / 2 in
             let initial = Array.init n (fun i -> i = n - 1) in
             let inst =
-              Models.consensus ~max_states ~sym ~n ~f ~cap:c.Protocol.cap
-                ~initial ()
+              Models.consensus ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
+                ~sym ~n ~f ~cap:c.Protocol.cap ~initial ()
             in
             emit inst.BO.Proof.arena
               (BO.Proof.composed inst ~rounds:c.Protocol.cap))

@@ -6,8 +6,8 @@
     instance, then {!save} serializes the compiled {!Mdp.Arena} -- the
     CSR offset arrays, the interned states, the tick mask and the
     exact rational probability plane (the float plane is recomputed on
-    load exactly as {!Mdp.Arena.compile} computes it, and the dyadic
-    and interval planes rebuild lazily as usual) -- together with the
+    load exactly as {!Mdp.Arena.compile} computes it, and the interval
+    plane and zero-time order rebuild lazily as usual) -- together with the
     full model configuration and the arena's structural
     {!Mdp.Arena.fingerprint}.  [prtb serve --snapshot-dir DIR] then
     {!preload}s every snapshot at startup, so the first query for a

@@ -13,9 +13,15 @@ module IR = Itai_rodeh
 module SC = Shared_coin
 module BO = Ben_or
 
-let with_pool domains f =
-  let pool = P.create ~domains in
-  Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
+(* Run [f] with a session pool of [domains] installed (what [--domains]
+   does), or with none.  The engines are sequential and must not read
+   it: every value below is compared with and without one. *)
+let with_session_pool d f =
+  match d with
+  | None -> f ()
+  | Some domains ->
+    P.set_default (Some (P.create ~domains));
+    Fun.protect ~finally:(fun () -> P.set_default None) f
 
 (* ------------------------------------------------------------------ *)
 (* The pre-refactor engines (reference implementations) *)
@@ -51,19 +57,6 @@ module Legacy = struct
     let max = Q.max
   end
 
-  module Num_dyadic : NUM with type t = Proba.Dyadic.t = struct
-    type t = Proba.Dyadic.t
-
-    let zero = Proba.Dyadic.zero
-    let one = Proba.Dyadic.one
-    let of_rational = Proba.Dyadic.of_rational
-    let add = Proba.Dyadic.add
-    let scale = Proba.Dyadic.mul
-    let equal = Proba.Dyadic.equal
-    let min = Proba.Dyadic.min
-    let max = Proba.Dyadic.max
-  end
-
   module Num_float : NUM with type t = float = struct
     type t = float
 
@@ -84,28 +77,21 @@ module Legacy = struct
       steps : (bool * (int * N.t) array) array array;
     }
 
-    let pfor pool ~n f =
-      match pool with
-      | Some p -> P.parallel_for p ~n f
-      | None ->
-        for i = 0 to n - 1 do
-          f i
-        done
-
-    let compact ?pool expl ~is_tick ~target =
+    let compact expl ~is_tick ~target =
       let n = Explore.num_states expl in
       if Array.length target <> n then
         invalid_arg "Finite_horizon: target array has wrong length";
       let steps = Array.make n [||] in
-      pfor pool ~n (fun i ->
-          steps.(i) <-
-            Array.map
-              (fun s ->
-                 ( is_tick s.Explore.action,
-                   Array.map
-                     (fun (j, w) -> (j, N.of_rational w))
-                     s.Explore.outcomes ))
-              (Explore.steps expl i));
+      for i = 0 to n - 1 do
+        steps.(i) <-
+          Array.map
+            (fun s ->
+               ( is_tick s.Explore.action,
+                 Array.map
+                   (fun (j, w) -> (j, N.of_rational w))
+                   s.Explore.outcomes ))
+            (Explore.steps expl i)
+      done;
       { n; target; steps }
 
     let expectation v outcomes =
@@ -165,59 +151,6 @@ module Legacy = struct
       go 0;
       v
 
-    let layer_par pool c ~best ~init v_next =
-      let tick_exp = Array.make c.n [||] in
-      P.parallel_for pool ~n:c.n (fun s ->
-          tick_exp.(s) <-
-            Array.map
-              (fun (tick, outcomes) ->
-                 if tick then Some (expectation v_next outcomes) else None)
-              c.steps.(s));
-      let cur = ref (Array.init c.n init) in
-      let nxt = ref (Array.make c.n N.zero) in
-      let sweep () =
-        let cur = !cur and nxt = !nxt in
-        P.map_reduce pool ~n:c.n ~init:false ~combine:( || ) (fun s ->
-            if c.target.(s) || Array.length c.steps.(s) = 0 then begin
-              nxt.(s) <- cur.(s);
-              false
-            end
-            else begin
-              let value = ref None in
-              Array.iteri
-                (fun k (_tick, outcomes) ->
-                   let candidate =
-                     match tick_exp.(s).(k) with
-                     | Some e -> e
-                     | None -> expectation cur outcomes
-                   in
-                   match !value with
-                   | None -> value := Some candidate
-                   | Some acc -> value := Some (best acc candidate))
-                c.steps.(s);
-              let fresh = Option.get !value in
-              nxt.(s) <- fresh;
-              not (N.equal fresh cur.(s))
-            end)
-      in
-      let max_sweeps = c.n + 2 in
-      let rec go k =
-        if k > max_sweeps then no_convergence max_sweeps
-        else if sweep () then begin
-          let t = !cur in
-          cur := !nxt;
-          nxt := t;
-          go (k + 1)
-        end
-      in
-      go 0;
-      !cur
-
-    let layer pool c ~best ~init v_next =
-      match pool with
-      | Some p -> layer_par p c ~best ~init v_next
-      | None -> layer_seq c ~best ~init v_next
-
     let min_init c s =
       if c.target.(s) then N.one
       else if Array.length c.steps.(s) = 0 then N.zero
@@ -225,20 +158,20 @@ module Legacy = struct
 
     let max_init c s = if c.target.(s) then N.one else N.zero
 
-    let run ?pool expl ~is_tick ~target ~ticks ~best ~init =
+    let run expl ~is_tick ~target ~ticks ~best ~init =
       if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-      let c = compact ?pool expl ~is_tick ~target in
+      let c = compact expl ~is_tick ~target in
       let v = ref (Array.make c.n N.zero) in
       for _t = 0 to ticks do
-        v := layer pool c ~best ~init:(init c) !v
+        v := layer_seq c ~best ~init:(init c) !v
       done;
       !v
 
-    let min_reach ?pool expl ~is_tick ~target ~ticks =
-      run ?pool expl ~is_tick ~target ~ticks ~best:N.min ~init:min_init
+    let min_reach expl ~is_tick ~target ~ticks =
+      run expl ~is_tick ~target ~ticks ~best:N.min ~init:min_init
 
-    let max_reach ?pool expl ~is_tick ~target ~ticks =
-      run ?pool expl ~is_tick ~target ~ticks ~best:N.max ~init:max_init
+    let max_reach expl ~is_tick ~target ~ticks =
+      run expl ~is_tick ~target ~ticks ~best:N.max ~init:max_init
 
     let argbest c ~best v_next v =
       Array.init c.n (fun s ->
@@ -264,78 +197,64 @@ module Legacy = struct
             !best_k
           end)
 
-    let min_reach_with_policy ?pool expl ~is_tick ~target ~ticks =
+    let min_reach_with_policy expl ~is_tick ~target ~ticks =
       if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-      let c = compact ?pool expl ~is_tick ~target in
+      let c = compact expl ~is_tick ~target in
       let policy = Array.make (ticks + 1) [||] in
       let v = ref (Array.make c.n N.zero) in
       for t = 0 to ticks do
-        let fresh = layer pool c ~best:N.min ~init:(min_init c) !v in
+        let fresh = layer_seq c ~best:N.min ~init:(min_init c) !v in
         policy.(t) <- argbest c ~best:N.min !v fresh;
         v := fresh
       done;
       (!v, policy)
 
-    let run_steps ?pool expl ~target ~steps ~best =
+    let run_steps expl ~target ~steps ~best =
       if steps < 0 then invalid_arg "Finite_horizon: negative step horizon";
       let n = Explore.num_states expl in
       if Array.length target <> n then
         invalid_arg "Finite_horizon: target array has wrong length";
-      let c = compact ?pool expl ~is_tick:(fun _ -> false) ~target in
+      let c = compact expl ~is_tick:(fun _ -> false) ~target in
       let v =
         ref (Array.init n (fun s -> if target.(s) then N.one else N.zero))
       in
       for _k = 1 to steps do
         let prev = !v in
         let fresh = Array.make n N.zero in
-        pfor pool ~n (fun s ->
-            fresh.(s) <-
-              (if target.(s) then N.one
-               else begin
-                 let stps = c.steps.(s) in
-                 if Array.length stps = 0 then N.zero
-                 else
-                   Array.fold_left
-                     (fun acc (_, outcomes) ->
-                        let e = expectation prev outcomes in
-                        match acc with
-                        | None -> Some e
-                        | Some cur -> Some (best cur e))
-                     None stps
-                   |> Option.get
-               end));
+        for s = 0 to n - 1 do
+          fresh.(s) <-
+            (if target.(s) then N.one
+             else begin
+               let stps = c.steps.(s) in
+               if Array.length stps = 0 then N.zero
+               else
+                 Array.fold_left
+                   (fun acc (_, outcomes) ->
+                      let e = expectation prev outcomes in
+                      match acc with
+                      | None -> Some e
+                      | Some cur -> Some (best cur e))
+                   None stps
+                 |> Option.get
+             end)
+        done;
         v := fresh
       done;
       !v
 
-    let min_reach_steps ?pool expl ~target ~steps =
-      run_steps ?pool expl ~target ~steps ~best:N.min
+    let min_reach_steps expl ~target ~steps =
+      run_steps expl ~target ~steps ~best:N.min
 
-    let max_reach_steps ?pool expl ~target ~steps =
-      run_steps ?pool expl ~target ~steps ~best:N.max
+    let max_reach_steps expl ~target ~steps =
+      run_steps expl ~target ~steps ~best:N.max
   end
 
   module Exact = Engine (Num_rational)
-  module Exact_dyadic = Engine (Num_dyadic)
   module Approx = Engine (Num_float)
 
-  let exact_fast engine_dyadic engine_rational ?pool expl ~is_tick ~target
-      ~ticks =
-    match engine_dyadic ?pool expl ~is_tick ~target ~ticks with
-    | values -> Array.map Proba.Dyadic.to_rational values
-    | exception Proba.Dyadic.Not_dyadic _ ->
-      engine_rational ?pool expl ~is_tick ~target ~ticks
-
-  let min_reach ?pool expl ~is_tick ~target ~ticks =
-    exact_fast Exact_dyadic.min_reach Exact.min_reach ?pool expl ~is_tick
-      ~target ~ticks
-
-  let max_reach ?pool expl ~is_tick ~target ~ticks =
-    exact_fast Exact_dyadic.max_reach Exact.max_reach ?pool expl ~is_tick
-      ~target ~ticks
-
+  let min_reach = Exact.min_reach
+  let max_reach = Exact.max_reach
   let min_reach_with_policy = Exact.min_reach_with_policy
-  let min_reach_rational = Exact.min_reach
   let min_reach_steps = Exact.min_reach_steps
   let max_reach_steps = Exact.max_reach_steps
   let min_reach_float = Approx.min_reach
@@ -481,64 +400,18 @@ module Legacy = struct
     go 0;
     v
 
-  let value_iterate_par pool expl ~is_tick ~finite ~target ~best ~epsilon
-      ~max_sweeps =
-    let n = Explore.num_states expl in
-    let init i =
-      if target.(i) then 0.0 else if finite.(i) then 0.0 else infinity
-    in
-    let cur = ref (Array.init n init) in
-    let nxt = ref (Array.make n 0.0) in
-    let sweep () =
-      let cur = !cur and nxt = !nxt in
-      P.map_reduce pool ~n ~init:0.0 ~combine:Float.max (fun i ->
-          if
-            (not target.(i))
-            && finite.(i)
-            && Array.length (Explore.steps expl i) > 0
-          then begin
-            let fresh =
-              state_value expl ~is_tick ~finite ~target ~best cur i
-            in
-            nxt.(i) <- fresh;
-            Float.abs (fresh -. cur.(i))
-          end
-          else begin
-            nxt.(i) <- init i;
-            0.0
-          end)
-    in
-    let rec go k =
-      if k > max_sweeps then
-        failwith "Expected_time: value iteration did not converge"
-      else if sweep () > epsilon then begin
-        let t = !cur in
-        cur := !nxt;
-        nxt := t;
-        go (k + 1)
-      end
-      else cur := !nxt
-    in
-    go 0;
-    !cur
-
-  let value_iterate ?pool expl ~is_tick ~finite ~target ~best =
+  let value_iterate expl ~is_tick ~finite ~target ~best =
     let epsilon = 1e-12 and max_sweeps = 1_000_000 in
-    match pool with
-    | Some p ->
-      value_iterate_par p expl ~is_tick ~finite ~target ~best ~epsilon
-        ~max_sweeps
-    | None ->
-      value_iterate_seq expl ~is_tick ~finite ~target ~best ~epsilon
-        ~max_sweeps
+    value_iterate_seq expl ~is_tick ~finite ~target ~best ~epsilon
+      ~max_sweeps
 
-  let max_expected_ticks ?pool expl ~is_tick ~target () =
+  let max_expected_ticks expl ~is_tick ~target () =
     let finite = always_reaches expl ~target in
-    value_iterate ?pool expl ~is_tick ~finite ~target ~best:Float.max
+    value_iterate expl ~is_tick ~finite ~target ~best:Float.max
 
-  let min_expected_ticks ?pool expl ~is_tick ~target () =
+  let min_expected_ticks expl ~is_tick ~target () =
     let finite = some_reaches_certainly expl ~target in
-    value_iterate ?pool expl ~is_tick ~finite ~target ~best:Float.min
+    value_iterate expl ~is_tick ~finite ~target ~best:Float.min
 
   let max_expected_ticks_with_policy expl ~is_tick ~target () =
     let finite = always_reaches expl ~target in
@@ -653,62 +526,60 @@ let check_int_arrays name (expected : int array) (got : int array) =
   Alcotest.(check (array int)) name expected got
 
 (* ------------------------------------------------------------------ *)
-(* Finite horizon: exact, rational-only, and float engines, sequential
-   and at every pool size [--domains] accepts in the test matrix. *)
+(* Finite horizon: exact, rational-only, and float engines, without
+   and with a session pool of every size [--domains] accepts in the
+   test matrix. *)
 
 let pools = [ None; Some 1; Some 2; Some 3 ]
 
 let pool_label = function
-  | None -> "seq"
-  | Some d -> Printf.sprintf "%d domains" d
-
-let with_opt_pool d f =
-  match d with None -> f None | Some d -> with_pool d (fun p -> f (Some p))
+  | None -> "no pool"
+  | Some d -> Printf.sprintf "%d-domain session pool" d
 
 let test_reach_differential () =
   List.iter
     (fun (Fixture f) ->
        List.iter
          (fun d ->
-            with_opt_pool d (fun pool ->
+            with_session_pool d (fun () ->
                 let ctx what =
                   Printf.sprintf "%s %s (%s)" f.name what (pool_label d)
                 in
                 check_q_arrays (ctx "min_reach")
-                  (Legacy.min_reach ?pool f.expl ~is_tick:f.is_tick
+                  (Legacy.min_reach f.expl ~is_tick:f.is_tick
                      ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach ?pool f.arena
+                  (Mdp.Finite_horizon.min_reach f.arena
                      ~target:f.target ~ticks:f.ticks);
                 check_q_arrays (ctx "max_reach")
-                  (Legacy.max_reach ?pool f.expl ~is_tick:f.is_tick
+                  (Legacy.max_reach f.expl ~is_tick:f.is_tick
                      ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach ?pool f.arena
+                  (Mdp.Finite_horizon.max_reach f.arena
                      ~target:f.target ~ticks:f.ticks);
                 check_float_arrays (ctx "min_reach_float")
-                  (Legacy.min_reach_float ?pool f.expl ~is_tick:f.is_tick
+                  (Legacy.min_reach_float f.expl ~is_tick:f.is_tick
                      ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach_float ?pool f.arena
+                  (Mdp.Finite_horizon.min_reach_float f.arena
                      ~target:f.target ~ticks:f.ticks);
                 check_float_arrays (ctx "max_reach_float")
-                  (Legacy.max_reach_float ?pool f.expl ~is_tick:f.is_tick
+                  (Legacy.max_reach_float f.expl ~is_tick:f.is_tick
                      ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach_float ?pool f.arena
+                  (Mdp.Finite_horizon.max_reach_float f.arena
                      ~target:f.target ~ticks:f.ticks)))
          pools)
     (Lazy.force fixtures)
 
 let test_rational_only_differential () =
-  (* The rational-only engine bypasses the dyadic fast path on both
-     sides; one model suffices to pin the pure-[Q] inner loop. *)
+  (* The exact plane skips the interval oracle and runs the pure-[Q]
+     engine; one model suffices to pin its inner loop. *)
   List.iter
     (fun d ->
-       with_opt_pool d (fun pool ->
+       with_session_pool d (fun () ->
            let (Fixture f) = List.hd (Lazy.force fixtures) in
            check_q_arrays
-             (Printf.sprintf "lr min_reach_rational (%s)" (pool_label d))
-             (Legacy.min_reach_rational ?pool f.expl ~is_tick:f.is_tick
+             (Printf.sprintf "lr exact-plane min_reach (%s)" (pool_label d))
+             (Legacy.min_reach f.expl ~is_tick:f.is_tick
                 ~target:f.target ~ticks:f.ticks)
-             (Mdp.Finite_horizon.min_reach_rational ?pool f.arena
+             (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact f.arena
                 ~target:f.target ~ticks:f.ticks)))
     pools
 
@@ -777,19 +648,19 @@ let test_expected_time_differential () =
     (fun (Fixture f) ->
        List.iter
          (fun d ->
-            with_opt_pool d (fun pool ->
+            with_session_pool d (fun () ->
                 let ctx what =
                   Printf.sprintf "%s %s (%s)" f.name what (pool_label d)
                 in
                 check_float_arrays (ctx "max_expected_ticks")
-                  (Legacy.max_expected_ticks ?pool f.expl
+                  (Legacy.max_expected_ticks f.expl
                      ~is_tick:f.is_tick ~target:f.target ())
-                  (Mdp.Expected_time.max_expected_ticks ?pool f.arena
+                  (Mdp.Expected_time.max_expected_ticks f.arena
                      ~target:f.target ());
                 check_float_arrays (ctx "min_expected_ticks")
-                  (Legacy.min_expected_ticks ?pool f.expl
+                  (Legacy.min_expected_ticks f.expl
                      ~is_tick:f.is_tick ~target:f.target ())
-                  (Mdp.Expected_time.min_expected_ticks ?pool f.arena
+                  (Mdp.Expected_time.min_expected_ticks f.arena
                      ~target:f.target ())))
          [ None; Some 2 ];
        let v0, p0 =
@@ -1008,30 +879,30 @@ let test_policy_search_finds_adversary () =
 (* Probability planes: the interval oracle must never change an
    answer.  [test_reach_differential] above already pins the session
    default (interval) against the legacy engines; these pin the two
-   planes against each other explicitly -- full models at every pool
-   size, budgeted partial fragments, the certified orbit quotient, a
-   non-dyadic model where the oracle leaves residue, bisimulation
-   signatures, and the refusal path. *)
+   planes against each other explicitly -- full models with and
+   without a session pool, budgeted partial fragments, the certified
+   orbit quotient, a non-dyadic model where the oracle leaves residue,
+   bisimulation signatures, and the refusal path. *)
 
 let test_plane_reach_differential () =
   List.iter
     (fun (Fixture f) ->
        List.iter
          (fun d ->
-            with_opt_pool d (fun pool ->
+            with_session_pool d (fun () ->
                 let ctx what =
                   Printf.sprintf "%s %s planes (%s)" f.name what (pool_label d)
                 in
                 check_q_arrays (ctx "min_reach")
-                  (Mdp.Finite_horizon.min_reach ?pool ~plane:Mdp.Plane.Exact
+                  (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact
                      f.arena ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach ?pool
+                  (Mdp.Finite_horizon.min_reach
                      ~plane:Mdp.Plane.Interval f.arena ~target:f.target
                      ~ticks:f.ticks);
                 check_q_arrays (ctx "max_reach")
-                  (Mdp.Finite_horizon.max_reach ?pool ~plane:Mdp.Plane.Exact
+                  (Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Exact
                      f.arena ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach ?pool
+                  (Mdp.Finite_horizon.max_reach
                      ~plane:Mdp.Plane.Interval f.arena ~target:f.target
                      ~ticks:f.ticks)))
          pools)
@@ -1084,7 +955,7 @@ let test_plane_sym_quotient () =
 (* A model whose probabilities are not dyadic: 1/3 has no finite
    binary expansion, so its interval is one ulp wide, layer values stay
    wide, and the oracle must hand those states to the exact engine
-   (which itself falls back from the dyadic to the rational path). *)
+   (the rational engine of the exact plane). *)
 type third_state = TA | TB | TGoal
 
 let third_arena =
@@ -1241,8 +1112,8 @@ let schedule_fixtures =
             | 1 -> []
             | 2 -> [ step "tick" (coin 0 3); step "go" (point 1) ]
             | _ -> []));
-       (* non-dyadic: the interval plane leaves residue, the dyadic
-          engines fall back to rationals *)
+       (* non-dyadic: the interval plane leaves residue for the
+          rational engine *)
        toy "1/3 weights" ~goal:(( = ) 4)
          (pa (function
             | 3 -> [ step "tick" (point 0) ]
@@ -1283,17 +1154,16 @@ let check_outcome check name expected got =
   | Values _, Refused -> Alcotest.failf "%s: refused, the reference closes" name
   | Refused, Values _ -> Alcotest.failf "%s: closes, the reference refuses" name
 
-(* Every finite-horizon entry point against [Legacy] at one pool
-   setting: both planes, the rational-only and float engines, min and
-   max. *)
-let check_schedule ?pool ~label (Fixture f) =
+(* Every finite-horizon entry point against [Legacy]: both planes and
+   the float engines, min and max. *)
+let check_schedule ~label (Fixture f) =
   let ctx what = Printf.sprintf "%s %s (%s)" f.name what label in
   let legacy g =
     outcome (fun () ->
-        g ?pool f.expl ~is_tick:f.is_tick ~target:f.target ~ticks:f.ticks)
+        g f.expl ~is_tick:f.is_tick ~target:f.target ~ticks:f.ticks)
   in
   let ours g =
-    outcome (fun () -> g ?pool f.arena ~target:f.target ~ticks:f.ticks)
+    outcome (fun () -> g f.arena ~target:f.target ~ticks:f.ticks)
   in
   let module FH = Mdp.Finite_horizon in
   List.iter
@@ -1304,10 +1174,6 @@ let check_schedule ?pool ~label (Fixture f) =
        check_outcome check_q_arrays (ctx ("max_reach " ^ p))
          (legacy Legacy.max_reach) (ours (FH.max_reach ~plane)))
     [ Mdp.Plane.Interval; Mdp.Plane.Exact ];
-  check_outcome check_q_arrays (ctx "min_reach_rational")
-    (legacy Legacy.min_reach_rational) (ours FH.min_reach_rational);
-  check_outcome check_q_arrays (ctx "max_reach_rational")
-    (legacy Legacy.Exact.max_reach) (ours FH.max_reach_rational);
   check_outcome check_float_arrays (ctx "min_reach_float")
     (legacy Legacy.min_reach_float) (ours FH.min_reach_float);
   check_outcome check_float_arrays (ctx "max_reach_float")
@@ -1318,8 +1184,8 @@ let test_schedule_differential () =
     (fun fx ->
        List.iter
          (fun d ->
-            with_opt_pool d (fun pool ->
-                check_schedule ?pool ~label:(pool_label d) fx))
+            with_session_pool d (fun () ->
+                check_schedule ~label:(pool_label d) fx))
          pools)
     (Lazy.force schedule_fixtures)
 
@@ -1334,8 +1200,8 @@ let test_schedule_refusals () =
         (fun g ->
            outcome (fun () -> g f.arena ~target:f.target ~ticks:f.ticks)
            = Refused)
-        [ Mdp.Finite_horizon.min_reach ?pool:None ?plane:None;
-          Mdp.Finite_horizon.max_reach ?pool:None ?plane:None ]
+        [ Mdp.Finite_horizon.min_reach ?plane:None;
+          Mdp.Finite_horizon.max_reach ?plane:None ]
   in
   Alcotest.(check (list bool)) "self-loop: min closes, max refused"
     [ false; true ] (refused "probabilistic self-loop");
@@ -1381,12 +1247,12 @@ let random_fixture seed =
 let random_fixtures = lazy (List.init 200 random_fixture)
 
 let test_schedule_random () =
-  with_pool 2 (fun pool ->
-      List.iter
-        (fun fx ->
-           check_schedule ~label:"seq" fx;
-           check_schedule ~pool ~label:"2 domains" fx)
-        (Lazy.force random_fixtures))
+  List.iter
+    (fun d ->
+       with_session_pool d (fun () ->
+           List.iter (check_schedule ~label:(pool_label d))
+             (Lazy.force random_fixtures)))
+    [ None; Some 2 ]
 
 (* Zero-time reachability, reflexive and transitive, by brute force. *)
 let zero_time_edges (a : _ Mdp.Arena.t) f =

@@ -471,36 +471,6 @@ let test_float_max_matches () =
     exact
 
 (* ------------------------------------------------------------------ *)
-(* Dyadic fast path vs rational engine *)
-
-let test_dyadic_matches_rational_engine () =
-  (* The walker's probabilities are dyadic: the fast path activates and
-     must agree with the pure rational engine exactly. *)
-  List.iter
-    (fun ticks ->
-       let fast =
-         Mdp.Finite_horizon.min_reach walker_arena ~target:walker_target
-           ~ticks
-       in
-       let slow =
-         Mdp.Finite_horizon.min_reach_rational walker_arena
-           ~target:walker_target ~ticks
-       in
-       Array.iteri
-         (fun i q -> check_q (Printf.sprintf "t=%d state %d" ticks i) q
-             fast.(i))
-         slow)
-    [ 0; 1; 3; 5 ]
-
-let test_non_dyadic_falls_back () =
-  (* Choice has a 1/3 branch: the dyadic engine cannot apply, and the
-     wrapper must transparently produce the rational answer. *)
-  let target = Mdp.Explore.indicator choice_expl Test_support.Toys.Choice.s1 in
-  let v = Mdp.Finite_horizon.min_reach_steps choice_arena ~target ~steps:1 in
-  check_q "fallback correct" (Q.of_ints 1 3)
-    (value_at choice_expl v Test_support.Toys.Choice.S0)
-
-(* ------------------------------------------------------------------ *)
 (* Expected-time policy extraction *)
 
 let test_expected_policy () =
@@ -727,7 +697,7 @@ let random_clocked_pa seed m =
   Core.Pa.make ~start:[ (0, 1, 1) ] ~enabled ()
 
 let prop_engines_agree_on_random_clocked =
-  QCheck.Test.make ~name:"dyadic, rational and float engines agree"
+  QCheck.Test.make ~name:"interval, exact and float engines agree"
     ~count:40
     (QCheck.triple (QCheck.int_range 0 100_000) (QCheck.int_range 2 5)
        (QCheck.int_range 0 6))
@@ -742,7 +712,8 @@ let prop_engines_agree_on_random_clocked =
        in
        let exact = Mdp.Finite_horizon.min_reach arena ~target ~ticks in
        let rational =
-         Mdp.Finite_horizon.min_reach_rational arena ~target ~ticks
+         Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact arena ~target
+           ~ticks
        in
        let approx =
          Mdp.Finite_horizon.min_reach_float arena ~target ~ticks
@@ -807,11 +778,6 @@ let () =
            test_float_matches_exact;
          Alcotest.test_case "max matches exact" `Quick
            test_float_max_matches ]);
-      ("dyadic-engine",
-       [ Alcotest.test_case "matches rational" `Quick
-           test_dyadic_matches_rational_engine;
-         Alcotest.test_case "non-dyadic falls back" `Quick
-           test_non_dyadic_falls_back ]);
       ("expected-policy",
        [ Alcotest.test_case "extraction" `Quick test_expected_policy ]);
       ("zeno",

@@ -1,14 +1,12 @@
 (* Tests for the domain pool and for the determinism contract of the
-   parallel analysis paths: exact engine outputs must be bit-identical
-   for any number of domains, and Monte Carlo estimates bit-identical
-   with and without a pool. *)
+   parallel paths: a session pool must not move a byte of a served
+   /check body (the exact engines are sequential and never read it),
+   and Monte Carlo estimates are bit-identical with and without a
+   pool. *)
 
 module P = Parallel.Pool
-module Q = Proba.Rational
 module LR = Lehmann_rabin
 module BO = Ben_or
-
-let rational = Alcotest.testable Q.pp Q.equal
 
 (* Run [f] with a fresh pool of [domains], shutting it down afterwards
    even on failure. *)
@@ -101,132 +99,72 @@ let test_shutdown_idempotent () =
   P.shutdown pool
 
 (* ------------------------------------------------------------------ *)
-(* Determinism of the exact engines across domain counts.
+(* Determinism under a session pool ([prtb check --domains N]).
 
-   This is the acceptance property of the parallel subsystem: the
-   rational (and dyadic) finite-horizon values computed with a pool are
-   bit-identical -- structurally equal, not merely numerically equal --
-   for every pool size, and numerically equal to the sequential
-   schedule's fixpoint. *)
+   The exact, float and expected-time engines are sequential: their
+   results must be bit-identical -- structurally equal, not merely
+   numerically equal -- with and without a session pool installed, and
+   so must every served /check body. *)
+
+let pool_invariant ?(sizes = [ 1; 2; 4 ]) name f =
+  let without = f () in
+  List.iter
+    (fun domains ->
+       P.set_default (Some (P.create ~domains));
+       let with_pool = Fun.protect ~finally:(fun () -> P.set_default None) f in
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %d-domain session pool" name domains)
+         true (without = with_pool))
+    sizes
 
 let lr_inst = lazy (LR.Proof.build ~n:3 ())
 
 let bo_inst =
   lazy (BO.Proof.build ~n:3 ~f:1 ~cap:1 ~initial:[| false; false; true |] ())
 
-let check_bit_identical name (seq : Q.t array) pooled =
-  List.iter
-    (fun (domains, (v : Q.t array)) ->
-       Alcotest.(check int)
-         (Printf.sprintf "%s: length (%d domains)" name domains)
-         (Array.length seq) (Array.length v);
-       Array.iteri
-         (fun i x ->
-            if not (x = v.(i)) then
-              Alcotest.failf
-                "%s: state %d differs at %d domains: %s vs %s" name i
-                domains (Q.to_string x) (Q.to_string v.(i)))
-         (snd (List.hd pooled)))
-    pooled;
-  (* Pooled Jacobi and the sequential component walk reach the same
-     exact fixpoint. *)
-  Array.iteri
-    (fun i x ->
-       Alcotest.check rational
-         (Printf.sprintf "%s: matches sequential at state %d" name i)
-         x
-         (snd (List.hd pooled)).(i))
-    seq
-
-let reach_all_pools name arena ~target ~ticks =
-  let seq = Mdp.Finite_horizon.min_reach arena ~target ~ticks in
-  let pooled =
-    List.map
-      (fun domains ->
-         ( domains,
-           with_pool domains (fun pool ->
-               Mdp.Finite_horizon.min_reach ~pool arena ~target ~ticks) ))
-      [ 1; 2; 4 ]
-  in
-  check_bit_identical name seq pooled
+let lr_target () =
+  let arena = (Lazy.force lr_inst).LR.Proof.arena in
+  (arena, Mdp.Arena.indicator arena LR.Regions.c)
 
 let test_lr_min_reach_bit_identical () =
-  let inst = Lazy.force lr_inst in
-  let arena = inst.LR.Proof.arena in
-  reach_all_pools "LR min_reach" arena
-    ~target:(Mdp.Arena.indicator arena LR.Regions.c)
-    ~ticks:13
+  let arena, target = lr_target () in
+  pool_invariant "LR min_reach" (fun () ->
+      Mdp.Finite_horizon.min_reach arena ~target ~ticks:13)
 
 let test_ben_or_min_reach_bit_identical () =
-  let inst = Lazy.force bo_inst in
-  let arena = inst.BO.Proof.arena in
+  let arena = (Lazy.force bo_inst).BO.Proof.arena in
   let target =
     Mdp.Arena.indicator arena
       (Core.Pred.make "decided" BO.Automaton.some_decided)
   in
-  reach_all_pools "Ben-Or min_reach" arena ~target ~ticks:3
+  pool_invariant "Ben-Or min_reach" (fun () ->
+      Mdp.Finite_horizon.min_reach arena ~target ~ticks:3)
 
 let test_lr_max_reach_and_policy_pools () =
-  let inst = Lazy.force lr_inst in
-  let arena = inst.LR.Proof.arena in
-  let target = Mdp.Arena.indicator arena LR.Regions.c in
-  let seq = Mdp.Finite_horizon.max_reach arena ~target ~ticks:5 in
-  with_pool 4 (fun pool ->
-      let par =
-        Mdp.Finite_horizon.max_reach ~pool arena ~target ~ticks:5
-      in
-      Array.iteri
-        (fun i x ->
-           Alcotest.check rational
-             (Printf.sprintf "max_reach state %d" i)
-             x par.(i))
-        seq;
-      let v1, p1 =
-        Mdp.Finite_horizon.min_reach_with_policy ~pool arena ~target
-          ~ticks:5
-      in
-      let v0, p0 =
-        Mdp.Finite_horizon.min_reach_with_policy arena ~target ~ticks:5
-      in
-      Alcotest.(check bool) "policies agree" true (p0 = p1);
-      Array.iteri
-        (fun i x ->
-           Alcotest.check rational
-             (Printf.sprintf "policy values state %d" i)
-             x v1.(i))
-        v0)
+  let arena, target = lr_target () in
+  pool_invariant "max_reach" (fun () ->
+      Mdp.Finite_horizon.max_reach arena ~target ~ticks:5);
+  pool_invariant "min_reach_with_policy" (fun () ->
+      Mdp.Finite_horizon.min_reach_with_policy arena ~target ~ticks:5)
 
 let test_float_engines_pool_invariant () =
-  (* Float results are bit-identical across pool sizes (same Jacobi
-     schedule, same chunk grid); the sequential schedules may differ in
-     low-order bits and are not compared here. *)
-  let inst = Lazy.force lr_inst in
-  let arena = inst.LR.Proof.arena in
-  let target = Mdp.Arena.indicator arena LR.Regions.c in
-  let reach_at domains =
-    with_pool domains (fun pool ->
-        Mdp.Finite_horizon.min_reach_float ~pool arena ~target ~ticks:8)
+  let arena, target = lr_target () in
+  pool_invariant "min_reach_float" (fun () ->
+      Mdp.Finite_horizon.min_reach_float arena ~target ~ticks:8);
+  pool_invariant "max_expected_ticks" (fun () ->
+      Mdp.Expected_time.max_expected_ticks arena ~target ())
+
+(* Election n=5 is the body that once diverged: its float expected-time
+   value iteration prints schedule-dependent low-order bits, so a
+   pooled schedule changed the body. *)
+let test_check_json_pool_invariant () =
+  let q =
+    { Server.Protocol.model = `Election; n = 5; g = 1; k = 1;
+      topology = "ring"; bound = 4; cap = 2; max_states = None;
+      sym = "off"; plane = "interval"; deadline_ms = None }
   in
-  let expected_at domains =
-    with_pool domains (fun pool ->
-        Mdp.Expected_time.max_expected_ticks ~pool arena ~target ())
-  in
-  let r1 = reach_at 1 and r4 = reach_at 4 in
-  Alcotest.(check bool) "min_reach_float 1 = 4 domains" true (r1 = r4);
-  let e1 = expected_at 1 and e4 = expected_at 4 in
-  Alcotest.(check bool) "max_expected_ticks 1 = 4 domains" true (e1 = e4);
-  (* And against the sequential schedule the fixpoints agree to the
-     value-iteration tolerance. *)
-  let eseq = Mdp.Expected_time.max_expected_ticks arena ~target () in
-  Array.iteri
-    (fun i x ->
-       let y = e4.(i) in
-       if Float.is_finite x || Float.is_finite y then
-         Alcotest.(check bool)
-           (Printf.sprintf "expected ticks close at state %d" i)
-           true
-           (Float.abs (x -. y) < 1e-6))
-    eseq
+  pool_invariant ~sizes:[ 2 ] "election n=5 /check body" (fun () ->
+      Analysis.Json.to_string (Server.Service.check_json q))
 
 (* ------------------------------------------------------------------ *)
 (* Monte Carlo reproducibility *)
@@ -331,7 +269,9 @@ let () =
          Alcotest.test_case "max_reach and policy" `Quick
            test_lr_max_reach_and_policy_pools;
          Alcotest.test_case "float engines pool-invariant" `Quick
-           test_float_engines_pool_invariant ]);
+           test_float_engines_pool_invariant;
+         Alcotest.test_case "check_json pool-invariant (election n=5)"
+           `Quick test_check_json_pool_invariant ]);
       ("monte-carlo",
        [ Alcotest.test_case "estimate_reach bit-identical" `Quick
            test_monte_carlo_pool_bit_identical;

@@ -4,7 +4,6 @@
    values. *)
 
 module B = Proba.Bigint
-module Dy = Proba.Dyadic
 module I = Proba.Interval
 module Q = Proba.Rational
 module D = Proba.Dist
@@ -719,102 +718,6 @@ let test_histogram_quantile () =
   Alcotest.(check bool) "median near 50" true (med > 45.0 && med < 55.0)
 
 (* ------------------------------------------------------------------ *)
-(* Dyadic *)
-
-let dyadic = Alcotest.testable Dy.pp Dy.equal
-let check_dy = Alcotest.check dyadic
-
-let test_dyadic_basics () =
-  check_dy "1/2" Dy.half (Dy.make B.one (-1));
-  check_dy "normalization" (Dy.make B.one 3) (Dy.make (B.of_int 8) 0);
-  check_q "to_rational half" Q.half (Dy.to_rational Dy.half);
-  check_dy "of_rational" Dy.half (Dy.of_rational Q.half);
-  check_dy "of_rational 3/8" (Dy.make (B.of_int 3) (-3))
-    (Dy.of_rational (Q.of_ints 3 8));
-  Alcotest.(check bool) "1/3 rejected" true
-    (try ignore (Dy.of_rational (Q.of_ints 1 3)); false
-     with Dy.Not_dyadic _ -> true)
-
-let test_dyadic_arith () =
-  check_dy "add" (Dy.of_rational (Q.of_ints 7 8))
-    (Dy.add Dy.half (Dy.of_rational (Q.of_ints 3 8)));
-  check_dy "sub" (Dy.of_rational (Q.of_ints 1 8))
-    (Dy.sub Dy.half (Dy.of_rational (Q.of_ints 3 8)));
-  check_dy "mul" (Dy.of_rational (Q.of_ints 3 16))
-    (Dy.mul Dy.half (Dy.of_rational (Q.of_ints 3 8)));
-  check_dy "cancellation" Dy.zero (Dy.sub Dy.half Dy.half);
-  Alcotest.(check int) "compare" (-1)
-    (Dy.compare (Dy.of_rational (Q.of_ints 3 8)) Dy.half);
-  Alcotest.(check (float 1e-12)) "to_float" 0.375
-    (Dy.to_float (Dy.of_rational (Q.of_ints 3 8)))
-
-let dyadic_arb =
-  let gen =
-    QCheck.Gen.(
-      map
-        (fun (m, e) -> Dy.make (B.of_int m) e)
-        (pair (int_range (-10000) 10000) (int_range (-30) 30)))
-  in
-  QCheck.make
-    ~print:(fun d -> Q.to_string (Dy.to_rational d))
-    gen
-
-let prop_dyadic_matches_rational =
-  (* The dyadic field operations agree with the rational oracle. *)
-  QCheck.Test.make ~name:"dyadic agrees with rational oracle" ~count:500
-    (QCheck.pair dyadic_arb dyadic_arb) (fun (a, b) ->
-        let qa = Dy.to_rational a and qb = Dy.to_rational b in
-        Q.equal (Dy.to_rational (Dy.add a b)) (Q.add qa qb)
-        && Q.equal (Dy.to_rational (Dy.mul a b)) (Q.mul qa qb)
-        && Q.equal (Dy.to_rational (Dy.sub a b)) (Q.sub qa qb)
-        && Stdlib.compare (Dy.compare a b) 0
-           = Stdlib.compare (Q.compare qa qb) 0)
-
-let prop_dyadic_roundtrip =
-  QCheck.Test.make ~name:"dyadic of_rational . to_rational = id" ~count:300
-    dyadic_arb (fun a ->
-        Dy.equal a (Dy.of_rational (Dy.to_rational a)))
-
-(* Mantissas near the promotion boundary exercise the small-word fast
-   path's overflow checks (shifted alignment in [add], the 2^31 guard
-   in [mul], shift-compare in [compare]). *)
-let boundary_dyadic_arb =
-  let gen =
-    QCheck.Gen.(
-      map
-        (fun (m, e) -> Dy.make (B.of_int m) e)
-        (pair boundary_int (int_range (-70) 70)))
-  in
-  QCheck.make ~print:(fun d -> Q.to_string (Dy.to_rational d)) gen
-
-let prop_dyadic_boundary_matches_rational =
-  QCheck.Test.make ~name:"dyadic boundary ops agree with rational oracle"
-    ~count:500
-    (QCheck.pair boundary_dyadic_arb boundary_dyadic_arb) (fun (a, b) ->
-        let qa = Dy.to_rational a and qb = Dy.to_rational b in
-        Q.equal (Dy.to_rational (Dy.add a b)) (Q.add qa qb)
-        && Q.equal (Dy.to_rational (Dy.sub a b)) (Q.sub qa qb)
-        && Q.equal (Dy.to_rational (Dy.mul a b)) (Q.mul qa qb)
-        && Stdlib.compare (Dy.compare a b) 0
-           = Stdlib.compare (Q.compare qa qb) 0)
-
-let prop_dyadic_boundary_canonical =
-  (* Canonical form: odd mantissa (or the zero/0 pair), and the same
-     value built from a pre-shifted mantissa is structurally equal. *)
-  QCheck.Test.make ~name:"dyadic boundary results canonical" ~count:500
-    (QCheck.pair boundary_dyadic_arb boundary_dyadic_arb) (fun (a, b) ->
-        let canonical d =
-          let m = Dy.mantissa d in
-          if B.is_zero m then Dy.exponent d = 0 else not (B.is_even m)
-        in
-        let shifted d =
-          Dy.make (B.shift_left (Dy.mantissa d) 5) (Dy.exponent d - 5)
-        in
-        List.for_all
-          (fun d -> canonical d && shifted d = d)
-          [ Dy.add a b; Dy.sub a b; Dy.mul a b ])
-
-(* ------------------------------------------------------------------ *)
 (* Interval: the outward-rounded double plane.  Soundness is the
    invariant everything else rests on -- every operation's result
    interval must contain the exact rational result -- and tightness
@@ -913,7 +816,8 @@ let prop_interval_dyadic_points =
     (let gen =
        QCheck.Gen.(
          map
-           (fun (m, e) -> Dy.to_rational (Dy.make (B.of_int m) e))
+           (fun (m, e) ->
+              if e >= 0 then Q.of_int (m lsl e) else Q.of_ints m (1 lsl -e))
            (pair (int_range (-4000) 4000) (int_range (-12) 12)))
      in
      QCheck.make ~print:Q.to_string gen
@@ -971,13 +875,6 @@ let () =
           prop_divmod_reconstruct; prop_string_roundtrip;
           prop_mul_commutative; prop_add_associative; prop_distributive;
           prop_gcd_divides; prop_shift_roundtrip; prop_shift_left_is_mul ];
-      ("dyadic",
-       [ Alcotest.test_case "basics" `Quick test_dyadic_basics;
-         Alcotest.test_case "arith" `Quick test_dyadic_arith ]);
-      qsuite "dyadic-props"
-        [ prop_dyadic_matches_rational; prop_dyadic_roundtrip;
-          prop_dyadic_boundary_matches_rational;
-          prop_dyadic_boundary_canonical ];
       ("interval",
        [ Alcotest.test_case "basics" `Quick test_interval_basics;
          Alcotest.test_case "compare_to" `Quick test_interval_compare_to;

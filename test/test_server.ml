@@ -222,6 +222,45 @@ let test_cert_matches_cli () =
   Alcotest.(check bool) "cert bodies differ across planes" false
     (String.equal served.Server.Http.resp_body exact.Server.Http.resp_body)
 
+(* [g] and [k] reach the registry for every model: a g=2 election
+   query answers on the g=2 instance, and its certificate leaves carry
+   that instance's fingerprint next to their g=2 configuration. *)
+let test_g_k_reach_registry () =
+  let arena = (Models.election ~g:2 ~n:3 ()).Itai_rodeh.Proof.arena in
+  let g1 = (Models.election ~n:3 ()).Itai_rodeh.Proof.arena in
+  Alcotest.(check bool) "g=2 is a different instance" false
+    (Mdp.Arena.num_states arena = Mdp.Arena.num_states g1);
+  let body = parse_body (get "/check?model=election&n=3&g=2") in
+  Alcotest.(check int) "/check states" (Mdp.Arena.num_states arena)
+    (int_at [ "states" ] body);
+  let cert = get "/cert?model=election&n=3&g=2" in
+  match Cert.Node.of_string cert.Server.Http.resp_body with
+  | Error e -> Alcotest.failf "g=2 body is not a certificate: %s" e
+  | Ok c ->
+    let leaves =
+      Array.to_list c.Cert.Node.nodes
+      |> List.filter_map (fun (nd : Cert.Node.node) ->
+          match nd.Cert.Node.rule with
+          | Cert.Node.Checked { fingerprint; config; _ } ->
+            Some (fingerprint, config)
+          | _ -> None)
+    in
+    Alcotest.(check bool) "has checked leaves" true (leaves <> []);
+    List.iter
+      (fun (fp, (config : Cert.Node.leaf_config)) ->
+         Alcotest.(check string) "leaf fingerprint"
+           (Mdp.Arena.fingerprint arena) fp;
+         Alcotest.(check (option string)) "leaf g" (Some "2")
+           (List.assoc_opt "g" config.Cert.Node.params))
+      leaves
+
+(* The text report resolves consensus through the registry too. *)
+let test_text_consensus_uses_registry () =
+  let out = cli "check consensus --stats" in
+  Alcotest.(check bool) "builds: 1" true
+    (Astring.String.is_infix ~affix:"explorations: 1, compiles: 1, builds: 1"
+       out)
+
 let test_simulate_deterministic () =
   let target = "/simulate?model=election&n=3&trials=200&seed=7" in
   let a = get target in
@@ -668,6 +707,10 @@ let () =
             test_plane_cache_dimension;
           Alcotest.test_case "served cert == CLI --emit-cert" `Quick
             test_cert_matches_cli;
+          Alcotest.test_case "g/k reach the registry" `Quick
+            test_g_k_reach_registry;
+          Alcotest.test_case "text consensus builds once" `Quick
+            test_text_consensus_uses_registry;
           Alcotest.test_case "simulate deterministic + cached" `Quick
             test_simulate_deterministic;
           Alcotest.test_case "lint served" `Quick test_lint_served;

@@ -59,12 +59,6 @@ let check_arena (type s a) name ~(fresh : (s, a) Mdp.Arena.t)
     (Array.for_all2
        (fun a b -> bits a = bits b)
        fresh.Mdp.Arena.prob_f loaded.Mdp.Arena.prob_f);
-  Alcotest.(check bool)
-    (name ^ ": dyadic plane")
-    true
-    (Array.for_all2 Proba.Dyadic.equal
-       (Mdp.Arena.dyadic_plane fresh)
-       (Mdp.Arena.dyadic_plane loaded));
   let flo, fhi = Mdp.Arena.interval_plane fresh in
   let llo, lhi = Mdp.Arena.interval_plane loaded in
   Alcotest.(check bool)
