@@ -35,66 +35,79 @@ exception Not_certified of string
    permutations, by closure: repeatedly apply every generator until no
    new state appears.  Orbits of the models here are tiny (at most the
    process count for rotations, [n!] for full symmetric groups at small
-   [n]), so a list with linear membership is the right structure --
+   [n]), so an array with linear membership is the right structure --
    anything fancier would pay more in hashing than it saves.
 
-   [close] numbers the members in discovery order and returns them
-   newest first, with their count; that list order is the one every
-   caller iterates in.  [edge x j y] is told that generator [j] maps
-   member [x] to member [y], for every member and generator.  The
-   count is kept as it grows, so the cap costs nothing to test. *)
+   [close] numbers the members in discovery order and returns them in
+   an array, member [i] at index [i], with their count (the array may
+   be longer).  Each level of the closure is the index range the level
+   before it discovered, expanded newest first: that order fixes the
+   numbering every caller relies on.  [edge x j y] is told that
+   generator [j] maps member [x] to member [y], for every member and
+   generator. *)
 
-let rec index_of equal y = function
-  | [] -> -1
-  | (i, m) :: rest -> if equal y m then i else index_of equal y rest
+(* The index of [y] among members [0 .. i], scanning newest first;
+   [-1] when it is not a member. *)
+let index_of equal y members i =
+  let i = ref i in
+  while !i >= 0 && not (equal y members.(!i)) do
+    decr i
+  done;
+  !i
 
 let close ?(max_orbit = 40_320) ~equal ~edge gens s =
-  let members = ref [ (0, s) ] and count = ref 1 in
-  let frontier = ref [ (0, s) ] in
-  let overflow = ref false in
-  while !frontier <> [] && not !overflow do
-    let work = !frontier in
-    frontier := [];
-    List.iter
-      (fun (x, sx) ->
-         List.iteri
-           (fun j g ->
-              let y = g.on_state sx in
-              let i = index_of equal y !members in
-              if i >= 0 then edge x j i
-              else if !count >= max_orbit then overflow := true
-              else begin
-                let m = (!count, y) in
-                edge x j !count;
-                incr count;
-                members := m :: !members;
-                frontier := m :: !frontier
-              end)
-           gens)
-      work
+  let members = ref (Array.make 8 s) and count = ref 1 in
+  let lo = ref 0 in
+  while !lo < !count do
+    let hi = !count in
+    for x = hi - 1 downto !lo do
+      let sx = !members.(x) in
+      for j = 0 to Array.length gens - 1 do
+        let y = gens.(j).on_state sx in
+        let i = index_of equal y !members (!count - 1) in
+        if i >= 0 then edge x j i
+        else if !count >= max_orbit then
+          invalid_arg
+            (Printf.sprintf
+               "Symmetry.orbit: orbit exceeded %d states (is a declared \
+                permutation really a bijection?)"
+               max_orbit)
+        else begin
+          if !count = Array.length !members then begin
+            let grown = Array.make (2 * !count) s in
+            Array.blit !members 0 grown 0 !count;
+            members := grown
+          end;
+          !members.(!count) <- y;
+          edge x j !count;
+          incr count
+        end
+      done
+    done;
+    lo := hi
   done;
-  if !overflow then
-    invalid_arg
-      (Printf.sprintf
-         "Symmetry.orbit: orbit exceeded %d states (is a declared \
-          permutation really a bijection?)"
-         max_orbit);
   (!members, !count)
 
 let no_edge _ _ _ = ()
 
 let orbit ?max_orbit ~equal gens s =
-  List.map snd (fst (close ?max_orbit ~equal ~edge:no_edge gens s))
+  let members, k =
+    close ?max_orbit ~equal ~edge:no_edge (Array.of_list gens) s
+  in
+  List.init k (fun p -> members.(k - 1 - p))
 
 let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ~equal spec =
   match spec.generators with
   | [] -> fun s -> s
   | gens ->
+    let gens = Array.of_list gens in
     fun s ->
-      List.fold_left
-        (fun best (_, x) -> if compare x best < 0 then x else best)
-        s
-        (fst (close ?max_orbit ~equal ~edge:no_edge gens s))
+      let members, k = close ?max_orbit ~equal ~edge:no_edge gens s in
+      let best = ref s in
+      for p = k - 1 downto 0 do
+        if compare members.(p) !best < 0 then best := members.(p)
+      done;
+      !best
 
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)
@@ -128,42 +141,32 @@ let certificate_to_json c =
    of a distribution under a permutation may identify targets the
    original kept apart only when the permutation is NOT injective,
    which is exactly what the comparison below would then expose. *)
+let rec merge_into ~equal t w = function
+  | [] -> [ (t, w) ]
+  | (t', w') :: rest when equal t t' -> (t', Q.add w w') :: rest
+  | x :: rest -> x :: merge_into ~equal t w rest
+
 let merged_support ~equal outs =
-  List.fold_left
-    (fun acc (t, w) ->
-       let rec go = function
-         | [] -> [ (t, w) ]
-         | (t', w') :: rest when equal t t' -> (t', Q.add w w') :: rest
-         | x :: rest -> x :: go rest
-       in
-       go acc)
-    [] outs
+  List.fold_left (fun acc (t, w) -> merge_into ~equal t w acc) [] outs
 
-let rec remove_outcome ~equal t w = function
-  | [] -> None
-  | (t', w') :: rest when equal t t' && Q.equal w w' -> Some rest
-  | x :: rest ->
-    Option.map (fun r -> x :: r) (remove_outcome ~equal t w rest)
+(* [merged_support] of the g-image of [outs], without the image list. *)
+let rec merged_image ~equal g acc = function
+  | [] -> acc
+  | (u, w) :: rest ->
+    merged_image ~equal g (merge_into ~equal (g.on_state u) w acc) rest
 
+let rec mem_outcome ~equal t w = function
+  | [] -> false
+  | (t', w') :: rest ->
+    (equal t t' && Q.equal w w') || mem_outcome ~equal t w rest
+
+(* Multiset equality of two merged supports.  Merged targets are
+   pairwise unequal on each side, so an outcome of [a] can match at most
+   one of [b] and no two of [a] match the same one: membership is
+   enough. *)
 let dist_equal ~equal a b =
-  List.length a = List.length b
-  && (let remaining = ref b in
-      List.for_all
-        (fun (t, w) ->
-           match remove_outcome ~equal t w !remaining with
-           | Some rest ->
-             remaining := rest;
-             true
-           | None -> false)
-        a)
-
-let rec remove_step ~equal ~equal_action (a, outs) = function
-  | [] -> None
-  | (a', outs') :: rest when equal_action a a' && dist_equal ~equal outs outs'
-    ->
-    Some rest
-  | x :: rest ->
-    Option.map (fun r -> x :: r) (remove_step ~equal ~equal_action (a, outs) rest)
+  List.compare_lengths a b = 0
+  && List.for_all (fun (t, w) -> mem_outcome ~equal t w b) a
 
 (* What the checks read of one state, each computed once: an orbit
    member is the source of one check per generator and the target of
@@ -172,34 +175,39 @@ type ('s, 'a) facts = {
   state : 's;
   hash : int;
   steps : ('s, 'a) Core.Pa.step list;
-  merged : ('a * ('s * Q.t) list) list;  (** [steps], supports merged *)
+  merged : ('a * ('s * Q.t) list) array;  (** [steps], supports merged *)
   holds : bool array;  (** the spec's predicates, in order *)
 }
 
 (* Does [t]'s multiset of (action, distribution) pairs equal the
-   g-image of [s]'s, where [t] is [g s]? *)
+   g-image of [s]'s, where [t] is [g s]?  Each image step takes the
+   first unused target step it equals, which is multiset equality. *)
+let rec take_first ~equal ~equal_action target used a outs i =
+  i < Array.length target
+  &&
+  if
+    (not used.(i))
+    && (let a', outs' = target.(i) in
+        equal_action a a' && dist_equal ~equal outs outs')
+  then begin
+    used.(i) <- true;
+    true
+  end
+  else take_first ~equal ~equal_action target used a outs (i + 1)
+
 let equivariant ~equal ~equal_action g s t =
-  let image_steps =
-    List.map
-      (fun st ->
-         ( g.on_action st.Core.Pa.action,
-           merged_support ~equal
-             (List.map
-                (fun (u, w) -> (g.on_state u, w))
-                (Proba.Dist.support st.Core.Pa.dist)) ))
-      s.steps
+  let target = t.merged in
+  let used = Array.make (Array.length target) false in
+  let rec all = function
+    | [] -> true
+    | st :: rest ->
+      take_first ~equal ~equal_action target used
+        (g.on_action st.Core.Pa.action)
+        (merged_image ~equal g [] (Proba.Dist.support st.Core.Pa.dist))
+        0
+      && all rest
   in
-  let target_steps = t.merged in
-  List.length image_steps = List.length target_steps
-  && (let remaining = ref target_steps in
-      List.for_all
-        (fun step ->
-           match remove_step ~equal ~equal_action step !remaining with
-           | Some rest ->
-             remaining := rest;
-             true
-           | None -> false)
-        image_steps)
+  List.compare_length_with s.steps (Array.length target) = 0 && all s.steps
 
 (* Deterministic 30-bit fingerprint accumulator: position-dependent
    mixing of the state hashes a generator was spot-checked at, printed
@@ -268,11 +276,13 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
       hash = hash s;
       steps;
       merged =
-        List.map
-          (fun st ->
-             ( st.Core.Pa.action,
-               merged_support ~equal (Proba.Dist.support st.Core.Pa.dist) ))
-          steps;
+        Array.of_list
+          (List.map
+             (fun st ->
+                ( st.Core.Pa.action,
+                  merged_support ~equal (Proba.Dist.support st.Core.Pa.dist)
+                ))
+             steps);
       holds = Array.map (fun (_, pred) -> pred s) preds }
   in
   (* [s] against [targets.(j)], its image under generator [j]. *)
@@ -346,15 +356,11 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
            the certificate cover the unreduced reachable set: the
            orbits of the representatives are exactly the reachable
            states of the full automaton.  The orbit is closed, so every
-           image is a member; member [p] of the newest-first list has
+           image is a member; member [p] of the newest-first array has
            discovery index [k - 1 - p]. *)
-        let members, k =
-          close ?max_orbit ~equal ~edge spec.generators rep
-        in
+        let members, k = close ?max_orbit ~equal ~edge gens rep in
         full_states := !full_states + k;
-        let members =
-          Array.of_list (List.map (fun (_, s) -> facts s) members)
-        in
+        let members = Array.init k (fun p -> facts members.(k - 1 - p)) in
         check_set members (fun p j ->
             k - 1 - !edges.(((k - 1 - p) * ngens) + j))
       end

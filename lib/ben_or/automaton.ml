@@ -295,5 +295,8 @@ let make ?initial params =
     | Some v -> v
     | None -> Array.make params.n false
   in
-  Core.Pa.make ~pp_state ~pp_action ~start:[ start params values ]
-    ~enabled:(enabled params) ()
+  (* The default [Hashtbl.hash] stops after 10 meaningful words, which
+     leaves most of the report and proposal matrices unhashed; n = 3
+     already collapses thousands of states onto a few hundred hashes. *)
+  Core.Pa.make ~hash_state:(Hashtbl.hash_param 100 100) ~pp_state ~pp_action
+    ~start:[ start params values ] ~enabled:(enabled params) ()

@@ -97,6 +97,30 @@ let pp fmt s =
     s.res;
   Format.fprintf fmt "]@]"
 
-let equal a b = a = b
+(* The same relation as structural [=], without its generic walk:
+   states permuted from one another share their [proc] records, so most
+   comparisons settle on physical equality. *)
+let equal_region a b =
+  a == b
+  ||
+  match a, b with
+  | Wait u, Wait v | Second u, Second v | Drop u, Drop v
+  | Exit_s u, Exit_s v ->
+    u = v
+  | _ -> false
+
+let equal_proc p q =
+  p == q || (p.c = q.c && p.b = q.b && equal_region p.region q.region)
+
+let equal a b =
+  let rec procs i =
+    i < 0 || (equal_proc a.procs.(i) b.procs.(i) && procs (i - 1))
+  in
+  let rec res i = i < 0 || (a.res.(i) = b.res.(i) && res (i - 1)) in
+  a == b
+  || Array.length a.procs = Array.length b.procs
+     && Array.length a.res = Array.length b.res
+     && procs (Array.length a.procs - 1)
+     && res (Array.length a.res - 1)
 
 let hash s = Hashtbl.hash_param 200 200 s

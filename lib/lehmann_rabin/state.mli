@@ -87,7 +87,14 @@ val right_neighbor : t -> int -> proc
 val pp_region : Format.formatter -> region -> unit
 val pp : Format.formatter -> t -> unit
 
-(** Deep equality / hashing suitable for {!Core.Pa.make}. *)
+(** [equal a b] is structural equality [a = b], written out per field
+    so it allocates nothing and checks physical equality first, on the
+    state and on each [proc] record: states that are permutations of
+    one another share their records, so orbit closures and intern
+    probes mostly settle without reading fields.  States whose process
+    or resource arrays differ in length are never equal.  Suitable for
+    {!Core.Pa.make}, together with {!hash}. *)
 val equal : t -> t -> bool
 
+(** Structural hash over the whole state; equal states hash equally. *)
 val hash : t -> int

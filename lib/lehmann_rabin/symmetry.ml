@@ -1,8 +1,12 @@
 let apply_state (pi, rho) (s : State.t) =
   let procs = Array.copy s.State.procs in
-  Array.iteri (fun i p -> procs.(pi.(i)) <- p) s.State.procs;
+  for i = 0 to Array.length procs - 1 do
+    procs.(pi.(i)) <- s.State.procs.(i)
+  done;
   let res = Array.copy s.State.res in
-  Array.iteri (fun r v -> res.(rho.(r)) <- v) s.State.res;
+  for r = 0 to Array.length res - 1 do
+    res.(rho.(r)) <- s.State.res.(r)
+  done;
   { State.procs; res }
 
 let apply_action pi = function

@@ -9,7 +9,7 @@ type ('s, 'a) t = {
   steps : 'a step array array;
   start_indices : int list;
   expanded : int;
-  canon : 's -> 's;  (** identity unless the fragment is a quotient *)
+  canon : ('s -> 's) option;  (** [Some] when the fragment is a quotient *)
 }
 
 type ('s, 'a) partial = {
@@ -27,12 +27,25 @@ type ('s, 'a) partial = {
 let explorations_counter = Atomic.make 0
 let explorations () = Atomic.get explorations_counter
 
+(* Where [s] lands in [table]: looked up as it is first, and only on a
+   miss through [canon].  The table holds fixpoints of [canon] alone
+   and [canon] is idempotent, so a hit is already [s]'s representative
+   and the orbit closure is skipped; [missed] gets the canonical form.
+   Without [canon], [missed] gets [s] and nothing is looked up twice. *)
+let resolve table canon s ~found ~missed =
+  match canon with
+  | None -> missed s
+  | Some canon ->
+    (match Funtbl.find table s with
+     | Some i -> found i
+     | None -> missed (canon s))
+
 (* Shared BFS.  Interning order is FIFO visitation order, so states are
    expanded in index order and an incomplete run's frontier is exactly
    the index suffix [expanded ..].  [stop] is consulted before each
    expansion; [hard_max] reproduces the legacy contract of {!run}
    (raise the moment a state beyond the bound would be interned). *)
-let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?(canon = fun s -> s) m =
+let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon m =
   Atomic.incr explorations_counter;
   let table =
     Funtbl.create ~equal:(Core.Pa.equal_state m) ~hash:(Core.Pa.hash_state m)
@@ -41,14 +54,13 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?(canon = fun s -> s) m =
   let states = ref [] in
   let count = ref 0 in
   let queue = Queue.create () in
-  let intern s =
-    (* Canonicalizing before the table lookup is the whole of orbit
-       reduction: every state of an orbit interns to its
-       representative's index, so the BFS explores the quotient MDP and
-       everything downstream (arena compilation included) is oblivious.
-       [find_or_add] interns with a single hash-and-probe; a raised
-       [Too_many_states] leaves the table untouched. *)
-    let s = canon s in
+  (* Interning the canonical form is the whole of orbit reduction:
+     every state of an orbit interns to its representative's index, so
+     the BFS explores the quotient MDP and everything downstream (arena
+     compilation included) is oblivious.  [find_or_add] interns with a
+     single hash-and-probe; a raised [Too_many_states] leaves the table
+     untouched. *)
+  let add s =
     Funtbl.find_or_add table s (fun () ->
         (match hard_max with
          | Some bound when !count >= bound -> raise (Too_many_states bound)
@@ -59,6 +71,7 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?(canon = fun s -> s) m =
         Queue.add s queue;
         i)
   in
+  let intern s = resolve table canon s ~found:Fun.id ~missed:add in
   let start_indices = List.map intern (Core.Pa.start m) in
   let steps_acc = ref [] in
   let expanded = ref 0 in
@@ -131,7 +144,7 @@ let run ?(max_states = 5_000_000) ?canon m =
    table from the state array instead of re-running the BFS, so it does
    NOT bump [explorations_counter] -- that is the whole point of
    snapshots, and the CI smoke asserts the counter stays at zero. *)
-let of_parts ?(canon = fun s -> s) ~pa ~states ~steps ~start_indices
+let of_parts ?canon ~pa ~states ~steps ~start_indices
     ~expanded () =
   let n = Array.length states in
   if Array.length steps <> n then
@@ -177,7 +190,8 @@ let num_branches e =
     0 e.steps
 
 let state e i = e.states.(i)
-let index e s = Funtbl.find e.table (e.canon s)
+let index e s =
+  resolve e.table e.canon s ~found:Option.some ~missed:(Funtbl.find e.table)
 let start_indices e = e.start_indices
 let steps e i = e.steps.(i)
 

@@ -19,15 +19,20 @@ type ('s, 'a) t
     Raises {!Too_many_states} when the bound (default [5_000_000]) is
     exceeded -- prefer {!run_budgeted}, which keeps the partial work.
 
-    [canon] (default identity) is applied to every state before
-    interning, so the exploration builds the quotient of [m] under the
-    kernel of [canon]: pass an orbit canonicalizer (certified by
+    [canon] (default: none) maps every state to the form it is
+    interned under, so the exploration builds the quotient of [m] under
+    the kernel of [canon]: pass an orbit canonicalizer (certified by
     [Analysis.Symmetry]) and the result is the orbit-reduced MDP,
     indistinguishable to downstream consumers from an ordinary
-    fragment.  Soundness (that the quotient's verdicts match the full
+    fragment.  Contract: [canon] must be idempotent
+    ([canon (canon s)] equals [canon s]) and must map states equal
+    under the automaton's [equal_state] to equal forms.  The table
+    then holds only fixpoints of [canon], so a successor is looked up
+    as it is first and canonicalized only when that misses.
+    Soundness (that the quotient's verdicts match the full
     automaton's) is the {e caller's} obligation; uncertified canon
-    functions yield garbage quietly.  {!index} canonicalizes its
-    argument, so looking up any orbit member finds the
+    functions yield garbage quietly.  {!index} resolves its argument
+    the same way, so looking up any orbit member finds the
     representative. *)
 val run : ?max_states:int -> ?canon:('s -> 's) -> ('s, 'a) Core.Pa.t -> ('s, 'a) t
 

@@ -338,6 +338,98 @@ module Legacy = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* The exploration as it stood before interning looked a successor up
+   before canonicalizing it: every state, start states included, went
+   through [canon] and then [find_or_add].  Copied verbatim, as the
+   reference the current [Mdp.Explore] must agree with state for state
+   and step for step. *)
+
+module Reference_bfs = struct
+  module Funtbl = Mdp.Funtbl
+
+  type 'a step = 'a Mdp.Explore.step = {
+    action : 'a;
+    outcomes : (int * Proba.Rational.t) array;
+  }
+
+  exception Too_many_states of int
+
+  let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?(canon = fun s -> s) m =
+    let table =
+      Funtbl.create ~equal:(Core.Pa.equal_state m) ~hash:(Core.Pa.hash_state m)
+        1024
+    in
+    let states = ref [] in
+    let count = ref 0 in
+    let queue = Queue.create () in
+    let intern s =
+      let s = canon s in
+      Funtbl.find_or_add table s (fun () ->
+          (match hard_max with
+           | Some bound when !count >= bound -> raise (Too_many_states bound)
+           | Some _ | None -> ());
+          let i = !count in
+          incr count;
+          states := s :: !states;
+          Queue.add s queue;
+          i)
+    in
+    let start_indices = List.map intern (Core.Pa.start m) in
+    let steps_acc = ref [] in
+    let expanded = ref 0 in
+    let stopped = ref None in
+    while !stopped = None && not (Queue.is_empty queue) do
+      Core.Budget.poll ();
+      match stop ~interned:!count with
+      | Some _ as reason -> stopped := reason
+      | None ->
+        let s = Queue.take queue in
+        let steps =
+          List.map
+            (fun step ->
+               let outcomes =
+                 List.map
+                   (fun (target, w) -> (intern target, w))
+                   (Proba.Dist.support step.Core.Pa.dist)
+               in
+               let rec coalesce acc = function
+                 | [] -> List.rev acc
+                 | (i, w) :: rest ->
+                   let same, rest =
+                     List.partition (fun (j, _) -> j = i) rest
+                   in
+                   let w =
+                     List.fold_left
+                       (fun w (_, w') -> Proba.Rational.add w w')
+                       w same
+                   in
+                   coalesce ((i, w) :: acc) rest
+               in
+               let outcomes = coalesce [] outcomes in
+               { action = step.Core.Pa.action;
+                 outcomes = Array.of_list outcomes })
+            (Core.Pa.enabled m s)
+        in
+        steps_acc := Array.of_list steps :: !steps_acc;
+        incr expanded
+    done;
+    let n = !count in
+    let states_arr =
+      match !states with
+      | [] -> [||]
+      | witness :: _ ->
+        let arr = Array.make n witness in
+        List.iteri (fun k s -> arr.(n - 1 - k) <- s) !states;
+        arr
+    in
+    let steps_arr = Array.make n [||] in
+    List.iteri
+      (fun k st -> steps_arr.(!expanded - 1 - k) <- st)
+      !steps_acc;
+    (states_arr, steps_arr, start_indices, !expanded, !stopped)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Differential: reduced vs unreduced, all four case studies. *)
 
 let test_lr_differential () =
@@ -597,6 +689,256 @@ let test_legacy_fixtures () =
     (Mdp.Explore.run ring)
 
 (* ------------------------------------------------------------------ *)
+(* Exploration against the reference BFS: the same states in the same
+   order, the same steps, start indices and expansion count, reduced
+   and unreduced, complete and budgeted.  The reduced runs count the
+   canonicalizer's calls on both sides. *)
+
+let same_exploration name ?budget pa spec ~reduced =
+  let canon_calls = ref 0 in
+  let counted () =
+    let canon = Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec in
+    canon_calls := 0;
+    fun s ->
+      incr canon_calls;
+      canon s
+  in
+  let canon () = if reduced then Some (counted ()) else None in
+  let states, steps, starts, expanded, stopped =
+    match budget with
+    | None -> Reference_bfs.bfs ?canon:(canon ()) pa
+    | Some b ->
+      let clock = Core.Budget.start b in
+      Reference_bfs.bfs ?canon:(canon ())
+        ~stop:(fun ~interned -> Core.Budget.exhausted ~states:interned clock)
+        pa
+  in
+  let reference_calls = !canon_calls in
+  let expl =
+    match budget with
+    | None -> Mdp.Explore.run ?canon:(canon ()) pa
+    | Some budget ->
+      let part = Mdp.Explore.run_budgeted ~budget ?canon:(canon ()) pa in
+      Alcotest.(check bool) (name ^ ": stopped alike") (stopped = None)
+        part.Mdp.Explore.complete;
+      part.Mdp.Explore.fragment
+  in
+  Alcotest.(check int) (name ^ ": states") (Array.length states)
+    (Mdp.Explore.num_states expl);
+  Alcotest.(check int) (name ^ ": expanded") expanded
+    (Mdp.Explore.num_expanded expl);
+  Alcotest.(check (list int)) (name ^ ": start indices") starts
+    (Mdp.Explore.start_indices expl);
+  Array.iteri
+    (fun i s ->
+       if not (s = Mdp.Explore.state expl i) then
+         Alcotest.failf "%s: state %d differs" name i;
+       let mine = Mdp.Explore.steps expl i in
+       let same_step (a : _ Reference_bfs.step) (b : _ Mdp.Explore.step) =
+         a.Reference_bfs.action = b.Mdp.Explore.action
+         && Array.length a.Reference_bfs.outcomes
+            = Array.length b.Mdp.Explore.outcomes
+         && Array.for_all2
+              (fun (j, w) (j', w') -> j = j' && Q.equal w w')
+              a.Reference_bfs.outcomes b.Mdp.Explore.outcomes
+       in
+       if not
+           (Array.length steps.(i) = Array.length mine
+            && Array.for_all2 same_step steps.(i) mine)
+       then Alcotest.failf "%s: steps of state %d differ" name i;
+       match Mdp.Explore.index expl s with
+       | Some j when j = i -> ()
+       | _ -> Alcotest.failf "%s: index of state %d" name i)
+    states;
+  (expl, reference_calls, !canon_calls)
+
+let both_ways name ?budget pa spec =
+  ignore
+    (same_exploration (name ^ " unreduced") ?budget pa spec ~reduced:false);
+  ignore (same_exploration (name ^ " reduced") ?budget pa spec ~reduced:true)
+
+let test_explore_lr () =
+  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
+  let spec = LR.Symmetry.ring ~n:3 () in
+  ignore (same_exploration "lr unreduced" pa spec ~reduced:false);
+  let expl, reference_calls, calls =
+    same_exploration "lr reduced" pa spec ~reduced:true
+  in
+  let successors =
+    reference_calls - List.length (Core.Pa.start (Mdp.Explore.automaton expl))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer canonicalizations (%d) than successors (%d)" calls
+       successors)
+    true (calls < successors);
+  (* Any orbit member resolves to its representative. *)
+  List.iter
+    (fun g ->
+       for i = 0 to Mdp.Explore.num_states expl - 1 do
+         let image = g.Sym.on_state (Mdp.Explore.state expl i) in
+         if Mdp.Explore.index expl image <> Some i then
+           Alcotest.failf "image of representative %d not resolved" i
+       done)
+    spec.Sym.generators
+
+let test_explore_topologies () =
+  List.iter
+    (fun topo ->
+       both_ways
+         (LR.Topology.name topo)
+         (LR.Automaton.make_general ~topo ~g:1 ~k:1)
+         (LR.Symmetry.spec topo))
+    [ LR.Topology.star 3; LR.Topology.line 3 ]
+
+let test_explore_others () =
+  let ir = { IR.Automaton.n = 5; g = 1; k = 1 } in
+  both_ways "election n=5" (IR.Automaton.make ir) (IR.Symmetry.spec ir);
+  let sc = { SC.Automaton.n = 2; bound = 4; g = 1; k = 1 } in
+  both_ways "coin (2,4)" (SC.Automaton.make sc) (SC.Symmetry.spec sc);
+  let initial = [| false; false; true |] in
+  let bo = { BO.Automaton.n = 3; f = 1; cap = 2; g = 1; k = 1 } in
+  both_ways "consensus n=3"
+    (BO.Automaton.make ~initial bo)
+    (BO.Symmetry.spec bo ~initial)
+
+let test_explore_budgeted () =
+  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
+  let budget = Core.Budget.v ~max_states:200 () in
+  List.iter
+    (fun reduced ->
+       let expl, _, _ =
+         same_exploration "lr budgeted" ~budget pa (LR.Symmetry.ring ~n:3 ())
+           ~reduced
+       in
+       Alcotest.(check bool) "the fragment has a frontier" false
+         (Mdp.Explore.is_complete expl))
+    [ false; true ]
+
+(* Every case-study fragment spreads its states over distinct hashes;
+   a hash that reads only part of the state turns each intern into a
+   long chain scan. *)
+let test_hash_spread () =
+  let spread name pa =
+    let expl = Mdp.Explore.run pa in
+    let n = Mdp.Explore.num_states expl in
+    let seen = Hashtbl.create n in
+    for i = 0 to n - 1 do
+      Hashtbl.replace seen (Core.Pa.hash_state pa (Mdp.Explore.state expl i)) ()
+    done;
+    let distinct = Hashtbl.length seen in
+    if 100 * distinct < 95 * n then
+      Alcotest.failf "%s: %d distinct hashes over %d states" name distinct n
+  in
+  spread "lr ring n=3" (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 });
+  List.iter
+    (fun topo ->
+       spread (LR.Topology.name topo)
+         (LR.Automaton.make_general ~topo ~g:1 ~k:1))
+    [ LR.Topology.star 3; LR.Topology.line 3 ];
+  spread "election n=7"
+    (IR.Automaton.make { IR.Automaton.n = 7; g = 1; k = 1 });
+  spread "coin (2,4)"
+    (SC.Automaton.make { SC.Automaton.n = 2; bound = 4; g = 1; k = 1 });
+  spread "consensus n=3"
+    (BO.Automaton.make ~initial:[| false; false; true |]
+       { BO.Automaton.n = 3; f = 1; cap = 2; g = 1; k = 1 })
+
+(* ------------------------------------------------------------------ *)
+(* [LR.State.equal] is structural equality, with equal hashes on equal
+   states: checked on every state of the unreduced ring and star
+   fragments, their generator images, single-field mutations of them,
+   and ring states against star states (whose resource arrays are
+   longer). *)
+
+let agrees a b =
+  if LR.State.equal a b <> (a = b) then
+    Alcotest.failf "State.equal %a %a disagrees with (=)" LR.State.pp a
+      LR.State.pp b;
+  if a = b && LR.State.hash a <> LR.State.hash b then
+    Alcotest.failf "equal states %a hash apart" LR.State.pp a
+
+let mutations (s : LR.State.t) =
+  let with_proc i f =
+    let procs = Array.copy s.LR.State.procs in
+    procs.(i) <- f procs.(i);
+    { s with LR.State.procs }
+  in
+  let other_region (r : LR.State.region) : LR.State.region =
+    match r with Rem -> Flip | _ -> Rem
+  in
+  let flip_side (r : LR.State.region) : LR.State.region option =
+    match r with
+    | Wait u -> Some (Wait (LR.State.opp u))
+    | Second u -> Some (Second (LR.State.opp u))
+    | Drop u -> Some (Drop (LR.State.opp u))
+    | Exit_s u -> Some (Exit_s (LR.State.opp u))
+    | _ -> None
+  in
+  List.concat
+    (List.init (Array.length s.LR.State.procs) (fun i ->
+         [ with_proc i (fun p -> { p with region = other_region p.region });
+           with_proc i (fun p -> { p with c = p.c + 1 });
+           with_proc i (fun p -> { p with b = p.b + 1 }) ]
+         @
+         match flip_side s.LR.State.procs.(i).LR.State.region with
+         | Some region -> [ with_proc i (fun p -> { p with region }) ]
+         | None -> []))
+  @ List.init (Array.length s.LR.State.res) (fun j ->
+      let res = Array.copy s.LR.State.res in
+      res.(j) <- not res.(j);
+      { s with LR.State.res })
+
+let test_state_equal () =
+  let fragment topo =
+    let pa = LR.Automaton.make_general ~topo ~g:1 ~k:1 in
+    let expl = Mdp.Explore.run pa in
+    let states =
+      Array.init (Mdp.Explore.num_states expl) (Mdp.Explore.state expl)
+    in
+    Array.iter
+      (fun s ->
+         agrees s s;
+         (* A deep copy shares nothing with [s]. *)
+         agrees s
+           { LR.State.procs =
+               Array.map
+                 (fun (p : LR.State.proc) -> { p with c = p.c })
+                 s.LR.State.procs;
+             res = Array.copy s.LR.State.res };
+         List.iter
+           (fun g ->
+              let image = g.Sym.on_state s in
+              agrees s image;
+              agrees image s;
+              (* The image is itself reachable: it equals the state the
+                 exploration stored for it, a separately built value. *)
+              match Mdp.Explore.index expl image with
+              | Some j ->
+                agrees image states.(j);
+                Alcotest.(check bool) "image equals its stored state" true
+                  (LR.State.equal image states.(j))
+              | None -> Alcotest.fail "image not reachable")
+           (LR.Symmetry.spec topo).Sym.generators;
+         List.iter
+           (fun m ->
+              agrees s m;
+              agrees m s)
+           (mutations s))
+      states;
+    states
+  in
+  let ring = fragment (LR.Topology.ring 3) in
+  let star = fragment (LR.Topology.star 3) in
+  Array.iteri
+    (fun i s ->
+       let t = star.(i mod Array.length star) in
+       agrees s t;
+       agrees t s)
+    ring;
+  Alcotest.(check bool) "ring and star start states differ" false
+    (LR.State.equal ring.(0) star.(0))
+
+(* ------------------------------------------------------------------ *)
 (* Mechanics: orbits and canonicalizers. *)
 
 let rot3 =
@@ -658,6 +1000,17 @@ let () =
           Alcotest.test_case "consensus" `Quick test_legacy_consensus;
           Alcotest.test_case "PA030/PA031 witnesses" `Quick
             test_legacy_fixtures ] );
+      ( "exploration",
+        [ Alcotest.test_case "lr ring: reference BFS" `Quick test_explore_lr;
+          Alcotest.test_case "lr star/line: reference BFS" `Quick
+            test_explore_topologies;
+          Alcotest.test_case "election/coin/consensus: reference BFS" `Quick
+            test_explore_others;
+          Alcotest.test_case "budgeted: reference BFS" `Quick
+            test_explore_budgeted;
+          Alcotest.test_case "state hashes spread" `Quick test_hash_spread;
+          Alcotest.test_case "LR State.equal is (=)" `Quick test_state_equal ]
+      );
       ( "mechanics",
         [ Alcotest.test_case "orbit closure" `Quick test_orbit;
           Alcotest.test_case "non-bijection refused" `Quick
