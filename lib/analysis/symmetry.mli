@@ -47,7 +47,14 @@ val generator :
 
 (** What a model declares: group generators, plus the named predicates
     (claim pre/post sets, reachability targets) that any sound
-    reduction must leave invariant. *)
+    reduction must leave invariant.
+
+    Declare a set that {e generates} the group, not every element of
+    it: orbit closure, equivariance checks and predicate comparisons
+    each cost one image per orbit member per generator, and certifying
+    the generators certifies every composition of them.  One rotation
+    generates a ring's rotations; [n-1] transpositions generate all
+    [n!] permutations. *)
 type ('s, 'a) spec = {
   generators : ('s, 'a) generator list;
   invariant_preds : (string * ('s -> bool)) list;

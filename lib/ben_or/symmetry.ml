@@ -31,22 +31,31 @@ let apply_action pi = function
 let transposition n a b =
   Array.init n (fun i -> if i = a then b else if i = b then a else i)
 
+(* Adjacent transpositions within each class of processes with equal
+   initial values: [swap(a,b)] where [b] is the next process after [a]
+   in [a]'s class.  Only permutations fixing the start state are
+   automorphisms -- swapping processes with different initial values
+   moves it -- and these generate every permutation inside each class,
+   with one generator per class member but the last rather than one
+   per pair: every orbit-reduction cost is per generator. *)
 let generators (params : Automaton.params) ~initial =
   let n = params.Automaton.n in
   let gens = ref [] in
   for a = n - 1 downto 0 do
-    for b = n - 1 downto a + 1 do
-      (* Only permutations fixing the start state are automorphisms:
-         swapping processes with different initial values moves it. *)
-      if initial.(a) = initial.(b) then begin
-        let pi = transposition n a b in
-        gens :=
-          Analysis.Symmetry.generator
-            ~name:(Printf.sprintf "swap(%d,%d)" a b)
-            ~on_state:(apply_state pi) ~on_action:(apply_action pi)
-          :: !gens
-      end
-    done
+    let rec next b =
+      if b >= n then None
+      else if initial.(b) = initial.(a) then Some b
+      else next (b + 1)
+    in
+    match next (a + 1) with
+    | Some b ->
+      let pi = transposition n a b in
+      gens :=
+        Analysis.Symmetry.generator
+          ~name:(Printf.sprintf "swap(%d,%d)" a b)
+          ~on_state:(apply_state pi) ~on_action:(apply_action pi)
+        :: !gens
+    | None -> ()
   done;
   !gens
 

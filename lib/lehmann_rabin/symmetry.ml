@@ -31,7 +31,7 @@ let generators topo =
     (fun (pi, rho) ->
        Analysis.Symmetry.generator ~name:(perm_name pi)
          ~on_state:(apply_state (pi, rho)) ~on_action:(apply_action pi))
-    (Topology.automorphisms topo)
+    (Topology.generators topo)
 
 let pred p = (Core.Pred.name p, fun s -> Core.Pred.mem p s)
 

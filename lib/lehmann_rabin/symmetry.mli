@@ -9,10 +9,13 @@
     once that reduction is sound {e and} that the proof's claims
     survive it.
 
-    On [Topology.ring n] the declared group is the [n] rotations
-    (reflections are not side-preserving: the protocol is chiral); on
-    a line it is trivial -- the PA032 advisory never fires there and a
-    rotation declared by hand is exactly the PA030 fixture. *)
+    The declared generators are {!Topology.generators}, a generating
+    subset of the automorphisms: on [Topology.ring n] one rotation,
+    generating the [n] rotations (reflections are not side-preserving:
+    the protocol is chiral); on [Topology.star n] [n-1] permutations,
+    generating all [n!]; on a line none -- the group is trivial, the
+    PA032 advisory never fires there and a rotation declared by hand is
+    exactly the PA030 fixture. *)
 
 (** [apply_state (pi, rho) s] permutes the process array along [pi]
     and the resource array along [rho]; [apply_action pi] renames the
@@ -25,7 +28,7 @@ val apply_action : int array -> Automaton.action -> Automaton.action
 val generators :
   Topology.t -> (State.t, Automaton.action) Analysis.Symmetry.generator list
 
-(** [spec topo] declares the topology's automorphisms together with
+(** [spec topo] declares the topology's generators together with
     the generalized region predicates (goodness via
     {!Regions.g_of}).  [extra] appends further predicates to hold
     invariant. *)

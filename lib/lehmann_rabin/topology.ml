@@ -47,7 +47,9 @@ let contenders t r = t.contenders.(r)
    consistency keeps this instant for the topologies at hand; [limit]
    truncates pathological cases (e.g. the star's full symmetric group),
    which stays sound -- any subset of automorphisms generates a
-   subgroup, and reducing by a subgroup merely compresses less. *)
+   subgroup, and reducing by a subgroup merely compresses less.  The
+   symmetry spec declares [generators] below, not this whole list:
+   every orbit-reduction cost is paid once per declared permutation. *)
 let automorphisms ?(limit = 720) t =
   let n = num_procs t in
   let m = t.num_resources in
@@ -118,6 +120,55 @@ let automorphisms ?(limit = 720) t =
   in
   (try go 0 with Done -> ());
   List.rev !results
+
+(* [g] after [h], as [(pi, rho)] pairs: process [i] goes to
+   [g (h i)], resource [r] to [g (h r)]. *)
+let compose (gpi, grho) (hpi, hrho) =
+  (Array.map (fun i -> gpi.(i)) hpi, Array.map (fun r -> grho.(r)) hrho)
+
+(* Greedy over [automorphisms t] in list order: an automorphism is kept
+   only when the ones kept so far do not already generate it, decided
+   by closing the kept ones over [(pi, rho)] pairs.  Untruncated, the
+   group is the listed automorphisms plus the identity, so a closure
+   never outgrows [cap]; one that does means [limit] cut the list, and
+   from then on every remaining automorphism is kept -- the kept ones
+   then still generate everything listed. *)
+let generators t =
+  let autos = automorphisms t in
+  let cap = List.length autos + 1 in
+  let identity =
+    (Array.init (num_procs t) Fun.id, Array.init t.num_resources Fun.id)
+  in
+  (* The group the kept generators generate, or [None] past [cap]. *)
+  let closure kept =
+    let group = Hashtbl.create cap in
+    let queue = Queue.create () in
+    let add x =
+      if not (Hashtbl.mem group x) then begin
+        Hashtbl.replace group x ();
+        Queue.add x queue
+      end
+    in
+    add identity;
+    let exception Outgrown in
+    try
+      while not (Queue.is_empty queue) do
+        let x = Queue.take queue in
+        List.iter (fun g -> add (compose g x)) kept;
+        if Hashtbl.length group > cap then raise Outgrown
+      done;
+      Some group
+    with Outgrown -> None
+  in
+  let rec keep kept group = function
+    | [] -> List.rev kept
+    | a :: rest ->
+      (match group with
+       | Some g when Hashtbl.mem g a -> keep kept group rest
+       | Some _ -> keep (a :: kept) (closure (a :: kept)) rest
+       | None -> keep (a :: kept) None rest)
+  in
+  keep [] (closure []) autos
 
 let ring n =
   make ~name:(Printf.sprintf "ring(%d)" n) ~num_resources:n

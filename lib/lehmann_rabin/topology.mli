@@ -41,8 +41,18 @@ val contenders : t -> int -> (int * State.side) list
     first flip names a side), so a ring contributes its [n-1]
     rotations but not the reflections, and a line contributes nothing.
     Truncation at [limit] is sound for symmetry reduction -- any
-    subset of automorphisms generates a subgroup. *)
+    subset of automorphisms generates a subgroup.  Symmetry reduction
+    declares {!generators}, a generating subset of this list. *)
 val automorphisms : ?limit:int -> t -> (int array * int array) list
+
+(** [generators t] is the subsequence of [automorphisms t] that keeps
+    an automorphism only when the ones kept before it do not already
+    generate it.  It generates the same group as the whole list: a
+    ring keeps one rotation, [star n] keeps [n-1] permutations.  Every
+    orbit-reduction cost (closure, equivariance checks, predicate
+    comparisons) is per declared generator, so this is what
+    {!Symmetry.spec} declares. *)
+val generators : t -> (int array * int array) list
 
 (** {1 Stock topologies} *)
 

@@ -25,7 +25,17 @@ let expectation (a : _ Arena.t) v k =
    fold [acc +. p *. v] per step in branch order, then a left
    [best]-fold over steps seeded with the first candidate -- is the
    exact operation sequence of the historical option-fold code, so
-   fixpoints are bit-identical. *)
+   fixpoints are bit-identical.
+
+   Each sweep visits the states in index order, Gauss-Seidel, but
+   evaluates only the dirty ones.  All start dirty; evaluating a state
+   clears its flag, and a bitwise change of its value marks its
+   predecessors dirty -- one earlier in the order is picked up next
+   sweep, one later in this sweep, exactly when a full sweep would
+   first read the new value.  A clean state's successors are bitwise
+   what they were at its last evaluation, so it would recompute its
+   own value and move the delta by nothing: skipping it changes
+   neither the iterates, nor any sweep's delta, nor the sweep count. *)
 let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
     ~max_sweeps =
   let n = a.Arena.n in
@@ -38,6 +48,40 @@ let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
         else if finite.(i) then 0.0
         else infinity)
   in
+  (* Only non-target finite states are ever evaluated; they start
+     dirty. *)
+  let dirty = Array.init n (fun i -> (not target.(i)) && finite.(i)) in
+  (* Their distinct predecessors over branches, as a CSR:
+     [preds.(pred_off.(j)) .. preds.(pred_off.(j + 1) - 1)] are the
+     evaluated states with a branch into [j].  [each_edge f] calls
+     [f p j] once per evaluated [p] (all still dirty here) and
+     successor [j]: [last.(j)] is the predecessor [j] was last given,
+     so a state reaching [j] by several branches is listed once. *)
+  let pred_off = Array.make (n + 1) 0 in
+  let last = Array.make n (-1) in
+  let each_edge f =
+    for p = 0 to n - 1 do
+      if dirty.(p) then
+        for o = out_off.(step_off.(p)) to out_off.(step_off.(p + 1)) - 1 do
+          let j = tgt.(o) in
+          if last.(j) <> p then begin
+            last.(j) <- p;
+            f p j
+          end
+        done
+    done
+  in
+  (* Count into [pred_off.(j)], sum to each range's end, then fill
+     every range from its end back to its start. *)
+  each_edge (fun _ j -> pred_off.(j) <- pred_off.(j) + 1);
+  for j = 1 to n do
+    pred_off.(j) <- pred_off.(j) + pred_off.(j - 1)
+  done;
+  let preds = Array.make pred_off.(n) 0 in
+  Array.fill last 0 n (-1);
+  each_edge (fun p j ->
+      pred_off.(j) <- pred_off.(j) - 1;
+      preds.(pred_off.(j)) <- p);
   (* Loop-carried floats live in a scratch float array: float-array
      stores are unboxed (and barrier-free), whereas refs and function
      arguments would box one float per branch.  Slot 0 carries the
@@ -78,11 +122,18 @@ let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
   let sweep () =
     Array.unsafe_set scratch 2 0.0;
     for i = 0 to n - 1 do
-      if (not (Array.unsafe_get target i)) && Array.unsafe_get finite i
-      then begin
+      if Array.unsafe_get dirty i then begin
+        Array.unsafe_set dirty i false;
+        let old = Int64.bits_of_float (Array.unsafe_get v i) in
         let lo = Array.unsafe_get step_off i in
         let hi = Array.unsafe_get step_off (i + 1) in
-        if hi > lo then state i lo hi maximize else v.(i) <- infinity
+        if hi > lo then state i lo hi maximize else v.(i) <- infinity;
+        if not (Int64.equal old (Int64.bits_of_float (Array.unsafe_get v i)))
+        then
+          for p = Array.unsafe_get pred_off i
+                  to Array.unsafe_get pred_off (i + 1) - 1 do
+            Array.unsafe_set dirty (Array.unsafe_get preds p) true
+          done
       end
     done;
     Array.unsafe_get scratch 2

@@ -19,7 +19,11 @@
 
     The iteration is one sequential, in-place Gauss-Seidel sweep in
     state-index order; its printed value depends on that schedule in
-    the low-order bits, which is why there is exactly one. *)
+    the low-order bits, which is why there is exactly one.  A sweep
+    skips the states none of whose successors changed since their last
+    evaluation: they would recompute the same bits, so the iterates,
+    every sweep's largest update and the sweep count are those of
+    sweeping every state. *)
 
 (** [max_expected_ticks arena ~target ()] returns per-state worst-case
     expected ticks-to-target ([infinity] where some adversary avoids

@@ -445,7 +445,8 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures: all four case studies, resolved through the registry so
-   the suite shares explorations with nothing re-run. *)
+   the suite shares explorations with nothing re-run.  [case_studies
+   ~sym:On] gives their orbit quotients. *)
 
 type fixture = Fixture : {
   name : string;
@@ -456,49 +457,50 @@ type fixture = Fixture : {
   ticks : int;
 } -> fixture
 
-let fixtures =
-  lazy
-    (let lr = Models.lr ~n:3 () in
-     let ir = Models.election ~n:3 () in
-     let sc = Models.coin ~n:2 ~bound:3 () in
-     let bo =
-       Models.consensus ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
-     in
-     [ Fixture
-         { name = "lr";
-           expl = lr.LR.Proof.expl;
-           arena = lr.LR.Proof.arena;
-           is_tick = LR.Automaton.is_tick;
-           target = Mdp.Explore.indicator lr.LR.Proof.expl LR.Regions.c;
-           ticks = 5 };
-       Fixture
-         { name = "election";
-           expl = ir.IR.Proof.expl;
-           arena = ir.IR.Proof.arena;
-           is_tick = IR.Automaton.is_tick;
-           target =
-             Mdp.Explore.indicator ir.IR.Proof.expl
-               (Core.Pred.make "elected" IR.Automaton.leader_elected);
-           ticks = 6 };
-       Fixture
-         { name = "coin";
-           expl = sc.SC.Proof.expl;
-           arena = sc.SC.Proof.arena;
-           is_tick = SC.Automaton.is_tick;
-           target =
-             Mdp.Explore.indicator sc.SC.Proof.expl
-               (Core.Pred.make "decided"
-                  (SC.Automaton.decided sc.SC.Proof.params));
-           ticks = 8 };
-       Fixture
-         { name = "consensus";
-           expl = bo.BO.Proof.expl;
-           arena = bo.BO.Proof.arena;
-           is_tick = BO.Automaton.is_tick;
-           target =
-             Mdp.Explore.indicator bo.BO.Proof.expl
-               (Core.Pred.make "decided" BO.Automaton.some_decided);
-           ticks = 4 } ])
+let case_studies ~sym =
+  let lr = Models.lr ~sym ~n:3 () in
+  let ir = Models.election ~sym ~n:3 () in
+  let sc = Models.coin ~sym ~n:2 ~bound:3 () in
+  let bo =
+    Models.consensus ~sym ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
+  in
+  [ Fixture
+      { name = "lr";
+        expl = lr.LR.Proof.expl;
+        arena = lr.LR.Proof.arena;
+        is_tick = LR.Automaton.is_tick;
+        target = Mdp.Explore.indicator lr.LR.Proof.expl LR.Regions.c;
+        ticks = 5 };
+    Fixture
+      { name = "election";
+        expl = ir.IR.Proof.expl;
+        arena = ir.IR.Proof.arena;
+        is_tick = IR.Automaton.is_tick;
+        target =
+          Mdp.Explore.indicator ir.IR.Proof.expl
+            (Core.Pred.make "elected" IR.Automaton.leader_elected);
+        ticks = 6 };
+    Fixture
+      { name = "coin";
+        expl = sc.SC.Proof.expl;
+        arena = sc.SC.Proof.arena;
+        is_tick = SC.Automaton.is_tick;
+        target =
+          Mdp.Explore.indicator sc.SC.Proof.expl
+            (Core.Pred.make "decided"
+               (SC.Automaton.decided sc.SC.Proof.params));
+        ticks = 8 };
+    Fixture
+      { name = "consensus";
+        expl = bo.BO.Proof.expl;
+        arena = bo.BO.Proof.arena;
+        is_tick = BO.Automaton.is_tick;
+        target =
+          Mdp.Explore.indicator bo.BO.Proof.expl
+            (Core.Pred.make "decided" BO.Automaton.some_decided);
+        ticks = 4 } ]
+
+let fixtures = lazy (case_studies ~sym:Analysis.Symmetry.Off)
 
 (* Structural equality, not [Q.equal]: the claim is bit-identity of
    the representation, which is strictly stronger. *)
@@ -1360,6 +1362,208 @@ let test_zeno_definition () =
     (Lazy.force schedule_fixtures @ Lazy.force random_fixtures)
 
 (* ------------------------------------------------------------------ *)
+(* Expected-time value iteration as it stood before sweeps skipped
+   settled states: every sweep evaluates every non-target finite state.
+   [value_iterate] is copied verbatim, as the reference the current
+   engine must match bit for bit, sweep count and refusals included. *)
+
+module Sweep_all = struct
+  type objective = Maximize | Minimize
+
+  let value_iterate (a : _ Mdp.Arena.t) ~finite ~target ~obj ~epsilon
+      ~max_sweeps =
+    let n = a.Mdp.Arena.n in
+    let step_off = a.Mdp.Arena.step_off and out_off = a.Mdp.Arena.out_off in
+    let tgt = a.Mdp.Arena.tgt and prob_f = a.Mdp.Arena.prob_f in
+    let tick = a.Mdp.Arena.tick in
+    let v =
+      Array.init n (fun i ->
+          if target.(i) then 0.0
+          else if finite.(i) then 0.0
+          else infinity)
+    in
+    (* Loop-carried floats live in a scratch float array: float-array
+       stores are unboxed (and barrier-free), whereas refs and function
+       arguments would box one float per branch.  Slot 0 carries the
+       running best over steps, slot 1 the branch-sum of the current
+       step, slot 2 the sweep delta.  The seeds ([-inf] for max, [+inf]
+       for min) and the inlined comparisons return the same values as
+       the historical seeded [Float.max]/[Float.min] folds: the iterates
+       are nan-free and never produce [-0.], the only inputs where the
+       formulations differ. *)
+    let scratch = Array.make 3 0.0 in
+    let state i lo hi maximize =
+      Array.unsafe_set scratch 0 (if maximize then neg_infinity else infinity);
+      for k = lo to hi - 1 do
+        Array.unsafe_set scratch 1 0.0;
+        for o = Array.unsafe_get out_off k
+                to Array.unsafe_get out_off (k + 1) - 1 do
+          Array.unsafe_set scratch 1
+            (Array.unsafe_get scratch 1
+             +. Array.unsafe_get prob_f o
+                *. Array.unsafe_get v (Array.unsafe_get tgt o))
+        done;
+        let e =
+          (if Array.unsafe_get tick k then 1.0 else 0.0)
+          +. Array.unsafe_get scratch 1
+        in
+        let cur = Array.unsafe_get scratch 0 in
+        Array.unsafe_set scratch 0
+          (if maximize then (if e > cur then e else cur)
+           else if e < cur then e
+           else cur)
+      done;
+      let fresh = Array.unsafe_get scratch 0 in
+      let d = Float.abs (fresh -. Array.unsafe_get v i) in
+      if d > Array.unsafe_get scratch 2 then Array.unsafe_set scratch 2 d;
+      Array.unsafe_set v i fresh
+    in
+    let maximize = match obj with Maximize -> true | Minimize -> false in
+    let sweep () =
+      Array.unsafe_set scratch 2 0.0;
+      for i = 0 to n - 1 do
+        if (not (Array.unsafe_get target i)) && Array.unsafe_get finite i
+        then begin
+          let lo = Array.unsafe_get step_off i in
+          let hi = Array.unsafe_get step_off (i + 1) in
+          if hi > lo then state i lo hi maximize else v.(i) <- infinity
+        end
+      done;
+      Array.unsafe_get scratch 2
+    in
+    let rec go k =
+      Core.Budget.poll ();
+      if k > max_sweeps then
+        failwith "Expected_time: value iteration did not converge"
+      else if sweep () > epsilon then go (k + 1)
+    in
+    go 0;
+    v
+
+  let max_expected_ticks a ~target ~max_sweeps =
+    let finite = Mdp.Qualitative.always_reaches a ~target in
+    value_iterate a ~finite ~target ~obj:Maximize ~epsilon:1e-12 ~max_sweeps
+
+  let min_expected_ticks a ~target ~max_sweeps =
+    let finite = Mdp.Qualitative.some_reaches_certainly a ~target in
+    value_iterate a ~finite ~target ~obj:Minimize ~epsilon:1e-12 ~max_sweeps
+
+  (* The policy read off the reference values, as
+     [max_expected_ticks_with_policy] reads it. *)
+  let max_expected_ticks_with_policy (a : _ Mdp.Arena.t) ~target ~max_sweeps =
+    let finite = Mdp.Qualitative.always_reaches a ~target in
+    let v =
+      value_iterate a ~finite ~target ~obj:Maximize ~epsilon:1e-12 ~max_sweeps
+    in
+    let policy =
+      Array.init a.Mdp.Arena.n (fun i ->
+          let lo = a.Mdp.Arena.step_off.(i)
+          and hi = a.Mdp.Arena.step_off.(i + 1) in
+          if target.(i) || (not finite.(i)) || hi = lo then -1
+          else begin
+            let best_k = ref 0 and best_v = ref neg_infinity in
+            for k = lo to hi - 1 do
+              let e = ref (if a.Mdp.Arena.tick.(k) then 1.0 else 0.0) in
+              let sum = ref 0.0 in
+              for o = a.Mdp.Arena.out_off.(k) to a.Mdp.Arena.out_off.(k + 1) - 1
+              do
+                sum :=
+                  !sum +. (a.Mdp.Arena.prob_f.(o) *. v.(a.Mdp.Arena.tgt.(o)))
+              done;
+              e := !e +. !sum;
+              if !e > !best_v then begin
+                best_v := !e;
+                best_k := k - lo
+              end
+            done;
+            !best_k
+          end)
+    in
+    (v, policy)
+end
+
+(* Every expected-time entry point against [Sweep_all], compared by
+   [Int64.bits_of_float], with the default sweep budget and with
+   budgets small enough that some fixtures run out: both sides must
+   then refuse alike. *)
+let check_vi ~label (Fixture f) =
+  let ctx what = Printf.sprintf "%s%s %s" label f.name what in
+  let same_bits what expected got =
+    match expected, got with
+    | Values e, Values g ->
+      Alcotest.(check int) (ctx (what ^ ": length")) (Array.length e)
+        (Array.length g);
+      Array.iteri
+        (fun i x ->
+           if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float g.(i)))
+           then
+             Alcotest.failf "%s: state %d: %h vs %h" (ctx what) i x g.(i))
+        e
+    | Refused, Refused -> ()
+    | Values _, Refused ->
+      Alcotest.failf "%s: refused, the reference converges" (ctx what)
+    | Refused, Values _ ->
+      Alcotest.failf "%s: converges, the reference refuses" (ctx what)
+  in
+  let refusing f =
+    match f () with
+    | v -> Values v
+    | exception Failure m ->
+      Alcotest.(check string) (ctx "refusal message")
+        "Expected_time: value iteration did not converge" m;
+      Refused
+  in
+  let module E = Mdp.Expected_time in
+  let target = f.target in
+  List.iter
+    (fun max_sweeps ->
+       let what name = Printf.sprintf "%s (max_sweeps %d)" name max_sweeps in
+       same_bits (what "max_expected_ticks")
+         (refusing (fun () ->
+              Sweep_all.max_expected_ticks f.arena ~target ~max_sweeps))
+         (refusing (fun () ->
+              E.max_expected_ticks f.arena ~target ~max_sweeps ()));
+       same_bits (what "min_expected_ticks")
+         (refusing (fun () ->
+              Sweep_all.min_expected_ticks f.arena ~target ~max_sweeps))
+         (refusing (fun () ->
+              E.min_expected_ticks f.arena ~target ~max_sweeps ()));
+       let policy_of g =
+         match g () with
+         | v, p -> (Values v, Some p)
+         | exception Failure _ -> (Refused, None)
+       in
+       let v0, p0 =
+         policy_of (fun () ->
+             Sweep_all.max_expected_ticks_with_policy f.arena ~target
+               ~max_sweeps)
+       in
+       let v1, p1 =
+         policy_of (fun () ->
+             E.max_expected_ticks_with_policy f.arena ~target ~max_sweeps ())
+       in
+       same_bits (what "policy values") v0 v1;
+       Alcotest.(check (option (array int))) (ctx (what "policy")) p0 p1)
+    [ 1_000_000; 0; 1; 3 ]
+
+let test_vi_skips_settled () =
+  let quotient = case_studies ~sym:Analysis.Symmetry.On in
+  let g2 = Models.lr ~sym:Analysis.Symmetry.On ~g:2 ~n:3 () in
+  let g2 =
+    Fixture
+      { name = "lr g=2";
+        expl = g2.LR.Proof.expl;
+        arena = g2.LR.Proof.arena;
+        is_tick = LR.Automaton.is_tick;
+        target = Mdp.Explore.indicator g2.LR.Proof.expl LR.Regions.c;
+        ticks = 5 }
+  in
+  List.iter (check_vi ~label:"") (Lazy.force fixtures);
+  List.iter (check_vi ~label:"quotient ") (g2 :: quotient);
+  List.iter (check_vi ~label:"")
+    (Lazy.force schedule_fixtures @ Lazy.force random_fixtures)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "arena"
@@ -1376,6 +1580,8 @@ let () =
             test_qualitative_differential;
           Alcotest.test_case "expected time" `Quick
             test_expected_time_differential;
+          Alcotest.test_case "expected time skips settled states" `Quick
+            test_vi_skips_settled;
           Alcotest.test_case "budgeted partial fragment" `Quick
             test_partial_fragment_differential ] );
       ( "plane",

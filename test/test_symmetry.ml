@@ -694,6 +694,16 @@ let test_legacy_fixtures () =
    and unreduced, complete and budgeted.  The reduced runs count the
    canonicalizer's calls on both sides. *)
 
+let same_steps (a : _ Mdp.Explore.step array) (b : _ Mdp.Explore.step array) =
+  let same_step (x : _ Mdp.Explore.step) (y : _ Mdp.Explore.step) =
+    x.Mdp.Explore.action = y.Mdp.Explore.action
+    && Array.length x.Mdp.Explore.outcomes = Array.length y.Mdp.Explore.outcomes
+    && Array.for_all2
+         (fun (j, w) (j', w') -> j = j' && Q.equal w w')
+         x.Mdp.Explore.outcomes y.Mdp.Explore.outcomes
+  in
+  Array.length a = Array.length b && Array.for_all2 same_step a b
+
 let same_exploration name ?budget pa spec ~reduced =
   let canon_calls = ref 0 in
   let counted () =
@@ -733,19 +743,8 @@ let same_exploration name ?budget pa spec ~reduced =
     (fun i s ->
        if not (s = Mdp.Explore.state expl i) then
          Alcotest.failf "%s: state %d differs" name i;
-       let mine = Mdp.Explore.steps expl i in
-       let same_step (a : _ Reference_bfs.step) (b : _ Mdp.Explore.step) =
-         a.Reference_bfs.action = b.Mdp.Explore.action
-         && Array.length a.Reference_bfs.outcomes
-            = Array.length b.Mdp.Explore.outcomes
-         && Array.for_all2
-              (fun (j, w) (j', w') -> j = j' && Q.equal w w')
-              a.Reference_bfs.outcomes b.Mdp.Explore.outcomes
-       in
-       if not
-           (Array.length steps.(i) = Array.length mine
-            && Array.for_all2 same_step steps.(i) mine)
-       then Alcotest.failf "%s: steps of state %d differ" name i;
+       if not (same_steps steps.(i) (Mdp.Explore.steps expl i)) then
+         Alcotest.failf "%s: steps of state %d differ" name i;
        match Mdp.Explore.index expl s with
        | Some j when j = i -> ()
        | _ -> Alcotest.failf "%s: index of state %d" name i)
@@ -939,6 +938,142 @@ let test_state_equal () =
     (LR.State.equal ring.(0) star.(0))
 
 (* ------------------------------------------------------------------ *)
+(* Generating sets: the declared generators are a subsequence of the
+   automorphisms that generates the same group, so declaring them
+   instead of every automorphism leaves the quotient and the
+   certificate's coverage unchanged. *)
+
+(* The group [gens] generate, identity included, as a sorted list of
+   (pi, rho) pairs. *)
+let group_of topo gens =
+  let seen = Hashtbl.create 64 in
+  let rec visit ((pi, rho) as x) =
+    if not (Hashtbl.mem seen x) then begin
+      Hashtbl.replace seen x ();
+      List.iter
+        (fun (gpi, grho) ->
+           visit
+             (Array.map (fun i -> gpi.(i)) pi, Array.map (fun r -> grho.(r)) rho))
+        gens
+    end
+  in
+  visit
+    ( Array.init (LR.Topology.num_procs topo) Fun.id,
+      Array.init (LR.Topology.num_resources topo) Fun.id );
+  List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) seen [])
+
+let rec is_subsequence xs ys =
+  match xs, ys with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' ->
+    if x = y then is_subsequence xs' ys' else is_subsequence xs ys'
+
+let test_generating_sets () =
+  let check topo expected =
+    let name = LR.Topology.name topo in
+    let autos = LR.Topology.automorphisms topo in
+    let gens = LR.Topology.generators topo in
+    Alcotest.(check bool) (name ^ ": a subsequence") true
+      (is_subsequence gens autos);
+    Alcotest.(check int) (name ^ ": generators") expected (List.length gens);
+    let group = group_of topo autos in
+    Alcotest.(check int) (name ^ ": the listed automorphisms are a group")
+      (List.length autos + 1) (List.length group);
+    Alcotest.(check bool) (name ^ ": the same group") true
+      (group_of topo gens = group)
+  in
+  List.iter (fun n -> check (LR.Topology.ring n) 1) [ 2; 3; 4; 5; 6 ];
+  List.iter (fun n -> check (LR.Topology.line n) 0) [ 2; 3; 4; 5 ];
+  List.iter (fun n -> check (LR.Topology.star n) (n - 1)) [ 2; 3; 4; 5 ]
+
+(* Explore [pa]'s orbit quotient under both specs and certify it: the
+   same states, steps and start indices, and the same coverage. *)
+let same_quotient name pa ~declared ~generating =
+  let explored spec = Sym.explored ~model:name ~mode:Sym.On spec pa in
+  let e0, c0 = explored declared in
+  let e1, c1 = explored generating in
+  let c0 = cert_exn c0 and c1 = cert_exn c1 in
+  let n = Mdp.Explore.num_states e0 in
+  Alcotest.(check int) (name ^ ": states") n (Mdp.Explore.num_states e1);
+  Alcotest.(check (list int)) (name ^ ": start indices")
+    (Mdp.Explore.start_indices e0) (Mdp.Explore.start_indices e1);
+  for i = 0 to n - 1 do
+    if not (Mdp.Explore.state e0 i = Mdp.Explore.state e1 i) then
+      Alcotest.failf "%s: state %d differs" name i;
+    if not (same_steps (Mdp.Explore.steps e0 i) (Mdp.Explore.steps e1 i)) then
+      Alcotest.failf "%s: steps of state %d differ" name i
+  done;
+  Alcotest.(check int) (name ^ ": states checked") c0.Sym.states_checked
+    c1.Sym.states_checked;
+  Alcotest.(check int) (name ^ ": full states") c0.Sym.full_states
+    c1.Sym.full_states;
+  Alcotest.(check int) (name ^ ": generators certified")
+    (List.length generating.Sym.generators)
+    (List.length c1.Sym.cert_generators)
+
+(* [spec] declaring every automorphism of [topo], as LR did before it
+   declared a generating set. *)
+let every_automorphism spec topo =
+  { spec with
+    Sym.generators =
+      List.map
+        (fun (pi, rho) ->
+           Sym.generator
+             ~name:
+               (String.concat " " (Array.to_list (Array.map string_of_int pi)))
+             ~on_state:(LR.Symmetry.apply_state (pi, rho))
+             ~on_action:(LR.Symmetry.apply_action pi))
+        (LR.Topology.automorphisms topo) }
+
+let test_generating_quotients () =
+  List.iter
+    (fun (name, topo, spec) ->
+       same_quotient name
+         (LR.Automaton.make_general ~topo ~g:1 ~k:1)
+         ~declared:(every_automorphism spec topo) ~generating:spec)
+    [ ("lr ring n=3", LR.Topology.ring 3, LR.Symmetry.ring ~n:3 ());
+      ("lr ring n=4", LR.Topology.ring 4, LR.Symmetry.ring ~n:4 ());
+      ( "lr star n=3",
+        LR.Topology.star 3,
+        LR.Symmetry.spec (LR.Topology.star 3) ) ]
+
+(* Ben-Or declares the adjacent transpositions within each class of
+   equal initial values; every transposition in a class generates the
+   same group. *)
+let test_ben_or_adjacent () =
+  let params n = { BO.Automaton.n; f = 1; cap = 2; g = 1; k = 1 } in
+  let names n initial =
+    List.map
+      (fun g -> g.Sym.gen_name)
+      (BO.Symmetry.generators (params n) ~initial)
+  in
+  Alcotest.(check (list string)) "n=3, [F;F;T]" [ "swap(0,1)" ]
+    (names 3 [| false; false; true |]);
+  Alcotest.(check (list string)) "n=4, [F;F;F;T]" [ "swap(0,1)"; "swap(1,2)" ]
+    (names 4 [| false; false; false; true |]);
+  Alcotest.(check (list string)) "n=4, [F;T;F;T]" [ "swap(0,2)"; "swap(1,3)" ]
+    (names 4 [| false; true; false; true |]);
+  let initial = [| false; false; false |] in
+  let every_transposition =
+    List.map
+      (fun (a, b) ->
+         let pi =
+           Array.init 3 (fun i -> if i = a then b else if i = b then a else i)
+         in
+         Sym.generator
+           ~name:(Printf.sprintf "swap(%d,%d)" a b)
+           ~on_state:(BO.Symmetry.apply_state pi)
+           ~on_action:(BO.Symmetry.apply_action pi))
+      [ (0, 1); (0, 2); (1, 2) ]
+  in
+  let spec = BO.Symmetry.spec (params 3) ~initial in
+  same_quotient "consensus n=3, all equal"
+    (BO.Automaton.make ~initial (params 3))
+    ~declared:{ spec with Sym.generators = every_transposition }
+    ~generating:spec
+
+(* ------------------------------------------------------------------ *)
 (* Mechanics: orbits and canonicalizers. *)
 
 let rot3 =
@@ -1011,6 +1146,13 @@ let () =
           Alcotest.test_case "state hashes spread" `Quick test_hash_spread;
           Alcotest.test_case "LR State.equal is (=)" `Quick test_state_equal ]
       );
+      ( "generating sets",
+        [ Alcotest.test_case "LR: subsequence, same group" `Quick
+            test_generating_sets;
+          Alcotest.test_case "LR: same quotient as every automorphism" `Quick
+            test_generating_quotients;
+          Alcotest.test_case "Ben-Or: adjacent transpositions" `Quick
+            test_ben_or_adjacent ] );
       ( "mechanics",
         [ Alcotest.test_case "orbit closure" `Quick test_orbit;
           Alcotest.test_case "non-bijection refused" `Quick
