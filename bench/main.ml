@@ -113,12 +113,6 @@ let bench_tests () =
            ( BO.Proof.agreement_violation consensus,
              BO.Proof.decision_curve consensus ~rounds:[ 2 ] )))
   in
-  let float_engine =
-    Test.make ~name:"engine:min_reach_float (13 units, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Finite_horizon.min_reach_float arena ~target:lr3_target
-             ~ticks:13))
-  in
   let arena_compile =
     Test.make ~name:"arena:compile LR n=3"
       (Staged.stage (fun () ->
@@ -126,38 +120,13 @@ let bench_tests () =
              lr3.LR.Proof.expl))
   in
   let arena_sweep =
-    Test.make ~name:"arena:sweep max_reach_float (13 ticks, n=3)"
+    Test.make ~name:"arena:sweep max_reach exact plane (13 ticks, n=3)"
       (Staged.stage (fun () ->
-           Mdp.Finite_horizon.max_reach_float arena ~target:lr3_target
-             ~ticks:13))
+           Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Exact arena
+             ~target:lr3_target ~ticks:13))
   in
-  let bisim_labels =
-    Array.init (Mdp.Arena.num_states arena) (fun i ->
-        if Core.Pred.mem LR.Regions.c (Mdp.Arena.state arena i) then 1
-        else 0)
-  in
-  let bisim =
-    Test.make ~name:"engine:bisim refine (n=3)"
-      (Staged.stage (fun () -> Mdp.Bisim.refine arena ~labels:bisim_labels ()))
-  in
-  (* The interval plane, measured on its own: the signature refinement
-     with float-point keys (vs the exact-plane escape hatch above --
-     [engine:bisim] resolves the session default, Interval), and the
-     certified two-sided VI bracket that only the interval plane can
-     produce.  [interval:bisim] and [engine:bisim] differing is the
-     point: same partition, cheaper plane. *)
-  let interval_bisim =
-    Test.make ~name:"interval:bisim (float-point signatures, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Bisim.refine arena ~labels:bisim_labels
-             ~plane:Mdp.Plane.Interval ()))
-  in
-  let exact_bisim =
-    Test.make ~name:"interval:bisim-exact-plane (escape hatch, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Bisim.refine arena ~labels:bisim_labels
-             ~plane:Mdp.Plane.Exact ()))
-  in
+  (* The interval plane, measured on its own: the certified two-sided
+     VI bracket that only the interval plane can produce. *)
   let interval_vi =
     Test.make ~name:"interval:vi (certified E[T] bracket, n=3)"
       (Staged.stage (fun () ->
@@ -368,9 +337,8 @@ let bench_tests () =
              o.Server.Chaos.answered)) ]
   in
   Test.make_grouped ~name:"prtb"
-    ([ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; float_engine;
-       rational_engine; arena_compile; arena_sweep; bisim;
-       interval_bisim; exact_bisim; interval_vi;
+    ([ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12;
+       rational_engine; arena_compile; arena_sweep; interval_vi;
        sym_canon; explore_lr4_reduced; sim ]
      @ substrate @ cert_tests @ serve_tests @ snapshot_tests
      @ chaos_tests)
@@ -468,13 +436,13 @@ let baseline_rows path =
    the subsystem kernels whose fast paths the suite also exercises
    (symmetry canonicalization, the certified lr4 orbit quotient, the
    served degraded path, the snapshot cold load, the chaos round, the
-   certificate emit/verify pipeline, bisimulation refinement and the
-   interval-plane kernels).  The substrate and sim micro-benchmarks
-   are too jittery for even a coarse CI gate. *)
+   certificate emit/verify pipeline and the interval-plane kernel).
+   The substrate and sim micro-benchmarks are too jittery for even a
+   coarse CI gate. *)
 let guarded_prefixes =
   [ "prtb/sym:"; "prtb/explore:"; "prtb/serve:deadline";
-    "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/engine:bisim";
-    "prtb/interval:"; "prtb/cert:" ]
+    "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/interval:";
+    "prtb/cert:" ]
 
 let guarded name =
   let has_prefix p =

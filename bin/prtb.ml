@@ -1058,160 +1058,6 @@ let serve_cmd =
              $ degraded_after $ snapshot_dir))
 
 (* ----------------------------------------------------------------- *)
-(* route *)
-
-(* A loopback TCP port the kernel just handed out.  Closing before the
-   child binds leaves a tiny race window, which is fine for the smoke
-   fleets this spawns; production fleets pass --backends. *)
-let free_port () =
-  let s = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
-    (fun () ->
-       Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-       match Unix.getsockname s with
-       | Unix.ADDR_INET (_, p) -> p
-       | Unix.ADDR_UNIX _ -> assert false)
-
-(* Poll a backend's /health until it answers 200 (snapshot preloading
-   happens before the daemon listens, so this also waits that out). *)
-let wait_ready ~timeout_s url =
-  match Server.Load.parse_url url with
-  | Error e -> failwith e
-  | Ok u ->
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec poll () =
-      let conn = Server.Load.Conn.create u in
-      let answer = Server.Load.Conn.request conn "/health" in
-      Server.Load.Conn.close conn;
-      match answer with
-      | Ok r when r.Server.Http.status = 200 -> ()
-      | Ok _ | Error _ ->
-        if Unix.gettimeofday () > deadline then
-          failwith
-            (Printf.sprintf "backend %s did not become healthy within %.0fs"
-               url timeout_s)
-        else begin
-          Unix.sleepf 0.1;
-          poll ()
-        end
-    in
-    poll ()
-
-let route_cmd =
-  let d = Server.Route.default_config in
-  let port =
-    Arg.(value & opt int d.Server.Route.port
-         & info [ "port" ] ~docv:"P"
-             ~doc:"TCP port the router listens on (0 picks a free one).")
-  in
-  let host =
-    Arg.(value & opt string d.Server.Route.host
-         & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind.")
-  in
-  let domains =
-    Arg.(value & opt int d.Server.Route.domains
-         & info [ "domains" ] ~docv:"N"
-             ~doc:"Forwarding worker domains (minimum 2).")
-  in
-  let replicas =
-    Arg.(value & opt int d.Server.Route.replicas
-         & info [ "replicas" ] ~docv:"V"
-             ~doc:"Virtual nodes per backend on the hash ring.")
-  in
-  let workers =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"K"
-             ~doc:"Without --backends: spawn K $(b,prtb serve) worker \
-                   daemons on free loopback ports and front them; they \
-                   are SIGTERMed and reaped when the router exits.")
-  in
-  let backends =
-    Arg.(value & opt (some string) None
-         & info [ "backends" ] ~docv:"URLS"
-             ~doc:"Comma-separated $(b,prtb serve) URLs to front \
-                   (e.g. http://127.0.0.1:8081,http://127.0.0.1:8082) \
-                   instead of spawning workers.")
-  in
-  let snapshot_dir =
-    Arg.(value & opt (some string) None
-         & info [ "snapshot-dir" ] ~docv:"DIR"
-             ~doc:"Forwarded to every spawned worker's --snapshot-dir \
-                   (ignored with --backends).")
-  in
-  let run host port domains replicas workers backends snapshot_dir =
-    if domains < 2 then Error (`Msg "route needs --domains >= 2")
-    else if replicas < 1 then Error (`Msg "--replicas must be positive")
-    else
-      try
-        let spawned, backends =
-          match backends with
-          | Some csv ->
-            let urls =
-              List.filter (fun s -> s <> "")
-                (List.map String.trim (String.split_on_char ',' csv))
-            in
-            if urls = [] then failwith "--backends named no backend";
-            List.iter
-              (fun url ->
-                 match Server.Load.parse_url url with
-                 | Ok _ -> ()
-                 | Error e ->
-                   failwith (Printf.sprintf "backend %s: %s" url e))
-              urls;
-            ([], urls)
-          | None ->
-            if workers < 1 then failwith "--workers must be positive";
-            let spawn () =
-              let p = free_port () in
-              let args =
-                [ Sys.executable_name; "serve"; "--port"; string_of_int p ]
-                @ (match snapshot_dir with
-                   | None -> []
-                   | Some dir -> [ "--snapshot-dir"; dir ])
-              in
-              let pid =
-                Unix.create_process Sys.executable_name
-                  (Array.of_list args) Unix.stdin Unix.stdout Unix.stderr
-              in
-              (pid, Printf.sprintf "http://127.0.0.1:%d" p)
-            in
-            let children = List.init workers (fun _ -> spawn ()) in
-            (children, List.map snd children)
-        in
-        let reap () =
-          List.iter
-            (fun (pid, _) ->
-               (try Unix.kill pid Sys.sigterm
-                with Unix.Unix_error _ -> ());
-               try ignore (Unix.waitpid [] pid)
-               with Unix.Unix_error _ -> ())
-            spawned
-        in
-        Fun.protect ~finally:reap (fun () ->
-            List.iter (fun (_, url) -> wait_ready ~timeout_s:30.0 url)
-              spawned;
-            Server.Route.run
-              { d with Server.Route.host; port; backends; domains;
-                replicas });
-        Ok ()
-      with Failure msg -> Error (`Msg msg)
-  in
-  Cmd.v
-    (Cmd.info "route"
-       ~doc:"Front a fleet of $(b,prtb serve) daemons with a \
-             consistent-hashing router: each request's canonical cache \
-             key is hashed onto a ring of virtual nodes, so equal \
-             queries always land on the same worker and every worker's \
-             caches stay hot for its shard of the keyspace.  Bytes are \
-             forwarded untouched -- routed bodies are bit-identical to \
-             direct ones.  Unreachable backends answer 503 SRV112 with \
-             Retry-After; router saturation answers the usual SRV111.")
-    Term.(term_result
-            (const run $ host $ port $ domains $ replicas $ workers
-             $ backends $ snapshot_dir))
-
-(* ----------------------------------------------------------------- *)
 (* loadtest *)
 
 let loadtest_cmd =
@@ -1396,5 +1242,5 @@ let () =
   let info = Cmd.info "prtb" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
        [ experiments_cmd; check_cmd; verify_cert_cmd; compile_cmd;
-         simulate_cmd; export_dot_cmd; lint_cmd; serve_cmd; route_cmd;
+         simulate_cmd; export_dot_cmd; lint_cmd; serve_cmd;
          loadtest_cmd; chaos_cmd ]))

@@ -3,7 +3,7 @@
     {!Explore.t} is the discovery structure: pointer-heavy
     [step array array] rows of boxed [(index, rational)] tuples, built
     incrementally by BFS.  Every engine question -- backward induction,
-    value iteration, qualitative fixpoints, SCCs, bisimulation, export
+    value iteration, qualitative fixpoints, SCCs, export
     -- is a traversal of that same transition structure, so the arena
     flattens it once into dense parallel arrays and every engine reads
     the flat form:

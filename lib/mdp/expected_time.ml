@@ -5,11 +5,6 @@
    and the fixpoints are bit-identical -- just without the per-access
    conversion cost. *)
 
-(* Which way the adversary optimizes.  Passed as a variant (rather
-   than [Float.max]/[Float.min] closures) so the hot sweep below can
-   make direct, float-unboxed calls. *)
-type objective = Maximize | Minimize
-
 let expectation (a : _ Arena.t) v k =
   let acc = ref 0.0 in
   for o = a.Arena.out_off.(k) to a.Arena.out_off.(k + 1) - 1 do
@@ -20,10 +15,10 @@ let expectation (a : _ Arena.t) v k =
 (* The sweep is the hot loop of the [e3] kernel, so it is written
    allocation-free: CSR arrays hoisted into locals, bounds
    checks elided (offsets are trusted by construction), folds carried
-   in unboxed float accumulators, and the objective dispatched to
-   direct [Float.max]/[Float.min] calls.  The arithmetic -- a left
-   fold [acc +. p *. v] per step in branch order, then a left
-   [best]-fold over steps seeded with the first candidate -- is the
+   in unboxed float accumulators, and the maximum taken by an inline
+   comparison.  The arithmetic -- a left fold [acc +. p *. v] per
+   step in branch order, then a left max-fold over steps seeded with
+   the first candidate -- is the
    exact operation sequence of the historical option-fold code, so
    fixpoints are bit-identical.
 
@@ -36,8 +31,7 @@ let expectation (a : _ Arena.t) v k =
    what they were at its last evaluation, so it would recompute its
    own value and move the delta by nothing: skipping it changes
    neither the iterates, nor any sweep's delta, nor the sweep count. *)
-let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
-    ~max_sweeps =
+let value_iterate (a : _ Arena.t) ~finite ~target ~epsilon ~max_sweeps =
   let n = a.Arena.n in
   let step_off = a.Arena.step_off and out_off = a.Arena.out_off in
   let tgt = a.Arena.tgt and prob_f = a.Arena.prob_f in
@@ -86,14 +80,13 @@ let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
      stores are unboxed (and barrier-free), whereas refs and function
      arguments would box one float per branch.  Slot 0 carries the
      running best over steps, slot 1 the branch-sum of the current
-     step, slot 2 the sweep delta.  The seeds ([-inf] for max, [+inf]
-     for min) and the inlined comparisons return the same values as
-     the historical seeded [Float.max]/[Float.min] folds: the iterates
-     are nan-free and never produce [-0.], the only inputs where the
-     formulations differ. *)
+     step, slot 2 the sweep delta.  The [-inf] seed and the inlined
+     comparison return the same values as the historical seeded
+     [Float.max] fold: the iterates are nan-free and never produce
+     [-0.], the only inputs where the formulations differ. *)
   let scratch = Array.make 3 0.0 in
-  let state i lo hi maximize =
-    Array.unsafe_set scratch 0 (if maximize then neg_infinity else infinity);
+  let state i lo hi =
+    Array.unsafe_set scratch 0 neg_infinity;
     for k = lo to hi - 1 do
       Array.unsafe_set scratch 1 0.0;
       for o = Array.unsafe_get out_off k
@@ -108,17 +101,13 @@ let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
         +. Array.unsafe_get scratch 1
       in
       let cur = Array.unsafe_get scratch 0 in
-      Array.unsafe_set scratch 0
-        (if maximize then (if e > cur then e else cur)
-         else if e < cur then e
-         else cur)
+      Array.unsafe_set scratch 0 (if e > cur then e else cur)
     done;
     let fresh = Array.unsafe_get scratch 0 in
     let d = Float.abs (fresh -. Array.unsafe_get v i) in
     if d > Array.unsafe_get scratch 2 then Array.unsafe_set scratch 2 d;
     Array.unsafe_set v i fresh
   in
-  let maximize = match obj with Maximize -> true | Minimize -> false in
   let sweep () =
     Array.unsafe_set scratch 2 0.0;
     for i = 0 to n - 1 do
@@ -127,7 +116,7 @@ let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
         let old = Int64.bits_of_float (Array.unsafe_get v i) in
         let lo = Array.unsafe_get step_off i in
         let hi = Array.unsafe_get step_off (i + 1) in
-        if hi > lo then state i lo hi maximize else v.(i) <- infinity;
+        if hi > lo then state i lo hi else v.(i) <- infinity;
         if not (Int64.equal old (Int64.bits_of_float (Array.unsafe_get v i)))
         then
           for p = Array.unsafe_get pred_off i
@@ -150,12 +139,7 @@ let value_iterate (a : _ Arena.t) ~finite ~target ~obj ~epsilon
 let max_expected_ticks a ~target ?(epsilon = 1e-12)
     ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in
-  value_iterate a ~finite ~target ~obj:Maximize ~epsilon ~max_sweeps
-
-let min_expected_ticks a ~target ?(epsilon = 1e-12)
-    ?(max_sweeps = 1_000_000) () =
-  let finite = Qualitative.some_reaches_certainly a ~target in
-  value_iterate a ~finite ~target ~obj:Minimize ~epsilon ~max_sweeps
+  value_iterate a ~finite ~target ~epsilon ~max_sweeps
 
 (* Certified two-sided bracket of the max-expected-time iteration: the
    same Gauss-Seidel schedule as [value_iterate], carried on the
@@ -163,7 +147,7 @@ let min_expected_ticks a ~target ?(epsilon = 1e-12)
    [vlo.(i) <= (real-arithmetic iterate) <= vhi.(i)], so the returned
    envelope soundly brackets what exact real value iteration would
    have produced at the same stopping point -- a certificate the bare
-   float plane cannot give.  The [Maximize] objective keeps all
+   float plane cannot give.  The worst case keeps all
    successors of finite states finite (always-reach is closed under
    steps), so no infinite endpoints enter the arithmetic. *)
 let max_expected_ticks_interval (a : _ Arena.t) ~target
@@ -244,7 +228,7 @@ let max_expected_ticks_with_policy (a : _ Arena.t) ~target
     ?(epsilon = 1e-12) ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in
   let v =
-    value_iterate a ~finite ~target ~obj:Maximize ~epsilon ~max_sweeps
+    value_iterate a ~finite ~target ~epsilon ~max_sweeps
   in
   let n = a.Arena.n in
   let policy =

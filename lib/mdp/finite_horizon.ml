@@ -9,53 +9,14 @@ let no_convergence max_sweeps =
           "tick layer did not close after %d sweeps: the automaton \
            has probabilistic zero-time cycles" max_sweeps))
 
-(* The backward induction is shared between exact rationals (used for
-   certified claims) and floats (used for fast exploration at sizes the
-   exact engine cannot reach): the layer algorithm is a functor over
-   the value semiring.  Each instantiation reads one of the arena's
-   probability planes -- the branch order is the arena's, which is the
-   exploration order, so results are bit-identical to the historical
-   per-engine conversion path. *)
-module type NUM = sig
-  type t
-
-  val zero : t
-  val one : t
-  val add : t -> t -> t
-  val scale : t -> t -> t  (* weight * value *)
-  val equal : t -> t -> bool
-  val min : t -> t -> t
-  val max : t -> t -> t
-end
-
-module Num_rational : NUM with type t = Q.t = struct
-  type t = Q.t
-
-  let zero = Q.zero
-  let one = Q.one
-  let add = Q.add
-  let scale = Q.mul
-  let equal = Q.equal
-  let min = Q.min
-  let max = Q.max
-end
-
-module Num_float : NUM with type t = float = struct
-  type t = float
-
-  let zero = 0.0
-  let one = 1.0
-  let add = ( +. )
-  let scale = ( *. )
-  let equal a b = Float.equal a b
-  let min = Float.min
-  let max = Float.max
-end
-
-module Engine (N : NUM) = struct
-  (* The compact form is now just the arena's CSR arrays plus the
-     caller-selected probability plane: building it is O(1), no
-     per-call conversion or copying. *)
+(* Exact rational backward induction: the [Plane.Exact] path of
+   [min_reach]/[max_reach], and the policy extraction.  It reads the
+   arena's exact plane directly; the branch order is the arena's, which
+   is the exploration order, so results are bit-identical to the
+   historical per-engine conversion path. *)
+module Exact = struct
+  (* The arena's CSR arrays plus the target set: building it is O(1),
+     no per-call conversion or copying. *)
   type compact = {
     n : int;
     target : bool array;
@@ -63,11 +24,11 @@ module Engine (N : NUM) = struct
     out_off : int array;
     tgt : int array;
     tick : bool array;
-    plane : N.t array;
+    prob : Q.t array;
     zero_time : Zero_time.t;
   }
 
-  let compact (a : _ Arena.t) ~plane ~target =
+  let compact (a : _ Arena.t) ~target =
     if Array.length target <> a.Arena.n then
       invalid_arg "Finite_horizon: target array has wrong length";
     { n = a.Arena.n;
@@ -76,16 +37,16 @@ module Engine (N : NUM) = struct
       out_off = a.Arena.out_off;
       tgt = a.Arena.tgt;
       tick = a.Arena.tick;
-      plane;
+      prob = a.Arena.prob_q;
       zero_time = Arena.zero_time a }
 
   (* Expectation of step [k] under value vector [v]: a left fold over
      the step's branch range, the same association order as the
      historical per-step outcome arrays. *)
   let expectation c v k =
-    let acc = ref N.zero in
+    let acc = ref Q.zero in
     for o = c.out_off.(k) to c.out_off.(k + 1) - 1 do
-      acc := N.add !acc (N.scale c.plane.(o) v.(c.tgt.(o)))
+      acc := Q.add !acc (Q.mul c.prob.(o) v.(c.tgt.(o)))
     done;
     !acc
 
@@ -121,7 +82,7 @@ module Engine (N : NUM) = struct
       if c.target.(s) || c.step_off.(s + 1) = c.step_off.(s) then false
       else begin
         let fresh = value s in
-        if N.equal fresh v.(s) then false
+        if Q.equal fresh v.(s) then false
         else begin
           v.(s) <- fresh;
           true
@@ -156,26 +117,26 @@ module Engine (N : NUM) = struct
     v
 
   let min_init c s =
-    if c.target.(s) then N.one
-    else if c.step_off.(s + 1) = c.step_off.(s) then N.zero
-    else N.one
+    if c.target.(s) then Q.one
+    else if c.step_off.(s + 1) = c.step_off.(s) then Q.zero
+    else Q.one
 
-  let max_init c s = if c.target.(s) then N.one else N.zero
+  let max_init c s = if c.target.(s) then Q.one else Q.zero
 
-  let run arena ~plane ~target ~ticks ~best ~init =
+  let run arena ~target ~ticks ~best ~init =
     if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-    let c = compact arena ~plane ~target in
-    let v = ref (Array.make c.n N.zero) in
+    let c = compact arena ~target in
+    let v = ref (Array.make c.n Q.zero) in
     for _t = 0 to ticks do
       v := layer c ~best ~init:(init c) !v
     done;
     !v
 
-  let min_reach arena ~plane ~target ~ticks =
-    run arena ~plane ~target ~ticks ~best:N.min ~init:min_init
+  let min_reach arena ~target ~ticks =
+    run arena ~target ~ticks ~best:Q.min ~init:min_init
 
-  let max_reach arena ~plane ~target ~ticks =
-    run arena ~plane ~target ~ticks ~best:N.max ~init:max_init
+  let max_reach arena ~target ~ticks =
+    run arena ~target ~ticks ~best:Q.max ~init:max_init
 
   let argbest c ~best v_next v =
     Array.init c.n (fun s ->
@@ -193,7 +154,7 @@ module Engine (N : NUM) = struct
               best_v := Some candidate;
               best_k := k - lo
             | Some cur ->
-              if not (N.equal (best cur candidate) cur) then begin
+              if not (Q.equal (best cur candidate) cur) then begin
                 best_v := Some candidate;
                 best_k := k - lo
               end
@@ -201,53 +162,18 @@ module Engine (N : NUM) = struct
           !best_k
         end)
 
-  let min_reach_with_policy arena ~plane ~target ~ticks =
+  let min_reach_with_policy arena ~target ~ticks =
     if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-    let c = compact arena ~plane ~target in
+    let c = compact arena ~target in
     let policy = Array.make (ticks + 1) [||] in
-    let v = ref (Array.make c.n N.zero) in
+    let v = ref (Array.make c.n Q.zero) in
     for t = 0 to ticks do
-      let fresh = layer c ~best:N.min ~init:(min_init c) !v in
-      policy.(t) <- argbest c ~best:N.min !v fresh;
+      let fresh = layer c ~best:Q.min ~init:(min_init c) !v in
+      policy.(t) <- argbest c ~best:Q.min !v fresh;
       v := fresh
     done;
     (!v, policy)
-
-  (* Step-bounded: every step consumes one unit of horizon, so plain
-     backward induction suffices; the tick mask is ignored. *)
-  let run_steps arena ~plane ~target ~steps ~best =
-    if steps < 0 then invalid_arg "Finite_horizon: negative step horizon";
-    let c = compact arena ~plane ~target in
-    let v =
-      ref (Array.init c.n (fun s -> if target.(s) then N.one else N.zero))
-    in
-    for _k = 1 to steps do
-      Core.Budget.poll ();
-      let prev = !v in
-      v :=
-        Array.init c.n (fun s ->
-            let lo = c.step_off.(s) and hi = c.step_off.(s + 1) in
-            if target.(s) then N.one
-            else if hi = lo then N.zero
-            else begin
-              let acc = ref (expectation c prev lo) in
-              for k = lo + 1 to hi - 1 do
-                acc := best !acc (expectation c prev k)
-              done;
-              !acc
-            end)
-    done;
-    !v
-
-  let min_reach_steps arena ~plane ~target ~steps =
-    run_steps arena ~plane ~target ~steps ~best:N.min
-
-  let max_reach_steps arena ~plane ~target ~steps =
-    run_steps arena ~plane ~target ~steps ~best:N.max
 end
-
-module Exact = Engine (Num_rational)
-module Approx = Engine (Num_float)
 
 (* ------------------------------------------------------------------ *)
 (* Interval-guided exact backward induction: the [Plane.Interval] path
@@ -537,24 +463,11 @@ end
 let min_reach ?plane (a : _ Arena.t) ~target ~ticks =
   match Plane.resolve plane with
   | Plane.Interval -> Guided.run Guided.Min a ~target ~ticks
-  | Plane.Exact -> Exact.min_reach a ~plane:a.Arena.prob_q ~target ~ticks
+  | Plane.Exact -> Exact.min_reach a ~target ~ticks
 
 let max_reach ?plane (a : _ Arena.t) ~target ~ticks =
   match Plane.resolve plane with
   | Plane.Interval -> Guided.run Guided.Max a ~target ~ticks
-  | Plane.Exact -> Exact.max_reach a ~plane:a.Arena.prob_q ~target ~ticks
+  | Plane.Exact -> Exact.max_reach a ~target ~ticks
 
-let min_reach_with_policy (a : _ Arena.t) ~target ~ticks =
-  Exact.min_reach_with_policy a ~plane:a.Arena.prob_q ~target ~ticks
-
-let min_reach_steps (a : _ Arena.t) ~target ~steps =
-  Exact.min_reach_steps a ~plane:a.Arena.prob_q ~target ~steps
-
-let max_reach_steps (a : _ Arena.t) ~target ~steps =
-  Exact.max_reach_steps a ~plane:a.Arena.prob_q ~target ~steps
-
-let min_reach_float (a : _ Arena.t) ~target ~ticks =
-  Approx.min_reach a ~plane:a.Arena.prob_f ~target ~ticks
-
-let max_reach_float (a : _ Arena.t) ~target ~ticks =
-  Approx.max_reach a ~plane:a.Arena.prob_f ~target ~ticks
+let min_reach_with_policy = Exact.min_reach_with_policy

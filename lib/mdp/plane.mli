@@ -36,12 +36,11 @@ val resolve : t option -> t
 (** {1 Interval-pass statistics}
 
     Cumulative process-global counters, surfaced by
-    [prtb check --stats].  A "pass" is one interval-guided layer or
-    refinement run; [point_states]/[residue_states] count how many
-    per-state results the interval oracle pinned vs. left for exact
-    recomputation, and [exact_fallbacks] counts layers where the
-    interval fixpoint failed to close and the whole layer was redone
-    exactly. *)
+    [prtb check --stats].  A "pass" is one interval-guided layer;
+    [point_states]/[residue_states] count how many per-state results
+    the interval oracle pinned vs. left for exact recomputation, and
+    [exact_fallbacks] counts layers where the interval fixpoint failed
+    to close and the whole layer was redone exactly. *)
 
 type stats = {
   interval_passes : int;

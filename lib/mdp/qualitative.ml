@@ -1,4 +1,4 @@
-(* All four fixpoints below walk the arena's CSR rows directly:
+(* The fixpoints below walk the arena's CSR rows directly:
    [step_off] gives each state's step range, [out_off] each step's
    branch range, and [tgt] the branch targets.  Probabilities are
    irrelevant here (only support membership matters), so neither plane
@@ -75,33 +75,3 @@ let can_avoid (a : _ Arena.t) ~target =
   bad
 
 let always_reaches a ~target = Array.map not (can_avoid a ~target)
-
-let some_reaches_certainly (a : _ Arena.t) ~target =
-  let n = a.Arena.n in
-  if Array.length target <> n then
-    invalid_arg "Qualitative: target array has wrong length";
-  (* Nested fixpoint (Prob1E): outer gfp on the candidate set [s_set],
-     inner lfp growing from the target through steps that stay inside
-     the candidate set and touch the already-grown region. *)
-  let s_set = Array.make n true in
-  let outer_changed = ref true in
-  while !outer_changed do
-    let r = Array.copy target in
-    let inner_changed = ref true in
-    while !inner_changed do
-      Core.Budget.poll ();
-      inner_changed := false;
-      for i = 0 to n - 1 do
-        if (not r.(i)) && s_set.(i) then begin
-          let good k = step_stays_in a s_set k && step_touches a r k in
-          if exists_step a i good then begin
-            r.(i) <- true;
-            inner_changed := true
-          end
-        end
-      done
-    done;
-    outer_changed := not (Array.for_all2 ( = ) s_set r);
-    Array.blit r 0 s_set 0 n
-  done;
-  s_set

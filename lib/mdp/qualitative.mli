@@ -37,9 +37,3 @@ val safe_core : ('s, 'a) Arena.t -> avoid:bool array -> bool array
     probability of reaching [target] below 1 (the complement of
     {!always_reaches}). *)
 val can_avoid : ('s, 'a) Arena.t -> target:bool array -> bool array
-
-(** [some_reaches_certainly arena ~target] is the set where {e some}
-    adversary reaches the target with probability 1
-    ([Pmax(eventually target) = 1]); the classical nested fixpoint. *)
-val some_reaches_certainly :
-  ('s, 'a) Arena.t -> target:bool array -> bool array

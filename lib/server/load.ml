@@ -4,6 +4,17 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.lowercase_ascii (String.sub s 0 (String.length prefix)) = prefix
 
+(* A run of decimal digits naming a port in 1-65535.  [int_of_string]
+   alone would also take a sign, [0x]/[0o]/[0b] prefixes and [_]
+   separators, and a port past 65535 would wrap at the socket. *)
+let parse_port p =
+  let digits =
+    p <> "" && String.for_all (fun c -> c >= '0' && c <= '9') p
+  in
+  match if digits then int_of_string_opt p else None with
+  | Some n when n >= 1 && n <= 65535 -> Some n
+  | Some _ | None -> None
+
 let parse_url s =
   let s = String.trim s in
   if starts_with ~prefix:"https://" s then
@@ -22,16 +33,24 @@ let parse_url s =
     in
     let host, port =
       match String.index_opt hostport ':' with
-      | None -> (hostport, Some 80)
+      | None -> (hostport, Ok 80)
       | Some i ->
+        let p =
+          String.sub hostport (i + 1) (String.length hostport - i - 1)
+        in
         ( String.sub hostport 0 i,
-          int_of_string_opt
-            (String.sub hostport (i + 1) (String.length hostport - i - 1)) )
+          match parse_port p with
+          | Some n -> Ok n
+          | None ->
+            Error
+              (Printf.sprintf
+                 "bad port %S in URL %S: expected a decimal number in \
+                  1-65535" p s) )
     in
     match port with
     | _ when host = "" -> Error (Printf.sprintf "no host in URL %S" s)
-    | None -> Error (Printf.sprintf "bad port in URL %S" s)
-    | Some port -> Ok { host; port; target }
+    | Error e -> Error e
+    | Ok port -> Ok { host; port; target }
 
 let write_all fd s =
   let len = String.length s in

@@ -17,7 +17,9 @@ type url = {
 }
 
 (** Parse [http://host:port/path?query].  The scheme is optional;
-    [https] is rejected. *)
+    [https] is rejected.  The port defaults to 80; when given it must
+    be a run of decimal digits in 1-65535, and anything else is
+    refused with an error naming it. *)
 val parse_url : string -> (url, string) result
 
 (** {1 A single keep-alive connection} *)

@@ -27,7 +27,6 @@
     - SRV102 malformed JSON body       - SRV103 malformed field
     - SRV104 unknown model/target      - SRV105 malformed budget
     - SRV110 HTTP protocol error       - SRV111 overloaded (503)
-    - SRV112 backend unavailable (503, [prtb route] only)
     - SRV120 budget exhausted          - SRV122 deadline exceeded
     - SRV300 internal error *)
 

@@ -36,90 +36,3 @@ let hill_climb ~rng ~init ~neighbor ~score ~steps ?(restarts = 0) () =
   in
   let best, score, trace = go restarts (run_once ()) in
   { best; score; evaluations = !evaluations; trace }
-
-(* ------------------------------------------------------------------ *)
-(* Arena-backed policy search: the genome is a memoryless adversary
-   (one chosen step per state), scored by evaluating the induced
-   Markov chain directly on the arena's float plane.  No execution
-   sampling: each evaluation is [horizon] dense sweeps. *)
-
-let clamp_choice (a : _ Mdp.Arena.t) policy s =
-  let deg = a.Mdp.Arena.step_off.(s + 1) - a.Mdp.Arena.step_off.(s) in
-  if deg = 0 then 0
-  else begin
-    let c = policy.(s) mod deg in
-    if c < 0 then c + deg else c
-  end
-
-let policy_value (a : _ Mdp.Arena.t) ~policy ~target ~horizon =
-  let n = a.Mdp.Arena.n in
-  if Array.length policy <> n then
-    invalid_arg "Search.policy_value: policy array has wrong length";
-  if Array.length target <> n then
-    invalid_arg "Search.policy_value: target array has wrong length";
-  if horizon < 0 then
-    invalid_arg "Search.policy_value: negative horizon";
-  let v =
-    ref (Array.init n (fun s -> if target.(s) then 1.0 else 0.0))
-  in
-  let spare = ref (Array.make n 0.0) in
-  for _t = 1 to horizon do
-    let cur = !v and fresh = !spare in
-    for s = 0 to n - 1 do
-      fresh.(s) <-
-        (if target.(s) then 1.0
-         else begin
-           let lo = a.Mdp.Arena.step_off.(s) in
-           let hi = a.Mdp.Arena.step_off.(s + 1) in
-           if hi = lo then 0.0
-           else begin
-             let k = lo + clamp_choice a policy s in
-             let acc = ref 0.0 in
-             for o = a.Mdp.Arena.out_off.(k)
-               to a.Mdp.Arena.out_off.(k + 1) - 1
-             do
-               acc :=
-                 !acc
-                 +. (a.Mdp.Arena.prob_f.(o) *. cur.(a.Mdp.Arena.tgt.(o)))
-             done;
-             !acc
-           end
-         end)
-    done;
-    v := fresh;
-    spare := cur
-  done;
-  !v
-
-let mean_over_starts a values =
-  match Mdp.Arena.start_indices a with
-  | [] -> 0.0
-  | starts ->
-    List.fold_left (fun acc i -> acc +. values.(i)) 0.0 starts
-    /. float_of_int (List.length starts)
-
-let policy_search ~rng (a : _ Mdp.Arena.t) ~target ~horizon ~steps
-    ?restarts ?(minimize = false) () =
-  let n = a.Mdp.Arena.n in
-  let score policy =
-    let p = mean_over_starts a (policy_value a ~policy ~target ~horizon) in
-    if minimize then -.p else p
-  in
-  let neighbor policy rng =
-    let fresh = Array.copy policy in
-    if n > 0 then begin
-      let s = Proba.Rng.int rng n in
-      let deg = a.Mdp.Arena.step_off.(s + 1) - a.Mdp.Arena.step_off.(s) in
-      if deg > 1 then fresh.(s) <- Proba.Rng.int rng deg
-    end;
-    fresh
-  in
-  let found =
-    hill_climb ~rng ~init:(Array.make n 0) ~neighbor ~score ~steps
-      ?restarts ()
-  in
-  if minimize then
-    { found with
-      score = -.found.score;
-      trace = List.map (fun x -> -.x) found.trace }
-  else found

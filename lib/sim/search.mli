@@ -25,32 +25,3 @@ type 'g result = {
 val hill_climb :
   rng:Proba.Rng.t -> init:'g -> neighbor:('g -> Proba.Rng.t -> 'g) ->
   score:('g -> float) -> steps:int -> ?restarts:int -> unit -> 'g result
-
-(** {1 Arena-backed policy search}
-
-    When the model fits in an explored arena, adversaries need not be
-    sampled: a memoryless adversary is a genome assigning one chosen
-    step to each state, and its step-bounded reach probability is
-    computed exactly (in floats) by dense sweeps over the arena's
-    float plane.  The hill climb then searches adversary space with a
-    deterministic, execution-free objective. *)
-
-(** [policy_value arena ~policy ~target ~horizon] evaluates the Markov
-    chain induced by choosing step [policy.(s) mod degree(s)] at every
-    state: the probability of reaching [target] within [horizon]
-    {e steps} (not ticks), per state.  Frontier/terminal states score 0
-    unless in the target. *)
-val policy_value :
-  ('s, 'a) Mdp.Arena.t -> policy:int array -> target:bool array ->
-  horizon:int -> float array
-
-(** [policy_search ~rng arena ~target ~horizon ~steps ()] hill-climbs
-    adversary genomes against the mean of {!policy_value} over the
-    start states -- maximizing by default, minimizing with
-    [~minimize:true] (the reported [score]/[trace] are always the
-    actual objective values).  [steps] counts proposal moves; each
-    move re-randomizes one state's chosen step. *)
-val policy_search :
-  rng:Proba.Rng.t -> ('s, 'a) Mdp.Arena.t -> target:bool array ->
-  horizon:int -> steps:int -> ?restarts:int -> ?minimize:bool -> unit ->
-  int array result

@@ -57,19 +57,6 @@ module Legacy = struct
     let max = Q.max
   end
 
-  module Num_float : NUM with type t = float = struct
-    type t = float
-
-    let zero = 0.0
-    let one = 1.0
-    let of_rational = Q.to_float
-    let add = ( +. )
-    let scale = ( *. )
-    let equal a b = Float.equal a b
-    let min = Float.min
-    let max = Float.max
-  end
-
   module Engine (N : NUM) = struct
     type compact = {
       n : int;
@@ -250,15 +237,12 @@ module Legacy = struct
   end
 
   module Exact = Engine (Num_rational)
-  module Approx = Engine (Num_float)
 
   let min_reach = Exact.min_reach
   let max_reach = Exact.max_reach
   let min_reach_with_policy = Exact.min_reach_with_policy
   let min_reach_steps = Exact.min_reach_steps
   let max_reach_steps = Exact.max_reach_steps
-  let min_reach_float = Approx.min_reach
-  let max_reach_float = Approx.max_reach
 
   (* Pre-refactor qualitative fixpoints *)
 
@@ -314,33 +298,6 @@ module Legacy = struct
     bad
 
   let always_reaches expl ~target = Array.map not (can_avoid expl ~target)
-
-  let some_reaches_certainly expl ~target =
-    let n = Explore.num_states expl in
-    let s_set = Array.make n true in
-    let outer_changed = ref true in
-    while !outer_changed do
-      let r = Array.copy target in
-      let inner_changed = ref true in
-      while !inner_changed do
-        inner_changed := false;
-        for i = 0 to n - 1 do
-          if (not r.(i)) && s_set.(i) then begin
-            let good step =
-              Array.for_all (fun (j, _) -> s_set.(j)) step.Explore.outcomes
-              && Array.exists (fun (j, _) -> r.(j)) step.Explore.outcomes
-            in
-            if Array.exists good (Explore.steps expl i) then begin
-              r.(i) <- true;
-              inner_changed := true
-            end
-          end
-        done
-      done;
-      outer_changed := not (Array.for_all2 ( = ) s_set r);
-      Array.blit r 0 s_set 0 n
-    done;
-    s_set
 
   (* Pre-refactor expected-time value iteration *)
 
@@ -408,10 +365,6 @@ module Legacy = struct
   let max_expected_ticks expl ~is_tick ~target () =
     let finite = always_reaches expl ~target in
     value_iterate expl ~is_tick ~finite ~target ~best:Float.max
-
-  let min_expected_ticks expl ~is_tick ~target () =
-    let finite = some_reaches_certainly expl ~target in
-    value_iterate expl ~is_tick ~finite ~target ~best:Float.min
 
   let max_expected_ticks_with_policy expl ~is_tick ~target () =
     let finite = always_reaches expl ~target in
@@ -528,9 +481,9 @@ let check_int_arrays name (expected : int array) (got : int array) =
   Alcotest.(check (array int)) name expected got
 
 (* ------------------------------------------------------------------ *)
-(* Finite horizon: exact, rational-only, and float engines, without
-   and with a session pool of every size [--domains] accepts in the
-   test matrix. *)
+(* Finite horizon: the default and rational-only engines, without and
+   with a session pool of every size [--domains] accepts in the test
+   matrix. *)
 
 let pools = [ None; Some 1; Some 2; Some 3 ]
 
@@ -556,16 +509,6 @@ let test_reach_differential () =
                   (Legacy.max_reach f.expl ~is_tick:f.is_tick
                      ~target:f.target ~ticks:f.ticks)
                   (Mdp.Finite_horizon.max_reach f.arena
-                     ~target:f.target ~ticks:f.ticks);
-                check_float_arrays (ctx "min_reach_float")
-                  (Legacy.min_reach_float f.expl ~is_tick:f.is_tick
-                     ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach_float f.arena
-                     ~target:f.target ~ticks:f.ticks);
-                check_float_arrays (ctx "max_reach_float")
-                  (Legacy.max_reach_float f.expl ~is_tick:f.is_tick
-                     ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach_float f.arena
                      ~target:f.target ~ticks:f.ticks)))
          pools)
     (Lazy.force fixtures)
@@ -585,17 +528,21 @@ let test_rational_only_differential () =
                 ~target:f.target ~ticks:f.ticks)))
     pools
 
+(* A step-bounded question is a tick-bounded one on the fragment
+   compiled with every step a tick: the legacy step engine and the
+   tick engine must then agree bit for bit. *)
 let test_reach_steps_differential () =
   List.iter
     (fun (Fixture f) ->
+       let every_step = Mdp.Arena.compile ~is_tick:(fun _ -> true) f.expl in
        check_q_arrays (f.name ^ " min_reach_steps")
          (Legacy.min_reach_steps f.expl ~target:f.target ~steps:f.ticks)
-         (Mdp.Finite_horizon.min_reach_steps f.arena ~target:f.target
-            ~steps:f.ticks);
+         (Mdp.Finite_horizon.min_reach every_step ~target:f.target
+            ~ticks:f.ticks);
        check_q_arrays (f.name ^ " max_reach_steps")
          (Legacy.max_reach_steps f.expl ~target:f.target ~steps:f.ticks)
-         (Mdp.Finite_horizon.max_reach_steps f.arena ~target:f.target
-            ~steps:f.ticks))
+         (Mdp.Finite_horizon.max_reach every_step ~target:f.target
+            ~ticks:f.ticks))
     (Lazy.force fixtures)
 
 let test_policy_differential () =
@@ -633,9 +580,6 @@ let test_qualitative_differential () =
        check "always_reaches"
          (Legacy.always_reaches f.expl ~target:f.target)
          (Mdp.Qualitative.always_reaches f.arena ~target:f.target);
-       check "some_reaches_certainly"
-         (Legacy.some_reaches_certainly f.expl ~target:f.target)
-         (Mdp.Qualitative.some_reaches_certainly f.arena ~target:f.target);
        let avoid = Array.map not f.target in
        check "safe_core"
          (Legacy.safe_core f.expl ~avoid)
@@ -658,11 +602,6 @@ let test_expected_time_differential () =
                   (Legacy.max_expected_ticks f.expl
                      ~is_tick:f.is_tick ~target:f.target ())
                   (Mdp.Expected_time.max_expected_ticks f.arena
-                     ~target:f.target ());
-                check_float_arrays (ctx "min_expected_ticks")
-                  (Legacy.min_expected_ticks f.expl
-                     ~is_tick:f.is_tick ~target:f.target ())
-                  (Mdp.Expected_time.min_expected_ticks f.arena
                      ~target:f.target ())))
          [ None; Some 2 ];
        let v0, p0 =
@@ -709,9 +648,6 @@ let test_partial_fragment_differential () =
   check_q_arrays "partial max_reach"
     (Legacy.max_reach expl ~is_tick ~target ~ticks:4)
     (Mdp.Finite_horizon.max_reach arena ~target ~ticks:4);
-  check_float_arrays "partial max_reach_float"
-    (Legacy.max_reach_float expl ~is_tick ~target ~ticks:4)
-    (Mdp.Finite_horizon.max_reach_float arena ~target ~ticks:4);
   Alcotest.(check (array bool)) "partial always_reaches"
     (Legacy.always_reaches expl ~target)
     (Mdp.Qualitative.always_reaches arena ~target)
@@ -814,77 +750,13 @@ let test_registry_memoizes () =
     (after.Models.cache_hits > before.Models.cache_hits)
 
 (* ------------------------------------------------------------------ *)
-(* Sim.Search policy evaluation against the exact engine: on the LR
-   arena a fixed policy's step-bounded value must lie within the exact
-   min/max envelope, and the degenerate single-choice states make the
-   all-zeros policy well defined. *)
-
-let test_policy_value_envelope () =
-  let (Fixture f) = List.hd (Lazy.force fixtures) in
-  let n = Mdp.Arena.num_states f.arena in
-  let horizon = 6 in
-  let vmin =
-    Mdp.Finite_horizon.min_reach_steps f.arena ~target:f.target
-      ~steps:horizon
-  in
-  let vmax =
-    Mdp.Finite_horizon.max_reach_steps f.arena ~target:f.target
-      ~steps:horizon
-  in
-  let check_policy policy =
-    let v =
-      Sim.Search.policy_value f.arena ~policy ~target:f.target ~horizon
-    in
-    Array.iteri
-      (fun i x ->
-         let lo = Q.to_float vmin.(i) and hi = Q.to_float vmax.(i) in
-         if x < lo -. 1e-9 || x > hi +. 1e-9 then
-           Alcotest.failf "policy value %g outside [%g, %g] at state %d" x lo
-             hi i)
-      v
-  in
-  check_policy (Array.make n 0);
-  check_policy (Array.init n (fun i -> i * 7))
-
-let test_policy_search_finds_adversary () =
-  let (Fixture f) = List.hd (Lazy.force fixtures) in
-  let rng = Proba.Rng.create ~seed:11 in
-  let r =
-    Sim.Search.policy_search ~rng f.arena ~target:f.target ~horizon:6
-      ~steps:60 ()
-  in
-  let starts = Mdp.Arena.start_indices f.arena in
-  let vmax =
-    Mdp.Finite_horizon.max_reach_steps f.arena ~target:f.target ~steps:6
-  in
-  let bound =
-    List.fold_left (fun acc i -> Float.max acc (Q.to_float vmax.(i))) 0.0
-      starts
-  in
-  Alcotest.(check bool) "score within exact bound" true
-    (r.Sim.Search.score <= bound +. 1e-9);
-  Alcotest.(check bool) "score nonnegative" true (r.Sim.Search.score >= 0.0);
-  (* The reported score is exactly the objective of the reported
-     genome: re-evaluating the best policy reproduces it bit-for-bit. *)
-  let v =
-    Sim.Search.policy_value f.arena ~policy:r.Sim.Search.best
-      ~target:f.target ~horizon:6
-  in
-  let mean =
-    List.fold_left (fun acc i -> acc +. v.(i)) 0.0 starts
-    /. float_of_int (List.length starts)
-  in
-  Alcotest.(check bool) "score = objective of best genome" true
-    (Float.equal mean r.Sim.Search.score)
-
-(* ------------------------------------------------------------------ *)
 (* Probability planes: the interval oracle must never change an
    answer.  [test_reach_differential] above already pins the session
    default (interval) against the legacy engines; these pin the two
    planes against each other explicitly -- full models with and
    without a session pool, budgeted partial fragments, the certified
    orbit quotient, a non-dyadic model where the oracle leaves residue,
-   bisimulation signatures, and the refusal path. *)
+   and the refusal path. *)
 
 let test_plane_reach_differential () =
   List.iter
@@ -908,19 +780,6 @@ let test_plane_reach_differential () =
                      ~plane:Mdp.Plane.Interval f.arena ~target:f.target
                      ~ticks:f.ticks)))
          pools)
-    (Lazy.force fixtures)
-
-let test_plane_bisim_differential () =
-  List.iter
-    (fun (Fixture f) ->
-       let labels = Array.map (fun b -> if b then 1 else 0) f.target in
-       let bi =
-         Mdp.Bisim.refine f.arena ~labels ~plane:Mdp.Plane.Interval ()
-       in
-       let be = Mdp.Bisim.refine f.arena ~labels ~plane:Mdp.Plane.Exact () in
-       (* Identical partition INCLUDING block numbering: both planes
-          number blocks in first-encounter order of the same sweep. *)
-       check_int_arrays (f.name ^ " bisim planes") be bi)
     (Lazy.force fixtures)
 
 let test_plane_partial_fragment () =
@@ -1156,8 +1015,8 @@ let check_outcome check name expected got =
   | Values _, Refused -> Alcotest.failf "%s: refused, the reference closes" name
   | Refused, Values _ -> Alcotest.failf "%s: closes, the reference refuses" name
 
-(* Every finite-horizon entry point against [Legacy]: both planes and
-   the float engines, min and max. *)
+(* Every finite-horizon entry point against [Legacy]: both planes, min
+   and max. *)
 let check_schedule ~label (Fixture f) =
   let ctx what = Printf.sprintf "%s %s (%s)" f.name what label in
   let legacy g =
@@ -1175,11 +1034,7 @@ let check_schedule ~label (Fixture f) =
          (legacy Legacy.min_reach) (ours (FH.min_reach ~plane));
        check_outcome check_q_arrays (ctx ("max_reach " ^ p))
          (legacy Legacy.max_reach) (ours (FH.max_reach ~plane)))
-    [ Mdp.Plane.Interval; Mdp.Plane.Exact ];
-  check_outcome check_float_arrays (ctx "min_reach_float")
-    (legacy Legacy.min_reach_float) (ours FH.min_reach_float);
-  check_outcome check_float_arrays (ctx "max_reach_float")
-    (legacy Legacy.max_reach_float) (ours FH.max_reach_float)
+    [ Mdp.Plane.Interval; Mdp.Plane.Exact ]
 
 let test_schedule_differential () =
   List.iter
@@ -1364,13 +1219,12 @@ let test_zeno_definition () =
 (* ------------------------------------------------------------------ *)
 (* Expected-time value iteration as it stood before sweeps skipped
    settled states: every sweep evaluates every non-target finite state.
-   [value_iterate] is copied verbatim, as the reference the current
-   engine must match bit for bit, sweep count and refusals included. *)
+   [value_iterate] is copied verbatim, minus the minimizing objective
+   the engine no longer has, as the reference the current engine must
+   match bit for bit, sweep count and refusals included. *)
 
 module Sweep_all = struct
-  type objective = Maximize | Minimize
-
-  let value_iterate (a : _ Mdp.Arena.t) ~finite ~target ~obj ~epsilon
+  let value_iterate (a : _ Mdp.Arena.t) ~finite ~target ~epsilon
       ~max_sweeps =
     let n = a.Mdp.Arena.n in
     let step_off = a.Mdp.Arena.step_off and out_off = a.Mdp.Arena.out_off in
@@ -1386,14 +1240,13 @@ module Sweep_all = struct
        stores are unboxed (and barrier-free), whereas refs and function
        arguments would box one float per branch.  Slot 0 carries the
        running best over steps, slot 1 the branch-sum of the current
-       step, slot 2 the sweep delta.  The seeds ([-inf] for max, [+inf]
-       for min) and the inlined comparisons return the same values as
-       the historical seeded [Float.max]/[Float.min] folds: the iterates
-       are nan-free and never produce [-0.], the only inputs where the
-       formulations differ. *)
+       step, slot 2 the sweep delta.  The [-inf] seed and the inlined
+       comparison return the same values as the historical seeded
+       [Float.max] fold: the iterates are nan-free and never produce
+       [-0.], the only inputs where the formulations differ. *)
     let scratch = Array.make 3 0.0 in
-    let state i lo hi maximize =
-      Array.unsafe_set scratch 0 (if maximize then neg_infinity else infinity);
+    let state i lo hi =
+      Array.unsafe_set scratch 0 neg_infinity;
       for k = lo to hi - 1 do
         Array.unsafe_set scratch 1 0.0;
         for o = Array.unsafe_get out_off k
@@ -1408,17 +1261,13 @@ module Sweep_all = struct
           +. Array.unsafe_get scratch 1
         in
         let cur = Array.unsafe_get scratch 0 in
-        Array.unsafe_set scratch 0
-          (if maximize then (if e > cur then e else cur)
-           else if e < cur then e
-           else cur)
+        Array.unsafe_set scratch 0 (if e > cur then e else cur)
       done;
       let fresh = Array.unsafe_get scratch 0 in
       let d = Float.abs (fresh -. Array.unsafe_get v i) in
       if d > Array.unsafe_get scratch 2 then Array.unsafe_set scratch 2 d;
       Array.unsafe_set v i fresh
     in
-    let maximize = match obj with Maximize -> true | Minimize -> false in
     let sweep () =
       Array.unsafe_set scratch 2 0.0;
       for i = 0 to n - 1 do
@@ -1426,7 +1275,7 @@ module Sweep_all = struct
         then begin
           let lo = Array.unsafe_get step_off i in
           let hi = Array.unsafe_get step_off (i + 1) in
-          if hi > lo then state i lo hi maximize else v.(i) <- infinity
+          if hi > lo then state i lo hi else v.(i) <- infinity
         end
       done;
       Array.unsafe_get scratch 2
@@ -1442,18 +1291,14 @@ module Sweep_all = struct
 
   let max_expected_ticks a ~target ~max_sweeps =
     let finite = Mdp.Qualitative.always_reaches a ~target in
-    value_iterate a ~finite ~target ~obj:Maximize ~epsilon:1e-12 ~max_sweeps
-
-  let min_expected_ticks a ~target ~max_sweeps =
-    let finite = Mdp.Qualitative.some_reaches_certainly a ~target in
-    value_iterate a ~finite ~target ~obj:Minimize ~epsilon:1e-12 ~max_sweeps
+    value_iterate a ~finite ~target ~epsilon:1e-12 ~max_sweeps
 
   (* The policy read off the reference values, as
      [max_expected_ticks_with_policy] reads it. *)
   let max_expected_ticks_with_policy (a : _ Mdp.Arena.t) ~target ~max_sweeps =
     let finite = Mdp.Qualitative.always_reaches a ~target in
     let v =
-      value_iterate a ~finite ~target ~obj:Maximize ~epsilon:1e-12 ~max_sweeps
+      value_iterate a ~finite ~target ~epsilon:1e-12 ~max_sweeps
     in
     let policy =
       Array.init a.Mdp.Arena.n (fun i ->
@@ -1523,11 +1368,6 @@ let check_vi ~label (Fixture f) =
               Sweep_all.max_expected_ticks f.arena ~target ~max_sweeps))
          (refusing (fun () ->
               E.max_expected_ticks f.arena ~target ~max_sweeps ()));
-       same_bits (what "min_expected_ticks")
-         (refusing (fun () ->
-              Sweep_all.min_expected_ticks f.arena ~target ~max_sweeps))
-         (refusing (fun () ->
-              E.min_expected_ticks f.arena ~target ~max_sweeps ()));
        let policy_of g =
          match g () with
          | v, p -> (Values v, Some p)
@@ -1587,8 +1427,6 @@ let () =
       ( "plane",
         [ Alcotest.test_case "interval vs exact (all pools)" `Quick
             test_plane_reach_differential;
-          Alcotest.test_case "bisim partitions" `Quick
-            test_plane_bisim_differential;
           Alcotest.test_case "partial fragment" `Quick
             test_plane_partial_fragment;
           Alcotest.test_case "orbit quotient" `Quick test_plane_sym_quotient;
@@ -1617,9 +1455,4 @@ let () =
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",
         [ Alcotest.test_case "memoizes instances" `Quick
-            test_registry_memoizes ] );
-      ( "search",
-        [ Alcotest.test_case "policy value envelope" `Quick
-            test_policy_value_envelope;
-          Alcotest.test_case "policy search bounded by exact max" `Quick
-            test_policy_search_finds_adversary ] ) ]
+            test_registry_memoizes ] ) ]

@@ -149,8 +149,6 @@ let test_lr_max_reach_and_policy_pools () =
 
 let test_float_engines_pool_invariant () =
   let arena, target = lr_target () in
-  pool_invariant "min_reach_float" (fun () ->
-      Mdp.Finite_horizon.min_reach_float arena ~target ~ticks:8);
   pool_invariant "max_expected_ticks" (fun () ->
       Mdp.Expected_time.max_expected_ticks arena ~target ())
 

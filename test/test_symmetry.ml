@@ -1,9 +1,8 @@
 (* Symmetry analysis (PA03x): the orbit quotient must be invisible in
    every verdict -- rational results bit-identical between --sym on and
-   --sym off, fixed-horizon float results bit-identical too -- and the
-   broken declarations must fire their diagnostics (PA030 for a
-   non-automorphism, PA031 for a non-invariant predicate, PA032 as the
-   unreduced-but-symmetric advisory). *)
+   --sym off -- and the broken declarations must fire their diagnostics
+   (PA030 for a non-automorphism, PA031 for a non-invariant predicate,
+   PA032 as the unreduced-but-symmetric advisory). *)
 
 module Q = Proba.Rational
 module Sym = Analysis.Symmetry
@@ -26,22 +25,19 @@ let cert_exn = function
   | None -> Alcotest.fail "expected a symmetry certificate"
 
 (* Minimum over the states satisfying [pred] of the [ticks]-horizon
-   float minimum reachability of [target] -- compared bitwise across
-   the reduced/unreduced arenas (all probabilities are dyadic at these
-   sizes, so the float plane is exact and order-insensitive). *)
-let min_float_over arena ~pred ~target ~ticks =
+   exact minimum reachability of [target], compared across the
+   reduced/unreduced arenas ([Q.one] when no state satisfies [pred]). *)
+let min_over arena ~pred ~target ~ticks =
   let values =
-    Mdp.Finite_horizon.min_reach_float arena
+    Mdp.Finite_horizon.min_reach arena
       ~target:(Mdp.Arena.indicator arena target) ~ticks
   in
-  let best = ref infinity in
+  let best = ref Q.one in
   for i = 0 to Mdp.Arena.num_states arena - 1 do
-    if Core.Pred.mem pred (Mdp.Arena.state arena i) && values.(i) < !best
-    then best := values.(i)
+    if Core.Pred.mem pred (Mdp.Arena.state arena i) then
+      best := Q.min !best values.(i)
   done;
   !best
-
-let bits = Int64.bits_of_float
 
 (* ------------------------------------------------------------------ *)
 (* The verifier as it stood before orbits were certified in one pass:
@@ -457,12 +453,10 @@ let test_lr_float_plane () =
   let off = LR.Proof.build ~n:3 () in
   let on = LR.Proof.build ~sym:Sym.On ~n:3 () in
   let run (inst : LR.Proof.instance) =
-    min_float_over inst.LR.Proof.arena ~pred:LR.Regions.t
-      ~target:LR.Regions.c
+    min_over inst.LR.Proof.arena ~pred:LR.Regions.t ~target:LR.Regions.c
       ~ticks:(Core.Timed.within ~granularity:1 ~time:(Q.of_int 13))
   in
-  Alcotest.(check int64) "13-unit float minimum, bitwise"
-    (bits (run off)) (bits (run on))
+  Alcotest.check q "13-unit exact minimum" (run off) (run on)
 
 let test_election_differential () =
   let off = IR.Proof.build ~n:3 () in
