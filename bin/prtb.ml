@@ -7,9 +7,6 @@
 
 module Q = Proba.Rational
 module LR = Lehmann_rabin
-module IR = Itai_rodeh
-module SC = Shared_coin
-module BO = Ben_or
 
 open Cmdliner
 
@@ -177,129 +174,6 @@ let plane_arg =
                  escape hatch and a differential-testing lever \
                  (--stats reports how much exact work was skipped).")
 
-(* [reachable states] under a certified quotient: the representative
-   count plus the full space it stands for, so logs stay comparable
-   across --sym settings. *)
-let print_states label count (cert : Analysis.Symmetry.certificate option) =
-  match cert with
-  | Some c when c.Analysis.Symmetry.reduced ->
-    Printf.printf "%s: %d (orbit quotient of %d)\n%!" label count
-      c.Analysis.Symmetry.full_states
-  | _ -> Printf.printf "%s: %d\n%!" label count
-
-let print_cert (cert : Analysis.Symmetry.certificate option) =
-  match cert with
-  | None -> ()
-  | Some c ->
-    Printf.printf
-      "symmetry certificate: %d generator(s) verified on %d state(s), \
-       %d predicate(s) invariant%s\n%!"
-      (List.length c.Analysis.Symmetry.cert_generators)
-      c.Analysis.Symmetry.states_checked
-      (List.length c.Analysis.Symmetry.preds_checked)
-      (if c.Analysis.Symmetry.reduced then " (quotient exploration)"
-       else "")
-
-let check_lr_topo topo g k sym =
-  Printf.printf "Lehmann-Rabin on %s, g=%d k=%d\n%!"
-    (LR.Topology.name topo) g k;
-  let inst = Models.lr_topo ~topo ~g ~k ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.LR.Proof.tarena) inst.LR.Proof.tsym;
-  print_cert inst.LR.Proof.tsym;
-  (match LR.Proof.invariant_topo inst with
-   | None ->
-     Printf.printf "Lemma 6.1 (generalized): holds on every reachable state\n%!"
-   | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
-  let arrows = LR.Proof.arrows_topo inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-5s attained %s (%s)@." a.LR.Proof.label
-         (Q.to_string a.LR.Proof.attained)
-         (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match LR.Proof.compose_arrows_topo inst arrows with
-   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Printf.printf "direct 13-unit minimum: %s; worst expected time: %.3f\n"
-    (Q.to_string (LR.Proof.direct_bound_topo inst))
-    (LR.Proof.max_expected_time_topo inst)
-
-let check_lr n g k sym =
-  Printf.printf "Lehmann-Rabin, n=%d g=%d k=%d\n%!" n g k;
-  let inst = Models.lr ~n ~g ~k ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.LR.Proof.arena) inst.LR.Proof.sym;
-  print_cert inst.LR.Proof.sym;
-  (match LR.Invariant.check inst.LR.Proof.expl with
-   | None -> Printf.printf "Lemma 6.1: holds on every reachable state\n%!"
-   | Some s ->
-     Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
-  let arrows = LR.Proof.arrows inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-5s %s -%s->_%s %s : attained %s (%s)@."
-         a.LR.Proof.label
-         (Core.Pred.name a.LR.Proof.pre)
-         (Q.to_string a.LR.Proof.time) (Q.to_string a.LR.Proof.prob)
-         (Core.Pred.name a.LR.Proof.post)
-         (Q.to_string a.LR.Proof.attained)
-         (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match LR.Proof.compose_arrows inst arrows with
-   | Ok claim ->
-     Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
-       Core.Claim.pp_derivation claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Format.printf "@.expected-time derivation:@.%a@." Core.Expected.pp
-    (LR.Proof.expected_bound ());
-  Printf.printf "measured worst-case expected time: %.3f\n"
-    (LR.Proof.max_expected_time inst)
-
-let check_election n g k sym =
-  Printf.printf "Leader election, n=%d\n%!" n;
-  let inst = Models.election ~g ~k ~n ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.IR.Proof.arena) inst.IR.Proof.sym;
-  print_cert inst.IR.Proof.sym;
-  let arrows = IR.Proof.arrows inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-4s attained %s (%s)@." a.IR.Proof.label
-         (Q.to_string a.IR.Proof.attained)
-         (match a.IR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match IR.Proof.compose_arrows arrows with
-   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Printf.printf "expected bound: %s; measured worst case: %.3f\n"
-    (Q.to_string (Core.Expected.value (IR.Proof.expected_bound ~n)))
-    (IR.Proof.max_expected_time inst)
-
-let check_coin n g k bound sym =
-  Printf.printf "Shared coin, n=%d barrier=±%d\n%!" n bound;
-  let inst = Models.coin ~g ~k ~n ~bound ~sym () in
-  print_states "reachable states"
-    (Mdp.Arena.num_states inst.SC.Proof.arena) inst.SC.Proof.sym;
-  print_cert inst.SC.Proof.sym;
-  let arrows = SC.Proof.arrows inst in
-  List.iter
-    (fun a ->
-       Format.printf "%-4s attained %s (%s)@." a.SC.Proof.label
-         (Q.to_string a.SC.Proof.attained)
-         (match a.SC.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
-    arrows;
-  (match SC.Proof.compose_arrows arrows with
-   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-   | Error e -> Printf.printf "composition failed: %s\n" e);
-  Printf.printf
-    "direct minimum within %d: %s\nexpected time: exact %.3f vs B^2/n = \
-     %.3f\n"
-    bound
-    (Q.to_string (SC.Proof.direct_bound inst))
-    (SC.Proof.expected_exact inst)
-    (SC.Proof.expected_theory inst)
-
 let check_lr_faults n g k faults budget release seed =
   Printf.printf
     "Lehmann-Rabin, n=%d g=%d k=%d, faults %s, release=%b, budget %s\n%!"
@@ -336,39 +210,13 @@ let check_lr_faults n g k faults budget release seed =
     Printf.printf "  direct 13-unit minimum: %s\n"
       (Q.to_string d.Faults.Lr.direct)
 
-let check_consensus n g k cap sym =
-  let f = (n - 1) / 2 in
-  let initial = Array.init n (fun i -> i = n - 1) in
-  Printf.printf "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start\n%!"
-    n f cap;
-  let inst = Models.consensus ~g ~k ~n ~f ~cap ~initial ~sym () in
-  print_states "reachable states"
-    (Mdp.Explore.num_states inst.BO.Proof.expl) inst.BO.Proof.sym;
-  print_cert inst.BO.Proof.sym;
-  Printf.printf "agreement: %s\n"
-    (match BO.Proof.agreement_violation inst with
-     | None -> "holds" | Some _ -> "VIOLATED");
-  List.iteri
-    (fun idx q ->
-       Printf.printf "min P[decided within %d round(s)] = %s\n" (idx + 1)
-         (Q.to_string q))
-    (BO.Proof.decision_curve inst
-       ~rounds:(List.init cap (fun r -> r + 1)))
-
 let system_arg =
-  let parse = function
-    | "lr" | "lehmann-rabin" | "dining" -> Ok `Lr
-    | "election" | "itai-rodeh" -> Ok `Election
-    | "coin" | "shared-coin" -> Ok `Coin
-    | "consensus" | "ben-or" -> Ok `Consensus
-    | s -> Error (`Msg (Printf.sprintf "unknown system %S" s))
+  let parse s =
+    match Models.of_name s with
+    | Some family -> Ok family
+    | None -> Error (`Msg (Printf.sprintf "unknown system %S" s))
   in
-  let print fmt s =
-    Format.pp_print_string fmt
-      (match s with
-       | `Lr -> "lr" | `Election -> "election" | `Coin -> "coin"
-       | `Consensus -> "consensus")
-  in
+  let print fmt s = Format.pp_print_string fmt (Models.name s) in
   Arg.(required
        & pos 0 (some (conv (parse, print))) None
        & info [] ~docv:"SYSTEM"
@@ -438,32 +286,38 @@ let plane_to_string = function
   | Mdp.Plane.Interval -> "interval"
   | Mdp.Plane.Exact -> "exact"
 
+(* The parameters as given, refused naming the flag when the family
+   does not accept them ([Models.invalid]) -- before anything builds. *)
+let valid (p : Models.params) =
+  match Models.invalid p with
+  | None -> p
+  | Some (field, problem) ->
+    failwith
+      (Printf.sprintf "%s%s %s"
+         (if String.length field = 1 then "-" else "--")
+         field problem)
+
+let cli_params system n g k topology bound cap =
+  valid
+    { Models.family = system; n; g; k;
+      topology = Option.value topology ~default:"ring"; bound; cap }
+
 (* The served and CLI JSON bodies are bit-identical because both print
    [Server.Service.check_json] (and [cert_json] for certificates);
    test/test_server.ml holds the two byte-for-byte equal. *)
-let cli_check_query system n g k topology bound cap sym plane deadline =
-  let topology = Option.value topology ~default:"ring" in
-  (match system, topology with
-   | `Lr, ("ring" | "line" | "star") -> ()
-   | `Lr, other -> failwith (Printf.sprintf "unknown topology %S" other)
-   | _, "ring" -> ()
-   | _, other ->
-     failwith (Printf.sprintf "topology %S applies to the lr system only" other));
-  { Server.Protocol.model = system; n; g; k; topology; bound; cap;
-    max_states = None; sym = Analysis.Symmetry.mode_to_string sym;
+let cli_check_query (p : Models.params) sym plane deadline =
+  { Server.Protocol.model = p.Models.family; n = p.Models.n; g = p.Models.g;
+    k = p.Models.k; topology = p.Models.topology; bound = p.Models.bound;
+    cap = p.Models.cap; max_states = None;
+    sym = Analysis.Symmetry.mode_to_string sym;
     plane = plane_to_string plane;
     deadline_ms = deadline }
-
-let check_json system n g k topology bound cap sym plane deadline =
-  let q = cli_check_query system n g k topology bound cap sym plane deadline in
-  print_endline (Analysis.Json.to_string (Server.Service.check_json q))
 
 (* --emit-cert prints the /cert body.  A non-certificate header
    (uncertified, exhausted, ...) still prints -- same bytes the server
    would serve -- but exits nonzero so scripts cannot mistake it for a
    certificate. *)
-let emit_cert_json system n g k topology bound cap sym plane deadline =
-  let q = cli_check_query system n g k topology bound cap sym plane deadline in
+let emit_cert_json q =
   let body = Server.Service.cert_json q in
   print_endline (Analysis.Json.to_string body);
   match body with
@@ -476,22 +330,13 @@ let emit_cert_json system n g k topology bound cap sym plane deadline =
    engines' poll points cut the run mid-sweep we print a structured
    degraded verdict and exit 0, mirroring the served SRV122 body. *)
 let under_cli_deadline deadline f =
-  match deadline with
-  | None -> f ()
-  | Some ms ->
-    let clock =
-      Core.Budget.start
-        (Core.Budget.v ~wall:(float_of_int ms /. 1000.0) ())
-    in
-    (match Core.Budget.with_deadline clock f with
-     | () -> ()
-     | exception Core.Budget.Deadline_exceeded reason ->
-       Printf.printf
-         "verdict: deadline-exceeded (SRV122, deadline_ms=%d)\n\
-          %s\n\
-          the exact verification was abandoned mid-sweep; raise \
-          --deadline for the exact verdict\n"
-         ms reason)
+  Server.Service.under_deadline deadline f ~expired:(fun ms reason ->
+      Printf.printf
+        "verdict: deadline-exceeded (SRV122, deadline_ms=%d)\n\
+         %s\n\
+         the exact verification was abandoned mid-sweep; raise \
+         --deadline for the exact verdict\n"
+        ms reason)
 
 let emit_cert_arg =
   Arg.(value & flag
@@ -509,42 +354,35 @@ let check_cmd =
     install_domains domains;
     Mdp.Plane.set_default plane;
     try
-      Ok
-        ((match format, emit_cert, faults with
-         | _, true, Some _ ->
-           failwith "--emit-cert does not cover --faults runs; drop one"
-         | _, true, None ->
-           emit_cert_json system n g k topology bound cap sym plane deadline
-         | `Json, false, Some _ ->
-           failwith "--format json does not cover --faults runs; drop one"
-         | `Json, false, None ->
-           check_json system n g k topology bound cap sym plane deadline
-         | `Text, false, _ ->
-           under_cli_deadline deadline @@ fun () ->
-           match system with
-         | `Lr ->
-           (match faults, topology with
-            | Some f, (None | Some "ring") ->
-              check_lr_faults n g k f
-                (Option.value budget ~default:Core.Budget.unlimited)
-                release seed
-            | Some _, Some other ->
-              failwith
-                (Printf.sprintf
-                   "fault injection is modelled on the ring topology only \
-                    (got %S)" other)
-            | None, (None | Some "ring") -> check_lr n g k sym
-            | None, Some "line" -> check_lr_topo (LR.Topology.line n) g k sym
-            | None, Some "star" -> check_lr_topo (LR.Topology.star n) g k sym
-            | None, Some other ->
-              failwith (Printf.sprintf "unknown topology %S" other))
-         | `Election | `Coin | `Consensus when faults <> None ->
+      let p = cli_params system n g k topology bound cap in
+      let query () = cli_check_query p sym plane deadline in
+      (match format, emit_cert, faults with
+       | _, true, Some _ ->
+         failwith "--emit-cert does not cover --faults runs; drop one"
+       | _, true, None -> emit_cert_json (query ())
+       | `Json, false, Some _ ->
+         failwith "--format json does not cover --faults runs; drop one"
+       | `Json, false, None ->
+         print_endline
+           (Analysis.Json.to_string (Server.Service.check_json (query ())))
+       | `Text, false, Some f ->
+         if system <> `Lr then
            failwith
-             "fault injection is currently modelled for the lr system only"
-         | `Election -> check_election n g k sym
-         | `Coin -> check_coin n g k bound sym
-         | `Consensus -> check_consensus n g k cap sym);
-         report_stats stats)
+             "fault injection is currently modelled for the lr system only";
+         if p.Models.topology <> "ring" then
+           failwith
+             (Printf.sprintf
+                "fault injection is modelled on the ring topology only \
+                 (got %S)"
+                p.Models.topology);
+         under_cli_deadline deadline (fun () ->
+             check_lr_faults n g k f
+               (Option.value budget ~default:Core.Budget.unlimited)
+               release seed)
+       | `Text, false, None ->
+         under_cli_deadline deadline (fun () -> Models.report ~sym p));
+      report_stats stats;
+      Ok ()
     with
     | Failure msg -> Error (`Msg msg)
     | Analysis.Symmetry.Not_certified msg ->
@@ -637,11 +475,9 @@ let verify_cert_cmd =
 (* ----------------------------------------------------------------- *)
 (* compile *)
 
-(* [prtb compile] uses the same registry builders the server uses for
-   the same query, so the snapshotted arena (and its fingerprint) is
-   bit-identical to what [prtb serve] would compile on demand.  The
-   consensus conventions mirror lib/server/service.ml: f = (n-1)/2 and
-   a mixed start with exactly one process estimating 1. *)
+(* [prtb compile] resolves through the same registry the server uses
+   for the same query, so the snapshotted arena (and its fingerprint)
+   is bit-identical to what [prtb serve] would compile on demand. *)
 let compile_cmd =
   let output =
     Arg.(required & opt (some string) None
@@ -660,46 +496,9 @@ let compile_cmd =
   in
   let run stats system n g k topology bound cap sym max_states output =
     try
-      let topology = Option.value topology ~default:"ring" in
-      (match system, topology with
-       | `Lr, ("ring" | "line" | "star") -> ()
-       | `Lr, other -> failwith (Printf.sprintf "unknown topology %S" other)
-       | _, "ring" -> ()
-       | _, other ->
-         failwith
-           (Printf.sprintf "topology %S applies to the lr system only" other));
-      let base =
-        { Snapshot.Store.model = "lr"; n; g; k; topology; bound = 0;
-          cap = 0; f = 0; initial = [||]; sym }
-      in
-      let config, loaded =
-        match system with
-        | `Lr when topology = "ring" ->
-          (base, Snapshot.Store.Lr (Models.lr ?max_states ~g ~k ~sym ~n ()))
-        | `Lr ->
-          let topo =
-            if topology = "line" then LR.Topology.line n
-            else LR.Topology.star n
-          in
-          ( base,
-            Snapshot.Store.Lr_topo
-              (Models.lr_topo ?max_states ~g ~k ~sym ~topo ()) )
-        | `Election ->
-          ( { base with Snapshot.Store.model = "election" },
-            Snapshot.Store.Election
-              (Models.election ?max_states ~g ~k ~sym ~n ()) )
-        | `Coin ->
-          ( { base with Snapshot.Store.model = "coin"; bound },
-            Snapshot.Store.Coin
-              (Models.coin ?max_states ~g ~k ~sym ~n ~bound ()) )
-        | `Consensus ->
-          let f = (n - 1) / 2 in
-          let initial = Array.init n (fun i -> i = n - 1) in
-          ( { base with Snapshot.Store.model = "consensus"; cap; f; initial },
-            Snapshot.Store.Consensus
-              (Models.consensus ?max_states ~g ~k ~sym ~n ~f ~cap ~initial
-                 ()) )
-      in
+      let p = cli_params system n g k topology bound cap in
+      let loaded = Models.resolve ?max_states ~sym p in
+      let config = Snapshot.Store.config_of ~sym p in
       Snapshot.Store.save ~path:output config loaded;
       Printf.printf "wrote %s: %s\n" output
         (Snapshot.Store.describe config loaded);
@@ -740,101 +539,39 @@ let compile_cmd =
 
 let simulate domains system n scheduler trials seed within =
   install_domains domains;
-  match system with
-  | `Lr ->
-    let params = { LR.Automaton.n; g = 1; k = 1 } in
-    let pa = LR.Automaton.make params in
-    let sched =
-      match List.assoc_opt scheduler (LR.Schedulers.all pa) with
-      | Some s -> s
-      | None -> failwith (Printf.sprintf "unknown scheduler %S" scheduler)
-    in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = sched;
-        duration = LR.Automaton.duration;
-        start = LR.State.all_trying ~n ~g:1 ~k:1 }
-    in
-    let target = Core.Pred.mem LR.Regions.c in
+  match
+    Models.simulation ~scheduler (valid (Models.sim_params system ~n))
+  with
+  | exception Failure msg -> Error (`Msg msg)
+  | Error msg -> Error (`Msg msg)
+  | Ok (Models.Simulation m) ->
     (match within with
      | Some t ->
        let prop =
-         Sim.Monte_carlo.estimate_reach setup ~target ~within:t ~trials ~seed
+         Sim.Monte_carlo.estimate_reach m.setup ~target:m.target ~within:t
+           ~trials ~seed
        in
        let lo, hi = Proba.Stat.Proportion.wilson_ci prop in
        Printf.printf
-         "P[some process critical within %d] ~ %.4f  (95%% CI [%.4f, %.4f], \
-          %d trials, scheduler %s)\n"
-         t
+         "P[%s within %d] ~ %.4f  (95%% CI [%.4f, %.4f], %d trials, \
+          scheduler %s)\n"
+         m.reach t
          (Proba.Stat.Proportion.estimate prop)
          lo hi trials scheduler
      | None ->
        let summary, missed =
-         Sim.Monte_carlo.estimate_time setup ~target ~trials ~seed ()
+         Sim.Monte_carlo.estimate_time m.setup ~target:m.target ~trials ~seed
+           ()
        in
-       let lo, hi = Proba.Stat.Summary.mean_ci summary in
-       Printf.printf
-         "E[time to critical] ~ %.3f  (95%% CI [%.3f, %.3f], %d trials, %d \
-          missed, scheduler %s; paper bound 63)\n"
-         (Proba.Stat.Summary.mean summary)
-         lo hi trials missed scheduler)
-  | `Consensus ->
-    let f = (n - 1) / 2 in
-    let params = { BO.Automaton.n; f; cap = 50; g = 1; k = 1 } in
-    let initial = Array.init n (fun i -> i = n - 1) in
-    let pa = BO.Automaton.make ~initial params in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = BO.Automaton.duration;
-        start = BO.Automaton.start params initial }
-    in
-    ignore within;
-    let summary, missed =
-      Sim.Monte_carlo.estimate_time setup ~target:BO.Automaton.some_decided
-        ~trials ~seed ()
-    in
-    Printf.printf
-      "E[decision time] ~ %.3f  (%d trials, %d missed; mixed start, \
-       uniform scheduler)\n"
-      (Proba.Stat.Summary.mean summary) trials missed
-  | `Coin ->
-    let params = { SC.Automaton.n; bound = 4; g = 1; k = 1 } in
-    let pa = SC.Automaton.make params in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = SC.Automaton.duration; start = SC.Automaton.start params }
-    in
-    let summary, missed =
-      Sim.Monte_carlo.estimate_time setup
-        ~target:(SC.Automaton.decided params) ~trials ~seed ()
-    in
-    ignore within;
-    Printf.printf
-      "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = %.3f)\n"
-      (Proba.Stat.Summary.mean summary)
-      trials missed
-      (SC.Proof.theory params)
-  | `Election ->
-    let params = { IR.Automaton.n; g = 1; k = 1 } in
-    let pa = IR.Automaton.make params in
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = IR.Automaton.duration; start = IR.Automaton.start params }
-    in
-    let summary, missed =
-      Sim.Monte_carlo.estimate_time setup ~target:IR.Automaton.leader_elected
-        ~trials ~seed ()
-    in
-    Printf.printf
-      "E[election time] ~ %.3f  (%d trials, %d missed; derived bound %d)\n"
-      (Proba.Stat.Summary.mean summary)
-      trials missed
-      (2 * (n - 1))
+       print_string (m.time_report ~trials ~missed summary));
+    Ok ()
 
 let simulate_cmd =
   let scheduler =
     Arg.(value & opt string "uniform"
          & info [ "scheduler" ] ~docv:"NAME"
-             ~doc:"uniform, eager, delayer or starver (lr only).")
+             ~doc:"uniform (every model), or for lr also eager, delayer, \
+                   starver or round-robin.")
   in
   let trials =
     Arg.(value & opt int 2000
@@ -850,40 +587,37 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte Carlo estimation on large rings.")
-    Term.(const simulate $ domains_arg $ system_arg $ n_arg ~default:8
-          $ scheduler $ trials $ seed $ within)
+    Term.(term_result
+            (const simulate $ domains_arg $ system_arg $ n_arg ~default:8
+             $ scheduler $ trials $ seed $ within))
 
 (* ----------------------------------------------------------------- *)
 (* export-dot *)
 
+(* The small instance's arena with the family's Monte Carlo target
+   highlighted. *)
 let export_dot system n bound output =
-  let write arena highlight =
-    let dot = Mdp.Dot.to_string arena ~max_states:2000 ~highlight () in
-    match output with
-    | None -> print_string dot
-    | Some path ->
-      let oc = open_out path in
-      output_string oc dot;
-      close_out oc;
-      Printf.printf "wrote %s (%d states)\n" path
-        (Mdp.Arena.num_states arena)
-  in
-  match system with
-  | `Lr ->
-    let inst = Models.lr ~n () in
-    write inst.LR.Proof.arena (Core.Pred.mem LR.Regions.c)
-  | `Election ->
-    let inst = Models.election ~n () in
-    write inst.IR.Proof.arena IR.Automaton.leader_elected
-  | `Coin ->
-    let inst = Models.coin ~n ~bound () in
-    write inst.SC.Proof.arena (SC.Automaton.decided inst.SC.Proof.params)
-  | `Consensus ->
-    let f = (n - 1) / 2 in
-    let inst =
-      Models.consensus ~n ~f ~cap:1 ~initial:(Array.make n false) ()
+  match
+    Models.resolve (cli_params system n 1 1 None bound 1)
+  with
+  | exception Failure msg -> Error (`Msg msg)
+  | inst ->
+    let dot, states =
+      Models.with_arena inst
+        { Models.visit =
+            (fun arena _ target ->
+               ( Mdp.Dot.to_string arena ~max_states:2000 ~highlight:target
+                   (),
+                 Mdp.Arena.num_states arena )) }
     in
-    write inst.BO.Proof.arena BO.Automaton.some_decided
+    (match output with
+     | None -> print_string dot
+     | Some path ->
+       let oc = open_out path in
+       output_string oc dot;
+       close_out oc;
+       Printf.printf "wrote %s (%d states)\n" path states);
+    Ok ()
 
 let export_dot_cmd =
   let output =
@@ -895,8 +629,9 @@ let export_dot_cmd =
     (Cmd.info "export-dot"
        ~doc:"Export a small instance's MDP as a Graphviz graph \
              (target states highlighted).")
-    Term.(const export_dot $ system_arg $ n_arg ~default:2 $ bound_arg
-          $ output)
+    Term.(term_result
+            (const export_dot $ system_arg $ n_arg ~default:2 $ bound_arg
+             $ output))
 
 (* ----------------------------------------------------------------- *)
 (* lint *)

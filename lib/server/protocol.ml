@@ -1,12 +1,6 @@
 module J = Analysis.Json
 
-type model = [ `Lr | `Election | `Coin | `Consensus ]
-
-let model_name = function
-  | `Lr -> "lr"
-  | `Election -> "election"
-  | `Coin -> "coin"
-  | `Consensus -> "consensus"
+type model = Models.family
 
 type check_query = {
   model : model;
@@ -106,12 +100,13 @@ let str_field fields name ~default =
   | Some _ -> reject 400 "SRV103" "field %S must be a string" name
 
 let model_field fields =
-  match String.lowercase_ascii (str_field fields "model" ~default:"lr") with
-  | "lr" | "lehmann-rabin" | "dining" -> `Lr
-  | "election" | "itai-rodeh" -> `Election
-  | "coin" | "shared-coin" -> `Coin
-  | "consensus" | "ben-or" -> `Consensus
-  | other -> reject 404 "SRV104" "unknown model %S" other
+  let name =
+    String.lowercase_ascii
+      (str_field fields "model" ~default:(Models.name Models.default))
+  in
+  match Models.of_name name with
+  | Some model -> model
+  | None -> reject 404 "SRV104" "unknown model %S" name
 
 let positive name v =
   if v < 1 then reject 400 "SRV103" "field %S must be positive" name;
@@ -141,39 +136,50 @@ let plane_field fields =
     reject 400 "SRV103" "field \"plane\" must be interval or exact (got %S)"
       other
 
+(* The family's own ranges (Models.invalid), checked once the fields
+   parse, so an instance the automaton would refuse is a 400 here. *)
+let in_range params =
+  match Models.invalid params with
+  | Some (field, problem) -> reject 400 "SRV103" "field %S %s" field problem
+  | None -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Endpoint dispatch. *)
 
+let params c =
+  { Models.family = c.model; n = c.n; g = c.g; k = c.k;
+    topology = c.topology; bound = c.bound; cap = c.cap }
+
 let check_fields fields =
   let model = model_field fields in
-  let topology =
-    String.lowercase_ascii (str_field fields "topology" ~default:"ring")
+  let q =
+    { model;
+      n = positive "n" (int_field fields "n" ~default:3);
+      g = positive "g" (int_field fields "g" ~default:1);
+      k = positive "k" (int_field fields "k" ~default:1);
+      topology =
+        String.lowercase_ascii (str_field fields "topology" ~default:"ring");
+      bound = positive "bound" (int_field fields "bound" ~default:4);
+      cap = positive "cap" (int_field fields "cap" ~default:2);
+      max_states =
+        Option.map (positive "max_states") (opt_int_field fields "max_states");
+      sym = sym_field fields;
+      plane = plane_field fields;
+      deadline_ms = deadline_field fields
+    }
   in
-  (match model, topology with
-   | `Lr, ("ring" | "line" | "star") -> ()
-   | `Lr, other -> reject 400 "SRV103" "unknown topology %S" other
-   | _, "ring" -> ()
-   | _, other ->
-     reject 400 "SRV103" "topology %S applies to the lr model only" other);
-  { model;
-    n = positive "n" (int_field fields "n" ~default:3);
-    g = positive "g" (int_field fields "g" ~default:1);
-    k = positive "k" (int_field fields "k" ~default:1);
-    topology;
-    bound = positive "bound" (int_field fields "bound" ~default:4);
-    cap = positive "cap" (int_field fields "cap" ~default:2);
-    max_states = Option.map (positive "max_states") (opt_int_field fields "max_states");
-    sym = sym_field fields;
-    plane = plane_field fields;
-    deadline_ms = deadline_field fields
-  }
+  in_range (params q);
+  q
 
 let parse_check fields = Check (check_fields fields)
 
 let parse_simulate fields =
+  let sim_model = model_field fields in
+  let sim_n = positive "n" (int_field fields "n" ~default:8) in
+  in_range (Models.sim_params sim_model ~n:sim_n);
   Simulate
-    { sim_model = model_field fields;
-      sim_n = positive "n" (int_field fields "n" ~default:8);
+    { sim_model;
+      sim_n;
       scheduler = str_field fields "scheduler" ~default:"uniform";
       trials = positive "trials" (int_field fields "trials" ~default:2000);
       seed = int_field fields "seed" ~default:1994;
@@ -183,7 +189,8 @@ let parse_simulate fields =
 
 let parse_lint fields =
   Lint
-    { target = str_field fields "target" ~default:"lr";
+    { target =
+        str_field fields "target" ~default:(Models.name Models.default);
       lint_max_states =
         Option.map (positive "max_states") (opt_int_field fields "max_states");
       lint_sym = sym_field fields;
@@ -276,7 +283,7 @@ let check_key ~endpoint ?max_states c =
   Printf.sprintf
     "%s?model=%s&n=%d&g=%d&k=%d&topology=%s&bound=%d&cap=%d\
      &max_states=%s&sym=%s&plane=%s"
-    endpoint (model_name c.model) c.n c.g c.k c.topology c.bound c.cap
+    endpoint (Models.name c.model) c.n c.g c.k c.topology c.bound c.cap
     (clamped max_states c.max_states) c.sym c.plane
 
 let canonical_key ?max_states ?max_trials = function
@@ -291,7 +298,7 @@ let canonical_key ?max_states ?max_trials = function
     Some
       (Printf.sprintf
          "simulate?model=%s&n=%d&scheduler=%s&trials=%d&seed=%d&within=%s"
-         (model_name s.sim_model) s.sim_n s.scheduler trials s.seed
+         (Models.name s.sim_model) s.sim_n s.scheduler trials s.seed
          (opt_int s.within))
   | Lint l ->
     Some

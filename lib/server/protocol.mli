@@ -24,15 +24,13 @@
     docs/SERVER.md):
 
     - SRV100 unknown endpoint          - SRV101 method not allowed
-    - SRV102 malformed JSON body       - SRV103 malformed field
+    - SRV102 malformed JSON body       - SRV103 malformed or out-of-range field
     - SRV104 unknown model/target      - SRV105 malformed budget
     - SRV110 HTTP protocol error       - SRV111 overloaded (503)
     - SRV120 budget exhausted          - SRV122 deadline exceeded
     - SRV300 internal error *)
 
-type model = [ `Lr | `Election | `Coin | `Consensus ]
-
-val model_name : model -> string
+type model = Models.family
 
 type check_query = {
   model : model;
@@ -96,7 +94,12 @@ val error : status:int -> code:string -> string -> error
 (** The JSON error body. *)
 val error_body : error -> string
 
-(** Classify and parse an HTTP request into a query. *)
+(** A check query's model parameters. *)
+val params : check_query -> Models.params
+
+(** Classify and parse an HTTP request into a query.  Parameters a
+    model does not accept ({!Models.invalid}) are refused as SRV103
+    naming the field. *)
 val of_request : Http.request -> (query, error) result
 
 (** The canonical cache key of a query, with every default filled in

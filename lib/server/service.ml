@@ -1,9 +1,4 @@
 module J = Analysis.Json
-module Q = Proba.Rational
-module LR = Lehmann_rabin
-module IR = Itai_rodeh
-module SC = Shared_coin
-module BO = Ben_or
 
 type config = {
   max_states : int;
@@ -92,10 +87,7 @@ let health_json t =
       ("oldest_ms", J.Int (int_of_float oldest_ms)) ]
 
 (* ------------------------------------------------------------------ *)
-(* JSON helpers. *)
-
-let rat r = J.Str (Q.to_string r)
-let claim_str c = Format.asprintf "%a" Core.Claim.pp c
+(* Helpers. *)
 
 (* Validated by [Protocol.sym_field]; [Off] is unreachable dead right. *)
 let sym_mode s =
@@ -107,441 +99,159 @@ let plane_mode = function
   | "exact" -> Mdp.Plane.Exact
   | _ -> Mdp.Plane.Interval
 
-(* The state count a body reports: for a certified orbit quotient, the
-   unreduced reachable count recovered from the certificate -- which is
-   what makes [sym=on] and [sym=off] bodies identical. *)
-let arena_states cert arena =
-  match cert with
-  | Some c when c.Analysis.Symmetry.reduced ->
-    c.Analysis.Symmetry.full_states
-  | _ -> Mdp.Arena.num_states arena
-
-let composed_json = function
-  | Ok c -> J.Obj [ ("ok", J.Bool true); ("claim", J.Str (claim_str c)) ]
-  | Error e -> J.Obj [ ("ok", J.Bool false); ("error", J.Str e) ]
+(* Run [compute] under a wall deadline of [deadline_ms], when there is
+   one; on expiry the answer is [expired ms reason]. *)
+let under_deadline deadline_ms ~expired compute =
+  match deadline_ms with
+  | None -> compute ()
+  | Some ms ->
+    let clock =
+      Core.Budget.start (Core.Budget.v ~wall:(float_of_int ms /. 1000.) ())
+    in
+    (match Core.Budget.with_deadline clock compute with
+     | r -> r
+     | exception Core.Budget.Deadline_exceeded reason -> expired ms reason)
 
 (* ------------------------------------------------------------------ *)
-(* /check.
+(* /check and /cert.
 
-   One function per case study, all shaped alike: schema, model,
-   resolved params, a "verdict" ("complete" here; "exhausted" when the
-   state ceiling fired), then the model's own results.  [prtb check
-   --format json] prints exactly these values, which is what makes the
-   served bodies bit-identical to the CLI path. *)
+   Both bodies open with the same header -- schema, model, resolved
+   params, a "verdict" -- then carry the model's results ("complete")
+   or a refusal.  [prtb check --format json] and [--emit-cert] print
+   exactly these values, which is what makes the served bodies
+   bit-identical to the CLI path. *)
 
-let check_params (c : Protocol.check_query) =
-  let base = [ ("n", J.Int c.Protocol.n); ("g", J.Int c.Protocol.g);
-               ("k", J.Int c.Protocol.k) ] in
-  let extra =
-    match c.Protocol.model with
-    | `Lr -> [ ("topology", J.Str c.Protocol.topology) ]
-    | `Coin -> [ ("bound", J.Int c.Protocol.bound) ]
-    | `Consensus -> [ ("cap", J.Int c.Protocol.cap) ]
-    | `Election -> []
-  in
-  J.Obj (base @ extra)
+let check_schema = "prtb-check/1"
 
-let check_header ~verdict (c : Protocol.check_query) rest =
+let header ~schema ~verdict (c : Protocol.check_query) rest =
   J.Obj
-    ([ ("schema", J.Str "prtb-check/1");
-       ("model", J.Str (Protocol.model_name c.Protocol.model));
-       ("params", check_params c);
+    ([ ("schema", J.Str schema);
+       ("model", J.Str (Models.name c.Protocol.model));
+       ("params", J.Obj (Models.params_json (Protocol.params c)));
        ("verdict", J.Str verdict) ]
      @ rest)
 
-let lr_arrow_json (a : LR.Proof.arrow) =
-  J.Obj
-    [ ("label", J.Str a.LR.Proof.label);
-      ("pre", J.Str (Core.Pred.name a.LR.Proof.pre));
-      ("post", J.Str (Core.Pred.name a.LR.Proof.post));
-      ("time", rat a.LR.Proof.time);
-      ("prob", rat a.LR.Proof.prob);
-      ("attained", rat a.LR.Proof.attained);
-      ("holds", J.Bool (a.LR.Proof.claim <> None)) ]
+(* The client's ceiling, clamped to the server's. *)
+let ceiling max_states (c : Protocol.check_query) =
+  match c.Protocol.max_states with
+  | Some client -> Stdlib.min client max_states
+  | None -> max_states
 
-let check_lr_ring ~max_states (c : Protocol.check_query) =
-  let inst =
-    Models.lr ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-      ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n ()
-  in
-  let arrows = LR.Proof.arrows inst in
-  check_header ~verdict:"complete" c
-    [ ("states",
-       J.Int (arena_states inst.LR.Proof.sym inst.LR.Proof.arena));
-      ( "invariant",
-        J.Str
-          (match LR.Invariant.check inst.LR.Proof.expl with
-           | None -> "holds"
-           | Some _ -> "violated") );
-      ("arrows", J.Arr (List.map lr_arrow_json arrows));
-      ("composed", composed_json (LR.Proof.compose_arrows inst arrows));
-      ("direct_bound", rat (LR.Proof.direct_bound inst));
-      ( "expected_bound",
-        rat (Core.Expected.value (LR.Proof.expected_bound ())) );
-      ("max_expected_time", J.Num (LR.Proof.max_expected_time inst)) ]
-
-let check_lr_topo ~max_states (c : Protocol.check_query) =
-  let topo =
-    match c.Protocol.topology with
-    | "line" -> LR.Topology.line c.Protocol.n
-    | _ -> LR.Topology.star c.Protocol.n
-  in
-  let inst =
-    Models.lr_topo ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-      ~sym:(sym_mode c.Protocol.sym) ~topo ()
-  in
-  let arrows = LR.Proof.arrows_topo inst in
-  check_header ~verdict:"complete" c
-    [ ("states",
-       J.Int (arena_states inst.LR.Proof.tsym inst.LR.Proof.tarena));
-      ( "invariant",
-        J.Str
-          (match LR.Proof.invariant_topo inst with
-           | None -> "holds"
-           | Some _ -> "violated") );
-      ("arrows", J.Arr (List.map lr_arrow_json arrows));
-      ("composed", composed_json (LR.Proof.compose_arrows_topo inst arrows));
-      ("direct_bound", rat (LR.Proof.direct_bound_topo inst));
-      ("max_expected_time", J.Num (LR.Proof.max_expected_time_topo inst)) ]
-
-let check_election ~max_states (c : Protocol.check_query) =
-  let inst =
-    Models.election ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-      ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n ()
-  in
-  let arrow (a : IR.Proof.arrow) =
-    J.Obj
-      [ ("label", J.Str a.IR.Proof.label);
-        ("time", rat a.IR.Proof.time);
-        ("prob", rat a.IR.Proof.prob);
-        ("attained", rat a.IR.Proof.attained);
-        ("holds", J.Bool (a.IR.Proof.claim <> None)) ]
-  in
-  let arrows = IR.Proof.arrows inst in
-  check_header ~verdict:"complete" c
-    [ ("states",
-       J.Int (arena_states inst.IR.Proof.sym inst.IR.Proof.arena));
-      ("arrows", J.Arr (List.map arrow arrows));
-      ("composed", composed_json (IR.Proof.compose_arrows arrows));
-      ( "expected_bound",
-        rat (Core.Expected.value (IR.Proof.expected_bound ~n:c.Protocol.n)) );
-      ("max_expected_time", J.Num (IR.Proof.max_expected_time inst)) ]
-
-let check_coin ~max_states (c : Protocol.check_query) =
-  let inst =
-    Models.coin ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-      ~sym:(sym_mode c.Protocol.sym) ~n:c.Protocol.n ~bound:c.Protocol.bound ()
-  in
-  let arrow (a : SC.Proof.arrow) =
-    J.Obj
-      [ ("label", J.Str a.SC.Proof.label);
-        ("time", rat a.SC.Proof.time);
-        ("prob", rat a.SC.Proof.prob);
-        ("attained", rat a.SC.Proof.attained);
-        ("holds", J.Bool (a.SC.Proof.claim <> None)) ]
-  in
-  let arrows = SC.Proof.arrows inst in
-  check_header ~verdict:"complete" c
-    [ ("states",
-       J.Int (arena_states inst.SC.Proof.sym inst.SC.Proof.arena));
-      ("arrows", J.Arr (List.map arrow arrows));
-      ("composed", composed_json (SC.Proof.compose_arrows arrows));
-      ("direct_bound", rat (SC.Proof.direct_bound inst));
-      ("expected_exact", J.Num (SC.Proof.expected_exact inst));
-      ("expected_theory", J.Num (SC.Proof.expected_theory inst)) ]
-
-let check_consensus ~max_states (c : Protocol.check_query) =
-  let n = c.Protocol.n in
-  let f = (n - 1) / 2 in
-  let initial = Array.init n (fun i -> i = n - 1) in
-  let inst =
-    Models.consensus ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-      ~sym:(sym_mode c.Protocol.sym) ~n ~f ~cap:c.Protocol.cap ~initial ()
-  in
-  let curve =
-    BO.Proof.decision_curve inst
-      ~rounds:(List.init c.Protocol.cap (fun r -> r + 1))
-  in
-  check_header ~verdict:"complete" c
-    [ ("states",
-       J.Int (arena_states inst.BO.Proof.sym inst.BO.Proof.arena));
-      ("f", J.Int f);
-      ( "agreement",
-        J.Str
-          (match BO.Proof.agreement_violation inst with
-           | None -> "holds"
-           | Some _ -> "violated") );
-      ( "decision_curve",
-        J.Arr
-          (List.mapi
-             (fun idx p ->
-                J.Obj [ ("rounds", J.Int (idx + 1)); ("min_prob", rat p) ])
-             curve) ) ]
+(* [body] of the query's instance, resolved under the query's plane; a
+   state ceiling or a failed symmetry certification answers SRV120 or
+   SRV121 under [schema] instead. *)
+let exact ~schema ~max_states (c : Protocol.check_query) body =
+  try
+    Mdp.Plane.with_ambient (plane_mode c.Protocol.plane) (fun () ->
+        body
+          (Models.resolve ~max_states ~sym:(sym_mode c.Protocol.sym)
+             (Protocol.params c)))
+  with
+  | Mdp.Explore.Too_many_states m ->
+    header ~schema ~verdict:"exhausted" c
+      [ ("states_interned", J.Int m);
+        ("code", J.Str "SRV120");
+        ( "message",
+          J.Str
+            (Printf.sprintf
+               "exploration stopped after interning %d states (ceiling %d); \
+                raise max_states or shrink the instance"
+               m max_states) ) ]
+  | Analysis.Symmetry.Not_certified msg ->
+    header ~schema ~verdict:"not-certified" c
+      [ ("code", J.Str "SRV121"); ("message", J.Str msg) ]
 
 (* The Estimate rung of the deadline ladder: one seeded Monte Carlo
    trial (the budgeted estimator's at-least-one-trial guarantee, under
    an already-expired clock) against the query's own instance, so a
    degraded body still carries quantitative content.  Deterministic for
-   a fixed query: a fixed seed, a fixed horizon, and a trial count
+   a fixed query: a fixed seed, the family's horizon, and a trial count
    pinned to 1 -- which is what lets tests fixture the body. *)
 let deadline_estimate (c : Protocol.check_query) =
-  let n = c.Protocol.n and g = c.Protocol.g and k = c.Protocol.k in
-  let estimate setup ~target ~within =
+  match Models.simulation (Protocol.params c) with
+  | Error _ -> J.Null
+  | Ok (Models.Simulation m) ->
     let expired = Core.Budget.start (Core.Budget.v ~wall:0.0 ~retries:1 ()) in
     let b =
-      Sim.Monte_carlo.estimate_reach_budgeted setup ~target ~within
-        ~clock:expired ~initial_trials:1 ~seed:1994 ()
+      Sim.Monte_carlo.estimate_reach_budgeted m.setup ~target:m.target
+        ~within:m.horizon ~clock:expired ~initial_trials:1 ~seed:1994 ()
     in
     let lo, hi = Proba.Stat.Proportion.wilson_ci b.Sim.Monte_carlo.prop in
-    Some
-      (J.Obj
-         [ ("kind", J.Str "monte-carlo");
-           ("within", J.Int within);
-           ("trials", J.Int b.Sim.Monte_carlo.trials_run);
-           ( "estimate",
-             J.Num (Proba.Stat.Proportion.estimate b.Sim.Monte_carlo.prop) );
-           ("ci95", J.Arr [ J.Num lo; J.Num hi ]) ])
-  in
-  match c.Protocol.model with
-  | `Lr when c.Protocol.topology = "ring" ->
-    let params = { LR.Automaton.n; g; k } in
-    let pa = LR.Automaton.make params in
-    estimate
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = LR.Automaton.duration;
-        start = LR.State.all_trying ~n ~g ~k }
-      ~target:(Core.Pred.mem LR.Regions.c) ~within:(13 * g)
-  | `Lr -> None
-  | `Election ->
-    let params = { IR.Automaton.n; g; k } in
-    let pa = IR.Automaton.make params in
-    estimate
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = IR.Automaton.duration;
-        start = IR.Automaton.start params }
-      ~target:IR.Automaton.leader_elected ~within:(2 * n * g)
-  | `Coin ->
-    let params = { SC.Automaton.n; bound = c.Protocol.bound; g; k } in
-    let pa = SC.Automaton.make params in
-    estimate
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = SC.Automaton.duration;
-        start = SC.Automaton.start params }
-      ~target:(SC.Automaton.decided params)
-      ~within:(4 * c.Protocol.bound * c.Protocol.bound * g)
-  | `Consensus ->
-    let f = (n - 1) / 2 in
-    let params = { BO.Automaton.n; f; cap = c.Protocol.cap; g; k } in
-    let initial = Array.init n (fun i -> i = n - 1) in
-    let pa = BO.Automaton.make ~initial params in
-    estimate
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration = BO.Automaton.duration;
-        start = BO.Automaton.start params initial }
-      ~target:BO.Automaton.some_decided ~within:(4 * c.Protocol.cap * g)
+    J.Obj
+      [ ("kind", J.Str "monte-carlo");
+        ("within", J.Int m.horizon);
+        ("trials", J.Int b.Sim.Monte_carlo.trials_run);
+        ( "estimate",
+          J.Num (Proba.Stat.Proportion.estimate b.Sim.Monte_carlo.prop) );
+        ("ci95", J.Arr [ J.Num lo; J.Num hi ]) ]
 
 (* The SRV122 body deliberately contains nothing timing-dependent
    (no elapsed milliseconds, no interned-state count): where the
    deadline fired varies run to run, but the degraded answer is a
    fixed function of the query, so it can be asserted byte for byte. *)
 let deadline_exceeded_json (c : Protocol.check_query) ~deadline_ms =
-  let rungs =
-    match deadline_estimate c with
-    | Some est -> [ ("estimate", est) ]
-    | None -> [ ("estimate", J.Null) ]
-  in
-  check_header ~verdict:"deadline-exceeded" c
-    ([ ("code", J.Str "SRV122");
-       ("deadline_ms", J.Int deadline_ms);
-       ( "message",
-         J.Str
-           (Printf.sprintf
-              "deadline of %d ms exceeded before exact verification \
-               finished; the estimate below is Monte Carlo evidence, not \
-               a proof -- raise deadline_ms for the exact verdict"
-              deadline_ms) ) ]
-     @ rungs)
+  header ~schema:check_schema ~verdict:"deadline-exceeded" c
+    [ ("code", J.Str "SRV122");
+      ("deadline_ms", J.Int deadline_ms);
+      ( "message",
+        J.Str
+          (Printf.sprintf
+             "deadline of %d ms exceeded before exact verification \
+              finished; the estimate below is Monte Carlo evidence, not \
+              a proof -- raise deadline_ms for the exact verdict"
+             deadline_ms) );
+      ("estimate", deadline_estimate c) ]
 
 let check_json ?(max_states = default_max_states) (c : Protocol.check_query) =
-  let max_states =
-    match c.Protocol.max_states with
-    | Some client -> Stdlib.min client max_states
-    | None -> max_states
-  in
-  let compute () =
-    try
-      Mdp.Plane.with_ambient (plane_mode c.Protocol.plane) (fun () ->
-          match c.Protocol.model with
-          | `Lr when c.Protocol.topology = "ring" ->
-            check_lr_ring ~max_states c
-          | `Lr -> check_lr_topo ~max_states c
-          | `Election -> check_election ~max_states c
-          | `Coin -> check_coin ~max_states c
-          | `Consensus -> check_consensus ~max_states c)
-    with
-    | Mdp.Explore.Too_many_states m ->
-      check_header ~verdict:"exhausted" c
-        [ ("states_interned", J.Int m);
-          ("code", J.Str "SRV120");
-          ( "message",
-            J.Str
-              (Printf.sprintf
-                 "exploration stopped after interning %d states (ceiling %d); \
-                  raise max_states or shrink the instance"
-                 m max_states) ) ]
-    | Analysis.Symmetry.Not_certified msg ->
-      check_header ~verdict:"not-certified" c
-        [ ("code", J.Str "SRV121"); ("message", J.Str msg) ]
-  in
-  match c.Protocol.deadline_ms with
-  | None -> compute ()
-  | Some ms ->
-    let clock =
-      Core.Budget.start (Core.Budget.v ~wall:(float_of_int ms /. 1000.) ())
-    in
-    (match Core.Budget.with_deadline clock compute with
-     | json -> json
-     | exception Core.Budget.Deadline_exceeded _ ->
-       deadline_exceeded_json c ~deadline_ms:ms)
+  let max_states = ceiling max_states c in
+  under_deadline c.Protocol.deadline_ms
+    ~expired:(fun ms _ -> deadline_exceeded_json c ~deadline_ms:ms)
+    (fun () ->
+       exact ~schema:check_schema ~max_states c (fun inst ->
+           header ~schema:check_schema ~verdict:"complete" c
+             (Models.check_fields inst)))
 
-(* ------------------------------------------------------------------ *)
-(* /cert.
-
-   The same computation as /check, reified: instead of summarizing the
+(* The same computation as /check, reified: instead of summarizing the
    composed claim as one line, the whole derivation is emitted as a
    certificate DAG ([lib/cert]) whose leaves carry the arena
-   fingerprint and the full configuration that produced them.  [prtb
-   check --emit-cert] prints exactly [cert_json]'s value, which is what
-   makes served /cert bodies bit-identical to the CLI path. *)
-
-let cert_header ~verdict (c : Protocol.check_query) rest =
-  J.Obj
-    ([ ("schema", J.Str Cert.Node.wire_schema);
-       ("model", J.Str (Protocol.model_name c.Protocol.model));
-       ("params", check_params c);
-       ("verdict", J.Str verdict) ]
-     @ rest)
+   fingerprint and the full configuration that produced them. *)
 
 let leaf_config ~max_states (c : Protocol.check_query) =
-  let s = string_of_int in
-  let params =
-    match c.Protocol.model with
-    | `Lr ->
-      [ ("g", s c.Protocol.g); ("k", s c.Protocol.k);
-        ("topology", c.Protocol.topology) ]
-    | `Election -> [ ("g", s c.Protocol.g); ("k", s c.Protocol.k) ]
-    | `Coin ->
-      [ ("bound", s c.Protocol.bound); ("g", s c.Protocol.g);
-        ("k", s c.Protocol.k) ]
-    | `Consensus ->
-      [ ("cap", s c.Protocol.cap); ("f", s ((c.Protocol.n - 1) / 2));
-        ("g", s c.Protocol.g); ("k", s c.Protocol.k) ]
-  in
-  { Cert.Node.model = Protocol.model_name c.Protocol.model;
+  { Cert.Node.model = Models.name c.Protocol.model;
     n = c.Protocol.n;
     plane = c.Protocol.plane;
     sym = c.Protocol.sym;
     faults = "none";
     budget = Printf.sprintf "states:%d" max_states;
-    params }
+    params = Models.leaf_params (Protocol.params c) }
 
 let cert_json ?(max_states = default_max_states) (c : Protocol.check_query) =
-  let max_states =
-    match c.Protocol.max_states with
-    | Some client -> Stdlib.min client max_states
-    | None -> max_states
-  in
-  let emit arena composed =
-    match composed with
-    | Error e ->
-      cert_header ~verdict:"uncertified" c
-        [ ("code", J.Str "SRV123"); ("message", J.Str e) ]
-    | Ok claim ->
-      Cert.Node.to_json
-        (Cert.Emit.emit
-           ~config:(leaf_config ~max_states c)
-           ~fingerprint:(Mdp.Arena.fingerprint arena) claim)
-  in
-  let compute () =
-    try
-      Mdp.Plane.with_ambient (plane_mode c.Protocol.plane) (fun () ->
-          let sym = sym_mode c.Protocol.sym in
-          match c.Protocol.model with
-          | `Lr when c.Protocol.topology = "ring" ->
-            let inst =
-              Models.lr ~max_states ~g:c.Protocol.g ~k:c.Protocol.k ~sym
-                ~n:c.Protocol.n ()
-            in
-            emit inst.LR.Proof.arena (LR.Proof.composed inst)
-          | `Lr ->
-            let topo =
-              match c.Protocol.topology with
-              | "line" -> LR.Topology.line c.Protocol.n
-              | _ -> LR.Topology.star c.Protocol.n
-            in
-            let inst =
-              Models.lr_topo ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-                ~sym ~topo ()
-            in
-            emit inst.LR.Proof.tarena (LR.Proof.composed_topo inst)
-          | `Election ->
-            let inst =
-              Models.election ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-                ~sym ~n:c.Protocol.n ()
-            in
-            emit inst.IR.Proof.arena (IR.Proof.composed inst)
-          | `Coin ->
-            let inst =
-              Models.coin ~max_states ~g:c.Protocol.g ~k:c.Protocol.k ~sym
-                ~n:c.Protocol.n ~bound:c.Protocol.bound ()
-            in
-            emit inst.SC.Proof.arena (SC.Proof.composed inst)
-          | `Consensus ->
-            let n = c.Protocol.n in
-            let f = (n - 1) / 2 in
-            let initial = Array.init n (fun i -> i = n - 1) in
-            let inst =
-              Models.consensus ~max_states ~g:c.Protocol.g ~k:c.Protocol.k
-                ~sym ~n ~f ~cap:c.Protocol.cap ~initial ()
-            in
-            emit inst.BO.Proof.arena
-              (BO.Proof.composed inst ~rounds:c.Protocol.cap))
-    with
-    | Mdp.Explore.Too_many_states m ->
-      cert_header ~verdict:"exhausted" c
-        [ ("states_interned", J.Int m);
-          ("code", J.Str "SRV120");
-          ( "message",
-            J.Str
-              (Printf.sprintf
-                 "exploration stopped after interning %d states (ceiling %d); \
-                  raise max_states or shrink the instance"
-                 m max_states) ) ]
-    | Analysis.Symmetry.Not_certified msg ->
-      cert_header ~verdict:"not-certified" c
-        [ ("code", J.Str "SRV121"); ("message", J.Str msg) ]
-  in
-  match c.Protocol.deadline_ms with
-  | None -> compute ()
-  | Some ms ->
-    let clock =
-      Core.Budget.start (Core.Budget.v ~wall:(float_of_int ms /. 1000.) ())
-    in
-    (match Core.Budget.with_deadline clock compute with
-     | json -> json
-     | exception Core.Budget.Deadline_exceeded _ ->
-       (* No Estimate rung here: a certificate is exact by nature, so
-          the degraded body only names the deadline (timing-free, hence
-          byte-stable), and [is_degraded] keeps it out of the cache. *)
-       cert_header ~verdict:"deadline-exceeded" c
-         [ ("code", J.Str "SRV122");
-           ("deadline_ms", J.Int ms);
-           ( "message",
-             J.Str
-               (Printf.sprintf
-                  "deadline of %d ms exceeded before the certificate was \
-                   emitted; raise deadline_ms"
-                  ms) ) ])
+  let max_states = ceiling max_states c in
+  let schema = Cert.Node.wire_schema in
+  under_deadline c.Protocol.deadline_ms
+    ~expired:(fun ms _ ->
+        (* No Estimate rung here: a certificate is exact by nature, so
+           the degraded body only names the deadline (timing-free,
+           hence byte-stable), and [is_degraded] keeps it out of the
+           cache. *)
+        header ~schema ~verdict:"deadline-exceeded" c
+          [ ("code", J.Str "SRV122");
+            ("deadline_ms", J.Int ms);
+            ( "message",
+              J.Str
+                (Printf.sprintf
+                   "deadline of %d ms exceeded before the certificate was \
+                    emitted; raise deadline_ms"
+                   ms) ) ])
+    (fun () ->
+       exact ~schema ~max_states c (fun inst ->
+           match
+             Models.certificate ~config:(leaf_config ~max_states c) inst
+           with
+           | Ok cert -> Cert.Node.to_json cert
+           | Error e ->
+             header ~schema ~verdict:"uncertified" c
+               [ ("code", J.Str "SRV123"); ("message", J.Str e) ]))
 
 (* ------------------------------------------------------------------ *)
 (* /simulate. *)
@@ -562,7 +272,7 @@ let summary_json s missed =
 let sim_header (s : Protocol.simulate_query) ~trials rest =
   J.Obj
     ([ ("schema", J.Str "prtb-simulate/1");
-       ("model", J.Str (Protocol.model_name s.Protocol.sim_model));
+       ("model", J.Str (Models.name s.Protocol.sim_model));
        ("n", J.Int s.Protocol.sim_n);
        ("scheduler", J.Str s.Protocol.scheduler);
        ("trials", J.Int trials);
@@ -570,76 +280,29 @@ let sim_header (s : Protocol.simulate_query) ~trials rest =
      @ rest)
 
 let simulate_json t (s : Protocol.simulate_query) =
-  let n = s.Protocol.sim_n in
   let trials = Stdlib.min s.Protocol.trials t.config.max_trials in
   let seed = s.Protocol.seed in
-  let uniform_only () =
-    if s.Protocol.scheduler <> "uniform" then
-      Error
-        (Protocol.error ~status:400 ~code:"SRV103"
-           (Printf.sprintf "scheduler %S applies to the lr model only"
-              s.Protocol.scheduler))
-    else Ok ()
-  in
-  let run setup ~target =
-    match s.Protocol.within with
-    | Some within ->
-      let prop =
-        Sim.Monte_carlo.estimate_reach setup ~target ~within ~trials ~seed
-      in
-      Ok
-        (sim_header s ~trials
-           [ ("within", J.Int within); ("reach", proportion_json prop) ])
-    | None ->
-      let summary, missed =
-        Sim.Monte_carlo.estimate_time setup ~target ~trials ~seed ()
-      in
-      Ok (sim_header s ~trials [ ("time", summary_json summary missed) ])
-  in
-  match s.Protocol.sim_model with
-  | `Lr ->
-    let params = { LR.Automaton.n; g = 1; k = 1 } in
-    let pa = LR.Automaton.make params in
-    (match List.assoc_opt s.Protocol.scheduler (LR.Schedulers.all pa) with
+  match
+    Models.simulation ~scheduler:s.Protocol.scheduler
+      (Models.sim_params s.Protocol.sim_model ~n:s.Protocol.sim_n)
+  with
+  | Error msg -> Error (Protocol.error ~status:400 ~code:"SRV103" msg)
+  | Ok (Models.Simulation m) ->
+    (match s.Protocol.within with
+     | Some within ->
+       let prop =
+         Sim.Monte_carlo.estimate_reach m.setup ~target:m.target ~within
+           ~trials ~seed
+       in
+       Ok
+         (sim_header s ~trials
+            [ ("within", J.Int within); ("reach", proportion_json prop) ])
      | None ->
-       Error
-         (Protocol.error ~status:400 ~code:"SRV103"
-            (Printf.sprintf "unknown scheduler %S" s.Protocol.scheduler))
-     | Some sched ->
-       run
-         { Sim.Monte_carlo.pa; scheduler = sched;
-           duration = LR.Automaton.duration;
-           start = LR.State.all_trying ~n ~g:1 ~k:1 }
-         ~target:(Core.Pred.mem LR.Regions.c))
-  | `Election ->
-    Result.bind (uniform_only ()) (fun () ->
-        let params = { IR.Automaton.n; g = 1; k = 1 } in
-        let pa = IR.Automaton.make params in
-        run
-          { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-            duration = IR.Automaton.duration;
-            start = IR.Automaton.start params }
-          ~target:IR.Automaton.leader_elected)
-  | `Coin ->
-    Result.bind (uniform_only ()) (fun () ->
-        let params = { SC.Automaton.n; bound = 4; g = 1; k = 1 } in
-        let pa = SC.Automaton.make params in
-        run
-          { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-            duration = SC.Automaton.duration;
-            start = SC.Automaton.start params }
-          ~target:(SC.Automaton.decided params))
-  | `Consensus ->
-    Result.bind (uniform_only ()) (fun () ->
-        let f = (n - 1) / 2 in
-        let params = { BO.Automaton.n; f; cap = 50; g = 1; k = 1 } in
-        let initial = Array.init n (fun i -> i = n - 1) in
-        let pa = BO.Automaton.make ~initial params in
-        run
-          { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-            duration = BO.Automaton.duration;
-            start = BO.Automaton.start params initial }
-          ~target:BO.Automaton.some_decided)
+       let summary, missed =
+         Sim.Monte_carlo.estimate_time m.setup ~target:m.target ~trials ~seed
+           ()
+       in
+       Ok (sim_header s ~trials [ ("time", summary_json summary missed) ]))
 
 (* ------------------------------------------------------------------ *)
 (* /lint. *)
@@ -799,18 +462,6 @@ let degraded_json ~schema fields ~deadline_ms =
               "deadline of %d ms exceeded; raise deadline_ms for the \
                full answer" deadline_ms) ) ])
 
-let under_deadline deadline_ms degraded compute =
-  match deadline_ms with
-  | None -> compute ()
-  | Some ms ->
-    let clock =
-      Core.Budget.start (Core.Budget.v ~wall:(float_of_int ms /. 1000.) ())
-    in
-    (match Core.Budget.with_deadline clock compute with
-     | r -> r
-     | exception Core.Budget.Deadline_exceeded _ ->
-       Ok (degraded ~deadline_ms:ms))
-
 (* One query to one reply, /batch elements included ([handle] adds the
    per-request accounting and the last-resort catch).  Sub-replies of a
    batch pass through [ok_reply]/[error_reply] like any other, so the
@@ -845,18 +496,24 @@ let rec dispatch t query =
       track t (fun () ->
           with_cache t query (fun () ->
               under_deadline dl
-                (degraded_json ~schema:"prtb-simulate/1"
-                   [ ( "model",
-                       J.Str (Protocol.model_name s.Protocol.sim_model) );
-                     ("n", J.Int s.Protocol.sim_n) ])
+                ~expired:(fun ms _ ->
+                    Ok
+                      (degraded_json ~schema:"prtb-simulate/1"
+                         [ ( "model",
+                             J.Str (Models.name s.Protocol.sim_model) );
+                           ("n", J.Int s.Protocol.sim_n) ]
+                         ~deadline_ms:ms))
                 (fun () -> simulate_json t s)))
     | Protocol.Lint l ->
       let dl = effective_deadline t l.Protocol.lint_deadline_ms in
       track t (fun () ->
           with_cache t query (fun () ->
               under_deadline dl
-                (degraded_json ~schema:"prtb-lint/1"
-                   [ ("target", J.Str l.Protocol.target) ])
+                ~expired:(fun ms _ ->
+                    Ok
+                      (degraded_json ~schema:"prtb-lint/1"
+                         [ ("target", J.Str l.Protocol.target) ]
+                         ~deadline_ms:ms))
                 (fun () -> lint_json t l)))
   | Protocol.Batch qs ->
     track t (fun () ->

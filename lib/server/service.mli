@@ -63,6 +63,15 @@ val check_json : ?max_states:int -> Protocol.check_query -> Analysis.Json.t
     [verify-cert] rejects them. *)
 val cert_json : ?max_states:int -> Protocol.check_query -> Analysis.Json.t
 
+(** [under_deadline deadline_ms ~expired compute] runs [compute] under
+    an ambient {!Core.Budget} wall deadline of [deadline_ms]
+    milliseconds when there is one; if it fires, the answer is
+    [expired ms reason] instead.  {!check_json}, {!cert_json}, the
+    served [/simulate] and [/lint], and [prtb check]'s text report all
+    degrade through it. *)
+val under_deadline :
+  int option -> expired:(int -> string -> 'a) -> (unit -> 'a) -> 'a
+
 type reply = {
   status : int;
   headers : (string * string) list;

@@ -18,36 +18,39 @@ type config = {
   sym : Sym.mode;
 }
 
-type loaded =
+type loaded = Models.instance =
   | Lr of LR.Proof.instance
   | Lr_topo of LR.Proof.topo_instance
   | Election of IR.Proof.instance
   | Coin of SC.Proof.instance
   | Consensus of BO.Proof.instance
 
-let arena_states = function
-  | Lr i -> Mdp.Arena.num_states i.LR.Proof.arena
-  | Lr_topo i -> Mdp.Arena.num_states i.LR.Proof.tarena
-  | Election i -> Mdp.Arena.num_states i.IR.Proof.arena
-  | Coin i -> Mdp.Arena.num_states i.SC.Proof.arena
-  | Consensus i -> Mdp.Arena.num_states i.BO.Proof.arena
+let config_of ~sym p =
+  let { Models.family; n; g; k; topology; bound; cap }, f, initial =
+    Models.normalize p
+  in
+  { model = Models.name family; n; g; k; topology; bound; cap; f; initial;
+    sym }
 
+(* A field a model does not read holds its neutral value (see the
+   interface), so printing the non-neutral ones describes any model. *)
 let describe c loaded =
   let extra =
-    match c.model with
-    | "lr" when c.topology <> "ring" ->
-      Printf.sprintf " topology=%s" c.topology
-    | "coin" -> Printf.sprintf " bound=%d" c.bound
-    | "consensus" ->
+    (if c.topology <> "ring" then Printf.sprintf " topology=%s" c.topology
+     else "")
+    ^ (if c.bound <> 0 then Printf.sprintf " bound=%d" c.bound else "")
+    ^
+    if c.cap <> 0 || c.initial <> [||] then
       Printf.sprintf " f=%d cap=%d initial=%s" c.f c.cap
         (String.init (Array.length c.initial) (fun i ->
              if c.initial.(i) then '1' else '0'))
-    | _ -> ""
+    else ""
   in
   Printf.sprintf "%s n=%d g=%d k=%d%s sym=%s (%d states)" c.model c.n c.g
     c.k extra
     (Sym.mode_to_string c.sym)
-    (arena_states loaded)
+    (Models.with_arena loaded
+       { Models.visit = (fun arena _ _ -> Mdp.Arena.num_states arena) })
 
 (* ------------------------------------------------------------------ *)
 (* Encoding. *)
@@ -90,29 +93,14 @@ let arena_sections (type s a) (arena : (s, a) Mdp.Arena.t)
       | Some c -> Marshal.to_string (c : Sym.certificate) [] ) ]
 
 let encode c loaded =
-  let check_model expected =
-    if c.model <> expected then
-      invalid_arg
-        (Printf.sprintf "Snapshot.Store.encode: config says %S, got a %s \
-                         instance" c.model expected)
-  in
+  let model = Models.name (Models.family_of loaded) in
+  if c.model <> model then
+    invalid_arg
+      (Printf.sprintf "Snapshot.Store.encode: config says %S, got a %s \
+                       instance" c.model model);
   let sections =
-    match loaded with
-    | Lr i ->
-      check_model "lr";
-      arena_sections i.LR.Proof.arena i.LR.Proof.sym
-    | Lr_topo i ->
-      check_model "lr";
-      arena_sections i.LR.Proof.tarena i.LR.Proof.tsym
-    | Election i ->
-      check_model "election";
-      arena_sections i.IR.Proof.arena i.IR.Proof.sym
-    | Coin i ->
-      check_model "coin";
-      arena_sections i.SC.Proof.arena i.SC.Proof.sym
-    | Consensus i ->
-      check_model "consensus";
-      arena_sections i.BO.Proof.arena i.BO.Proof.sym
+    Models.with_arena loaded
+      { Models.visit = (fun arena cert _ -> arena_sections arena cert) }
   in
   Codec.encode (("config", config_payload c) :: sections)
 
@@ -298,19 +286,28 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
 
 let instantiate sections =
   let c = config_of_sections sections in
-  if c.n < 2 then refuse "snapshot config: n=%d out of range" c.n;
-  if c.g < 1 || c.k < 1 then
-    refuse "snapshot config: g=%d k=%d out of range" c.g c.k;
+  let family =
+    match Models.of_name c.model with
+    | Some f when Models.name f = c.model -> f
+    | Some _ | None -> refuse "snapshot config: unknown model %S" c.model
+  in
+  (match
+     Models.invalid
+       { Models.family; n = c.n; g = c.g; k = c.k; topology = c.topology;
+         bound = c.bound; cap = c.cap }
+   with
+   | Some (field, problem) -> refuse "snapshot config: %s %s" field problem
+   | None -> ());
   let loaded =
-    match c.model, c.topology with
-    | "lr", "ring" ->
+    match family, c.topology with
+    | `Lr, "ring" ->
       let params = { LR.Automaton.n = c.n; g = c.g; k = c.k } in
       let pa = LR.Automaton.make params in
       let spec = LR.Symmetry.ring ~n:c.n () in
       let arena, sym = rebuild ~pa ~spec sections in
       Lr
         { LR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | "lr", (("line" | "star") as t) ->
+    | `Lr, t ->
       let topo =
         if t = "line" then LR.Topology.line c.n else LR.Topology.star c.n
       in
@@ -320,17 +317,14 @@ let instantiate sections =
       Lr_topo
         { LR.Proof.topo; tg = c.g; tk = c.k;
           texpl = Mdp.Arena.explored tarena; tarena; tsym }
-    | "lr", other -> refuse "snapshot config: unknown topology %S" other
-    | "election", _ ->
+    | `Election, _ ->
       let params = { IR.Automaton.n = c.n; g = c.g; k = c.k } in
       let pa = IR.Automaton.make params in
       let spec = IR.Symmetry.spec params in
       let arena, sym = rebuild ~pa ~spec sections in
       Election
         { IR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | "coin", _ ->
-      if c.bound < 1 then
-        refuse "snapshot config: bound=%d out of range" c.bound;
+    | `Coin, _ ->
       let params =
         { SC.Automaton.n = c.n; bound = c.bound; g = c.g; k = c.k }
       in
@@ -339,7 +333,7 @@ let instantiate sections =
       let arena, sym = rebuild ~pa ~spec sections in
       Coin
         { SC.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | "consensus", _ ->
+    | `Consensus, _ ->
       if Array.length c.initial <> c.n then
         refuse "snapshot config: %d initial estimates for n=%d"
           (Array.length c.initial) c.n;
@@ -352,7 +346,6 @@ let instantiate sections =
       Consensus
         { BO.Proof.params; initial = c.initial;
           expl = Mdp.Arena.explored arena; arena; sym }
-    | other, _ -> refuse "snapshot config: unknown model %S" other
   in
   (c, loaded)
 
@@ -384,22 +377,5 @@ let preload ?max_states ~path () =
   match load ~path with
   | Error e -> Error e
   | Ok (c, loaded) ->
-    let seeded =
-      match loaded with
-      | Lr i ->
-        Models.preload_lr ?max_states ~g:c.g ~k:c.k ~sym:c.sym ~n:c.n i
-      | Lr_topo i ->
-        Models.preload_lr_topo ?max_states ~g:c.g ~k:c.k ~sym:c.sym
-          ~topo:i.LR.Proof.topo i
-      | Election i ->
-        Models.preload_election ?max_states ~g:c.g ~k:c.k ~sym:c.sym
-          ~n:c.n i
-      | Coin i ->
-        Models.preload_coin ?max_states ~g:c.g ~k:c.k ~sym:c.sym ~n:c.n
-          ~bound:c.bound i
-      | Consensus i ->
-        Models.preload_consensus ?max_states ~g:c.g ~k:c.k ~sym:c.sym
-          ~n:c.n ~f:c.f ~cap:c.cap ~initial:c.initial i
-    in
-    ignore seeded;
+    ignore (Models.preload ?max_states ~sym:c.sym loaded);
     Ok (describe c loaded)

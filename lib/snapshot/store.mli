@@ -24,7 +24,9 @@
 (** The full parameter tuple of a snapshotted instance.  Fields that a
     model does not use hold its conventional defaults ([topology] is
     ["ring"], [bound]/[cap]/[f] are [0], [initial] is [[||]]), so one
-    record covers all case studies. *)
+    record covers all case studies.  Loading accepts exactly the
+    parameters {!Models.invalid} accepts -- what [prtb compile] can
+    write -- plus a consensus [initial] of length [n]. *)
 type config = {
   model : string;  (** ["lr"], ["election"], ["coin"] or ["consensus"] *)
   n : int;
@@ -38,13 +40,18 @@ type config = {
   sym : Analysis.Symmetry.mode;  (** exploration mode when compiled *)
 }
 
-(** A loaded instance, ready for the same engines the builders feed. *)
-type loaded =
+(** A loaded instance, ready for the same engines the builders feed:
+    the registry's own instance type. *)
+type loaded = Models.instance =
   | Lr of Lehmann_rabin.Proof.instance
   | Lr_topo of Lehmann_rabin.Proof.topo_instance
   | Election of Itai_rodeh.Proof.instance
   | Coin of Shared_coin.Proof.instance
   | Consensus of Ben_or.Proof.instance
+
+(** The configuration [prtb compile] records for an instance resolved
+    from these parameters under [sym] ({!Models.normalize}). *)
+val config_of : sym:Analysis.Symmetry.mode -> Models.params -> config
 
 (** A one-line human description, e.g.
     ["lr n=4 g=1 k=1 sym=on (142 states)"]. *)
@@ -70,8 +77,9 @@ val of_string : string -> (config * loaded, string) result
 val load : path:string -> (config * loaded, string) result
 
 (** [preload ?max_states ~path] loads a snapshot and seeds the
-    {!Models} registry under the key the matching builder would use
-    with this [max_states] ceiling (pass the daemon's
+    {!Models} registry ({!Models.preload}) under the key
+    {!Models.resolve} uses for its parameters with this [max_states]
+    ceiling (pass the daemon's
     [config.max_states]).  [Ok description] on success -- also when
     the key was already cached, which keeps the existing entry --
     [Error] on refusal. *)

@@ -76,6 +76,15 @@ let cli args =
   | Unix.WEXITED 0 -> Buffer.contents buf
   | _ -> Alcotest.failf "%s failed" cmd
 
+(* A CLI run expected to fail: its exit code and its merged output. *)
+let cli_failing args =
+  let cmd = Filename.quote prtb_exe ^ " " ^ args ^ " 2>&1" in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "%s was killed" cmd
+
 (* ------------------------------------------------------------------ *)
 
 (* At rest the body is a fixed string: nothing in flight, so the
@@ -271,6 +280,38 @@ let test_simulate_deterministic () =
   Alcotest.(check string) "seeded runs agree" a.Server.Http.resp_body
     b.Server.Http.resp_body
 
+(* The CLI and /simulate share each family's Monte Carlo setup: a
+   reach estimate for every model, the same number for the same seed
+   and trials, and the same refusal of an lr-only scheduler. *)
+let test_simulate_matches_cli () =
+  let served =
+    parse_body (get "/simulate?model=coin&n=3&within=5&trials=500")
+  in
+  let estimate =
+    match member_exn [ "reach"; "estimate" ] served with
+    | J.Num f -> f
+    | other -> Alcotest.failf "not a number: %s" (J.to_string other)
+  in
+  let printed = cli "simulate coin -n 3 --within 5 --trials 500" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S carries the served estimate %.4f" printed estimate)
+    true
+    (Astring.String.is_infix ~affix:(Printf.sprintf "~ %.4f " estimate)
+       printed);
+  let code, out = cli_failing "simulate coin --scheduler eager" in
+  Alcotest.(check bool) "eager on coin fails" true (code <> 0);
+  Alcotest.(check bool) "names the scheduler" true
+    (Astring.String.is_infix ~affix:"eager" out)
+
+(* Parameters outside a family's range are a named usage error, not an
+   uncaught exception (cmdliner's exit 125). *)
+let test_cli_refuses_out_of_range () =
+  let code, out = cli_failing "check lr -n 1" in
+  Alcotest.(check bool) "fails" true (code <> 0);
+  Alcotest.(check bool) "not an uncaught exception" true (code <> 125);
+  Alcotest.(check bool) (out ^ " names -n") true
+    (Astring.String.is_infix ~affix:"-n must be at least 2" out)
+
 let test_lint_served () =
   let r = get "/lint?target=example:race" in
   Alcotest.(check int) "200" 200 r.Server.Http.status;
@@ -348,6 +389,10 @@ let test_structured_errors () =
       ("/check?model=lr&n=-2", 400, "SRV103");
       ("/check?model=coin&topology=line", 400, "SRV103");
       ("/simulate?model=coin&scheduler=eager", 400, "SRV103");
+      ("/check?model=lr&n=1", 400, "SRV103");
+      ("/check?model=election&n=1", 400, "SRV103");
+      ("/cert?model=lr&n=1", 400, "SRV103");
+      ("/simulate?model=lr&n=1", 400, "SRV103");
       ("/lint?target=unknown", 404, "SRV104");
       ("/health?sleep_ms=90000", 400, "SRV103") ];
   let r = get ~meth:"POST" ~body:"{not json" "/check" in
@@ -669,6 +714,10 @@ let test_batch_errors () =
     r.Server.Http.status;
   Alcotest.(check bool) "element errors name their index" true
     (Astring.String.is_prefix ~affix:"query 0:" (message r));
+  let r = posted "{\"queries\":[{\"model\":\"lr\",\"n\":1}]}" in
+  Alcotest.(check string) "out-of-range element is SRV103" "SRV103" (code r);
+  Alcotest.(check bool) "out-of-range element names its index" true
+    (Astring.String.is_prefix ~affix:"query 0:" (message r));
   let r = posted "{\"queries\":[42]}" in
   Alcotest.(check bool) "non-object element names its index" true
     (Astring.String.is_prefix ~affix:"query 0:" (message r));
@@ -713,6 +762,10 @@ let () =
             test_text_consensus_uses_registry;
           Alcotest.test_case "simulate deterministic + cached" `Quick
             test_simulate_deterministic;
+          Alcotest.test_case "simulate: CLI reach == served" `Quick
+            test_simulate_matches_cli;
+          Alcotest.test_case "CLI refuses out-of-range parameters" `Quick
+            test_cli_refuses_out_of_range;
           Alcotest.test_case "lint served" `Quick test_lint_served;
           Alcotest.test_case "budget exhaustion verdict" `Quick
             test_budget_exhausted_verdict;

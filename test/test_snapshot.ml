@@ -177,6 +177,75 @@ let test_roundtrip_consensus () =
          (BO.Proof.decision_curve loaded ~rounds:[ 1; 2 ]))
   | _, _ -> Alcotest.fail "consensus decoded to another model"
 
+(* Coin runs at n = 1, so a snapshot of it loads: the store accepts
+   exactly what [prtb compile] can write. *)
+let test_roundtrip_coin_one () =
+  let p =
+    { Models.family = `Coin; n = 1; g = 1; k = 1; topology = "ring";
+      bound = 4; cap = 2 }
+  in
+  let fresh = Models.resolve p in
+  match reload (Store.config_of ~sym:Analysis.Symmetry.Off p) fresh with
+  | c, Store.Coin loaded ->
+    Alcotest.(check int) "n" 1 c.Store.n;
+    (match fresh with
+     | Store.Coin fresh ->
+       check_arena "coin n=1" ~fresh:fresh.SC.Proof.arena
+         ~loaded:loaded.SC.Proof.arena
+     | _ -> Alcotest.fail "coin resolved to another model")
+  | _, _ -> Alcotest.fail "coin n=1 decoded to another model"
+
+(* ----------------------------------------------------------------- *)
+(* Preloading: a saved snapshot seeds the registry under exactly the
+   key the service resolves, for every instance kind -- the served
+   bodies then cost no exploration and no compile, and match a cold
+   build's bytes. *)
+
+let clear_registry () =
+  Models.set_capacity (Some 1);
+  Models.set_capacity None
+
+let test_preload_keys () =
+  let max_states = Server.Service.default_max_states in
+  let query model ?(n = 3) ?(topology = "ring") ?(bound = 2) ?(cap = 2) sym =
+    { Server.Protocol.model; n; g = 1; k = 1; topology; bound; cap;
+      max_states = None; sym; plane = "interval"; deadline_ms = None }
+  in
+  let path = Filename.temp_file "prtb-preload" ".prtba" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       List.iter
+         (fun (name, (q : Server.Protocol.check_query)) ->
+            let bodies () =
+              ( Analysis.Json.to_string (Server.Service.check_json q),
+                Analysis.Json.to_string (Server.Service.cert_json q) )
+            in
+            clear_registry ();
+            let cold = bodies () in
+            let sym = Option.get (Analysis.Symmetry.mode_of_string q.sym) in
+            let p = Server.Protocol.params q in
+            Store.save ~path (Store.config_of ~sym p)
+              (Models.resolve ~max_states ~sym p);
+            clear_registry ();
+            (match Store.preload ~max_states ~path () with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "%s: preload refused: %s" name e);
+            let before = Models.stats () in
+            let warm = bodies () in
+            let after = Models.stats () in
+            Alcotest.(check int) (name ^ ": no exploration")
+              before.Models.explorations after.Models.explorations;
+            Alcotest.(check int) (name ^ ": no compile")
+              before.Models.compiles after.Models.compiles;
+            Alcotest.(check (pair string string)) (name ^ ": cold bodies")
+              cold warm)
+         [ ("lr ring", query `Lr "off");
+           ("lr line", query `Lr ~topology:"line" "off");
+           ("election", query `Election "on");
+           ("coin", query `Coin "off");
+           ("consensus", query `Consensus ~cap:1 "on") ])
+
 (* ----------------------------------------------------------------- *)
 (* Refusals. *)
 
@@ -254,7 +323,11 @@ let () =
           Alcotest.test_case "lr line" `Quick test_roundtrip_lr_line;
           Alcotest.test_case "election" `Quick test_roundtrip_election;
           Alcotest.test_case "coin" `Quick test_roundtrip_coin;
-          Alcotest.test_case "consensus" `Quick test_roundtrip_consensus ] );
+          Alcotest.test_case "consensus" `Quick test_roundtrip_consensus;
+          Alcotest.test_case "coin n=1" `Quick test_roundtrip_coin_one ] );
+      ( "preload",
+        [ Alcotest.test_case "keys match the resolver" `Quick
+            test_preload_keys ] );
       ( "refusal",
         [ Alcotest.test_case "version skew" `Quick test_refuse_version_skew;
           Alcotest.test_case "truncation" `Quick test_refuse_truncation;
