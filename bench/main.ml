@@ -122,8 +122,7 @@ let bench_tests () =
   let arena_sweep =
     Test.make ~name:"arena:sweep max_reach exact plane (13 ticks, n=3)"
       (Staged.stage (fun () ->
-           Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Exact arena
-             ~target:lr3_target ~ticks:13))
+           Mdp.Finite_horizon.max_reach arena ~target:lr3_target ~ticks:13))
   in
   (* The interval plane, measured on its own: the certified two-sided
      VI bracket that only the interval plane can produce. *)
@@ -175,8 +174,7 @@ let bench_tests () =
     Test.make ~name:"engine:A.11 with pure rationals (n=3)"
       (Staged.stage (fun () ->
            let target = Mdp.Arena.indicator arena LR.Regions.p in
-           Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact arena ~target
-             ~ticks:5))
+           Mdp.Finite_horizon.min_reach arena ~target ~ticks:5))
   in
   let substrate =
     let a = Proba.Bigint.of_string "123456789123456789123456789" in
@@ -436,7 +434,7 @@ let baseline_rows path =
    the subsystem kernels whose fast paths the suite also exercises
    (symmetry canonicalization, the certified lr4 orbit quotient, the
    served degraded path, the snapshot cold load, the chaos round, the
-   certificate emit/verify pipeline and the interval-plane kernel).
+   certificate emit/verify pipeline and the interval VI bracket).
    The substrate and sim micro-benchmarks are too jittery for even a
    coarse CI gate. *)
 let guarded_prefixes =

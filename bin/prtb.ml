@@ -57,14 +57,17 @@ let deadline_arg ~doc =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"After the command, print how much exploration and                  compilation work the model registry actually performed                  (CI asserts [prtb check lr --stats] reports one                  exploration and one arena compile).")
+           ~doc:"After the command, print how much exploration and \
+                 compilation work the model registry actually performed, \
+                 and how many tick layers the reach engine solved (CI \
+                 asserts [prtb check lr --stats] reports one exploration, \
+                 one arena compile and 18 tick layers).")
 
 let report_stats enabled =
   if enabled then begin
     Format.printf "%a@." Models.pp_stats (Models.stats ());
-    (* second line: how much exact work the interval plane proved
-       skippable (all zeros when running --plane exact) *)
-    Format.printf "%a@." Mdp.Plane.pp_stats (Mdp.Plane.stats ())
+    Format.printf "reach: tick layers: %d@."
+      (Mdp.Finite_horizon.layers_solved ())
   end
 
 (* ----------------------------------------------------------------- *)
@@ -165,14 +168,12 @@ let plane_arg =
                      ("exact", Mdp.Plane.Exact) ])
            Mdp.Plane.Interval
        & info [ "plane" ] ~docv:"PLANE"
-           ~doc:"Probability plane the threshold engines consult first: \
-                 $(b,interval) (default) sweeps outward-rounded double \
-                 intervals and falls back to exact rationals only on \
-                 the residue the intervals cannot decide; $(b,exact) \
-                 disables the interval oracle entirely.  Verdicts and \
-                 bounds are bit-identical either way -- the flag is an \
-                 escape hatch and a differential-testing lever \
-                 (--stats reports how much exact work was skipped).")
+           ~doc:"Probability-plane label of the query: $(b,interval) \
+                 (default) or $(b,exact).  It selects nothing: every \
+                 reach engine computes in exact rationals, so reports \
+                 and --format json are byte-identical either way.  \
+                 --emit-cert records it in each certificate leaf, as \
+                 $(b,prtb serve) records its $(b,plane) field.")
 
 let check_lr_faults n g k faults budget release seed =
   Printf.printf
@@ -282,10 +283,6 @@ let check_format_arg =
                  parameters (byte for byte); $(b,text) is the \
                  human-readable report.")
 
-let plane_to_string = function
-  | Mdp.Plane.Interval -> "interval"
-  | Mdp.Plane.Exact -> "exact"
-
 (* The parameters as given, refused naming the flag when the family
    does not accept them ([Models.invalid]) -- before anything builds. *)
 let valid (p : Models.params) =
@@ -310,7 +307,7 @@ let cli_check_query (p : Models.params) sym plane deadline =
     k = p.Models.k; topology = p.Models.topology; bound = p.Models.bound;
     cap = p.Models.cap; max_states = None;
     sym = Analysis.Symmetry.mode_to_string sym;
-    plane = plane_to_string plane;
+    plane = Mdp.Plane.to_string plane;
     deadline_ms = deadline }
 
 (* --emit-cert prints the /cert body.  A non-certificate header
@@ -352,7 +349,6 @@ let check_cmd =
   let run domains stats format plane emit_cert system n g k topology bound
       cap sym faults budget release seed deadline =
     install_domains domains;
-    Mdp.Plane.set_default plane;
     try
       let p = cli_params system n g k topology bound cap in
       let query () = cli_check_query p sym plane deadline in

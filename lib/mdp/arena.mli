@@ -82,9 +82,11 @@ val assemble :
     arrays in branch order: [lo.(o) <= prob_q.(o) <= hi.(o)] with
     correctly-rounded directed endpoints (equal whenever the
     probability is a finite double, which covers all dyadic models).
-    Computed from [prob_q] on first use and memoized: the memo is a
-    write-once [Atomic], so racing domains both compute the identical
-    plane and one copy wins. *)
+    Its one consumer is the certified expected-time bracket,
+    {!Expected_time.max_expected_ticks_interval}; the reach engines
+    never build it.  Computed from [prob_q] on first use and memoized:
+    the memo is a write-once [Atomic], so racing domains both compute
+    the identical plane and one copy wins. *)
 val interval_plane : ('s, 'a) t -> float array * float array
 
 (** The strongly connected components of the zero-time (non-tick) step

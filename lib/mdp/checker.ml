@@ -24,13 +24,10 @@ let min_prob_over a values pred =
   done;
   (!best, !witness, !count)
 
-(* [?plane] only selects the sweeping strategy of the backward
-   induction; [attained] (which is embedded in the evidence string) is
-   bit-identical on either plane. *)
-let check_arrow ?plane a ~granularity ~schema ~pre ~post ~time ~prob =
+let check_arrow a ~granularity ~schema ~pre ~post ~time ~prob =
   let ticks = Core.Timed.within ~granularity ~time in
   let target = Arena.indicator a post in
-  let values = Finite_horizon.min_reach ?plane a ~target ~ticks in
+  let values = Finite_horizon.min_reach a ~target ~ticks in
   let attained, witness, pre_states = min_prob_over a values pre in
   let claim =
     if Q.geq attained prob then

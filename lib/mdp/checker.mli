@@ -24,13 +24,8 @@ type ('s, 'a) result = {
     induction over [Core.Timed.within ~granularity ~time] ticks.
     [granularity] is the number of ticks per paper time unit; tick
     structure comes from the arena's precomputed mask.  Raises
-    [Invalid_argument] if [time * granularity] is not integral.
-
-    [?plane] is forwarded to {!Finite_horizon.min_reach}; the verdict,
-    [attained], and the evidence string are bit-identical on either
-    plane. *)
+    [Invalid_argument] if [time * granularity] is not integral. *)
 val check_arrow :
-  ?plane:Plane.t ->
   ('s, 'a) Arena.t -> granularity:int ->
   schema:Core.Schema.t -> pre:'s Core.Pred.t -> post:'s Core.Pred.t ->
   time:Proba.Rational.t -> prob:Proba.Rational.t -> ('s, 'a) result

@@ -24,34 +24,23 @@
     make every minimum trivially zero; the timing schemas of the paper
     (e.g. [Unit-Time]) likewise force time to keep flowing.
 
-    Every engine is sequential and reads the arena's probability
-    planes directly (the exact plane for rationals, the interval plane
-    for the guided oracle); branch order is the exploration order, so
-    values are bit-identical to the historical path that converted per
-    call. *)
+    There is one engine.  It is sequential, computes in exact
+    rationals and reads the arena's exact probability plane directly;
+    branch order is the exploration order, so values are bit-identical
+    to the historical path that converted per call. *)
 
 exception No_convergence of string
 
 (** [min_reach arena ~target ~ticks] gives, per state index, the
     minimum over all adversaries of the probability that a [target]
     state is visited within [ticks] ticks (a state already in [target]
-    has value 1).  Raises [Invalid_argument] if [ticks < 0].
-
-    [?plane] (default: {!Plane.get_default}) selects the sweeping
-    strategy; the returned rationals are bit-identical either way.
-    Under {!Plane.Interval} each layer runs an outward-rounded
-    interval fixpoint first and recomputes exactly only the residue
-    states whose interval stayed wide (see docs/PERFORMANCE.md).
-    Under {!Plane.Exact} every layer is solved in rational arithmetic
-    over the exact plane. *)
+    has value 1).  Raises [Invalid_argument] if [ticks < 0]. *)
 val min_reach :
-  ?plane:Plane.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
 
 (** Maximum over all adversaries (best-case scheduling). *)
 val max_reach :
-  ?plane:Plane.t ->
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
 
@@ -62,3 +51,8 @@ val max_reach :
 val min_reach_with_policy :
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array * int array array
+
+(** Tick layers solved so far by this process, across every entry
+    point above and every domain: the engine's unit of work, printed
+    by [prtb check --stats]. *)
+val layers_solved : unit -> int

@@ -1,8 +1,8 @@
 (* The fixpoints below walk the arena's CSR rows directly:
    [step_off] gives each state's step range, [out_off] each step's
    branch range, and [tgt] the branch targets.  Probabilities are
-   irrelevant here (only support membership matters), so neither plane
-   is read. *)
+   irrelevant here (only support membership matters), so no
+   probability plane is read. *)
 
 (* Does step [k] keep all its mass inside [s]? *)
 let step_stays_in (a : _ Arena.t) s k =

@@ -18,9 +18,8 @@
     while avoiding the target (least fixpoint).
 
     These fixpoints are support-only: they read the transition
-    {e structure}, never a probability plane, so {!Plane} gating does
-    not apply here -- the qualitative pass is already free of exact
-    arithmetic and is shared verbatim by both planes. *)
+    {e structure}, never a probability plane, so the qualitative pass
+    is free of exact arithmetic. *)
 
 (** [always_reaches arena ~target] is the boolean vector of states where
     [Pmin(eventually target) = 1].  Terminal states count as staying

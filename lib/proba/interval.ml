@@ -2,11 +2,9 @@
 
    An interval [{lo; hi}] encloses an exact real: every operation
    rounds its lower endpoint down and its upper endpoint up, so the
-   enclosure is preserved without ever touching exact arithmetic.  The
-   engines use intervals as a sound oracle: a *point* interval
-   (lo = hi, finite) pins the enclosed value to exactly one rational
-   ([Rational.of_float_exact]), letting them skip the exact
-   recomputation entirely; a wide interval marks residue work.
+   enclosure is preserved without ever touching exact arithmetic.  A
+   *point* interval (lo = hi, finite) pins the enclosed value to
+   exactly one rational ([Rational.of_float_exact]).
 
    OCaml gives no access to the FPU rounding mode, so the directed
    helpers below recover each operation's exact residual

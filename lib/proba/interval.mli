@@ -2,12 +2,10 @@
 
     A value [{lo; hi}] encloses an exact real; every operation rounds
     [lo] down and [hi] up, so enclosures are preserved using nothing
-    but double arithmetic.  The checking engines sweep this plane
-    first and fall back to exact rationals only where the interval
-    stayed wide: a {e point} interval ([lo = hi], finite) contains
-    exactly one real, and that real is a dyadic rational recoverable
-    with {!Rational.of_float_exact} — so point results pin exact
-    values without any Bigint work.
+    but double arithmetic.  A {e point} interval ([lo = hi], finite)
+    contains exactly one real, and that real is a dyadic rational
+    recoverable with {!Rational.of_float_exact}.  The certified
+    expected-time bracket of value iteration sweeps this plane.
 
     The directed helpers are {e correctly rounded} wherever the
     operation's residual is exactly representable (always for [+.];

@@ -43,11 +43,12 @@ type check_query = {
   max_states : int option;  (** client ceiling; the server clamps it *)
   sym : string;  (** ["auto"], ["on"] or ["off"] (default) *)
   plane : string;
-      (** ["interval"] (default) or ["exact"]: which arithmetic plane
-          the engines consult.  A canonical cache-key dimension like
-          [sym] -- it never changes a verdict, but [/cert] bodies
-          record it in every leaf's configuration, so entries must not
-          be shared across planes. *)
+      (** ["interval"] (default) or ["exact"]: a recorded label that
+          selects nothing, since every engine computes in exact
+          rationals.  A canonical cache-key dimension like [sym]: it
+          never changes a [/check] byte, but [/cert] bodies record it
+          in every leaf's configuration, so entries must not be shared
+          across planes. *)
   deadline_ms : int option;
       (** wall deadline for the whole request; on expiry the answer
           degrades (SRV122) instead of erroring.  Not a cache-key

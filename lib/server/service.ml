@@ -94,11 +94,6 @@ let sym_mode s =
   Option.value (Analysis.Symmetry.mode_of_string s)
     ~default:Analysis.Symmetry.Off
 
-(* Validated by [Protocol.plane_field]. *)
-let plane_mode = function
-  | "exact" -> Mdp.Plane.Exact
-  | _ -> Mdp.Plane.Interval
-
 (* Run [compute] under a wall deadline of [deadline_ms], when there is
    one; on expiry the answer is [expired ms reason]. *)
 let under_deadline deadline_ms ~expired compute =
@@ -137,15 +132,14 @@ let ceiling max_states (c : Protocol.check_query) =
   | Some client -> Stdlib.min client max_states
   | None -> max_states
 
-(* [body] of the query's instance, resolved under the query's plane; a
-   state ceiling or a failed symmetry certification answers SRV120 or
-   SRV121 under [schema] instead. *)
+(* [body] of the query's instance; a state ceiling or a failed
+   symmetry certification answers SRV120 or SRV121 under [schema]
+   instead. *)
 let exact ~schema ~max_states (c : Protocol.check_query) body =
   try
-    Mdp.Plane.with_ambient (plane_mode c.Protocol.plane) (fun () ->
-        body
-          (Models.resolve ~max_states ~sym:(sym_mode c.Protocol.sym)
-             (Protocol.params c)))
+    body
+      (Models.resolve ~max_states ~sym:(sym_mode c.Protocol.sym)
+         (Protocol.params c))
   with
   | Mdp.Explore.Too_many_states m ->
     header ~schema ~verdict:"exhausted" c

@@ -454,6 +454,7 @@ let case_studies ~sym =
         ticks = 4 } ]
 
 let fixtures = lazy (case_studies ~sym:Analysis.Symmetry.Off)
+let quotients = lazy (case_studies ~sym:Analysis.Symmetry.On)
 
 (* Structural equality, not [Q.equal]: the claim is bit-identity of
    the representation, which is strictly stronger. *)
@@ -481,9 +482,9 @@ let check_int_arrays name (expected : int array) (got : int array) =
   Alcotest.(check (array int)) name expected got
 
 (* ------------------------------------------------------------------ *)
-(* Finite horizon: the default and rational-only engines, without and
-   with a session pool of every size [--domains] accepts in the test
-   matrix. *)
+(* Finite horizon: the reach engine on the case studies and on their
+   orbit quotients, without and with a session pool of every size
+   [--domains] accepts in the test matrix. *)
 
 let pools = [ None; Some 1; Some 2; Some 3 ]
 
@@ -493,12 +494,13 @@ let pool_label = function
 
 let test_reach_differential () =
   List.iter
-    (fun (Fixture f) ->
+    (fun (label, Fixture f) ->
        List.iter
          (fun d ->
             with_session_pool d (fun () ->
                 let ctx what =
-                  Printf.sprintf "%s %s (%s)" f.name what (pool_label d)
+                  Printf.sprintf "%s%s %s (%s)" label f.name what
+                    (pool_label d)
                 in
                 check_q_arrays (ctx "min_reach")
                   (Legacy.min_reach f.expl ~is_tick:f.is_tick
@@ -511,22 +513,8 @@ let test_reach_differential () =
                   (Mdp.Finite_horizon.max_reach f.arena
                      ~target:f.target ~ticks:f.ticks)))
          pools)
-    (Lazy.force fixtures)
-
-let test_rational_only_differential () =
-  (* The exact plane skips the interval oracle and runs the pure-[Q]
-     engine; one model suffices to pin its inner loop. *)
-  List.iter
-    (fun d ->
-       with_session_pool d (fun () ->
-           let (Fixture f) = List.hd (Lazy.force fixtures) in
-           check_q_arrays
-             (Printf.sprintf "lr exact-plane min_reach (%s)" (pool_label d))
-             (Legacy.min_reach f.expl ~is_tick:f.is_tick
-                ~target:f.target ~ticks:f.ticks)
-             (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact f.arena
-                ~target:f.target ~ticks:f.ticks)))
-    pools
+    (List.map (fun fx -> ("", fx)) (Lazy.force fixtures)
+     @ List.map (fun fx -> ("quotient ", fx)) (Lazy.force quotients))
 
 (* A step-bounded question is a tick-bounded one on the fragment
    compiled with every step a tick: the legacy step engine and the
@@ -750,159 +738,8 @@ let test_registry_memoizes () =
     (after.Models.cache_hits > before.Models.cache_hits)
 
 (* ------------------------------------------------------------------ *)
-(* Probability planes: the interval oracle must never change an
-   answer.  [test_reach_differential] above already pins the session
-   default (interval) against the legacy engines; these pin the two
-   planes against each other explicitly -- full models with and
-   without a session pool, budgeted partial fragments, the certified
-   orbit quotient, a non-dyadic model where the oracle leaves residue,
-   and the refusal path. *)
-
-let test_plane_reach_differential () =
-  List.iter
-    (fun (Fixture f) ->
-       List.iter
-         (fun d ->
-            with_session_pool d (fun () ->
-                let ctx what =
-                  Printf.sprintf "%s %s planes (%s)" f.name what (pool_label d)
-                in
-                check_q_arrays (ctx "min_reach")
-                  (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact
-                     f.arena ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach
-                     ~plane:Mdp.Plane.Interval f.arena ~target:f.target
-                     ~ticks:f.ticks);
-                check_q_arrays (ctx "max_reach")
-                  (Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Exact
-                     f.arena ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach
-                     ~plane:Mdp.Plane.Interval f.arena ~target:f.target
-                     ~ticks:f.ticks)))
-         pools)
-    (Lazy.force fixtures)
-
-let test_plane_partial_fragment () =
-  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
-  let partial =
-    Mdp.Explore.run_budgeted ~budget:(Core.Budget.v ~max_states:500 ()) pa
-  in
-  let expl = partial.Mdp.Explore.fragment in
-  let arena = Mdp.Arena.compile ~is_tick:LR.Automaton.is_tick expl in
-  let target = Mdp.Explore.indicator expl LR.Regions.c in
-  check_q_arrays "partial min_reach planes"
-    (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact arena ~target
-       ~ticks:4)
-    (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Interval arena ~target
-       ~ticks:4);
-  check_q_arrays "partial max_reach planes"
-    (Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Exact arena ~target
-       ~ticks:4)
-    (Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Interval arena ~target
-       ~ticks:4)
-
-let test_plane_sym_quotient () =
-  (* The orbit quotient's weights are orbit-summed, so this also runs
-     the planes over non-trivial (but still dyadic) merged branches. *)
-  let inst = LR.Proof.build ~sym:Analysis.Symmetry.On ~n:3 () in
-  let arena = inst.LR.Proof.arena in
-  let target = Mdp.Arena.indicator arena LR.Regions.c in
-  check_q_arrays "sym-on min_reach planes"
-    (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Exact arena ~target
-       ~ticks:5)
-    (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Interval arena ~target
-       ~ticks:5)
-
-(* A model whose probabilities are not dyadic: 1/3 has no finite
-   binary expansion, so its interval is one ulp wide, layer values stay
-   wide, and the oracle must hand those states to the exact engine
-   (the rational engine of the exact plane). *)
-type third_state = TA | TB | TGoal
-
-let third_arena =
-  lazy
-    (let enabled = function
-       | TA ->
-         (* best value 1/3*0 + 2/3*1 = 2/3: no finite binary expansion,
-            so the layer never closes to a point at TA *)
-         [ { Core.Pa.action = "roll";
-             dist =
-               Proba.Dist.make
-                 [ (TB, Q.of_ints 1 3); (TGoal, Q.of_ints 2 3) ] };
-           { Core.Pa.action = "tick"; dist = Proba.Dist.point TA } ]
-       | TB -> []
-       | TGoal -> []
-     in
-     let pa = Core.Pa.make ~start:[ TA ] ~enabled () in
-     let arena = Mdp.Arena.of_pa ~is_tick:(fun a -> a = "tick") pa in
-     let target =
-       Mdp.Arena.indicator arena
-         (Core.Pred.make "goal" (fun s -> s = TGoal))
-     in
-     (arena, target))
-
-let test_plane_nondyadic_residue () =
-  let arena, target = Lazy.force third_arena in
-  Mdp.Plane.reset_stats ();
-  let vi =
-    Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Interval arena ~target
-      ~ticks:2
-  in
-  let ve =
-    Mdp.Finite_horizon.max_reach ~plane:Mdp.Plane.Exact arena ~target
-      ~ticks:2
-  in
-  check_q_arrays "non-dyadic planes" ve vi;
-  let s = Mdp.Plane.stats () in
-  Alcotest.(check bool) "oracle ran" true (s.Mdp.Plane.interval_passes > 0);
-  Alcotest.(check bool) "1/3 values leave residue" true
-    (s.Mdp.Plane.residue_states > 0)
-
-let test_plane_stats_dyadic_all_points () =
-  let (Fixture f) = List.hd (Lazy.force fixtures) in
-  Mdp.Plane.reset_stats ();
-  ignore
-    (Mdp.Finite_horizon.min_reach ~plane:Mdp.Plane.Interval f.arena
-       ~target:f.target ~ticks:f.ticks);
-  let s = Mdp.Plane.stats () in
-  Alcotest.(check bool) "passes recorded" true
-    (s.Mdp.Plane.interval_passes > 0);
-  Alcotest.(check bool) "points recorded" true (s.Mdp.Plane.point_states > 0);
-  (* Every weight of the LR arena is dyadic, so the correctly-rounded
-     interval plane decides every state: zero residue, zero fallbacks. *)
-  Alcotest.(check int) "no residue" 0 s.Mdp.Plane.residue_states;
-  Alcotest.(check int) "no fallbacks" 0 s.Mdp.Plane.exact_fallbacks
-
-let test_plane_no_convergence () =
-  (* The zero-time probabilistic cycle must be refused on BOTH planes:
-     the diverging layer iterates are strictly monotone, so they never
-     collapse to a point and the interval pass cannot mask the
-     refusal. *)
-  let module Bad = struct
-    type state = S | Goal
-
-    let enabled = function
-      | S ->
-        [ { Core.Pa.action = "flip"; dist = Proba.Dist.coin S Goal };
-          { Core.Pa.action = "tick"; dist = Proba.Dist.point S } ]
-      | Goal -> []
-
-    let pa = Core.Pa.make ~start:[ S ] ~enabled ()
-  end in
-  let arena = Mdp.Arena.of_pa ~is_tick:(fun a -> a = "tick") Bad.pa in
-  let target =
-    Mdp.Arena.indicator arena (Core.Pred.make "goal" (fun s -> s = Bad.Goal))
-  in
-  List.iter
-    (fun plane ->
-       Alcotest.(check bool)
-         (Printf.sprintf "refuses on %s" (Mdp.Plane.to_string plane))
-         true
-         (try
-            ignore (Mdp.Finite_horizon.max_reach ~plane arena ~target ~ticks:1);
-            false
-          with Mdp.Finite_horizon.No_convergence _ -> true))
-    [ Mdp.Plane.Interval; Mdp.Plane.Exact ]
+(* The interval plane: its one consumer is the certified two-sided
+   bracket of expected-time value iteration. *)
 
 let test_interval_vi_bracket () =
   let (Fixture f) = List.hd (Lazy.force fixtures) in
@@ -922,7 +759,7 @@ let test_interval_vi_bracket () =
     v
 
 (* ------------------------------------------------------------------ *)
-(* Layer schedule: the sequential engines solve a tick layer in one walk
+(* Layer schedule: the sequential engine solves a tick layer in one walk
    over [Arena.zero_time], where [Legacy] sweeps the whole fragment in
    index order until nothing moves.  The values must be bit-identical,
    and [No_convergence] must be raised exactly where [Legacy] raises
@@ -930,7 +767,7 @@ let test_interval_vi_bracket () =
    these toys are built to break the walk instead. *)
 
 let toy name ?(ticks = 4) ~goal pa =
-  let is_tick (act, _) = act = "tick" in
+  let is_tick = Test_support.Random_pa.is_tick in
   let expl = Mdp.Explore.run pa in
   Fixture
     { name;
@@ -973,8 +810,8 @@ let schedule_fixtures =
             | 1 -> []
             | 2 -> [ step "tick" (coin 0 3); step "go" (point 1) ]
             | _ -> []));
-       (* non-dyadic: the interval plane leaves residue for the
-          rational engine *)
+       (* non-dyadic weights: no value past the first layer is a
+          dyadic rational *)
        toy "1/3 weights" ~goal:(( = ) 4)
          (pa (function
             | 3 -> [ step "tick" (point 0) ]
@@ -1015,8 +852,7 @@ let check_outcome check name expected got =
   | Values _, Refused -> Alcotest.failf "%s: refused, the reference closes" name
   | Refused, Values _ -> Alcotest.failf "%s: closes, the reference refuses" name
 
-(* Every finite-horizon entry point against [Legacy]: both planes, min
-   and max. *)
+(* The finite-horizon engine against [Legacy]: min and max. *)
 let check_schedule ~label (Fixture f) =
   let ctx what = Printf.sprintf "%s %s (%s)" f.name what label in
   let legacy g =
@@ -1026,15 +862,10 @@ let check_schedule ~label (Fixture f) =
   let ours g =
     outcome (fun () -> g f.arena ~target:f.target ~ticks:f.ticks)
   in
-  let module FH = Mdp.Finite_horizon in
-  List.iter
-    (fun plane ->
-       let p = Mdp.Plane.to_string plane in
-       check_outcome check_q_arrays (ctx ("min_reach " ^ p))
-         (legacy Legacy.min_reach) (ours (FH.min_reach ~plane));
-       check_outcome check_q_arrays (ctx ("max_reach " ^ p))
-         (legacy Legacy.max_reach) (ours (FH.max_reach ~plane)))
-    [ Mdp.Plane.Interval; Mdp.Plane.Exact ]
+  check_outcome check_q_arrays (ctx "min_reach")
+    (legacy Legacy.min_reach) (ours Mdp.Finite_horizon.min_reach);
+  check_outcome check_q_arrays (ctx "max_reach")
+    (legacy Legacy.max_reach) (ours Mdp.Finite_horizon.max_reach)
 
 let test_schedule_differential () =
   List.iter
@@ -1057,49 +888,20 @@ let test_schedule_refusals () =
         (fun g ->
            outcome (fun () -> g f.arena ~target:f.target ~ticks:f.ticks)
            = Refused)
-        [ Mdp.Finite_horizon.min_reach ?plane:None;
-          Mdp.Finite_horizon.max_reach ?plane:None ]
+        [ Mdp.Finite_horizon.min_reach; Mdp.Finite_horizon.max_reach ]
   in
   Alcotest.(check (list bool)) "self-loop: min closes, max refused"
     [ false; true ] (refused "probabilistic self-loop");
   Alcotest.(check (list bool)) "Dirac cycle closes both ways" [ false; false ]
     (refused "Dirac zero-time cycle")
 
-(* Seeded random models: states [0 .. n-1] all start, so index = state.
-   Each state gets 0-3 steps; a step is a tick with probability 1/3 and
-   has 1-3 branches with dyadic or 1/3 weights.  Nothing keeps zero-time
-   cycles out: Dirac ones must close, probabilistic ones are refused
-   (or close, where the fixpoint is hit exactly) as [Legacy] does. *)
+(* The shared seeded generator ([Test_support.Random_pa]): 200 models
+   of 2-30 states with dyadic and 1/3 weights, deadlocks, and Dirac and
+   probabilistic zero-time cycles, each compiled with its goal and
+   horizon. *)
 let random_fixture seed =
-  let rng = Random.State.make [| seed |] in
-  let int n = Random.State.int rng n in
-  let n = 2 + int 29 in
-  let weights = function
-    | 1 -> [ Q.one ]
-    | 2 ->
-      if Random.State.bool rng then [ Q.of_ints 1 2; Q.of_ints 1 2 ]
-      else [ Q.of_ints 1 3; Q.of_ints 2 3 ]
-    | _ ->
-      if Random.State.bool rng then
-        [ Q.of_ints 1 2; Q.of_ints 1 4; Q.of_ints 1 4 ]
-      else [ Q.of_ints 1 3; Q.of_ints 1 3; Q.of_ints 1 3 ]
-  in
-  let steps =
-    Array.init n (fun _ ->
-        List.init (int 4) (fun k ->
-            let act = if int 3 = 0 then "tick" else "go" in
-            let branches = if int 3 = 0 then 1 + int 3 else 1 in
-            let targets =
-              List.sort_uniq compare (List.init branches (fun _ -> int n))
-            in
-            step ~k act
-              (Proba.Dist.make
-                 (List.combine targets (weights (List.length targets))))))
-  in
-  let goal = Array.init n (fun _ -> int 4 = 0) in
-  toy (Printf.sprintf "seed %d" seed) ~ticks:(int 4)
-    ~goal:(fun s -> goal.(s))
-    (Core.Pa.make ~start:(List.init n Fun.id) ~enabled:(fun s -> steps.(s)) ())
+  let m = Test_support.Random_pa.make seed in
+  toy m.name ~ticks:m.ticks ~goal:(Core.Pred.mem m.goal) m.pa
 
 let random_fixtures = lazy (List.init 200 random_fixture)
 
@@ -1387,7 +1189,6 @@ let check_vi ~label (Fixture f) =
     [ 1_000_000; 0; 1; 3 ]
 
 let test_vi_skips_settled () =
-  let quotient = case_studies ~sym:Analysis.Symmetry.On in
   let g2 = Models.lr ~sym:Analysis.Symmetry.On ~g:2 ~n:3 () in
   let g2 =
     Fixture
@@ -1399,7 +1200,7 @@ let test_vi_skips_settled () =
         ticks = 5 }
   in
   List.iter (check_vi ~label:"") (Lazy.force fixtures);
-  List.iter (check_vi ~label:"quotient ") (g2 :: quotient);
+  List.iter (check_vi ~label:"quotient ") (g2 :: Lazy.force quotients);
   List.iter (check_vi ~label:"")
     (Lazy.force schedule_fixtures @ Lazy.force random_fixtures)
 
@@ -1410,8 +1211,6 @@ let () =
     [ ( "differential",
         [ Alcotest.test_case "finite horizon (all engines, all pools)" `Quick
             test_reach_differential;
-          Alcotest.test_case "rational-only engine" `Quick
-            test_rational_only_differential;
           Alcotest.test_case "step-bounded" `Quick
             test_reach_steps_differential;
           Alcotest.test_case "minimizing policy" `Quick
@@ -1425,18 +1224,7 @@ let () =
           Alcotest.test_case "budgeted partial fragment" `Quick
             test_partial_fragment_differential ] );
       ( "plane",
-        [ Alcotest.test_case "interval vs exact (all pools)" `Quick
-            test_plane_reach_differential;
-          Alcotest.test_case "partial fragment" `Quick
-            test_plane_partial_fragment;
-          Alcotest.test_case "orbit quotient" `Quick test_plane_sym_quotient;
-          Alcotest.test_case "non-dyadic residue" `Quick
-            test_plane_nondyadic_residue;
-          Alcotest.test_case "dyadic stats all points" `Quick
-            test_plane_stats_dyadic_all_points;
-          Alcotest.test_case "no-convergence refusal" `Quick
-            test_plane_no_convergence;
-          Alcotest.test_case "interval VI bracket" `Quick
+        [ Alcotest.test_case "interval VI bracket" `Quick
             test_interval_vi_bracket ] );
       ( "schedule",
         [ Alcotest.test_case "toys vs legacy (all engines, all pools)" `Quick

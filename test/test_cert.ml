@@ -393,27 +393,27 @@ let test_compose_coin () =
     ~precomputed:(SC.Proof.compose_arrows (SC.Proof.arrows inst))
     ~composed:(SC.Proof.composed inst)
 
-(* Interval-plane passes are the checker's unit of work: a /check body
-   costs its arrows once plus the direct bound and the expected time,
-   with no second round of arrow checks for the composed claim. *)
+(* Tick layers are the checker's unit of work: a /check body costs its
+   arrows once plus the direct bound and the expected time, with no
+   second round of arrow checks for the composed claim. *)
 let test_check_json_checks_arrows_once () =
-  let passes f =
-    let before = (Mdp.Plane.stats ()).Mdp.Plane.interval_passes in
+  let layers f =
+    let before = Mdp.Finite_horizon.layers_solved () in
     ignore (Sys.opaque_identity (f ()));
-    (Mdp.Plane.stats ()).Mdp.Plane.interval_passes - before
+    Mdp.Finite_horizon.layers_solved () - before
   in
   let inst = Models.lr ~n:3 () in
   let q = query ~model:`Lr ~n:3 () in
   ignore (Server.Service.check_json q);
-  let arrows = passes (fun () -> LR.Proof.arrows inst) in
+  let arrows = layers (fun () -> LR.Proof.arrows inst) in
   let rest =
-    passes (fun () ->
+    layers (fun () ->
         (LR.Proof.direct_bound inst, LR.Proof.max_expected_time inst))
   in
-  Alcotest.(check bool) "the arrows run interval passes" true (arrows >= 5);
+  Alcotest.(check bool) "the arrows solve tick layers" true (arrows >= 5);
   Alcotest.(check int) "check_json: arrows once, then the bounds"
     (arrows + rest)
-    (passes (fun () -> Server.Service.check_json q))
+    (layers (fun () -> Server.Service.check_json q))
 
 (* ------------------------------------------------------------------ *)
 (* Arena fingerprints. *)
@@ -422,14 +422,7 @@ let fp_lr ?g ?sym n =
   Mdp.Arena.fingerprint (LR.Proof.build ?g ?sym ~n ()).LR.Proof.arena
 
 let test_fingerprint_deterministic () =
-  Alcotest.(check string) "two independent builds agree" (fp_lr 3) (fp_lr 3);
-  let under_plane p =
-    Mdp.Plane.with_ambient p (fun () ->
-        Mdp.Arena.fingerprint (LR.Proof.build ~n:3 ()).LR.Proof.arena)
-  in
-  Alcotest.(check string) "plane-independent"
-    (under_plane Mdp.Plane.Exact)
-    (under_plane Mdp.Plane.Interval)
+  Alcotest.(check string) "two independent builds agree" (fp_lr 3) (fp_lr 3)
 
 let test_fingerprint_distinct () =
   let fps =

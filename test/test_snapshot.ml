@@ -20,7 +20,7 @@ module Codec = Snapshot.Codec
 
 let bits = Int64.bits_of_float
 
-(* Bit-identical across all four probability planes, plus the
+(* Bit-identical across all three probability planes, plus the
    structural arrays the engines traverse. *)
 let check_arena (type s a) name ~(fresh : (s, a) Mdp.Arena.t)
     ~(loaded : (s, a) Mdp.Arena.t) =
