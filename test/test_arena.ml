@@ -758,6 +758,41 @@ let test_interval_vi_bracket () =
          Alcotest.failf "state %d: infinite VI but finite bracket" i)
     v
 
+(* The orbit quotient's weights are orbit-summed, so its planes run
+   over merged (but still dyadic) branches: the interval plane must
+   collapse to the exact weight on every branch, and the expected-time
+   bracket over it must enclose plain value iteration. *)
+let test_plane_sym_quotient () =
+  let inst = Models.lr ~sym:Analysis.Symmetry.On ~n:3 () in
+  let arena = inst.LR.Proof.arena in
+  let target = Mdp.Arena.indicator arena LR.Regions.c in
+  let lo, hi = Mdp.Arena.interval_plane arena in
+  let prob_q = arena.Mdp.Arena.prob_q in
+  Alcotest.(check int) "lo length" (Array.length prob_q) (Array.length lo);
+  Alcotest.(check int) "hi length" (Array.length prob_q) (Array.length hi);
+  Array.iteri
+    (fun o p ->
+       if not (lo.(o) = hi.(o)
+               && Proba.Rational.equal p (Proba.Rational.of_float_exact lo.(o)))
+       then
+         Alcotest.failf "branch %d: [%h, %h] is not the point %s" o lo.(o)
+           hi.(o) (Proba.Rational.to_string p))
+    prob_q;
+  let vlo, vhi =
+    Mdp.Expected_time.max_expected_ticks_interval arena ~target ()
+  in
+  let v = Mdp.Expected_time.max_expected_ticks arena ~target () in
+  Array.iteri
+    (fun i x ->
+       if Float.is_finite x then begin
+         if not (vlo.(i) <= x && x <= vhi.(i)) then
+           Alcotest.failf "quotient state %d: %h outside [%h, %h]" i x
+             vlo.(i) vhi.(i)
+       end
+       else if Float.is_finite vhi.(i) then
+         Alcotest.failf "quotient state %d: infinite VI but finite bracket" i)
+    v
+
 (* ------------------------------------------------------------------ *)
 (* Layer schedule: the sequential engine solves a tick layer in one walk
    over [Arena.zero_time], where [Legacy] sweeps the whole fragment in
@@ -1224,7 +1259,8 @@ let () =
           Alcotest.test_case "budgeted partial fragment" `Quick
             test_partial_fragment_differential ] );
       ( "plane",
-        [ Alcotest.test_case "interval VI bracket" `Quick
+        [ Alcotest.test_case "orbit quotient" `Quick test_plane_sym_quotient;
+          Alcotest.test_case "interval VI bracket" `Quick
             test_interval_vi_bracket ] );
       ( "schedule",
         [ Alcotest.test_case "toys vs legacy (all engines, all pools)" `Quick
