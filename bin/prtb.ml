@@ -26,9 +26,11 @@ let domains_arg =
        & info [ "domains" ] ~docv:"N"
            ~doc:"Run Monte Carlo batches (the $(b,--faults --budget) \
                  fallback on $(b,check)) on a pool of N domains.  Seeded \
-                 estimates are bit-identical for every N (including 1); \
-                 the exact engines are sequential and never read the \
-                 pool.  See docs/PERFORMANCE.md.")
+                 estimates are bit-identical for every N (including 1). \
+                 The exact check never reads the pool: it forks its \
+                 independent passes across the machine's cores in \
+                 short-lived regions, with byte-identical output.  See \
+                 docs/PERFORMANCE.md.")
 
 let install_domains = function
   | None -> ()

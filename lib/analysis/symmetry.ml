@@ -215,6 +215,20 @@ let equivariant ~equal ~equal_action g s t =
    compared at a glance. *)
 let mix fp h = ((fp * 131) + h + 1) land 0x3FFFFFFF
 
+(* [mix] is affine mod 2^30, so folding [m] hashes onto [fp] gives
+   [fp * 131^m] plus the same fold started from 0: a fold split at any
+   point is rejoined exactly from the two halves and the right half's
+   length. *)
+let join_fingerprints ~left ~right ~right_mixes =
+  let rec pow acc b e =
+    if e = 0 then acc
+    else
+      pow
+        (if e land 1 = 1 then (acc * b) land 0x3FFFFFFF else acc)
+        ((b * b) land 0x3FFFFFFF) (e lsr 1)
+  in
+  ((left * pow 1 131 right_mixes) + right) land 0x3FFFFFFF
+
 (* Slot of each name: the index of its first occurrence.  Generators
    (predicates) sharing a name share one verdict, witness and
    fingerprint. *)
@@ -224,6 +238,40 @@ let slots names =
        let rec first j = if names.(j) = name then j else first (j + 1) in
        first 0)
     names
+
+(* What one contiguous range of representatives found, per slot: the
+   first PA030 and PA031 witness, and the fingerprint folded from 0
+   with the number of hashes mixed into it. *)
+type partial = {
+  pa030 : string option array;
+  pa031 : string option array;
+  fps : int array;
+  mixes : int array;
+  checked : int;
+  full : int;
+}
+
+(* Ranges merge left to right: the leftmost witness is the one a
+   single pass in index order finds first, and the fingerprints rejoin
+   exactly. *)
+let merge a b =
+  let first x y = match x with Some _ -> x | None -> y in
+  { pa030 = Array.map2 first a.pa030 b.pa030;
+    pa031 = Array.map2 first a.pa031 b.pa031;
+    fps =
+      Array.mapi
+        (fun slot left ->
+           join_fingerprints ~left ~right:b.fps.(slot)
+             ~right_mixes:b.mixes.(slot))
+        a.fps;
+    mixes = Array.map2 ( + ) a.mixes b.mixes;
+    checked = a.checked + b.checked;
+    full = a.full + b.full }
+
+(* The representatives are checked in this many contiguous ranges, run
+   through a fork region.  Fixed, so the merge path is the same on any
+   core count and any instance size. *)
+let ranges = 16
 
 let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
     spec expl =
@@ -241,17 +289,13 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
   (* Check every state of every orbit when that fits [max_checks]
      (state, generator) evaluations; otherwise stride-sample the
      representatives.  The certificate records actual coverage. *)
-  let full_states = ref 0 in
-  let states_checked = ref 0 in
   let budget_per_gen = if ngens = 0 then max_checks else max_checks / ngens in
   let stride =
     if reduced then 1 (* orbit expansion below handles the volume *)
     else max 1 ((n + budget_per_gen - 1) / max 1 budget_per_gen)
   in
   let gslot = slots gnames and pslot = slots pnames in
-  let pa030 = Array.make ngens None in
-  let pa031 = Array.make (Array.length preds) None in
-  let fps = Array.make ngens 0 in
+  let start030 = Array.make ngens None in
   (* Start-set invariance: the image of a start state must be a start
      state, else the permutation moves the automaton, not just its
      state space. *)
@@ -261,9 +305,10 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
        List.iter
          (fun s0 ->
             let img = g.on_state s0 in
-            if not (List.exists (equal img) starts) && pa030.(gslot.(j)) = None
+            if not (List.exists (equal img) starts)
+            && start030.(gslot.(j)) = None
             then
-              pa030.(gslot.(j)) <-
+              start030.(gslot.(j)) <-
                 Some
                   (Printf.sprintf
                      "start state %s maps to %s, which is not a start state"
@@ -285,70 +330,77 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
              steps);
       holds = Array.map (fun (_, pred) -> pred s) preds }
   in
-  (* [s] against [targets.(j)], its image under generator [j]. *)
-  let check s targets =
-    incr states_checked;
-    Array.iteri
-      (fun j g ->
-         let slot = gslot.(j) in
-         if pa030.(slot) = None then begin
-           let t = targets.(j) in
-           fps.(slot) <- mix fps.(slot) (s.hash + t.hash);
-           if not (equivariant ~equal ~equal_action g s t) then
-             pa030.(slot) <-
-               Some
-                 (Printf.sprintf "steps(%s) is not the %s-image of steps(%s)"
-                    (pp_state t.state) g.gen_name (pp_state s.state))
-         end)
-      gens;
-    Array.iteri
-      (fun q pname ->
-         let slot = pslot.(q) in
-         if pa031.(slot) = None then begin
-           let here = s.holds.(q) in
-           Array.iteri
-             (fun j g ->
-                let t = targets.(j) in
-                if pa031.(slot) = None && t.holds.(q) <> here then
-                  pa031.(slot) <-
-                    Some
-                      (Printf.sprintf
-                         "%s holds of %s but not of its %s-image %s" pname
-                         (pp_state (if here then s.state else t.state))
-                         g.gen_name
-                         (pp_state (if here then t.state else s.state))))
-             gens
-         end)
-      pnames
-  in
-  (* Check a set of states in order.  [image p j] is the index in the
-     set of generator [j]'s image of member [p], or [-1] when the set
-     does not hold it and the image is computed directly. *)
-  let check_set members image =
-    Array.iteri
-      (fun p s ->
-         check s
-           (Array.mapi
-              (fun j g ->
-                 let i = image p j in
-                 if i >= 0 then members.(i) else facts (g.on_state s.state))
-              gens))
-      members
-  in
-  (* The orbit closure's image table by discovery index, reused from
-     orbit to orbit. *)
-  let edges = ref [||] in
-  let edge x j y =
-    let at = (x * ngens) + j in
-    if at >= Array.length !edges then begin
-      let grown = Array.make (2 * (at + 1)) 0 in
-      Array.blit !edges 0 grown 0 (Array.length !edges);
-      edges := grown
-    end;
-    !edges.(at) <- y
-  in
-  if ngens > 0 then
-    for i = 0 to n - 1 do
+  (* Representatives [lo, hi), checked in order.  A slot with a start
+     witness is skipped here exactly as it is after any other witness. *)
+  let range lo hi =
+    let pa030 = Array.copy start030 in
+    let pa031 = Array.make (Array.length preds) None in
+    let fps = Array.make ngens 0 and mixes = Array.make ngens 0 in
+    let full_states = ref 0 and states_checked = ref 0 in
+    (* [s] against [targets.(j)], its image under generator [j]. *)
+    let check s targets =
+      incr states_checked;
+      Array.iteri
+        (fun j g ->
+           let slot = gslot.(j) in
+           if pa030.(slot) = None then begin
+             let t = targets.(j) in
+             fps.(slot) <- mix fps.(slot) (s.hash + t.hash);
+             mixes.(slot) <- mixes.(slot) + 1;
+             if not (equivariant ~equal ~equal_action g s t) then
+               pa030.(slot) <-
+                 Some
+                   (Printf.sprintf "steps(%s) is not the %s-image of steps(%s)"
+                      (pp_state t.state) g.gen_name (pp_state s.state))
+           end)
+        gens;
+      Array.iteri
+        (fun q pname ->
+           let slot = pslot.(q) in
+           if pa031.(slot) = None then begin
+             let here = s.holds.(q) in
+             Array.iteri
+               (fun j g ->
+                  let t = targets.(j) in
+                  if pa031.(slot) = None && t.holds.(q) <> here then
+                    pa031.(slot) <-
+                      Some
+                        (Printf.sprintf
+                           "%s holds of %s but not of its %s-image %s" pname
+                           (pp_state (if here then s.state else t.state))
+                           g.gen_name
+                           (pp_state (if here then t.state else s.state))))
+               gens
+           end)
+        pnames
+    in
+    (* Check a set of states in order.  [image p j] is the index in the
+       set of generator [j]'s image of member [p], or [-1] when the set
+       does not hold it and the image is computed directly. *)
+    let check_set members image =
+      Array.iteri
+        (fun p s ->
+           check s
+             (Array.mapi
+                (fun j g ->
+                   let i = image p j in
+                   if i >= 0 then members.(i) else facts (g.on_state s.state))
+                gens))
+        members
+    in
+    (* The orbit closure's image table by discovery index, reused from
+       orbit to orbit. *)
+    let edges = ref [||] in
+    let edge x j y =
+      let at = (x * ngens) + j in
+      if at >= Array.length !edges then begin
+        let grown = Array.make (2 * (at + 1)) 0 in
+        Array.blit !edges 0 grown 0 (Array.length !edges);
+        edges := grown
+      end;
+      !edges.(at) <- y
+    in
+    for i = lo to hi - 1 do
       let rep = Mdp.Explore.state expl i in
       if reduced then begin
         (* A reduced fragment stores one representative per orbit;
@@ -369,6 +421,20 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
         if i mod stride = 0 then check_set [| facts rep |] (fun _ _ -> -1)
       end
     done;
+    { pa030; pa031; fps; mixes; checked = !states_checked;
+      full = !full_states }
+  in
+  let parts =
+    if ngens = 0 then [||]
+    else
+      Parallel.Fork.run
+        (Array.init ranges (fun c () ->
+             range (c * n / ranges) ((c + 1) * n / ranges)))
+  in
+  (* The empty range is the identity of [merge]. *)
+  let { pa030; pa031; fps; checked; full; _ } =
+    Array.fold_left merge (range 0 0) parts
+  in
   (* One diagnostic per declared name whose slot holds a witness. *)
   let failed slot table names diag =
     List.concat
@@ -402,8 +468,8 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
             (Array.mapi
                (fun j name -> (name, Printf.sprintf "%08x" fps.(gslot.(j))))
                gnames);
-        states_checked = !states_checked;
-        full_states = !full_states;
+        states_checked = checked;
+        full_states = full;
         reduced;
         preds_checked = Array.to_list pnames }
     in

@@ -110,7 +110,11 @@ val certificate_to_json : certificate -> Json.t
     every member (sound coverage of the unreduced reachable set), and
     PA032 is suppressed.  On unreduced fragments larger than
     [max_checks] (state, generator) evaluations, states are
-    stride-sampled; the certificate records actual coverage. *)
+    stride-sampled; the certificate records actual coverage.
+
+    The representatives are checked in a fixed grid of contiguous
+    ranges through a {!Parallel}[.Fork] region, and merged in range
+    order: the result is identical to one pass in index order. *)
 val verify :
   model:string ->
   ?reduced:bool ->
@@ -119,6 +123,22 @@ val verify :
   ('s, 'a) spec ->
   ('s, 'a) Mdp.Explore.t ->
   Diagnostic.t list * certificate option
+
+(** {2 Certificate fingerprints}
+
+    A generator's certificate fingerprint is [mix] folded from 0 over
+    the hashes of the state pairs it was checked at, in index order.
+    {!verify} checks contiguous ranges of representatives concurrently
+    and rejoins their folds with {!join_fingerprints}, which is exact:
+    the fingerprint does not depend on how the ranges were scheduled. *)
+
+(** [mix fp h] folds one hash into a 30-bit fingerprint. *)
+val mix : int -> int -> int
+
+(** [join_fingerprints ~left ~right ~right_mixes] is the fold of a
+    sequence from 0 given [left], the fold of its prefix from 0, and
+    [right], the fold of the remaining [right_mixes] hashes from 0. *)
+val join_fingerprints : left:int -> right:int -> right_mixes:int -> int
 
 (** [explored ~model ~mode spec pa] is the one-call surface used by
     proof builders: [Off] explores unreduced with no certificate;

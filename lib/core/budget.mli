@@ -73,7 +73,9 @@ val remaining : clock -> float option
     {!Parallel}[.Pool] do {e not} inherit it; pass {!deadline_stop}
     (evaluated on the calling domain) as the pool's [?stop] probe
     instead, and translate the pool's [Cancelled] back into
-    {!Deadline_exceeded} at the call site. *)
+    {!Deadline_exceeded} at the call site.  The helpers of a
+    {!Parallel}[.Fork] region, spawned per call, are handed the
+    caller's deadline and poll it themselves. *)
 
 exception Deadline_exceeded of string
 

@@ -483,69 +483,91 @@ let ladder_arrow_json ~label ~time ~prob ~attained ~holds =
     [ ("label", J.Str label); ("time", rat time); ("prob", rat prob);
       ("attained", rat attained); ("holds", J.Bool holds) ]
 
-let check_fields inst =
+(* Each family's fields as contiguous groups of independent passes.
+   The groups run through one fork region and are concatenated in field
+   order; every engine runs whole on one domain, so each pass computes
+   exactly what it computes alone. *)
+let check_groups inst =
   let states = ("states", J.Int (body_states inst)) in
   match inst with
   | Lr i ->
-    let arrows = LR.Proof.arrows i in
-    [ states;
-      ("invariant", holds (LR.Invariant.check i.LR.Proof.expl));
-      ("arrows", J.Arr (List.map lr_arrow_json arrows));
-      ("composed", composed_json (LR.Proof.compose_arrows i arrows));
-      ("direct_bound", rat (LR.Proof.direct_bound i));
-      ( "expected_bound",
-        rat (Core.Expected.value (LR.Proof.expected_bound ())) );
-      ("max_expected_time", J.Num (LR.Proof.max_expected_time i)) ]
+    [| (fun () ->
+          [ states;
+            ("invariant", holds (LR.Invariant.check i.LR.Proof.expl)) ]);
+       (fun () ->
+          let arrows = LR.Proof.arrows i in
+          [ ("arrows", J.Arr (List.map lr_arrow_json arrows));
+            ("composed", composed_json (LR.Proof.compose_arrows i arrows)) ]);
+       (fun () -> [ ("direct_bound", rat (LR.Proof.direct_bound i)) ]);
+       (fun () ->
+          [ ( "expected_bound",
+              rat (Core.Expected.value (LR.Proof.expected_bound ())) );
+            ("max_expected_time", J.Num (LR.Proof.max_expected_time i)) ]) |]
   | Lr_topo i ->
-    let arrows = LR.Proof.arrows_topo i in
-    [ states;
-      ("invariant", holds (LR.Proof.invariant_topo i));
-      ("arrows", J.Arr (List.map lr_arrow_json arrows));
-      ("composed", composed_json (LR.Proof.compose_arrows_topo i arrows));
-      ("direct_bound", rat (LR.Proof.direct_bound_topo i));
-      ("max_expected_time", J.Num (LR.Proof.max_expected_time_topo i)) ]
+    [| (fun () ->
+          [ states; ("invariant", holds (LR.Proof.invariant_topo i)) ]);
+       (fun () ->
+          let arrows = LR.Proof.arrows_topo i in
+          [ ("arrows", J.Arr (List.map lr_arrow_json arrows));
+            ( "composed",
+              composed_json (LR.Proof.compose_arrows_topo i arrows) ) ]);
+       (fun () -> [ ("direct_bound", rat (LR.Proof.direct_bound_topo i)) ]);
+       (fun () ->
+          [ ("max_expected_time", J.Num (LR.Proof.max_expected_time_topo i))
+          ]) |]
   | Election i ->
     let arrow (a : IR.Proof.arrow) =
       ladder_arrow_json ~label:a.IR.Proof.label ~time:a.IR.Proof.time
         ~prob:a.IR.Proof.prob ~attained:a.IR.Proof.attained
         ~holds:(a.IR.Proof.claim <> None)
     in
-    let arrows = IR.Proof.arrows i in
-    [ states;
-      ("arrows", J.Arr (List.map arrow arrows));
-      ("composed", composed_json (IR.Proof.compose_arrows arrows));
-      ( "expected_bound",
-        rat
-          (Core.Expected.value
-             (IR.Proof.expected_bound ~n:i.IR.Proof.params.IR.Automaton.n)) );
-      ("max_expected_time", J.Num (IR.Proof.max_expected_time i)) ]
+    [| (fun () -> [ states ]);
+       (fun () ->
+          let arrows = IR.Proof.arrows i in
+          [ ("arrows", J.Arr (List.map arrow arrows));
+            ("composed", composed_json (IR.Proof.compose_arrows arrows)) ]);
+       (fun () ->
+          [ ( "expected_bound",
+              rat
+                (Core.Expected.value
+                   (IR.Proof.expected_bound
+                      ~n:i.IR.Proof.params.IR.Automaton.n)) );
+            ("max_expected_time", J.Num (IR.Proof.max_expected_time i)) ]) |]
   | Coin i ->
     let arrow (a : SC.Proof.arrow) =
       ladder_arrow_json ~label:a.SC.Proof.label ~time:a.SC.Proof.time
         ~prob:a.SC.Proof.prob ~attained:a.SC.Proof.attained
         ~holds:(a.SC.Proof.claim <> None)
     in
-    let arrows = SC.Proof.arrows i in
-    [ states;
-      ("arrows", J.Arr (List.map arrow arrows));
-      ("composed", composed_json (SC.Proof.compose_arrows arrows));
-      ("direct_bound", rat (SC.Proof.direct_bound i));
-      ("expected_exact", J.Num (SC.Proof.expected_exact i));
-      ("expected_theory", J.Num (SC.Proof.expected_theory i)) ]
+    [| (fun () -> [ states ]);
+       (fun () ->
+          let arrows = SC.Proof.arrows i in
+          [ ("arrows", J.Arr (List.map arrow arrows));
+            ("composed", composed_json (SC.Proof.compose_arrows arrows)) ]);
+       (fun () -> [ ("direct_bound", rat (SC.Proof.direct_bound i)) ]);
+       (fun () ->
+          [ ("expected_exact", J.Num (SC.Proof.expected_exact i));
+            ("expected_theory", J.Num (SC.Proof.expected_theory i)) ]) |]
   | Consensus i ->
     let { BO.Automaton.f; cap; _ } = i.BO.Proof.params in
-    let curve =
-      BO.Proof.decision_curve i ~rounds:(List.init cap (fun r -> r + 1))
-    in
-    [ states;
-      ("f", J.Int f);
-      ("agreement", holds (BO.Proof.agreement_violation i));
-      ( "decision_curve",
-        J.Arr
-          (List.mapi
-             (fun idx p ->
-                J.Obj [ ("rounds", J.Int (idx + 1)); ("min_prob", rat p) ])
-             curve) ) ]
+    [| (fun () ->
+          [ states;
+            ("f", J.Int f);
+            ("agreement", holds (BO.Proof.agreement_violation i)) ]);
+       (fun () ->
+          let curve =
+            BO.Proof.decision_curve i ~rounds:(List.init cap (fun r -> r + 1))
+          in
+          [ ( "decision_curve",
+              J.Arr
+                (List.mapi
+                   (fun idx p ->
+                      J.Obj
+                        [ ("rounds", J.Int (idx + 1)); ("min_prob", rat p) ])
+                   curve) ) ]) |]
+
+let check_fields inst =
+  List.concat (Array.to_list (Parallel.Fork.run (check_groups inst)))
 
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)

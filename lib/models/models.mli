@@ -111,7 +111,10 @@ val with_arena : instance -> 'r visitor -> 'r
 val params_json : params -> (string * Analysis.Json.t) list
 
 (** The [/check] result fields after the header, as [prtb check
-    --format json] prints them. *)
+    --format json] prints them.  Independent passes (the arrows, the
+    direct bound, value iteration, ...) run concurrently through a
+    {!Parallel}[.Fork] region, inline on a server worker; the fields are
+    the same bytes on any schedule. *)
 val check_fields : instance -> (string * Analysis.Json.t) list
 
 (** The family parameters every certificate leaf records. *)

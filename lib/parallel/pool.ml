@@ -24,7 +24,10 @@ let default_chunks = 64
 
 let domains pool = pool.size
 
+(* A worker already owns a core: fork regions opened by its jobs run
+   inline instead of oversubscribing the pool's domains. *)
 let worker pool () =
+  Fork.mark_inline ();
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.jobs && not pool.closed do

@@ -1,9 +1,15 @@
 (** A fixed pool of worker domains with deterministic parallel
     iteration.
 
-    The pool exists so the exact engines can use every core without
-    giving up the certification story: work is split into a chunk grid
-    that depends only on the problem size (never on the number of
+    The pool runs two kinds of work: the seeded Monte Carlo batches of
+    [Sim.Monte_carlo] (the session default installed by [--domains]),
+    and the verification server's connection handlers ({!submit}).  The
+    exact checks do not use it: they fork short-lived regions through
+    {!Fork}, which run inline on a pool worker, since the server's
+    workers already own the cores.
+
+    Iteration keeps the certification story: work is split into a chunk
+    grid that depends only on the problem size (never on the number of
     domains), chunks are claimed dynamically but their results are
     combined in chunk order, and callers that need bit-identical output
     across [~domains:1] and [~domains:n] get it for free as long as

@@ -1,10 +1,11 @@
-(* Tests for the domain pool and for the determinism contract of the
-   parallel paths: a session pool must not move a byte of a served
-   /check body (the exact engines are sequential and never read it),
-   and Monte Carlo estimates are bit-identical with and without a
+(* Tests for the domain pool, the fork-join regions, and the
+   determinism contract of the parallel paths: neither a session pool
+   nor the schedule of a fork region may move a byte of a served /check
+   body, and Monte Carlo estimates are bit-identical with and without a
    pool. *)
 
 module P = Parallel.Pool
+module F = Parallel.Fork
 module LR = Lehmann_rabin
 module BO = Ben_or
 
@@ -97,6 +98,156 @@ let test_shutdown_idempotent () =
   Alcotest.(check int) "domains" 3 (P.domains pool);
   P.shutdown pool;
   P.shutdown pool
+
+(* ------------------------------------------------------------------ *)
+(* Fork regions *)
+
+let test_fork_runs_each_once () =
+  List.iter
+    (fun helpers ->
+       let n = 37 in
+       let hits = Array.init n (fun _ -> Atomic.make 0) in
+       let got =
+         F.run ~helpers
+           (Array.init n (fun i () ->
+                Atomic.incr hits.(i);
+                i * i))
+       in
+       Alcotest.(check (array int))
+         (Printf.sprintf "results by index (%d helpers)" helpers)
+         (Array.init n (fun i -> i * i))
+         got;
+       Alcotest.(check bool)
+         (Printf.sprintf "each task once (%d helpers)" helpers)
+         true
+         (Array.for_all (fun a -> Atomic.get a = 1) hits))
+    [ 0; 1; 3; 8 ];
+  Alcotest.(check (array int)) "no tasks" [||] (F.run ~helpers:3 [||])
+
+(* Slow tasks outlive the fast failures: the region must still wait for
+   every started task before raising, and raise task 1's failure, the
+   lowest-index one, whichever domain failed first. *)
+let test_fork_lowest_exception_after_join () =
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let task i () =
+    Atomic.incr started;
+    Fun.protect
+      ~finally:(fun () -> Atomic.incr finished)
+      (fun () ->
+         if i = 0 || i = 2 then Unix.sleepf 0.05;
+         if i mod 2 = 1 || i = 2 then failwith (Printf.sprintf "task %d" i))
+  in
+  Alcotest.check_raises "lowest-index failure wins" (Failure "task 1")
+    (fun () -> ignore (F.run ~helpers:3 (Array.init 6 task)));
+  Alcotest.(check int) "every started task finished before the raise"
+    (Atomic.get started) (Atomic.get finished)
+
+let test_fork_inline_on_pool_worker () =
+  let seen = ref [||] and job_domain = ref None in
+  with_pool 2 (fun pool ->
+      Alcotest.(check bool) "job accepted" true
+        (P.submit pool (fun () ->
+             job_domain := Some (Domain.self ());
+             seen := F.run ~helpers:3 (Array.init 8 (fun _ () -> Domain.self ())))));
+  (* [shutdown] drained the job and joined its worker. *)
+  Alcotest.(check int) "every task ran" 8 (Array.length !seen);
+  Alcotest.(check bool) "all on the worker's own domain" true
+    (Array.for_all (fun d -> Some d = !job_domain) !seen)
+
+(* Both tasks wait until both have started, so they run on two domains;
+   each then polls the caller's (already expired) deadline. *)
+let test_fork_helper_polls_deadline () =
+  let started = Atomic.make 0 in
+  let domains = Array.make 2 None and fired = Array.init 2 (fun _ -> Atomic.make false) in
+  let task i () =
+    domains.(i) <- Some (Domain.self ());
+    Atomic.incr started;
+    let give_up = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < give_up do
+      Domain.cpu_relax ()
+    done;
+    try Core.Budget.poll ()
+    with Core.Budget.Deadline_exceeded _ as e ->
+      Atomic.set fired.(i) true;
+      raise e
+  in
+  let expired = Core.Budget.start (Core.Budget.v ~wall:0.0 ()) in
+  let raised =
+    try
+      Core.Budget.with_deadline expired (fun () ->
+          ignore (F.run ~helpers:1 (Array.init 2 task)));
+      false
+    with Core.Budget.Deadline_exceeded _ -> true
+  in
+  Alcotest.(check bool) "Deadline_exceeded reaches the caller" true raised;
+  Alcotest.(check bool) "the tasks ran on two domains" true
+    (domains.(0) <> domains.(1));
+  Alcotest.(check bool) "the helper's poll fired too" true
+    (Array.for_all Atomic.get fired)
+
+(* ------------------------------------------------------------------ *)
+(* The same /check bodies on any schedule.
+
+   [check_json] on the main domain forks its regions (certification
+   ranges and proof passes); inside a pool job the same regions run
+   inline.  A zero registry capacity keeps nothing cached, so each side
+   explores, certifies and checks anew. *)
+
+let query ?(sym = "off") ?(topology = "ring") ?(bound = 4) ?(cap = 50)
+    ?deadline_ms model n =
+  { Server.Protocol.model; n; g = 1; k = 1; topology; bound; cap;
+    max_states = None; sym; plane = "interval"; deadline_ms }
+
+let schedule_queries =
+  List.concat_map
+    (fun sym ->
+       [ query ~sym `Lr 3; query ~sym ~topology:"star" `Lr 3 ])
+    [ "on"; "off" ]
+  @ [ query `Election 5; query ~bound:2 `Coin 2; query ~cap:2 `Consensus 3 ]
+
+let test_check_json_forked_equals_inline () =
+  Models.set_capacity (Some 0);
+  Fun.protect
+    ~finally:(fun () -> Models.set_capacity None)
+    (fun () ->
+       List.iter
+         (fun q ->
+            let body () = Analysis.Json.to_string (Server.Service.check_json q) in
+            let forked = body () in
+            let inline = ref "" in
+            with_pool 2 (fun pool ->
+                ignore (P.submit pool (fun () -> inline := body ())));
+            Alcotest.(check string)
+              (Printf.sprintf "%s n=%d %s sym=%s"
+                 (Models.name q.Server.Protocol.model) q.Server.Protocol.n
+                 q.Server.Protocol.topology q.Server.Protocol.sym)
+              forked !inline)
+         schedule_queries)
+
+(* A deadline that fires inside the proof passes: the instance is
+   resolved beforehand, so every poll that can fire runs in the fork
+   region.  The answer is the SRV122 body, and once [check_json] has
+   returned no pass is still sweeping. *)
+let test_deadline_in_fork_region () =
+  ignore (Server.Service.check_json (query `Lr 3));
+  let q = query ~deadline_ms:1 `Lr 3 in
+  let body = Server.Service.check_json q in
+  let field name =
+    match body with
+    | Analysis.Json.Obj fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  Alcotest.(check bool) "deadline-exceeded verdict" true
+    (field "verdict" = Some (Analysis.Json.Str "deadline-exceeded"));
+  Alcotest.(check bool) "SRV122" true
+    (field "code" = Some (Analysis.Json.Str "SRV122"));
+  let layers = Mdp.Finite_horizon.layers_solved () in
+  Unix.sleepf 0.1;
+  Alcotest.(check int) "no engine still running" layers
+    (Mdp.Finite_horizon.layers_solved ());
+  Alcotest.(check string) "the degraded body is a function of the query"
+    (Analysis.Json.to_string body)
+    (Analysis.Json.to_string (Server.Service.check_json q))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism under a session pool ([prtb check --domains N]).
@@ -259,6 +410,19 @@ let () =
          Alcotest.test_case "stop cancels" `Quick test_stop_cancels;
          Alcotest.test_case "shutdown idempotent" `Quick
            test_shutdown_idempotent ]);
+      ("fork",
+       [ Alcotest.test_case "each task once, results by index" `Quick
+           test_fork_runs_each_once;
+         Alcotest.test_case "lowest exception after join" `Quick
+           test_fork_lowest_exception_after_join;
+         Alcotest.test_case "inline on a pool worker" `Quick
+           test_fork_inline_on_pool_worker;
+         Alcotest.test_case "helpers poll the caller's deadline" `Quick
+           test_fork_helper_polls_deadline;
+         Alcotest.test_case "check_json forked = inline" `Quick
+           test_check_json_forked_equals_inline;
+         Alcotest.test_case "deadline inside a fork region" `Quick
+           test_deadline_in_fork_region ]);
       ("determinism",
        [ Alcotest.test_case "LR min_reach bit-identical" `Quick
            test_lr_min_reach_bit_identical;

@@ -1100,6 +1100,21 @@ let test_canonicalizer () =
   let id = Sym.canonicalizer ~equal:Int.equal (Sym.spec []) in
   Alcotest.(check int) "no generators: identity" 7 (id 7)
 
+(* [verify] folds each range of representatives from 0 and rejoins
+   the folds: for any hash sequence and any split point the join must
+   equal the fold over the whole sequence. *)
+let fingerprint_merge_law =
+  QCheck.Test.make ~name:"fingerprint join = sequential fold" ~count:500
+    QCheck.(pair (list int) small_nat)
+    (fun (hashes, cut) ->
+       let fold = List.fold_left Sym.mix 0 in
+       let cut = cut mod (List.length hashes + 1) in
+       let left = List.filteri (fun i _ -> i < cut) hashes in
+       let right = List.filteri (fun i _ -> i >= cut) hashes in
+       Sym.join_fingerprints ~left:(fold left) ~right:(fold right)
+         ~right_mixes:(List.length right)
+       = fold hashes)
+
 let () =
   Alcotest.run "symmetry"
     [ ( "differential",
@@ -1151,5 +1166,6 @@ let () =
         [ Alcotest.test_case "orbit closure" `Quick test_orbit;
           Alcotest.test_case "non-bijection refused" `Quick
             test_orbit_refuses_non_bijection;
-          Alcotest.test_case "canonicalizer" `Quick test_canonicalizer ] )
+          Alcotest.test_case "canonicalizer" `Quick test_canonicalizer;
+          QCheck_alcotest.to_alcotest fingerprint_merge_law ] )
     ]
