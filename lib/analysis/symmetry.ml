@@ -268,14 +268,24 @@ let merge a b =
     checked = a.checked + b.checked;
     full = a.full + b.full }
 
-(* The representatives are checked in this many contiguous ranges, run
-   through a fork region.  Fixed, so the merge path is the same on any
-   core count and any instance size. *)
-let ranges = 16
+(* Representatives are certified in fixed chunks of this many, claimed
+   through a [Parallel.Fork.stream] region and merged in chunk order:
+   the grid depends on nothing but the index, so the merge path is the
+   same on any core count and schedule, and [join_fingerprints] makes
+   it exact.  Small chunks keep both domains busy when orbits are large
+   and representatives few: cold [check election -n 6 --sym on] (82
+   representatives, orbits of about 50; 12 runs each on 2 cores) took
+   a median 68 ms at 8, 79 ms at 16 and 82 ms at 32, while lr n=4
+   (40 846 representatives) read 725, 723 and 751 ms. *)
+let chunk = 16
 
-let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
-    spec expl =
-  let pa = Mdp.Explore.automaton expl in
+(* The checks of [spec] over representatives of [pa]: [range state lo
+   hi] checks [state lo .. state (hi - 1)] in order, and [finish] turns
+   the ranges' results, in index order, into the diagnostics and the
+   certificate of an [n]-state fragment.  [stride] samples an
+   unreduced fragment; a reduced one is checked at every orbit member
+   instead. *)
+let certifier ~model ~reduced ?max_orbit ~stride spec pa =
   let equal = Core.Pa.equal_state pa in
   let equal_action = Core.Pa.equal_action pa in
   let hash = Core.Pa.hash_state pa in
@@ -284,16 +294,7 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
   let preds = Array.of_list spec.invariant_preds in
   let gnames = Array.map (fun g -> g.gen_name) gens in
   let pnames = Array.map fst preds in
-  let n = Mdp.Explore.num_states expl in
   let ngens = Array.length gens in
-  (* Check every state of every orbit when that fits [max_checks]
-     (state, generator) evaluations; otherwise stride-sample the
-     representatives.  The certificate records actual coverage. *)
-  let budget_per_gen = if ngens = 0 then max_checks else max_checks / ngens in
-  let stride =
-    if reduced then 1 (* orbit expansion below handles the volume *)
-    else max 1 ((n + budget_per_gen - 1) / max 1 budget_per_gen)
-  in
   let gslot = slots gnames and pslot = slots pnames in
   let start030 = Array.make ngens None in
   (* Start-set invariance: the image of a start state must be a start
@@ -332,7 +333,7 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
   in
   (* Representatives [lo, hi), checked in order.  A slot with a start
      witness is skipped here exactly as it is after any other witness. *)
-  let range lo hi =
+  let range state lo hi =
     let pa030 = Array.copy start030 in
     let pa031 = Array.make (Array.length preds) None in
     let fps = Array.make ngens 0 and mixes = Array.make ngens 0 in
@@ -401,7 +402,7 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
       !edges.(at) <- y
     in
     for i = lo to hi - 1 do
-      let rep = Mdp.Explore.state expl i in
+      let rep = state i in
       if reduced then begin
         (* A reduced fragment stores one representative per orbit;
            checking equivariance at EVERY orbit member is what makes
@@ -424,84 +425,108 @@ let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
     { pa030; pa031; fps; mixes; checked = !states_checked;
       full = !full_states }
   in
+  let finish parts ~n ~state =
+    (* The empty range is the identity of [merge]. *)
+    let { pa030; pa031; fps; checked; full; _ } =
+      Array.fold_left merge (range state 0 0) parts
+    in
+    (* One diagnostic per declared name whose slot holds a witness. *)
+    let failed slot table names diag =
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun i name ->
+                 match table.(slot.(i)) with
+                 | Some w -> [ diag name w ]
+                 | None -> [])
+              names))
+    in
+    let diags =
+      failed gslot pa030 gnames (fun name w ->
+          Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error ~model
+            (Printf.sprintf
+               "declared permutation %s is not an automorphism of the \
+                explored fragment"
+               name))
+      @ failed pslot pa031 pnames (fun pname w ->
+          Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error ~model
+            (Printf.sprintf
+               "predicate %s is not invariant under the declared symmetry \
+                group; orbit reduction would be unsound"
+               pname))
+    in
+    if diags <> [] || ngens = 0 then (diags, None)
+    else begin
+      let cert =
+        { cert_generators =
+            Array.to_list
+              (Array.mapi
+                 (fun j name -> (name, Printf.sprintf "%08x" fps.(gslot.(j))))
+                 gnames);
+          states_checked = checked;
+          full_states = full;
+          reduced;
+          preds_checked = Array.to_list pnames }
+      in
+      (* PA032: the group is certified but the fragment was explored
+         unreduced -- measure what reduction would save. *)
+      let advisory =
+        if reduced then []
+        else begin
+          let canon = canonicalizer ~equal spec in
+          let reps = Mdp.Funtbl.create ~equal ~hash 1024 in
+          let distinct = ref 0 in
+          for i = 0 to n - 1 do
+            ignore
+              (Mdp.Funtbl.find_or_add reps (canon (state i)) (fun () ->
+                   incr distinct;
+                   !distinct))
+          done;
+          if !distinct < n then
+            [ Diagnostic.v Diagnostic.PA032 Diagnostic.Info ~model
+                (Printf.sprintf
+                   "model is symmetric under the certified group but was \
+                    explored unreduced: %d states collapse to %d orbit \
+                    representatives (%.2fx); explore with symmetry \
+                    reduction (--sym on) to check the quotient"
+                   n !distinct
+                   (float_of_int n /. float_of_int !distinct)) ]
+          else []
+        end
+      in
+      (advisory, Some cert)
+    end
+  in
+  (range, finish)
+
+let verify ~model ?(reduced = false) ?max_orbit ?(max_checks = 1_000_000)
+    ?helpers spec expl =
+  let n = Mdp.Explore.num_states expl in
+  let ngens = List.length spec.generators in
+  (* Check every state of every orbit when that fits [max_checks]
+     (state, generator) evaluations; otherwise stride-sample the
+     representatives.  The certificate records actual coverage. *)
+  let budget_per_gen = if ngens = 0 then max_checks else max_checks / ngens in
+  let stride =
+    if reduced then 1 (* orbit expansion handles the volume *)
+    else max 1 ((n + budget_per_gen - 1) / max 1 budget_per_gen)
+  in
+  let range, finish =
+    certifier ~model ~reduced ?max_orbit ~stride spec
+      (Mdp.Explore.automaton expl)
+  in
+  let state = Mdp.Explore.state expl in
+  (* The whole fragment is published at once: the same chunk grid and
+     merge as {!explored}'s streamed certification. *)
   let parts =
     if ngens = 0 then [||]
     else
-      Parallel.Fork.run
-        (Array.init ranges (fun c () ->
-             range (c * n / ranges) ((c + 1) * n / ranges)))
+      snd
+        (Parallel.Fork.stream ?helpers ~chunk
+           (fun ~publish -> publish n)
+           (range state))
   in
-  (* The empty range is the identity of [merge]. *)
-  let { pa030; pa031; fps; checked; full; _ } =
-    Array.fold_left merge (range 0 0) parts
-  in
-  (* One diagnostic per declared name whose slot holds a witness. *)
-  let failed slot table names diag =
-    List.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i name ->
-               match table.(slot.(i)) with
-               | Some w -> [ diag name w ]
-               | None -> [])
-            names))
-  in
-  let diags =
-    failed gslot pa030 gnames (fun name w ->
-        Diagnostic.v ~witness:w Diagnostic.PA030 Diagnostic.Error ~model
-          (Printf.sprintf
-             "declared permutation %s is not an automorphism of the \
-              explored fragment"
-             name))
-    @ failed pslot pa031 pnames (fun pname w ->
-        Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error ~model
-          (Printf.sprintf
-             "predicate %s is not invariant under the declared symmetry \
-              group; orbit reduction would be unsound"
-             pname))
-  in
-  if diags <> [] || ngens = 0 then (diags, None)
-  else begin
-    let cert =
-      { cert_generators =
-          Array.to_list
-            (Array.mapi
-               (fun j name -> (name, Printf.sprintf "%08x" fps.(gslot.(j))))
-               gnames);
-        states_checked = checked;
-        full_states = full;
-        reduced;
-        preds_checked = Array.to_list pnames }
-    in
-    (* PA032: the group is certified but the fragment was explored
-       unreduced -- measure what reduction would save. *)
-    let advisory =
-      if reduced then []
-      else begin
-        let canon = canonicalizer ~equal spec in
-        let reps = Mdp.Funtbl.create ~equal ~hash 1024 in
-        let distinct = ref 0 in
-        for i = 0 to n - 1 do
-          ignore
-            (Mdp.Funtbl.find_or_add reps (canon (Mdp.Explore.state expl i))
-               (fun () ->
-                  incr distinct;
-                  !distinct))
-        done;
-        if !distinct < n then
-          [ Diagnostic.v Diagnostic.PA032 Diagnostic.Info ~model
-              (Printf.sprintf
-                 "model is symmetric under the certified group but was \
-                  explored unreduced: %d states collapse to %d orbit \
-                  representatives (%.2fx); explore with symmetry reduction \
-                  (--sym on) to check the quotient"
-                 n !distinct
-                 (float_of_int n /. float_of_int !distinct)) ]
-        else []
-      end
-    in
-    (advisory, Some cert)
-  end
+  finish parts ~n ~state
 
 (* The [Not_certified] payload: every refusing diagnostic, or the one
    refusal [verify] has no diagnostic for (an empty generator list). *)
@@ -520,15 +545,47 @@ let rejected ~model diags =
   in
   Printf.sprintf "%s: symmetry reduction rejected: %s" model reason
 
-let explored ~model ~mode ?max_states ?max_orbit ?max_checks spec pa =
+let explored ~model ~mode ?max_states ?max_orbit ?helpers spec pa =
   match mode with
   | Off -> (Mdp.Explore.run ?max_states pa, None)
   | On | Auto ->
     let equal = Core.Pa.equal_state pa in
     let canon = canonicalizer ?max_orbit ~equal spec in
-    let expl = Mdp.Explore.run ?max_states ~canon pa in
+    let range, finish =
+      certifier ~model ~reduced:true ?max_orbit ~stride:1 spec pa
+    in
+    let expl, parts =
+      match spec.generators with
+      | [] -> (Mdp.Explore.run ?max_states ~canon pa, [||])
+      | _ :: _ ->
+        (* The representatives as they are interned, for the chunks
+           certified while the exploration runs.  The store is grown by
+           copying and swapped through the [Atomic], so a consumer
+           reading it after the publish that covers its chunk sees
+           every representative of that chunk. *)
+        let reps = Atomic.make [||] in
+        let keep i s =
+          let a = Atomic.get reps in
+          if i < Array.length a then a.(i) <- s
+          else begin
+            (* Filled with [s], so slot [i] already holds it. *)
+            let grown = Array.make (Int.max 1024 (2 * i)) s in
+            Array.blit a 0 grown 0 i;
+            Atomic.set reps grown
+          end
+        in
+        Parallel.Fork.stream ?helpers ~chunk
+          (fun ~publish ->
+             Mdp.Explore.run ?max_states ~canon
+               ~on_intern:(fun i s ->
+                   keep i s;
+                   publish (i + 1))
+               pa)
+          (range (fun i -> (Atomic.get reps).(i)))
+    in
     (match
-       verify ~model ~reduced:true ?max_orbit ?max_checks spec expl
+       finish parts ~n:(Mdp.Explore.num_states expl)
+         ~state:(Mdp.Explore.state expl)
      with
      | _, Some cert -> (expl, Some cert)
      | diags, None ->

@@ -112,14 +112,17 @@ val certificate_to_json : certificate -> Json.t
     [max_checks] (state, generator) evaluations, states are
     stride-sampled; the certificate records actual coverage.
 
-    The representatives are checked in a fixed grid of contiguous
-    ranges through a {!Parallel}[.Fork] region, and merged in range
-    order: the result is identical to one pass in index order. *)
+    The representatives are checked in a fixed grid of chunks of 16
+    consecutive indices through a {!Parallel}[.Fork.stream] region,
+    and merged in chunk order: the result is identical to one pass in
+    index order.  [helpers] is passed to the region; tests set it to
+    check chunks concurrently on a one-core host. *)
 val verify :
   model:string ->
   ?reduced:bool ->
   ?max_orbit:int ->
   ?max_checks:int ->
+  ?helpers:int ->
   ('s, 'a) spec ->
   ('s, 'a) Mdp.Explore.t ->
   Diagnostic.t list * certificate option
@@ -128,9 +131,10 @@ val verify :
 
     A generator's certificate fingerprint is [mix] folded from 0 over
     the hashes of the state pairs it was checked at, in index order.
-    {!verify} checks contiguous ranges of representatives concurrently
-    and rejoins their folds with {!join_fingerprints}, which is exact:
-    the fingerprint does not depend on how the ranges were scheduled. *)
+    {!verify} and {!explored} check chunks of representatives
+    concurrently and rejoin their folds with {!join_fingerprints},
+    which is exact: the fingerprint does not depend on how the chunks
+    were scheduled. *)
 
 (** [mix fp h] folds one hash into a 30-bit fingerprint. *)
 val mix : int -> int -> int
@@ -143,16 +147,22 @@ val join_fingerprints : left:int -> right:int -> right_mixes:int -> int
 (** [explored ~model ~mode spec pa] is the one-call surface used by
     proof builders: [Off] explores unreduced with no certificate;
     [On]/[Auto] explore the orbit quotient through the
-    {!canonicalizer} and certify it with {!verify} (orbit-expanded,
-    so the certificate covers the unreduced reachable set).  When
+    {!canonicalizer} and certify it exactly as {!verify} with
+    [~reduced:true] would (orbit-expanded, so the certificate covers
+    the unreduced reachable set): same chunk grid, same diagnostics,
+    same certificate.  Certification runs while the quotient is being
+    explored: each chunk of representatives is checked as soon as
+    {!Mdp.Explore.run}'s [on_intern] has interned it.  When
     certification fails, [Auto] silently rebuilds unreduced, [On]
-    raises {!Not_certified}. *)
+    raises {!Not_certified}; with no generators declared the quotient
+    is explored all the same and certification fails.  [helpers] is as
+    for {!verify}. *)
 val explored :
   model:string ->
   mode:mode ->
   ?max_states:int ->
   ?max_orbit:int ->
-  ?max_checks:int ->
+  ?helpers:int ->
   ('s, 'a) spec ->
   ('s, 'a) Core.Pa.t ->
   ('s, 'a) Mdp.Explore.t * certificate option

@@ -46,55 +46,68 @@ let check_on arena ~granularity ~label ~pre ~post ~time ~prob =
     pre_states = result.Mdp.Checker.pre_states;
     claim = result.Mdp.Checker.claim }
 
-let spec_on arena ~granularity ~g_pred = function
-  | `P_to_C ->
-    check_on arena ~granularity ~label:"A.1" ~pre:Regions.p ~post:Regions.c
-      ~time:Q.one ~prob:Q.one
-  | `T_to_RTC ->
-    check_on arena ~granularity ~label:"A.3" ~pre:Regions.t
-      ~post:Regions.rt_or_c ~time:(Q.of_int 2) ~prob:Q.one
+(* Each phase statement's label, sets, time and probability. *)
+let statement ~g_pred = function
+  | `P_to_C -> ("A.1", Regions.p, Regions.c, Q.one, Q.one)
+  | `T_to_RTC -> ("A.3", Regions.t, Regions.rt_or_c, Q.of_int 2, Q.one)
   | `RT_to_FGP ->
-    check_on arena ~granularity ~label:"A.15" ~pre:Regions.rt
-      ~post:(Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
-      ~time:(Q.of_int 3) ~prob:Q.one
+    ( "A.15", Regions.rt,
+      Core.Pred.union_all [ Regions.f; g_pred; Regions.p ],
+      Q.of_int 3, Q.one )
   | `F_to_GP ->
-    check_on arena ~granularity ~label:"A.14" ~pre:Regions.f
-      ~post:(Core.Pred.union g_pred Regions.p) ~time:(Q.of_int 2)
-      ~prob:Q.half
-  | `G_to_P ->
-    check_on arena ~granularity ~label:"A.11" ~pre:g_pred ~post:Regions.p
-      ~time:(Q.of_int 5) ~prob:(Q.of_ints 1 4)
+    ("A.14", Regions.f, Core.Pred.union g_pred Regions.p, Q.of_int 2, Q.half)
+  | `G_to_P -> ("A.11", g_pred, Regions.p, Q.of_int 5, Q.of_ints 1 4)
 
-let all_specs = [ `P_to_C; `T_to_RTC; `RT_to_FGP; `F_to_GP; `G_to_P ]
+let spec_on arena ~granularity ~g_pred step =
+  let label, pre, post, time, prob = statement ~g_pred step in
+  check_on arena ~granularity ~label ~pre ~post ~time ~prob
 
-let arrows_on arena ~granularity ~g_pred =
-  List.map (spec_on arena ~granularity ~g_pred) all_specs
+type step = [ `P_to_C | `T_to_RTC | `RT_to_FGP | `F_to_GP | `G_to_P ]
 
-(* Rename a claim's pre/post to set-equal predicates, certifying both
-   inclusions over the reachable states. *)
-let canonicalize arena claim ~pre ~post =
-  let need name = function
-    | Some incl -> incl
-    | None ->
-      failwith
-        (Printf.sprintf "canonicalize: inclusion %s failed to verify" name)
+let steps = [ `P_to_C; `T_to_RTC; `RT_to_FGP; `F_to_GP; `G_to_P ]
+
+(* The ladder after A.3, rung by rung: the arrow, the already-reached
+   set it is padded with (Proposition 3.2), and the set-equal pre- and
+   post-sets it is renamed to so that the rungs chain by name. *)
+let rungs ~g_pred =
+  let fgp_or_c =
+    Core.Pred.union (Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
+      Regions.c
   in
-  let to_pre =
-    need (Core.Pred.name pre)
-      (Mdp.Checker.verify_inclusion arena pre (Core.Claim.pre claim))
-  in
-  let to_post =
-    need (Core.Pred.name post)
-      (Mdp.Checker.verify_inclusion arena (Core.Claim.post claim) post)
-  in
-  Core.Claim.weaken_post (Core.Claim.strengthen_pre claim to_pre) to_post
+  let gp_or_c = Core.Pred.union (Core.Pred.union g_pred Regions.p) Regions.c in
+  [ (`RT_to_FGP, Regions.c, Regions.rt_or_c, fgp_or_c);
+    (`F_to_GP, gp_or_c, fgp_or_c, gp_or_c);
+    (`G_to_P, Regions.p_or_c, gp_or_c, Regions.p_or_c);
+    (`P_to_C, Regions.c, Regions.p_or_c, Regions.c) ]
 
-(* The paper's ladder over the five checked arrows, in [all_specs]
+(* The renaming of each rung: both inclusions, verified over the
+   reachable states, or [None] where one fails.  They depend on the
+   statements' sets alone, not on what the checker found for the
+   arrows. *)
+type renaming = {
+  to_pre : State.t Core.Inclusion.t option;
+  to_post : State.t Core.Inclusion.t option;
+}
+
+let renamings_on arena ~g_pred =
+  List.map
+    (fun (step, pad, pre, post) ->
+       let _, arrow_pre, arrow_post, _, _ = statement ~g_pred step in
+       { to_pre =
+           Mdp.Checker.verify_inclusion arena pre
+             (Core.Pred.union arrow_pre pad);
+         to_post =
+           Mdp.Checker.verify_inclusion arena
+             (Core.Pred.union arrow_post pad)
+             post })
+    (rungs ~g_pred)
+
+(* The paper's ladder over the five checked arrows, in [steps]
    order: pad each arrow with the already-reached set via Proposition
-   3.2, canonicalize the set names with verified inclusions, then chain
-   with Theorem 3.4.  The first arrow that does not hold is the
-   error. *)
-let compose_on arena ~g_pred arrows =
+   3.2, rename its sets with the verified inclusions, then chain with
+   Theorem 3.4.  The first arrow that does not hold is the error, then
+   the first inclusion that failed to verify. *)
+let compose_on arena ~g_pred ?renamings arrows =
   match
     ( List.find_opt (fun a -> Option.is_none a.claim) arrows,
       List.filter_map (fun a -> a.claim) arrows )
@@ -104,35 +117,33 @@ let compose_on arena ~g_pred arrows =
       (Printf.sprintf "%s does not hold at the paper's bound: attained %s < %s"
          a.label (Q.to_string a.attained) (Q.to_string a.prob))
   | None, [ a1; a3; a15; a14; a11 ] -> (
-      let fgp_or_c =
-        Core.Pred.union (Core.Pred.union_all [ Regions.f; g_pred; Regions.p ])
-          Regions.c
+      let renamings =
+        match renamings with
+        | Some r -> r
+        | None -> renamings_on arena ~g_pred
       in
-      let gp_or_c =
-        Core.Pred.union (Core.Pred.union g_pred Regions.p) Regions.c
+      let need set = function
+        | Some incl -> incl
+        | None ->
+          failwith
+            (Printf.sprintf "canonicalize: inclusion %s failed to verify"
+               (Core.Pred.name set))
+      in
+      let rename claim (_, pad, pre, post) r =
+        let to_pre = need pre r.to_pre in
+        let to_post = need post r.to_post in
+        Core.Claim.weaken_post
+          (Core.Claim.strengthen_pre (Core.Claim.union claim pad) to_pre)
+          to_post
       in
       try
-        let step1 = a3 in
-        let step2 =
-          canonicalize arena
-            (Core.Claim.union a15 Regions.c)
-            ~pre:Regions.rt_or_c ~post:fgp_or_c
-        in
-        let step3 =
-          canonicalize arena
-            (Core.Claim.union a14 gp_or_c)
-            ~pre:fgp_or_c ~post:gp_or_c
-        in
-        let step4 =
-          canonicalize arena
-            (Core.Claim.union a11 Regions.p_or_c)
-            ~pre:gp_or_c ~post:Regions.p_or_c
-        in
-        let step5 =
-          canonicalize arena (Core.Claim.union a1 Regions.c)
-            ~pre:Regions.p_or_c ~post:Regions.c
-        in
-        Ok (Core.Claim.compose_all [ step1; step2; step3; step4; step5 ])
+        Ok
+          (Core.Claim.compose_all
+             (a3
+              :: List.map2
+                   (fun (claim, rung) r -> rename claim rung r)
+                   (List.combine [ a15; a14; a11; a1 ] (rungs ~g_pred))
+                   renamings))
       with Failure msg | Core.Claim.Rule_violation msg -> Error msg)
   | None, _ -> invalid_arg "Proof.compose_arrows: not the five ladder arrows"
 
@@ -166,11 +177,15 @@ let liveness_on arena =
 (* ----------------------------------------------------------------- *)
 (* Ring interface. *)
 
-let arrows inst =
-  arrows_on inst.arena ~granularity:inst.params.Automaton.g
-    ~g_pred:Regions.g
+let arrow inst =
+  spec_on inst.arena ~granularity:inst.params.Automaton.g ~g_pred:Regions.g
 
-let compose_arrows inst arrows = compose_on inst.arena ~g_pred:Regions.g arrows
+let arrows inst = List.map (arrow inst) steps
+
+let renamings inst = renamings_on inst.arena ~g_pred:Regions.g
+
+let compose_arrows ?renamings inst arrows =
+  compose_on inst.arena ~g_pred:Regions.g ?renamings arrows
 let composed inst = compose_arrows inst (arrows inst)
 
 let direct_bound inst =
@@ -239,12 +254,15 @@ let build_topo ?max_states ?(g = 1) ?(k = 1)
   { topo; tg = g; tk = k; texpl; tsym = cert;
     tarena = Mdp.Arena.compile ~is_tick:Automaton.is_tick texpl }
 
-let arrows_topo inst =
-  arrows_on inst.tarena ~granularity:inst.tg
-    ~g_pred:(Regions.g_of inst.topo)
+let arrow_topo inst =
+  spec_on inst.tarena ~granularity:inst.tg ~g_pred:(Regions.g_of inst.topo)
 
-let compose_arrows_topo inst arrows =
-  compose_on inst.tarena ~g_pred:(Regions.g_of inst.topo) arrows
+let arrows_topo inst = List.map (arrow_topo inst) steps
+
+let renamings_topo inst = renamings_on inst.tarena ~g_pred:(Regions.g_of inst.topo)
+
+let compose_arrows_topo ?renamings inst arrows =
+  compose_on inst.tarena ~g_pred:(Regions.g_of inst.topo) ?renamings arrows
 
 let composed_topo inst = compose_arrows_topo inst (arrows_topo inst)
 

@@ -42,9 +42,19 @@ type arrow = {
   claim : State.t Core.Claim.t option;  (** present iff [attained >= prob] *)
 }
 
-(** The paper's five arrows, in proof order:
-    [P -1->_1 C], [T -2->_1 RT ∪ C], [RT -3->_1 F ∪ G ∪ P],
-    [F -2->_{1/2} G ∪ P], [G -5->_{1/4} P]. *)
+(** The paper's five phase statements: [P -1->_1 C] (A.1),
+    [T -2->_1 RT ∪ C] (A.3), [RT -3->_1 F ∪ G ∪ P] (A.15),
+    [F -2->_{1/2} G ∪ P] (A.14), [G -5->_{1/4} P] (A.11). *)
+type step = [ `P_to_C | `T_to_RTC | `RT_to_FGP | `F_to_GP | `G_to_P ]
+
+(** The five steps in proof order, as listed in {!step}. *)
+val steps : step list
+
+(** [arrow inst step] checks one phase statement. *)
+val arrow : instance -> step -> arrow
+
+(** The paper's five arrows, in proof order: [List.map (arrow inst)
+    steps]. *)
 val arrows : instance -> arrow list
 
 (** Compose the five arrows into [T -13->_{1/8} C] using the claim DSL
@@ -54,13 +64,25 @@ val arrows : instance -> arrow list
     with an explanation if some arrow failed to check. *)
 val composed : instance -> (State.t Core.Claim.t, string) result
 
-(** [compose_arrows inst arrows] composes arrows already checked on
-    [inst], so a caller that also reports the arrows checks each one
-    once: [composed inst] is [compose_arrows inst (arrows inst)].
-    [arrows] must be [arrows inst] (or [arrows_topo] for a topology
-    instance), in that order; the ladder reads the five by position
-    and raises [Invalid_argument] on a list of any other length. *)
+(** The inclusions that rename the ladder's padded arrows so that they
+    chain, verified over the reachable states.  They depend on the
+    phase statements' sets only, so they can be checked while the
+    arrows are. *)
+type renaming
+
+(** [renamings inst] verifies every inclusion the composition needs. *)
+val renamings : instance -> renaming list
+
+(** [compose_arrows ?renamings inst arrows] composes arrows already
+    checked on [inst], so a caller that also reports the arrows checks
+    each one once: [composed inst] is [compose_arrows inst (arrows
+    inst)].  [arrows] must be [arrows inst] (or [arrows_topo] for a
+    topology instance), in that order; the ladder reads the five by
+    position and raises [Invalid_argument] on a list of any other
+    length.  [renamings] (default: verified here) must be [renamings
+    inst] (or [renamings_topo]); the result is the same either way. *)
 val compose_arrows :
+  ?renamings:renaming list ->
   instance -> arrow list -> (State.t Core.Claim.t, string) result
 
 (** Exact minimum of [P(reach C within 13)] over reachable [T]-states:
@@ -112,11 +134,17 @@ val build_topo :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   topo:Topology.t -> unit -> topo_instance
 
+(** {!arrow} on a topology, with the generalized goodness set. *)
+val arrow_topo : topo_instance -> step -> arrow
+
 val arrows_topo : topo_instance -> arrow list
 val composed_topo : topo_instance -> (State.t Core.Claim.t, string) result
 
+val renamings_topo : topo_instance -> renaming list
+
 (** {!compose_arrows} for a topology instance, over {!arrows_topo}. *)
 val compose_arrows_topo :
+  ?renamings:renaming list ->
   topo_instance -> arrow list -> (State.t Core.Claim.t, string) result
 val direct_bound_topo : topo_instance -> Proba.Rational.t
 val max_expected_time_topo : topo_instance -> float

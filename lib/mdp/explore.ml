@@ -45,7 +45,8 @@ let resolve table canon s ~found ~missed =
    the index suffix [expanded ..].  [stop] is consulted before each
    expansion; [hard_max] reproduces the legacy contract of {!run}
    (raise the moment a state beyond the bound would be interned). *)
-let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon m =
+let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
+    ?(on_intern = fun _ _ -> ()) m =
   Atomic.incr explorations_counter;
   let table =
     Funtbl.create ~equal:(Core.Pa.equal_state m) ~hash:(Core.Pa.hash_state m)
@@ -69,6 +70,7 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon m =
         incr count;
         states := s :: !states;
         Queue.add s queue;
+        on_intern i s;
         i)
   in
   let intern s = resolve table canon s ~found:Fun.id ~missed:add in
@@ -136,8 +138,8 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon m =
       expanded = !expanded; canon },
     !stopped )
 
-let run ?(max_states = 5_000_000) ?canon m =
-  let fragment, _ = bfs ~hard_max:max_states ?canon m in
+let run ?(max_states = 5_000_000) ?canon ?on_intern m =
+  let fragment, _ = bfs ~hard_max:max_states ?canon ?on_intern m in
   fragment
 
 (* Rehydration constructor for snapshot loading: rebuilds the intern

@@ -33,8 +33,18 @@ type ('s, 'a) t
     automaton's) is the {e caller's} obligation; uncertified canon
     functions yield garbage quietly.  {!index} resolves its argument
     the same way, so looking up any orbit member finds the
-    representative. *)
-val run : ?max_states:int -> ?canon:('s -> 's) -> ('s, 'a) Core.Pa.t -> ('s, 'a) t
+    representative.
+
+    [on_intern i s] (default: nothing) is called on the exploring
+    domain the moment [s] gets index [i], before any later state is
+    interned: it sees every index exactly once, in increasing order,
+    with the state {!state} will return for it.  It lets a consumer
+    work on the states while the exploration is still running (the
+    orbit certifier of [Analysis.Symmetry] does).  An exception it
+    raises aborts the exploration. *)
+val run :
+  ?max_states:int -> ?canon:('s -> 's) -> ?on_intern:(int -> 's -> unit) ->
+  ('s, 'a) Core.Pa.t -> ('s, 'a) t
 
 (** A possibly-incomplete exploration.  When the budget ran out,
     [fragment] still holds every interned state; the [frontier] states

@@ -185,6 +185,136 @@ let test_fork_helper_polls_deadline () =
   Alcotest.(check bool) "the helper's poll fired too" true
     (Array.for_all Atomic.get fired)
 
+(* Streaming regions.  Each test forces helpers, so consumers run
+   concurrently with the producer even on a one-core host. *)
+
+(* A producer that publishes [n] items one at a time, yielding between
+   them so that consumers catch up and wait. *)
+let producing n ~publish =
+  for k = 1 to n do
+    if k mod 7 = 0 then Unix.sleepf 0.001;
+    publish k
+  done;
+  n
+
+let test_stream_chunk_order () =
+  List.iter
+    (fun helpers ->
+       let n = 103 and chunk = 8 in
+       let hits = Array.init n (fun _ -> Atomic.make 0) in
+       let made, got =
+         F.stream ~helpers ~chunk (producing n) (fun lo hi ->
+             for i = lo to hi - 1 do
+               Atomic.incr hits.(i)
+             done;
+             (lo, hi))
+       in
+       let name = Printf.sprintf " (%d helpers)" helpers in
+       Alcotest.(check int) ("producer's result" ^ name) n made;
+       Alcotest.(check (array (pair int int)))
+         ("chunks in index order" ^ name)
+         (Array.init 13 (fun c -> (c * chunk, Int.min n ((c + 1) * chunk))))
+         got;
+       Alcotest.(check bool) ("each item once" ^ name) true
+         (Array.for_all (fun a -> Atomic.get a = 1) hits))
+    [ 0; 1; 3 ];
+  let made, got =
+    F.stream ~helpers:2 ~chunk:4 (fun ~publish:_ -> ()) (fun _ _ -> ())
+  in
+  Alcotest.(check int) "nothing published, no chunks" 0 (Array.length got);
+  Alcotest.(check unit) "producer ran" () made
+
+(* Consumers mark themselves active while they run; after [stream]
+   returns or raises, none may still be. *)
+let counting active f lo hi =
+  Atomic.incr active;
+  Fun.protect ~finally:(fun () -> Atomic.decr active) (fun () -> f lo hi)
+
+let test_stream_producer_wins () =
+  let active = Atomic.make 0 in
+  Alcotest.check_raises "the producer's exception wins" (Failure "producer")
+    (fun () ->
+       ignore
+         (F.stream ~helpers:2 ~chunk:4
+            (fun ~publish ->
+               ignore (producing 40 ~publish);
+               Unix.sleepf 0.02;
+               failwith "producer")
+            (counting active (fun lo _ ->
+                 Unix.sleepf 0.002;
+                 if lo >= 8 then failwith (Printf.sprintf "chunk at %d" lo)))));
+  Alcotest.(check int) "no consumer still running" 0 (Atomic.get active);
+  (* Chunk 0 is still being consumed when the producer fails. *)
+  Alcotest.check_raises "the producer fails mid-consumption"
+    (Failure "producer") (fun () ->
+        ignore
+          (F.stream ~helpers:2 ~chunk:4
+             (fun ~publish ->
+                ignore (producing 12 ~publish);
+                failwith "producer")
+             (counting active (fun lo _ ->
+                  if lo = 0 then Unix.sleepf 0.05))));
+  Alcotest.(check int) "no consumer still running after the producer failed"
+    0 (Atomic.get active);
+  Alcotest.check_raises "else the lowest failing chunk" (Failure "chunk at 8")
+    (fun () ->
+       ignore
+         (F.stream ~helpers:3 ~chunk:4 (producing 40)
+            (counting active (fun lo _ ->
+                 Unix.sleepf (if lo = 8 then 0.02 else 0.001);
+                 if lo = 8 || lo = 12 || lo = 28 then
+                   failwith (Printf.sprintf "chunk at %d" lo)))));
+  Alcotest.(check int) "no consumer still running after a failure" 0
+    (Atomic.get active);
+  let _, got =
+    F.stream ~helpers:2 ~chunk:3 (producing 30)
+      (counting active (fun lo hi ->
+           Unix.sleepf 0.001;
+           hi - lo))
+  in
+  Alcotest.(check int) "every item consumed" 30 (Array.fold_left ( + ) 0 got);
+  Alcotest.(check int) "no consumer still running after return" 0
+    (Atomic.get active)
+
+(* The producer publishes nothing and does not poll; the helper waiting
+   for chunk 0 is the only code that can notice the deadline. *)
+let test_stream_deadline_while_waiting () =
+  let consumed = Atomic.make false in
+  let deadline = Core.Budget.start (Core.Budget.v ~wall:0.02 ()) in
+  let raised =
+    try
+      Core.Budget.with_deadline deadline (fun () ->
+          ignore
+            (F.stream ~helpers:1 ~chunk:4
+               (fun ~publish:_ -> Unix.sleepf 0.2)
+               (fun _ _ -> Atomic.set consumed true)));
+      false
+    with Core.Budget.Deadline_exceeded _ -> true
+  in
+  Alcotest.(check bool) "Deadline_exceeded reaches the caller" true raised;
+  Alcotest.(check bool) "no chunk was consumed" false (Atomic.get consumed)
+
+let test_stream_inline_on_pool_worker () =
+  let order = ref [] and domains = ref [] and job_domain = ref None in
+  let produced = ref false in
+  with_pool 2 (fun pool ->
+      Alcotest.(check bool) "job accepted" true
+        (P.submit pool (fun () ->
+             job_domain := Some (Domain.self ());
+             ignore
+               (F.stream ~helpers:3 ~chunk:5
+                  (fun ~publish ->
+                     ignore (producing 23 ~publish);
+                     produced := true)
+                  (fun lo _ ->
+                     if not !produced then failwith "consumed mid-production";
+                     order := lo :: !order;
+                     domains := Domain.self () :: !domains)))));
+  Alcotest.(check (list int)) "chunks in index order, after production"
+    [ 0; 5; 10; 15; 20 ] (List.rev !order);
+  Alcotest.(check bool) "all on the worker's own domain" true
+    (List.for_all (fun d -> Some d = !job_domain) !domains)
+
 (* ------------------------------------------------------------------ *)
 (* The same /check bodies on any schedule.
 
@@ -417,6 +547,14 @@ let () =
            test_fork_lowest_exception_after_join;
          Alcotest.test_case "inline on a pool worker" `Quick
            test_fork_inline_on_pool_worker;
+         Alcotest.test_case "stream: chunks in order" `Quick
+           test_stream_chunk_order;
+         Alcotest.test_case "stream: producer's exception wins" `Quick
+           test_stream_producer_wins;
+         Alcotest.test_case "stream: deadline while a consumer waits" `Quick
+           test_stream_deadline_while_waiting;
+         Alcotest.test_case "stream: inline on a pool worker" `Quick
+           test_stream_inline_on_pool_worker;
          Alcotest.test_case "helpers poll the caller's deadline" `Quick
            test_fork_helper_polls_deadline;
          Alcotest.test_case "check_json forked = inline" `Quick

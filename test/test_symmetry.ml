@@ -683,6 +683,78 @@ let test_legacy_fixtures () =
     (Mdp.Explore.run ring)
 
 (* ------------------------------------------------------------------ *)
+(* Streamed certification against the legacy verifier: [explored]
+   certifies chunks of representatives while the quotient is being
+   explored, with helpers forced so that it runs concurrently even on a
+   one-core host.  It must return the certificate the legacy verifier
+   gives the finished quotient, fall back under [Auto] where that
+   refuses, and refuse under [On] with the message [require] builds
+   from the legacy diagnostics. *)
+
+let refusal f =
+  match f () with
+  | _ -> "certified"
+  | exception Sym.Not_certified msg -> msg
+
+let streamed_as_legacy name spec pa =
+  let quotient = reduced_expl spec pa in
+  let legacy = Legacy.verify ~model:name ~reduced:true spec quotient in
+  let explored mode = Sym.explored ~helpers:2 ~model:name ~mode spec pa in
+  let expl, cert = explored Sym.Auto in
+  (match legacy with
+   | diags, Some expected ->
+     Alcotest.(check int) (name ^ ": no diagnostics") 0 (List.length diags);
+     Alcotest.(check bool) (name ^ ": same certificate") true
+       (cert = Some expected);
+     Alcotest.(check int) (name ^ ": the quotient")
+       (Mdp.Explore.num_states quotient) (Mdp.Explore.num_states expl)
+   | _, None ->
+     Alcotest.(check bool) (name ^ ": no certificate") true (cert = None);
+     Alcotest.(check int) (name ^ ": fell back unreduced")
+       (Mdp.Explore.num_states (Mdp.Explore.run pa))
+       (Mdp.Explore.num_states expl);
+     Alcotest.(check string) (name ^ ": same refusal under On")
+       (refusal (fun () -> Sym.require ~model:name legacy))
+       (refusal (fun () -> explored Sym.On)))
+
+let test_streamed_lr () =
+  let ring g = LR.Automaton.make { LR.Automaton.n = 3; g; k = 1 } in
+  streamed_as_legacy "lr" (LR.Symmetry.ring ~n:3 ()) (ring 1);
+  streamed_as_legacy "lr g=2" (LR.Symmetry.ring ~n:3 ()) (ring 2);
+  List.iter
+    (fun topo ->
+       streamed_as_legacy
+         ("lr:" ^ LR.Topology.name topo)
+         (LR.Symmetry.spec topo)
+         (LR.Automaton.make_general ~topo ~g:1 ~k:1))
+    [ LR.Topology.star 3; LR.Topology.line 3 ]
+
+let test_streamed_others () =
+  List.iter
+    (fun n ->
+       let ir = { IR.Automaton.n; g = 1; k = 1 } in
+       streamed_as_legacy
+         (Printf.sprintf "election n=%d" n)
+         (IR.Symmetry.spec ir) (IR.Automaton.make ir))
+    [ 5; 6 ];
+  let sc = { SC.Automaton.n = 2; bound = 4; g = 1; k = 1 } in
+  streamed_as_legacy "coin" (SC.Symmetry.spec sc) (SC.Automaton.make sc);
+  let initial = [| false; false; true |] in
+  let bo = { BO.Automaton.n = 3; f = 1; cap = 2; g = 1; k = 1 } in
+  streamed_as_legacy "consensus"
+    (BO.Symmetry.spec bo ~initial)
+    (BO.Automaton.make ~initial bo)
+
+let test_streamed_broken () =
+  let topo = LR.Topology.line 3 in
+  streamed_as_legacy "lr-line-broken" (broken_line_spec topo)
+    (LR.Automaton.make_general ~topo ~g:1 ~k:1);
+  let pred0 s = s.LR.State.procs.(0).LR.State.region = LR.State.Crit in
+  streamed_as_legacy "lr-proc0"
+    (LR.Symmetry.ring ~extra:[ ("proc0-crit", pred0) ] ~n:3 ())
+    (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 })
+
+(* ------------------------------------------------------------------ *)
 (* Exploration against the reference BFS: the same states in the same
    order, the same steps, start indices and expansion count, reduced
    and unreduced, complete and budgeted.  The reduced runs count the
@@ -718,9 +790,13 @@ let same_exploration name ?budget pa spec ~reduced =
         pa
   in
   let reference_calls = !canon_calls in
+  let interned = ref [] in
   let expl =
     match budget with
-    | None -> Mdp.Explore.run ?canon:(canon ()) pa
+    | None ->
+      Mdp.Explore.run ?canon:(canon ())
+        ~on_intern:(fun i s -> interned := (i, s) :: !interned)
+        pa
     | Some budget ->
       let part = Mdp.Explore.run_budgeted ~budget ?canon:(canon ()) pa in
       Alcotest.(check bool) (name ^ ": stopped alike") (stopped = None)
@@ -729,6 +805,10 @@ let same_exploration name ?budget pa spec ~reduced =
   in
   Alcotest.(check int) (name ^ ": states") (Array.length states)
     (Mdp.Explore.num_states expl);
+  (* [on_intern] saw every index once, in order, with its state. *)
+  if budget = None then
+    Alcotest.(check bool) (name ^ ": on_intern in index order") true
+      (List.rev !interned = List.mapi (fun i s -> (i, s)) (Array.to_list states));
   Alcotest.(check int) (name ^ ": expanded") expanded
     (Mdp.Explore.num_expanded expl);
   Alcotest.(check (list int)) (name ^ ": start indices") starts
@@ -1142,6 +1222,12 @@ let () =
           Alcotest.test_case "election" `Quick test_legacy_election;
           Alcotest.test_case "coin" `Quick test_legacy_coin;
           Alcotest.test_case "consensus" `Quick test_legacy_consensus;
+          Alcotest.test_case "streamed: lr ring/star/line, g=2" `Quick
+            test_streamed_lr;
+          Alcotest.test_case "streamed: election/coin/consensus" `Quick
+            test_streamed_others;
+          Alcotest.test_case "streamed: broken specs" `Quick
+            test_streamed_broken;
           Alcotest.test_case "PA030/PA031 witnesses" `Quick
             test_legacy_fixtures ] );
       ( "exploration",
