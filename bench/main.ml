@@ -10,9 +10,7 @@
       micro-benchmarks.
 
    Flags: --quick (smaller experiment instances), --tables-only,
-   --bench-only, --domains N (install the worker pool the Monte Carlo
-   batches use),
-   --json PATH (persist per-kernel ns/run + run metadata, the format of
+   --bench-only, --json PATH (persist per-kernel ns/run + run metadata, the format of
    the committed BENCH_baseline.json), --check-against PATH (exit
    nonzero if any guarded kernel -- the e* experiment pipelines plus
    the subsystem kernels of [guarded_prefixes] -- regressed more than
@@ -250,15 +248,15 @@ let bench_tests () =
         Server.Daemon.stop d;
         Server.Daemon.wait d);
     let url =
-      { Server.Load.host = "127.0.0.1";
+      { Server.Http.host = "127.0.0.1";
         port = Server.Daemon.port d; target = "/" }
     in
     let roundtrip ?meth ?body target =
-      let conn = Server.Load.Conn.create url in
+      let conn = Server.Http.Conn.create url in
       Fun.protect
-        ~finally:(fun () -> Server.Load.Conn.close conn)
+        ~finally:(fun () -> Server.Http.Conn.close conn)
         (fun () ->
-           match Server.Load.Conn.request conn ?meth ?body target with
+           match Server.Http.Conn.request conn ?meth ?body target with
            | Ok r -> r.Server.Http.status
            | Error e -> failwith ("serve bench: " ^ e))
     in
@@ -321,7 +319,7 @@ let bench_tests () =
         Server.Daemon.stop d;
         Server.Daemon.wait d);
     let url =
-      { Server.Load.host = "127.0.0.1";
+      { Server.Http.host = "127.0.0.1";
         port = Server.Daemon.port d; target = "/" }
     in
     [ Test.make ~name:"chaos:mixed (1 round, 2 clients)"
@@ -385,7 +383,7 @@ let run_benchmarks () =
 
 module J = Analysis.Json
 
-let emit_json ~path ~quick ~domains rows =
+let emit_json ~path ~quick rows =
   let doc =
     J.Obj
       [ ("schema", J.Str "prtb-bench/1");
@@ -396,7 +394,6 @@ let emit_json ~path ~quick ~domains rows =
         ("clock", J.Str "monotonic");
         ("quota_s", J.Num 0.5);
         ("quick", J.Bool quick);
-        ("domains", (match domains with None -> J.Null | Some n -> J.Int n));
         ( "results",
           J.Arr
             (List.map
@@ -493,18 +490,6 @@ let () =
   let bench_only = List.mem "--bench-only" argv in
   let json_path = arg_value argv "--json" in
   let check_path = arg_value argv "--check-against" in
-  let domains =
-    match arg_value argv "--domains" with
-    | None -> None
-    | Some v ->
-      (match int_of_string_opt v with
-       | Some n when n >= 1 -> Some n
-       | Some _ | None -> failwith "--domains expects a positive integer")
-  in
-  (match domains with
-   | None -> ()
-   | Some n ->
-     Parallel.Pool.set_default (Some (Parallel.Pool.create ~domains:n)));
   if not bench_only then begin
     let config =
       if quick then Experiments.Harness.quick else Experiments.Harness.default
@@ -514,7 +499,7 @@ let () =
   if not tables_only then begin
     let rows = run_benchmarks () in
     (match json_path with
-     | Some path -> emit_json ~path ~quick ~domains rows
+     | Some path -> emit_json ~path ~quick rows
      | None -> ());
     match check_path with
     | Some path -> check_against ~path rows

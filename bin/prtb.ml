@@ -11,32 +11,6 @@ module LR = Lehmann_rabin
 open Cmdliner
 
 (* ----------------------------------------------------------------- *)
-(* --domains: session-default worker pool *)
-
-let domains_arg =
-  let pos_int =
-    Arg.conv
-      ( (fun s ->
-           match int_of_string_opt s with
-           | Some n when n >= 1 -> Ok n
-           | Some _ | None -> Error (`Msg "DOMAINS must be a positive integer")),
-        Format.pp_print_int )
-  in
-  Arg.(value & opt (some pos_int) None
-       & info [ "domains" ] ~docv:"N"
-           ~doc:"Run Monte Carlo batches (the $(b,--faults --budget) \
-                 fallback on $(b,check)) on a pool of N domains.  Seeded \
-                 estimates are bit-identical for every N (including 1). \
-                 The exact check never reads the pool: it forks its \
-                 independent passes across the machine's cores in \
-                 short-lived regions, with byte-identical output.  See \
-                 docs/PERFORMANCE.md.")
-
-let install_domains = function
-  | None -> ()
-  | Some n -> Parallel.Pool.set_default (Some (Parallel.Pool.create ~domains:n))
-
-(* ----------------------------------------------------------------- *)
 (* --deadline: wall allowance in milliseconds *)
 
 let deadline_conv =
@@ -98,8 +72,7 @@ let experiments_cmd =
          & info [] ~docv:"ID"
              ~doc:"Experiment ids to run (e1..e13); all when omitted.")
   in
-  let run domains config ids =
-    install_domains domains;
+  let run config ids =
     let ctx = Experiments.Harness.make_ctx config in
     let table =
       [ ("e1", Experiments.Harness.e1_arrows); ("e2", Experiments.Harness.e2_composed);
@@ -126,7 +99,7 @@ let experiments_cmd =
       in
       go ids
   in
-  let term = Term.(term_result (const run $ domains_arg $ profile $ only)) in
+  let term = Term.(term_result (const run $ profile $ only)) in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's result tables (see EXPERIMENTS.md).")
@@ -348,9 +321,8 @@ let emit_cert_arg =
                  verify-cert).  Incompatible with --faults.")
 
 let check_cmd =
-  let run domains stats format plane emit_cert system n g k topology bound
-      cap sym faults budget release seed deadline =
-    install_domains domains;
+  let run stats format plane emit_cert system n g k topology bound cap sym
+      faults budget release seed deadline =
     try
       let p = cli_params system n g k topology bound cap in
       let query () = cli_check_query p sym plane deadline in
@@ -405,7 +377,7 @@ let check_cmd =
              fault budget, falling back to simulation when --budget is \
              exceeded.")
     Term.(term_result
-            (const run $ domains_arg $ stats_arg $ check_format_arg
+            (const run $ stats_arg $ check_format_arg
              $ plane_arg $ emit_cert_arg
              $ system_arg $ n_arg ~default:3 $ g_arg $ k_arg $ topology_arg
              $ bound_arg $ cap_arg $ sym_arg $ faults_arg $ budget_arg
@@ -535,8 +507,7 @@ let compile_cmd =
 (* ----------------------------------------------------------------- *)
 (* simulate *)
 
-let simulate domains system n scheduler trials seed within =
-  install_domains domains;
+let simulate system n scheduler trials seed within =
   match
     Models.simulation ~scheduler (valid (Models.sim_params system ~n))
   with
@@ -586,7 +557,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte Carlo estimation on large rings.")
     Term.(term_result
-            (const simulate $ domains_arg $ system_arg $ n_arg ~default:8
+            (const simulate $ system_arg $ n_arg ~default:8
              $ scheduler $ trials $ seed $ within))
 
 (* ----------------------------------------------------------------- *)
@@ -791,91 +762,6 @@ let serve_cmd =
              $ degraded_after $ snapshot_dir))
 
 (* ----------------------------------------------------------------- *)
-(* loadtest *)
-
-let loadtest_cmd =
-  let url =
-    Arg.(required & opt (some string) None
-         & info [ "url" ] ~docv:"URL"
-             ~doc:"Target, e.g. http://127.0.0.1:8080/health or a full \
-                   /check query.")
-  in
-  let clients =
-    Arg.(value & opt int 8
-         & info [ "clients" ] ~docv:"C"
-             ~doc:"Concurrent client domains, one keep-alive connection \
-                   each.")
-  in
-  let requests =
-    Arg.(value & opt int 400
-         & info [ "requests" ] ~docv:"R"
-             ~doc:"Total round trips, spread over the clients.")
-  in
-  let retries =
-    Arg.(value & opt int 0
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry a 503-rejected request up to N times with \
-                   jittered exponential backoff, honouring the \
-                   server's Retry-After header.  Retries are counted \
-                   separately in the report; default 0 (a 503 counts \
-                   as the final answer).")
-  in
-  let batch =
-    Arg.(value & opt (some int) None
-         & info [ "batch" ] ~docv:"N"
-             ~doc:"Mixed workload: every other logical request becomes \
-                   a $(b,POST /batch) carrying N copies of the URL's \
-                   query (the URL's path is each element's endpoint \
-                   selector), exercising the batch envelope and the \
-                   single-query path in one run.")
-  in
-  let run url clients requests retries batch deadline =
-    if clients < 1 then Error (`Msg "--clients must be positive")
-    else if requests < 1 then Error (`Msg "--requests must be positive")
-    else if retries < 0 then Error (`Msg "--retries must be nonnegative")
-    else if (match batch with Some b -> b < 1 | None -> false) then
-      Error (`Msg "--batch must be positive")
-    else
-      match Server.Load.parse_url url with
-      | Error e -> Error (`Msg e)
-      | Ok u ->
-        let u =
-          match deadline with
-          | None -> u
-          | Some ms ->
-            let sep =
-              if String.contains u.Server.Load.target '?' then "&" else "?"
-            in
-            { u with
-              Server.Load.target =
-                Printf.sprintf "%s%sdeadline_ms=%d" u.Server.Load.target
-                  sep ms }
-        in
-        let r =
-          Server.Load.run ~max_retries:retries ?batch u ~clients ~requests
-        in
-        Format.printf "%a@." Server.Load.pp r;
-        if r.Server.Load.protocol_errors > 0 then
-          Error
-            (`Msg
-               (Printf.sprintf "%d protocol error(s)"
-                  r.Server.Load.protocol_errors))
-        else Ok ()
-  in
-  Cmd.v
-    (Cmd.info "loadtest"
-       ~doc:"Hammer a running $(b,prtb serve) with concurrent keep-alive \
-             clients and report throughput and latency percentiles.  \
-             Exits nonzero on any protocol error (503 rejections are \
-             reported but are not protocol errors).")
-    Term.(term_result
-            (const run $ url $ clients $ requests $ retries $ batch
-             $ deadline_arg
-                 ~doc:"Append deadline_ms=DUR to every request, \
-                       exercising the server's degraded SRV122 path \
-                       under load."))
-
-(* ----------------------------------------------------------------- *)
 (* chaos *)
 
 let chaos_cmd =
@@ -910,7 +796,7 @@ let chaos_cmd =
   let clients =
     Arg.(value & opt int 4
          & info [ "clients" ] ~docv:"C"
-             ~doc:"Concurrent domains for the mixed scenario.")
+             ~doc:"Concurrent domains for the mixed scenario, 2-64.")
   in
   let idle_s =
     Arg.(value & opt float 1.5
@@ -919,8 +805,12 @@ let chaos_cmd =
   in
   let run url seed scenarios rounds clients idle_s =
     if rounds < 1 then Error (`Msg "--rounds must be positive")
+    else if clients < 2 || clients > 64 then
+      Error (`Msg "--clients must be in 2-64")
+    else if not (Float.is_finite idle_s && idle_s >= 0.0) then
+      Error (`Msg "--idle-s must be a finite number >= 0")
     else
-      match Server.Load.parse_url url with
+      match Server.Http.parse_url url with
       | Error e -> Error (`Msg e)
       | Ok u ->
         let scenarios =
@@ -975,5 +865,4 @@ let () =
   let info = Cmd.info "prtb" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
        [ experiments_cmd; check_cmd; verify_cert_cmd; compile_cmd;
-         simulate_cmd; export_dot_cmd; lint_cmd; serve_cmd;
-         loadtest_cmd; chaos_cmd ]))
+         simulate_cmd; export_dot_cmd; lint_cmd; serve_cmd; chaos_cmd ]))

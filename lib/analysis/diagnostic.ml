@@ -43,26 +43,6 @@ let code_name = function
   | CL001 -> "CL001"
   | CL002 -> "CL002"
 
-let code_summary = function
-  | PA000 -> "analysis incomplete: the model could not be fully explored"
-  | PA001 -> "step distribution is sub- or super-stochastic"
-  | PA002 -> "zero-probability or duplicate outcome in a step distribution"
-  | PA003 -> "equal_state and hash_state disagree on reachable states"
-  | PA010 -> "reachable deadlock or unclassified terminal state"
-  | PA011 -> "action signature inconsistent under equal_action"
-  | PA012 -> "a faulted process's original step is still enabled"
-  | PA020 -> "probabilistic zero-time cycle: time can stall"
-  | PA021 -> "an adversary can block tick forever (time need not diverge)"
-  | PA030 -> "declared permutation is not an automorphism of the automaton"
-  | PA031 -> "predicate is not invariant under the verified symmetry group"
-  | PA032 -> "verified symmetric model explored without orbit reduction"
-  | CL001 -> "compose applied under a schema that is not execution closed"
-  | CL002 -> "claim predicate unsatisfiable on the explored fragment"
-
-let all_codes =
-  [ PA000; PA001; PA002; PA003; PA010; PA011; PA012; PA020; PA021; PA030;
-    PA031; PA032; CL001; CL002 ]
-
 let severity_name = function
   | Error -> "error"
   | Warning -> "warning"

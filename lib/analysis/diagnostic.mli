@@ -46,12 +46,6 @@ val v : ?witness:string -> code -> severity -> model:string -> string -> t
 (** ["PA001"], ["CL002"], ... *)
 val code_name : code -> string
 
-(** One-line statement of the condition the code checks. *)
-val code_summary : code -> string
-
-val all_codes : code list
-val severity_name : severity -> string
-
 (** [Error] < [Warning] < [Info] (most severe first). *)
 val compare_severity : severity -> severity -> int
 

@@ -30,7 +30,6 @@ val stats : t -> model_stats list
 
 val errors : t -> int
 val warnings : t -> int
-val infos : t -> int
 val has_errors : t -> bool
 
 (** [mem code t]: some diagnostic with that code is present (at any

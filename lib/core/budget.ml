@@ -121,9 +121,8 @@ let remaining c =
 
 exception Deadline_exceeded of string
 
-(* The ambient deadline is per-domain state: pool workers spawned before
-   [with_deadline] ran never see it, which is why [deadline_stop] hands
-   the clock to the pool as a [?stop] probe instead. *)
+(* The ambient deadline is per-domain state: a domain sees it only once
+   it is installed there, as [Parallel.Fork] does for its helpers. *)
 let ambient : clock option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -151,8 +150,3 @@ let poll () =
     (match expired_reason c with
      | Some reason -> raise (Deadline_exceeded reason)
      | None -> ())
-
-let deadline_stop () =
-  match current_deadline () with
-  | Some c when c.b.wall <> None -> Some (fun () -> expired_reason c)
-  | Some _ | None -> None

@@ -69,11 +69,7 @@ val remaining : clock -> float option
     between phases.  [poll] is a few loads when no deadline is armed,
     so it is safe in the innermost loops.
 
-    The ambient clock is domain-local.  Worker domains of a
-    {!Parallel}[.Pool] do {e not} inherit it; pass {!deadline_stop}
-    (evaluated on the calling domain) as the pool's [?stop] probe
-    instead, and translate the pool's [Cancelled] back into
-    {!Deadline_exceeded} at the call site.  The helpers of a
+    The ambient clock is domain-local.  The helpers of a
     {!Parallel}[.Fork] region, spawned per call, are handed the
     caller's deadline and poll it themselves. *)
 
@@ -93,8 +89,3 @@ val current_deadline : unit -> clock option
 (** Raises {!Deadline_exceeded} iff the ambient deadline's wall
     allowance is spent.  No-op (and near-free) otherwise. *)
 val poll : unit -> unit
-
-(** A [?stop] probe for {!Parallel}[.Pool] capturing the ambient
-    deadline of the {e calling} domain; [None] when no deadline with a
-    wall allowance is armed. *)
-val deadline_stop : unit -> (unit -> string option) option

@@ -90,7 +90,6 @@ val base : 's state -> 's
 val faulted : 's state -> int list
 
 val is_crashed : 's state -> int -> bool
-val is_stuck : 's state -> int -> bool
 
 (** Remaining injection budget. *)
 val remaining : 's state -> Fault.spec

@@ -54,11 +54,6 @@ val schema : Fault.spec -> Core.Schema.t
     by spending its budget.) *)
 val live_trying : wstate Core.Pred.t
 
-(** [C∨P∧live]: a live process is critical, or a live process is
-    pre-critical while every live process is trying.  The midpoint of
-    the two-arrow derivation. *)
-val almost_there : wstate Core.Pred.t
-
 (** [C∧live]: some live process is in its critical region. *)
 val live_crit : wstate Core.Pred.t
 

@@ -24,10 +24,5 @@ val check :
 val check_exclusion :
   (State.t, Automaton.action) Mdp.Explore.t -> State.t option
 
-(** Lemma 6.1 generalized to an arbitrary topology: each resource is
-    taken iff exactly one of its contenders holds it on the
-    corresponding side. *)
-val lemma_general : Topology.t -> State.t -> bool
-
 val check_general :
   Topology.t -> (State.t, Automaton.action) Mdp.Explore.t -> State.t option

@@ -269,5 +269,4 @@ let composed_topo inst = compose_arrows_topo inst (arrows_topo inst)
 let direct_bound_topo inst = direct_bound_on inst.tarena ~granularity:inst.tg
 let max_expected_time_topo inst =
   max_expected_time_on inst.tarena ~granularity:inst.tg
-let liveness_topo inst = liveness_on inst.tarena
 let invariant_topo inst = Invariant.check_general inst.topo inst.texpl

@@ -92,12 +92,6 @@ let good_at_general topo s i =
   in
   good_toward State.L || good_toward State.R
 
-let good_processes_general topo s =
-  if not (in_rt s) then []
-  else
-    List.filter (good_at_general topo s)
-      (List.init (State.num_procs s) (fun i -> i))
-
 let g_of topo =
   Core.Pred.make "G" (fun s ->
       in_rt s

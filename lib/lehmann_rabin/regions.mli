@@ -38,8 +38,6 @@ val good_processes : State.t -> int list
     [Topology.ring n] this coincides with {!g}. *)
 val g_of : Topology.t -> State.t Core.Pred.t
 
-val good_processes_general : Topology.t -> State.t -> int list
-
 (** The ladder sets used to stitch the five arrows together with
     Proposition 3.2 (each is the union of the previous arrow's target
     with everything already achieved): *)
@@ -49,7 +47,5 @@ val fgp_or_c : State.t Core.Pred.t
 val gp_or_c : State.t Core.Pred.t
 val p_or_c : State.t Core.Pred.t
 
-(** [F ∪ G ∪ P] and [G ∪ P], the raw arrow targets of A.15 and A.14. *)
-val fgp : State.t Core.Pred.t
-
+(** [G ∪ P], the raw arrow target of A.14. *)
 val gp : State.t Core.Pred.t

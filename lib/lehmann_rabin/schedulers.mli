@@ -39,15 +39,12 @@ val all : (State.t, Automaton.action) Core.Pa.t -> (string * t) list
     family to probe worst cases at sizes the exact engine cannot
     reach. *)
 
-(** Class index of an action, in [0, num_classes): tick, try, exit,
-    flip, wait, second-that-would-succeed, second-that-would-fail,
-    drop, crit, dropf, drops, rem. *)
-val action_class : State.t -> Automaton.action -> int
-
+(** The action classes, in index order: tick, try, exit, flip, wait,
+    second-that-would-succeed, second-that-would-fail, drop, crit,
+    dropf, drops, rem. *)
 val num_classes : int
 
-(** [of_ranks pa ranks] schedules by ascending
-    [ranks.(action_class state action)] (ties broken by enabling
-    order).  Raises [Invalid_argument] unless [ranks] has
+(** [of_ranks pa ranks] schedules by ascending rank of the action's
+    class in the current state (ties broken by enabling order).  Raises [Invalid_argument] unless [ranks] has
     {!num_classes} entries. *)
 val of_ranks : (State.t, Automaton.action) Core.Pa.t -> int array -> t

@@ -57,10 +57,6 @@ let initial_general ~num_procs ~num_resources ~g ~k =
   { procs = Array.make num_procs { region = Rem; c = g; b = k };
     res = Array.make num_resources false }
 
-let all_trying_general ~num_procs ~num_resources ~g ~k =
-  let s = initial_general ~num_procs ~num_resources ~g ~k in
-  { s with procs = Array.make num_procs { region = Flip; c = g; b = k } }
-
 let num_procs s = Array.length s.procs
 
 let left_neighbor s i =

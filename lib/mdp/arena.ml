@@ -153,7 +153,7 @@ let zero_time a =
    mask, and a structural hash of each interned state and action in
    index order.  [Stdlib.Hashtbl.hash] on immutable model values is a
    pure function of their structure, so the digest is identical across
-   processes, [--domains] settings and plane choices -- none of which
+   processes, domain counts and plane choices -- none of which
    affect what was explored -- while any change to the model, its
    parameters, the exploration budget or the symmetry quotient changes
    the interned structure and therefore the digest. *)
@@ -209,5 +209,3 @@ let num_steps_of a i = a.step_off.(i + 1) - a.step_off.(i)
 
 let action a ~step = a.actions.(step)
 let is_tick_step a ~step = a.tick.(step)
-
-let has_tick_mask a = Array.exists (fun b -> b) a.tick

@@ -101,8 +101,8 @@ val zero_time : ('s, 'a) t -> Zero_time.t
     result talks about.  Digests the CSR skeleton, the exact
     probability plane (canonical wire bytes), the tick mask and a
     structural hash of every interned state and action in index order;
-    consequently it is identical across processes, [--domains] pool
-    sizes and [--plane] choices, and distinct whenever the model,
+    consequently it is identical across processes, domain counts and
+    [--plane] choices, and distinct whenever the model,
     parameters, exploration budget or symmetry quotient differ.
     Memoized (write-once [Atomic], domain-safe like the planes). *)
 val fingerprint : ('s, 'a) t -> string
@@ -130,10 +130,6 @@ val num_steps_of : ('s, 'a) t -> int -> int
 
 val action : ('s, 'a) t -> step:int -> 'a
 val is_tick_step : ('s, 'a) t -> step:int -> bool
-
-(** [true] iff at least one step is a tick (i.e. the arena was
-    compiled with a meaningful [is_tick]). *)
-val has_tick_mask : ('s, 'a) t -> bool
 
 (** Process-wide count of {!compile} calls (including {!of_pa}); read
     by [Models.stats]. *)

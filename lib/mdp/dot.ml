@@ -69,6 +69,3 @@ let to_string a ?name ?max_states ?highlight () =
   let buf = Buffer.create 4096 in
   write a ?name ?max_states ?highlight buf;
   Buffer.contents buf
-
-let to_channel a ?name ?max_states ?highlight out =
-  output_string out (to_string a ?name ?max_states ?highlight ())

@@ -180,7 +180,6 @@ let rec of_int n =
 
 let one = of_int 1
 let two = of_int 2
-let minus_one = of_int (-1)
 
 let to_int x =
   match Array.length x.mag with

@@ -113,10 +113,6 @@ let make lo hi =
     invalid_arg "Interval.make: empty or nan interval";
   { lo; hi }
 
-let of_float f =
-  if Float.is_nan f then invalid_arg "Interval.of_float: nan";
-  { lo = f; hi = f }
-
 let zero = { lo = 0.0; hi = 0.0 }
 let one = { lo = 1.0; hi = 1.0 }
 let of_rational q = { lo = Q.to_float_down q; hi = Q.to_float_up q }

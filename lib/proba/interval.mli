@@ -36,9 +36,6 @@ val mul_up : float -> float -> float
 (** Raises [Invalid_argument] when [lo > hi] or an endpoint is nan. *)
 val make : float -> float -> t
 
-(** Point interval. Raises [Invalid_argument] on nan. *)
-val of_float : float -> t
-
 (** Tightest interval around an exact rational (correctly rounded
     endpoints; a point whenever the rational is a finite double). *)
 val of_rational : Rational.t -> t

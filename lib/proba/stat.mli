@@ -18,7 +18,6 @@ module Summary : sig
   (** Unbiased sample variance; [nan] for fewer than two samples. *)
   val variance : t -> float
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
 

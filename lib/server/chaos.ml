@@ -52,65 +52,21 @@ type report = {
 (* Raw-socket plumbing.
 
    The adversarial scenarios need byte-level control (partial writes,
-   abrupt closes), so they speak to the socket directly instead of
-   through [Load.Conn]; only response parsing is shared ([Http]). *)
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  (try
-     while !off < len do
-       let n = Unix.write_substring fd s !off (len - !off) in
-       if n = 0 then off := len else off := !off + n
-     done
-   with Unix.Unix_error _ -> ())
+   abrupt closes), so they hold the socket themselves instead of an
+   [Http.Conn]; connecting, writing and request rendering are
+   [Http]'s. *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
 
 (* A connection with a client-side receive timeout, so a daemon that
    (incorrectly) goes mute registers as a drop instead of hanging the
    harness. *)
 type conn = { fd : Unix.file_descr; rd : Http.reader }
 
-let connect (url : Load.url) =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (resolve url.Load.host, url.Load.port))
-  with
-  | () ->
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0
-     with Unix.Unix_error _ -> ());
-    let read buf off len =
-      try Unix.read fd buf off len with Unix.Unix_error _ -> 0
-    in
-    Some { fd; rd = Http.reader read }
-  | exception Unix.Unix_error _ ->
-    close_quietly fd;
-    None
-
-let request_text (url : Load.url) ?(meth = "GET") ?body target =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-  Buffer.add_string buf
-    (Printf.sprintf "Host: %s:%d\r\n" url.Load.host url.Load.port);
-  (match body with
-   | Some (`Declared n) ->
-     Buffer.add_string buf "Content-Type: application/json\r\n";
-     Buffer.add_string buf (Printf.sprintf "Content-Length: %d\r\n" n)
-   | Some (`Full b) ->
-     Buffer.add_string buf "Content-Type: application/json\r\n";
-     Buffer.add_string buf
-       (Printf.sprintf "Content-Length: %d\r\n" (String.length b))
-   | None -> ());
-  Buffer.add_string buf "Connection: keep-alive\r\n\r\n";
-  (match body with
-   | Some (`Full b) -> Buffer.add_string buf b
-   | Some (`Declared _) | None -> ());
-  Buffer.contents buf
+let connect url =
+  match Http.connect ~recv_timeout:5.0 url with
+  | fd, rd -> Some { fd; rd }
+  | exception Unix.Unix_error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The per-scenario ledger: every attempt ends in exactly one of
@@ -185,10 +141,10 @@ let run_trickle url rng ~rounds t =
     match connect url with
     | None -> fail t "connect refused"
     | Some c ->
-      let req = request_text url "/health" in
+      let req = Http.render_request url "/health" in
       String.iter
         (fun ch ->
-           write_all c.fd (String.make 1 ch);
+           Http.write_all c.fd (String.make 1 ch);
            (* 0-2 ms between bytes: slow enough to shred the request
               across many reads, fast enough to stay inside any sane
               read timeout. *)
@@ -205,9 +161,10 @@ let run_midbody_close url rng ~rounds t =
     | Some c ->
       let declared = 1024 + Proba.Rng.int rng 4096 in
       let sent = Proba.Rng.int rng 256 in
-      write_all c.fd
-        (request_text url ~meth:"POST" ~body:(`Declared declared) "/check");
-      write_all c.fd (String.make sent 'x');
+      Http.write_all c.fd
+        (Http.render_request url ~meth:"POST" ~content_length:declared
+           "/check");
+      Http.write_all c.fd (String.make sent 'x');
       (* Abandon the body mid-flight.  The server reads EOF inside the
          body and must answer 4xx or just drop the connection -- never
          crash, never 2xx, never 5xx. *)
@@ -221,7 +178,7 @@ let run_garbage url rng ~rounds t =
     match connect url with
     | None -> fail t "connect refused"
     | Some c ->
-      write_all c.fd (garbage_line rng ^ "\r\n\r\n");
+      Http.write_all c.fd (garbage_line rng ^ "\r\n\r\n");
       ignore (settle t ~drop_ok:false ~expect:expect_4xx c);
       close_quietly c.fd
   done
@@ -233,7 +190,7 @@ let run_oversize url _rng ~rounds t =
     | Some c ->
       (* A request line beyond the 8 KiB limit: must be answered with
          431, not buffered unboundedly. *)
-      write_all c.fd
+      Http.write_all c.fd
         (Printf.sprintf "GET /%s HTTP/1.1\r\n\r\n" (String.make 9000 'a'));
       ignore (settle t ~drop_ok:false ~expect:(expect_status 431) c);
       close_quietly c.fd
@@ -244,14 +201,14 @@ let run_idle_keepalive url ~idle_s ~rounds t =
     match connect url with
     | None -> fail t "connect refused"
     | Some c ->
-      write_all c.fd (request_text url "/health");
+      Http.write_all c.fd (Http.render_request url "/health");
       ignore (settle t ~drop_ok:false ~expect:expect_2xx c);
       (* Park the kept-alive connection.  Depending on how idle_s
          compares to the server's read timeout / connection deadline,
          the follow-up is either answered or cleanly dropped -- both
          fine; a 5xx or a wedged server is not. *)
       Unix.sleepf idle_s;
-      write_all c.fd (request_text url "/health");
+      Http.write_all c.fd (Http.render_request url "/health");
       ignore (settle t ~expect:not_5xx c);
       close_quietly c.fd
   done
@@ -260,7 +217,6 @@ let run_idle_keepalive url ~idle_s ~rounds t =
    valid answers must be bit-identical (the target computes a
    deterministic body), no matter how much junk arrives next door. *)
 let run_mixed url rng ~clients ~rounds t =
-  let clients = Stdlib.max 2 clients in
   let seeds =
     Array.init clients (fun _ ->
         Int64.to_int (Proba.Rng.bits64 rng) land 0x3FFFFFFF)
@@ -274,14 +230,14 @@ let run_mixed url rng ~clients ~rounds t =
       | None -> fail wt "connect refused"
       | Some c ->
         if idx mod 2 = 0 then begin
-          write_all c.fd (request_text url url.Load.target);
+          Http.write_all c.fd (Http.render_request url url.Http.target);
           match settle wt ~drop_ok:false ~expect:expect_2xx c with
           | Some r when r.Http.status >= 200 && r.Http.status < 300 ->
             bodies := r.Http.resp_body :: !bodies
           | Some _ | None -> ()
         end
         else begin
-          write_all c.fd (garbage_line rng ^ "\r\n\r\n");
+          Http.write_all c.fd (garbage_line rng ^ "\r\n\r\n");
           ignore (settle wt ~expect:expect_4xx c)
         end;
         close_quietly c.fd
@@ -307,8 +263,20 @@ let run_mixed url rng ~clients ~rounds t =
     if not (List.for_all (String.equal first) rest) then
       fail t "valid responses diverged under concurrent garbage traffic"
 
+(* Refused before any domain or socket exists: a client count past the
+   runtime's domain limit would fail after some clients had started. *)
+let validate ~clients ~idle_s =
+  if clients < 2 || clients > 64 then
+    invalid_arg
+      (Printf.sprintf "Chaos: --clients must be in 2-64 (got %d)" clients);
+  if not (Float.is_finite idle_s && idle_s >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Chaos: --idle-s must be a finite number >= 0 (got %g)"
+         idle_s)
+
 let run_scenario ?(rounds = 5) ?(clients = 4) ?(idle_s = 1.5) ~seed url
     scenario =
+  validate ~clients ~idle_s;
   let rng =
     Proba.Rng.create
       ~seed:(seed + (1 + List.length all_scenarios)
@@ -346,7 +314,7 @@ let get url target =
   match connect url with
   | None -> None
   | Some c ->
-    write_all c.fd (request_text url target);
+    Http.write_all c.fd (Http.render_request url target);
     let r =
       match Http.read_response c.rd with
       | `Response r -> Some r
@@ -388,10 +356,12 @@ let rec await_health_ok url tries =
 (* ------------------------------------------------------------------ *)
 (* The harness. *)
 
-let run ?(scenarios = all_scenarios) ?rounds ?clients ?idle_s ~seed url =
+let run ?(scenarios = all_scenarios) ?rounds ?(clients = 4) ?(idle_s = 1.5)
+    ~seed url =
+  validate ~clients ~idle_s;
   let errors_before = server_errors url in
   let outcomes =
-    List.map (run_scenario ?rounds ?clients ?idle_s ~seed url) scenarios
+    List.map (run_scenario ?rounds ~clients ~idle_s ~seed url) scenarios
   in
   let errors_after = server_errors url in
   let server_errors_delta =

@@ -57,28 +57,29 @@ type report = {
 
 (** Run one scenario.  [rounds] (default 5) iterations; [clients]
     (default 4) concurrent domains, Mixed only; [idle_s] (default 1.5)
-    idle parking time, Idle_keepalive only. *)
+    idle parking time, Idle_keepalive only.  Raises [Invalid_argument]
+    naming the flag, before any domain or socket is created, when
+    [clients] is outside 2-64 or [idle_s] is negative or not finite. *)
 val run_scenario :
   ?rounds:int ->
   ?clients:int ->
   ?idle_s:float ->
   seed:int ->
-  Load.url ->
+  Http.url ->
   scenario ->
   outcome
 
 (** Run a batch of scenarios (default {!all_scenarios}) and the
     end-to-end reconciliation: [/stats] snapshots before and after,
-    then a bounded poll for [/health] to come back ["ok"]. *)
+    then a bounded poll for [/health] to come back ["ok"].  Refuses
+    [clients] and [idle_s] as {!run_scenario} does. *)
 val run :
   ?scenarios:scenario list ->
   ?rounds:int ->
   ?clients:int ->
   ?idle_s:float ->
   seed:int ->
-  Load.url ->
+  Http.url ->
   report
-
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val pp_report : Format.formatter -> report -> unit

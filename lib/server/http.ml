@@ -302,3 +302,149 @@ let read_response r =
                    resp_body = body }
      with Fail e -> `Error e)
   | exception Fail e -> `Error e
+
+type url = { host : string; port : int; target : string }
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && lowercase (String.sub s 0 (String.length prefix)) = prefix
+
+(* A run of decimal digits naming a port in 1-65535.  [int_of_string]
+   alone would also take a sign, [0x]/[0o]/[0b] prefixes and [_]
+   separators, and a port past 65535 would wrap at the socket. *)
+let parse_port p =
+  let digits =
+    p <> "" && String.for_all (fun c -> c >= '0' && c <= '9') p
+  in
+  match if digits then int_of_string_opt p else None with
+  | Some n when n >= 1 && n <= 65535 -> Some n
+  | Some _ | None -> None
+
+let parse_url s =
+  let s = String.trim s in
+  if starts_with ~prefix:"https://" s then
+    Error "https URLs are not supported"
+  else
+    let rest =
+      if starts_with ~prefix:"http://" s then
+        String.sub s 7 (String.length s - 7)
+      else s
+    in
+    let hostport, target =
+      match String.index_opt rest '/' with
+      | None -> (rest, "/")
+      | Some i ->
+        (String.sub rest 0 i, String.sub rest i (String.length rest - i))
+    in
+    let host, port =
+      match String.index_opt hostport ':' with
+      | None -> (hostport, Ok 80)
+      | Some i ->
+        let p =
+          String.sub hostport (i + 1) (String.length hostport - i - 1)
+        in
+        ( String.sub hostport 0 i,
+          match parse_port p with
+          | Some n -> Ok n
+          | None ->
+            Error
+              (Printf.sprintf
+                 "bad port %S in URL %S: expected a decimal number in \
+                  1-65535" p s) )
+    in
+    match port with
+    | _ when host = "" -> Error (Printf.sprintf "no host in URL %S" s)
+    | Error e -> Error e
+    | Ok port -> Ok { host; port; target }
+
+let write_all fd s =
+  let len = String.length s in
+  let off = ref 0 in
+  (try
+     while !off < len do
+       let n = Unix.write_substring fd s !off (len - !off) in
+       if n = 0 then off := len else off := !off + n
+     done
+   with Unix.Unix_error _ -> ())
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let connect ?recv_timeout url =
+  let addr =
+    try Unix.inet_addr_of_string url.host
+    with Failure _ -> (Unix.gethostbyname url.host).Unix.h_addr_list.(0)
+  in
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_INET (addr, url.port))
+   with e ->
+     close_quietly fd;
+     raise e);
+  Option.iter
+    (fun s ->
+       try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
+       with Unix.Unix_error _ -> ())
+    recv_timeout;
+  let read buf off len =
+    try Unix.read fd buf off len with Unix.Unix_error _ -> 0
+  in
+  (fd, reader read)
+
+let render_request url ?(meth = "GET") ?(body = "")
+    ?(content_length = String.length body) target =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
+  Buffer.add_string buf (Printf.sprintf "Host: %s:%d\r\n" url.host url.port);
+  if body <> "" || meth <> "GET" then begin
+    Buffer.add_string buf "Content-Type: application/json\r\n";
+    Buffer.add_string buf
+      (Printf.sprintf "Content-Length: %d\r\n" content_length)
+  end;
+  Buffer.add_string buf "Connection: keep-alive\r\n\r\n";
+  Buffer.add_string buf body;
+  Buffer.contents buf
+
+module Conn = struct
+  type t = { url : url; mutable conn : (Unix.file_descr * reader) option }
+
+  let create url = { url; conn = None }
+
+  let close t =
+    Option.iter (fun (fd, _) -> close_quietly fd) t.conn;
+    t.conn <- None
+
+  let ensure t =
+    match t.conn with
+    | Some c -> c
+    | None ->
+      let c = connect t.url in
+      t.conn <- Some c;
+      c
+
+  let once t ~meth ~body target =
+    match ensure t with
+    | exception e -> Error (Printexc.to_string e)
+    | fd, rd ->
+      write_all fd (render_request t.url ~meth ~body target);
+      (match read_response rd with
+       | `Response r ->
+         if resp_header r "connection" = Some "close" then close t;
+         Ok r
+       | `Eof ->
+         close t;
+         Error "server closed the connection"
+       | `Error e ->
+         close t;
+         Error (Printf.sprintf "bad response: %s" e.reason))
+
+  let request t ?(meth = "GET") ?(body = "") target =
+    let reused = t.conn <> None in
+    match once t ~meth ~body target with
+    | Ok _ as ok -> ok
+    | Error _ when reused ->
+      (* The server recycled the kept-alive connection under us (its
+         per-connection request bound); one fresh retry is the
+         keep-alive contract, not error hiding. *)
+      close t;
+      once t ~meth ~body target
+    | Error _ as e -> e
+end

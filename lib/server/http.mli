@@ -1,10 +1,11 @@
 (** A minimal HTTP/1.1 message layer for the verification service.
 
-    Implements exactly the fragment [prtb serve] and [prtb loadtest]
-    need -- request/response framing with [Content-Length] bodies,
+    Implements exactly the fragment [prtb serve] and its clients need
+    -- request/response framing with [Content-Length] bodies,
     keep-alive, percent-decoded query strings -- over an abstract
     byte-source, so the parser is testable without sockets and the
-    same reader drives both the server and the load client.
+    same reader drives both the server and the client side below
+    ({!Conn}, [prtb chaos], the tests and the serve benchmarks).
 
     Deliberately out of scope (requests using them are answered with a
     clean 4xx/501 and the connection is closed, no exception escapes):
@@ -104,3 +105,52 @@ val resp_header : response_msg -> string -> string option
     with neither [Content-Length] nor an empty body is an error. *)
 val read_response :
   reader -> [ `Response of response_msg | `Eof | `Error of error ]
+
+(** {2 Connecting} *)
+
+type url = {
+  host : string;
+  port : int;
+  target : string;  (** path plus query string, e.g. ["/health"] *)
+}
+
+(** Parse [http://host:port/path?query].  The scheme is optional;
+    [https] is rejected.  The port defaults to 80; when given it must
+    be a run of decimal digits in 1-65535, and anything else is
+    refused with an error naming it. *)
+val parse_url : string -> (url, string) result
+
+(** Write the whole string; a write error just ends the write (the
+    read that follows reports the broken connection). *)
+val write_all : Unix.file_descr -> string -> unit
+
+(** Open a TCP connection to [url]'s host and port, with a reader over
+    it.  [recv_timeout] (seconds) bounds each read, so a mute server
+    reads as end of input.  Raises [Unix.Unix_error] when the
+    connection is refused. *)
+val connect : ?recv_timeout:float -> url -> Unix.file_descr * reader
+
+(** The bytes of one keep-alive request for [target] on [url]'s host.
+    A body, or any method but [GET], adds [Content-Type:
+    application/json] and [Content-Length: content_length] (default
+    the body's length; a larger value declares bytes never sent). *)
+val render_request :
+  url -> ?meth:string -> ?body:string -> ?content_length:int -> string ->
+  string
+
+(** A single keep-alive connection. *)
+module Conn : sig
+  type t
+
+  (** No I/O happens until the first request. *)
+  val create : url -> t
+
+  (** One round trip; reconnects (once) when the server closed the
+      kept-alive connection.  [Error] is a protocol error, not an HTTP
+      error status. *)
+  val request :
+    t -> ?meth:string -> ?body:string -> string ->
+    (response_msg, string) result
+
+  val close : t -> unit
+end

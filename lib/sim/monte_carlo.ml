@@ -5,18 +5,21 @@ type ('s, 'a) setup = {
   start : 's;
 }
 
-(* An explicit [?pool] wins; otherwise the session default installed by
-   [--domains] applies. *)
-let resolve_pool = function
-  | Some _ as p -> p
-  | None -> Parallel.Pool.get_default ()
-
-(* Reproducibility across pool sizes: per-trial generators are always
-   split off the root sequentially (exactly the streams the sequential
-   loop would draw), and only the trial *execution* is farmed out.
-   Success counts are order-independent, so the estimate is
-   bit-identical with and without a pool. *)
+(* Reproducibility on any schedule: per-trial generators are split off
+   the root sequentially, before any trial runs (exactly the streams a
+   sequential loop would draw), and only trial execution is forked. *)
 let split_rngs root n = Array.init n (fun _ -> Proba.Rng.split root)
+
+let default_chunks = 64
+
+(* [n] trials in at most [chunks] contiguous ranges: the grid depends
+   only on the trial count, never on the number of domains.  [f lo hi]
+   handles trials [lo, hi); results come back in chunk order. *)
+let run_chunks ?helpers ?(chunks = default_chunks) n f =
+  let chunks = Int.min chunks n in
+  Parallel.Fork.run ?helpers
+    (Array.init chunks (fun c () ->
+         f (c * n / chunks) ((c + 1) * n / chunks)))
 
 let run_trial setup ~target ~within rng =
   let outcome =
@@ -25,34 +28,25 @@ let run_trial setup ~target ~within rng =
   in
   outcome.Engine.why = Engine.Reached
 
-(* Fixed-trial batches observe the ambient deadline (per trial on the
-   sequential path, per chunk on the pooled one) and raise
+(* Fixed-trial batches poll the ambient deadline before every trial
+   (the fork helpers carry the caller's) and raise
    [Core.Budget.Deadline_exceeded]; [estimate_reach_budgeted] is the
    cooperative variant that degrades instead of raising and therefore
    ignores the ambient clock -- its at-least-one-trial guarantee is what
    the deadline-degraded serving path relies on. *)
-let estimate_reach ?pool setup ~target ~within ~trials ~seed =
-  let root = Proba.Rng.create ~seed in
-  match resolve_pool pool with
-  | None ->
-    let prop = Proba.Stat.Proportion.create () in
-    for _ = 1 to trials do
-      Core.Budget.poll ();
-      let rng = Proba.Rng.split root in
-      Proba.Stat.Proportion.add prop (run_trial setup ~target ~within rng)
-    done;
-    prop
-  | Some p ->
-    let rngs = split_rngs root trials in
-    let successes =
-      try
-        Parallel.Pool.map_reduce p ?stop:(Core.Budget.deadline_stop ())
-          ~n:trials ~init:0 ~combine:( + ) (fun i ->
-            if run_trial setup ~target ~within rngs.(i) then 1 else 0)
-      with Parallel.Pool.Cancelled reason ->
-        raise (Core.Budget.Deadline_exceeded reason)
-    in
-    Proba.Stat.Proportion.of_counts ~trials ~successes
+let estimate_reach ?helpers setup ~target ~within ~trials ~seed =
+  let rngs = split_rngs (Proba.Rng.create ~seed) trials in
+  let successes =
+    run_chunks ?helpers trials (fun lo hi ->
+        let k = ref 0 in
+        for i = lo to hi - 1 do
+          Core.Budget.poll ();
+          if run_trial setup ~target ~within rngs.(i) then incr k
+        done;
+        !k)
+  in
+  Proba.Stat.Proportion.of_counts ~trials
+    ~successes:(Array.fold_left ( + ) 0 successes)
 
 type budgeted = {
   prop : Proba.Stat.Proportion.t;
@@ -61,85 +55,64 @@ type budgeted = {
   stopped : string option;
 }
 
-let estimate_reach_budgeted ?pool setup ~target ~within
+(* The clock is read when a chunk starts, never mid-chunk; once it has
+   fired no later chunk starts, and chunks already running still count.
+   The first chunk of the first round is exempt, so even an expired
+   budget yields a (wide) interval rather than nothing, and that round's
+   chunks hold one trial each, so an expired budget yields exactly
+   one. *)
+let estimate_reach_budgeted ?helpers setup ~target ~within
     ?(budget = Core.Budget.unlimited) ?clock ?(initial_trials = 64) ~seed () =
   let clock =
     match clock with Some c -> c | None -> Core.Budget.start budget
   in
   let retries = max 1 (Core.Budget.budget clock).Core.Budget.retries in
   let root = Proba.Rng.create ~seed in
-  let trials_run = ref 0 in
-  let batches = ref 0 in
-  let stopped = ref None in
-  let batch = ref (max 1 initial_trials) in
-  let successes = ref 0 in
-  (match resolve_pool pool with
-   | None ->
-     (try
-        for _round = 1 to retries do
-          for _ = 1 to !batch do
-            (* The first trial always runs, so even an already-expired
-               budget yields a (wide) interval rather than nothing. *)
-            if !trials_run > 0 then
-              (match Core.Budget.exhausted clock with
-               | Some reason ->
-                 stopped := Some reason;
-                 raise Exit
-               | None -> ());
-            let rng = Proba.Rng.split root in
-            if run_trial setup ~target ~within rng then incr successes;
-            incr trials_run
-          done;
-          incr batches;
-          batch := !batch * 2
-        done
-      with Exit -> ());
-   | Some p ->
-     (* Pooled batches: the budget probe fires between chunks (never
-        mid-trial); chunks already claimed drain before the round stops,
-        and trials completed in a cancelled round still count.  The
-        first chunk is exempt from the probe, preserving the
-        at-least-one-trial guarantee. *)
-     let done_trials = Atomic.make 0 in
-     let stop () =
-       if Atomic.get done_trials = 0 then None
-       else Core.Budget.exhausted clock
-     in
-     (try
-        for _round = 1 to retries do
-          let n = !batch in
-          let rngs = split_rngs root n in
-          let ran = Array.make n false in
-          let succ = Array.make n false in
-          let tally () =
-            for i = 0 to n - 1 do
-              if ran.(i) then begin
-                incr trials_run;
-                if succ.(i) then incr successes
-              end
-            done
-          in
-          (try
-             Parallel.Pool.parallel_for p ~stop ~n (fun i ->
-                 succ.(i) <- run_trial setup ~target ~within rngs.(i);
-                 ran.(i) <- true;
-                 Atomic.incr done_trials);
-             tally ()
-           with Parallel.Pool.Cancelled reason ->
-             tally ();
-             stopped := Some reason;
-             raise Exit);
-          incr batches;
-          batch := !batch * 2
-        done
-      with Exit -> ()));
+  let stopped = Atomic.make None in
+  let rec rounds round batch ~trials_run ~successes =
+    if round > retries || Atomic.get stopped <> None then
+      (trials_run, successes, round - 1)
+    else begin
+      let rngs = split_rngs root batch in
+      let chunks = if round = 1 then batch else default_chunks in
+      let counts =
+        run_chunks ?helpers ~chunks batch (fun lo hi ->
+            let go =
+              (round = 1 && lo = 0)
+              || Atomic.get stopped = None
+                 &&
+                 match Core.Budget.exhausted clock with
+                 | None -> true
+                 | Some reason ->
+                   ignore (Atomic.compare_and_set stopped None (Some reason));
+                   false
+            in
+            if not go then (0, 0)
+            else begin
+              let k = ref 0 in
+              for i = lo to hi - 1 do
+                if run_trial setup ~target ~within rngs.(i) then incr k
+              done;
+              (hi - lo, !k)
+            end)
+      in
+      let ran, won =
+        Array.fold_left (fun (r, w) (r', w') -> (r + r', w + w')) (0, 0) counts
+      in
+      rounds (round + 1) (batch * 2) ~trials_run:(trials_run + ran)
+        ~successes:(successes + won)
+    end
+  in
+  let trials_run, successes, finished =
+    rounds 1 (max 1 initial_trials) ~trials_run:0 ~successes:0
+  in
+  let stopped = Atomic.get stopped in
   {
-    prop =
-      Proba.Stat.Proportion.of_counts ~trials:!trials_run
-        ~successes:!successes;
-    trials_run = !trials_run;
-    batches = !batches;
-    stopped = !stopped;
+    prop = Proba.Stat.Proportion.of_counts ~trials:trials_run ~successes;
+    trials_run;
+    (* A round the clock cut short is not a completed batch. *)
+    batches = (if stopped = None then finished else finished - 1);
+    stopped;
   }
 
 let time_trial setup ~target ~max_steps rng =
@@ -152,51 +125,37 @@ let time_trial setup ~target ~max_steps rng =
   else None
 
 (* Summaries are running (Welford) statistics, so [record] is replayed
-   in trial order even on the pooled path: identical floats either
-   way. *)
-let run_times ?pool setup ~target ~trials ~seed ~max_steps record =
-  let root = Proba.Rng.create ~seed in
-  match resolve_pool pool with
-  | None ->
-    let missed = ref 0 in
-    for _ = 1 to trials do
-      Core.Budget.poll ();
-      let rng = Proba.Rng.split root in
-      match time_trial setup ~target ~max_steps rng with
-      | Some t -> record t
-      | None -> incr missed
-    done;
-    !missed
-  | Some p ->
-    let rngs = split_rngs root trials in
-    let times = Array.make trials None in
-    (try
-       Parallel.Pool.parallel_for p ?stop:(Core.Budget.deadline_stop ())
-         ~n:trials (fun i ->
-           times.(i) <- time_trial setup ~target ~max_steps rngs.(i))
-     with Parallel.Pool.Cancelled reason ->
-       raise (Core.Budget.Deadline_exceeded reason));
-    let missed = ref 0 in
-    Array.iter
-      (function Some t -> record t | None -> incr missed)
-      times;
-    !missed
+   in trial order after the forked region: identical floats on any
+   schedule. *)
+let run_times ?helpers setup ~target ~trials ~seed ~max_steps record =
+  let rngs = split_rngs (Proba.Rng.create ~seed) trials in
+  let times =
+    run_chunks ?helpers trials (fun lo hi ->
+        Array.init (hi - lo) (fun j ->
+            Core.Budget.poll ();
+            time_trial setup ~target ~max_steps rngs.(lo + j)))
+  in
+  let missed = ref 0 in
+  Array.iter
+    (Array.iter (function Some t -> record t | None -> incr missed))
+    times;
+  !missed
 
-let estimate_time ?pool setup ~target ~trials ~seed ?(max_steps = 1_000_000)
-    () =
+let estimate_time ?helpers setup ~target ~trials ~seed
+    ?(max_steps = 1_000_000) () =
   let summary = Proba.Stat.Summary.create () in
   let missed =
-    run_times ?pool setup ~target ~trials ~seed ~max_steps
+    run_times ?helpers setup ~target ~trials ~seed ~max_steps
       (Proba.Stat.Summary.add summary)
   in
   (summary, missed)
 
-let histogram_time ?pool setup ~target ~trials ~seed
+let histogram_time ?helpers setup ~target ~trials ~seed
     ?(max_steps = 1_000_000) ~lo ~hi ~bins () =
   let summary = Proba.Stat.Summary.create () in
   let hist = Proba.Stat.Histogram.create ~lo ~hi ~bins in
   let _missed =
-    run_times ?pool setup ~target ~trials ~seed ~max_steps (fun x ->
+    run_times ?helpers setup ~target ~trials ~seed ~max_steps (fun x ->
         Proba.Stat.Summary.add summary x;
         Proba.Stat.Histogram.add hist x)
   in

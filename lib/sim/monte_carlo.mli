@@ -5,12 +5,13 @@
     Probability estimates come back as Wilson-interval proportions; time
     estimates as running summaries.
 
-    All estimators accept [?pool] (falling back to the session default
-    installed by [--domains]).  Trials then run across the pool's
-    domains, but per-trial generators are still split off the root
-    sequentially and results are reduced in trial order, so every
-    estimate is bit-identical to the sequential run with the same
-    [~seed] -- for any number of domains. *)
+    Trials run in a fixed grid of chunks through {!Parallel.Fork}, across
+    the host's cores (inline on a domain that already owns one).  The
+    per-trial generators are split off the root before any trial runs
+    and results are combined in chunk order, so every estimate is a
+    function of [~seed] alone -- bit-identical on any number of
+    domains.  [?helpers] is {!Parallel.Fork.run}'s: tests pass it to
+    force helper domains on a one-core host. *)
 
 type ('s, 'a) setup = {
   pa : ('s, 'a) Core.Pa.t;
@@ -22,7 +23,7 @@ type ('s, 'a) setup = {
 (** [estimate_reach setup ~target ~within ~trials ~seed] estimates
     [P(reach target within time)] ([within] in slots). *)
 val estimate_reach :
-  ?pool:Parallel.Pool.t ->
+  ?helpers:int ->
   ('s, 'a) setup -> target:('s -> bool) -> within:int -> trials:int ->
   seed:int -> Proba.Stat.Proportion.t
 
@@ -41,15 +42,14 @@ type budgeted = {
     allowance: trials run in [budget.retries] batches that double in
     size ([initial_trials], then twice that, ...) so short budgets
     still produce an interval and long budgets tighten it.  The clock
-    is consulted between trials; pass [clock] to share an allowance
-    already partly consumed by exploration.  At least one trial always
-    runs, and no exception escapes on exhaustion.  On the pooled path
-    the clock is consulted between chunks of trials instead of between
-    single trials, so exhaustion is detected slightly more coarsely;
-    when the budget never fires the result is bit-identical to the
-    sequential run. *)
+    is consulted when a chunk of trials starts (each chunk of the first
+    round is one trial); pass [clock] to share an allowance already
+    partly consumed by exploration.  The first trial always runs, so an
+    already-expired clock yields exactly one, and no exception escapes
+    on exhaustion.  When the budget never fires the result depends on
+    [~seed] alone. *)
 val estimate_reach_budgeted :
-  ?pool:Parallel.Pool.t ->
+  ?helpers:int ->
   ('s, 'a) setup -> target:('s -> bool) -> within:int ->
   ?budget:Core.Budget.t -> ?clock:Core.Budget.clock ->
   ?initial_trials:int -> seed:int -> unit -> budgeted
@@ -59,14 +59,14 @@ val estimate_reach_budgeted :
     the target within [max_steps] steps (default [1_000_000]) are
     reported separately in the second component. *)
 val estimate_time :
-  ?pool:Parallel.Pool.t ->
+  ?helpers:int ->
   ('s, 'a) setup -> target:('s -> bool) -> trials:int -> seed:int ->
   ?max_steps:int -> unit -> Proba.Stat.Summary.t * int
 
 (** [histogram_time] like {!estimate_time} but also bins the elapsed
     times. *)
 val histogram_time :
-  ?pool:Parallel.Pool.t ->
+  ?helpers:int ->
   ('s, 'a) setup -> target:('s -> bool) -> trials:int -> seed:int ->
   ?max_steps:int -> lo:float -> hi:float -> bins:int -> unit ->
   Proba.Stat.Histogram.t * Proba.Stat.Summary.t

@@ -7,21 +7,17 @@
    engines' new inner loops fails here first. *)
 
 module Q = Proba.Rational
-module P = Parallel.Pool
 module LR = Lehmann_rabin
 module IR = Itai_rodeh
 module SC = Shared_coin
 module BO = Ben_or
 
-(* Run [f] with a session pool of [domains] installed (what [--domains]
-   does), or with none.  The engines are sequential and must not read
-   it: every value below is compared with and without one. *)
-let with_session_pool d f =
-  match d with
-  | None -> f ()
-  | Some domains ->
-    P.set_default (Some (P.create ~domains));
-    Fun.protect ~finally:(fun () -> P.set_default None) f
+(* What [f] computes on the calling domain, or at once on the caller and
+   on a forced [Parallel.Fork] helper (where a forked proof pass runs).
+   The engines must give the same values in every placement.  Checks
+   stay on the caller: Alcotest's output is not domain-safe. *)
+let placed helper f =
+  if helper then Array.to_list (Test_support.Two_domains.run f) else [ f () ]
 
 (* ------------------------------------------------------------------ *)
 (* The pre-refactor engines (reference implementations) *)
@@ -483,36 +479,37 @@ let check_int_arrays name (expected : int array) (got : int array) =
 
 (* ------------------------------------------------------------------ *)
 (* Finite horizon: the reach engine on the case studies and on their
-   orbit quotients, without and with a session pool of every size
-   [--domains] accepts in the test matrix. *)
+   orbit quotients, on the caller and on a fork helper. *)
 
-let pools = [ None; Some 1; Some 2; Some 3 ]
+let placements = [ false; true ]
 
-let pool_label = function
-  | None -> "no pool"
-  | Some d -> Printf.sprintf "%d-domain session pool" d
+let placement_label helper = if helper then "fork helper" else "caller"
 
 let test_reach_differential () =
   List.iter
     (fun (label, Fixture f) ->
        List.iter
          (fun d ->
-            with_session_pool d (fun () ->
-                let ctx what =
-                  Printf.sprintf "%s%s %s (%s)" label f.name what
-                    (pool_label d)
-                in
-                check_q_arrays (ctx "min_reach")
-                  (Legacy.min_reach f.expl ~is_tick:f.is_tick
-                     ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.min_reach f.arena
-                     ~target:f.target ~ticks:f.ticks);
-                check_q_arrays (ctx "max_reach")
-                  (Legacy.max_reach f.expl ~is_tick:f.is_tick
-                     ~target:f.target ~ticks:f.ticks)
-                  (Mdp.Finite_horizon.max_reach f.arena
-                     ~target:f.target ~ticks:f.ticks)))
-         pools)
+            let ctx what =
+              Printf.sprintf "%s%s %s (%s)" label f.name what
+                (placement_label d)
+            in
+            List.iter
+              (fun (min_r, max_r) ->
+                 check_q_arrays (ctx "min_reach")
+                   (Legacy.min_reach f.expl ~is_tick:f.is_tick
+                      ~target:f.target ~ticks:f.ticks)
+                   min_r;
+                 check_q_arrays (ctx "max_reach")
+                   (Legacy.max_reach f.expl ~is_tick:f.is_tick
+                      ~target:f.target ~ticks:f.ticks)
+                   max_r)
+              (placed d (fun () ->
+                   ( Mdp.Finite_horizon.min_reach f.arena ~target:f.target
+                       ~ticks:f.ticks,
+                     Mdp.Finite_horizon.max_reach f.arena ~target:f.target
+                       ~ticks:f.ticks ))))
+         placements)
     (List.map (fun fx -> ("", fx)) (Lazy.force fixtures)
      @ List.map (fun fx -> ("quotient ", fx)) (Lazy.force quotients))
 
@@ -582,16 +579,16 @@ let test_expected_time_differential () =
     (fun (Fixture f) ->
        List.iter
          (fun d ->
-            with_session_pool d (fun () ->
-                let ctx what =
-                  Printf.sprintf "%s %s (%s)" f.name what (pool_label d)
-                in
-                check_float_arrays (ctx "max_expected_ticks")
-                  (Legacy.max_expected_ticks f.expl
-                     ~is_tick:f.is_tick ~target:f.target ())
-                  (Mdp.Expected_time.max_expected_ticks f.arena
+            List.iter
+              (check_float_arrays
+                 (Printf.sprintf "%s max_expected_ticks (%s)" f.name
+                    (placement_label d))
+                 (Legacy.max_expected_ticks f.expl ~is_tick:f.is_tick
+                    ~target:f.target ()))
+              (placed d (fun () ->
+                   Mdp.Expected_time.max_expected_ticks f.arena
                      ~target:f.target ())))
-         [ None; Some 2 ];
+         placements;
        let v0, p0 =
          Legacy.max_expected_ticks_with_policy f.expl ~is_tick:f.is_tick
            ~target:f.target ()
@@ -888,8 +885,10 @@ let check_outcome check name expected got =
   | Refused, Values _ -> Alcotest.failf "%s: closes, the reference refuses" name
 
 (* The finite-horizon engine against [Legacy]: min and max. *)
-let check_schedule ~label (Fixture f) =
-  let ctx what = Printf.sprintf "%s %s (%s)" f.name what label in
+let check_schedule helper (Fixture f) =
+  let ctx what =
+    Printf.sprintf "%s %s (%s)" f.name what (placement_label helper)
+  in
   let legacy g =
     outcome (fun () ->
         g f.expl ~is_tick:f.is_tick ~target:f.target ~ticks:f.ticks)
@@ -897,19 +896,20 @@ let check_schedule ~label (Fixture f) =
   let ours g =
     outcome (fun () -> g f.arena ~target:f.target ~ticks:f.ticks)
   in
-  check_outcome check_q_arrays (ctx "min_reach")
-    (legacy Legacy.min_reach) (ours Mdp.Finite_horizon.min_reach);
-  check_outcome check_q_arrays (ctx "max_reach")
-    (legacy Legacy.max_reach) (ours Mdp.Finite_horizon.max_reach)
+  List.iter
+    (fun (min_r, max_r) ->
+       check_outcome check_q_arrays (ctx "min_reach")
+         (legacy Legacy.min_reach) min_r;
+       check_outcome check_q_arrays (ctx "max_reach")
+         (legacy Legacy.max_reach) max_r)
+    (placed helper (fun () ->
+         ( ours Mdp.Finite_horizon.min_reach,
+           ours Mdp.Finite_horizon.max_reach )))
 
 let test_schedule_differential () =
   List.iter
     (fun fx ->
-       List.iter
-         (fun d ->
-            with_session_pool d (fun () ->
-                check_schedule ~label:(pool_label d) fx))
-         pools)
+       List.iter (fun d -> check_schedule d fx) placements)
     (Lazy.force schedule_fixtures)
 
 let test_schedule_refusals () =
@@ -942,11 +942,8 @@ let random_fixtures = lazy (List.init 200 random_fixture)
 
 let test_schedule_random () =
   List.iter
-    (fun d ->
-       with_session_pool d (fun () ->
-           List.iter (check_schedule ~label:(pool_label d))
-             (Lazy.force random_fixtures)))
-    [ None; Some 2 ]
+    (fun d -> List.iter (check_schedule d) (Lazy.force random_fixtures))
+    placements
 
 (* Zero-time reachability, reflexive and transitive, by brute force. *)
 let zero_time_edges (a : _ Mdp.Arena.t) f =

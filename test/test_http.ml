@@ -2,8 +2,7 @@
    in-memory reader -- truncated input, oversized lines/headers/bodies,
    pipelined keep-alive, malformed request lines -- all mapping to
    clean 4xx/5xx parse errors, never an exception; plus the
-   response-side round trip and the URL parser the load client relies
-   on. *)
+   response-side round trip and the client's strict URL parser. *)
 
 module H = Server.Http
 
@@ -208,23 +207,23 @@ let test_response_close_and_reasons () =
     (H.status_reason 431)
 
 (* ------------------------------------------------------------------ *)
-(* The load client's URL parser: a port is a run of decimal digits in
+(* The client's URL parser: a port is a run of decimal digits in
    1-65535, and every other spelling is refused by name. *)
 
 let test_parse_url_ports () =
   let url port = Printf.sprintf "http://127.0.0.1:%s/health" port in
   List.iter
     (fun (port, expected) ->
-       match Server.Load.parse_url (url port), expected with
+       match H.parse_url (url port), expected with
        | Ok u, Some p ->
-         Alcotest.(check int) (port ^ " port") p u.Server.Load.port;
+         Alcotest.(check int) (port ^ " port") p u.H.port;
          Alcotest.(check string) (port ^ " target") "/health"
-           u.Server.Load.target
+           u.H.target
        | Error e, None ->
          if not (Astring.String.is_infix ~affix:(Printf.sprintf "%S" port) e)
          then Alcotest.failf "%s: error does not name the port: %s" port e
        | Ok u, None ->
-         Alcotest.failf "%s: accepted as port %d" port u.Server.Load.port
+         Alcotest.failf "%s: accepted as port %d" port u.H.port
        | Error e, Some _ -> Alcotest.failf "%s: refused: %s" port e)
     [ ("99999", None); ("-1", None); ("0", None); ("0x1F90", None);
       ("80_80", None); ("+8080", None); ("", None); ("65536", None);

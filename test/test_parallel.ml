@@ -1,13 +1,13 @@
-(* Tests for the domain pool, the fork-join regions, and the
-   determinism contract of the parallel paths: neither a session pool
-   nor the schedule of a fork region may move a byte of a served /check
-   body, and Monte Carlo estimates are bit-identical with and without a
-   pool. *)
+(* Tests for the fork-join regions, the server's domain pool, and the
+   determinism contract of the parallel paths: the schedule of a fork
+   region may not move a byte of a served /check body, and Monte Carlo
+   estimates are bit-identical on any number of domains. *)
 
 module P = Parallel.Pool
 module F = Parallel.Fork
 module LR = Lehmann_rabin
 module BO = Ben_or
+module MC = Sim.Monte_carlo
 
 (* Run [f] with a fresh pool of [domains], shutting it down afterwards
    even on failure. *)
@@ -16,82 +16,161 @@ let with_pool domains f =
   Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
 
 (* ------------------------------------------------------------------ *)
-(* Pool unit tests *)
+(* The Monte Carlo chunk grid over [Fork].
 
-let test_parallel_for_covers () =
+   The reference is a plain sequential loop: one generator split off
+   the root per trial, trials run and recorded in order.  The
+   estimators must match it for any helper count and for trial counts
+   below, at and above the 64-chunk grid. *)
+
+let lr_inst = lazy (LR.Proof.build ~n:3 ())
+
+let mc_setup () =
+  let inst = Lazy.force lr_inst in
+  let pa = Mdp.Explore.automaton inst.LR.Proof.expl in
+  { MC.pa;
+    scheduler = Sim.Scheduler.uniform pa;
+    duration = LR.Automaton.duration;
+    start = LR.State.all_trying ~n:3 ~g:1 ~k:1 }
+
+let lr_critical = Core.Pred.mem LR.Regions.c
+
+let sequential_outcomes setup ~trials ~seed ?max_time () =
+  let root = Proba.Rng.create ~seed in
+  List.init trials (fun _ ->
+      let rng = Proba.Rng.split root in
+      Sim.Engine.run setup.MC.pa setup.MC.scheduler ~rng ~stop:lr_critical
+        ~duration:setup.MC.duration ?max_time setup.MC.start)
+
+let reference_successes setup ~trials ~seed ~within =
+  List.length
+    (List.filter
+       (fun o -> o.Sim.Engine.why = Sim.Engine.Reached)
+       (sequential_outcomes setup ~trials ~seed ~max_time:within ()))
+
+let reference_summary setup ~trials ~seed =
+  let summary = Proba.Stat.Summary.create () in
   List.iter
-    (fun domains ->
-       with_pool domains (fun pool ->
-           let n = 1003 in
-           let hits = Array.make n 0 in
-           P.parallel_for pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
-           Alcotest.(check bool)
-             (Printf.sprintf "each index once (%d domains)" domains)
-             true
-             (Array.for_all (( = ) 1) hits)))
-    [ 1; 2; 4 ]
+    (fun o ->
+       if o.Sim.Engine.why = Sim.Engine.Reached then
+         Proba.Stat.Summary.add summary (float_of_int o.Sim.Engine.elapsed))
+    (sequential_outcomes setup ~trials ~seed ());
+  summary
 
-let test_parallel_for_empty () =
-  with_pool 2 (fun pool ->
-      let ran = ref false in
-      P.parallel_for pool ~n:0 (fun _ -> ran := true);
-      Alcotest.(check bool) "no work for n = 0" false !ran)
+let check_summary name expected got =
+  Alcotest.(check int) (name ^ ": count") (Proba.Stat.Summary.count expected)
+    (Proba.Stat.Summary.count got);
+  (* Welford statistics replayed in another order differ in low bits. *)
+  Alcotest.(check bool) (name ^ ": mean bit-identical") true
+    (Proba.Stat.Summary.mean expected = Proba.Stat.Summary.mean got);
+  Alcotest.(check bool) (name ^ ": variance bit-identical") true
+    (Proba.Stat.Summary.variance expected = Proba.Stat.Summary.variance got)
 
-let test_map_reduce_is_sequential_fold () =
-  (* List append is associative but not commutative: any reordering of
-     chunk results would be visible. *)
+let test_chunks_cover_trials () =
+  let setup = mc_setup () in
   List.iter
-    (fun domains ->
-       with_pool domains (fun pool ->
-           let n = 257 in
-           let got =
-             P.map_reduce pool ~n ~combine:( @ ) ~init:[] (fun i -> [ i ])
-           in
-           Alcotest.(check (list int))
-             (Printf.sprintf "in order (%d domains)" domains)
-             (List.init n Fun.id) got))
-    [ 1; 3; 4 ]
+    (fun helpers ->
+       let trials = 1003 in
+       let summary, missed =
+         MC.estimate_time ~helpers setup ~target:lr_critical ~trials ~seed:3
+           ()
+       in
+       Alcotest.(check int)
+         (Printf.sprintf "every trial once (%d helpers)" helpers)
+         trials
+         (Proba.Stat.Summary.count summary + missed))
+    [ 0; 1; 3 ]
 
-let test_map_reduce_sum () =
-  with_pool 4 (fun pool ->
-      let n = 10_000 in
-      let sum =
-        P.map_reduce pool ~n ~combine:( + ) ~init:0 (fun i -> i)
-      in
-      Alcotest.(check int) "gauss" (n * (n - 1) / 2) sum)
+let test_no_trials () =
+  let ran = ref false in
+  let setup =
+    { (mc_setup ()) with
+      MC.scheduler = (fun _ _ -> ran := true; None) }
+  in
+  let prop =
+    MC.estimate_reach ~helpers:2 setup ~target:lr_critical ~within:13
+      ~trials:0 ~seed:1
+  in
+  let summary, missed =
+    MC.estimate_time ~helpers:2 setup ~target:lr_critical ~trials:0 ~seed:1 ()
+  in
+  Alcotest.(check int) "no reach trials" 0 (Proba.Stat.Proportion.trials prop);
+  Alcotest.(check int) "no timed trials" 0
+    (Proba.Stat.Summary.count summary + missed);
+  Alcotest.(check bool) "no work for 0 trials" false !ran
 
-let test_map_reduce_chunking () =
-  with_pool 2 (fun pool ->
-      List.iter
-        (fun chunks ->
-           let got =
-             P.map_reduce pool ~chunks ~n:10 ~combine:( @ ) ~init:[]
-               (fun i -> [ i ])
-           in
-           Alcotest.(check (list int))
-             (Printf.sprintf "chunks = %d" chunks)
-             (List.init 10 Fun.id) got)
-        [ 1; 2; 7; 10; 64 ])
+let test_times_in_trial_order () =
+  let setup = mc_setup () in
+  let trials = 257 in
+  let expected = reference_summary setup ~trials ~seed:11 in
+  List.iter
+    (fun helpers ->
+       let got, _ =
+         MC.estimate_time ~helpers setup ~target:lr_critical ~trials ~seed:11
+           ()
+       in
+       check_summary (Printf.sprintf "in order (%d helpers)" helpers)
+         expected got)
+    [ 0; 2; 3 ]
+
+let test_successes_sum () =
+  let setup = mc_setup () in
+  let trials = 2000 in
+  let got =
+    MC.estimate_reach ~helpers:3 setup ~target:lr_critical ~within:13 ~trials
+      ~seed:17
+  in
+  Alcotest.(check int) "trials" trials (Proba.Stat.Proportion.trials got);
+  Alcotest.(check int) "successes"
+    (reference_successes setup ~trials ~seed:17 ~within:13)
+    (Proba.Stat.Proportion.successes got)
+
+let test_chunk_grid_edges () =
+  let setup = mc_setup () in
+  List.iter
+    (fun trials ->
+       let got =
+         MC.estimate_reach ~helpers:2 setup ~target:lr_critical ~within:13
+           ~trials ~seed:23
+       in
+       Alcotest.(check int)
+         (Printf.sprintf "successes, %d trials" trials)
+         (reference_successes setup ~trials ~seed:23 ~within:13)
+         (Proba.Stat.Proportion.successes got))
+    [ 1; 2; 7; 63; 64; 65; 130 ]
 
 let test_exception_propagates () =
-  with_pool 4 (fun pool ->
-      Alcotest.check_raises "worker failure resurfaces"
-        (Failure "boom 57")
-        (fun () ->
-           P.parallel_for pool ~n:100 (fun i ->
-               if i = 57 then failwith "boom 57")))
+  let setup =
+    { (mc_setup ()) with MC.scheduler = (fun _ _ -> failwith "boom 57") }
+  in
+  Alcotest.check_raises "trial failure resurfaces" (Failure "boom 57")
+    (fun () ->
+       ignore
+         (MC.estimate_reach ~helpers:3 setup ~target:lr_critical ~within:13
+            ~trials:100 ~seed:1))
 
+(* An expired deadline cancels a fixed-trial batch on every domain; an
+   expired budget cuts a budgeted one after its exempt first trial. *)
 let test_stop_cancels () =
-  with_pool 2 (fun pool ->
-      let cancelled =
-        try
-          P.parallel_for pool ~stop:(fun () -> Some "budget") ~n:1000
-            (fun _ -> ());
-          None
-        with P.Cancelled reason -> Some reason
-      in
-      Alcotest.(check (option string)) "cancelled with reason"
-        (Some "budget") cancelled)
+  let setup = mc_setup () in
+  let expired () = Core.Budget.start (Core.Budget.v ~wall:0.0 ()) in
+  let cancelled =
+    try
+      Core.Budget.with_deadline (expired ()) (fun () ->
+          ignore
+            (MC.estimate_reach ~helpers:2 setup ~target:lr_critical
+               ~within:13 ~trials:1000 ~seed:1));
+      false
+    with Core.Budget.Deadline_exceeded _ -> true
+  in
+  Alcotest.(check bool) "deadline cancels the batch" true cancelled;
+  let b =
+    MC.estimate_reach_budgeted ~helpers:3 setup ~target:lr_critical
+      ~within:13 ~clock:(expired ()) ~initial_trials:200 ~seed:1 ()
+  in
+  Alcotest.(check int) "one trial under an expired budget" 1 b.MC.trials_run;
+  Alcotest.(check int) "no completed batch" 0 b.MC.batches;
+  Alcotest.(check bool) "stopped with a reason" true (b.MC.stopped <> None)
 
 let test_shutdown_idempotent () =
   let pool = P.create ~domains:3 in
@@ -380,25 +459,21 @@ let test_deadline_in_fork_region () =
     (Analysis.Json.to_string (Server.Service.check_json q))
 
 (* ------------------------------------------------------------------ *)
-(* Determinism under a session pool ([prtb check --domains N]).
+(* Determinism across placements.
 
-   The exact, float and expected-time engines are sequential: their
-   results must be bit-identical -- structurally equal, not merely
-   numerically equal -- with and without a session pool installed, and
-   so must every served /check body. *)
+   The exact, float and expected-time engines run whole on one domain:
+   their results must be bit-identical -- structurally equal, not
+   merely numerically equal -- on the caller and on a forced fork
+   helper, and so must every served /check body. *)
 
-let pool_invariant ?(sizes = [ 1; 2; 4 ]) name f =
-  let without = f () in
-  List.iter
-    (fun domains ->
-       P.set_default (Some (P.create ~domains));
-       let with_pool = Fun.protect ~finally:(fun () -> P.set_default None) f in
+let helper_invariant name f =
+  let on_caller = f () in
+  Array.iteri
+    (fun i r ->
        Alcotest.(check bool)
-         (Printf.sprintf "%s: %d-domain session pool" name domains)
-         true (without = with_pool))
-    sizes
-
-let lr_inst = lazy (LR.Proof.build ~n:3 ())
+         (Printf.sprintf "%s: copy %d on two domains" name i)
+         true (on_caller = r))
+    (Test_support.Two_domains.run f)
 
 let bo_inst =
   lazy (BO.Proof.build ~n:3 ~f:1 ~cap:1 ~initial:[| false; false; true |] ())
@@ -409,7 +484,7 @@ let lr_target () =
 
 let test_lr_min_reach_bit_identical () =
   let arena, target = lr_target () in
-  pool_invariant "LR min_reach" (fun () ->
+  helper_invariant "LR min_reach" (fun () ->
       Mdp.Finite_horizon.min_reach arena ~target ~ticks:13)
 
 let test_ben_or_min_reach_bit_identical () =
@@ -418,19 +493,19 @@ let test_ben_or_min_reach_bit_identical () =
     Mdp.Arena.indicator arena
       (Core.Pred.make "decided" BO.Automaton.some_decided)
   in
-  pool_invariant "Ben-Or min_reach" (fun () ->
+  helper_invariant "Ben-Or min_reach" (fun () ->
       Mdp.Finite_horizon.min_reach arena ~target ~ticks:3)
 
 let test_lr_max_reach_and_policy_pools () =
   let arena, target = lr_target () in
-  pool_invariant "max_reach" (fun () ->
+  helper_invariant "max_reach" (fun () ->
       Mdp.Finite_horizon.max_reach arena ~target ~ticks:5);
-  pool_invariant "min_reach_with_policy" (fun () ->
+  helper_invariant "min_reach_with_policy" (fun () ->
       Mdp.Finite_horizon.min_reach_with_policy arena ~target ~ticks:5)
 
 let test_float_engines_pool_invariant () =
   let arena, target = lr_target () in
-  pool_invariant "max_expected_ticks" (fun () ->
+  helper_invariant "max_expected_ticks" (fun () ->
       Mdp.Expected_time.max_expected_ticks arena ~target ())
 
 (* Election n=5 is the body that once diverged: its float expected-time
@@ -442,84 +517,74 @@ let test_check_json_pool_invariant () =
       topology = "ring"; bound = 4; cap = 2; max_states = None;
       sym = "off"; plane = "interval"; deadline_ms = None }
   in
-  pool_invariant ~sizes:[ 2 ] "election n=5 /check body" (fun () ->
+  helper_invariant "election n=5 /check body" (fun () ->
       Analysis.Json.to_string (Server.Service.check_json q))
 
 (* ------------------------------------------------------------------ *)
-(* Monte Carlo reproducibility *)
+(* Monte Carlo reproducibility: three forced helpers against inline, for
+   every lr scheduler and every other family's uniform one. *)
 
-let mc_setup () =
-  let inst = Lazy.force lr_inst in
-  let pa = Mdp.Explore.automaton inst.LR.Proof.expl in
-  { Sim.Monte_carlo.pa;
-    scheduler = Sim.Scheduler.uniform pa;
-    duration = LR.Automaton.duration;
-    start = LR.State.all_trying ~n:3 ~g:1 ~k:1 }
+let simulations () =
+  List.map
+    (fun scheduler -> (`Lr, scheduler))
+    [ "uniform"; "eager"; "delayer"; "starver"; "round-robin" ]
+  @ [ (`Election, "uniform"); (`Coin, "uniform"); (`Consensus, "uniform") ]
+  |> List.map (fun (model, scheduler) ->
+      let name = Printf.sprintf "%s/%s" (Models.name model) scheduler in
+      match
+        Models.simulation ~scheduler (Models.sim_params model ~n:3)
+      with
+      | Ok sim -> (name, sim)
+      | Error e -> Alcotest.failf "%s: %s" name e)
 
 let test_monte_carlo_pool_bit_identical () =
-  let setup = mc_setup () in
-  let target = Core.Pred.mem LR.Regions.c in
-  let seq =
-    Sim.Monte_carlo.estimate_reach setup ~target ~within:13 ~trials:400
-      ~seed:42
-  in
   List.iter
-    (fun domains ->
-       with_pool domains (fun pool ->
-           let par =
-             Sim.Monte_carlo.estimate_reach ~pool setup ~target ~within:13
-               ~trials:400 ~seed:42
-           in
-           Alcotest.(check int)
-             (Printf.sprintf "trials (%d domains)" domains)
-             (Proba.Stat.Proportion.trials seq)
-             (Proba.Stat.Proportion.trials par);
-           Alcotest.(check int)
-             (Printf.sprintf "successes (%d domains)" domains)
-             (Proba.Stat.Proportion.successes seq)
-             (Proba.Stat.Proportion.successes par)))
-    [ 1; 4 ]
+    (fun (name, Models.Simulation m) ->
+       let run helpers =
+         MC.estimate_reach ~helpers m.setup ~target:m.target
+           ~within:m.horizon ~trials:300 ~seed:42
+       in
+       let inline = run 0 and forked = run 3 in
+       Alcotest.(check int) (name ^ ": trials")
+         (Proba.Stat.Proportion.trials inline)
+         (Proba.Stat.Proportion.trials forked);
+       Alcotest.(check int) (name ^ ": successes")
+         (Proba.Stat.Proportion.successes inline)
+         (Proba.Stat.Proportion.successes forked))
+    (simulations ())
 
 let test_monte_carlo_times_bit_identical () =
-  let setup = mc_setup () in
-  let target = Core.Pred.mem LR.Regions.c in
-  let run pool =
-    Sim.Monte_carlo.estimate_time ?pool setup ~target ~trials:300 ~seed:7 ()
-  in
-  let s_seq, missed_seq = run None in
-  with_pool 4 (fun pool ->
-      let s_par, missed_par = run (Some pool) in
-      Alcotest.(check int) "missed" missed_seq missed_par;
-      Alcotest.(check int) "count" (Proba.Stat.Summary.count s_seq)
-        (Proba.Stat.Summary.count s_par);
-      (* Welford replay in trial order: identical floats. *)
-      Alcotest.(check bool) "mean bit-identical" true
-        (Proba.Stat.Summary.mean s_seq = Proba.Stat.Summary.mean s_par);
-      Alcotest.(check bool) "variance bit-identical" true
-        (Proba.Stat.Summary.variance s_seq
-         = Proba.Stat.Summary.variance s_par))
+  List.iter
+    (fun (name, Models.Simulation m) ->
+       let run helpers =
+         MC.estimate_time ~helpers m.setup ~target:m.target ~trials:200
+           ~seed:7 ()
+       in
+       let s_inline, missed_inline = run 0
+       and s_forked, missed_forked = run 3 in
+       Alcotest.(check int) (name ^ ": missed") missed_inline missed_forked;
+       check_summary name s_inline s_forked)
+    (simulations ())
 
 let test_monte_carlo_budgeted_counts () =
-  let setup = mc_setup () in
-  let target = Core.Pred.mem LR.Regions.c in
-  (* Unlimited budget: the pooled path must run exactly the batched
-     trial count the sequential path runs, with the same successes. *)
-  let seq =
-    Sim.Monte_carlo.estimate_reach_budgeted setup ~target ~within:13
-      ~initial_trials:32 ~seed:5 ()
-  in
-  with_pool 4 (fun pool ->
-      let par =
-        Sim.Monte_carlo.estimate_reach_budgeted ~pool setup ~target
-          ~within:13 ~initial_trials:32 ~seed:5 ()
-      in
-      Alcotest.(check int) "trials" seq.Sim.Monte_carlo.trials_run
-        par.Sim.Monte_carlo.trials_run;
-      Alcotest.(check int) "successes"
-        (Proba.Stat.Proportion.successes seq.Sim.Monte_carlo.prop)
-        (Proba.Stat.Proportion.successes par.Sim.Monte_carlo.prop);
-      Alcotest.(check int) "batches" seq.Sim.Monte_carlo.batches
-        par.Sim.Monte_carlo.batches)
+  (* Unlimited budget: the forked run must run exactly the batched trial
+     count the inline run runs, with the same successes. *)
+  List.iter
+    (fun (name, Models.Simulation m) ->
+       let run helpers =
+         MC.estimate_reach_budgeted ~helpers m.setup ~target:m.target
+           ~within:m.horizon ~initial_trials:32
+           ~budget:(Core.Budget.v ~retries:3 ()) ~seed:5 ()
+       in
+       let inline = run 0 and forked = run 3 in
+       Alcotest.(check int) (name ^ ": trials") inline.MC.trials_run
+         forked.MC.trials_run;
+       Alcotest.(check int) (name ^ ": successes")
+         (Proba.Stat.Proportion.successes inline.MC.prop)
+         (Proba.Stat.Proportion.successes forked.MC.prop);
+       Alcotest.(check int) (name ^ ": batches") inline.MC.batches
+         forked.MC.batches)
+    (simulations ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -527,14 +592,14 @@ let () =
   Alcotest.run "parallel"
     [ ("pool",
        [ Alcotest.test_case "parallel_for covers" `Quick
-           test_parallel_for_covers;
+           test_chunks_cover_trials;
          Alcotest.test_case "parallel_for empty" `Quick
-           test_parallel_for_empty;
+           test_no_trials;
          Alcotest.test_case "map_reduce ordered" `Quick
-           test_map_reduce_is_sequential_fold;
-         Alcotest.test_case "map_reduce sum" `Quick test_map_reduce_sum;
+           test_times_in_trial_order;
+         Alcotest.test_case "map_reduce sum" `Quick test_successes_sum;
          Alcotest.test_case "map_reduce chunking" `Quick
-           test_map_reduce_chunking;
+           test_chunk_grid_edges;
          Alcotest.test_case "exception propagates" `Quick
            test_exception_propagates;
          Alcotest.test_case "stop cancels" `Quick test_stop_cancels;

@@ -1,5 +1,5 @@
 (* End-to-end tests for the verification service: a real daemon on a
-   real socket (port 0), exercised through the load harness's client.
+   real socket (port 0), exercised through [Http.Conn].
 
    The two load-bearing assertions from the acceptance criteria:
    served /check bodies are byte-identical to [prtb check --format
@@ -10,7 +10,7 @@
 
 module J = Analysis.Json
 module D = Server.Daemon
-module L = Server.Load
+module H = Server.Http
 
 (* One shared daemon for the happy-path tests; tiny worker count, the
    CI container has one core. *)
@@ -21,14 +21,14 @@ let daemon =
          D.port = 0; domains = 3; cache_mb = 32; accept_queue = 8 })
 
 let url target =
-  { L.host = "127.0.0.1"; port = D.port (Lazy.force daemon); target }
+  { H.host = "127.0.0.1"; port = D.port (Lazy.force daemon); target }
 
 let get ?meth ?body target =
-  let conn = L.Conn.create (url target) in
+  let conn = H.Conn.create (url target) in
   Fun.protect
-    ~finally:(fun () -> L.Conn.close conn)
+    ~finally:(fun () -> H.Conn.close conn)
     (fun () ->
-       match L.Conn.request conn ?meth ?body target with
+       match H.Conn.request conn ?meth ?body target with
        | Ok r -> r
        | Error e -> Alcotest.failf "GET %s: %s" target e)
 
@@ -456,6 +456,36 @@ let test_chaos_mixed_valid_unharmed () =
        (chaos_url "/check?model=lr&n=2") C.Mixed);
   test_health ()
 
+(* Out-of-range [--clients] and [--idle-s] are refused by name, by the
+   library and by the CLI, before any client domain or socket exists
+   (nothing listens on port 1, so a slipped check would fail loudly). *)
+let test_chaos_refuses_bad_settings () =
+  let u = { H.host = "127.0.0.1"; port = 1; target = "/" } in
+  let refused flag f =
+    match f () with
+    | (_ : C.report) -> Alcotest.failf "%s: accepted" flag
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (msg ^ " names " ^ flag) true
+        (Astring.String.is_infix ~affix:flag msg)
+  in
+  List.iter
+    (fun clients ->
+       refused "--clients" (fun () -> C.run ~clients ~seed:1 u))
+    [ -3; 0; 1; 65; 129 ];
+  List.iter
+    (fun idle_s -> refused "--idle-s" (fun () -> C.run ~idle_s ~seed:1 u))
+    [ -0.5; Float.nan; Float.infinity ];
+  List.iter
+    (fun (args, flag) ->
+       let code, out =
+         cli_failing ("chaos --url http://127.0.0.1:1/ " ^ args)
+       in
+       Alcotest.(check bool) (args ^ " fails") true (code <> 0);
+       Alcotest.(check bool) (out ^ " names " ^ flag) true
+         (Astring.String.is_infix ~affix:flag out))
+    [ ("--clients 1", "--clients"); ("--clients 200", "--clients");
+      ("--idle-s=-1", "--idle-s"); ("--idle-s nan", "--idle-s") ]
+
 (* An idle keep-alive connection parked past the connection deadline is
    dropped (the read timeout shrinks to the remaining allowance), and a
    fresh connection is served immediately afterwards.  Dedicated daemon
@@ -472,7 +502,7 @@ let test_idle_keepalive_past_conn_deadline () =
       D.stop d;
       D.wait d)
     (fun () ->
-       let u = { L.host = "127.0.0.1"; port = D.port d; target = "/" } in
+       let u = { H.host = "127.0.0.1"; port = D.port d; target = "/" } in
        let o =
          C.run_scenario ~rounds:2 ~idle_s:0.8 ~seed:42 u C.Idle_keepalive
        in
@@ -481,13 +511,13 @@ let test_idle_keepalive_past_conn_deadline () =
           dropped by the expired connection deadline *)
        Alcotest.(check int) "pre-idle answered" 2 o.C.answered;
        Alcotest.(check int) "post-idle dropped" 2 o.C.dropped;
-       let conn = L.Conn.create u in
-       (match L.Conn.request conn "/health" with
+       let conn = H.Conn.create u in
+       (match H.Conn.request conn "/health" with
         | Ok r ->
           Alcotest.(check int) "fresh connection served" 200
             r.Server.Http.status
         | Error e -> Alcotest.failf "daemon wedged after idle abuse: %s" e);
-       L.Conn.close conn)
+       H.Conn.close conn)
 
 (* Every 503 carries Retry-After.  One worker is pinned by a slow
    probe; with a zero-length accept queue the concurrent probe must be
@@ -503,7 +533,7 @@ let test_retry_after_on_503 () =
       D.stop d;
       D.wait d)
     (fun () ->
-       let u target = { L.host = "127.0.0.1"; port = D.port d; target } in
+       let u target = { H.host = "127.0.0.1"; port = D.port d; target } in
        (* Two sleepers: one occupies the single worker, the second sits
           in the pool's queue, so the probe below arrives with pending
           work beyond the zero-length accept queue.  Staggered, so the
@@ -511,9 +541,9 @@ let test_retry_after_on_503 () =
           second is accepted. *)
        let sleeper () =
          Domain.spawn (fun () ->
-             let conn = L.Conn.create (u "/health?sleep_ms=600") in
-             let r = L.Conn.request conn "/health?sleep_ms=600" in
-             L.Conn.close conn;
+             let conn = H.Conn.create (u "/health?sleep_ms=600") in
+             let r = H.Conn.request conn "/health?sleep_ms=600" in
+             H.Conn.close conn;
              r)
        in
        let first = sleeper () in
@@ -522,9 +552,9 @@ let test_retry_after_on_503 () =
        let pinned = [ first; second ] in
        Unix.sleepf 0.15;
        let rec probe tries =
-         let conn = L.Conn.create (u "/health") in
-         let r = L.Conn.request conn "/health" in
-         L.Conn.close conn;
+         let conn = H.Conn.create (u "/health") in
+         let r = H.Conn.request conn "/health" in
+         H.Conn.close conn;
          match r with
          | Ok r when r.Server.Http.status = 503 -> r
          | Ok _ when tries > 0 ->
@@ -547,13 +577,39 @@ let test_retry_after_on_503 () =
             | Error e -> Alcotest.failf "pinned request failed: %s" e)
          pinned)
 
+(* [clients] domains, each on one keep-alive [Http.Conn], share
+   [requests] round trips to [u]; the statuses of every reply, and the
+   protocol errors, come back. *)
+let hammer u ~clients ~requests =
+  let share i =
+    (requests / clients) + if i < requests mod clients then 1 else 0
+  in
+  let client i () =
+    let conn = H.Conn.create u in
+    Fun.protect
+      ~finally:(fun () -> H.Conn.close conn)
+      (fun () ->
+         List.init (share i) (fun _ -> H.Conn.request conn u.H.target))
+  in
+  let replies =
+    List.concat_map Domain.join
+      (List.init clients (fun i -> Domain.spawn (client i)))
+  in
+  ( List.filter_map (function Ok r -> Some r.H.status | Error _ -> None)
+      replies,
+    List.length (List.filter Result.is_error replies) )
+
 (* Acceptance: >= 8 concurrent keep-alive clients, zero protocol
    errors. *)
 let test_loadtest_smoke () =
-  let r = L.run (url "/health") ~clients:8 ~requests:96 in
-  Alcotest.(check int) "no protocol errors" 0 r.L.protocol_errors;
-  Alcotest.(check int) "no rejections at this load" 0 r.L.rejected;
-  Alcotest.(check int) "all ok" 96 r.L.ok
+  let statuses, protocol_errors =
+    hammer (url "/health") ~clients:8 ~requests:96
+  in
+  Alcotest.(check int) "no protocol errors" 0 protocol_errors;
+  Alcotest.(check int) "no rejections at this load" 0
+    (List.length (List.filter (( = ) 503) statuses));
+  Alcotest.(check int) "all ok" 96
+    (List.length (List.filter (( = ) 200) statuses))
 
 (* Acceptance: overload answers 503 instead of hanging.  A dedicated
    daemon with one worker and a zero-length accept queue, stalled by
@@ -570,24 +626,25 @@ let test_overload_returns_503 () =
       D.stop d;
       D.wait d)
     (fun () ->
-       let u = { L.host = "127.0.0.1"; port = D.port d;
+       let u = { H.host = "127.0.0.1"; port = D.port d;
                  target = "/health?sleep_ms=700" } in
-       let r = L.run u ~clients:6 ~requests:6 in
-       Alcotest.(check int) "no protocol errors" 0 r.L.protocol_errors;
+       let statuses, protocol_errors = hammer u ~clients:6 ~requests:6 in
+       Alcotest.(check int) "no protocol errors" 0 protocol_errors;
        Alcotest.(check bool) "some requests rejected" true
-         (r.L.rejected > 0);
-       Alcotest.(check bool) "some requests served" true (r.L.ok > 0);
+         (List.mem 503 statuses);
+       Alcotest.(check bool) "some requests served" true
+         (List.mem 200 statuses);
        (* and the daemon recovered *)
        let conn =
-         L.Conn.create { L.host = "127.0.0.1"; port = D.port d;
+         H.Conn.create { H.host = "127.0.0.1"; port = D.port d;
                          target = "/health" }
        in
-       (match L.Conn.request conn "/health" with
+       (match H.Conn.request conn "/health" with
         | Ok resp ->
           Alcotest.(check int) "alive after overload" 200
             resp.Server.Http.status
         | Error e -> Alcotest.failf "daemon wedged after overload: %s" e);
-       L.Conn.close conn)
+       H.Conn.close conn)
 
 (* stop + wait returns: accepted work drains and the domains join.
    (CI additionally asserts the process-level SIGTERM path exits 0.) *)
@@ -596,32 +653,32 @@ let test_graceful_stop () =
     D.start { D.default_config with D.port = 0; domains = 2; cache_mb = 8 }
   in
   let conn =
-    L.Conn.create { L.host = "127.0.0.1"; port = D.port d; target = "/" }
+    H.Conn.create { H.host = "127.0.0.1"; port = D.port d; target = "/" }
   in
-  (match L.Conn.request conn "/health" with
+  (match H.Conn.request conn "/health" with
    | Ok r -> Alcotest.(check int) "served" 200 r.Server.Http.status
    | Error e -> Alcotest.fail e);
-  L.Conn.close conn;
+  H.Conn.close conn;
   D.stop d;
   D.wait d;
   Alcotest.(check bool) "drained" true true
 
 let test_parse_url () =
-  (match L.parse_url "http://127.0.0.1:8080/check?model=lr" with
+  (match H.parse_url "http://127.0.0.1:8080/check?model=lr" with
    | Ok u ->
-     Alcotest.(check string) "host" "127.0.0.1" u.L.host;
-     Alcotest.(check int) "port" 8080 u.L.port;
-     Alcotest.(check string) "target" "/check?model=lr" u.L.target
+     Alcotest.(check string) "host" "127.0.0.1" u.H.host;
+     Alcotest.(check int) "port" 8080 u.H.port;
+     Alcotest.(check string) "target" "/check?model=lr" u.H.target
    | Error e -> Alcotest.fail e);
-  (match L.parse_url "localhost:99/x" with
+  (match H.parse_url "localhost:99/x" with
    | Ok u ->
-     Alcotest.(check string) "bare host" "localhost" u.L.host;
-     Alcotest.(check int) "bare port" 99 u.L.port
+     Alcotest.(check string) "bare host" "localhost" u.H.host;
+     Alcotest.(check int) "bare port" 99 u.H.port
    | Error e -> Alcotest.fail e);
-  (match L.parse_url "https://x/" with
+  (match H.parse_url "https://x/" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "https should be rejected");
-  match L.parse_url "http://:80/" with
+  match H.parse_url "http://:80/" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty host should be rejected"
 
@@ -790,6 +847,8 @@ let () =
             test_chaos_midbody_close;
           Alcotest.test_case "chaos: mixed valid+garbage" `Quick
             test_chaos_mixed_valid_unharmed;
+          Alcotest.test_case "chaos: refuses bad clients and idle-s" `Quick
+            test_chaos_refuses_bad_settings;
           Alcotest.test_case "idle keep-alive past conn deadline" `Quick
             test_idle_keepalive_past_conn_deadline;
           Alcotest.test_case "Retry-After on 503" `Quick
