@@ -10,6 +10,20 @@ module LR = Lehmann_rabin
 
 open Cmdliner
 
+(* A run-time refusal -- the command ran and its answer is no -- prints
+   what cmdliner prints for an error and exits 1; cmdliner's 124 stays
+   for usage errors and refused flag or parameter values. *)
+let refuse msg =
+  Format.eprintf "prtb: @[<v>%a@]@."
+    (Format.pp_print_list Format.pp_print_string)
+    (String.split_on_char '\n' msg);
+  exit 1
+
+let not_certified msg =
+  refuse
+    (Printf.sprintf
+       "--sym on: the declared symmetry group failed to certify:\n%s" msg)
+
 (* ----------------------------------------------------------------- *)
 (* --deadline: wall allowance in milliseconds *)
 
@@ -287,7 +301,7 @@ let cli_check_query (p : Models.params) sym plane deadline =
 
 (* --emit-cert prints the /cert body.  A non-certificate header
    (uncertified, exhausted, ...) still prints -- same bytes the server
-   would serve -- but exits nonzero so scripts cannot mistake it for a
+   would serve -- but exits 1 so scripts cannot mistake it for a
    certificate. *)
 let emit_cert_json q =
   let body = Server.Service.cert_json q in
@@ -295,7 +309,7 @@ let emit_cert_json q =
   match body with
   | Analysis.Json.Obj fields
     when List.mem_assoc "verdict" fields ->
-    failwith "no certificate was emitted (see the body's verdict field)"
+    refuse "no certificate was emitted (see the body's verdict field)"
   | _ -> ()
 
 (* Text mode arms the same ambient deadline the server uses; when the
@@ -323,52 +337,52 @@ let emit_cert_arg =
 let check_cmd =
   let run stats format plane emit_cert system n g k topology bound cap sym
       faults budget release seed deadline =
-    try
+    (* Usage errors exit 124 before anything runs; refusals after it, 1. *)
+    match
       let p = cli_params system n g k topology bound cap in
       let query () = cli_check_query p sym plane deadline in
-      (match format, emit_cert, faults with
-       | _, true, Some _ ->
-         failwith "--emit-cert does not cover --faults runs; drop one"
-       | _, true, None -> emit_cert_json (query ())
-       | `Json, false, Some _ ->
-         failwith "--format json does not cover --faults runs; drop one"
-       | `Json, false, None ->
-         print_endline
-           (Analysis.Json.to_string (Server.Service.check_json (query ())))
-       | `Text, false, Some f ->
-         if system <> `Lr then
-           failwith
-             "fault injection is currently modelled for the lr system only";
-         if p.Models.topology <> "ring" then
-           failwith
-             (Printf.sprintf
-                "fault injection is modelled on the ring topology only \
-                 (got %S)"
-                p.Models.topology);
-         under_cli_deadline deadline (fun () ->
-             check_lr_faults n g k f
-               (Option.value budget ~default:Core.Budget.unlimited)
-               release seed)
-       | `Text, false, None ->
-         under_cli_deadline deadline (fun () -> Models.report ~sym p));
-      report_stats stats;
-      Ok ()
+      match format, emit_cert, faults with
+      | _, true, Some _ ->
+        failwith "--emit-cert does not cover --faults runs; drop one"
+      | _, true, None -> fun () -> emit_cert_json (query ())
+      | `Json, false, Some _ ->
+        failwith "--format json does not cover --faults runs; drop one"
+      | `Json, false, None ->
+        fun () ->
+          print_endline
+            (Analysis.Json.to_string (Server.Service.check_json (query ())))
+      | `Text, false, Some f ->
+        if system <> `Lr then
+          failwith
+            "fault injection is currently modelled for the lr system only";
+        if p.Models.topology <> "ring" then
+          failwith
+            (Printf.sprintf
+               "fault injection is modelled on the ring topology only \
+                (got %S)"
+               p.Models.topology);
+        fun () ->
+          under_cli_deadline deadline (fun () ->
+              check_lr_faults n g k f
+                (Option.value budget ~default:Core.Budget.unlimited)
+                release seed)
+      | `Text, false, None ->
+        fun () -> under_cli_deadline deadline (fun () -> Models.report ~sym p)
     with
-    | Failure msg -> Error (`Msg msg)
-    | Analysis.Symmetry.Not_certified msg ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "--sym on: the declared symmetry group failed to certify:\n%s"
-              msg))
-    | Mdp.Explore.Too_many_states m ->
-      Error
-        (`Msg
+    | exception Failure msg -> Error (`Msg msg)
+    | check ->
+      (try check () with
+       | Failure msg -> refuse msg
+       | Analysis.Symmetry.Not_certified msg -> not_certified msg
+       | Mdp.Explore.Too_many_states m ->
+         refuse
            (Printf.sprintf
               "exploration stopped after interning %d states; rerun with \
-               --faults ... --budget states:N,wall:Ts to degrade gracefully \
-               to a Monte Carlo estimate"
-              m))
+               --faults ... --budget states:N,wall:Ts to degrade \
+               gracefully to a Monte Carlo estimate"
+              m));
+      report_stats stats;
+      Ok ()
   in
   Cmd.v
     (Cmd.info "check"
@@ -476,19 +490,13 @@ let compile_cmd =
       Ok ()
     with
     | Failure msg | Sys_error msg -> Error (`Msg msg)
-    | Analysis.Symmetry.Not_certified msg ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "--sym on: the declared symmetry group failed to certify:\n%s"
-              msg))
+    | Analysis.Symmetry.Not_certified msg -> not_certified msg
     | Mdp.Explore.Too_many_states m ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "exploration stopped after interning %d states; raise \
-               --max-states"
-              m))
+      refuse
+        (Printf.sprintf
+           "exploration stopped after interning %d states; raise \
+            --max-states"
+           m)
   in
   Cmd.v
     (Cmd.info "compile"
@@ -839,7 +847,7 @@ let chaos_cmd =
            in
            Format.printf "%a@." Server.Chaos.pp_report r;
            if r.Server.Chaos.ok then Ok ()
-           else Error (`Msg "chaos harness found failures"))
+           else refuse "chaos harness found failures")
   in
   Cmd.v
     (Cmd.info "chaos"

@@ -58,11 +58,10 @@ let decision_arrow inst ~rounds ~prob =
     claim = result.Mdp.Checker.claim }
 
 (* The certified termination statement at the exact attained bound: a
-   first sweep at prob 0 always yields a claim and reports the true
-   minimum, a second names that minimum as the bound so the minted
-   leaf is as tight as the checker can certify.  The second sweep
-   reuses the arena's memoized planes; only the backward induction
-   runs twice. *)
+   probe at prob 0 always yields a claim and reports the true minimum,
+   a second check names that minimum as the bound so the minted leaf is
+   as tight as the checker can certify.  Both ask the arena the same
+   question, so the backward induction runs once. *)
 let composed inst ~rounds =
   if rounds < 1 || rounds > inst.params.Automaton.cap then
     Error
@@ -82,17 +81,10 @@ let composed inst ~rounds =
     end
   end
 
+(* Each point is its round count's decision arrow, so the last one and
+   [composed]'s are one solved pass. *)
 let decision_curve inst ~rounds =
-  let target = Mdp.Arena.indicator inst.arena decided_pred in
-  let i = List.hd (Mdp.Arena.start_indices inst.arena) in
-  List.map
-    (fun r ->
-       let ticks =
-         Core.Timed.within ~granularity:inst.params.Automaton.g
-           ~time:(Q.of_int (3 * r))
-       in
-       let v = Mdp.Finite_horizon.min_reach inst.arena ~target ~ticks in
-       v.(i))
+  List.map (fun r -> (decision_arrow inst ~rounds:r ~prob:Q.zero).attained)
     rounds
 
 let capped_liveness inst =

@@ -63,16 +63,17 @@ val decision_arrow :
 
 (** The certified termination claim
     [Init -(3 rounds)->_p Decided] at the {e exact} attained bound
-    [p]: a probe sweep finds the adversary's minimum, a second sweep
-    certifies it, so the minted leaf is as tight as the checker can
-    prove.  [Error] when [rounds] exceeds the modelled cap or the
+    [p]: a probe finds the adversary's minimum, a second check
+    certifies it from the same solved pass ({!Mdp.Arena.solved}), so
+    the minted leaf is as tight as the checker can prove.  [Error] when [rounds] exceeds the modelled cap or the
     attained minimum is 0 (a fixed round the adversary can block --
     the deterministic-consensus impossibility showing through). *)
 val composed :
   instance -> rounds:int -> (Automaton.state Core.Claim.t, string) result
 
 (** Exact [min P(some process decides within 3 rounds time units)] for
-    each requested round count. *)
+    each requested round count, from the start state.  The point at
+    [rounds = cap] is the pass {!composed} solves. *)
 val decision_curve : instance -> rounds:int list -> Proba.Rational.t list
 
 (** Do all adversaries decide almost surely {e within the cap}?  (False

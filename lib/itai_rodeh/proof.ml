@@ -67,15 +67,12 @@ let composed inst = compose_arrows (arrows inst)
 let leader_pred = Automaton.at_most 1
 
 let direct_bound inst =
-  let target = Mdp.Arena.indicator inst.arena leader_pred in
-  let ticks =
-    Core.Timed.within ~granularity:inst.params.Automaton.g
-      ~time:(Q.of_int (inst.params.Automaton.n - 1))
-  in
-  let values = Mdp.Finite_horizon.min_reach inst.arena ~target ~ticks in
   let best, _, _ =
-    Mdp.Checker.min_prob_over inst.arena values
-      (Automaton.at_most inst.params.Automaton.n)
+    Mdp.Checker.min_reach_over inst.arena ~target:leader_pred
+      ~over:(Automaton.at_most inst.params.Automaton.n)
+      ~ticks:
+        (Core.Timed.within ~granularity:inst.params.Automaton.g
+           ~time:(Q.of_int (inst.params.Automaton.n - 1)))
   in
   best
 
@@ -88,11 +85,10 @@ let expected_bound ~n =
   Core.Expected.sum ~label:"E[election]" (List.map per_rung (downfrom n))
 
 let max_expected_time inst =
-  let target = Mdp.Arena.indicator inst.arena leader_pred in
-  let values =
-    Mdp.Expected_time.max_expected_ticks inst.arena ~target ()
+  let worst, _, _ =
+    Mdp.Checker.max_expected_over inst.arena ~target:leader_pred
+      ~over:(Core.Pred.make "any" (fun _ -> true))
   in
-  let worst = Array.fold_left Float.max 0.0 values in
   worst /. float_of_int inst.params.Automaton.g
 
 let liveness_holds inst =

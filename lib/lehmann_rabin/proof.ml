@@ -148,21 +148,17 @@ let compose_on arena ~g_pred ?renamings arrows =
   | None, _ -> invalid_arg "Proof.compose_arrows: not the five ladder arrows"
 
 let direct_bound_on arena ~granularity =
-  let target = Mdp.Arena.indicator arena Regions.c in
-  let ticks = Core.Timed.within ~granularity ~time:(Q.of_int 13) in
-  let values = Mdp.Finite_horizon.min_reach arena ~target ~ticks in
-  let best, _, _ = Mdp.Checker.min_prob_over arena values Regions.t in
+  let best, _, _ =
+    Mdp.Checker.min_reach_over arena ~target:Regions.c ~over:Regions.t
+      ~ticks:(Core.Timed.within ~granularity ~time:(Q.of_int 13))
+  in
   best
 
 let max_expected_time_on arena ~granularity =
-  let target = Mdp.Arena.indicator arena Regions.c in
-  let values = Mdp.Expected_time.max_expected_ticks arena ~target () in
-  let worst = ref 0.0 in
-  for i = 0 to Mdp.Arena.num_states arena - 1 do
-    if Core.Pred.mem Regions.t (Mdp.Arena.state arena i) then
-      if values.(i) > !worst then worst := values.(i)
-  done;
-  !worst /. float_of_int granularity
+  let worst, _, _ =
+    Mdp.Checker.max_expected_over arena ~target:Regions.c ~over:Regions.t
+  in
+  worst /. float_of_int granularity
 
 let liveness_on arena =
   let target = Mdp.Arena.indicator arena Regions.c in

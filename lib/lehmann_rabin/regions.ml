@@ -4,15 +4,26 @@ let trying = function
   | State.Rem | State.Crit | State.Exit_f | State.Exit_s _ | State.Exit_r ->
     false
 
+(* Hot: pattern matches, not polymorphic compare; loops, not lists. *)
 let some_region pred s = Array.exists (fun p -> pred p.State.region) s.State.procs
+
+let some_process s good =
+  let n = State.num_procs s in
+  let i = ref 0 in
+  while !i < n && not (good s !i) do
+    incr i
+  done;
+  !i < n
 
 let t = Core.Pred.make "T" (some_region trying)
 
-let c = Core.Pred.make "C" (some_region (fun r -> r = State.Crit))
+let c =
+  Core.Pred.make "C" (some_region (function State.Crit -> true | _ -> false))
 
 let quiet region =
   (* {E_R, R} ∪ T: neither critical nor holding resources in exit. *)
-  trying region || region = State.Rem || region = State.Exit_r
+  trying region
+  || (match region with State.Rem | State.Exit_r -> true | _ -> false)
 
 let in_rt s =
   some_region trying s
@@ -22,15 +33,19 @@ let rt = Core.Pred.make "RT" in_rt
 
 let f =
   Core.Pred.make "F" (fun s ->
-      in_rt s && some_region (fun r -> r = State.Flip) s)
+      in_rt s && some_region (function State.Flip -> true | _ -> false) s)
 
-let p = Core.Pred.make "P" (some_region (fun r -> r = State.Pre))
+let p =
+  Core.Pred.make "P" (some_region (function State.Pre -> true | _ -> false))
+
+let same u v =
+  match u, v with State.L, State.L | State.R, State.R -> true | _ -> false
 
 (* "i potentially controls its left/right resource": pc in {W, S, D}
    pointing that way.  The paper's # stands for {W, S, D}. *)
 let points region side =
   match region with
-  | State.Wait u | State.Second u | State.Drop u -> u = side
+  | State.Wait u | State.Second u | State.Drop u -> same u side
   | State.Rem | State.Flip | State.Pre | State.Crit | State.Exit_f
   | State.Exit_s _ | State.Exit_r -> false
 
@@ -43,7 +58,7 @@ let harmless_or_points region side =
 
 let committed_toward region side =
   match region with
-  | State.Wait u | State.Second u -> u = side
+  | State.Wait u | State.Second u -> same u side
   | State.Rem | State.Flip | State.Drop _ | State.Pre | State.Crit
   | State.Exit_f | State.Exit_s _ | State.Exit_r -> false
 
@@ -62,10 +77,7 @@ let good_processes s =
     List.filter (good_at s)
       (List.init (State.num_procs s) (fun i -> i))
 
-let g =
-  Core.Pred.make "G" (fun s ->
-      in_rt s
-      && List.exists (good_at s) (List.init (State.num_procs s) (fun i -> i)))
+let g = Core.Pred.make "G" (fun s -> in_rt s && some_process s good_at)
 
 (* Generalized goodness over an arbitrary topology: process [i],
    committed toward side [u], is good when no {e other} process sharing
@@ -93,10 +105,7 @@ let good_at_general topo s i =
   good_toward State.L || good_toward State.R
 
 let g_of topo =
-  Core.Pred.make "G" (fun s ->
-      in_rt s
-      && List.exists (good_at_general topo s)
-        (List.init (State.num_procs s) (fun i -> i)))
+  Core.Pred.make "G" (fun s -> in_rt s && some_process s (good_at_general topo))
 
 let rt_or_c = Core.Pred.union rt c
 let fgp = Core.Pred.union_all [ f; g; p ]

@@ -1,5 +1,9 @@
 module Q = Proba.Rational
 
+type pass = Min_reach of int | Max_expected_ticks
+type extremum = Prob of Q.t | Ticks of float
+type summary = { extremum : extremum; witness : int option; members : int }
+
 type ('s, 'a) t = {
   expl : ('s, 'a) Explore.t;
   n : int;
@@ -14,6 +18,7 @@ type ('s, 'a) t = {
   interval : (float array * float array) option Atomic.t;
   fp : string option Atomic.t;
   zero_time : Zero_time.t option Atomic.t;
+  passes : ((pass * string * string) * summary) list Atomic.t;
 }
 
 (* Process-wide count of compilations, surfaced through [Models.stats]
@@ -68,7 +73,8 @@ let compile ?is_tick expl =
     actions = Array.of_list (List.rev !actions_rev);
     interval = Atomic.make None;
     fp = Atomic.make None;
-    zero_time = Atomic.make None }
+    zero_time = Atomic.make None;
+    passes = Atomic.make [] }
 
 let of_pa ?max_states ?is_tick pa =
   compile ?is_tick (Explore.run ?max_states pa)
@@ -103,7 +109,8 @@ let assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl =
     actions;
     interval = Atomic.make None;
     fp = Atomic.make None;
-    zero_time = Atomic.make None }
+    zero_time = Atomic.make None;
+    passes = Atomic.make [] }
 
 (* Derived planes are computed on demand and memoized with a CAS:
    worker domains sweeping one shared arena may race here, in which
@@ -146,6 +153,37 @@ let zero_time a =
       | Some published -> published
       | None -> z
     end
+
+(* Keyed by the pass and its two state sets, one bit per state.  A
+   domain that loses the CAS adopts a racing copy or prepends again. *)
+let bits n mem =
+  String.init ((n + 7) / 8) (fun byte ->
+      let c = ref 0 in
+      for i = 8 * byte to Int.min n (8 * byte + 8) - 1 do
+        if mem i then c := !c lor (1 lsl (i land 7))
+      done;
+      Char.chr !c)
+
+let solved a pass ~target ~over solve =
+  if Array.length target <> a.n then
+    invalid_arg "Arena.solved: target has wrong length";
+  let over = bits a.n over in
+  let key = (pass, bits a.n (Array.get target), over) in
+  let find = List.assoc_opt key in
+  match find (Atomic.get a.passes) with
+  | Some s -> s
+  | None ->
+    let s =
+      solve (fun i -> Char.code over.[i lsr 3] land (1 lsl (i land 7)) <> 0)
+    in
+    let rec publish () =
+      let seen = Atomic.get a.passes in
+      match find seen with
+      | Some published -> published
+      | None when Atomic.compare_and_set a.passes seen ((key, s) :: seen) -> s
+      | None -> publish ()
+    in
+    publish ()
 
 (* The fingerprint digests only deterministic inputs: the CSR skeleton
    (offsets, targets), the exact probability plane rendered through

@@ -31,6 +31,14 @@
     sweeps treat as stuck -- the same under-approximation semantics as
     {!Explore.partial}. *)
 
+(** A solved pass: {!Finite_horizon.min_reach} within a tick horizon
+    or {!Expected_time.max_expected_ticks}, folded over a state set to
+    its extremum (the fold's seed for an empty set), the first member in
+    index order attaining it, and the number of members. *)
+type pass = Min_reach of int | Max_expected_ticks
+type extremum = Prob of Proba.Rational.t | Ticks of float
+type summary = { extremum : extremum; witness : int option; members : int }
+
 type ('s, 'a) t = private {
   expl : ('s, 'a) Explore.t;  (** the fragment this was compiled from *)
   n : int;  (** number of states *)
@@ -48,6 +56,8 @@ type ('s, 'a) t = private {
       (** memoized structural fingerprint; use {!fingerprint} *)
   zero_time : Zero_time.t option Atomic.t;
       (** memoized zero-time component order; use {!zero_time} *)
+  passes : ((pass * string * string) * summary) list Atomic.t;
+      (** memoized solved passes; use {!solved} *)
 }
 
 (** [compile ?is_tick expl] flattens a fragment.  Without [is_tick] the
@@ -65,9 +75,10 @@ val of_pa :
     (an arena snapshot) without re-flattening the fragment; {!compiles}
     is {e not} incremented.  The float plane is recomputed from
     [prob_q] exactly as {!compile} does, so loaded arenas are
-    bit-identical to freshly compiled ones; derived-plane memos start
-    empty and fill on first use.  Raises [Invalid_argument] when the
-    array lengths are mutually inconsistent. *)
+    bit-identical to freshly compiled ones; derived-plane and
+    solved-pass memos start empty and fill on first use.  Raises
+    [Invalid_argument] when the array lengths are mutually
+    inconsistent. *)
 val assemble :
   step_off:int array ->
   out_off:int array ->
@@ -94,6 +105,17 @@ val interval_plane : ('s, 'a) t -> float array * float array
     target set; computed on first use and memoized like
     {!interval_plane} (domain-safe, write-once). *)
 val zero_time : ('s, 'a) t -> Zero_time.t
+
+(** [solved arena pass ~target ~over solve] is [solve member] on the
+    first ask ([member] reads [over] as packed once per state) and the
+    stored summary later.  The key is the pass and both sets as bitsets
+    of state indices, compared exactly.  Write-once per key by CAS like
+    the planes: racing domains may both solve, either copy is the
+    answer; a [solve] that raises (a deadline) stores nothing.  Raises
+    [Invalid_argument] unless [target] has [num_states] entries. *)
+val solved :
+  ('s, 'a) t -> pass -> target:bool array -> over:(int -> bool) ->
+  ((int -> bool) -> summary) -> summary
 
 (** A deterministic structural digest of the compiled fragment (32 hex
     characters), stamped into certificate leaves ([lib/cert]) so a

@@ -7,28 +7,54 @@ type ('s, 'a) result = {
   pre_states : int;
 }
 
-let min_prob_over a values pred =
-  let n = Arena.num_states a in
-  let best = ref Q.one in
-  let witness = ref None in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    let s = Arena.state a i in
-    if Core.Pred.mem pred s then begin
-      incr count;
-      if !witness = None || Q.lt values.(i) !best then begin
+(* [values] folded over the [member] states from [seed]: the first
+   member is the witness until a later one is strictly [better]. *)
+let summarize ~seed ~better ~wrap values member =
+  let best = ref seed and witness = ref None and members = ref 0 in
+  for i = 0 to Array.length values - 1 do
+    if member i then begin
+      incr members;
+      if !witness = None || better values.(i) !best then begin
         best := values.(i);
-        witness := Some s
+        witness := Some i
       end
     end
   done;
-  (!best, !witness, !count)
+  { Arena.extremum = wrap !best; witness = !witness; members = !members }
+
+let mem a set i = Core.Pred.mem set (Arena.state a i)
+
+let min_reach_over a ~target ~ticks ~over =
+  let target = Arena.indicator a target in
+  match
+    Arena.solved a (Arena.Min_reach ticks) ~target ~over:(mem a over)
+      (fun member ->
+         summarize ~seed:Q.one ~better:Q.lt ~wrap:(fun p -> Arena.Prob p)
+           (Finite_horizon.min_reach a ~target ~ticks) member)
+  with
+  | { Arena.extremum = Arena.Prob p; witness; members } ->
+    (p, Option.map (Arena.state a) witness, members)
+  | _ -> assert false (* the key's pass fixes the kind *)
+
+(* Expected ticks are never negative nor nan, so the fold from 0 on
+   [>] is the plain maximum of the members. *)
+let max_expected_over a ~target ~over =
+  let target = Arena.indicator a target in
+  match
+    Arena.solved a Arena.Max_expected_ticks ~target ~over:(mem a over)
+      (fun member ->
+         summarize ~seed:0.0 ~better:( > ) ~wrap:(fun t -> Arena.Ticks t)
+           (Expected_time.max_expected_ticks a ~target ()) member)
+  with
+  | { Arena.extremum = Arena.Ticks t; witness; members } ->
+    (t, Option.map (Arena.state a) witness, members)
+  | _ -> assert false
 
 let check_arrow a ~granularity ~schema ~pre ~post ~time ~prob =
   let ticks = Core.Timed.within ~granularity ~time in
-  let target = Arena.indicator a post in
-  let values = Finite_horizon.min_reach a ~target ~ticks in
-  let attained, witness, pre_states = min_prob_over a values pre in
+  let attained, witness, pre_states =
+    min_reach_over a ~target:post ~ticks ~over:pre
+  in
   let claim =
     if Q.geq attained prob then
       Some

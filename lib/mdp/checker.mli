@@ -5,7 +5,8 @@
     of the structurally encoded schema, of the probability of reaching
     [post] within [time], over every reachable state satisfying [pre],
     and produces a certified claim when the minimum meets the requested
-    bound [prob].
+    bound [prob].  The minimum is {!min_reach_over}'s, so asking the
+    same sets and time again, at any [prob], solves nothing.
 
     The result always reports the attained minimum and a witness state,
     so experiments can display how tight the paper's bound is. *)
@@ -30,11 +31,21 @@ val check_arrow :
   schema:Core.Schema.t -> pre:'s Core.Pred.t -> post:'s Core.Pred.t ->
   time:Proba.Rational.t -> prob:Proba.Rational.t -> ('s, 'a) result
 
-(** [min_prob_over arena values pred] folds a value vector over the
-    states satisfying [pred]: the minimum and a witness. *)
-val min_prob_over :
-  ('s, 'a) Arena.t -> Proba.Rational.t array -> 's Core.Pred.t ->
-  Proba.Rational.t * 's option * int
+(** [min_reach_over arena ~target ~ticks ~over] is the minimum over
+    the [over] states of {!Finite_horizon.min_reach} toward [target]
+    (1 when there are none), the first state in index order attaining
+    it, and the number of [over] states.  Solved once per arena and
+    question ({!Arena.solved}): a repeated ask sweeps the two
+    predicates and solves no tick layer. *)
+val min_reach_over :
+  ('s, 'a) Arena.t -> target:'s Core.Pred.t -> ticks:int ->
+  over:'s Core.Pred.t -> Proba.Rational.t * 's option * int
+
+(** The same for the maximum of {!Expected_time.max_expected_ticks}
+    (0 when there are no [over] states). *)
+val max_expected_over :
+  ('s, 'a) Arena.t -> target:'s Core.Pred.t -> over:'s Core.Pred.t ->
+  float * 's option * int
 
 (** [verify_inclusion arena sub sup] checks [sub ⊆ sup] over the
     reachable states, yielding a certificate for

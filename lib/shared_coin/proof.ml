@@ -65,26 +65,26 @@ let decided_pred inst =
   Automaton.at_least inst.params inst.params.Automaton.bound
 
 let direct_bound inst =
-  let target = Mdp.Arena.indicator inst.arena (decided_pred inst) in
-  let ticks =
-    Core.Timed.within ~granularity:inst.params.Automaton.g
-      ~time:(Q.of_int inst.params.Automaton.bound)
-  in
-  let values = Mdp.Finite_horizon.min_reach inst.arena ~target ~ticks in
   let best, _, _ =
-    Mdp.Checker.min_prob_over inst.arena values
-      (Automaton.at_least inst.params 0)
+    Mdp.Checker.min_reach_over inst.arena ~target:(decided_pred inst)
+      ~over:(Automaton.at_least inst.params 0)
+      ~ticks:
+        (Core.Timed.within ~granularity:inst.params.Automaton.g
+           ~time:(Q.of_int inst.params.Automaton.bound))
   in
   best
 
+(* nan when the start state's representative was never interned. *)
 let expected_exact inst =
-  let target = Mdp.Arena.indicator inst.arena (decided_pred inst) in
-  let values =
-    Mdp.Expected_time.max_expected_ticks inst.arena ~target ()
-  in
-  match Mdp.Arena.index inst.arena (Automaton.start inst.params) with
-  | Some i -> values.(i) /. float_of_int inst.params.Automaton.g
-  | None -> nan
+  let start = Mdp.Arena.index inst.arena (Automaton.start inst.params) in
+  match
+    Mdp.Checker.max_expected_over inst.arena ~target:(decided_pred inst)
+      ~over:
+        (Core.Pred.make "Start" (fun s ->
+             Mdp.Arena.index inst.arena s = start))
+  with
+  | value, _, 1 -> value /. float_of_int inst.params.Automaton.g
+  | _ -> nan
 
 let theory (p : Automaton.params) =
   let b = float_of_int p.Automaton.bound in

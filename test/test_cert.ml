@@ -393,27 +393,104 @@ let test_compose_coin () =
     ~precomputed:(SC.Proof.compose_arrows (SC.Proof.arrows inst))
     ~composed:(SC.Proof.composed inst)
 
-(* Tick layers are the checker's unit of work: a /check body costs its
-   arrows once plus the direct bound and the expected time, with no
-   second round of arrow checks for the composed claim. *)
+(* Tick layers are the checker's unit of work.  [layered f] is [f]'s
+   result and the layers it solved. *)
+let layered f =
+  let before = Mdp.Finite_horizon.layers_solved () in
+  let r = Sys.opaque_identity (f ()) in
+  (r, Mdp.Finite_horizon.layers_solved () - before)
+
+let layers f = snd (layered f)
+
+(* A cold /check body costs its arrows once plus the direct bound and
+   the expected time, with no second round of arrow checks for the
+   composed claim; on a warm instance it solves nothing. *)
 let test_check_json_checks_arrows_once () =
-  let layers f =
-    let before = Mdp.Finite_horizon.layers_solved () in
-    ignore (Sys.opaque_identity (f ()));
-    Mdp.Finite_horizon.layers_solved () - before
-  in
-  let inst = Models.lr ~n:3 () in
-  let q = query ~model:`Lr ~n:3 () in
-  ignore (Server.Service.check_json q);
-  let arrows = layers (fun () -> LR.Proof.arrows inst) in
+  let cold = LR.Proof.build ~n:3 () in
+  let arrows = layers (fun () -> LR.Proof.arrows cold) in
   let rest =
     layers (fun () ->
-        (LR.Proof.direct_bound inst, LR.Proof.max_expected_time inst))
+        (LR.Proof.direct_bound cold, LR.Proof.max_expected_time cold))
   in
   Alcotest.(check bool) "the arrows solve tick layers" true (arrows >= 5);
-  Alcotest.(check int) "check_json: arrows once, then the bounds"
-    (arrows + rest)
+  let q = query ~model:`Lr ~n:3 () in
+  (* A zero registry capacity keeps nothing: each call builds anew. *)
+  Models.set_capacity (Some 0);
+  let cold_check =
+    Fun.protect
+      ~finally:(fun () -> Models.set_capacity None)
+      (fun () -> layers (fun () -> Server.Service.check_json q))
+  in
+  Alcotest.(check int) "cold check_json: arrows once, then the bounds"
+    (arrows + rest) cold_check;
+  ignore (Server.Service.check_json q);
+  Alcotest.(check int) "warm check_json: nothing" 0
     (layers (fun () -> Server.Service.check_json q))
+
+(* ------------------------------------------------------------------ *)
+(* Solved passes, shared across planes and surfaces. *)
+
+let header_keys = [ "schema"; "model"; "params"; "verdict" ]
+
+(* A /check body's result fields, its header dropped. *)
+let result_fields = function
+  | J.Obj fields ->
+    J.to_string
+      (J.Obj (List.filter (fun (k, _) -> not (List.mem k header_keys)) fields))
+  | body -> Alcotest.failf "not an object: %s" (J.to_string body)
+
+let cold_fields inst = J.to_string (J.Obj (Models.check_fields inst))
+
+let cold_cert ~plane inst =
+  let config =
+    { N.model = "lr"; n = 3; plane; sym = "off"; faults = "none";
+      budget = Printf.sprintf "states:%d" Server.Service.default_max_states;
+      params = Models.leaf_params (Server.Protocol.params (query ())) }
+  in
+  match Models.certificate ~config inst with
+  | Ok c -> J.to_string (N.to_json c)
+  | Error e -> Alcotest.failf "cold certificate refused: %s" e
+
+(* After /check on one plane, /check on the other and /cert solve no
+   tick layer, and answer what a cold arena outside the registry
+   answers. *)
+let test_warm_surfaces_solve_nothing () =
+  let q = query () in
+  ignore (Server.Service.check_json q);
+  let exact = { q with Server.Protocol.plane = "exact" } in
+  let check_body, check_layers =
+    layered (fun () -> Server.Service.check_json exact)
+  in
+  let cert_body, cert_layers =
+    layered (fun () -> Server.Service.cert_json q)
+  in
+  Alcotest.(check int) "/check on the other plane" 0 check_layers;
+  Alcotest.(check int) "/cert" 0 cert_layers;
+  Alcotest.(check string) "/check body = the cold arena's"
+    (cold_fields (Models.Lr (LR.Proof.build ~n:3 ())))
+    (result_fields check_body);
+  Alcotest.(check string) "/cert body = the cold arena's"
+    (cold_cert ~plane:"interval" (Models.Lr (LR.Proof.build ~n:3 ())))
+    (J.to_string cert_body)
+
+(* A pass cut by a deadline stores nothing: the next full check on the
+   same arena solves every layer a cold one does, and answers the same
+   body. *)
+let test_cut_pass_stores_nothing () =
+  let cold_body, cold_layers =
+    layered (fun () -> cold_fields (Models.Lr (LR.Proof.build ~n:3 ())))
+  in
+  let inst = LR.Proof.build ~n:3 () in
+  let clock = Core.Budget.start (Core.Budget.v ~wall:0.001 ()) in
+  (match
+     Core.Budget.with_deadline clock (fun () -> LR.Proof.direct_bound inst)
+   with
+   | _ -> Alcotest.fail "the 1 ms deadline did not cut the pass"
+   | exception Core.Budget.Deadline_exceeded _ -> ());
+  let body, solved = layered (fun () -> cold_fields (Models.Lr inst)) in
+  Alcotest.(check int) "the next check solves every layer" cold_layers
+    solved;
+  Alcotest.(check string) "and answers the cold body" cold_body body
 
 (* ------------------------------------------------------------------ *)
 (* Arena fingerprints. *)
@@ -558,6 +635,11 @@ let () =
             test_compose_coin;
           Alcotest.test_case "check_json checks arrows once" `Quick
             test_check_json_checks_arrows_once ] );
+      ( "solved passes",
+        [ Alcotest.test_case "warm surfaces solve nothing" `Quick
+            test_warm_surfaces_solve_nothing;
+          Alcotest.test_case "a cut pass stores nothing" `Quick
+            test_cut_pass_stores_nothing ] );
       ( "bigint wire",
         [ Alcotest.test_case "rationals round-trip exactly" `Quick
             test_bigint_wire_roundtrip;

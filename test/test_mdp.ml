@@ -357,6 +357,93 @@ let test_checker_inclusion_fails () =
 (* ------------------------------------------------------------------ *)
 (* Expected-time policy extraction *)
 
+(* ------------------------------------------------------------------ *)
+(* Solved passes: each test compiles its own walker, so the memo starts
+   empty. *)
+
+let fresh_walker () =
+  Mdp.Arena.compile ~is_tick:Test_support.Toys.Walker.is_tick walker_expl
+
+let layers f =
+  let before = Mdp.Finite_horizon.layers_solved () in
+  let r = f () in
+  (r, Mdp.Finite_horizon.layers_solved () - before)
+
+let reach_over a ~over ~ticks =
+  let p, _, _ =
+    Mdp.Checker.min_reach_over a ~target:Test_support.Toys.Walker.done_
+      ~ticks ~over
+  in
+  p
+
+let test_passes_keyed_exactly () =
+  let a = fresh_walker () in
+  check_q "walking, 2 ticks" (Q.of_ints 3 4) (reach_over a ~over:walking ~ticks:2);
+  check_q "same target, over done" Q.one
+    (reach_over a ~over:Test_support.Toys.Walker.done_ ~ticks:2);
+  check_q "same sets, 1 tick" Q.half (reach_over a ~over:walking ~ticks:1);
+  let again, solved =
+    layers (fun () -> reach_over a ~over:walking ~ticks:2)
+  in
+  check_q "asked again" (Q.of_ints 3 4) again;
+  Alcotest.(check int) "asked again: no layer" 0 solved;
+  let _, solved =
+    layers (fun () ->
+        Mdp.Checker.check_arrow a ~granularity:1 ~schema:Core.Schema.unit_time
+          ~pre:walking ~post:Test_support.Toys.Walker.done_
+          ~time:(Q.of_int 2) ~prob:(Q.of_ints 7 8))
+  in
+  Alcotest.(check int) "an arrow at another prob: no layer" 0 solved;
+  Alcotest.(check int) "three questions stored" 3
+    (List.length (Atomic.get a.Mdp.Arena.passes));
+  let b =
+    Mdp.Arena.assemble ~step_off:a.Mdp.Arena.step_off
+      ~out_off:a.Mdp.Arena.out_off ~tgt:a.Mdp.Arena.tgt
+      ~prob_q:a.Mdp.Arena.prob_q ~tick:a.Mdp.Arena.tick
+      ~actions:a.Mdp.Arena.actions walker_expl
+  in
+  Alcotest.(check int) "assemble starts empty" 0
+    (List.length (Atomic.get b.Mdp.Arena.passes))
+
+let test_cut_pass_stores_nothing () =
+  let a = fresh_walker () in
+  let expired = Core.Budget.start (Core.Budget.v ~wall:0.0 ()) in
+  (match
+     Core.Budget.with_deadline expired (fun () ->
+         reach_over a ~over:walking ~ticks:2)
+   with
+   | _ -> Alcotest.fail "an expired deadline did not cut the pass"
+   | exception Core.Budget.Deadline_exceeded _ -> ());
+  Alcotest.(check int) "nothing stored" 0
+    (List.length (Atomic.get a.Mdp.Arena.passes));
+  let p, solved = layers (fun () -> reach_over a ~over:walking ~ticks:2) in
+  check_q "solved afterwards" (Q.of_ints 3 4) p;
+  Alcotest.(check int) "every layer" 3 solved
+
+(* Two domains ask one cold arena the same questions at once: both may
+   solve, but they answer alike and each key is stored once. *)
+let test_passes_race () =
+  let a = fresh_walker () in
+  let ask () =
+    let p, w, m =
+      Mdp.Checker.min_reach_over a ~target:Test_support.Toys.Walker.done_
+        ~ticks:2 ~over:walking
+    in
+    let e, _, _ =
+      Mdp.Checker.max_expected_over a ~target:Test_support.Toys.Walker.done_
+        ~over:walking
+    in
+    (Q.to_string p, w, m, e)
+  in
+  match Test_support.Two_domains.run ask with
+  | [| first; second |] ->
+    Alcotest.(check bool) "equal answers" true (first = second);
+    Alcotest.(check bool) "equal to a lone ask" true
+      (first = ask ());
+    Alcotest.(check int) "each key stored once" 2
+      (List.length (Atomic.get a.Mdp.Arena.passes))
+  | _ -> Alcotest.fail "two results expected"
+
 let test_expected_policy () =
   let values, policy =
     Mdp.Expected_time.max_expected_ticks_with_policy walker_arena
@@ -592,6 +679,11 @@ let () =
          Alcotest.test_case "inclusion" `Quick test_checker_inclusion;
          Alcotest.test_case "inclusion fails" `Quick
            test_checker_inclusion_fails ]);
+      ("solved passes",
+       [ Alcotest.test_case "keyed exactly" `Quick test_passes_keyed_exactly;
+         Alcotest.test_case "a cut pass stores nothing" `Quick
+           test_cut_pass_stores_nothing;
+         Alcotest.test_case "two domains race" `Quick test_passes_race ]);
       ("expected-policy",
        [ Alcotest.test_case "extraction" `Quick test_expected_policy ]);
       ("zeno",

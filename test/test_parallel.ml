@@ -434,12 +434,15 @@ let test_check_json_forked_equals_inline () =
          schedule_queries)
 
 (* A deadline that fires inside the proof passes: the instance is
-   resolved beforehand, so every poll that can fire runs in the fork
-   region.  The answer is the SRV122 body, and once [check_json] has
-   returned no pass is still sweeping. *)
+   resolved beforehand -- built, but with no pass solved, since a solved
+   pass would answer from the arena's memo -- so every poll that can
+   fire runs in the fork region.  The answer is the SRV122 body, and
+   once [check_json] has returned no pass is still sweeping. *)
 let test_deadline_in_fork_region () =
-  ignore (Server.Service.check_json (query `Lr 3));
   let q = query ~deadline_ms:1 `Lr 3 in
+  ignore
+    (Models.resolve ~max_states:Server.Service.default_max_states
+       ~sym:Analysis.Symmetry.Off (Server.Protocol.params q));
   let body = Server.Service.check_json q in
   let field name =
     match body with
