@@ -63,18 +63,19 @@ let prtb_exe =
     (Filename.dirname Sys.executable_name)
     (Filename.concat ".." (Filename.concat "bin" "prtb.exe"))
 
-let cli args =
+(* A CLI run's exit code and its stdout. *)
+let cli_run args =
   let cmd = Filename.quote prtb_exe ^ " " ^ args in
   let ic = Unix.open_process_in cmd in
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
+  let out = In_channel.input_all ic in
   match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> Buffer.contents buf
-  | _ -> Alcotest.failf "%s failed" cmd
+  | Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "%s was killed" cmd
+
+let cli args =
+  match cli_run args with
+  | 0, out -> out
+  | _ -> Alcotest.failf "prtb %s failed" args
 
 (* A CLI run expected to fail: its exit code and its merged output. *)
 let cli_failing args =
@@ -311,6 +312,29 @@ let test_cli_refuses_out_of_range () =
   Alcotest.(check bool) "not an uncaught exception" true (code <> 125);
   Alcotest.(check bool) (out ^ " names -n") true
     (Astring.String.is_infix ~affix:"-n must be at least 2" out)
+
+(* The text report and the JSON lint report have no served twin to be
+   compared against, so their bytes are pinned by digest: a rendering
+   change that alters any of them must update this table on purpose.
+   The exit code is not pinned: [--sym on] lints lr-line, whose group
+   fails to certify, as an error. *)
+let test_cli_bytes_pinned () =
+  List.iter
+    (fun (args, md5) ->
+       Alcotest.(check string) ("prtb " ^ args) md5
+         (Digest.to_hex (Digest.string (snd (cli_run args)))))
+    [ ("check lr -n 3", "66309f1d6926d1e5d30a8d789ff008a5");
+      ("check lr -n 3 --topology line", "4aa3b506dab9425340328a3ae5444cff");
+      ("check lr -n 3 --topology star", "8fb3f75f79644da8b417ed8b5e7378e5");
+      ("check lr -n 3 --sym on", "5c28e42b9c60513f2a56fe7d5b7768d7");
+      ("check election -n 4", "56c41c7ba40d4c7a02d3f999d840dc76");
+      ("check election -n 5 --sym on", "73b3f05e18bdc292bfd570ccf3067c9d");
+      ("check coin -n 2 --bound 2", "7b69b01f57a10732f3a586ffb74c8980");
+      ("check coin -n 3 --bound 3", "75c755ad6d52a6da90e0b2644b429ae9");
+      ("check consensus -n 3 --cap 2", "24db3254a1f9be5217a6f3e4a60ad647");
+      ("check lr -n 3 --faults crash:1", "c60389a13746e7f9891ad29fbc944d86");
+      ("lint --format json", "d780930cc9183b0e94a1412b218cc9df");
+      ("lint --format json --sym on", "3ab6ee6c16a8863bb52700ba5cd3b388") ]
 
 let test_lint_served () =
   let r = get "/lint?target=example:race" in
@@ -823,6 +847,8 @@ let () =
             test_simulate_matches_cli;
           Alcotest.test_case "CLI refuses out-of-range parameters" `Quick
             test_cli_refuses_out_of_range;
+          Alcotest.test_case "CLI text and lint bytes pinned" `Quick
+            test_cli_bytes_pinned;
           Alcotest.test_case "lint served" `Quick test_lint_served;
           Alcotest.test_case "budget exhaustion verdict" `Quick
             test_budget_exhausted_verdict;
