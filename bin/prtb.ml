@@ -188,9 +188,9 @@ let check_lr_faults n g k faults budget release seed =
       d.Faults.Lr.states;
     List.iter
       (fun (a : Faults.Lr.arrow) ->
-         Format.printf "  %-28s attained %s (%s)@." a.Faults.Lr.label
-           (Q.to_string a.Faults.Lr.attained)
-           (match a.Faults.Lr.claim with
+         Format.printf "  %-28s attained %s (%s)@." a.Mdp.Checker.label
+           (Q.to_string a.Mdp.Checker.attained)
+           (match a.Mdp.Checker.claim with
             | Some _ -> "certified at that bound"
             | None -> "NOT certified"))
       [ d.Faults.Lr.arrow1; d.Faults.Lr.arrow2 ];

@@ -33,9 +33,9 @@ let () =
   print_endline "the ladder (each rung exhaustively checked):";
   List.iter
     (fun a ->
-       Format.printf "  %-4s attained %-8s (%s)@." a.SC.Proof.label
-         (Q.to_string a.SC.Proof.attained)
-         (match a.SC.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
+       Format.printf "  %-4s attained %-8s (%s)@." a.Mdp.Checker.label
+         (Q.to_string a.Mdp.Checker.attained)
+         (match a.Mdp.Checker.claim with Some _ -> "holds" | None -> "FAILS"))
     (SC.Proof.arrows inst);
 
   (match SC.Proof.composed inst with

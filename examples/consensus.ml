@@ -48,7 +48,7 @@ let () =
   (match
      BO.Proof.decision_arrow unanimous ~rounds:1 ~prob:Q.one
    with
-   | { BO.Proof.claim = Some c; _ } ->
+   | { Mdp.Checker.claim = Some c; _ } ->
      Format.printf "checked claim: %a@.@." Core.Claim.pp c
    | _ -> print_endline "unexpected: fast path failed\n");
 
@@ -59,7 +59,7 @@ let () =
   (match
      BO.Proof.decision_arrow mixed ~rounds:2 ~prob:(Q.of_ints 1 8)
    with
-   | { BO.Proof.claim = Some c; _ } ->
+   | { Mdp.Checker.claim = Some c; _ } ->
      Format.printf "checked claim: %a@." Core.Claim.pp c
    | _ -> print_endline "unexpected: two-round bound failed");
   print_endline

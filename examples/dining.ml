@@ -34,13 +34,13 @@ let () =
   List.iter
     (fun a ->
        Format.printf "%-5s %s -%s->_%s %s : min attained %s (%s)@."
-         a.LR.Proof.label
-         (Core.Pred.name a.LR.Proof.pre)
-         (Q.to_string a.LR.Proof.time)
-         (Q.to_string a.LR.Proof.prob)
-         (Core.Pred.name a.LR.Proof.post)
-         (Q.to_string a.LR.Proof.attained)
-         (match a.LR.Proof.claim with
+         a.Mdp.Checker.label
+         (Core.Pred.name a.Mdp.Checker.pre)
+         (Q.to_string a.Mdp.Checker.time)
+         (Q.to_string a.Mdp.Checker.prob)
+         (Core.Pred.name a.Mdp.Checker.post)
+         (Q.to_string a.Mdp.Checker.attained)
+         (match a.Mdp.Checker.claim with
           | Some _ -> "holds" | None -> "FAILS"))
     (LR.Proof.arrows inst);
 

@@ -23,9 +23,9 @@ let () =
 
   List.iter
     (fun a ->
-       Format.printf "%-4s attained %-6s (%s)@." a.IR.Proof.label
-         (Q.to_string a.IR.Proof.attained)
-         (match a.IR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
+       Format.printf "%-4s attained %-6s (%s)@." a.Mdp.Checker.label
+         (Q.to_string a.Mdp.Checker.attained)
+         (match a.Mdp.Checker.claim with Some _ -> "holds" | None -> "FAILS"))
     (IR.Proof.arrows inst);
 
   (match IR.Proof.composed inst with

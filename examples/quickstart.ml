@@ -66,7 +66,7 @@ let () =
   let arena = Mdp.Arena.of_pa ~is_tick pa in
   Printf.printf "reachable states: %d\n" (Mdp.Arena.num_states arena);
   let result =
-    Mdp.Checker.check_arrow arena ~granularity:1
+    Mdp.Checker.check_arrow arena ~label:"Walking -2-> Done" ~granularity:1
       ~schema:Core.Schema.unit_time ~pre:walking ~post:done_
       ~time:(Q.of_int 2) ~prob:(Q.of_ints 3 4)
   in
@@ -87,9 +87,9 @@ let () =
       (* Walking -2-> Done and (trivially) Done -0-> Done give, by
          Theorem 3.4 applied to the weakened first claim, a 4-unit
          claim with probability 15/16 checked directly: *)
-      Mdp.Checker.check_arrow arena ~granularity:1
-        ~schema:Core.Schema.unit_time ~pre:walking ~post:done_
-        ~time:(Q.of_int 4) ~prob:(Q.of_ints 15 16)
+      Mdp.Checker.check_arrow arena ~label:"Walking -4-> Done"
+        ~granularity:1 ~schema:Core.Schema.unit_time ~pre:walking
+        ~post:done_ ~time:(Q.of_int 4) ~prob:(Q.of_ints 15 16)
     in
     (match c2.Mdp.Checker.claim with
      | Some claim4 -> Format.printf "and indeed: %a@." Core.Claim.pp claim4

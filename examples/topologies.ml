@@ -23,9 +23,9 @@ let analyze topo =
    | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s);
   List.iter
     (fun a ->
-       Format.printf "  %-5s attained %-6s (%s)@." a.LR.Proof.label
-         (Q.to_string a.LR.Proof.attained)
-         (match a.LR.Proof.claim with Some _ -> "holds" | None -> "FAILS"))
+       Format.printf "  %-5s attained %-6s (%s)@." a.Mdp.Checker.label
+         (Q.to_string a.Mdp.Checker.attained)
+         (match a.Mdp.Checker.claim with Some _ -> "holds" | None -> "FAILS"))
     (LR.Proof.arrows_topo inst);
   (match LR.Proof.composed_topo inst with
    | Ok claim -> Format.printf "  composed: %a@." Core.Claim.pp claim

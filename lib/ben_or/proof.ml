@@ -30,13 +30,7 @@ let validity_violation inst =
     Mdp.Explore.check_invariant inst.expl (Automaton.never_decides true)
   else None
 
-type arrow = {
-  label : string;
-  time : Q.t;
-  prob : Q.t;
-  attained : Q.t;
-  claim : Automaton.state Core.Claim.t option;
-}
+type arrow = Automaton.state Mdp.Checker.arrow
 
 let init_pred inst =
   let start = Automaton.start inst.params inst.initial in
@@ -45,17 +39,12 @@ let init_pred inst =
 let decided_pred =
   Core.Pred.make "Decided" Automaton.some_decided
 
-let decision_arrow inst ~rounds ~prob =
-  let time = Q.of_int (3 * rounds) in
-  let result =
-    Mdp.Checker.check_arrow inst.arena
-      ~granularity:inst.params.Automaton.g ~schema:Core.Schema.unit_time
-      ~pre:(init_pred inst) ~post:decided_pred ~time ~prob
-  in
-  { label = Printf.sprintf "decide within %d round(s)" rounds;
-    time; prob;
-    attained = result.Mdp.Checker.attained;
-    claim = result.Mdp.Checker.claim }
+let decision_arrow inst ~rounds ~prob : arrow =
+  Mdp.Checker.check_arrow inst.arena
+    ~label:(Printf.sprintf "decide within %d round(s)" rounds)
+    ~granularity:inst.params.Automaton.g ~schema:Core.Schema.unit_time
+    ~pre:(init_pred inst) ~post:decided_pred ~time:(Q.of_int (3 * rounds))
+    ~prob
 
 (* The certified termination statement at the exact attained bound: a
    probe at prob 0 always yields a claim and reports the true minimum,

@@ -47,13 +47,7 @@ val agreement_violation : instance -> Automaton.state option
     decided; on mixed starts, always [None] (vacuous). *)
 val validity_violation : instance -> Automaton.state option
 
-type arrow = {
-  label : string;
-  time : Proba.Rational.t;
-  prob : Proba.Rational.t;
-  attained : Proba.Rational.t;
-  claim : Automaton.state Core.Claim.t option;
-}
+type arrow = Automaton.state Mdp.Checker.arrow
 
 (** [decision_arrow inst ~rounds ~prob] checks
     [Init -(3 rounds)->_prob Decided] where [Init] is the start state:

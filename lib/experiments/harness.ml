@@ -78,13 +78,14 @@ let e1_arrows ctx =
          (fun a ->
             Table.row t
               [ string_of_int n; string_of_int g; string_of_int k;
-                Printf.sprintf "%s: %s -> %s" a.LR.Proof.label
-                  (Core.Pred.name a.LR.Proof.pre)
-                  (Core.Pred.name a.LR.Proof.post);
-                Q.to_string a.LR.Proof.time; Q.to_string a.LR.Proof.prob;
-                Q.to_string a.LR.Proof.attained;
-                string_of_int a.LR.Proof.pre_states;
-                verdict (a.LR.Proof.claim <> None) ])
+                Printf.sprintf "%s: %s -> %s" a.Mdp.Checker.label
+                  (Core.Pred.name a.Mdp.Checker.pre)
+                  (Core.Pred.name a.Mdp.Checker.post);
+                Q.to_string a.Mdp.Checker.time;
+                Q.to_string a.Mdp.Checker.prob;
+                Q.to_string a.Mdp.Checker.attained;
+                string_of_int a.Mdp.Checker.pre_states;
+                verdict (a.Mdp.Checker.claim <> None) ])
          (LR.Proof.arrows inst))
     configs;
   Table.print t;
@@ -309,7 +310,7 @@ let e7_scaling ctx =
        in
        let _, check_time =
          time_of (fun () ->
-             List.exists (fun a -> a.LR.Proof.label = "A.11")
+             List.exists (fun a -> a.Mdp.Checker.label = "A.11")
                (LR.Proof.arrows inst))
        in
        Table.row t
@@ -450,7 +451,8 @@ let e9_election ctx =
     (fun n ->
        let inst = ir_instance ctx ~n in
        let arrows = IR.Proof.arrows inst in
-       let all_ok = List.for_all (fun a -> a.IR.Proof.claim <> None) arrows in
+       let holds a = a.Mdp.Checker.claim <> None in
+       let all_ok = List.for_all holds arrows in
        let composed =
          match IR.Proof.compose_arrows arrows with
          | Ok c -> Format.asprintf "%a" Core.Claim.pp c
@@ -459,8 +461,7 @@ let e9_election ctx =
        Table.row t
          [ string_of_int n;
            Printf.sprintf "%d/%d"
-             (List.length (List.filter (fun a -> a.IR.Proof.claim <> None)
-                             arrows))
+             (List.length (List.filter holds arrows))
              (List.length arrows);
            composed;
            Q.to_string (IR.Proof.direct_bound inst);
@@ -492,8 +493,10 @@ let e10_topologies ctx =
        let inst = Models.lr_topo ~topo () in
        let arrows = LR.Proof.arrows_topo inst in
        let attained label =
-         match List.find_opt (fun a -> a.LR.Proof.label = label) arrows with
-         | Some a -> Q.to_string a.LR.Proof.attained
+         match
+           List.find_opt (fun a -> a.Mdp.Checker.label = label) arrows
+         with
+         | Some a -> Q.to_string a.Mdp.Checker.attained
          | None -> "?"
        in
        let composed =
@@ -533,7 +536,9 @@ let e11_shared_coin ctx =
     (fun (n, bound) ->
        let inst = Models.coin ~n ~bound () in
        let arrows = SC.Proof.arrows inst in
-       let ok = List.length (List.filter (fun a -> a.SC.Proof.claim <> None) arrows) in
+       let ok =
+         List.length (List.filter (fun a -> a.Mdp.Checker.claim <> None) arrows)
+       in
        let composed =
          match SC.Proof.compose_arrows arrows with
          | Ok c ->
@@ -641,8 +646,8 @@ let e13_faults ctx =
        Table.row t
          [ Faults.Fault.to_string faults; string_of_bool release;
            string_of_int d.Faults.Lr.states;
-           Q.to_string d.Faults.Lr.arrow1.Faults.Lr.attained;
-           Q.to_string d.Faults.Lr.arrow2.Faults.Lr.attained;
+           Q.to_string d.Faults.Lr.arrow1.Mdp.Checker.attained;
+           Q.to_string d.Faults.Lr.arrow2.Mdp.Checker.attained;
            composed; Q.to_string d.Faults.Lr.direct ])
     cases;
   Table.print t;

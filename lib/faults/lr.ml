@@ -116,13 +116,7 @@ let live_crit =
 (* ----------------------------------------------------------------- *)
 (* Re-derived claims. *)
 
-type arrow = {
-  label : string;
-  time : Q.t;
-  attained : Q.t;
-  pre_states : int;
-  claim : wstate Core.Claim.t option;
-}
+type arrow = wstate Mdp.Checker.arrow
 
 type derivation = {
   states : int;
@@ -138,22 +132,16 @@ let derive ?max_states config =
   let arena = Mdp.Arena.compile ~is_tick expl in
   let granularity = config.params.LA.g in
   let sch = schema config.faults in
-  let check ~pre ~post ~time ~prob =
-    Mdp.Checker.check_arrow arena ~granularity ~schema:sch ~pre ~post
-      ~time ~prob
+  let check ~label ~pre ~post ~time ~prob =
+    Mdp.Checker.check_arrow arena ~label ~granularity ~schema:sch ~pre
+      ~post ~time ~prob
   in
   (* Two passes: learn the exact attained minimum, then certify the
      claim at exactly that bound (the "degraded" constant). *)
-  let tight ~label ~pre ~post ~time =
-    let first = check ~pre ~post ~time ~prob:Q.one in
-    let attained = first.Mdp.Checker.attained in
-    let claim =
-      match first.Mdp.Checker.claim with
-      | Some _ as c -> c
-      | None -> (check ~pre ~post ~time ~prob:attained).Mdp.Checker.claim
-    in
-    { label; time; attained;
-      pre_states = first.Mdp.Checker.pre_states; claim }
+  let tight ~label ~pre ~post ~time : arrow =
+    let first = check ~label ~pre ~post ~time ~prob:Q.one in
+    if first.claim <> None then first
+    else check ~label ~pre ~post ~time ~prob:first.attained
   in
   let arrow1 =
     tight ~label:"T∧live -12-> C∨P∧live" ~pre:live_trying
@@ -172,8 +160,8 @@ let derive ?max_states config =
       Error "an arrow failed to certify even at its attained bound"
   in
   let direct =
-    (check ~pre:live_trying ~post:live_crit ~time:(Q.of_int 13)
-       ~prob:Q.one).Mdp.Checker.attained
+    (check ~label:"direct" ~pre:live_trying ~post:live_crit
+       ~time:(Q.of_int 13) ~prob:Q.one).attained
   in
   { states = Mdp.Explore.num_states expl; arrow1; arrow2; composed;
     direct }
@@ -193,6 +181,7 @@ let check_budgeted ?(budget = Core.Budget.unlimited) ?(seed = 0)
     Sim.Monte_carlo.estimate_reach_budgeted setup
       ~target:(Core.Pred.mem live_crit) ~within ~clock ~seed ()
   in
-  Resilient.check_arrow ~budget ~fallback ~pa ~is_tick ~granularity
+  Resilient.check_arrow ~budget ~fallback ~pa ~is_tick
+    ~label:"T∧live -13-> C∧live" ~granularity
     ~schema:(schema config.faults) ~pre:live_trying ~post:live_crit ~time
     ~prob ()

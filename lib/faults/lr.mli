@@ -59,14 +59,8 @@ val live_crit : wstate Core.Pred.t
 
 (** {1 Re-derived claims} *)
 
-type arrow = {
-  label : string;
-  time : Proba.Rational.t;
-  attained : Proba.Rational.t;  (** exact min over reachable pre-states *)
-  pre_states : int;
-  claim : wstate Core.Claim.t option;
-      (** certified at [prob = attained] *)
-}
+(** A degraded arrow, its claim certified at [prob = attained]. *)
+type arrow = wstate Mdp.Checker.arrow
 
 type derivation = {
   states : int;  (** explored wrapped states *)

@@ -1,14 +1,5 @@
 module Q = Proba.Rational
 
-type 's exact = {
-  attained : Q.t;
-  meets : bool;
-  witness : 's option;
-  pre_states : int;
-  states : int;
-  claim : 's Core.Claim.t option;
-}
-
 type estimate = {
   est : Sim.Monte_carlo.budgeted;
   meets_point : bool;
@@ -16,12 +7,12 @@ type estimate = {
 }
 
 type 's verdict =
-  | Exact of 's exact
+  | Exact of { arrow : 's Mdp.Checker.arrow; states : int }
   | Estimate of estimate
   | Exhausted of string
 
 let check_arrow ?(budget = Core.Budget.unlimited) ?fallback ~pa ~is_tick
-    ~granularity ~schema ~pre ~post ~time ~prob () =
+    ~label ~granularity ~schema ~pre ~post ~time ~prob () =
   let clock = Core.Budget.start budget in
   let degrade reason =
     match fallback with
@@ -45,17 +36,10 @@ let check_arrow ?(budget = Core.Budget.unlimited) ?fallback ~pa ~is_tick
     match
       Core.Budget.with_deadline clock (fun () ->
           let arena = Mdp.Arena.compile ~is_tick expl in
-          Mdp.Checker.check_arrow arena ~granularity ~schema ~pre ~post
-            ~time ~prob)
+          Mdp.Checker.check_arrow arena ~label ~granularity ~schema ~pre
+            ~post ~time ~prob)
     with
-    | r ->
-      Exact
-        { attained = r.Mdp.Checker.attained;
-          meets = r.Mdp.Checker.claim <> None;
-          witness = r.Mdp.Checker.witness;
-          pre_states = r.Mdp.Checker.pre_states;
-          states = Mdp.Explore.num_states expl;
-          claim = r.Mdp.Checker.claim }
+    | arrow -> Exact { arrow; states = Mdp.Explore.num_states expl }
     | exception Core.Budget.Deadline_exceeded reason ->
       degrade
         (Printf.sprintf "exact check abandoned mid-sweep (%d states): %s"
@@ -68,12 +52,14 @@ let check_arrow ?(budget = Core.Budget.unlimited) ?fallback ~pa ~is_tick
          (Option.value part.Mdp.Explore.stopped ~default:"budget exhausted"))
 
 let pp_verdict fmt = function
-  | Exact e ->
+  | Exact { arrow; states } ->
     Format.fprintf fmt
       "@[<v>exact: min P = %s over %d pre-states (%d states explored): \
        %s@]"
-      (Q.to_string e.attained) e.pre_states e.states
-      (if e.meets then "bound holds" else "bound MISSED")
+      (Q.to_string arrow.Mdp.Checker.attained) arrow.Mdp.Checker.pre_states
+      states
+      (if arrow.Mdp.Checker.claim <> None then "bound holds"
+       else "bound MISSED")
   | Estimate e ->
     let lo, hi = Proba.Stat.Proportion.wilson_ci e.est.Sim.Monte_carlo.prop in
     Format.fprintf fmt

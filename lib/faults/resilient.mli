@@ -15,15 +15,6 @@
     the fallback supplies and is labelled accordingly -- it is
     evidence, not proof. *)
 
-type 's exact = {
-  attained : Proba.Rational.t;  (** exact min over pre-states *)
-  meets : bool;  (** [attained >= prob] *)
-  witness : 's option;
-  pre_states : int;
-  states : int;  (** explored state count *)
-  claim : 's Core.Claim.t option;  (** present iff [meets] *)
-}
-
 type estimate = {
   est : Sim.Monte_carlo.budgeted;
   meets_point : bool;  (** point estimate [>= prob] (not a guarantee) *)
@@ -31,19 +22,22 @@ type estimate = {
 }
 
 type 's verdict =
-  | Exact of 's exact
+  | Exact of { arrow : 's Mdp.Checker.arrow; states : int }
+      (** the checked arrow, and the explored state count *)
   | Estimate of estimate
   | Exhausted of string
       (** budget ran out and no fallback was supplied *)
 
-(** [check_arrow ~pa ... ()] runs the ladder for [pre -time->_prob
-    post].  [fallback] receives the (partly consumed) clock and should
+(** [check_arrow ~pa ~label ... ()] runs the ladder for [pre
+    -time->_prob post].  [fallback] receives the (partly consumed)
+    clock and should
     run a budgeted simulation estimating the same reachability
     probability.  Never raises on budget exhaustion. *)
 val check_arrow :
   ?budget:Core.Budget.t ->
   ?fallback:(Core.Budget.clock -> Sim.Monte_carlo.budgeted) ->
-  pa:('s, 'a) Core.Pa.t -> is_tick:('a -> bool) -> granularity:int ->
+  pa:('s, 'a) Core.Pa.t -> is_tick:('a -> bool) -> label:string ->
+  granularity:int ->
   schema:Core.Schema.t -> pre:'s Core.Pred.t -> post:'s Core.Pred.t ->
   time:Proba.Rational.t -> prob:Proba.Rational.t -> unit -> 's verdict
 

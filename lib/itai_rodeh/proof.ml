@@ -17,30 +17,16 @@ let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
   { params; expl; sym = cert;
     arena = Mdp.Arena.compile ~is_tick:Automaton.is_tick expl }
 
-type arrow = {
-  label : string;
-  time : Q.t;
-  prob : Q.t;
-  attained : Q.t;
-  pre_states : int;
-  claim : Automaton.state Core.Claim.t option;
-}
+type arrow = Automaton.state Mdp.Checker.arrow
 
 let schema = Core.Schema.unit_time
 
 let rung inst k =
-  let result =
-    Mdp.Checker.check_arrow inst.arena
-      ~granularity:inst.params.Automaton.g ~schema
-      ~pre:(Automaton.at_most k)
-      ~post:(Automaton.at_most (k - 1))
-      ~time:Q.one ~prob:Q.half
-  in
-  { label = Printf.sprintf "L%d" k;
-    time = Q.one; prob = Q.half;
-    attained = result.Mdp.Checker.attained;
-    pre_states = result.Mdp.Checker.pre_states;
-    claim = result.Mdp.Checker.claim }
+  Mdp.Checker.check_arrow inst.arena ~label:(Printf.sprintf "L%d" k)
+    ~granularity:inst.params.Automaton.g ~schema
+    ~pre:(Automaton.at_most k)
+    ~post:(Automaton.at_most (k - 1))
+    ~time:Q.one ~prob:Q.half
 
 let rec downfrom k = if k < 2 then [] else k :: downfrom (k - 1)
 
@@ -48,10 +34,10 @@ let arrows inst = List.map (rung inst) (downfrom inst.params.Automaton.n)
 
 (* Chain the rungs with Theorem 3.4; the first rung that does not hold
    is the error. *)
-let compose_arrows arrows =
+let compose_arrows (arrows : arrow list) =
   match
-    ( List.find_opt (fun a -> Option.is_none a.claim) arrows,
-      List.filter_map (fun a -> a.claim) arrows )
+    ( List.find_opt (fun (a : arrow) -> Option.is_none a.claim) arrows,
+      List.filter_map (fun (a : arrow) -> a.claim) arrows )
   with
   | Some a, _ ->
     Error

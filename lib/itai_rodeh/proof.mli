@@ -28,14 +28,8 @@ val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> unit -> instance
 
-type arrow = {
-  label : string;
-  time : Proba.Rational.t;
-  prob : Proba.Rational.t;
-  attained : Proba.Rational.t;
-  pre_states : int;
-  claim : Automaton.state Core.Claim.t option;
-}
+(** A rung, labelled [L]k. *)
+type arrow = Automaton.state Mdp.Checker.arrow
 
 (** The ladder [k = n, ..., 2]. *)
 val arrows : instance -> arrow list

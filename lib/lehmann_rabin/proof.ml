@@ -18,16 +18,7 @@ let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
   { params; expl; sym = cert;
     arena = Mdp.Arena.compile ~is_tick:Automaton.is_tick expl }
 
-type arrow = {
-  label : string;
-  pre : State.t Core.Pred.t;
-  post : State.t Core.Pred.t;
-  time : Q.t;
-  prob : Q.t;
-  attained : Q.t;
-  pre_states : int;
-  claim : State.t Core.Claim.t option;
-}
+type arrow = State.t Mdp.Checker.arrow
 
 let schema = Core.Schema.unit_time
 
@@ -35,16 +26,6 @@ let schema = Core.Schema.unit_time
 (* The five arrows and their composition, over any compiled arena and
    any goodness predicate (the ring and the generalized topologies
    differ only in [G]). *)
-
-let check_on arena ~granularity ~label ~pre ~post ~time ~prob =
-  let result =
-    Mdp.Checker.check_arrow arena ~granularity ~schema ~pre ~post ~time
-      ~prob
-  in
-  { label; pre; post; time; prob;
-    attained = result.Mdp.Checker.attained;
-    pre_states = result.Mdp.Checker.pre_states;
-    claim = result.Mdp.Checker.claim }
 
 (* Each phase statement's label, sets, time and probability. *)
 let statement ~g_pred = function
@@ -60,7 +41,8 @@ let statement ~g_pred = function
 
 let spec_on arena ~granularity ~g_pred step =
   let label, pre, post, time, prob = statement ~g_pred step in
-  check_on arena ~granularity ~label ~pre ~post ~time ~prob
+  Mdp.Checker.check_arrow arena ~label ~granularity ~schema ~pre ~post
+    ~time ~prob
 
 type step = [ `P_to_C | `T_to_RTC | `RT_to_FGP | `F_to_GP | `G_to_P ]
 
@@ -107,10 +89,10 @@ let renamings_on arena ~g_pred =
    3.2, rename its sets with the verified inclusions, then chain with
    Theorem 3.4.  The first arrow that does not hold is the error, then
    the first inclusion that failed to verify. *)
-let compose_on arena ~g_pred ?renamings arrows =
+let compose_on arena ~g_pred ?renamings (arrows : arrow list) =
   match
-    ( List.find_opt (fun a -> Option.is_none a.claim) arrows,
-      List.filter_map (fun a -> a.claim) arrows )
+    ( List.find_opt (fun (a : arrow) -> Option.is_none a.claim) arrows,
+      List.filter_map (fun (a : arrow) -> a.claim) arrows )
   with
   | Some a, _ ->
     Error

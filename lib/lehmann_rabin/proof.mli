@@ -30,17 +30,9 @@ val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> unit -> instance
 
-(** One phase statement together with what the checker found. *)
-type arrow = {
-  label : string;  (** e.g. "A.11" *)
-  pre : State.t Core.Pred.t;
-  post : State.t Core.Pred.t;
-  time : Proba.Rational.t;  (** the paper's [t] *)
-  prob : Proba.Rational.t;  (** the paper's [p] *)
-  attained : Proba.Rational.t;  (** exact min probability found *)
-  pre_states : int;
-  claim : State.t Core.Claim.t option;  (** present iff [attained >= prob] *)
-}
+(** One phase statement together with what the checker found, labelled
+    with the paper's proposition, e.g. ["A.11"]. *)
+type arrow = State.t Mdp.Checker.arrow
 
 (** The paper's five phase statements: [P -1->_1 C] (A.1),
     [T -2->_1 RT ∪ C] (A.3), [RT -3->_1 F ∪ G ∪ P] (A.15),

@@ -1,10 +1,15 @@
 module Q = Proba.Rational
 
-type ('s, 'a) result = {
-  claim : 's Core.Claim.t option;
+type 's arrow = {
+  label : string;
+  pre : 's Core.Pred.t;
+  post : 's Core.Pred.t;
+  time : Q.t;
+  prob : Q.t;
   attained : Q.t;
   witness : 's option;
   pre_states : int;
+  claim : 's Core.Claim.t option;
 }
 
 (* [values] folded over the [member] states from [seed]: the first
@@ -50,7 +55,7 @@ let max_expected_over a ~target ~over =
     (t, Option.map (Arena.state a) witness, members)
   | _ -> assert false
 
-let check_arrow a ~granularity ~schema ~pre ~post ~time ~prob =
+let check_arrow a ~label ~granularity ~schema ~pre ~post ~time ~prob =
   let ticks = Core.Timed.within ~granularity ~time in
   let attained, witness, pre_states =
     min_reach_over a ~target:post ~ticks ~over:pre
@@ -69,7 +74,7 @@ let check_arrow a ~granularity ~schema ~pre ~post ~time ~prob =
            ~schema ~pre ~post ~time ~prob ())
     else None
   in
-  { claim; attained; witness; pre_states }
+  { label; pre; post; time; prob; attained; witness; pre_states; claim }
 
 let verify_inclusion a sub sup =
   let states =

@@ -8,28 +8,36 @@
     bound [prob].  The minimum is {!min_reach_over}'s, so asking the
     same sets and time again, at any [prob], solves nothing.
 
-    The result always reports the attained minimum and a witness state,
+    The answer always reports the attained minimum and a witness state,
     so experiments can display how tight the paper's bound is. *)
 
-type ('s, 'a) result = {
-  claim : 's Core.Claim.t option;
-      (** present iff the bound holds on every pre-state *)
+(** A statement [pre -time->_prob post] together with what the checker
+    found for it: the one record every proof module's arrows, the
+    fault derivations and every surface that renders an arrow share. *)
+type 's arrow = {
+  label : string;  (** e.g. ["A.11"] or ["L3"] *)
+  pre : 's Core.Pred.t;
+  post : 's Core.Pred.t;
+  time : Proba.Rational.t;  (** the paper's [t] *)
+  prob : Proba.Rational.t;  (** the paper's [p] *)
   attained : Proba.Rational.t;
       (** the exact minimum over pre-states (1 if no pre-state exists) *)
   witness : 's option;  (** a pre-state attaining the minimum *)
   pre_states : int;  (** number of reachable pre-states checked *)
+  claim : 's Core.Claim.t option;
+      (** present iff [attained >= prob] *)
 }
 
-(** [check_arrow arena ~granularity ~schema ~pre ~post ~time ~prob]
-    verifies the statement [pre -time->_prob post] by exact backward
-    induction over [Core.Timed.within ~granularity ~time] ticks.
-    [granularity] is the number of ticks per paper time unit; tick
-    structure comes from the arena's precomputed mask.  Raises
+(** [check_arrow arena ~label ~granularity ~schema ~pre ~post ~time
+    ~prob] verifies the statement [pre -time->_prob post] by exact
+    backward induction over [Core.Timed.within ~granularity ~time]
+    ticks.  [granularity] is the number of ticks per paper time unit;
+    tick structure comes from the arena's precomputed mask.  Raises
     [Invalid_argument] if [time * granularity] is not integral. *)
 val check_arrow :
-  ('s, 'a) Arena.t -> granularity:int ->
+  ('s, 'a) Arena.t -> label:string -> granularity:int ->
   schema:Core.Schema.t -> pre:'s Core.Pred.t -> post:'s Core.Pred.t ->
-  time:Proba.Rational.t -> prob:Proba.Rational.t -> ('s, 'a) result
+  time:Proba.Rational.t -> prob:Proba.Rational.t -> 's arrow
 
 (** [min_reach_over arena ~target ~ticks ~over] is the minimum over
     the [over] states of {!Finite_horizon.min_reach} toward [target]

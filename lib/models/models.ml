@@ -468,20 +468,21 @@ let params_json p =
   | `Consensus -> [ ("cap", J.Int p.cap) ]
   | `Election -> []
 
-let lr_arrow_json (a : LR.Proof.arrow) =
-  J.Obj
-    [ ("label", J.Str a.LR.Proof.label);
-      ("pre", J.Str (Core.Pred.name a.LR.Proof.pre));
-      ("post", J.Str (Core.Pred.name a.LR.Proof.post));
-      ("time", rat a.LR.Proof.time);
-      ("prob", rat a.LR.Proof.prob);
-      ("attained", rat a.LR.Proof.attained);
-      ("holds", J.Bool (a.LR.Proof.claim <> None)) ]
-
-let ladder_arrow_json ~label ~time ~prob ~attained ~holds =
-  J.Obj
-    [ ("label", J.Str label); ("time", rat time); ("prob", rat prob);
-      ("attained", rat attained); ("holds", J.Bool holds) ]
+(* The ["arrows"] and ["composed"] fields.  LR's arrows name their
+   sets ([sets]); a ladder's rungs are named by their labels alone. *)
+let arrow_fields ~sets arrows composed =
+  let arrow (a : _ Mdp.Checker.arrow) =
+    J.Obj
+      ((("label", J.Str a.label)
+        :: (if sets then
+              [ ("pre", J.Str (Core.Pred.name a.pre));
+                ("post", J.Str (Core.Pred.name a.post)) ]
+            else []))
+       @ [ ("time", rat a.time); ("prob", rat a.prob);
+           ("attained", rat a.attained); ("holds", J.Bool (a.claim <> None)) ])
+  in
+  [ ("arrows", J.Arr (List.map arrow arrows));
+    ("composed", composed_json composed) ]
 
 (* Below this many arena states the proof region runs inline: spawning
    and joining a helper domain costs more than the passes it would
@@ -524,8 +525,7 @@ let lr_fields ?helpers ~states ~invariant ~arrow ~renamings ~compose
        Arrow a3; Arrow a14; Arrow a1; Fields invariant |] ->
     let arrows = [ a1; a3; a15; a14; a11 ] in
     (states :: invariant)
-    @ [ ("arrows", J.Arr (List.map lr_arrow_json arrows));
-        ("composed", composed_json (compose ~renamings arrows)) ]
+    @ arrow_fields ~sets:true arrows (compose ~renamings arrows)
     @ direct @ vi
   | _ -> assert false
 
@@ -571,17 +571,11 @@ let check_fields inst =
           ])
       ()
   | Election i ->
-    let arrow (a : IR.Proof.arrow) =
-      ladder_arrow_json ~label:a.IR.Proof.label ~time:a.IR.Proof.time
-        ~prob:a.IR.Proof.prob ~attained:a.IR.Proof.attained
-        ~holds:(a.IR.Proof.claim <> None)
-    in
     groups
     [| (fun () -> [ states ]);
        (fun () ->
           let arrows = IR.Proof.arrows i in
-          [ ("arrows", J.Arr (List.map arrow arrows));
-            ("composed", composed_json (IR.Proof.compose_arrows arrows)) ]);
+          arrow_fields ~sets:false arrows (IR.Proof.compose_arrows arrows));
        (fun () ->
           [ ( "expected_bound",
               rat
@@ -590,17 +584,11 @@ let check_fields inst =
                       ~n:i.IR.Proof.params.IR.Automaton.n)) );
             ("max_expected_time", J.Num (IR.Proof.max_expected_time i)) ]) |]
   | Coin i ->
-    let arrow (a : SC.Proof.arrow) =
-      ladder_arrow_json ~label:a.SC.Proof.label ~time:a.SC.Proof.time
-        ~prob:a.SC.Proof.prob ~attained:a.SC.Proof.attained
-        ~holds:(a.SC.Proof.claim <> None)
-    in
     groups
     [| (fun () -> [ states ]);
        (fun () ->
           let arrows = SC.Proof.arrows i in
-          [ ("arrows", J.Arr (List.map arrow arrows));
-            ("composed", composed_json (SC.Proof.compose_arrows arrows)) ]);
+          arrow_fields ~sets:false arrows (SC.Proof.compose_arrows arrows));
        (fun () -> [ ("direct_bound", rat (SC.Proof.direct_bound i)) ]);
        (fun () ->
           [ ("expected_exact", J.Num (SC.Proof.expected_exact i));
@@ -678,16 +666,27 @@ let print_cert (cert : Sym.certificate option) =
       (List.length c.Sym.preds_checked)
       (if c.Sym.reduced then " (quotient exploration)" else "")
 
-(* The ladder rungs as [label attained (verdict)] lines, then the
-   composition. *)
-let print_ladder width rungs composed =
+(* The arrows one a line, then the composition.  A ladder's line is
+   [label attained (verdict)]; the ring's ([statements]) spells out
+   each statement and follows the composed claim with its
+   derivation. *)
+let print_ladder ?(statements = false) width arrows composed =
   List.iter
-    (fun (label, attained, holds) ->
-       Format.printf "%-*s attained %s (%s)@." width label
-         (Q.to_string attained)
-         (if holds then "holds" else "FAILS"))
-    rungs;
+    (fun (a : _ Mdp.Checker.arrow) ->
+       let verdict = if a.claim <> None then "holds" else "FAILS" in
+       if statements then
+         Format.printf "%-*s %s -%s->_%s %s : attained %s (%s)@." width
+           a.label (Core.Pred.name a.pre) (Q.to_string a.time)
+           (Q.to_string a.prob) (Core.Pred.name a.post)
+           (Q.to_string a.attained) verdict
+       else
+         Format.printf "%-*s attained %s (%s)@." width a.label
+           (Q.to_string a.attained) verdict)
+    arrows;
   match composed with
+  | Ok claim when statements ->
+    Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
+      Core.Claim.pp_derivation claim
   | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
   | Error e -> Printf.printf "composition failed: %s\n" e
 
@@ -706,21 +705,7 @@ let print_body inst =
   | Lr i ->
     lemma_6_1 "" (LR.Invariant.check i.LR.Proof.expl);
     let arrows = LR.Proof.arrows i in
-    List.iter
-      (fun a ->
-         Format.printf "%-5s %s -%s->_%s %s : attained %s (%s)@."
-           a.LR.Proof.label
-           (Core.Pred.name a.LR.Proof.pre)
-           (Q.to_string a.LR.Proof.time) (Q.to_string a.LR.Proof.prob)
-           (Core.Pred.name a.LR.Proof.post)
-           (Q.to_string a.LR.Proof.attained)
-           (if a.LR.Proof.claim <> None then "holds" else "FAILS"))
-      arrows;
-    (match LR.Proof.compose_arrows i arrows with
-     | Ok claim ->
-       Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
-         Core.Claim.pp_derivation claim
-     | Error e -> Printf.printf "composition failed: %s\n" e);
+    print_ladder ~statements:true 5 arrows (LR.Proof.compose_arrows i arrows);
     Format.printf "@.expected-time derivation:@.%a@." Core.Expected.pp
       (LR.Proof.expected_bound ());
     Printf.printf "measured worst-case expected time: %.3f\n"
@@ -728,23 +713,13 @@ let print_body inst =
   | Lr_topo i ->
     lemma_6_1 " (generalized)" (LR.Proof.invariant_topo i);
     let arrows = LR.Proof.arrows_topo i in
-    print_ladder 5
-      (List.map
-         (fun a ->
-            (a.LR.Proof.label, a.LR.Proof.attained, a.LR.Proof.claim <> None))
-         arrows)
-      (LR.Proof.compose_arrows_topo i arrows);
+    print_ladder 5 arrows (LR.Proof.compose_arrows_topo i arrows);
     Printf.printf "direct 13-unit minimum: %s; worst expected time: %.3f\n"
       (Q.to_string (LR.Proof.direct_bound_topo i))
       (LR.Proof.max_expected_time_topo i)
   | Election i ->
     let arrows = IR.Proof.arrows i in
-    print_ladder 4
-      (List.map
-         (fun a ->
-            (a.IR.Proof.label, a.IR.Proof.attained, a.IR.Proof.claim <> None))
-         arrows)
-      (IR.Proof.compose_arrows arrows);
+    print_ladder 4 arrows (IR.Proof.compose_arrows arrows);
     Printf.printf "expected bound: %s; measured worst case: %.3f\n"
       (Q.to_string
          (Core.Expected.value
@@ -752,12 +727,7 @@ let print_body inst =
       (IR.Proof.max_expected_time i)
   | Coin i ->
     let arrows = SC.Proof.arrows i in
-    print_ladder 4
-      (List.map
-         (fun a ->
-            (a.SC.Proof.label, a.SC.Proof.attained, a.SC.Proof.claim <> None))
-         arrows)
-      (SC.Proof.compose_arrows arrows);
+    print_ladder 4 arrows (SC.Proof.compose_arrows arrows);
     Printf.printf
       "direct minimum within %d: %s\nexpected time: exact %.3f vs B^2/n = \
        %.3f\n"
@@ -937,9 +907,10 @@ end
    that the duplicated verification is in the noise). *)
 
 (* The checked arrows' claims by label, then the composed claim. *)
-let claims ~label ~claim arrows composed =
+let claims arrows composed =
   List.filter_map
-    (fun a -> Option.map (fun c -> (label a, c)) (claim a))
+    (fun (a : _ Mdp.Checker.arrow) ->
+       Option.map (fun c -> (a.label, c)) a.claim)
     arrows
   @ match composed with Ok c -> [ ("composed", c) ] | Error _ -> []
 
@@ -950,40 +921,30 @@ let lint_case name p ~max_states ?sym () =
          ~sym_reduced:(cert <> None) (Mdp.Explore.automaton expl))
       expl
   in
-  let lr_claims arrows =
-    claims arrows ~label:(fun a -> a.LR.Proof.label)
-      ~claim:(fun a -> a.LR.Proof.claim)
-  in
   match resolve ~max_states ?sym p with
   | Lr i ->
     let arrows = LR.Proof.arrows i in
     run ~is_tick:LR.Automaton.is_tick
       ~symmetry:(LR.Symmetry.ring ~n:i.LR.Proof.params.LR.Automaton.n ())
-      ~claims:(lr_claims arrows (LR.Proof.compose_arrows i arrows))
+      ~claims:(claims arrows (LR.Proof.compose_arrows i arrows))
       i.LR.Proof.arena i.LR.Proof.expl i.LR.Proof.sym
   | Lr_topo i ->
     let arrows = LR.Proof.arrows_topo i in
     run ~is_tick:LR.Automaton.is_tick
       ~symmetry:(LR.Symmetry.spec i.LR.Proof.topo)
-      ~claims:(lr_claims arrows (LR.Proof.compose_arrows_topo i arrows))
+      ~claims:(claims arrows (LR.Proof.compose_arrows_topo i arrows))
       i.LR.Proof.tarena i.LR.Proof.texpl i.LR.Proof.tsym
   | Election i ->
     let arrows = IR.Proof.arrows i in
     run ~is_tick:IR.Automaton.is_tick
       ~symmetry:(IR.Symmetry.spec i.IR.Proof.params)
-      ~claims:
-        (claims arrows (IR.Proof.compose_arrows arrows)
-           ~label:(fun a -> a.IR.Proof.label)
-           ~claim:(fun a -> a.IR.Proof.claim))
+      ~claims:(claims arrows (IR.Proof.compose_arrows arrows))
       i.IR.Proof.arena i.IR.Proof.expl i.IR.Proof.sym
   | Coin i ->
     let arrows = SC.Proof.arrows i in
     run ~is_tick:SC.Automaton.is_tick
       ~symmetry:(SC.Symmetry.spec i.SC.Proof.params)
-      ~claims:
-        (claims arrows (SC.Proof.compose_arrows arrows)
-           ~label:(fun a -> a.SC.Proof.label)
-           ~claim:(fun a -> a.SC.Proof.claim))
+      ~claims:(claims arrows (SC.Proof.compose_arrows arrows))
       i.SC.Proof.arena i.SC.Proof.expl i.SC.Proof.sym
   | Consensus i ->
     let { BO.Automaton.n; cap; _ } = i.BO.Proof.params in
@@ -992,10 +953,7 @@ let lint_case name p ~max_states ?sym () =
     in
     run ~is_tick:BO.Automaton.is_tick
       ~symmetry:(BO.Symmetry.spec i.BO.Proof.params ~initial:i.BO.Proof.initial)
-      ~claims:
-        (claims [ arrow ] (Error "no composition")
-           ~label:(fun a -> a.BO.Proof.label)
-           ~claim:(fun a -> a.BO.Proof.claim))
+      ~claims:(claims [ arrow ] (Error "no composition"))
       i.BO.Proof.arena i.BO.Proof.expl i.BO.Proof.sym
 
 let lint_walker ~max_states ?sym:_ () =
@@ -1020,11 +978,8 @@ let lint_lr_crash ~max_states ?sym:_ () =
   Analysis.run
     (Analysis.config ~name:"lr-crash" ~is_tick:Faults.Lr.is_tick
        ~claims:
-         (claims
-            [ d.Faults.Lr.arrow1; d.Faults.Lr.arrow2 ]
-            d.Faults.Lr.composed
-            ~label:(fun (a : Faults.Lr.arrow) -> a.Faults.Lr.label)
-            ~claim:(fun a -> a.Faults.Lr.claim))
+         (claims [ d.Faults.Lr.arrow1; d.Faults.Lr.arrow2 ]
+            d.Faults.Lr.composed)
        ~fault_view:
          (Faults.Inject.faulted,
           Faults.Inject.effective_proc Faults.Lr.proc_of_action)

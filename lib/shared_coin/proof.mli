@@ -32,14 +32,8 @@ val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> bound:int -> unit -> instance
 
-type arrow = {
-  label : string;
-  time : Proba.Rational.t;
-  prob : Proba.Rational.t;
-  attained : Proba.Rational.t;
-  pre_states : int;
-  claim : Automaton.state Core.Claim.t option;
-}
+(** A rung, labelled [D]d. *)
+type arrow = Automaton.state Mdp.Checker.arrow
 
 (** The rungs [d = 0, ..., bound-1]. *)
 val arrows : instance -> arrow list

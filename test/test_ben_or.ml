@@ -149,9 +149,9 @@ let test_fast_path_unanimous () =
     BO.Proof.decision_arrow (Lazy.force inst_unanimous) ~rounds:1
       ~prob:Q.one
   in
-  check_q "probability exactly 1" Q.one a.BO.Proof.attained;
-  Alcotest.(check bool) "claim produced" true (a.BO.Proof.claim <> None);
-  (match a.BO.Proof.claim with
+  check_q "probability exactly 1" Q.one a.Mdp.Checker.attained;
+  Alcotest.(check bool) "claim produced" true (a.Mdp.Checker.claim <> None);
+  (match a.Mdp.Checker.claim with
    | Some c ->
      Alcotest.(check bool) "fully verified" true
        (Core.Claim.fully_verified c)
@@ -171,8 +171,8 @@ let test_two_rounds_give_an_eighth () =
     BO.Proof.decision_arrow (Lazy.force inst_mixed) ~rounds:2
       ~prob:(Q.of_ints 1 8)
   in
-  check_q "attained exactly 2^-3" (Q.of_ints 1 8) a.BO.Proof.attained;
-  Alcotest.(check bool) "claim produced" true (a.BO.Proof.claim <> None)
+  check_q "attained exactly 2^-3" (Q.of_ints 1 8) a.Mdp.Checker.attained;
+  Alcotest.(check bool) "claim produced" true (a.Mdp.Checker.claim <> None)
 
 let test_capped_liveness () =
   Alcotest.(check bool) "unanimous decides surely" true

@@ -365,8 +365,8 @@ let test_compose_lr_ring () =
   let broken =
     List.map
       (fun (a : LR.Proof.arrow) ->
-         if a.LR.Proof.label = "A.15" || a.LR.Proof.label = "A.11" then
-           { a with LR.Proof.claim = None; attained = Q.zero }
+         if a.Mdp.Checker.label = "A.15" || a.Mdp.Checker.label = "A.11" then
+           { a with Mdp.Checker.claim = None; attained = Q.zero }
          else a)
       arrows
   in

@@ -277,11 +277,11 @@ let test_estimate_budgeted_always_runs_one_trial () =
 let test_derive_one_crash_release () =
   let d = FL.derive (lr_config ~release:true ()) in
   Alcotest.(check bool) "arrow1 attains 3/4" true
-    (Q.equal d.FL.arrow1.FL.attained (Q.of_ints 3 4));
+    (Q.equal d.FL.arrow1.Mdp.Checker.attained (Q.of_ints 3 4));
   Alcotest.(check bool) "arrow1 certified" true
-    (d.FL.arrow1.FL.claim <> None);
+    (d.FL.arrow1.Mdp.Checker.claim <> None);
   Alcotest.(check bool) "arrow2 attains 1" true
-    (Q.equal d.FL.arrow2.FL.attained Q.one);
+    (Q.equal d.FL.arrow2.Mdp.Checker.attained Q.one);
   (match d.FL.composed with
    | Ok c ->
      Alcotest.(check bool) "composed time 20" true
@@ -301,9 +301,9 @@ let test_derive_one_crash_no_release () =
      collapses to exactly 0. *)
   let d = FL.derive (lr_config ~release:false ()) in
   Alcotest.(check bool) "arrow1 collapses" true
-    (Q.is_zero d.FL.arrow1.FL.attained);
+    (Q.is_zero d.FL.arrow1.Mdp.Checker.attained);
   Alcotest.(check bool) "arrow2 collapses" true
-    (Q.is_zero d.FL.arrow2.FL.attained);
+    (Q.is_zero d.FL.arrow2.Mdp.Checker.attained);
   Alcotest.(check bool) "direct collapses" true (Q.is_zero d.FL.direct)
 
 let test_derive_no_faults_matches_paper () =
@@ -315,11 +315,11 @@ let test_derive_no_faults_matches_paper () =
 
 let test_check_budgeted_exact () =
   match FL.check_budgeted ~seed:9 (lr_config ()) with
-  | Faults.Resilient.Exact e ->
+  | Faults.Resilient.Exact { arrow; states } ->
     Alcotest.(check bool) "attained 3/4" true
-      (Q.equal e.Faults.Resilient.attained (Q.of_ints 3 4));
-    Alcotest.(check bool) "meets 1/8" true e.Faults.Resilient.meets;
-    Alcotest.(check int) "full space" 9700 e.Faults.Resilient.states
+      (Q.equal arrow.Mdp.Checker.attained (Q.of_ints 3 4));
+    Alcotest.(check bool) "meets 1/8" true (arrow.Mdp.Checker.claim <> None);
+    Alcotest.(check int) "full space" 9700 states
   | Faults.Resilient.Estimate _ ->
     Alcotest.fail "expected the exact rung under an unlimited budget"
   | Faults.Resilient.Exhausted r -> Alcotest.fail r
@@ -385,7 +385,8 @@ let test_check_arrow_exhausted_without_fallback () =
   match
     Faults.Resilient.check_arrow
       ~budget:(Core.Budget.v ~max_states:200 ())
-      ~pa ~is_tick:FL.is_tick ~granularity:1
+      ~pa ~is_tick:FL.is_tick ~label:"T∧live -13-> C∧live"
+      ~granularity:1
       ~schema:(FL.schema config.FL.faults) ~pre:FL.live_trying
       ~post:FL.live_crit ~time:(Q.of_int 13) ~prob:(Q.of_ints 1 8) ()
   with

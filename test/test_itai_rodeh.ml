@@ -102,10 +102,10 @@ let test_arrows () =
        List.iter
          (fun a ->
             Alcotest.(check bool)
-              (Printf.sprintf "n=%d %s holds" n a.IR.Proof.label)
-              true (a.IR.Proof.claim <> None);
+              (Printf.sprintf "n=%d %s holds" n a.Mdp.Checker.label)
+              true (a.Mdp.Checker.claim <> None);
             Alcotest.(check bool) "attained >= 1/2" true
-              (Q.geq a.IR.Proof.attained Q.half))
+              (Q.geq a.Mdp.Checker.attained Q.half))
          arrows)
     [ 2; 3; 4 ]
 
@@ -113,9 +113,9 @@ let test_worst_rung_is_half () =
   (* The bottom rung (2 -> 1) is exactly 1/2: one coin decides. *)
   let inst = IR.Proof.build ~n:3 () in
   let bottom =
-    List.find (fun a -> a.IR.Proof.label = "L2") (IR.Proof.arrows inst)
+    List.find (fun a -> a.Mdp.Checker.label = "L2") (IR.Proof.arrows inst)
   in
-  check_q "exactly 1/2" Q.half bottom.IR.Proof.attained
+  check_q "exactly 1/2" Q.half bottom.Mdp.Checker.attained
 
 let test_composed () =
   let inst = IR.Proof.build ~n:4 () in

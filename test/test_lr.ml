@@ -378,13 +378,14 @@ let test_proof_arrows () =
   List.iter
     (fun a ->
        Alcotest.(check bool)
-         (Printf.sprintf "%s holds (attained %s >= %s)" a.LR.Proof.label
-            (Q.to_string a.LR.Proof.attained) (Q.to_string a.LR.Proof.prob))
+         (Printf.sprintf "%s holds (attained %s >= %s)" a.Mdp.Checker.label
+            (Q.to_string a.Mdp.Checker.attained)
+            (Q.to_string a.Mdp.Checker.prob))
          true
-         (a.LR.Proof.claim <> None);
+         (a.Mdp.Checker.claim <> None);
        Alcotest.(check bool) "attained is a probability" true
-         (Q.is_probability a.LR.Proof.attained);
-       Alcotest.(check bool) "nonempty pre" true (a.LR.Proof.pre_states > 0))
+         (Q.is_probability a.Mdp.Checker.attained);
+       Alcotest.(check bool) "nonempty pre" true (a.Mdp.Checker.pre_states > 0))
     arrows
 
 let test_proof_arrow_minima () =
@@ -392,9 +393,9 @@ let test_proof_arrow_minima () =
   let inst = Lazy.force inst in
   let attained label =
     let a =
-      List.find (fun a -> a.LR.Proof.label = label) (LR.Proof.arrows inst)
+      List.find (fun a -> a.Mdp.Checker.label = label) (LR.Proof.arrows inst)
     in
-    a.LR.Proof.attained
+    a.Mdp.Checker.attained
   in
   check_q "A.1" Q.one (attained "A.1");
   check_q "A.3" Q.one (attained "A.3");
@@ -506,8 +507,8 @@ let test_topology_line_star_arrows () =
          (fun a ->
             Alcotest.(check bool)
               (Printf.sprintf "%s %s holds" (LR.Topology.name topo)
-                 a.LR.Proof.label)
-              true (a.LR.Proof.claim <> None))
+                 a.Mdp.Checker.label)
+              true (a.Mdp.Checker.claim <> None))
          (LR.Proof.arrows_topo tinst);
        (match LR.Proof.composed_topo tinst with
         | Ok claim ->
@@ -562,8 +563,8 @@ let prop_random_topologies_sound =
         let tinst = LR.Proof.build_topo ~max_states:400_000 ~topo () in
         let arrows = LR.Proof.arrows_topo tinst in
         let holds label =
-          match List.find_opt (fun a -> a.LR.Proof.label = label) arrows with
-          | Some a -> a.LR.Proof.claim <> None
+          match List.find_opt (fun a -> a.Mdp.Checker.label = label) arrows with
+          | Some a -> a.Mdp.Checker.claim <> None
           | None -> false
         in
         LR.Proof.invariant_topo tinst = None

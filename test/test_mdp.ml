@@ -301,11 +301,12 @@ let walking = Core.Pred.make "walking" (fun s -> s <> Test_support.Toys.Walker.D
 
 let test_checker_arrow_holds () =
   let result =
-    Mdp.Checker.check_arrow walker_arena ~granularity:1
+    Mdp.Checker.check_arrow walker_arena ~label:"walk" ~granularity:1
       ~schema:Core.Schema.unit_time ~pre:walking
       ~post:Test_support.Toys.Walker.done_ ~time:(Q.of_int 2)
       ~prob:(Q.of_ints 3 4)
   in
+  Alcotest.(check string) "label echoed" "walk" result.Mdp.Checker.label;
   check_q "attained 3/4" (Q.of_ints 3 4) result.Mdp.Checker.attained;
   Alcotest.(check int) "three pre states" 3 result.Mdp.Checker.pre_states;
   (match result.Mdp.Checker.claim with
@@ -316,7 +317,7 @@ let test_checker_arrow_holds () =
 
 let test_checker_arrow_fails () =
   let result =
-    Mdp.Checker.check_arrow walker_arena ~granularity:1
+    Mdp.Checker.check_arrow walker_arena ~label:"walk" ~granularity:1
       ~schema:Core.Schema.unit_time ~pre:walking
       ~post:Test_support.Toys.Walker.done_ ~time:(Q.of_int 2)
       ~prob:(Q.of_ints 7 8)
@@ -333,7 +334,7 @@ let test_checker_granularity () =
   (* With granularity 2, "time 1" is two ticks of the SAME automaton --
      used here only to exercise the conversion path. *)
   let result =
-    Mdp.Checker.check_arrow walker_arena ~granularity:2
+    Mdp.Checker.check_arrow walker_arena ~label:"walk" ~granularity:2
       ~schema:Core.Schema.unit_time ~pre:walking
       ~post:Test_support.Toys.Walker.done_ ~time:Q.one ~prob:Q.half
   in
@@ -389,8 +390,9 @@ let test_passes_keyed_exactly () =
   Alcotest.(check int) "asked again: no layer" 0 solved;
   let _, solved =
     layers (fun () ->
-        Mdp.Checker.check_arrow a ~granularity:1 ~schema:Core.Schema.unit_time
-          ~pre:walking ~post:Test_support.Toys.Walker.done_
+        Mdp.Checker.check_arrow a ~label:"walk" ~granularity:1
+          ~schema:Core.Schema.unit_time ~pre:walking
+          ~post:Test_support.Toys.Walker.done_
           ~time:(Q.of_int 2) ~prob:(Q.of_ints 7 8))
   in
   Alcotest.(check int) "an arrow at another prob: no layer" 0 solved;

@@ -86,10 +86,10 @@ let test_rungs_hold () =
        List.iter
          (fun a ->
             Alcotest.(check bool)
-              (Printf.sprintf "n=%d B=%d %s" n bound a.SC.Proof.label)
-              true (a.SC.Proof.claim <> None);
+              (Printf.sprintf "n=%d B=%d %s" n bound a.Mdp.Checker.label)
+              true (a.Mdp.Checker.claim <> None);
             Alcotest.(check bool) "attained >= 1/2" true
-              (Q.geq a.SC.Proof.attained Q.half))
+              (Q.geq a.Mdp.Checker.attained Q.half))
          (SC.Proof.arrows inst))
     [ (2, 2); (2, 3); (3, 2) ]
 

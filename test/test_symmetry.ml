@@ -440,8 +440,8 @@ let test_lr_differential () =
     cert.Sym.full_states;
   List.iter2
     (fun (a : LR.Proof.arrow) (b : LR.Proof.arrow) ->
-       Alcotest.check q ("attained " ^ a.LR.Proof.label)
-         a.LR.Proof.attained b.LR.Proof.attained)
+       Alcotest.check q ("attained " ^ a.Mdp.Checker.label)
+         a.Mdp.Checker.attained b.Mdp.Checker.attained)
     (LR.Proof.arrows off) (LR.Proof.arrows on);
   Alcotest.(check string) "composed claim"
     (claim_str (LR.Proof.composed off))
@@ -467,8 +467,8 @@ let test_election_differential () =
     cert.Sym.full_states;
   List.iter2
     (fun (a : IR.Proof.arrow) (b : IR.Proof.arrow) ->
-       Alcotest.check q ("attained " ^ a.IR.Proof.label)
-         a.IR.Proof.attained b.IR.Proof.attained)
+       Alcotest.check q ("attained " ^ a.Mdp.Checker.label)
+         a.Mdp.Checker.attained b.Mdp.Checker.attained)
     (IR.Proof.arrows off) (IR.Proof.arrows on);
   Alcotest.(check string) "composed claim"
     (claim_str (IR.Proof.composed off))
@@ -485,8 +485,8 @@ let test_coin_differential () =
     cert.Sym.full_states;
   List.iter2
     (fun (a : SC.Proof.arrow) (b : SC.Proof.arrow) ->
-       Alcotest.check q ("attained " ^ a.SC.Proof.label)
-         a.SC.Proof.attained b.SC.Proof.attained)
+       Alcotest.check q ("attained " ^ a.Mdp.Checker.label)
+         a.Mdp.Checker.attained b.Mdp.Checker.attained)
     (SC.Proof.arrows off) (SC.Proof.arrows on);
   Alcotest.(check string) "composed claim"
     (claim_str (SC.Proof.composed off))
