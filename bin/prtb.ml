@@ -19,6 +19,12 @@ let refuse msg =
     (String.split_on_char '\n' msg);
   exit 1
 
+(* A [Sys_error] writing [path], its message naming the file. *)
+let cannot_write path msg =
+  refuse
+    (if String.starts_with ~prefix:path msg then msg
+     else Printf.sprintf "%s: %s" path msg)
+
 let not_certified msg =
   refuse
     (Printf.sprintf
@@ -367,7 +373,10 @@ let check_cmd =
                 (Option.value budget ~default:Core.Budget.unlimited)
                 release seed)
       | `Text, false, None ->
-        fun () -> under_cli_deadline deadline (fun () -> Models.report ~sym p)
+        fun () ->
+          under_cli_deadline deadline (fun () ->
+              Models.report ~max_states:Server.Service.default_max_states ~sym
+                p)
     with
     | exception Failure msg -> Error (`Msg msg)
     | check ->
@@ -479,24 +488,28 @@ let compile_cmd =
                    applied at preload time).")
   in
   let run stats system n g k topology bound cap sym max_states output =
-    try
-      let p = cli_params system n g k topology bound cap in
-      let loaded = Models.resolve ?max_states ~sym p in
-      let config = Snapshot.Store.config_of ~sym p in
-      Snapshot.Store.save ~path:output config loaded;
-      Printf.printf "wrote %s: %s\n" output
-        (Snapshot.Store.describe config loaded);
+    (* As in [check]: usage errors exit 124 before anything runs. *)
+    match cli_params system n g k topology bound cap with
+    | exception Failure msg -> Error (`Msg msg)
+    | p ->
+      (try
+         let loaded = Models.resolve ?max_states ~sym p in
+         let config = Snapshot.Store.config_of ~sym p in
+         Snapshot.Store.save ~path:output config loaded;
+         Printf.printf "wrote %s: %s\n" output
+           (Snapshot.Store.describe config loaded)
+       with
+       | Sys_error msg -> cannot_write output msg
+       | Failure msg -> refuse msg
+       | Analysis.Symmetry.Not_certified msg -> not_certified msg
+       | Mdp.Explore.Too_many_states m ->
+         refuse
+           (Printf.sprintf
+              "exploration stopped after interning %d states; raise \
+               --max-states"
+              m));
       report_stats stats;
       Ok ()
-    with
-    | Failure msg | Sys_error msg -> Error (`Msg msg)
-    | Analysis.Symmetry.Not_certified msg -> not_certified msg
-    | Mdp.Explore.Too_many_states m ->
-      refuse
-        (Printf.sprintf
-           "exploration stopped after interning %d states; raise \
-            --max-states"
-           m)
   in
   Cmd.v
     (Cmd.info "compile"
@@ -590,9 +603,8 @@ let export_dot system n bound output =
     (match output with
      | None -> print_string dot
      | Some path ->
-       let oc = open_out path in
-       output_string oc dot;
-       close_out oc;
+       (try Out_channel.with_open_text path (fun oc -> output_string oc dot)
+        with Sys_error msg -> cannot_write path msg);
        Printf.printf "wrote %s (%d states)\n" path states);
     Ok ()
 

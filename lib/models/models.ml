@@ -750,7 +750,7 @@ let print_body inst =
 
 (* The heading goes out before the build, so a refused build still
    names what was asked for. *)
-let report ?sym p =
+let report ?max_states ?sym p =
   (match build_of_params p with
    | B_lr { LR.Automaton.n; g; k } ->
      Printf.printf "Lehmann-Rabin, n=%d g=%d k=%d\n%!" n g k
@@ -764,7 +764,7 @@ let report ?sym p =
    | B_consensus ({ BO.Automaton.n; f; cap; _ }, _) ->
      Printf.printf
        "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start\n%!" n f cap);
-  print_body (resolve ?sym p)
+  print_body (resolve ?max_states ?sym p)
 
 (* ------------------------------------------------------------------ *)
 (* Monte Carlo. *)

@@ -128,8 +128,9 @@ val certificate :
 (** The [prtb check] text report on stdout: a heading naming the query
     (flushed before the build, so a refused build still names it),
     then {!resolve} and the instance's arrows, composition and
-    bounds. *)
-val report : ?sym:Analysis.Symmetry.mode -> params -> unit
+    bounds.  [max_states] bounds the exploration as in {!resolve}. *)
+val report :
+  ?max_states:int -> ?sym:Analysis.Symmetry.mode -> params -> unit
 
 (** {1 Monte Carlo} *)
 

@@ -108,12 +108,14 @@ let save ~path c loaded =
   let bytes = encode c loaded in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  (try output_string oc bytes
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
+  try
+    output_string oc bytes;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Decoding. *)

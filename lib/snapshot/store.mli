@@ -62,7 +62,8 @@ val describe : config -> loaded -> string
 val encode : config -> loaded -> string
 
 (** [save ~path config loaded] writes {!encode} output atomically
-    (temp file + rename).  Raises [Sys_error] on I/O failure. *)
+    (temp file + rename).  Raises [Sys_error] on I/O failure, after
+    removing the temp file. *)
 val save : path:string -> config -> loaded -> unit
 
 (** Strict inverse of {!encode}: parses the container, rebuilds the

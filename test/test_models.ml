@@ -102,6 +102,22 @@ let test_unbounded_keeps_entries () =
   Alcotest.(check int) "one build" 1 builds;
   Alcotest.(check int) "one hit" 1 hits
 
+(* The text report honours a state ceiling, and a refused build leaves
+   nothing in the registry. *)
+let test_report_state_ceiling () =
+  let before = snapshot () in
+  (match
+     Models.report ~max_states:100
+       { Models.family = `Lr; n = 3; g = 1; k = 1; topology = "ring";
+         bound = 0; cap = 0 }
+   with
+   | () -> Alcotest.fail "lr n=3 fits in 100 states"
+   | exception Mdp.Explore.Too_many_states _ -> ());
+  let after = snapshot () in
+  Alcotest.(check int) "no build" before.Models.builds after.Models.builds;
+  Alcotest.(check int) "no entry kept" before.Models.cached_entries
+    after.Models.cached_entries
+
 let test_race_target_in_registry () =
   (* The Example 4.1 automaton lives in the registry now (it broke the
      models <- experiments dependency cycle); its lint entry must be
@@ -128,4 +144,6 @@ let () =
             test_unbounded_keeps_entries ] );
       ( "registry",
         [ Alcotest.test_case "example:race target" `Quick
-            test_race_target_in_registry ] ) ]
+            test_race_target_in_registry;
+          Alcotest.test_case "report honours max_states" `Quick
+            test_report_state_ceiling ] ) ]

@@ -336,6 +336,30 @@ let test_cli_bytes_pinned () =
       ("lint --format json", "d780930cc9183b0e94a1412b218cc9df");
       ("lint --format json --sym on", "3ab6ee6c16a8863bb52700ba5cd3b388") ]
 
+(* A write that fails at run time is a refusal (exit 1) naming the
+   file, and leaves no temp file behind; a mistyped flag is still a
+   usage error (exit 124). *)
+let test_cli_io_failures_exit_1 () =
+  let dir = Filename.temp_dir "prtb-cli" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+       List.iter
+         (fun (args, path) ->
+            let code, out = cli_failing args in
+            Alcotest.(check int) ("exit code of " ^ args) 1 code;
+            Alcotest.(check bool) (out ^ " names " ^ path) true
+              (Astring.String.is_infix ~affix:path out);
+            Alcotest.(check bool) ("no temp file after " ^ args) false
+              (Sys.file_exists (path ^ ".tmp")))
+         [ ("compile coin -o /nonexistent/dir/x.prtba",
+            "/nonexistent/dir/x.prtba");
+           ("compile coin -o " ^ Filename.quote dir, dir);
+           ("export-dot coin -o /nonexistent/dir/x.dot",
+            "/nonexistent/dir/x.dot") ]);
+  Alcotest.(check int) "check lr --bogus" 124
+    (fst (cli_failing "check lr --bogus"))
+
 let test_lint_served () =
   let r = get "/lint?target=example:race" in
   Alcotest.(check int) "200" 200 r.Server.Http.status;
@@ -849,6 +873,8 @@ let () =
             test_cli_refuses_out_of_range;
           Alcotest.test_case "CLI text and lint bytes pinned" `Quick
             test_cli_bytes_pinned;
+          Alcotest.test_case "CLI I/O failures exit 1" `Quick
+            test_cli_io_failures_exit_1;
           Alcotest.test_case "lint served" `Quick test_lint_served;
           Alcotest.test_case "budget exhaustion verdict" `Quick
             test_budget_exhausted_verdict;

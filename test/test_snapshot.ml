@@ -310,6 +310,21 @@ let test_refuse_fingerprint_mismatch () =
     refused "fingerprint mismatch" ~expect:"fingerprint"
       (Codec.encode sections)
 
+(* A save that cannot land (here: the rename onto a directory) raises
+   and takes its temp file with it. *)
+let test_save_failure_cleans_up () =
+  let dir = Filename.temp_dir "prtb-save" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+       (match
+          Store.save ~path:dir lr_config (Store.Lr (Models.lr ~n:3 ()))
+        with
+        | () -> Alcotest.fail "saved onto a directory"
+        | exception Sys_error _ -> ());
+       Alcotest.(check bool) "no temp file left" false
+         (Sys.file_exists (dir ^ ".tmp")))
+
 let test_load_missing_file () =
   match Store.load ~path:"/nonexistent/snapshot.prtba" with
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
@@ -334,5 +349,7 @@ let () =
           Alcotest.test_case "one-byte tamper" `Quick test_refuse_tamper;
           Alcotest.test_case "fingerprint mismatch" `Quick
             test_refuse_fingerprint_mismatch;
-          Alcotest.test_case "missing file" `Quick test_load_missing_file ] )
+          Alcotest.test_case "missing file" `Quick test_load_missing_file;
+          Alcotest.test_case "failed save leaves no temp file" `Quick
+            test_save_failure_cleans_up ] )
     ]
