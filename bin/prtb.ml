@@ -94,26 +94,18 @@ let experiments_cmd =
   in
   let run config ids =
     let ctx = Experiments.Harness.make_ctx config in
-    let table =
-      [ ("e1", Experiments.Harness.e1_arrows); ("e2", Experiments.Harness.e2_composed);
-        ("e3", Experiments.Harness.e3_expected); ("e4", Experiments.Harness.e4_independence);
-        ("e5", Experiments.Harness.e5_invariant); ("e6", Experiments.Harness.e6_baseline);
-        ("e7", Experiments.Harness.e7_scaling); ("e8", Experiments.Harness.e8_lower_bound);
-        ("e9", Experiments.Harness.e9_election);
-        ("e10", Experiments.Harness.e10_topologies);
-        ("e11", Experiments.Harness.e11_shared_coin);
-        ("e12", Experiments.Harness.e12_consensus);
-        ("e13", Experiments.Harness.e13_faults) ]
-    in
     match ids with
     | [] -> Ok (Experiments.Harness.run_all ctx)
     | ids ->
       let rec go = function
         | [] -> Ok ()
         | id :: rest ->
-          (match List.assoc_opt (String.lowercase_ascii id) table with
+          (match
+             List.assoc_opt (String.lowercase_ascii id)
+               Experiments.Harness.experiments
+           with
            | Some f ->
-             Experiments.Harness.guarded (String.uppercase_ascii id) f ctx;
+             f ctx;
              go rest
            | None -> Error (`Msg (Printf.sprintf "unknown experiment %S" id)))
       in

@@ -698,17 +698,12 @@ let guarded id f ctx =
       "\n[%s skipped: exploration stopped after interning %d states; \
        shrink the profile or raise the state bound]\n" id n
 
-let run_all ctx =
-  guarded "E1" e1_arrows ctx;
-  guarded "E2" e2_composed ctx;
-  guarded "E3" e3_expected ctx;
-  guarded "E4" e4_independence ctx;
-  guarded "E5" e5_invariant ctx;
-  guarded "E6" e6_baseline ctx;
-  guarded "E7" e7_scaling ctx;
-  guarded "E8" e8_lower_bound ctx;
-  guarded "E9" e9_election ctx;
-  guarded "E10" e10_topologies ctx;
-  guarded "E11" e11_shared_coin ctx;
-  guarded "E12" e12_consensus ctx;
-  guarded "E13" e13_faults ctx
+let experiments =
+  [ ("e1", e1_arrows); ("e2", e2_composed); ("e3", e3_expected);
+    ("e4", e4_independence); ("e5", e5_invariant); ("e6", e6_baseline);
+    ("e7", e7_scaling); ("e8", e8_lower_bound); ("e9", e9_election);
+    ("e10", e10_topologies); ("e11", e11_shared_coin);
+    ("e12", e12_consensus); ("e13", e13_faults) ]
+    |> List.map (fun (id, f) -> (id, guarded (String.uppercase_ascii id) f))
+
+let run_all ctx = List.iter (fun (_, f) -> f ctx) experiments

@@ -56,8 +56,6 @@ type report = {
    [Http.Conn]; connecting, writing and request rendering are
    [Http]'s. *)
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* A connection with a client-side receive timeout, so a daemon that
    (incorrectly) goes mute registers as a drop instead of hanging the
    harness. *)
@@ -151,7 +149,7 @@ let run_trickle url rng ~rounds t =
            Unix.sleepf (0.0005 *. float_of_int (Proba.Rng.int rng 4)))
         req;
       ignore (settle t ~drop_ok:false ~expect:expect_2xx c);
-      close_quietly c.fd
+      Http.close_quietly c.fd
   done
 
 let run_midbody_close url rng ~rounds t =
@@ -170,7 +168,7 @@ let run_midbody_close url rng ~rounds t =
          crash, never 2xx, never 5xx. *)
       Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
       ignore (settle t ~expect:expect_4xx c);
-      close_quietly c.fd
+      Http.close_quietly c.fd
   done
 
 let run_garbage url rng ~rounds t =
@@ -180,7 +178,7 @@ let run_garbage url rng ~rounds t =
     | Some c ->
       Http.write_all c.fd (garbage_line rng ^ "\r\n\r\n");
       ignore (settle t ~drop_ok:false ~expect:expect_4xx c);
-      close_quietly c.fd
+      Http.close_quietly c.fd
   done
 
 let run_oversize url _rng ~rounds t =
@@ -193,7 +191,7 @@ let run_oversize url _rng ~rounds t =
       Http.write_all c.fd
         (Printf.sprintf "GET /%s HTTP/1.1\r\n\r\n" (String.make 9000 'a'));
       ignore (settle t ~drop_ok:false ~expect:(expect_status 431) c);
-      close_quietly c.fd
+      Http.close_quietly c.fd
   done
 
 let run_idle_keepalive url ~idle_s ~rounds t =
@@ -210,7 +208,7 @@ let run_idle_keepalive url ~idle_s ~rounds t =
       Unix.sleepf idle_s;
       Http.write_all c.fd (Http.render_request url "/health");
       ignore (settle t ~expect:not_5xx c);
-      close_quietly c.fd
+      Http.close_quietly c.fd
   done
 
 (* Valid and garbage traffic interleaved from concurrent domains; all
@@ -240,7 +238,7 @@ let run_mixed url rng ~clients ~rounds t =
           Http.write_all c.fd (garbage_line rng ^ "\r\n\r\n");
           ignore (settle wt ~expect:expect_4xx c)
         end;
-        close_quietly c.fd
+        Http.close_quietly c.fd
     done;
     (wt, !bodies)
   in
@@ -320,7 +318,7 @@ let get url target =
       | `Response r -> Some r
       | `Eof | `Error _ -> None
     in
-    close_quietly c.fd;
+    Http.close_quietly c.fd;
     r
 
 let json_of (r : Http.response_msg) =

@@ -36,29 +36,14 @@ let port t = t.bound_port
 let service t = t.service
 
 (* ------------------------------------------------------------------ *)
-(* Writing. *)
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  (try
-     while !off < len do
-       let n = Unix.write_substring fd s !off (len - !off) in
-       if n = 0 then off := len else off := !off + n
-     done
-   with Unix.Unix_error _ -> ())
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* The per-connection keep-alive loop, run on a worker domain. *)
 
 let handle_conn service fd ~read_timeout ~write_timeout ~conn_deadline
     ~max_requests =
   (* SO_SNDTIMEO mirrors the read side: a peer that accepts our bytes
      arbitrarily slowly (a slow-reader/slowloris on the write path)
-     trips EAGAIN in [write_all], which abandons the response and winds
-     the connection down instead of pinning the worker. *)
+     trips EAGAIN in [Http.write_all], which abandons the response and
+     winds the connection down instead of pinning the worker. *)
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO write_timeout
    with Unix.Unix_error _ -> ());
   (* A read timeout (or any socket error) reads as end-of-input: clean
@@ -95,22 +80,22 @@ let handle_conn service fd ~read_timeout ~write_timeout ~conn_deadline
             (Protocol.error ~status:e.Http.status ~code:"SRV110"
                e.Http.reason)
         in
-        write_all fd
+        Http.write_all fd
           (Http.response ~keep_alive:false ~status:e.Http.status ~body ())
       | `Request req ->
         let keep = Http.keep_alive req && remaining > 1 in
         let reply = Service.respond service req in
-        write_all fd
+        Http.write_all fd
           (Http.response ~headers:reply.Service.headers ~keep_alive:keep
              ~status:reply.Service.status ~body:reply.Service.body ());
         if keep then serve (remaining - 1)
   in
   (try serve max_requests with _ -> ());
-  close_quietly fd
+  Http.close_quietly fd
 
 (* An accept-loop rejection: answered inline, never queued.  The
-   Retry-After is advisory backoff guidance; [Load]'s retry mode and
-   any compliant client honor it. *)
+   Retry-After is advisory backoff guidance, for any client that
+   honors it. *)
 let reject_overloaded service fd =
   Service.note_overload service;
   let body =
@@ -118,11 +103,11 @@ let reject_overloaded service fd =
       (Protocol.error ~status:503 ~code:"SRV111"
          "server overloaded; retry later")
   in
-  write_all fd
+  Http.write_all fd
     (Http.response
        ~headers:[ ("Retry-After", "1") ]
        ~keep_alive:false ~status:503 ~body ());
-  close_quietly fd
+  Http.close_quietly fd
 
 (* ------------------------------------------------------------------ *)
 (* The accept loop. *)
@@ -148,7 +133,7 @@ let accept_loop ~service ~pool ~lsock ~stop_r ~stopping ~accept_queue
                      handle_conn service fd ~read_timeout ~write_timeout
                        ~conn_deadline ~max_requests)
                in
-               if not accepted then close_quietly fd
+               if not accepted then Http.close_quietly fd
              end);
           loop ()
         end
@@ -156,7 +141,7 @@ let accept_loop ~service ~pool ~lsock ~stop_r ~stopping ~accept_queue
   loop ();
   (* Whatever ended the loop, let [run]'s poll loop see it. *)
   Atomic.set stopping true;
-  close_quietly lsock
+  Http.close_quietly lsock
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle. *)
@@ -216,7 +201,7 @@ let start config =
      Unix.bind lsock (Unix.ADDR_INET (resolve config.host, config.port));
      Unix.listen lsock 128
    with e ->
-     close_quietly lsock;
+     Http.close_quietly lsock;
      Parallel.Pool.shutdown pool;
      raise e);
   let bound_port =
@@ -251,8 +236,8 @@ let stop t =
 let wait t =
   Domain.join t.accept_domain;
   Parallel.Pool.shutdown t.pool;
-  close_quietly t.stop_r;
-  close_quietly t.stop_w
+  Http.close_quietly t.stop_r;
+  Http.close_quietly t.stop_w
 
 let run config =
   let t = start config in

@@ -124,6 +124,9 @@ val parse_url : string -> (url, string) result
     read that follows reports the broken connection). *)
 val write_all : Unix.file_descr -> string -> unit
 
+(** Close, ignoring the error of an already-broken descriptor. *)
+val close_quietly : Unix.file_descr -> unit
+
 (** Open a TCP connection to [url]'s host and port, with a reader over
     it.  [recv_timeout] (seconds) bounds each read, so a mute server
     reads as end of input.  Raises [Unix.Unix_error] when the
