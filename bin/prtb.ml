@@ -97,19 +97,14 @@ let experiments_cmd =
     match ids with
     | [] -> Ok (Experiments.Harness.run_all ctx)
     | ids ->
-      let rec go = function
-        | [] -> Ok ()
-        | id :: rest ->
-          (match
-             List.assoc_opt (String.lowercase_ascii id)
-               Experiments.Harness.experiments
-           with
-           | Some f ->
-             f ctx;
-             go rest
-           | None -> Error (`Msg (Printf.sprintf "unknown experiment %S" id)))
+      let find id =
+        List.assoc_opt (String.lowercase_ascii id)
+          Experiments.Harness.experiments
       in
-      go ids
+      (* An unknown id is a usage error before any experiment runs. *)
+      (match List.find_opt (fun id -> Option.is_none (find id)) ids with
+       | Some id -> Error (`Msg (Printf.sprintf "unknown experiment %S" id))
+       | None -> Ok (List.iter (fun id -> Option.get (find id) ctx) ids))
   in
   let term = Term.(term_result (const run $ profile $ only)) in
   Cmd.v

@@ -472,14 +472,17 @@ let params_json p =
    sets ([sets]); a ladder's rungs are named by their labels alone. *)
 let arrow_fields ~sets arrows composed =
   let arrow (a : _ Mdp.Checker.arrow) =
+    let named =
+      if sets then
+        [ ("pre", J.Str (Core.Pred.name a.pre));
+          ("post", J.Str (Core.Pred.name a.post)) ]
+      else []
+    in
     J.Obj
-      ((("label", J.Str a.label)
-        :: (if sets then
-              [ ("pre", J.Str (Core.Pred.name a.pre));
-                ("post", J.Str (Core.Pred.name a.post)) ]
-            else []))
+      ((("label", J.Str a.label) :: named)
        @ [ ("time", rat a.time); ("prob", rat a.prob);
-           ("attained", rat a.attained); ("holds", J.Bool (a.claim <> None)) ])
+           ("attained", rat a.attained);
+           ("holds", J.Bool (a.claim <> None)) ])
   in
   [ ("arrows", J.Arr (List.map arrow arrows));
     ("composed", composed_json composed) ]
@@ -666,7 +669,7 @@ let print_cert (cert : Sym.certificate option) =
       (List.length c.Sym.preds_checked)
       (if c.Sym.reduced then " (quotient exploration)" else "")
 
-(* The arrows one a line, then the composition.  A ladder's line is
+(* The arrows one per line, then the composition.  A ladder's line is
    [label attained (verdict)]; the ring's ([statements]) spells out
    each statement and follows the composed claim with its
    derivation. *)

@@ -311,7 +311,12 @@ let test_cli_refuses_out_of_range () =
   Alcotest.(check bool) "fails" true (code <> 0);
   Alcotest.(check bool) "not an uncaught exception" true (code <> 125);
   Alcotest.(check bool) (out ^ " names -n") true
-    (Astring.String.is_infix ~affix:"-n must be at least 2" out)
+    (Astring.String.is_infix ~affix:"-n must be at least 2" out);
+  (* An unknown experiment id is refused before any experiment runs. *)
+  let code, out = cli_failing "experiments --quick e2 e99" in
+  Alcotest.(check int) "unknown experiment: usage error" 124 code;
+  Alcotest.(check bool) (out ^ " ran nothing") false
+    (Astring.String.is_infix ~affix:"E2" out)
 
 (* The text report and the JSON lint report have no served twin to be
    compared against, so their bytes are pinned by digest: a rendering
