@@ -39,7 +39,7 @@ let init_pred inst =
 let decided_pred =
   Core.Pred.make "Decided" Automaton.some_decided
 
-let decision_arrow inst ~rounds ~prob : arrow =
+let decision_arrow inst ~rounds ~prob =
   Mdp.Checker.check_arrow inst.arena
     ~label:(Printf.sprintf "decide within %d round(s)" rounds)
     ~granularity:inst.params.Automaton.g ~schema:Core.Schema.unit_time

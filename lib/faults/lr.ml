@@ -138,7 +138,7 @@ let derive ?max_states config =
   in
   (* Two passes: learn the exact attained minimum, then certify the
      claim at exactly that bound (the "degraded" constant). *)
-  let tight ~label ~pre ~post ~time : arrow =
+  let tight ~label ~pre ~post ~time =
     let first = check ~label ~pre ~post ~time ~prob:Q.one in
     if first.claim <> None then first
     else check ~label ~pre ~post ~time ~prob:first.attained

@@ -29,17 +29,17 @@ type 's verdict =
       (** budget ran out and no fallback was supplied *)
 
 (** [check_arrow ~pa ~label ... ()] runs the ladder for [pre
-    -time->_prob post].  [fallback] receives the (partly consumed)
-    clock and should
-    run a budgeted simulation estimating the same reachability
-    probability.  Never raises on budget exhaustion. *)
+    -time->_prob post]; [label] names the checked arrow.  [fallback]
+    receives the (partly consumed) clock and should run a budgeted
+    simulation estimating the same reachability probability.  Never
+    raises on budget exhaustion. *)
 val check_arrow :
   ?budget:Core.Budget.t ->
   ?fallback:(Core.Budget.clock -> Sim.Monte_carlo.budgeted) ->
   pa:('s, 'a) Core.Pa.t -> is_tick:('a -> bool) -> label:string ->
-  granularity:int ->
-  schema:Core.Schema.t -> pre:'s Core.Pred.t -> post:'s Core.Pred.t ->
-  time:Proba.Rational.t -> prob:Proba.Rational.t -> unit -> 's verdict
+  granularity:int -> schema:Core.Schema.t -> pre:'s Core.Pred.t ->
+  post:'s Core.Pred.t -> time:Proba.Rational.t -> prob:Proba.Rational.t ->
+  unit -> 's verdict
 
 (** Human-readable rendering, naming the rung that answered. *)
 val pp_verdict : Format.formatter -> 's verdict -> unit

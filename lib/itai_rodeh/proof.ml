@@ -34,10 +34,10 @@ let arrows inst = List.map (rung inst) (downfrom inst.params.Automaton.n)
 
 (* Chain the rungs with Theorem 3.4; the first rung that does not hold
    is the error. *)
-let compose_arrows (arrows : arrow list) =
+let compose_arrows arrows =
   match
-    ( List.find_opt (fun (a : arrow) -> Option.is_none a.claim) arrows,
-      List.filter_map (fun (a : arrow) -> a.claim) arrows )
+    ( List.find_opt (fun a -> Option.is_none a.Mdp.Checker.claim) arrows,
+      List.filter_map (fun a -> a.Mdp.Checker.claim) arrows )
   with
   | Some a, _ ->
     Error

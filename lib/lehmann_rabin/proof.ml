@@ -89,10 +89,10 @@ let renamings_on arena ~g_pred =
    3.2, rename its sets with the verified inclusions, then chain with
    Theorem 3.4.  The first arrow that does not hold is the error, then
    the first inclusion that failed to verify. *)
-let compose_on arena ~g_pred ?renamings (arrows : arrow list) =
+let compose_on arena ~g_pred ?renamings arrows =
   match
-    ( List.find_opt (fun (a : arrow) -> Option.is_none a.claim) arrows,
-      List.filter_map (fun (a : arrow) -> a.claim) arrows )
+    ( List.find_opt (fun a -> Option.is_none a.Mdp.Checker.claim) arrows,
+      List.filter_map (fun a -> a.Mdp.Checker.claim) arrows )
   with
   | Some a, _ ->
     Error
