@@ -226,12 +226,12 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
   monotone "step_off" step_off num_steps;
   monotone "out_off" out_off (Array.length tgt);
   if Array.length prob_q <> Array.length tgt then
-    refuse "snapshot probability plane has %d entries for %d branches"
+    refuse "snapshot prob_q has %d entries for %d branches"
       (Array.length prob_q) (Array.length tgt);
   Array.iter
     (fun t ->
        if t < 0 || t >= n then
-         refuse "snapshot branch target %d out of range [0, %d)" t n)
+         refuse "snapshot tgt entry %d out of range [0, %d)" t n)
     tgt;
   List.iter
     (fun i ->
@@ -240,7 +240,7 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
     (Array.to_list starts);
   for i = expanded to n - 1 do
     if step_off.(i + 1) <> step_off.(i) then
-      refuse "snapshot frontier state %d has steps" i
+      refuse "snapshot step_off: frontier state %d has steps" i
   done;
   (* A reduced fragment interns orbit representatives; [index] lookups
      only resolve if the fragment carries the same canonicalizer the

@@ -341,6 +341,40 @@ let test_cli_bytes_pinned () =
       ("lint --format json", "d780930cc9183b0e94a1412b218cc9df");
       ("lint --format json --sym on", "3ab6ee6c16a8863bb52700ba5cd3b388") ]
 
+(* The files [compile] and [export-dot] write are pinned by digest too:
+   snapshot bytes carry the arena's CSR arrays, interned states and
+   fingerprint, so any change to exploration order or to how the
+   transition store is laid out shows here. *)
+let test_cli_files_pinned () =
+  let path = Filename.temp_file "prtb-pinned" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       List.iter
+         (fun (args, md5) ->
+            ignore (cli (args ^ " -o " ^ Filename.quote path));
+            Alcotest.(check string) ("prtb " ^ args) md5
+              (Digest.to_hex (Digest.file path)))
+         [ ("compile lr -n 3", "dd078ccd35640303c99bcb24fa29b29a");
+           ("compile lr -n 3 --sym on", "a1daaae1fca22fd00f2ef5097ce8b98e");
+           ("compile lr -n 3 --topology line",
+            "877bb2863eb3e234b4b2300b445cb93f");
+           ("compile lr -n 3 --topology star --sym on",
+            "bb283f991ead458da6c511b61101d628");
+           ("compile election -n 5", "1dd035b0e3cd2e22107c69b867c610b1");
+           ("compile election -n 6 --sym on",
+            "bd94af51c6fe92200818db15f208c4d9");
+           ("compile coin -n 2 --bound 2", "962a18fd51851797daed046f0a93bafd");
+           ("compile coin -n 3 --bound 3 --sym on",
+            "003dbe9ec8f326dab4cf3eb84c243565");
+           ("compile consensus --cap 2", "c14af5c21d659ad1f93c67449097c192");
+           ("compile consensus --cap 2 --sym on",
+            "636c755771c6035f6ab79b431c4bce9c");
+           ("export-dot coin -n 2 --bound 2",
+            "23ce5412ac62a181f49d1ae1e64815b8");
+           ("export-dot election -n 3", "d4234c463a4d8171cb8c8d023f52834d");
+           ("export-dot lr -n 2", "22803393e4cc7cc36f2e70e08d5a7811") ])
+
 (* A write that fails at run time is a refusal (exit 1) naming the
    file, and leaves no temp file behind; a mistyped flag is still a
    usage error (exit 124). *)
@@ -878,6 +912,8 @@ let () =
             test_cli_refuses_out_of_range;
           Alcotest.test_case "CLI text and lint bytes pinned" `Quick
             test_cli_bytes_pinned;
+          Alcotest.test_case "CLI snapshot and dot bytes pinned" `Quick
+            test_cli_files_pinned;
           Alcotest.test_case "CLI I/O failures exit 1" `Quick
             test_cli_io_failures_exit_1;
           Alcotest.test_case "lint served" `Quick test_lint_served;

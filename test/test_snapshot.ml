@@ -310,6 +310,53 @@ let test_refuse_fingerprint_mismatch () =
     refused "fingerprint mismatch" ~expect:"fingerprint"
       (Codec.encode sections)
 
+(* The structural refusals: a sealed container whose transition arrays
+   disagree.  The digest cannot catch these (the faulty bytes are
+   sealed as written), so the loader's own checks must, and each error
+   names the array and what is wrong with it. *)
+let with_section name edit =
+  match Codec.decode (Lazy.force small_snapshot) with
+  | Error e -> Alcotest.failf "decode of a good snapshot failed: %s" e
+  | Ok sections ->
+    Codec.encode
+      (List.map
+         (fun (what, payload) ->
+            if what = name then (what, edit payload) else (what, payload))
+         sections)
+
+let ints edit payload =
+  Codec.ints_to_string (edit (Result.get_ok (Codec.ints_of_string payload)))
+
+let test_refuse_structure () =
+  let n = Mdp.Arena.num_states (Models.lr ~n:3 ()).LR.Proof.arena in
+  List.iter
+    (fun (name, section, edit, array, cause) ->
+       let bytes = with_section section edit in
+       refused name ~expect:array bytes;
+       refused name ~expect:cause bytes)
+    [ ( "non-monotone out_off", "out_off",
+        ints (fun a ->
+            let a = Array.copy a in
+            a.(1) <- a.(2) + 1;
+            a),
+        "out_off", "not monotone" );
+      ( "target beyond the states", "tgt",
+        ints (fun a ->
+            let a = Array.copy a in
+            a.(0) <- n;
+            a),
+        "tgt", "out of range" );
+      ( "frontier state with steps", "counts",
+        ints (fun c -> [| c.(0); c.(0) - 1 |]),
+        "step_off", "frontier" );
+      ( "start index out of range", "starts", ints (fun _ -> [| n |]),
+        "start", "out of range" );
+      ( "prob_q one entry short", "prob_q",
+        (fun payload ->
+           let q = Result.get_ok (Codec.rats_of_string payload) in
+           Codec.rats_to_string (Array.sub q 0 (Array.length q - 1))),
+        "prob_q", "branches" ) ]
+
 (* A save that cannot land (here: the rename onto a directory) raises
    and takes its temp file with it. *)
 let test_save_failure_cleans_up () =
@@ -349,6 +396,8 @@ let () =
           Alcotest.test_case "one-byte tamper" `Quick test_refuse_tamper;
           Alcotest.test_case "fingerprint mismatch" `Quick
             test_refuse_fingerprint_mismatch;
+          Alcotest.test_case "inconsistent transition arrays" `Quick
+            test_refuse_structure;
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
           Alcotest.test_case "failed save leaves no temp file" `Quick
             test_save_failure_cleans_up ] )
