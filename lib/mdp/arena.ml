@@ -27,78 +27,13 @@ type ('s, 'a) t = {
 let compiles_counter = Atomic.make 0
 let compiles () = Atomic.get compiles_counter
 
-let compile ?is_tick expl =
-  Atomic.incr compiles_counter;
-  let n = Explore.num_states expl in
-  let num_steps = Explore.num_choices expl in
-  let num_branches = Explore.num_branches expl in
-  let step_off = Array.make (n + 1) 0 in
-  let out_off = Array.make (num_steps + 1) 0 in
-  let tgt = Array.make num_branches 0 in
-  let prob_q = Array.make num_branches Q.zero in
-  let prob_f = Array.make num_branches 0.0 in
-  let tick = Array.make num_steps false in
-  let actions_rev = ref [] in
-  let k = ref 0 in
-  let o = ref 0 in
-  for i = 0 to n - 1 do
-    Array.iter
-      (fun (step : _ Explore.step) ->
-         out_off.(!k) <- !o;
-         (match is_tick with
-          | Some f -> tick.(!k) <- f step.Explore.action
-          | None -> ());
-         actions_rev := step.Explore.action :: !actions_rev;
-         Array.iter
-           (fun (j, w) ->
-              tgt.(!o) <- j;
-              prob_q.(!o) <- w;
-              prob_f.(!o) <- Q.to_float w;
-              incr o)
-           step.Explore.outcomes;
-         incr k)
-      (Explore.steps expl i);
-    step_off.(i + 1) <- !k
-  done;
-  out_off.(num_steps) <- !o;
+(* The fragment's own CSR arrays, the tick mask and the float plane,
+   [Rational.to_float] of the exact plane, precomputed so float sweeps
+   never convert in the inner loop. *)
+let make ~tick expl =
+  let { Explore.step_off; out_off; tgt; prob_q; actions } = Explore.csr expl in
   { expl;
-    n;
-    expanded = Explore.num_expanded expl;
-    step_off;
-    out_off;
-    tgt;
-    prob_q;
-    prob_f;
-    tick;
-    actions = Array.of_list (List.rev !actions_rev);
-    interval = Atomic.make None;
-    fp = Atomic.make None;
-    zero_time = Atomic.make None;
-    passes = Atomic.make [] }
-
-let of_pa ?max_states ?is_tick pa =
-  compile ?is_tick (Explore.run ?max_states pa)
-
-(* Rehydration constructor for snapshot loading: adopts CSR arrays that
-   were produced by a previous [compile] instead of re-flattening the
-   fragment, so it does NOT bump [compiles_counter].  The float plane is
-   recomputed from the exact plane with the same [Q.to_float] as
-   [compile] (bit-identical: conversion is deterministic), so snapshots
-   never store derived planes.  Derived-plane memos start empty. *)
-let assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl =
-  let n = Explore.num_states expl in
-  if Array.length step_off <> n + 1 then
-    invalid_arg "Arena.assemble: step_off length mismatch";
-  let num_steps = Array.length tick in
-  if Array.length out_off <> num_steps + 1
-     || Array.length actions <> num_steps
-     || step_off.(n) <> num_steps then
-    invalid_arg "Arena.assemble: step count mismatch";
-  let num_branches = Array.length tgt in
-  if Array.length prob_q <> num_branches || out_off.(num_steps) <> num_branches
-  then invalid_arg "Arena.assemble: branch count mismatch";
-  { expl;
-    n;
+    n = Explore.num_states expl;
     expanded = Explore.num_expanded expl;
     step_off;
     out_off;
@@ -111,6 +46,30 @@ let assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl =
     fp = Atomic.make None;
     zero_time = Atomic.make None;
     passes = Atomic.make [] }
+
+let compile ?is_tick expl =
+  Atomic.incr compiles_counter;
+  let actions = (Explore.csr expl).Explore.actions in
+  let tick =
+    match is_tick with
+    | Some f -> Array.map f actions
+    | None -> Array.make (Array.length actions) false
+  in
+  make ~tick expl
+
+let of_pa ?max_states ?is_tick pa =
+  compile ?is_tick (Explore.run ?max_states pa)
+
+(* Rehydration constructor for snapshot loading: adopts a stored tick
+   mask instead of recomputing it from a predicate, so it does NOT bump
+   [compiles_counter].  The fragment ([Explore.of_parts]) has already
+   validated its CSR arrays. *)
+let assemble ~tick expl =
+  if Array.length tick <> Explore.num_choices expl then
+    invalid_arg
+      (Printf.sprintf "Arena.assemble: tick has %d entries for %d steps"
+         (Array.length tick) (Explore.num_choices expl));
+  make ~tick expl
 
 (* Derived planes are computed on demand and memoized with a CAS:
    worker domains sweeping one shared arena may race here, in which

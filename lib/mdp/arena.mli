@@ -1,12 +1,10 @@
 (** Compiled CSR (compressed-sparse-row) form of an explored fragment.
 
-    {!Explore.t} is the discovery structure: pointer-heavy
-    [step array array] rows of boxed [(index, rational)] tuples, built
-    incrementally by BFS.  Every engine question -- backward induction,
-    value iteration, qualitative fixpoints, SCCs, export
-    -- is a traversal of that same transition structure, so the arena
-    flattens it once into dense parallel arrays and every engine reads
-    the flat form:
+    Every engine question -- backward induction, value iteration,
+    qualitative fixpoints, SCCs, export -- is a traversal of the same
+    transition structure.  {!Explore} already records it as dense
+    parallel arrays ({!Explore.csr}); the arena shares those arrays,
+    adds what an engine needs besides, and every engine reads it:
 
     - [step_off.(i) .. step_off.(i+1) - 1] are the step indices of
       state [i] (CSR row pointers; length [num_states + 1]);
@@ -22,9 +20,10 @@
       signature;
     - [actions.(k)] is the original action of step [k].
 
-    Step and branch order is exactly the {!Explore} order, so
-    arithmetic performed in branch order is bit-identical to the
-    pre-compiled path.
+    [step_off], [out_off], [tgt], [prob_q] and [actions] are the
+    fragment's own arrays (physically shared, never copied), so step
+    and branch order is exactly the {!Explore} order.  Only the tick
+    mask and the float plane are built per compile.
 
     Budgeted partial fragments compile unchanged: frontier states
     (indices [>= num_expanded]) have empty step rows, which downstream
@@ -60,9 +59,10 @@ type ('s, 'a) t = private {
       (** memoized solved passes; use {!solved} *)
 }
 
-(** [compile ?is_tick expl] flattens a fragment.  Without [is_tick] the
-    tick mask is all-[false] (every step is zero-time), which is what
-    the untimed step-bounded engines use. *)
+(** [compile ?is_tick expl] shares the fragment's CSR arrays and adds
+    the tick mask and the float plane.  Without [is_tick] the tick mask
+    is all-[false] (every step is zero-time), which is what the untimed
+    step-bounded engines use. *)
 val compile : ?is_tick:('a -> bool) -> ('s, 'a) Explore.t -> ('s, 'a) t
 
 (** [of_pa ?max_states ?is_tick pa] = explore then compile. *)
@@ -70,24 +70,14 @@ val of_pa :
   ?max_states:int -> ?is_tick:('a -> bool) -> ('s, 'a) Core.Pa.t ->
   ('s, 'a) t
 
-(** [assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions expl]
-    rebuilds an arena from CSR arrays produced by a previous {!compile}
-    (an arena snapshot) without re-flattening the fragment; {!compiles}
-    is {e not} incremented.  The float plane is recomputed from
-    [prob_q] exactly as {!compile} does, so loaded arenas are
-    bit-identical to freshly compiled ones; derived-plane and
-    solved-pass memos start empty and fill on first use.  Raises
-    [Invalid_argument] when the array lengths are mutually
-    inconsistent. *)
-val assemble :
-  step_off:int array ->
-  out_off:int array ->
-  tgt:int array ->
-  prob_q:Proba.Rational.t array ->
-  tick:bool array ->
-  actions:'a array ->
-  ('s, 'a) Explore.t ->
-  ('s, 'a) t
+(** [assemble ~tick expl] is {!compile} with a stored tick mask (an
+    arena snapshot's) in place of a predicate; {!compiles} is {e not}
+    incremented.  The float plane is computed from the exact plane
+    exactly as {!compile} does, so loaded arenas are bit-identical to
+    freshly compiled ones; derived-plane and solved-pass memos start
+    empty and fill on first use.  Raises [Invalid_argument] unless
+    [tick] has one entry per step. *)
+val assemble : tick:bool array -> ('s, 'a) Explore.t -> ('s, 'a) t
 
 (** The outward-rounded interval plane as parallel [lo]/[hi] endpoint
     arrays in branch order: [lo.(o) <= prob_q.(o) <= hi.(o)] with

@@ -1,12 +1,18 @@
 exception Too_many_states of int
 
-type 'a step = { action : 'a; outcomes : (int * Proba.Rational.t) array }
+type 'a csr = {
+  step_off : int array;
+  out_off : int array;
+  tgt : int array;
+  prob_q : Proba.Rational.t array;
+  actions : 'a array;
+}
 
 type ('s, 'a) t = {
   pa : ('s, 'a) Core.Pa.t;
   states : 's array;
   table : ('s, int) Funtbl.t;
-  steps : 'a step array array;
+  csr : 'a csr;
   start_indices : int list;
   expanded : int;
   canon : ('s -> 's) option;  (** [Some] when the fragment is a quotient *)
@@ -40,11 +46,30 @@ let resolve table canon s ~found ~missed =
      | Some i -> found i
      | None -> missed (canon s))
 
+(* A growable array: [push] doubles the backing store when it is full,
+   and [trim] copies out the pushed prefix, once, when the BFS ends. *)
+type 'x buf = { mutable arr : 'x array; mutable len : int }
+
+let buf () = { arr = [||]; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.arr then begin
+    let arr = Array.make (Int.max 64 (2 * b.len)) x in
+    Array.blit b.arr 0 arr 0 b.len;
+    b.arr <- arr
+  end;
+  b.arr.(b.len) <- x;
+  b.len <- b.len + 1
+
+let trim b = Array.sub b.arr 0 b.len
+
 (* Shared BFS.  Interning order is FIFO visitation order, so states are
-   expanded in index order and an incomplete run's frontier is exactly
-   the index suffix [expanded ..].  [stop] is consulted before each
-   expansion; [hard_max] reproduces the legacy contract of {!run}
-   (raise the moment a state beyond the bound would be interned). *)
+   expanded in index order (the next one to expand is
+   [states.arr.(expanded)]), an incomplete run's frontier is exactly
+   the index suffix [expanded ..], and each expansion appends one CSR
+   row.  [stop] is consulted before each expansion; [hard_max]
+   reproduces the legacy contract of {!run} (raise the moment a state
+   beyond the bound would be interned). *)
 let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
     ?(on_intern = fun _ _ -> ()) m =
   Atomic.incr explorations_counter;
@@ -52,9 +77,7 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
     Funtbl.create ~equal:(Core.Pa.equal_state m) ~hash:(Core.Pa.hash_state m)
       1024
   in
-  let states = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
+  let states = buf () in
   (* Interning the canonical form is the whole of orbit reduction:
      every state of an orbit interns to its representative's index, so
      the BFS explores the quotient MDP and everything downstream (arena
@@ -64,77 +87,67 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
   let add s =
     Funtbl.find_or_add table s (fun () ->
         (match hard_max with
-         | Some bound when !count >= bound -> raise (Too_many_states bound)
+         | Some bound when states.len >= bound -> raise (Too_many_states bound)
          | Some _ | None -> ());
-        let i = !count in
-        incr count;
-        states := s :: !states;
-        Queue.add s queue;
+        let i = states.len in
+        push states s;
         on_intern i s;
         i)
   in
   let intern s = resolve table canon s ~found:Fun.id ~missed:add in
   let start_indices = List.map intern (Core.Pa.start m) in
-  let steps_acc = ref [] in
+  let step_off = buf () and out_off = buf () and tgt = buf () in
+  let prob_q = buf () and actions = buf () in
+  push step_off 0;
+  push out_off 0;
+  (* The branch from [o] on that targets [j].  Distinct support states
+     can intern to one index when the PA's state equality is coarser
+     than the equality the distribution was merged under; they are
+     coalesced into the step's first branch to [j] (keeping
+     first-occurrence order) so no downstream sweep pays for split
+     masses. *)
+  let rec branch_of j o =
+    if o = tgt.len then None
+    else if tgt.arr.(o) = j then Some o
+    else branch_of j (o + 1)
+  in
   let expanded = ref 0 in
   let stopped = ref None in
-  while !stopped = None && not (Queue.is_empty queue) do
+  while !stopped = None && !expanded < states.len do
     Core.Budget.poll ();
-    match stop ~interned:!count with
+    match stop ~interned:states.len with
     | Some _ as reason -> stopped := reason
     | None ->
-      let s = Queue.take queue in
-      let steps =
-        List.map
-          (fun step ->
-             let outcomes =
-               List.map
-                 (fun (target, w) -> (intern target, w))
-                 (Proba.Dist.support step.Core.Pa.dist)
-             in
-             (* Distinct support states can intern to one index when the
-                PA's state equality is coarser than the equality the
-                distribution was merged under; coalesce them (keeping
-                first-occurrence order) so no downstream sweep pays for
-                split masses. *)
-             let rec coalesce acc = function
-               | [] -> List.rev acc
-               | (i, w) :: rest ->
-                 let same, rest =
-                   List.partition (fun (j, _) -> j = i) rest
-                 in
-                 let w =
-                   List.fold_left
-                     (fun w (_, w') -> Proba.Rational.add w w')
-                     w same
-                 in
-                 coalesce ((i, w) :: acc) rest
-             in
-             let outcomes = coalesce [] outcomes in
-             { action = step.Core.Pa.action;
-               outcomes = Array.of_list outcomes })
-          (Core.Pa.enabled m s)
-      in
-      steps_acc := Array.of_list steps :: !steps_acc;
+      List.iter
+        (fun step ->
+           let first = tgt.len in
+           List.iter
+             (fun (target, w) ->
+                let j = intern target in
+                match branch_of j first with
+                | Some o ->
+                  prob_q.arr.(o) <- Proba.Rational.add prob_q.arr.(o) w
+                | None ->
+                  push tgt j;
+                  push prob_q w)
+             (Proba.Dist.support step.Core.Pa.dist);
+           push actions step.Core.Pa.action;
+           push out_off tgt.len)
+        (Core.Pa.enabled m states.arr.(!expanded));
+      push step_off actions.len;
       incr expanded
   done;
-  let n = !count in
-  let states_arr =
-    match !states with
-    | [] -> [||]
-    | witness :: _ ->
-      let arr = Array.make n witness in
-      List.iteri (fun k s -> arr.(n - 1 - k) <- s) !states;
-      arr
-  in
-  (* Frontier states (indices >= expanded) keep the empty step array:
+  (* Frontier states (indices >= expanded) get empty step rows:
      downstream analyses treat them as stuck, which under-approximates
      reachability -- the sound direction for min-reach lower bounds. *)
-  let steps_arr = Array.make n [||] in
-  List.iteri
-    (fun k st -> steps_arr.(!expanded - 1 - k) <- st)
-    !steps_acc;
-  ( { pa = m; states = states_arr; table; steps = steps_arr; start_indices;
+  for _ = !expanded + 1 to states.len do
+    push step_off actions.len
+  done;
+  let csr =
+    { step_off = trim step_off; out_off = trim out_off; tgt = trim tgt;
+      prob_q = trim prob_q; actions = trim actions }
+  in
+  ( { pa = m; states = trim states; table; csr; start_indices;
       expanded = !expanded; canon },
     !stopped )
 
@@ -145,25 +158,52 @@ let run ?(max_states = 5_000_000) ?canon ?on_intern m =
 (* Rehydration constructor for snapshot loading: rebuilds the intern
    table from the state array instead of re-running the BFS, so it does
    NOT bump [explorations_counter] -- that is the whole point of
-   snapshots, and the CI smoke asserts the counter stays at zero. *)
-let of_parts ?canon ~pa ~states ~steps ~start_indices
-    ~expanded () =
+   snapshots, and the CI smoke asserts the counter stays at zero.  The
+   one validator of the CSR format: every error names the array. *)
+let of_parts ?canon ~pa ~states ~csr ~start_indices ~expanded () =
+  let invalid fmt =
+    Printf.ksprintf (fun s -> invalid_arg ("Explore.of_parts: " ^ s)) fmt
+  in
   let n = Array.length states in
-  if Array.length steps <> n then
-    invalid_arg "Explore.of_parts: steps/states length mismatch";
+  let { step_off; out_off; tgt; prob_q; actions } = csr in
   if expanded < 0 || expanded > n then
-    invalid_arg "Explore.of_parts: expanded out of range";
+    invalid "expanded %d out of range [0, %d]" expanded n;
+  (* Row pointers: [len] entries rising from 0 to [last]. *)
+  let offsets what arr ~len ~last =
+    if Array.length arr <> len then
+      invalid "%s has %d entries, expected %d" what (Array.length arr) len;
+    if arr.(0) <> 0 then invalid "%s does not start at 0" what;
+    for i = 0 to len - 2 do
+      if arr.(i + 1) < arr.(i) then invalid "%s is not monotone at %d" what i
+    done;
+    if arr.(len - 1) <> last then
+      invalid "%s ends at %d, expected %d" what arr.(len - 1) last
+  in
+  offsets "step_off" step_off ~len:(n + 1) ~last:(Array.length actions);
+  offsets "out_off" out_off
+    ~len:(Array.length actions + 1)
+    ~last:(Array.length tgt);
+  if Array.length prob_q <> Array.length tgt then
+    invalid "prob_q has %d entries for %d branches" (Array.length prob_q)
+      (Array.length tgt);
+  Array.iter
+    (fun t -> if t < 0 || t >= n then
+        invalid "tgt entry %d out of range [0, %d)" t n)
+    tgt;
+  List.iter
+    (fun i -> if i < 0 || i >= n then
+        invalid "start index %d out of range [0, %d)" i n)
+    start_indices;
+  for i = expanded to n - 1 do
+    if step_off.(i + 1) <> step_off.(i) then
+      invalid "step_off: frontier state %d has steps" i
+  done;
   let table =
     Funtbl.create ~equal:(Core.Pa.equal_state pa) ~hash:(Core.Pa.hash_state pa)
       (max 16 (2 * n))
   in
   Array.iteri (fun i s -> Funtbl.add table s i) states;
-  List.iter
-    (fun i ->
-       if i < 0 || i >= n then
-         invalid_arg "Explore.of_parts: start index out of range")
-    start_indices;
-  { pa; states; table; steps; start_indices; expanded; canon }
+  { pa; states; table; csr; start_indices; expanded; canon }
 
 let run_budgeted ?(budget = Core.Budget.unlimited) ?clock ?canon m =
   let clock =
@@ -182,20 +222,14 @@ let num_expanded e = e.expanded
 let is_expanded e i = i < e.expanded
 let is_complete e = e.expanded = Array.length e.states
 
-let num_choices e =
-  Array.fold_left (fun acc st -> acc + Array.length st) 0 e.steps
-
-let num_branches e =
-  Array.fold_left
-    (fun acc st ->
-       Array.fold_left (fun acc s -> acc + Array.length s.outcomes) acc st)
-    0 e.steps
+let num_choices e = Array.length e.csr.actions
+let num_branches e = Array.length e.csr.tgt
 
 let state e i = e.states.(i)
 let index e s =
   resolve e.table e.canon s ~found:Option.some ~missed:(Funtbl.find e.table)
 let start_indices e = e.start_indices
-let steps e i = e.steps.(i)
+let csr e = e.csr
 
 let states_where e pred =
   let acc = ref [] in

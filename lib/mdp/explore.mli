@@ -1,17 +1,35 @@
 (** Explicit-state exploration of a probabilistic automaton.
 
-    Breadth-first enumeration of the reachable states, producing a
-    compact indexed representation of the underlying MDP: the
-    nondeterministic choices at each state become the MDP's actions and
-    the probabilistic branches its transition distributions.  All
-    downstream analyses (finite-horizon backward induction, expected
-    time, qualitative reachability) work on this representation. *)
+    Breadth-first enumeration of the reachable states, producing the
+    underlying MDP in indexed form: the nondeterministic choices at
+    each state become the MDP's actions and the probabilistic branches
+    its transition distributions.  The BFS appends each expanded
+    state's steps straight into CSR (compressed sparse row) arrays,
+    {!csr}, which {!Arena.compile} shares rather than copies; every
+    downstream analysis reads them through the arena. *)
 
 exception Too_many_states of int
 
-(** One explored step: the original action, and the outcome distribution
-    as pairs of (state index, probability). *)
-type 'a step = { action : 'a; outcomes : (int * Proba.Rational.t) array }
+(** A fragment's transitions, in index order:
+
+    - [step_off.(i) .. step_off.(i+1) - 1] are the step indices of
+      state [i] (length [num_states + 1]; frontier rows are empty);
+    - [out_off.(k) .. out_off.(k+1) - 1] are the branch indices of
+      step [k] (length [num_choices + 1]);
+    - [tgt.(o)] and [prob_q.(o)] are the target state and exact
+      probability of branch [o] (length [num_branches]);
+    - [actions.(k)] is the original action of step [k].
+
+    A step's branches follow its distribution's support order, with
+    targets that intern to one index coalesced into the first one's
+    branch. *)
+type 'a csr = {
+  step_off : int array;
+  out_off : int array;
+  tgt : int array;
+  prob_q : Proba.Rational.t array;
+  actions : 'a array;
+}
 
 type ('s, 'a) t
 
@@ -71,20 +89,21 @@ val run_budgeted :
   ?budget:Core.Budget.t -> ?clock:Core.Budget.clock -> ?canon:('s -> 's) ->
   ('s, 'a) Core.Pa.t -> ('s, 'a) partial
 
-(** [of_parts ~pa ~states ~steps ~start_indices ~expanded ()] rebuilds a
+(** [of_parts ~pa ~states ~csr ~start_indices ~expanded ()] rebuilds a
     fragment from previously-explored parts (an arena snapshot) without
     re-running the BFS: the intern table is reconstructed from [states]
     in index order and {!explorations} is {e not} incremented.  [canon]
     must be the same canonicalizer the original exploration used (or
     omitted when it was the identity); as with {!run}, passing a
     different one silently changes which states {!index} resolves.
-    Raises [Invalid_argument] when array lengths or index ranges are
-    inconsistent. *)
+    The one validator of the {!csr} format: raises [Invalid_argument],
+    naming the array, when a length, an offset or an index is
+    inconsistent, or when a frontier state has steps. *)
 val of_parts :
   ?canon:('s -> 's) ->
   pa:('s, 'a) Core.Pa.t ->
   states:'s array ->
-  steps:'a step array array ->
+  csr:'a csr ->
   start_indices:int list ->
   expanded:int ->
   unit ->
@@ -121,8 +140,8 @@ val index : ('s, 'a) t -> 's -> int option
 (** Indices of the start states. *)
 val start_indices : ('s, 'a) t -> int list
 
-(** [steps expl i] are the enabled steps of state [i]. *)
-val steps : ('s, 'a) t -> int -> 'a step array
+(** The fragment's transitions; {!Arena.compile} shares these arrays. *)
+val csr : ('s, 'a) t -> 'a csr
 
 (** [states_where expl pred] lists the indices satisfying a predicate. *)
 val states_where : ('s, 'a) t -> ('s -> bool) -> int list

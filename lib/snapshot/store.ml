@@ -172,10 +172,10 @@ let unmarshal : type v. (string * string) list -> string -> v =
     refuse "snapshot section %S: undecodable blob" name
 
 (* Rebuild fragment + arena from the sections, under the current model
-   code ([pa], [spec]), validating every index before [Explore.of_parts]
-   and [Arena.assemble] see it.  The result must re-fingerprint to the
-   stored digest or the snapshot is stale (model code changed since it
-   was compiled) and is refused. *)
+   code ([pa], [spec]): [Explore.of_parts] validates the CSR arrays and
+   [Arena.assemble] the tick mask.  The result must re-fingerprint to
+   the stored digest or the snapshot is stale (model code changed since
+   it was compiled) and is refused. *)
 let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
     ~(spec : (s, a) Sym.spec) sections :
   (s, a) Mdp.Arena.t * Sym.certificate option =
@@ -183,10 +183,6 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
   if Array.length counts <> 2 then
     refuse "snapshot section \"counts\": expected 2 integers, found %d"
       (Array.length counts);
-  let n = counts.(0) and expanded = counts.(1) in
-  if n < 0 || expanded < 0 || expanded > n then
-    refuse "snapshot counts out of range (states %d, expanded %d)" n
-      expanded;
   let starts = parsed Codec.ints_of_string sections "starts" in
   let step_off = parsed Codec.ints_of_string sections "step_off" in
   let out_off = parsed Codec.ints_of_string sections "out_off" in
@@ -200,48 +196,9 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
     | "" -> None
     | _ -> Some (unmarshal sections "sym")
   in
-  if Array.length states <> n then
+  if Array.length states <> counts.(0) then
     refuse "snapshot states array has %d entries, counts say %d"
-      (Array.length states) n;
-  let num_steps = Array.length tick in
-  if Array.length step_off <> n + 1 then
-    refuse "snapshot step_off has %d entries for %d states"
-      (Array.length step_off) n;
-  if Array.length out_off <> num_steps + 1
-     || Array.length actions <> num_steps then
-    refuse "snapshot step arrays disagree (%d ticks, %d out_off, %d \
-            actions)"
-      num_steps (Array.length out_off) (Array.length actions);
-  let monotone what arr limit =
-    if arr.(0) <> 0 then refuse "snapshot %s does not start at 0" what;
-    for i = 0 to Array.length arr - 2 do
-      if arr.(i + 1) < arr.(i) then
-        refuse "snapshot %s is not monotone at %d" what i
-    done;
-    if arr.(Array.length arr - 1) <> limit then
-      refuse "snapshot %s ends at %d, expected %d" what
-        (arr.(Array.length arr - 1))
-        limit
-  in
-  monotone "step_off" step_off num_steps;
-  monotone "out_off" out_off (Array.length tgt);
-  if Array.length prob_q <> Array.length tgt then
-    refuse "snapshot prob_q has %d entries for %d branches"
-      (Array.length prob_q) (Array.length tgt);
-  Array.iter
-    (fun t ->
-       if t < 0 || t >= n then
-         refuse "snapshot tgt entry %d out of range [0, %d)" t n)
-    tgt;
-  List.iter
-    (fun i ->
-       if i < 0 || i >= n then
-         refuse "snapshot start index %d out of range [0, %d)" i n)
-    (Array.to_list starts);
-  for i = expanded to n - 1 do
-    if step_off.(i + 1) <> step_off.(i) then
-      refuse "snapshot step_off: frontier state %d has steps" i
-  done;
+      (Array.length states) counts.(0);
   (* A reduced fragment interns orbit representatives; [index] lookups
      only resolve if the fragment carries the same canonicalizer the
      original exploration used. *)
@@ -251,30 +208,15 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
       Some (Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec)
     | Some _ | None -> None
   in
-  let steps =
-    Array.init n (fun i ->
-        Array.init
-          (step_off.(i + 1) - step_off.(i))
-          (fun j ->
-             let s = step_off.(i) + j in
-             { Mdp.Explore.action = actions.(s);
-               outcomes =
-                 Array.init
-                   (out_off.(s + 1) - out_off.(s))
-                   (fun o ->
-                      let b = out_off.(s) + o in
-                      (tgt.(b), prob_q.(b))) }))
-  in
   let expl =
     try
-      Mdp.Explore.of_parts ?canon ~pa ~states ~steps
-        ~start_indices:(Array.to_list starts) ~expanded ()
+      Mdp.Explore.of_parts ?canon ~pa ~states
+        ~csr:{ Mdp.Explore.step_off; out_off; tgt; prob_q; actions }
+        ~start_indices:(Array.to_list starts) ~expanded:counts.(1) ()
     with Invalid_argument msg -> refuse "snapshot fragment: %s" msg
   in
   let arena =
-    try
-      Mdp.Arena.assemble ~step_off ~out_off ~tgt ~prob_q ~tick ~actions
-        expl
+    try Mdp.Arena.assemble ~tick expl
     with Invalid_argument msg -> refuse "snapshot arena: %s" msg
   in
   let stored_fp = section sections "fingerprint" in

@@ -1,7 +1,7 @@
 (* Differential tests for the compiled arena: every engine result must
    be identical -- structurally equal rationals, bit-identical floats
-   -- to the pre-refactor path that walked [Explore.step] records with
-   an [~is_tick] closure.  The [Legacy] module below is that path,
+   -- to the pre-refactor path that walked boxed step records (now
+   rebuilt by [Test_support.Rows]) with an [~is_tick] closure.  The [Legacy] module below is that path,
    copied verbatim from the tree as it stood before the arena landed,
    so any divergence introduced by the CSR compilation or by the
    engines' new inner loops fails here first. *)
@@ -24,6 +24,7 @@ let placed helper f =
 
 module Legacy = struct
   module Explore = Mdp.Explore
+  module Rows = Test_support.Rows
 
   exception No_convergence of string
 
@@ -69,11 +70,11 @@ module Legacy = struct
         steps.(i) <-
           Array.map
             (fun s ->
-               ( is_tick s.Explore.action,
+               ( is_tick s.Rows.action,
                  Array.map
                    (fun (j, w) -> (j, N.of_rational w))
-                   s.Explore.outcomes ))
-            (Explore.steps expl i)
+                   s.Rows.outcomes ))
+            (Rows.steps expl i)
       done;
       { n; target; steps }
 
@@ -250,12 +251,12 @@ module Legacy = struct
       changed := false;
       for i = 0 to n - 1 do
         if s.(i) then begin
-          let steps = Explore.steps expl i in
+          let steps = Rows.steps expl i in
           let ok =
             Array.length steps = 0
             || Array.exists
                  (fun step ->
-                    Array.for_all (fun (j, _) -> s.(j)) step.Explore.outcomes)
+                    Array.for_all (fun (j, _) -> s.(j)) step.Rows.outcomes)
                  steps
           in
           if not ok then begin
@@ -277,11 +278,11 @@ module Legacy = struct
       changed := false;
       for i = 0 to n - 1 do
         if (not bad.(i)) && avoid.(i) then begin
-          let steps = Explore.steps expl i in
+          let steps = Rows.steps expl i in
           let reaches_bad =
             Array.exists
               (fun step ->
-                 Array.exists (fun (j, _) -> bad.(j)) step.Explore.outcomes)
+                 Array.exists (fun (j, _) -> bad.(j)) step.Rows.outcomes)
               steps
           in
           if reaches_bad then begin
@@ -306,13 +307,13 @@ module Legacy = struct
     if target.(i) then 0.0
     else if not finite.(i) then infinity
     else begin
-      let steps = Explore.steps expl i in
+      let steps = Rows.steps expl i in
       if Array.length steps = 0 then infinity
       else
         Array.fold_left
           (fun acc step ->
-             let cost = if is_tick step.Explore.action then 1.0 else 0.0 in
-             let e = cost +. et_expectation v step.Explore.outcomes in
+             let cost = if is_tick step.Rows.action then 1.0 else 0.0 in
+             let e = cost +. et_expectation v step.Rows.outcomes in
              match acc with
              | None -> Some e
              | Some cur -> Some (best cur e))
@@ -331,7 +332,7 @@ module Legacy = struct
       let delta = ref 0.0 in
       for i = 0 to n - 1 do
         if (not target.(i)) && finite.(i) then begin
-          let steps = Explore.steps expl i in
+          let steps = Rows.steps expl i in
           if Array.length steps > 0 then begin
             let fresh =
               state_value expl ~is_tick ~finite ~target ~best v i
@@ -370,16 +371,16 @@ module Legacy = struct
       Array.init n (fun i ->
           if target.(i) || not finite.(i) then -1
           else begin
-            let steps = Explore.steps expl i in
+            let steps = Rows.steps expl i in
             if Array.length steps = 0 then -1
             else begin
               let best_k = ref 0 and best_v = ref neg_infinity in
               Array.iteri
                 (fun k step ->
                    let cost =
-                     if is_tick step.Explore.action then 1.0 else 0.0
+                     if is_tick step.Rows.action then 1.0 else 0.0
                    in
-                   let e = cost +. et_expectation v step.Explore.outcomes in
+                   let e = cost +. et_expectation v step.Rows.outcomes in
                    if e > !best_v then begin
                      best_v := e;
                      best_k := k
@@ -653,10 +654,10 @@ let test_arena_structure () =
        Alcotest.(check int) (f.name ^ " num_branches")
          (Mdp.Explore.num_branches f.expl)
          (Mdp.Arena.num_branches a);
-       (* Step rows mirror [Explore.steps] in order, content, tick
+       (* Step rows mirror [Test_support.Rows.steps] in order, content, tick
           classification, and both probability planes. *)
        for i = 0 to n - 1 do
-         let steps = Mdp.Explore.steps f.expl i in
+         let steps = Test_support.Rows.steps f.expl i in
          Alcotest.(check int)
            (Printf.sprintf "%s steps at %d" f.name i)
            (Array.length steps)
@@ -667,7 +668,7 @@ let test_arena_structure () =
               let kk = lo + k in
               if
                 not
-                  (f.is_tick step.Mdp.Explore.action
+                  (f.is_tick step.Test_support.Rows.action
                    = Mdp.Arena.is_tick_step a ~step:kk)
               then Alcotest.failf "%s: tick mask differs at %d/%d" f.name i k;
               let olo = a.Mdp.Arena.out_off.(kk) in
@@ -680,10 +681,25 @@ let test_arena_structure () =
                      Alcotest.failf "%s: exact plane differs" f.name;
                    if not (Float.equal a.Mdp.Arena.prob_f.(o) (Q.to_float w))
                    then Alcotest.failf "%s: float plane differs" f.name)
-                step.Mdp.Explore.outcomes)
+                step.Test_support.Rows.outcomes)
            steps
        done)
     (Lazy.force fixtures)
+
+(* [compile] shares the fragment's transition arrays rather than
+   copying them: two arenas of one fragment hold the very same arrays,
+   whatever their tick masks. *)
+let test_compile_shares_csr () =
+  let expl = Mdp.Explore.run (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 }) in
+  let a = Mdp.Arena.compile ~is_tick:LR.Automaton.is_tick expl in
+  let b = Mdp.Arena.compile expl in
+  List.iter
+    (fun (name, same) -> Alcotest.(check bool) (name ^ " shared") true same)
+    [ ("step_off", a.Mdp.Arena.step_off == b.Mdp.Arena.step_off);
+      ("out_off", a.Mdp.Arena.out_off == b.Mdp.Arena.out_off);
+      ("tgt", a.Mdp.Arena.tgt == b.Mdp.Arena.tgt);
+      ("prob_q", a.Mdp.Arena.prob_q == b.Mdp.Arena.prob_q);
+      ("actions", a.Mdp.Arena.actions == b.Mdp.Arena.actions) ]
 
 (* ------------------------------------------------------------------ *)
 (* Mdp.Funtbl.find_or_add *)
@@ -1271,7 +1287,9 @@ let () =
             test_zeno_definition ] );
       ( "structure",
         [ Alcotest.test_case "CSR mirrors the fragment" `Quick
-            test_arena_structure ] );
+            test_arena_structure;
+          Alcotest.test_case "compile shares the fragment's arrays" `Quick
+            test_compile_shares_csr ] );
       ( "funtbl",
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",

@@ -193,8 +193,8 @@ let test_inject_merges_pa_equal_outcomes () =
   (* Through exploration of the bare base automaton. *)
   let expl = Mdp.Explore.run base in
   Alcotest.(check int) "two interned states" 2 (Mdp.Explore.num_states expl);
-  (match Mdp.Explore.steps expl 0 with
-   | [| { Mdp.Explore.outcomes = [| (_, weight) |]; _ } |] ->
+  (match Test_support.Rows.steps expl 0 with
+   | [| { Test_support.Rows.outcomes = [| (_, weight) |]; _ } |] ->
      Alcotest.(check bool) "full mass on one branch" true
        (Q.equal Q.one weight)
    | _ -> Alcotest.fail "explore should coalesce the split outcomes")

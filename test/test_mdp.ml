@@ -188,9 +188,9 @@ let test_fh_walker_policy () =
   (* With budget remaining, the minimizing adversary delays: it picks
      the tick step at the start state. *)
   let step_idx = policy.(2).(start_i) in
-  let steps = Mdp.Explore.steps walker_expl start_i in
+  let steps = Test_support.Rows.steps walker_expl start_i in
   Alcotest.(check bool) "delays via tick" true
-    (Test_support.Toys.Walker.is_tick steps.(step_idx).Mdp.Explore.action);
+    (Test_support.Toys.Walker.is_tick steps.(step_idx).Test_support.Rows.action);
   (* Target states carry no decision. *)
   let done_i = Option.get (Mdp.Explore.index walker_expl Test_support.Toys.Walker.Done) in
   Alcotest.(check int) "target has no step" (-1) (policy.(2).(done_i))
@@ -399,10 +399,7 @@ let test_passes_keyed_exactly () =
   Alcotest.(check int) "three questions stored" 3
     (List.length (Atomic.get a.Mdp.Arena.passes));
   let b =
-    Mdp.Arena.assemble ~step_off:a.Mdp.Arena.step_off
-      ~out_off:a.Mdp.Arena.out_off ~tgt:a.Mdp.Arena.tgt
-      ~prob_q:a.Mdp.Arena.prob_q ~tick:a.Mdp.Arena.tick
-      ~actions:a.Mdp.Arena.actions walker_expl
+    Mdp.Arena.assemble ~tick:a.Mdp.Arena.tick walker_expl
   in
   Alcotest.(check int) "assemble starts empty" 0
     (List.length (Atomic.get b.Mdp.Arena.passes))
@@ -456,10 +453,10 @@ let test_expected_policy () =
   in
   Alcotest.(check (float 1e-9)) "value 2" 2.0 values.(start_i);
   (* The maximizing adversary delays: picks the tick step at start. *)
-  let steps = Mdp.Explore.steps walker_expl start_i in
+  let steps = Test_support.Rows.steps walker_expl start_i in
   Alcotest.(check bool) "delays" true
     (Test_support.Toys.Walker.is_tick
-       steps.(policy.(start_i)).Mdp.Explore.action);
+       steps.(policy.(start_i)).Test_support.Rows.action);
   let done_i =
     Option.get (Mdp.Explore.index walker_expl Test_support.Toys.Walker.Done)
   in

@@ -343,7 +343,7 @@ end
 module Reference_bfs = struct
   module Funtbl = Mdp.Funtbl
 
-  type 'a step = 'a Mdp.Explore.step = {
+  type 'a step = 'a Test_support.Rows.step = {
     action : 'a;
     outcomes : (int * Proba.Rational.t) array;
   }
@@ -760,13 +760,15 @@ let test_streamed_broken () =
    and unreduced, complete and budgeted.  The reduced runs count the
    canonicalizer's calls on both sides. *)
 
-let same_steps (a : _ Mdp.Explore.step array) (b : _ Mdp.Explore.step array) =
-  let same_step (x : _ Mdp.Explore.step) (y : _ Mdp.Explore.step) =
-    x.Mdp.Explore.action = y.Mdp.Explore.action
-    && Array.length x.Mdp.Explore.outcomes = Array.length y.Mdp.Explore.outcomes
+let same_steps (a : _ Test_support.Rows.step array)
+    (b : _ Test_support.Rows.step array) =
+  let same_step (x : _ Test_support.Rows.step) (y : _ Test_support.Rows.step) =
+    x.Test_support.Rows.action = y.Test_support.Rows.action
+    && Array.length x.Test_support.Rows.outcomes
+       = Array.length y.Test_support.Rows.outcomes
     && Array.for_all2
          (fun (j, w) (j', w') -> j = j' && Q.equal w w')
-         x.Mdp.Explore.outcomes y.Mdp.Explore.outcomes
+         x.Test_support.Rows.outcomes y.Test_support.Rows.outcomes
   in
   Array.length a = Array.length b && Array.for_all2 same_step a b
 
@@ -817,7 +819,7 @@ let same_exploration name ?budget pa spec ~reduced =
     (fun i s ->
        if not (s = Mdp.Explore.state expl i) then
          Alcotest.failf "%s: state %d differs" name i;
-       if not (same_steps steps.(i) (Mdp.Explore.steps expl i)) then
+       if not (same_steps steps.(i) (Test_support.Rows.steps expl i)) then
          Alcotest.failf "%s: steps of state %d differ" name i;
        match Mdp.Explore.index expl s with
        | Some j when j = i -> ()
@@ -1075,7 +1077,7 @@ let same_quotient name pa ~declared ~generating =
   for i = 0 to n - 1 do
     if not (Mdp.Explore.state e0 i = Mdp.Explore.state e1 i) then
       Alcotest.failf "%s: state %d differs" name i;
-    if not (same_steps (Mdp.Explore.steps e0 i) (Mdp.Explore.steps e1 i)) then
+    if not (same_steps (Test_support.Rows.steps e0 i) (Test_support.Rows.steps e1 i)) then
       Alcotest.failf "%s: steps of state %d differ" name i
   done;
   Alcotest.(check int) (name ^ ": states checked") c0.Sym.states_checked
