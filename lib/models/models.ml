@@ -223,7 +223,8 @@ let fingerprint inst =
    matter how many surfaces touch it.
 
    The registry is domain-safe: [prtb serve] workers hit it
-   concurrently.  One mutex guards the table and counters; builds run
+   concurrently.  One mutex guards [building] and [builds] (the table
+   is a [Parallel.Cache] with its own lock, taken inside it); builds run
    OUTSIDE the lock (so distinct keys explore in parallel) with the key
    marked in [building], and domains asking for an in-flight key wait
    on [built_cond].  The result is the build-once guarantee under
@@ -231,83 +232,39 @@ let fingerprint inst =
    exploration and one compile (asserted by the multi-domain hammer in
    test/test_models.ml).
 
-   Caching is optionally bounded: [set_capacity (Some bytes)] makes the
-   table an LRU with per-instance costs estimated from the compiled
-   arena size.  The server wires [--cache-mb] here; the CLI default
-   stays unbounded (process lifetimes are one query long). *)
+   Caching is optionally bounded: the table is a [Parallel.Cache], and
+   [set_capacity (Some bytes)] makes it an LRU with per-instance costs
+   estimated from the compiled arena size.  The server wires
+   [--cache-mb] here; the CLI default stays unbounded (process
+   lifetimes are one query long). *)
 
 let mu = Mutex.create ()
 let built_cond = Condition.create ()
-
 let builds_counter = ref 0
-let hits_counter = ref 0
-let evictions_counter = ref 0
-let clock = ref 0
-let total_cost = ref 0
-let capacity_ref : int option ref = ref None
-
-type cached = { inst : instance; cost : int; mutable last : int }
-
-let table : (string, cached) Hashtbl.t = Hashtbl.create 32
-let building : (string, unit) Hashtbl.t = Hashtbl.create 8
-
-let next_tick () =
-  incr clock;
-  !clock
-
-(* Called with [mu] held. *)
-let evict_over_capacity () =
-  match !capacity_ref with
-  | None -> ()
-  | Some cap ->
-    while !total_cost > cap && Hashtbl.length table > 0 do
-      let oldest =
-        Hashtbl.fold
-          (fun key e acc ->
-             match acc with
-             | Some (_, e') when e'.last <= e.last -> acc
-             | Some _ | None -> Some (key, e))
-          table None
-      in
-      match oldest with
-      | None -> ()
-      | Some (key, e) ->
-        Hashtbl.remove table key;
-        total_cost := !total_cost - e.cost;
-        incr evictions_counter
-    done
-
-let set_capacity cap =
-  Mutex.lock mu;
-  capacity_ref := cap;
-  evict_over_capacity ();
-  Mutex.unlock mu
 
 (* Rough retained size of an instance: CSR rows, the interned state
    values and the memo overhead, all order-of-magnitude -- the LRU
    needs proportionality, not precision. *)
-let cost inst =
-  with_arena inst
-    { visit =
-        (fun arena _ _ -> 4096 + (512 * Mdp.Arena.num_states arena)) }
+let table =
+  Parallel.Cache.create
+    ~cost:(fun inst ->
+        with_arena inst
+          { visit =
+              (fun arena _ _ -> 4096 + (512 * Mdp.Arena.num_states arena)) })
+    ()
 
-(* Called with [mu] held. *)
-let insert key inst =
-  let c = cost inst in
-  Hashtbl.replace table key { inst; cost = c; last = next_tick () };
-  total_cost := !total_cost + c;
-  evict_over_capacity ()
+let building : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+let set_capacity cap = Parallel.Cache.set_capacity table cap
 
 let obtain ?max_states ~sym build =
   let key = key ~max_states ~sym build in
   Mutex.lock mu;
   let rec go () =
-    match Hashtbl.find_opt table key with
-    | Some e ->
-      incr hits_counter;
-      e.last <- next_tick ();
+    match Parallel.Cache.find table key with
+    | Some inst ->
       Mutex.unlock mu;
-      e.inst
+      inst
     | None ->
       if Hashtbl.mem building key then begin
         Condition.wait built_cond mu;
@@ -329,7 +286,7 @@ let obtain ?max_states ~sym build =
           Printexc.raise_with_backtrace e bt
         | Ok inst ->
           incr builds_counter;
-          insert key inst;
+          Parallel.Cache.add table key inst;
           Mutex.unlock mu;
           inst
       end
@@ -346,8 +303,10 @@ let obtain ?max_states ~sym build =
 let seed ?max_states ~sym build inst =
   let key = key ~max_states ~sym build in
   Mutex.lock mu;
-  let fresh = not (Hashtbl.mem table key || Hashtbl.mem building key) in
-  if fresh then insert key inst;
+  let fresh =
+    not (Parallel.Cache.mem table key || Hashtbl.mem building key)
+  in
+  if fresh then Parallel.Cache.add table key inst;
   Mutex.unlock mu;
   fresh
 
@@ -414,17 +373,16 @@ type stats = {
 
 let stats () =
   Mutex.lock mu;
-  let s =
-    { explorations = Mdp.Explore.explorations ();
-      compiles = Mdp.Arena.compiles ();
-      builds = !builds_counter;
-      cache_hits = !hits_counter;
-      evictions = !evictions_counter;
-      cached_entries = Hashtbl.length table;
-      cached_bytes = !total_cost }
-  in
+  let builds = !builds_counter in
   Mutex.unlock mu;
-  s
+  let c = Parallel.Cache.stats table in
+  { explorations = Mdp.Explore.explorations ();
+    compiles = Mdp.Arena.compiles ();
+    builds;
+    cache_hits = c.Parallel.Cache.hits;
+    evictions = c.Parallel.Cache.evictions;
+    cached_entries = c.Parallel.Cache.entries;
+    cached_bytes = c.Parallel.Cache.cost_bytes }
 
 let pp_stats fmt s =
   Format.fprintf fmt

@@ -4,7 +4,7 @@ type 'v t = {
   mu : Mutex.t;
   table : (string, 'v entry) Hashtbl.t;
   cost : 'v -> int;
-  capacity : int option;
+  mutable capacity : int option;
   mutable clock : int;
   mutable total : int;
   mutable hits : int;
@@ -35,6 +35,8 @@ let find t key =
       | None ->
         t.misses <- t.misses + 1;
         None)
+
+let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
 
 (* Called with [t.mu] held. *)
 let evict_over_capacity t =
@@ -70,6 +72,11 @@ let add t key v =
       Hashtbl.replace t.table key { value = v; cost; last = t.clock };
       t.total <- t.total + cost;
       t.insertions <- t.insertions + 1;
+      evict_over_capacity t)
+
+let set_capacity t capacity =
+  locked t (fun () ->
+      t.capacity <- capacity;
       evict_over_capacity t)
 
 type stats = {

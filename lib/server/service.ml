@@ -16,7 +16,7 @@ let default_max_states = default_config.max_states
 
 type t = {
   config : config;
-  results : string Cache.t;
+  results : string Parallel.Cache.t;
   started : float;
   requests : int Atomic.t;
   ok : int Atomic.t;
@@ -36,7 +36,8 @@ type t = {
 let create config =
   { config;
     results =
-      Cache.create ?capacity:config.cache_bytes ~cost:String.length ();
+      Parallel.Cache.create ?capacity:config.cache_bytes ~cost:String.length
+        ();
     started = Unix.gettimeofday ();
     requests = Atomic.make 0;
     ok = Atomic.make 0;
@@ -330,7 +331,7 @@ let lint_json t (l : Protocol.lint_query) =
 
 let stats_json t =
   let r = Models.stats () in
-  let c = Cache.stats t.results in
+  let c = Parallel.Cache.stats t.results in
   J.Obj
     [ ("schema", J.Str "prtb-stats/1");
       ( "registry",
@@ -344,14 +345,14 @@ let stats_json t =
             ("cached_bytes", J.Int r.Models.cached_bytes) ] );
       ( "results_cache",
         J.Obj
-          [ ("hits", J.Int c.Cache.hits);
-            ("misses", J.Int c.Cache.misses);
-            ("insertions", J.Int c.Cache.insertions);
-            ("evictions", J.Int c.Cache.evictions);
-            ("entries", J.Int c.Cache.entries);
-            ("cost_bytes", J.Int c.Cache.cost_bytes);
+          [ ("hits", J.Int c.Parallel.Cache.hits);
+            ("misses", J.Int c.Parallel.Cache.misses);
+            ("insertions", J.Int c.Parallel.Cache.insertions);
+            ("evictions", J.Int c.Parallel.Cache.evictions);
+            ("entries", J.Int c.Parallel.Cache.entries);
+            ("cost_bytes", J.Int c.Parallel.Cache.cost_bytes);
             ( "capacity_bytes",
-              match c.Cache.capacity with
+              match c.Parallel.Cache.capacity with
               | None -> J.Null
               | Some b -> J.Int b ) ] );
       ( "server",
@@ -410,7 +411,7 @@ let with_cache t query compute =
      | Ok json -> ok_reply t (J.to_string json)
      | Error e -> error_reply t e)
   | Some key ->
-    (match Cache.find t.results key with
+    (match Parallel.Cache.find t.results key with
      | Some body -> ok_reply t ~headers:[ ("X-Prtb-Cache", "hit") ] body
      | None ->
        (match compute () with
@@ -421,17 +422,9 @@ let with_cache t query compute =
             (J.to_string json)
         | Ok json ->
           let body = J.to_string json in
-          Cache.add t.results key body;
+          Parallel.Cache.add t.results key body;
           ok_reply t ~headers:[ ("X-Prtb-Cache", "miss") ] body
         | Error e -> error_reply t e))
-
-let cached t query =
-  match canonical_key t query with
-  | None -> false
-  | Some key ->
-    (* A stats-neutral probe would need a peek API; [find] counting a
-       hit is fine for the monitoring use this serves. *)
-    Cache.find t.results key <> None
 
 (* The effective deadline is the tighter of the client's ask and the
    server-wide default ([serve --deadline]). *)

@@ -6,7 +6,7 @@
     own [max_states]), so a hostile query is answered with a structured
     ["verdict": "exhausted"] body instead of wedging a worker.
     Finished results of the cacheable endpoints ([/check], [/simulate],
-    [/lint]) are kept in an LRU {!Cache} keyed by the canonical
+    [/lint]) are kept in an LRU [Parallel.Cache] keyed by the canonical
     request; repeat queries are answered without touching the registry
     at all ([X-Prtb-Cache: hit], and the [/stats] compile counters stay
     put -- what CI asserts).
@@ -100,6 +100,3 @@ val note_protocol_error : t -> unit
 (** Flip the /health state to ["draining"] (the daemon sets it when a
     graceful shutdown begins). *)
 val set_draining : t -> bool -> unit
-
-(** Whether [handle] would answer this query from the result cache. *)
-val cached : t -> Protocol.query -> bool
