@@ -1,10 +1,11 @@
 (* Differential tests for the compiled arena: every engine result must
    be identical -- structurally equal rationals, bit-identical floats
    -- to the pre-refactor path that walked boxed step records (now
-   rebuilt by [Test_support.Rows]) with an [~is_tick] closure.  The [Legacy] module below is that path,
-   copied verbatim from the tree as it stood before the arena landed,
-   so any divergence introduced by the CSR compilation or by the
-   engines' new inner loops fails here first. *)
+   rebuilt by [Test_support.Rows]) with an [~is_tick] closure.  The
+   [Legacy] module below is that path, copied verbatim from the tree
+   as it stood before the arena landed, so any divergence introduced
+   by the CSR compilation or by the engines' new inner loops fails
+   here first. *)
 
 module Q = Proba.Rational
 module LR = Lehmann_rabin
@@ -690,7 +691,9 @@ let test_arena_structure () =
    copying them: two arenas of one fragment hold the very same arrays,
    whatever their tick masks. *)
 let test_compile_shares_csr () =
-  let expl = Mdp.Explore.run (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 }) in
+  let expl =
+    Mdp.Explore.run (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 })
+  in
   let a = Mdp.Arena.compile ~is_tick:LR.Automaton.is_tick expl in
   let b = Mdp.Arena.compile expl in
   List.iter

@@ -190,7 +190,8 @@ let test_fh_walker_policy () =
   let step_idx = policy.(2).(start_i) in
   let steps = Test_support.Rows.steps walker_expl start_i in
   Alcotest.(check bool) "delays via tick" true
-    (Test_support.Toys.Walker.is_tick steps.(step_idx).Test_support.Rows.action);
+    (Test_support.Toys.Walker.is_tick
+       steps.(step_idx).Test_support.Rows.action);
   (* Target states carry no decision. *)
   let done_i = Option.get (Mdp.Explore.index walker_expl Test_support.Toys.Walker.Done) in
   Alcotest.(check int) "target has no step" (-1) (policy.(2).(done_i))

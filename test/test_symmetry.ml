@@ -1077,7 +1077,11 @@ let same_quotient name pa ~declared ~generating =
   for i = 0 to n - 1 do
     if not (Mdp.Explore.state e0 i = Mdp.Explore.state e1 i) then
       Alcotest.failf "%s: state %d differs" name i;
-    if not (same_steps (Test_support.Rows.steps e0 i) (Test_support.Rows.steps e1 i)) then
+    if
+      not
+        (same_steps (Test_support.Rows.steps e0 i)
+           (Test_support.Rows.steps e1 i))
+    then
       Alcotest.failf "%s: steps of state %d differ" name i
   done;
   Alcotest.(check int) (name ^ ": states checked") c0.Sym.states_checked
