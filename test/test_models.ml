@@ -130,6 +130,139 @@ let test_race_target_in_registry () =
     Alcotest.(check bool) "Race is exposed" true
       (Core.Pred.mem Models.Race.p_heads Models.Race.start = false)
 
+(* ----------------------------------------------------------------- *)
+(* The family helpers' bytes.  One row per family, lr once per
+   topology, each with a non-default value in every field the family
+   reads and off-neutral values in the fields it does not. *)
+
+let params family ?(topology = "ring") ?(bound = 0) ?(cap = 0) ~n ~g ~k () =
+  { Models.family; n; g; k; topology; bound; cap }
+
+let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+
+let normalized p =
+  let q, f, initial = Models.normalize p in
+  Printf.sprintf "%s n=%d g=%d k=%d topology=%s bound=%d cap=%d f=%d initial=%s"
+    (Models.name q.Models.family) q.Models.n q.Models.g q.Models.k
+    q.Models.topology q.Models.bound q.Models.cap f (bits initial)
+
+let leaf p =
+  String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) (Models.leaf_params p))
+
+(* The heading [Models.report] prints before its build: the build is
+   refused at one state, so nothing else reaches stdout. *)
+let heading p =
+  let path = Filename.temp_file "prtb-heading" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let refused =
+    match Models.report ~max_states:1 p with
+    | () -> false
+    | exception Mdp.Explore.Too_many_states _ -> true
+  in
+  flush stdout;
+  Unix.dup2 saved Unix.stdout;
+  Unix.close saved;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "build refused at one state" true refused;
+  text
+
+let family_rows =
+  [ ( params `Lr ~n:2 ~g:2 ~k:3 ~bound:7 ~cap:9 (),
+      "lr n=2 g=2 k=3 topology=ring bound=0 cap=0 f=0 initial=",
+      {|{"n":2,"g":2,"k":3,"topology":"ring"}|},
+      "g=2,k=3,topology=ring",
+      "lr n=2 g=2 k=3 sym=off (1940 states)",
+      "Lehmann-Rabin, n=2 g=2 k=3\n" );
+    ( params `Lr ~topology:"line" ~n:2 ~g:2 ~k:3 ~bound:7 ~cap:9 (),
+      "lr n=2 g=2 k=3 topology=line bound=0 cap=0 f=0 initial=",
+      {|{"n":2,"g":2,"k":3,"topology":"line"}|},
+      "g=2,k=3,topology=line",
+      "lr n=2 g=2 k=3 topology=line sym=off (1899 states)",
+      "Lehmann-Rabin on line(2), g=2 k=3\n" );
+    ( params `Lr ~topology:"star" ~n:2 ~g:3 ~k:2 ~bound:7 ~cap:9 (),
+      "lr n=2 g=3 k=2 topology=star bound=0 cap=0 f=0 initial=",
+      {|{"n":2,"g":3,"k":2,"topology":"star"}|},
+      "g=3,k=2,topology=star",
+      "lr n=2 g=3 k=2 topology=star sym=off (2361 states)",
+      "Lehmann-Rabin on star(2), g=3 k=2\n" );
+    ( params `Election ~n:3 ~g:2 ~k:3 ~bound:7 ~cap:9 (),
+      "election n=3 g=2 k=3 topology=ring bound=0 cap=0 f=0 initial=",
+      {|{"n":3,"g":2,"k":3}|},
+      "g=2,k=3",
+      "election n=3 g=2 k=3 sym=off (94 states)",
+      "Leader election, n=3\n" );
+    ( params `Coin ~n:3 ~bound:2 ~g:2 ~k:3 ~cap:9 (),
+      "coin n=3 g=2 k=3 topology=ring bound=2 cap=0 f=0 initial=",
+      {|{"n":3,"g":2,"k":3,"bound":2}|},
+      "bound=2,g=2,k=3",
+      "coin n=3 g=2 k=3 bound=2 sym=off (432 states)",
+      "Shared coin, n=3 barrier=±2\n" );
+    ( params `Consensus ~n:3 ~cap:1 ~g:2 ~k:3 ~bound:7 (),
+      "consensus n=3 g=2 k=3 topology=ring bound=0 cap=1 f=1 initial=001",
+      {|{"n":3,"g":2,"k":3,"cap":1}|},
+      "cap=1,f=1,g=2,k=3",
+      "consensus n=3 g=2 k=3 f=1 cap=1 initial=001 sym=off (2427 states)",
+      "Ben-Or consensus, n=3 f=1 cap=1 rounds, mixed start\n" ) ]
+
+let test_family_helpers () =
+  List.iter
+    (fun (p, norm, json, leaf_s, described, head) ->
+       let name = Models.name p.Models.family ^ "/" ^ p.Models.topology in
+       Alcotest.(check (option (pair string string)))
+         (name ^ ": accepted") None (Models.invalid p);
+       Alcotest.(check string) (name ^ ": normalize") norm (normalized p);
+       Alcotest.(check string) (name ^ ": params_json") json
+         (Analysis.Json.to_string (Analysis.Json.Obj (Models.params_json p)));
+       Alcotest.(check string) (name ^ ": leaf_params") leaf_s (leaf p);
+       Alcotest.(check string) (name ^ ": describe") described
+         (Snapshot.Store.describe
+            (Snapshot.Store.config_of ~sym:Analysis.Symmetry.Off p)
+            (Models.resolve p));
+       Alcotest.(check string) (name ^ ": report heading") head (heading p))
+    family_rows
+
+(* Every refusal [Models.invalid] can give, topology cases included. *)
+let test_invalid_refusals () =
+  List.iter
+    (fun (p, expect) ->
+       Alcotest.(check (option (pair string string)))
+         (Printf.sprintf "%s n=%d" (Models.name p.Models.family) p.Models.n)
+         (Some expect) (Models.invalid p))
+    [ ( params `Lr ~topology:"torus" ~n:3 ~g:1 ~k:1 (),
+        ("topology", {|must be ring, line or star (got "torus")|}) );
+      ( params `Election ~topology:"line" ~n:3 ~g:1 ~k:1 (),
+        ("topology", {|applies to the lr model only (got "line")|}) );
+      ( params `Coin ~topology:"star" ~bound:2 ~n:3 ~g:1 ~k:1 (),
+        ("topology", {|applies to the lr model only (got "star")|}) );
+      ( params `Consensus ~topology:"ring3" ~cap:2 ~n:3 ~g:1 ~k:1 (),
+        ("topology", {|applies to the lr model only (got "ring3")|}) );
+      ( params `Lr ~topology:"torus" ~n:0 ~g:0 ~k:0 (),
+        ("topology", {|must be ring, line or star (got "torus")|}) );
+      (params `Lr ~n:1 ~g:1 ~k:1 (), ("n", "must be at least 2 for lr (got 1)"));
+      ( params `Lr ~topology:"line" ~n:1 ~g:1 ~k:1 (),
+        ("n", "must be at least 2 for lr (got 1)") );
+      ( params `Election ~n:1 ~g:1 ~k:1 (),
+        ("n", "must be at least 2 for election (got 1)") );
+      ( params `Coin ~bound:1 ~n:0 ~g:1 ~k:1 (),
+        ("n", "must be at least 1 for coin (got 0)") );
+      ( params `Consensus ~cap:1 ~n:0 ~g:1 ~k:1 (),
+        ("n", "must be at least 1 for consensus (got 0)") );
+      (params `Lr ~n:2 ~g:0 ~k:0 (), ("g", "must be at least 1 for lr (got 0)"));
+      ( params `Election ~n:2 ~g:1 ~k:(-1) (),
+        ("k", "must be at least 1 for election (got -1)") );
+      ( params `Coin ~bound:0 ~n:1 ~g:1 ~k:1 (),
+        ("bound", "must be at least 1 for coin (got 0)") );
+      ( params `Consensus ~cap:0 ~n:1 ~g:1 ~k:1 (),
+        ("cap", "must be at least 1 for consensus (got 0)") );
+      (* A field a family does not read is not checked. *)
+      ( params `Coin ~bound:0 ~cap:0 ~n:1 ~g:1 ~k:0 (),
+        ("k", "must be at least 1 for coin (got 0)") ) ]
+
 let () =
   Alcotest.run "models"
     [ ( "domain safety",
@@ -146,4 +279,9 @@ let () =
         [ Alcotest.test_case "example:race target" `Quick
             test_race_target_in_registry;
           Alcotest.test_case "report honours max_states" `Quick
-            test_report_state_ceiling ] ) ]
+            test_report_state_ceiling ] );
+      ( "case-study table",
+        [ Alcotest.test_case "family helpers' bytes" `Quick
+            test_family_helpers;
+          Alcotest.test_case "invalid refusals" `Quick
+            test_invalid_refusals ] ) ]
