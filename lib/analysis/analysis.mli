@@ -19,6 +19,7 @@ module Json = Json
 module Diagnostic = Diagnostic
 module Report = Report
 module Symmetry = Symmetry
+module Description = Description
 module Pa_checks = Pa_checks
 module Time_checks = Time_checks
 module Claim_checks = Claim_checks

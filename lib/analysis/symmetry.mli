@@ -144,7 +144,7 @@ val mix : int -> int -> int
     [right], the fold of the remaining [right_mixes] hashes from 0. *)
 val join_fingerprints : left:int -> right:int -> right_mixes:int -> int
 
-(** [explored ~model ~mode spec pa] is the one-call surface used by
+(** [explored ~model ~mode spec pa] is the one-call surface behind
     proof builders: [Off] explores unreduced with no certificate;
     [On]/[Auto] explore the orbit quotient through the
     {!canonicalizer} and certify it exactly as {!verify} with

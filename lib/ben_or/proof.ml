@@ -8,16 +8,18 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+let describe params ~initial =
+  { Analysis.Description.label = "ben_or";
+    pa = Automaton.make ~initial params;
+    spec = Symmetry.spec params ~initial; is_tick = Automaton.is_tick;
+    instance =
+      (fun arena sym ->
+         { params; initial; expl = Mdp.Arena.explored arena; arena; sym }) }
+
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     ~f ~cap ~initial () =
-  let params = { Automaton.n; f; cap; g; k } in
-  let pa = Automaton.make ~initial params in
-  let expl, cert =
-    Analysis.Symmetry.explored ~model:"ben_or" ~mode:sym ?max_states
-      (Symmetry.spec params ~initial) pa
-  in
-  { params; initial; expl; sym = cert;
-    arena = Mdp.Arena.compile ~is_tick:Automaton.is_tick expl }
+  Analysis.Description.build ?max_states ~sym
+    (describe { Automaton.n; f; cap; g; k } ~initial)
 
 let agreement_violation inst =
   Mdp.Explore.check_invariant inst.expl Automaton.agreement

@@ -33,8 +33,13 @@ type instance = {
       (** present iff the fragment is the certified orbit quotient *)
 }
 
-(** [sym] (default [Off]) requests orbit-reduced exploration under the
-    equal-initial-value process transpositions ({!Symmetry.spec}). *)
+(** The automaton from the estimates [initial], the equal-estimate
+    transpositions ({!Symmetry.spec}) and the label ["ben_or"]; [build]
+    is {!Analysis.Description.build} of it ([sym] defaults to [Off]). *)
+val describe :
+  Automaton.params -> initial:Automaton.bit array ->
+  (Automaton.state, Automaton.action, instance) Analysis.Description.t
+
 val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> f:int -> cap:int ->

@@ -7,15 +7,16 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+let describe params =
+  { Analysis.Description.label = "itai_rodeh"; pa = Automaton.make params;
+    spec = Symmetry.spec params; is_tick = Automaton.is_tick;
+    instance =
+      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym })
+  }
+
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     () =
-  let params = { Automaton.n; g; k } in
-  let expl, cert =
-    Analysis.Symmetry.explored ~model:"itai_rodeh" ~mode:sym ?max_states
-      (Symmetry.spec params) (Automaton.make params)
-  in
-  { params; expl; sym = cert;
-    arena = Mdp.Arena.compile ~is_tick:Automaton.is_tick expl }
+  Analysis.Description.build ?max_states ~sym (describe { Automaton.n; g; k })
 
 type arrow = Automaton.state Mdp.Checker.arrow
 

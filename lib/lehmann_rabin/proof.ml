@@ -7,16 +7,17 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+let describe params =
+  { Analysis.Description.label = "lr"; pa = Automaton.make params;
+    spec = Symmetry.ring ~n:params.Automaton.n ();
+    is_tick = Automaton.is_tick;
+    instance =
+      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym })
+  }
+
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     () =
-  let params = { Automaton.n; g; k } in
-  let pa = Automaton.make params in
-  let expl, cert =
-    Analysis.Symmetry.explored ~model:"lr" ~mode:sym ?max_states
-      (Symmetry.ring ~n ()) pa
-  in
-  { params; expl; sym = cert;
-    arena = Mdp.Arena.compile ~is_tick:Automaton.is_tick expl }
+  Analysis.Description.build ?max_states ~sym (describe { Automaton.n; g; k })
 
 type arrow = State.t Mdp.Checker.arrow
 
@@ -221,16 +222,18 @@ type topo_instance = {
   tsym : Analysis.Symmetry.certificate option;
 }
 
+let describe_topo ~topo ~g ~k =
+  { Analysis.Description.label = Printf.sprintf "lr:%s" (Topology.name topo);
+    pa = Automaton.make_general ~topo ~g ~k; spec = Symmetry.spec topo;
+    is_tick = Automaton.is_tick;
+    instance =
+      (fun tarena tsym ->
+         { topo; tg = g; tk = k; texpl = Mdp.Arena.explored tarena; tarena;
+           tsym }) }
+
 let build_topo ?max_states ?(g = 1) ?(k = 1)
     ?(sym = Analysis.Symmetry.Off) ~topo () =
-  let pa = Automaton.make_general ~topo ~g ~k in
-  let texpl, cert =
-    Analysis.Symmetry.explored
-      ~model:(Printf.sprintf "lr:%s" (Topology.name topo))
-      ~mode:sym ?max_states (Symmetry.spec topo) pa
-  in
-  { topo; tg = g; tk = k; texpl; tsym = cert;
-    tarena = Mdp.Arena.compile ~is_tick:Automaton.is_tick texpl }
+  Analysis.Description.build ?max_states ~sym (describe_topo ~topo ~g ~k)
 
 let arrow_topo inst =
   spec_on inst.tarena ~granularity:inst.tg ~g_pred:(Regions.g_of inst.topo)

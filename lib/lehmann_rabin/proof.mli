@@ -20,12 +20,13 @@ type instance = {
       (** present iff the fragment is the certified orbit quotient *)
 }
 
-(** [build ~n ()] constructs and explores the ring instance
-    (granularity [g] and per-slot budget [k] default to 1).  [sym]
-    (default [Off]) requests orbit-reduced exploration under the
-    declared rotation group ({!Symmetry.ring}): [On] raises
-    [Analysis.Symmetry.Not_certified] unless the group certifies,
-    [Auto] falls back to unreduced. *)
+(** The ring's {!Automaton.make}, rotations ({!Symmetry.ring}) and
+    label ["lr"]; [build ~n ()] is {!Analysis.Description.build} of it
+    ([g] and [k] default to 1, [sym] to [Off]). *)
+val describe :
+  Automaton.params ->
+  (State.t, Automaton.action, instance) Analysis.Description.t
+
 val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> unit -> instance
@@ -121,6 +122,12 @@ type topo_instance = {
   tarena : (State.t, Automaton.action) Mdp.Arena.t;
   tsym : Analysis.Symmetry.certificate option;
 }
+
+(** {!describe} on a topology: {!Automaton.make_general},
+    {!Symmetry.spec} and the label ["lr:<topology name>"]. *)
+val describe_topo :
+  topo:Topology.t -> g:int -> k:int ->
+  (State.t, Automaton.action, topo_instance) Analysis.Description.t
 
 val build_topo :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->

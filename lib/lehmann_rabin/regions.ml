@@ -108,8 +108,4 @@ let g_of topo =
   Core.Pred.make "G" (fun s -> in_rt s && some_process s (good_at_general topo))
 
 let rt_or_c = Core.Pred.union rt c
-let fgp = Core.Pred.union_all [ f; g; p ]
-let gp = Core.Pred.union g p
-let fgp_or_c = Core.Pred.union fgp c
-let gp_or_c = Core.Pred.union gp c
 let p_or_c = Core.Pred.union p c

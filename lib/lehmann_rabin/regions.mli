@@ -38,14 +38,10 @@ val good_processes : State.t -> int list
     [Topology.ring n] this coincides with {!g}. *)
 val g_of : Topology.t -> State.t Core.Pred.t
 
-(** The ladder sets used to stitch the five arrows together with
-    Proposition 3.2 (each is the union of the previous arrow's target
-    with everything already achieved): *)
+(** The goodness-free ladder sets used to stitch the five arrows
+    together with Proposition 3.2 (each is the union of the previous
+    arrow's target with everything already achieved); the proof builds
+    the sets that contain [G] from its goodness predicate. *)
 
 val rt_or_c : State.t Core.Pred.t
-val fgp_or_c : State.t Core.Pred.t
-val gp_or_c : State.t Core.Pred.t
 val p_or_c : State.t Core.Pred.t
-
-(** [G ∪ P], the raw arrow target of A.14. *)
-val gp : State.t Core.Pred.t

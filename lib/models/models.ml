@@ -2,6 +2,7 @@ module Q = Proba.Rational
 module D = Proba.Dist
 module J = Analysis.Json
 module Sym = Analysis.Symmetry
+module Desc = Analysis.Description
 module LR = Lehmann_rabin
 module IR = Itai_rodeh
 module SC = Shared_coin
@@ -9,45 +10,13 @@ module BO = Ben_or
 module Race = Race
 
 (* ------------------------------------------------------------------ *)
-(* The case-study table.
-
-   Everything the surfaces (the wire protocol, the service, the
-   snapshot store, the CLI) know about a model family lives below:
-   its names, its parameter ranges, the consensus conventions, how a
-   parameter tuple resolves to a memoized instance, and what each
-   surface prints about that instance.  Behaviour that depends on the
-   automaton's types is a match over the closed [instance] variant;
-   plain data is a row of [case_studies]. *)
+(* The case-study table.  Plain data about a family -- names, ranges,
+   the fields it reads, conventions, its report heading -- is a row of
+   [case_studies]; building an instance is one lookup, [case], into the
+   family library's description; behaviour that depends on the
+   automaton's types is a match over the closed [instance] variant. *)
 
 type family = [ `Lr | `Election | `Coin | `Consensus ]
-
-type case_study = {
-  family : family;
-  name : string;
-  aliases : string list;
-  min_n : int;  (* the automaton's own precondition *)
-}
-
-let case_studies =
-  [ { family = `Lr; name = "lr"; aliases = [ "lehmann-rabin"; "dining" ];
-      min_n = 2 };
-    { family = `Election; name = "election"; aliases = [ "itai-rodeh" ];
-      min_n = 2 };
-    { family = `Coin; name = "coin"; aliases = [ "shared-coin" ]; min_n = 1 };
-    { family = `Consensus; name = "consensus"; aliases = [ "ben-or" ];
-      min_n = 1 } ]
-
-let default = `Lr
-
-let case_study f = List.find (fun c -> c.family = f) case_studies
-let name f = (case_study f).name
-
-let of_name s =
-  List.find_map
-    (fun c ->
-       if String.equal c.name s || List.mem s c.aliases then Some c.family
-       else None)
-    case_studies
 
 type params = {
   family : family;
@@ -59,56 +28,125 @@ type params = {
   cap : int;
 }
 
-(* Every surface runs Ben-Or with the largest fault bound [n] tolerates
-   and a mixed start: process [n-1] proposes 1, the others 0. *)
-let consensus_f n = (n - 1) / 2
-let consensus_initial n = Array.init n (fun i -> i = n - 1)
+type tuple = { params : params; f : int; initial : bool array }
+
+(* lr's general topologies over [n] processes by topology field; the
+   ring's is its own name, e.g. "ring(3)", which only [lr_topo] asks for. *)
+let lr_topologies n =
+  let ring = LR.Topology.ring n in
+  [ ("line", LR.Topology.line n); ("star", LR.Topology.star n);
+    (LR.Topology.name ring, ring) ]
+
+let lr_topology (p : params) =
+  match List.assoc_opt p.topology (lr_topologies p.n) with
+  | Some topo -> topo
+  | None -> invalid_arg ("Models: no lr topology " ^ p.topology)
+
+type case_study = {
+  family : family;
+  name : string;
+  aliases : string list;
+  min_n : int;  (* the automaton's own precondition *)
+  topologies : string list;  (* [] if the family runs on the ring only *)
+  reads : string list;  (* which of "bound" and "cap" it reads *)
+  convention : (int -> int * bool array) option;
+      (* the fault bound and initial estimates every surface runs it at *)
+  heading : tuple -> string;  (* the [prtb check] text report's *)
+}
+
+let case_studies =
+  [ { family = `Lr; name = "lr"; aliases = [ "lehmann-rabin"; "dining" ];
+      min_n = 2; topologies = [ "ring"; "line"; "star" ]; reads = [];
+      convention = None;
+      heading =
+        (fun { params = p; _ } ->
+           if p.topology = "ring" then
+             Printf.sprintf "Lehmann-Rabin, n=%d g=%d k=%d" p.n p.g p.k
+           else
+             Printf.sprintf "Lehmann-Rabin on %s, g=%d k=%d"
+               (LR.Topology.name (lr_topology p)) p.g p.k) };
+    { family = `Election; name = "election"; aliases = [ "itai-rodeh" ];
+      min_n = 2; topologies = []; reads = []; convention = None;
+      heading = (fun t -> Printf.sprintf "Leader election, n=%d" t.params.n) };
+    { family = `Coin; name = "coin"; aliases = [ "shared-coin" ]; min_n = 1;
+      topologies = []; reads = [ "bound" ]; convention = None;
+      heading =
+        (fun { params = p; _ } ->
+           Printf.sprintf "Shared coin, n=%d barrier=±%d" p.n p.bound) };
+    (* Ben-Or runs with the largest fault bound [n] tolerates and a mixed
+       start: process [n-1] proposes 1, the others 0. *)
+    { family = `Consensus; name = "consensus"; aliases = [ "ben-or" ];
+      min_n = 1; topologies = []; reads = [ "cap" ];
+      convention =
+        Some (fun n -> ((n - 1) / 2, Array.init n (fun i -> i = n - 1)));
+      heading =
+        (fun { params = p; f; _ } ->
+           Printf.sprintf
+             "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start" p.n f
+             p.cap) } ]
+
+let default = `Lr
+
+let case_study f = List.find (fun (c : case_study) -> c.family = f) case_studies
+let name f = (case_study f).name
+
+let of_name s =
+  List.find_map
+    (fun (c : case_study) ->
+       if String.equal c.name s || List.mem s c.aliases then Some c.family
+       else None)
+    case_studies
 
 let sim_params family ~n =
   { family; n; g = 1; k = 1; topology = "ring"; bound = 4; cap = 50 }
 
-let invalid p =
+let invalid (p : params) =
+  let c = case_study p.family in
   let least field v m =
     if v >= m then None
     else
       Some
         ( field,
-          Printf.sprintf "must be at least %d for %s (got %d)" m
-            (name p.family) v )
+          Printf.sprintf "must be at least %d for %s (got %d)" m c.name v )
   in
+  let read field v = if List.mem field c.reads then least field v 1 else None in
+  let rec one_of = function
+    | [ a ] -> a
+    | [ a; b ] -> a ^ " or " ^ b
+    | a :: rest -> a ^ ", " ^ one_of rest
+    | [] -> ""
+  in
+  let readers = List.filter (fun c -> c.topologies <> []) case_studies in
   let topology =
-    match p.family, p.topology with
-    | `Lr, ("ring" | "line" | "star") -> None
-    | (`Election | `Coin | `Consensus), "ring" -> None
-    | `Lr, t ->
+    if List.mem p.topology ("ring" :: c.topologies) then None
+    else
       Some
-        ("topology", Printf.sprintf "must be ring, line or star (got %S)" t)
-    | _, t ->
-      Some
-        ("topology", Printf.sprintf "applies to the lr model only (got %S)" t)
-  in
-  let read =
-    match p.family with
-    | `Coin -> [ least "bound" p.bound 1 ]
-    | `Consensus -> [ least "cap" p.cap 1 ]
-    | `Lr | `Election -> []
+        ( "topology",
+          if c.topologies = [] then
+            Printf.sprintf "applies to the %s model only (got %S)"
+              (one_of (List.map (fun c -> c.name) readers)) p.topology
+          else
+            Printf.sprintf "must be %s (got %S)" (one_of c.topologies)
+              p.topology )
   in
   List.find_map Fun.id
-    ([ topology; least "n" p.n (case_study p.family).min_n; least "g" p.g 1;
-       least "k" p.k 1 ]
-     @ read)
+    [ topology; least "n" p.n c.min_n; least "g" p.g 1; least "k" p.k 1;
+      read "bound" p.bound; read "cap" p.cap ]
 
-let normalize p =
-  let neutral = { p with topology = "ring"; bound = 0; cap = 0 } in
-  match p.family with
-  | `Lr -> ({ neutral with topology = p.topology }, 0, [||])
-  | `Election -> (neutral, 0, [||])
-  | `Coin -> ({ neutral with bound = p.bound }, 0, [||])
-  | `Consensus ->
-    ({ neutral with cap = p.cap }, consensus_f p.n, consensus_initial p.n)
+let normalize (p : params) =
+  let c = case_study p.family in
+  let f, initial =
+    match c.convention with Some at -> at p.n | None -> (0, [||])
+  in
+  let read field v = if List.mem field c.reads then v else 0 in
+  { params =
+      { p with topology = (if c.topologies = [] then "ring" else p.topology);
+               bound = read "bound" p.bound; cap = read "cap" p.cap };
+    f; initial }
 
 (* ------------------------------------------------------------------ *)
-(* Instances, and what the registry builds them from. *)
+(* Instances, and the one lookup the registry and the snapshot loader
+   build them from. *)
 
 type instance =
   | Lr of LR.Proof.instance
@@ -123,72 +161,35 @@ let family_of = function
   | Coin _ -> `Coin
   | Consensus _ -> `Consensus
 
-(* What to build: exactly the parameters an instance carries, so the
-   key computed before a build and the one read off a built or loaded
-   instance are the same string. *)
-type build =
-  | B_lr of LR.Automaton.params
-  | B_lr_topo of LR.Topology.t * int * int
-  | B_election of IR.Automaton.params
-  | B_coin of SC.Automaton.params
-  | B_consensus of BO.Automaton.params * bool array
+type case = Case : ('s, 'a, 'i) Desc.t * ('i -> instance) -> case
 
-let build_of_params p =
+let case { params = p; f; initial } =
   let { n; g; k; _ } = p in
-  match p.family, p.topology with
-  | `Lr, "line" -> B_lr_topo (LR.Topology.line n, g, k)
-  | `Lr, "star" -> B_lr_topo (LR.Topology.star n, g, k)
-  | `Lr, _ -> B_lr { LR.Automaton.n; g; k }
-  | `Election, _ -> B_election { IR.Automaton.n; g; k }
-  | `Coin, _ -> B_coin { SC.Automaton.n; bound = p.bound; g; k }
-  | `Consensus, _ ->
-    B_consensus
-      ( { BO.Automaton.n; f = consensus_f n; cap = p.cap; g; k },
-        consensus_initial n )
+  match p.family with
+  | `Lr when p.topology = "ring" ->
+    Case (LR.Proof.describe { n; g; k }, fun i -> Lr i)
+  | `Lr ->
+    Case
+      (LR.Proof.describe_topo ~topo:(lr_topology p) ~g ~k, fun i -> Lr_topo i)
+  | `Election -> Case (IR.Proof.describe { n; g; k }, fun i -> Election i)
+  | `Coin ->
+    Case (SC.Proof.describe { n; bound = p.bound; g; k }, fun i -> Coin i)
+  | `Consensus ->
+    Case
+      ( BO.Proof.describe { n; f; cap = p.cap; g; k } ~initial,
+        fun i -> Consensus i )
 
-let build_of_instance = function
-  | Lr i -> B_lr i.LR.Proof.params
-  | Lr_topo i -> B_lr_topo (i.LR.Proof.topo, i.LR.Proof.tg, i.LR.Proof.tk)
-  | Election i -> B_election i.IR.Proof.params
-  | Coin i -> B_coin i.SC.Proof.params
-  | Consensus i -> B_consensus (i.BO.Proof.params, i.BO.Proof.initial)
+let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
 
-let opt_int = function None -> "" | Some m -> string_of_int m
-
-let key ~max_states ~sym build =
-  let budget =
-    Printf.sprintf "max_states=%s&sym=%s" (opt_int max_states)
-      (Sym.mode_to_string sym)
-  in
-  match build with
-  | B_lr { LR.Automaton.n; g; k } ->
-    Printf.sprintf "lr?n=%d&g=%d&k=%d&%s" n g k budget
-  | B_lr_topo (topo, g, k) ->
-    Printf.sprintf "lr-topo?topo=%s&g=%d&k=%d&%s" (LR.Topology.name topo) g
-      k budget
-  | B_election { IR.Automaton.n; g; k } ->
-    Printf.sprintf "election?n=%d&g=%d&k=%d&%s" n g k budget
-  | B_coin { SC.Automaton.n; bound; g; k } ->
-    Printf.sprintf "coin?n=%d&bound=%d&g=%d&k=%d&%s" n bound g k budget
-  | B_consensus ({ BO.Automaton.n; f; cap; g; k }, initial) ->
-    let bits =
-      String.init (Array.length initial) (fun i ->
-          if initial.(i) then '1' else '0')
-    in
-    Printf.sprintf "consensus?n=%d&f=%d&cap=%d&initial=%s&g=%d&k=%d&%s" n f
-      cap bits g k budget
-
-let construct ?max_states ~sym = function
-  | B_lr { LR.Automaton.n; g; k } ->
-    Lr (LR.Proof.build ?max_states ~g ~k ~sym ~n ())
-  | B_lr_topo (topo, g, k) ->
-    Lr_topo (LR.Proof.build_topo ?max_states ~g ~k ~sym ~topo ())
-  | B_election { IR.Automaton.n; g; k } ->
-    Election (IR.Proof.build ?max_states ~g ~k ~sym ~n ())
-  | B_coin { SC.Automaton.n; bound; g; k } ->
-    Coin (SC.Proof.build ?max_states ~g ~k ~sym ~n ~bound ())
-  | B_consensus ({ BO.Automaton.n; f; cap; g; k }, initial) ->
-    Consensus (BO.Proof.build ?max_states ~g ~k ~sym ~n ~f ~cap ~initial ())
+(* Printed from the tuple alone, so the key asked for before a build
+   and the one a snapshot's recorded tuple seeds are one string. *)
+let key ~max_states ~sym { params = p; f; initial } =
+  Printf.sprintf
+    "%s?n=%d&g=%d&k=%d&topology=%s&bound=%d&cap=%d&f=%d&initial=%s&\
+     max_states=%s&sym=%s"
+    (name p.family) p.n p.g p.k p.topology p.bound p.cap f (bits initial)
+    (match max_states with None -> "" | Some m -> string_of_int m)
+    (Sym.mode_to_string sym)
 
 type 'r visitor = {
   visit :
@@ -214,29 +215,13 @@ let fingerprint inst =
   with_arena inst { visit = (fun arena _ _ -> Mdp.Arena.fingerprint arena) }
 
 (* ------------------------------------------------------------------ *)
-(* The registry.
-
-   Every surface (prtb subcommands, the verification server, the lint
-   targets, the experiment harness, the benchmarks) resolves case-study
-   instances through [obtain], so within one process invocation each
-   (model, parameters) pair is explored and compiled exactly once no
-   matter how many surfaces touch it.
-
-   The registry is domain-safe: [prtb serve] workers hit it
-   concurrently.  One mutex guards [building] and [builds] (the table
+(* The registry.  One mutex guards [building] and [builds] (the table
    is a [Parallel.Cache] with its own lock, taken inside it); builds run
    OUTSIDE the lock (so distinct keys explore in parallel) with the key
    marked in [building], and domains asking for an in-flight key wait
-   on [built_cond].  The result is the build-once guarantee under
-   contention: N domains requesting the same key perform exactly one
-   exploration and one compile (asserted by the multi-domain hammer in
-   test/test_models.ml).
-
-   Caching is optionally bounded: the table is a [Parallel.Cache], and
-   [set_capacity (Some bytes)] makes it an LRU with per-instance costs
-   estimated from the compiled arena size.  The server wires
-   [--cache-mb] here; the CLI default stays unbounded (process
-   lifetimes are one query long). *)
+   on [built_cond].  N domains requesting the same key therefore
+   perform exactly one exploration and one compile (asserted by the
+   multi-domain hammer in test/test_models.ml). *)
 
 let mu = Mutex.create ()
 let built_cond = Condition.create ()
@@ -257,8 +242,12 @@ let building : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 let set_capacity cap = Parallel.Cache.set_capacity table cap
 
-let obtain ?max_states ~sym build =
-  let key = key ~max_states ~sym build in
+let build ?max_states ~sym t =
+  let (Case (d, wrap)) = case t in
+  wrap (Desc.build ?max_states ~sym d)
+
+let obtain ?max_states ~sym t =
+  let key = key ~max_states ~sym t in
   Mutex.lock mu;
   let rec go () =
     match Parallel.Cache.find table key with
@@ -274,7 +263,7 @@ let obtain ?max_states ~sym build =
         Hashtbl.add building key ();
         Mutex.unlock mu;
         let result =
-          try Ok (construct ?max_states ~sym build)
+          try Ok (build ?max_states ~sym t)
           with e -> Error (e, Printexc.get_raw_backtrace ())
         in
         Mutex.lock mu;
@@ -300,8 +289,8 @@ let obtain ?max_states ~sym build =
    indistinguishable from built ones on the lookup path.  A key that is
    already cached or mid-build keeps the existing/raced instance;
    preloading respects the LRU capacity like any insert. *)
-let seed ?max_states ~sym build inst =
-  let key = key ~max_states ~sym build in
+let preload ?max_states ~sym t inst =
+  let key = key ~max_states ~sym t in
   Mutex.lock mu;
   let fresh =
     not (Parallel.Cache.mem table key || Hashtbl.mem building key)
@@ -311,54 +300,60 @@ let seed ?max_states ~sym build inst =
   fresh
 
 let resolve ?max_states ?(sym = Sym.Off) p =
-  obtain ?max_states ~sym (build_of_params p)
+  obtain ?max_states ~sym (normalize p)
 
-let preload ?max_states ~sym inst =
-  seed ?max_states ~sym (build_of_instance inst) inst
+(* The typed builders and preloads: each family's tuple, and the
+   constructor [obtain] of it always yields. *)
 
-(* The typed builders: [obtain] of a [B_x] build always yields an [X]. *)
+let tuple ?(topology = "ring") ?(bound = 0) ?(cap = 0) ?(f = 0)
+    ?(initial = [||]) family ~n ~g ~k =
+  { params = { family; n; g; k; topology; bound; cap }; f; initial }
+
+(* Any other topology keeps its own name, which [case] refuses. *)
+let topo_tuple ~topo ~g ~k =
+  let n = LR.Topology.num_procs topo and name = LR.Topology.name topo in
+  let field (f, t) = if LR.Topology.name t = name then Some f else None in
+  tuple `Lr ~n ~g ~k
+    ~topology:(Option.value ~default:name
+                 (List.find_map field (lr_topologies n)))
 
 let lr ?max_states ?(g = 1) ?(k = 1) ?(sym = Sym.Off) ~n () =
-  match obtain ?max_states ~sym (B_lr { n; g; k }) with
-  | Lr i -> i
-  | _ -> assert false
+  match obtain ?max_states ~sym (tuple `Lr ~n ~g ~k) with
+  | Lr i -> i | _ -> assert false
 
 let lr_topo ?max_states ?(g = 1) ?(k = 1) ?(sym = Sym.Off) ~topo () =
-  match obtain ?max_states ~sym (B_lr_topo (topo, g, k)) with
-  | Lr_topo i -> i
-  | _ -> assert false
+  match obtain ?max_states ~sym (topo_tuple ~topo ~g ~k) with
+  | Lr_topo i -> i | _ -> assert false
 
 let election ?max_states ?(g = 1) ?(k = 1) ?(sym = Sym.Off) ~n () =
-  match obtain ?max_states ~sym (B_election { n; g; k }) with
-  | Election i -> i
-  | _ -> assert false
+  match obtain ?max_states ~sym (tuple `Election ~n ~g ~k) with
+  | Election i -> i | _ -> assert false
 
 let coin ?max_states ?(g = 1) ?(k = 1) ?(sym = Sym.Off) ~n ~bound () =
-  match obtain ?max_states ~sym (B_coin { n; bound; g; k }) with
-  | Coin i -> i
-  | _ -> assert false
+  match obtain ?max_states ~sym (tuple `Coin ~n ~g ~k ~bound) with
+  | Coin i -> i | _ -> assert false
 
 let consensus ?max_states ?(g = 1) ?(k = 1) ?(sym = Sym.Off) ~n ~f ~cap
     ~initial () =
-  match obtain ?max_states ~sym (B_consensus ({ n; f; cap; g; k }, initial))
+  match
+    obtain ?max_states ~sym (tuple `Consensus ~n ~g ~k ~f ~cap ~initial)
   with
-  | Consensus i -> i
-  | _ -> assert false
+  | Consensus i -> i | _ -> assert false
 
 let preload_lr ?max_states ~g ~k ~sym ~n i =
-  seed ?max_states ~sym (B_lr { n; g; k }) (Lr i)
+  preload ?max_states ~sym (tuple `Lr ~n ~g ~k) (Lr i)
 
 let preload_lr_topo ?max_states ~g ~k ~sym ~topo i =
-  seed ?max_states ~sym (B_lr_topo (topo, g, k)) (Lr_topo i)
+  preload ?max_states ~sym (topo_tuple ~topo ~g ~k) (Lr_topo i)
 
 let preload_election ?max_states ~g ~k ~sym ~n i =
-  seed ?max_states ~sym (B_election { n; g; k }) (Election i)
+  preload ?max_states ~sym (tuple `Election ~n ~g ~k) (Election i)
 
 let preload_coin ?max_states ~g ~k ~sym ~n ~bound i =
-  seed ?max_states ~sym (B_coin { n; bound; g; k }) (Coin i)
+  preload ?max_states ~sym (tuple `Coin ~n ~g ~k ~bound) (Coin i)
 
 let preload_consensus ?max_states ~g ~k ~sym ~n ~f ~cap ~initial i =
-  seed ?max_states ~sym (B_consensus ({ n; f; cap; g; k }, initial))
+  preload ?max_states ~sym (tuple `Consensus ~n ~g ~k ~f ~cap ~initial)
     (Consensus i)
 
 type stats = {
@@ -417,14 +412,12 @@ let body_states inst =
            | Some c when c.Sym.reduced -> c.Sym.full_states
            | _ -> Mdp.Arena.num_states arena) }
 
-let params_json p =
+let params_json (p : params) =
+  let c = case_study p.family in
+  let read field v = if List.mem field c.reads then [ (field, J.Int v) ] else [] in
   [ ("n", J.Int p.n); ("g", J.Int p.g); ("k", J.Int p.k) ]
-  @
-  match p.family with
-  | `Lr -> [ ("topology", J.Str p.topology) ]
-  | `Coin -> [ ("bound", J.Int p.bound) ]
-  | `Consensus -> [ ("cap", J.Int p.cap) ]
-  | `Election -> []
+  @ (if c.topologies = [] then [] else [ ("topology", J.Str p.topology) ])
+  @ read "bound" p.bound @ read "cap" p.cap
 
 (* The ["arrows"] and ["composed"] fields.  LR's arrows name their
    sets ([sets]); a ladder's rungs are named by their labels alone. *)
@@ -577,15 +570,16 @@ let check_fields inst =
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)
 
-let leaf_params p =
-  let s = string_of_int in
-  match p.family with
-  | `Lr -> [ ("g", s p.g); ("k", s p.k); ("topology", p.topology) ]
-  | `Election -> [ ("g", s p.g); ("k", s p.k) ]
-  | `Coin -> [ ("bound", s p.bound); ("g", s p.g); ("k", s p.k) ]
-  | `Consensus ->
-    [ ("cap", s p.cap); ("f", s (consensus_f p.n)); ("g", s p.g);
-      ("k", s p.k) ]
+(* The fields the family reads, and its fault bound, by name. *)
+let leaf_params (p : params) =
+  let c = case_study p.family and { f; _ } = normalize p in
+  let read field v =
+    if List.mem field c.reads then [ (field, string_of_int v) ] else []
+  in
+  read "bound" p.bound @ read "cap" p.cap
+  @ (if c.convention = None then [] else [ ("f", string_of_int f) ])
+  @ [ ("g", string_of_int p.g); ("k", string_of_int p.k) ]
+  @ if c.topologies = [] then [] else [ ("topology", p.topology) ]
 
 let certificate ~config inst =
   let emit = function
@@ -711,20 +705,8 @@ let print_body inst =
 
 (* The heading goes out before the build, so a refused build still
    names what was asked for. *)
-let report ?max_states ?sym p =
-  (match build_of_params p with
-   | B_lr { LR.Automaton.n; g; k } ->
-     Printf.printf "Lehmann-Rabin, n=%d g=%d k=%d\n%!" n g k
-   | B_lr_topo (topo, g, k) ->
-     Printf.printf "Lehmann-Rabin on %s, g=%d k=%d\n%!"
-       (LR.Topology.name topo) g k
-   | B_election { IR.Automaton.n; _ } ->
-     Printf.printf "Leader election, n=%d\n%!" n
-   | B_coin { SC.Automaton.n; bound; _ } ->
-     Printf.printf "Shared coin, n=%d barrier=±%d\n%!" n bound
-   | B_consensus ({ BO.Automaton.n; f; cap; _ }, _) ->
-     Printf.printf
-       "Ben-Or consensus, n=%d f=%d cap=%d rounds, mixed start\n%!" n f cap);
+let report ?max_states ?sym (p : params) =
+  Printf.printf "%s\n%!" ((case_study p.family).heading (normalize p));
   print_body (resolve ?max_states ?sym p)
 
 (* ------------------------------------------------------------------ *)
@@ -742,77 +724,76 @@ type simulation =
       -> simulation
 
 let simulation ?(scheduler = "uniform") p =
-  let sim setup ~target ~reach ~horizon time_report =
-    Simulation { setup; target; reach; horizon; time_report }
-  in
-  (* Every family but lr runs the uniform scheduler only. *)
-  let uniform pa ~duration ~start =
-    if scheduler = "uniform" then
-      Ok { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-           duration; start }
-    else
+  let { params = p; f; initial } = normalize p in
+  let { n; g; k; _ } = p in
+  let mean = Proba.Stat.Summary.mean in
+  (* A tick lasts one time unit.  Every family but lr runs the uniform
+     scheduler only. *)
+  let run (d : (_, _, _) Desc.t) ?schedulers ~start ~target ~reach ~horizon
+      time_report =
+    let named =
+      Option.value schedulers
+        ~default:[ ("uniform", Sim.Scheduler.uniform d.pa) ]
+    in
+    match List.assoc_opt scheduler named, schedulers with
+    | Some sched, _ ->
+      let duration a = if d.is_tick a then 1 else 0 in
+      Ok
+        (Simulation
+           { setup = { pa = d.pa; scheduler = sched; duration; start };
+             target; reach; horizon; time_report })
+    | None, Some _ -> Error (Printf.sprintf "unknown scheduler %S" scheduler)
+    | None, None ->
       Error
         (Printf.sprintf "scheduler %S applies to the lr model only" scheduler)
   in
-  let mean = Proba.Stat.Summary.mean in
-  match build_of_params p with
-  | B_lr_topo _ ->
+  match p.family with
+  | `Lr when p.topology <> "ring" ->
     Error
       (Printf.sprintf "no Monte Carlo setup for the %s topology" p.topology)
-  | B_lr ({ LR.Automaton.n; g; k } as params) ->
-    let pa = LR.Automaton.make params in
-    (match List.assoc_opt scheduler (LR.Schedulers.all pa) with
-     | None -> Error (Printf.sprintf "unknown scheduler %S" scheduler)
-     | Some sched ->
-       Ok
-         (sim
-            { Sim.Monte_carlo.pa; scheduler = sched;
-              duration = LR.Automaton.duration;
-              start = LR.State.all_trying ~n ~g ~k }
-            ~target:lr_target ~reach:"some process critical"
-            ~horizon:(13 * g)
-            (fun ~trials ~missed s ->
-               let lo, hi = Proba.Stat.Summary.mean_ci s in
-               Printf.sprintf
-                 "E[time to critical] ~ %.3f  (95%% CI [%.3f, %.3f], %d \
-                  trials, %d missed, scheduler %s; paper bound 63)\n"
-                 (mean s) lo hi trials missed scheduler)))
-  | B_election ({ IR.Automaton.n; g; _ } as params) ->
-    uniform (IR.Automaton.make params) ~duration:IR.Automaton.duration
-      ~start:(IR.Automaton.start params)
-    |> Result.map (fun setup ->
-        sim setup ~target:IR.Automaton.leader_elected ~reach:"leader elected"
-          ~horizon:(2 * n * g)
-          (fun ~trials ~missed s ->
-             Printf.sprintf
-               "E[election time] ~ %.3f  (%d trials, %d missed; derived \
-                bound %d)\n"
-               (mean s) trials missed
-               (2 * (n - 1))))
-  | B_coin ({ SC.Automaton.bound; g; _ } as params) ->
-    uniform (SC.Automaton.make params) ~duration:SC.Automaton.duration
-      ~start:(SC.Automaton.start params)
-    |> Result.map (fun setup ->
-        sim setup ~target:(SC.Automaton.decided params) ~reach:"decided"
-          ~horizon:(4 * bound * bound * g)
-          (fun ~trials ~missed s ->
-             Printf.sprintf
-               "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = \
-                %.3f)\n"
-               (mean s) trials missed (SC.Proof.theory params)))
-  | B_consensus (({ BO.Automaton.cap; g; _ } as params), initial) ->
-    uniform
-      (BO.Automaton.make ~initial params)
-      ~duration:BO.Automaton.duration
+  | `Lr ->
+    let d = LR.Proof.describe { n; g; k } in
+    run d ~schedulers:(LR.Schedulers.all d.pa)
+      ~start:(LR.State.all_trying ~n ~g ~k) ~target:lr_target
+      ~reach:"some process critical" ~horizon:(13 * g)
+      (fun ~trials ~missed s ->
+         let lo, hi = Proba.Stat.Summary.mean_ci s in
+         Printf.sprintf
+           "E[time to critical] ~ %.3f  (95%% CI [%.3f, %.3f], %d trials, \
+            %d missed, scheduler %s; paper bound 63)\n"
+           (mean s) lo hi trials missed scheduler)
+  | `Election ->
+    let params = { IR.Automaton.n; g; k } in
+    run (IR.Proof.describe params) ~start:(IR.Automaton.start params)
+      ~target:IR.Automaton.leader_elected ~reach:"leader elected"
+      ~horizon:(2 * n * g)
+      (fun ~trials ~missed s ->
+         Printf.sprintf
+           "E[election time] ~ %.3f  (%d trials, %d missed; derived bound \
+            %d)\n"
+           (mean s) trials missed
+           (2 * (n - 1)))
+  | `Coin ->
+    let params = { SC.Automaton.n; bound = p.bound; g; k } in
+    run (SC.Proof.describe params) ~start:(SC.Automaton.start params)
+      ~target:(SC.Automaton.decided params) ~reach:"decided"
+      ~horizon:(4 * p.bound * p.bound * g)
+      (fun ~trials ~missed s ->
+         Printf.sprintf
+           "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = %.3f)\n"
+           (mean s) trials missed (SC.Proof.theory params))
+  | `Consensus ->
+    let params = { BO.Automaton.n; f; cap = p.cap; g; k } in
+    run
+      (BO.Proof.describe params ~initial)
       ~start:(BO.Automaton.start params initial)
-    |> Result.map (fun setup ->
-        sim setup ~target:BO.Automaton.some_decided
-          ~reach:"some process decided" ~horizon:(4 * cap * g)
-          (fun ~trials ~missed s ->
-             Printf.sprintf
-               "E[decision time] ~ %.3f  (%d trials, %d missed; mixed \
-                start, uniform scheduler)\n"
-               (mean s) trials missed))
+      ~target:BO.Automaton.some_decided ~reach:"some process decided"
+      ~horizon:(4 * p.cap * g)
+      (fun ~trials ~missed s ->
+         Printf.sprintf
+           "E[decision time] ~ %.3f  (%d trials, %d missed; mixed start, \
+            uniform scheduler)\n"
+           (mean s) trials missed)
 
 (* ------------------------------------------------------------------ *)
 (* The walker of examples/quickstart.ml, registered here so the lint
@@ -876,46 +857,43 @@ let claims arrows composed =
   @ match composed with Ok c -> [ ("composed", c) ] | Error _ -> []
 
 let lint_case name p ~max_states ?sym () =
-  let run ~is_tick ~symmetry ~claims arena expl cert =
+  let run (d : (_, _, _) Desc.t) ~claims arena cert =
     Analysis.run_explored ~arena
-      (Analysis.config ~name ~is_tick ~claims ~max_states ~symmetry
-         ~sym_reduced:(cert <> None) (Mdp.Explore.automaton expl))
-      expl
+      (Analysis.config ~name ~is_tick:d.is_tick ~claims ~max_states
+         ~symmetry:d.spec ~sym_reduced:(cert <> None) d.pa)
+      (Mdp.Arena.explored arena)
   in
   match resolve ~max_states ?sym p with
   | Lr i ->
     let arrows = LR.Proof.arrows i in
-    run ~is_tick:LR.Automaton.is_tick
-      ~symmetry:(LR.Symmetry.ring ~n:i.LR.Proof.params.LR.Automaton.n ())
+    run (LR.Proof.describe i.LR.Proof.params)
       ~claims:(claims arrows (LR.Proof.compose_arrows i arrows))
-      i.LR.Proof.arena i.LR.Proof.expl i.LR.Proof.sym
+      i.LR.Proof.arena i.LR.Proof.sym
   | Lr_topo i ->
     let arrows = LR.Proof.arrows_topo i in
-    run ~is_tick:LR.Automaton.is_tick
-      ~symmetry:(LR.Symmetry.spec i.LR.Proof.topo)
+    run
+      (LR.Proof.describe_topo ~topo:i.LR.Proof.topo ~g:i.LR.Proof.tg
+         ~k:i.LR.Proof.tk)
       ~claims:(claims arrows (LR.Proof.compose_arrows_topo i arrows))
-      i.LR.Proof.tarena i.LR.Proof.texpl i.LR.Proof.tsym
+      i.LR.Proof.tarena i.LR.Proof.tsym
   | Election i ->
     let arrows = IR.Proof.arrows i in
-    run ~is_tick:IR.Automaton.is_tick
-      ~symmetry:(IR.Symmetry.spec i.IR.Proof.params)
+    run (IR.Proof.describe i.IR.Proof.params)
       ~claims:(claims arrows (IR.Proof.compose_arrows arrows))
-      i.IR.Proof.arena i.IR.Proof.expl i.IR.Proof.sym
+      i.IR.Proof.arena i.IR.Proof.sym
   | Coin i ->
     let arrows = SC.Proof.arrows i in
-    run ~is_tick:SC.Automaton.is_tick
-      ~symmetry:(SC.Symmetry.spec i.SC.Proof.params)
+    run (SC.Proof.describe i.SC.Proof.params)
       ~claims:(claims arrows (SC.Proof.compose_arrows arrows))
-      i.SC.Proof.arena i.SC.Proof.expl i.SC.Proof.sym
+      i.SC.Proof.arena i.SC.Proof.sym
   | Consensus i ->
     let { BO.Automaton.n; cap; _ } = i.BO.Proof.params in
     let arrow =
       BO.Proof.decision_arrow i ~rounds:cap ~prob:(Q.pow Q.half n)
     in
-    run ~is_tick:BO.Automaton.is_tick
-      ~symmetry:(BO.Symmetry.spec i.BO.Proof.params ~initial:i.BO.Proof.initial)
+    run (BO.Proof.describe i.BO.Proof.params ~initial:i.BO.Proof.initial)
       ~claims:(claims [ arrow ] (Error "no composition"))
-      i.BO.Proof.arena i.BO.Proof.expl i.BO.Proof.sym
+      i.BO.Proof.arena i.BO.Proof.sym
 
 let lint_walker ~max_states ?sym:_ () =
   Analysis.run

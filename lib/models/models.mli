@@ -1,24 +1,22 @@
 (** The model registry and the case-study table: the one place that
     knows the model families.
 
-    Every surface -- [prtb check], [compile], [simulate], [export-dot]
-    and [lint], [prtb serve] (the wire protocol, the service and the
-    snapshot store), the experiment harness and the benchmarks --
-    reads a family's names, parameter ranges, conventions and reports
-    from here and resolves instances through the memoized registry
-    below, so within one process invocation each (model, parameters)
-    pair is explored and its {!Mdp.Arena} compiled {e exactly once} --
-    [prtb check lr --stats] reports [explorations: 1, compiles: 1].
+    Every surface -- the [prtb] subcommands, [prtb serve] (the wire
+    protocol, the service and the snapshot store), the experiment
+    harness and the benchmarks -- reads a family's names, ranges,
+    conventions and reports from here and resolves instances through
+    the memoized, domain-safe registry below, so within one process
+    each (model, parameters) pair is explored and its {!Mdp.Arena}
+    compiled {e exactly once}, also under concurrent [prtb serve]
+    workers -- [prtb check lr --stats] reports
+    [explorations: 1, compiles: 1].
 
-    The registry is {e domain-safe}: concurrent [prtb serve] workers
-    requesting the same key block on the single in-flight build instead
-    of racing it, so the build-once guarantee survives contention
-    (builds of distinct keys still run in parallel).
-
-    The registry also owns all built-in lint targets for [prtb lint]
-    (each target couples an automaton with the model knowledge that
-    unlocks the deeper checks: tick classifier, intended terminals,
-    finished claims). *)
+    A query's {!params} normalize to a full parameter {!tuple}: the
+    registry key is printed from it, and {!case} maps it to the family
+    library's {!Analysis.Description}, which the registry builds and
+    the snapshot loader rebuilds.  What a family reads, its conventions
+    and its report heading are rows of one table.  The registry also
+    owns the built-in [prtb lint] targets. *)
 
 (** The Example 4.1 two-coin automaton (here so the lint-target table
     needs nothing from the experiments library). *)
@@ -56,6 +54,12 @@ type params = {
   cap : int;
 }
 
+(** A full parameter tuple, as a snapshot records it: [params] with the
+    fields its family does not read neutral, and consensus's [f] and
+    [initial] ([0] and [[||]] elsewhere).  lr's general topologies are
+    ["line"], ["star"] and, from {!lr_topo}, ["ring(n)"]. *)
+type tuple = { params : params; f : int; initial : bool array }
+
 (** [Some (field, problem)] for the first parameter [p]'s family does
     not accept, e.g. [("n", "must be at least 2 for lr (got 1)")]: lr
     and election need [n >= 2], coin and consensus [n >= 1]; [g], [k]
@@ -68,11 +72,9 @@ val invalid : params -> (string * string) option
     the ring, barrier 4 and 50 consensus rounds. *)
 val sim_params : family -> n:int -> params
 
-(** What a snapshot records: [p] with the fields its family does not
-    read at neutral values (topology ["ring"], [bound] and [cap] 0),
-    then consensus's fault bound and initial estimates ([0] and [[||]]
-    for the other families). *)
-val normalize : params -> params * int * bool array
+(** The tuple [p] resolves to, consensus's [f] and [initial] by the
+    convention above. *)
+val normalize : params -> tuple
 
 (** {1 Instances} *)
 
@@ -84,6 +86,14 @@ type instance =
   | Consensus of Ben_or.Proof.instance
 
 val family_of : instance -> family
+
+(** A tuple's description and its instance's constructor ([Lr_topo]
+    off the ring); [case] raises [Invalid_argument] on an unknown lr
+    topology. *)
+type case =
+  | Case : ('s, 'a, 'i) Analysis.Description.t * ('i -> instance) -> case
+
+val case : tuple -> case
 
 (** [resolve ?max_states ?sym p] is the registry's instance for [p]:
     built on first request (lr's line and star topologies as
@@ -158,7 +168,7 @@ val simulation : ?scheduler:string -> params -> (simulation, string) result
 (** {1 Typed builders}
 
     Parameters mirror the proof modules' [build] functions and share
-    {!resolve}'s cache. *)
+    {!resolve}'s cache.  [lr_topo] takes the stock topologies only. *)
 
 val lr :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
@@ -184,20 +194,19 @@ val consensus :
 
 (** {1 Preloading}
 
-    [preload ?max_states ~sym inst] seeds the registry with an instance
-    built elsewhere -- an arena snapshot loaded by [prtb serve
-    --snapshot-dir] -- under exactly the key {!resolve} and the typed
-    builders use for the parameters the instance carries, so the first
-    served query for those parameters is a cache hit with
-    [explorations: 0, compiles: 0].  Returns [false] (keeping the
-    existing entry) when the key is already cached or mid-build;
-    preloaded entries respect {!set_capacity} like any other insert.
-    The [sym] and [max_states] arguments are part of the key and are
-    not recorded in the instance, so callers must state them.  The
-    typed [preload_*] take the whole tuple, like their builders. *)
+    [preload ?max_states ~sym t inst] seeds the registry with an
+    instance of [t] built elsewhere -- an arena snapshot loaded by
+    [prtb serve --snapshot-dir] -- under the key {!resolve} and the
+    typed builders print from the same tuple, so the first served query
+    for it is a cache hit with [explorations: 0, compiles: 0].  Returns
+    [false] (keeping the existing entry) when the key is already cached
+    or mid-build; preloaded entries respect {!set_capacity}.  [sym] and
+    [max_states] are part of the key.  The typed [preload_*] take the
+    whole tuple, like their builders. *)
 
 val preload :
-  ?max_states:int -> sym:Analysis.Symmetry.mode -> instance -> bool
+  ?max_states:int -> sym:Analysis.Symmetry.mode -> tuple -> instance ->
+  bool
 
 val preload_lr :
   ?max_states:int -> g:int -> k:int -> sym:Analysis.Symmetry.mode ->

@@ -26,8 +26,13 @@ type instance = {
       (** present iff the fragment is the certified orbit quotient *)
 }
 
-(** [sym] (default [Off]) requests orbit-reduced exploration under the
-    full process-permutation group ({!Symmetry.spec}). *)
+(** The automaton, the process permutations ({!Symmetry.spec}) and the
+    label ["shared_coin"]; [build] is {!Analysis.Description.build} of
+    it ([sym] defaults to [Off]). *)
+val describe :
+  Automaton.params ->
+  (Automaton.state, Automaton.action, instance) Analysis.Description.t
+
 val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> bound:int -> unit -> instance

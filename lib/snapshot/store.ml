@@ -1,9 +1,4 @@
-module Q = Proba.Rational
 module Sym = Analysis.Symmetry
-module LR = Lehmann_rabin
-module IR = Itai_rodeh
-module SC = Shared_coin
-module BO = Ben_or
 
 type config = {
   model : string;
@@ -19,18 +14,16 @@ type config = {
 }
 
 type loaded = Models.instance =
-  | Lr of LR.Proof.instance
-  | Lr_topo of LR.Proof.topo_instance
-  | Election of IR.Proof.instance
-  | Coin of SC.Proof.instance
-  | Consensus of BO.Proof.instance
+  | Lr of Lehmann_rabin.Proof.instance
+  | Lr_topo of Lehmann_rabin.Proof.topo_instance
+  | Election of Itai_rodeh.Proof.instance
+  | Coin of Shared_coin.Proof.instance
+  | Consensus of Ben_or.Proof.instance
 
 let config_of ~sym p =
-  let { Models.family; n; g; k; topology; bound; cap }, f, initial =
-    Models.normalize p
-  in
-  { model = Models.name family; n; g; k; topology; bound; cap; f; initial;
-    sym }
+  let { Models.params = q; f; initial } = Models.normalize p in
+  { model = Models.name q.family; n = q.n; g = q.g; k = q.k;
+    topology = q.topology; bound = q.bound; cap = q.cap; f; initial; sym }
 
 (* A field a model does not read holds its neutral value (see the
    interface), so printing the non-neutral ones describes any model. *)
@@ -42,8 +35,7 @@ let describe c loaded =
     ^
     if c.cap <> 0 || c.initial <> [||] then
       Printf.sprintf " f=%d cap=%d initial=%s" c.f c.cap
-        (String.init (Array.length c.initial) (fun i ->
-             if c.initial.(i) then '1' else '0'))
+        (Codec.bools_to_string c.initial)
     else ""
   in
   Printf.sprintf "%s n=%d g=%d k=%d%s sym=%s (%d states)" c.model c.n c.g
@@ -55,13 +47,15 @@ let describe c loaded =
 (* ------------------------------------------------------------------ *)
 (* Encoding. *)
 
-let config_payload c =
-  Codec.strs_to_string
-    [ c.model; string_of_int c.n; string_of_int c.g; string_of_int c.k;
-      c.topology; string_of_int c.bound; string_of_int c.cap;
-      string_of_int c.f;
-      Codec.bools_to_string c.initial;
-      Sym.mode_to_string c.sym ]
+(* The config section's fields, by name. *)
+let config_fields c =
+  let int = string_of_int in
+  [ ("model", c.model); ("n", int c.n); ("g", int c.g); ("k", int c.k);
+    ("topology", c.topology); ("bound", int c.bound); ("cap", int c.cap);
+    ("f", int c.f); ("initial", Codec.bools_to_string c.initial);
+    ("sym", Sym.mode_to_string c.sym) ]
+
+let config_payload c = Codec.strs_to_string (List.map snd (config_fields c))
 
 (* The arena's own arrays, the interned states of its fragment and the
    symmetry certificate, each as a named section.  States and actions
@@ -172,13 +166,12 @@ let unmarshal : type v. (string * string) list -> string -> v =
     refuse "snapshot section %S: undecodable blob" name
 
 (* Rebuild fragment + arena from the sections, under the current model
-   code ([pa], [spec]): [Explore.of_parts] validates the CSR arrays and
-   [Arena.assemble] the tick mask.  The result must re-fingerprint to
-   the stored digest or the snapshot is stale (model code changed since
-   it was compiled) and is refused. *)
-let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
-    ~(spec : (s, a) Sym.spec) sections :
-  (s, a) Mdp.Arena.t * Sym.certificate option =
+   code (the description's automaton and symmetry spec):
+   [Explore.of_parts] validates the CSR arrays and [Arena.assemble] the
+   tick mask.  The result must re-fingerprint to the stored digest or
+   the snapshot is stale (model code changed since it was compiled) and
+   is refused. *)
+let rebuild (type s a i) (d : (s, a, i) Analysis.Description.t) sections : i =
   let counts = parsed Codec.ints_of_string sections "counts" in
   if Array.length counts <> 2 then
     refuse "snapshot section \"counts\": expected 2 integers, found %d"
@@ -205,12 +198,12 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
   let canon =
     match cert with
     | Some c when c.Sym.reduced ->
-      Some (Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec)
+      Some (Sym.canonicalizer ~equal:(Core.Pa.equal_state d.pa) d.spec)
     | Some _ | None -> None
   in
   let expl =
     try
-      Mdp.Explore.of_parts ?canon ~pa ~states
+      Mdp.Explore.of_parts ?canon ~pa:d.pa ~states
         ~csr:{ Mdp.Explore.step_off; out_off; tgt; prob_q; actions }
         ~start_indices:(Array.to_list starts) ~expanded:counts.(1) ()
     with Invalid_argument msg -> refuse "snapshot fragment: %s" msg
@@ -226,72 +219,35 @@ let rebuild (type s a) ~(pa : (s, a) Core.Pa.t)
       "snapshot fingerprint mismatch: stored %s, rebuilt %s (the model \
        code changed since this snapshot was compiled)"
       stored_fp rebuilt_fp;
-  (arena, cert)
+  d.instance arena cert
+
+(* Only a config [prtb compile] writes loads: a known model, parameters
+   it accepts, and every field what [config_of] records for them, so the
+   tuple returned is the one [Models.resolve] keys. *)
+let checked c =
+  let p =
+    match Models.of_name c.model with
+    | Some family when Models.name family = c.model ->
+      { Models.family; n = c.n; g = c.g; k = c.k; topology = c.topology;
+        bound = c.bound; cap = c.cap }
+    | Some _ | None -> refuse "snapshot config: unknown model %S" c.model
+  in
+  (match Models.invalid p with
+   | Some (field, problem) -> refuse "snapshot config: %s %s" field problem
+   | None -> ());
+  List.iter2
+    (fun (field, want) (_, got) ->
+       if want <> got then
+         refuse "snapshot config: %s must be %S for %s n=%d (got %S)" field
+           want c.model c.n got)
+    (config_fields (config_of ~sym:c.sym p))
+    (config_fields c);
+  Models.normalize p
 
 let instantiate sections =
   let c = config_of_sections sections in
-  let family =
-    match Models.of_name c.model with
-    | Some f when Models.name f = c.model -> f
-    | Some _ | None -> refuse "snapshot config: unknown model %S" c.model
-  in
-  (match
-     Models.invalid
-       { Models.family; n = c.n; g = c.g; k = c.k; topology = c.topology;
-         bound = c.bound; cap = c.cap }
-   with
-   | Some (field, problem) -> refuse "snapshot config: %s %s" field problem
-   | None -> ());
-  let loaded =
-    match family, c.topology with
-    | `Lr, "ring" ->
-      let params = { LR.Automaton.n = c.n; g = c.g; k = c.k } in
-      let pa = LR.Automaton.make params in
-      let spec = LR.Symmetry.ring ~n:c.n () in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Lr
-        { LR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | `Lr, t ->
-      let topo =
-        if t = "line" then LR.Topology.line c.n else LR.Topology.star c.n
-      in
-      let pa = LR.Automaton.make_general ~topo ~g:c.g ~k:c.k in
-      let spec = LR.Symmetry.spec topo in
-      let tarena, tsym = rebuild ~pa ~spec sections in
-      Lr_topo
-        { LR.Proof.topo; tg = c.g; tk = c.k;
-          texpl = Mdp.Arena.explored tarena; tarena; tsym }
-    | `Election, _ ->
-      let params = { IR.Automaton.n = c.n; g = c.g; k = c.k } in
-      let pa = IR.Automaton.make params in
-      let spec = IR.Symmetry.spec params in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Election
-        { IR.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | `Coin, _ ->
-      let params =
-        { SC.Automaton.n = c.n; bound = c.bound; g = c.g; k = c.k }
-      in
-      let pa = SC.Automaton.make params in
-      let spec = SC.Symmetry.spec params in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Coin
-        { SC.Proof.params; expl = Mdp.Arena.explored arena; arena; sym }
-    | `Consensus, _ ->
-      if Array.length c.initial <> c.n then
-        refuse "snapshot config: %d initial estimates for n=%d"
-          (Array.length c.initial) c.n;
-      let params =
-        { BO.Automaton.n = c.n; f = c.f; cap = c.cap; g = c.g; k = c.k }
-      in
-      let pa = BO.Automaton.make ~initial:c.initial params in
-      let spec = BO.Symmetry.spec params ~initial:c.initial in
-      let arena, sym = rebuild ~pa ~spec sections in
-      Consensus
-        { BO.Proof.params; initial = c.initial;
-          expl = Mdp.Arena.explored arena; arena; sym }
-  in
-  (c, loaded)
+  let (Models.Case (d, wrap)) = Models.case (checked c) in
+  (c, wrap (rebuild d sections))
 
 let of_string bytes =
   match Codec.decode bytes with
@@ -321,5 +277,5 @@ let preload ?max_states ~path () =
   match load ~path with
   | Error e -> Error e
   | Ok (c, loaded) ->
-    ignore (Models.preload ?max_states ~sym:c.sym loaded);
+    ignore (Models.preload ?max_states ~sym:c.sym (checked c) loaded);
     Ok (describe c loaded)

@@ -16,17 +16,17 @@
 
     Loading is as strict as [lib/cert]'s parser: an unknown container
     version, a truncated file, a one-byte tamper (the {!Codec} digest
-    seals every byte), a malformed section, or a fingerprint that does
-    not match the arena rebuilt by the {e current} model code are all
-    named [Error]s -- a stale or foreign snapshot is refused, never
-    silently served. *)
+    seals every byte), a malformed section, a configuration [prtb
+    compile] does not write, or a fingerprint that does not match the
+    arena rebuilt by the {e current} model code are all named [Error]s
+    -- a stale or foreign snapshot is refused, never silently served.
+    The loader names no family: it rebuilds from the description
+    {!Models.case} gives the recorded tuple. *)
 
-(** The full parameter tuple of a snapshotted instance.  Fields that a
-    model does not use hold its conventional defaults ([topology] is
-    ["ring"], [bound]/[cap]/[f] are [0], [initial] is [[||]]), so one
-    record covers all case studies.  Loading accepts exactly the
-    parameters {!Models.invalid} accepts -- what [prtb compile] can
-    write -- plus a consensus [initial] of length [n]. *)
+(** A snapshotted instance's {!Models.tuple} with its model's name and
+    exploration mode.  Loading accepts exactly the configs {!config_of}
+    gives for parameters {!Models.invalid} accepts -- what [prtb
+    compile] writes -- and refuses any other naming the field. *)
 type config = {
   model : string;  (** ["lr"], ["election"], ["coin"] or ["consensus"] *)
   n : int;
@@ -40,8 +40,7 @@ type config = {
   sym : Analysis.Symmetry.mode;  (** exploration mode when compiled *)
 }
 
-(** A loaded instance, ready for the same engines the builders feed:
-    the registry's own instance type. *)
+(** A loaded instance: the registry's own instance type. *)
 type loaded = Models.instance =
   | Lr of Lehmann_rabin.Proof.instance
   | Lr_topo of Lehmann_rabin.Proof.topo_instance
@@ -66,21 +65,21 @@ val encode : config -> loaded -> string
     removing the temp file. *)
 val save : path:string -> config -> loaded -> unit
 
-(** Strict inverse of {!encode}: parses the container, rebuilds the
-    fragment ({!Mdp.Explore.of_parts}) and the arena
-    ({!Mdp.Arena.assemble}) under the current model code, and refuses
-    -- with a named error -- anything malformed, tampered,
-    version-skewed, or whose recomputed fingerprint disagrees with the
-    stored one. *)
+(** Strict inverse of {!encode}: parses the container, checks the
+    config, rebuilds the fragment ({!Mdp.Explore.of_parts}) and the
+    arena ({!Mdp.Arena.assemble}) under the current model code, and
+    refuses -- with a named error -- anything malformed, tampered,
+    version-skewed, foreign, or whose recomputed fingerprint disagrees
+    with the stored one. *)
 val of_string : string -> (config * loaded, string) result
 
 (** {!of_string} on a file's bytes; I/O errors become [Error]. *)
 val load : path:string -> (config * loaded, string) result
 
 (** [preload ?max_states ~path] loads a snapshot and seeds the
-    {!Models} registry ({!Models.preload}) under the key
-    {!Models.resolve} uses for its parameters with this [max_states]
-    ceiling (pass the daemon's
+    {!Models} registry ({!Models.preload}) under the key printed from
+    its recorded tuple, the one {!Models.resolve} prints for its
+    parameters with this [max_states] ceiling (pass the daemon's
     [config.max_states]).  [Ok description] on success -- also when
     the key was already cached, which keeps the existing entry --
     [Error] on refusal. *)

@@ -141,7 +141,7 @@ let params family ?(topology = "ring") ?(bound = 0) ?(cap = 0) ~n ~g ~k () =
 let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
 
 let normalized p =
-  let q, f, initial = Models.normalize p in
+  let { Models.params = q; f; initial } = Models.normalize p in
   Printf.sprintf "%s n=%d g=%d k=%d topology=%s bound=%d cap=%d f=%d initial=%s"
     (Models.name q.Models.family) q.Models.n q.Models.g q.Models.k
     q.Models.topology q.Models.bound q.Models.cap f (bits initial)

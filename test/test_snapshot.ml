@@ -357,6 +357,36 @@ let test_refuse_structure () =
            Codec.rats_to_string (Array.sub q 0 (Array.length q - 1))),
         "prob_q", "branches" ) ]
 
+(* Configs [prtb compile] never writes: a field the model does not read
+   off its neutral value, or consensus off its conventions.  Each is
+   refused naming the field, before any arena is rebuilt. *)
+let test_refuse_foreign_config () =
+  let lr = Store.Lr (Models.lr ~n:3 ()) in
+  let consensus =
+    Store.Consensus
+      (Models.consensus ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ())
+  in
+  let consensus_config =
+    { lr_config with Store.model = "consensus"; cap = 2; f = 1;
+                     initial = [| false; false; true |] }
+  in
+  List.iter
+    (fun (name, config, loaded, expect) ->
+       refused name ~expect (Store.encode config loaded))
+    [ ( "lr with a bound", { lr_config with Store.bound = 7 }, lr,
+        {|bound must be "0" for lr n=3 (got "7")|} );
+      ( "lr with a fault bound and estimates",
+        { lr_config with Store.f = 3; initial = [| true |] }, lr,
+        {|f must be "0" for lr n=3 (got "3")|} );
+      ( "lr with estimates", { lr_config with Store.initial = [| true |] }, lr,
+        {|initial must be "" for lr n=3 (got "1")|} );
+      ( "consensus off the fault bound",
+        { consensus_config with Store.f = 0; initial = [| true; true; true |] },
+        consensus, {|f must be "1" for consensus n=3 (got "0")|} );
+      ( "consensus off the mixed start",
+        { consensus_config with Store.initial = [| true; true; true |] },
+        consensus, {|initial must be "001" for consensus n=3 (got "111")|} ) ]
+
 (* A save that cannot land (here: the rename onto a directory) raises
    and takes its temp file with it. *)
 let test_save_failure_cleans_up () =
@@ -398,6 +428,8 @@ let () =
             test_refuse_fingerprint_mismatch;
           Alcotest.test_case "inconsistent transition arrays" `Quick
             test_refuse_structure;
+          Alcotest.test_case "config prtb compile never writes" `Quick
+            test_refuse_foreign_config;
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
           Alcotest.test_case "failed save leaves no temp file" `Quick
             test_save_failure_cleans_up ] )
