@@ -30,16 +30,15 @@ type params = {
 
 type tuple = { params : params; f : int; initial : bool array }
 
-(* lr's general topologies over [n] processes by topology field; the
-   ring's is its own name, e.g. "ring(3)", which only [lr_topo] asks for. *)
-let lr_topologies n =
-  let ring = LR.Topology.ring n in
-  [ ("line", LR.Topology.line n); ("star", LR.Topology.star n);
-    (LR.Topology.name ring, ring) ]
+(* lr's general topologies by topology field.  The ring's general form
+   goes by its own name, e.g. "ring(3)", which only [lr_topo] asks for. *)
+let lr_general = [ ("line", LR.Topology.line); ("star", LR.Topology.star) ]
 
 let lr_topology (p : params) =
-  match List.assoc_opt p.topology (lr_topologies p.n) with
-  | Some topo -> topo
+  let ring = LR.Topology.ring p.n in
+  match List.assoc_opt p.topology lr_general with
+  | Some make -> make p.n
+  | None when p.topology = LR.Topology.name ring -> ring
   | None -> invalid_arg ("Models: no lr topology " ^ p.topology)
 
 type case_study = {
@@ -56,7 +55,7 @@ type case_study = {
 
 let case_studies =
   [ { family = `Lr; name = "lr"; aliases = [ "lehmann-rabin"; "dining" ];
-      min_n = 2; topologies = [ "ring"; "line"; "star" ]; reads = [];
+      min_n = 2; topologies = "ring" :: List.map fst lr_general; reads = [];
       convention = None;
       heading =
         (fun { params = p; _ } ->
@@ -312,10 +311,11 @@ let tuple ?(topology = "ring") ?(bound = 0) ?(cap = 0) ?(f = 0)
 (* Any other topology keeps its own name, which [case] refuses. *)
 let topo_tuple ~topo ~g ~k =
   let n = LR.Topology.num_procs topo and name = LR.Topology.name topo in
-  let field (f, t) = if LR.Topology.name t = name then Some f else None in
+  let field (f, make) =
+    if LR.Topology.name (make n) = name then Some f else None
+  in
   tuple `Lr ~n ~g ~k
-    ~topology:(Option.value ~default:name
-                 (List.find_map field (lr_topologies n)))
+    ~topology:(Option.value ~default:name (List.find_map field lr_general))
 
 let lr ?max_states ?(g = 1) ?(k = 1) ?(sym = Sym.Off) ~n () =
   match obtain ?max_states ~sym (tuple `Lr ~n ~g ~k) with
