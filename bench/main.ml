@@ -122,14 +122,6 @@ let bench_tests () =
       (Staged.stage (fun () ->
            Mdp.Finite_horizon.max_reach arena ~target:lr3_target ~ticks:13))
   in
-  (* The interval plane, measured on its own: the certified two-sided
-     VI bracket that only the interval plane can produce. *)
-  let interval_vi =
-    Test.make ~name:"interval:vi (certified E[T] bracket, n=3)"
-      (Staged.stage (fun () ->
-           Mdp.Expected_time.max_expected_ticks_interval arena
-             ~target:lr3_target ()))
-  in
   (* Symmetry reduction: the canonicalizer is the per-successor cost
      --sym adds to exploration (orbit closure + minimum).  The lr4
      kernel times [Analysis.Symmetry.explored] on the 162964-state
@@ -334,7 +326,7 @@ let bench_tests () =
   in
   Test.make_grouped ~name:"prtb"
     ([ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12;
-       rational_engine; arena_compile; arena_sweep; interval_vi;
+       rational_engine; arena_compile; arena_sweep;
        sym_canon; explore_lr4_reduced; sim ]
      @ substrate @ cert_tests @ serve_tests @ snapshot_tests
      @ chaos_tests)
@@ -430,14 +422,13 @@ let baseline_rows path =
 (* The tier-1-covered kernels: the e1-e12 experiment pipelines plus
    the subsystem kernels whose fast paths the suite also exercises
    (symmetry canonicalization, the certified lr4 orbit quotient, the
-   served degraded path, the snapshot cold load, the chaos round, the
-   certificate emit/verify pipeline and the interval VI bracket).
+   served degraded path, the snapshot cold load, the chaos round and
+   the certificate emit/verify pipeline).
    The substrate and sim micro-benchmarks are too jittery for even a
    coarse CI gate. *)
 let guarded_prefixes =
   [ "prtb/sym:"; "prtb/explore:"; "prtb/serve:deadline";
-    "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/interval:";
-    "prtb/cert:" ]
+    "prtb/serve:snapshot-cold"; "prtb/chaos:"; "prtb/cert:" ]
 
 let guarded name =
   let has_prefix p =

@@ -267,8 +267,8 @@ let check_format_arg =
 
 (* The parameters as given, refused naming the flag when the family
    does not accept them ([Models.invalid]) -- before anything builds. *)
-let valid (p : Models.params) =
-  match Models.invalid p with
+let valid ?explored (p : Models.params) =
+  match Models.invalid ?explored p with
   | None -> p
   | Some (field, problem) ->
     failwith
@@ -517,7 +517,8 @@ let compile_cmd =
 
 let simulate system n scheduler trials seed within =
   match
-    Models.simulation ~scheduler (valid (Models.sim_params system ~n))
+    Models.simulation ~scheduler
+      (valid ~explored:false (Models.sim_params system ~n))
   with
   | exception Failure msg -> Error (`Msg msg)
   | Error msg -> Error (`Msg msg)

@@ -15,7 +15,6 @@ type ('s, 'a) t = {
   prob_f : float array;
   tick : bool array;
   actions : 'a array;
-  interval : (float array * float array) option Atomic.t;
   fp : string option Atomic.t;
   zero_time : Zero_time.t option Atomic.t;
   passes : ((pass * string * string) * summary) list Atomic.t;
@@ -42,7 +41,6 @@ let make ~tick expl =
     prob_f = Array.map Q.to_float prob_q;
     tick;
     actions;
-    interval = Atomic.make None;
     fp = Atomic.make None;
     zero_time = Atomic.make None;
     passes = Atomic.make [] }
@@ -71,33 +69,10 @@ let assemble ~tick expl =
          (Array.length tick) (Explore.num_choices expl));
   make ~tick expl
 
-(* Derived planes are computed on demand and memoized with a CAS:
-   worker domains sweeping one shared arena may race here, in which
-   case both compute the (identical, immutable) plane and the loser
-   adopts the published copy — no lock, no torn reads. *)
-
-let interval_plane a =
-  match Atomic.get a.interval with
-  | Some plane -> plane
-  | None ->
-    let num_branches = Array.length a.tgt in
-    let lo = Array.make num_branches 0.0 in
-    let hi = Array.make num_branches 0.0 in
-    for o = 0 to num_branches - 1 do
-      let iv = Proba.Interval.of_rational a.prob_q.(o) in
-      lo.(o) <- Proba.Interval.lo iv;
-      hi.(o) <- Proba.Interval.hi iv
-    done;
-    let plane = (lo, hi) in
-    if Atomic.compare_and_set a.interval None (Some plane) then plane
-    else begin
-      match Atomic.get a.interval with
-      | Some published -> published
-      | None -> plane
-    end
-
 (* Depends only on the CSR skeleton and the tick mask, never on a
-   query's target, so every engine run on the arena shares it. *)
+   query's target, so every engine run on the arena shares it.  Memoized
+   with a CAS: racing domains both compute the (identical, immutable)
+   order and the loser adopts the published copy. *)
 let zero_time a =
   match Atomic.get a.zero_time with
   | Some z -> z

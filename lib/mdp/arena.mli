@@ -11,8 +11,10 @@
     - [out_off.(k) .. out_off.(k+1) - 1] are the branch indices of
       step [k] (length [num_choices + 1]);
     - [tgt.(o)] is the target state of branch [o], with its
-      probability stored once per plane: exact in [prob_q.(o)], as an
-      IEEE double in [prob_f.(o)] (the float plane is
+      probability stored once on each of the two planes: exact in
+      [prob_q.(o)], which the exact reach engine, DOT export and
+      snapshots read, and as an IEEE double in [prob_f.(o)], which only
+      expected-time value iteration reads (the float plane is
       [Rational.to_float] of the exact plane, precomputed so
       float sweeps never convert in the inner loop);
     - [tick.(k)] is the precomputed tick mask -- this replaces the
@@ -49,8 +51,6 @@ type ('s, 'a) t = private {
   prob_f : float array;  (** float probability plane (same order) *)
   tick : bool array;  (** per-step tick mask *)
   actions : 'a array;  (** per-step original action *)
-  interval : (float array * float array) option Atomic.t;
-      (** memoized interval plane; use {!interval_plane} *)
   fp : string option Atomic.t;
       (** memoized structural fingerprint; use {!fingerprint} *)
   zero_time : Zero_time.t option Atomic.t;
@@ -74,33 +74,22 @@ val of_pa :
     arena snapshot's) in place of a predicate; {!compiles} is {e not}
     incremented.  The float plane is computed from the exact plane
     exactly as {!compile} does, so loaded arenas are bit-identical to
-    freshly compiled ones; derived-plane and solved-pass memos start
-    empty and fill on first use.  Raises [Invalid_argument] unless
-    [tick] has one entry per step. *)
+    freshly compiled ones; the zero-time, fingerprint and solved-pass
+    memos start empty and fill on first use.  Raises [Invalid_argument]
+    unless [tick] has one entry per step. *)
 val assemble : tick:bool array -> ('s, 'a) Explore.t -> ('s, 'a) t
-
-(** The outward-rounded interval plane as parallel [lo]/[hi] endpoint
-    arrays in branch order: [lo.(o) <= prob_q.(o) <= hi.(o)] with
-    correctly-rounded directed endpoints (equal whenever the
-    probability is a finite double, which covers all dyadic models).
-    Its one consumer is the certified expected-time bracket,
-    {!Expected_time.max_expected_ticks_interval}; the reach engines
-    never build it.  Computed from [prob_q] on first use and memoized:
-    the memo is a write-once [Atomic], so racing domains both compute
-    the identical plane and one copy wins. *)
-val interval_plane : ('s, 'a) t -> float array * float array
 
 (** The strongly connected components of the zero-time (non-tick) step
     graph, successors first (see {!Zero_time}).  Independent of any
-    target set; computed on first use and memoized like
-    {!interval_plane} (domain-safe, write-once). *)
+    target set; computed on first use and memoized (domain-safe,
+    write-once [Atomic]). *)
 val zero_time : ('s, 'a) t -> Zero_time.t
 
 (** [solved arena pass ~target ~over solve] is [solve member] on the
     first ask ([member] reads [over] as packed once per state) and the
     stored summary later.  The key is the pass and both sets as bitsets
     of state indices, compared exactly.  Write-once per key by CAS like
-    the planes: racing domains may both solve, either copy is the
+    {!zero_time}: racing domains may both solve, either copy is the
     answer; a [solve] that raises (a deadline) stores nothing.  Raises
     [Invalid_argument] unless [target] has [num_states] entries. *)
 val solved :
@@ -116,7 +105,7 @@ val solved :
     consequently it is identical across processes, domain counts and
     [--plane] choices, and distinct whenever the model,
     parameters, exploration budget or symmetry quotient differ.
-    Memoized (write-once [Atomic], domain-safe like the planes). *)
+    Memoized (write-once [Atomic], domain-safe like {!zero_time}). *)
 val fingerprint : ('s, 'a) t -> string
 
 (** {1 Mirrored fragment accessors} *)

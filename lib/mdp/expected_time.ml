@@ -141,89 +141,6 @@ let max_expected_ticks a ~target ?(epsilon = 1e-12)
   let finite = Qualitative.always_reaches a ~target in
   value_iterate a ~finite ~target ~epsilon ~max_sweeps
 
-(* Certified two-sided bracket of the max-expected-time iteration: the
-   same Gauss-Seidel schedule as [value_iterate], carried on the
-   outward-rounded interval plane.  At every sweep
-   [vlo.(i) <= (real-arithmetic iterate) <= vhi.(i)], so the returned
-   envelope soundly brackets what exact real value iteration would
-   have produced at the same stopping point -- a certificate the bare
-   float plane cannot give.  The worst case keeps all
-   successors of finite states finite (always-reach is closed under
-   steps), so no infinite endpoints enter the arithmetic. *)
-let max_expected_ticks_interval (a : _ Arena.t) ~target
-    ?(epsilon = 1e-12) ?(max_sweeps = 1_000_000) () =
-  let module I = Proba.Interval in
-  let finite = Qualitative.always_reaches a ~target in
-  let n = a.Arena.n in
-  let plo, phi = Arena.interval_plane a in
-  let step_off = a.Arena.step_off and out_off = a.Arena.out_off in
-  let tgt = a.Arena.tgt and tick = a.Arena.tick in
-  let init i =
-    if target.(i) then 0.0 else if finite.(i) then 0.0 else infinity
-  in
-  let vlo = Array.init n init in
-  let vhi = Array.init n init in
-  let candidate k =
-    let fin = Array.unsafe_get out_off (k + 1) in
-    let rec go o l h =
-      if o >= fin then (l, h)
-      else begin
-        let j = Array.unsafe_get tgt o in
-        go (o + 1)
-          (I.add_down l
-             (I.mul_down (Array.unsafe_get plo o) (Array.unsafe_get vlo j)))
-          (I.add_up h
-             (I.mul_up (Array.unsafe_get phi o) (Array.unsafe_get vhi j)))
-      end
-    in
-    let l, h = go (Array.unsafe_get out_off k) 0.0 0.0 in
-    if Array.unsafe_get tick k then (I.add_down 1.0 l, I.add_up 1.0 h)
-    else (l, h)
-  in
-  let state lo hi =
-    let rec go k l h =
-      if k >= hi then (l, h)
-      else begin
-        let cl, ch = candidate k in
-        go (k + 1) (Float.max l cl) (Float.max h ch)
-      end
-    in
-    let l0, h0 = candidate lo in
-    go (lo + 1) l0 h0
-  in
-  let sweep () =
-    let delta = ref 0.0 in
-    for i = 0 to n - 1 do
-      if (not target.(i)) && finite.(i) then begin
-        let lo = step_off.(i) and hi = step_off.(i + 1) in
-        if hi > lo then begin
-          let l, h = state lo hi in
-          let d =
-            Float.max
-              (Float.abs (l -. vlo.(i)))
-              (Float.abs (h -. vhi.(i)))
-          in
-          if d > !delta then delta := d;
-          vlo.(i) <- l;
-          vhi.(i) <- h
-        end
-        else begin
-          vlo.(i) <- infinity;
-          vhi.(i) <- infinity
-        end
-      end
-    done;
-    !delta
-  in
-  let rec go k =
-    Core.Budget.poll ();
-    if k > max_sweeps then
-      failwith "Expected_time: value iteration did not converge"
-    else if sweep () > epsilon then go (k + 1)
-  in
-  go 0;
-  (vlo, vhi)
-
 let max_expected_ticks_with_policy (a : _ Arena.t) ~target
     ?(epsilon = 1e-12) ?(max_sweeps = 1_000_000) () =
   let finite = Qualitative.always_reaches a ~target in

@@ -2,11 +2,13 @@
 
     Computes [sup] over adversaries of the expected number of
     ticks before the target is first visited, by floating-point value
-    iteration over the arena's float plane (this quantity is a
-    {e measurement} used to compare against the paper's derived bound
-    of 63, not a certified claim, so floats are appropriate; the
-    certified path goes through {!Finite_horizon} and
-    {!Core.Expected}).
+    iteration over the arena's float plane, [prob_f].  This is the one
+    expected-time engine and the one reader of that plane.  The
+    quantity is a {e measurement} used to compare against the paper's
+    derived bounds (60 from RT to P, at most 63 from T to C), not a
+    certified claim; the certified path goes through
+    {!Finite_horizon} and {!Core.Expected}, and nothing yet checks the
+    float answer against the exact plane.
 
     States from which some adversary avoids the target with positive
     probability have unbounded worst-case expected time; they are
@@ -34,17 +36,6 @@
 val max_expected_ticks :
   ('s, 'a) Arena.t -> target:bool array ->
   ?epsilon:float -> ?max_sweeps:int -> unit -> float array
-
-(** Certified two-sided bracket of {!max_expected_ticks}: the same
-    Gauss-Seidel sweep schedule carried on the outward-rounded
-    {!Proba.Interval} plane, returning [(lo, hi)] endpoint arrays with
-    [lo.(i) <= v <= hi.(i)] for the exact real-arithmetic iterate [v]
-    at every sweep -- a soundness envelope the bare float plane cannot
-    provide.  Stops on the same [epsilon]/[max_sweeps] rule applied to
-    the largest endpoint movement. *)
-val max_expected_ticks_interval :
-  ('s, 'a) Arena.t -> target:bool array ->
-  ?epsilon:float -> ?max_sweeps:int -> unit -> float array * float array
 
 (** Like {!max_expected_ticks}, additionally extracting a memoryless
     worst-case adversary: [policy.(s)] is the index of the step the

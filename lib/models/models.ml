@@ -46,6 +46,10 @@ type case_study = {
   name : string;
   aliases : string list;
   min_n : int;  (* the automaton's own precondition *)
+  max_n : int;
+      (* the largest n at which a check (for lr, one with --sym on)
+         finishes under the 2M-state ceiling in about 30 s on two cores;
+         past it a check hits that ceiling or takes longer *)
   topologies : string list;  (* [] if the family runs on the ring only *)
   reads : string list;  (* which of "bound" and "cap" it reads *)
   convention : (int -> int * bool array) option;
@@ -55,8 +59,8 @@ type case_study = {
 
 let case_studies =
   [ { family = `Lr; name = "lr"; aliases = [ "lehmann-rabin"; "dining" ];
-      min_n = 2; topologies = "ring" :: List.map fst lr_general; reads = [];
-      convention = None;
+      min_n = 2; max_n = 5; topologies = "ring" :: List.map fst lr_general;
+      reads = []; convention = None;
       heading =
         (fun { params = p; _ } ->
            if p.topology = "ring" then
@@ -65,17 +69,17 @@ let case_studies =
              Printf.sprintf "Lehmann-Rabin on %s, g=%d k=%d"
                (LR.Topology.name (lr_topology p)) p.g p.k) };
     { family = `Election; name = "election"; aliases = [ "itai-rodeh" ];
-      min_n = 2; topologies = []; reads = []; convention = None;
+      min_n = 2; max_n = 10; topologies = []; reads = []; convention = None;
       heading = (fun t -> Printf.sprintf "Leader election, n=%d" t.params.n) };
     { family = `Coin; name = "coin"; aliases = [ "shared-coin" ]; min_n = 1;
-      topologies = []; reads = [ "bound" ]; convention = None;
+      max_n = 13; topologies = []; reads = [ "bound" ]; convention = None;
       heading =
         (fun { params = p; _ } ->
            Printf.sprintf "Shared coin, n=%d barrier=±%d" p.n p.bound) };
     (* Ben-Or runs with the largest fault bound [n] tolerates and a mixed
        start: process [n-1] proposes 1, the others 0. *)
     { family = `Consensus; name = "consensus"; aliases = [ "ben-or" ];
-      min_n = 1; topologies = []; reads = [ "cap" ];
+      min_n = 1; max_n = 4; topologies = []; reads = [ "cap" ];
       convention =
         Some (fun n -> ((n - 1) / 2, Array.init n (fun i -> i = n - 1)));
       heading =
@@ -99,7 +103,7 @@ let of_name s =
 let sim_params family ~n =
   { family; n; g = 1; k = 1; topology = "ring"; bound = 4; cap = 50 }
 
-let invalid (p : params) =
+let invalid ?(explored = true) (p : params) =
   let c = case_study p.family in
   let least field v m =
     if v >= m then None
@@ -107,6 +111,14 @@ let invalid (p : params) =
       Some
         ( field,
           Printf.sprintf "must be at least %d for %s (got %d)" m c.name v )
+  in
+  let most =
+    if (not explored) || p.n <= c.max_n then None
+    else
+      Some
+        ( "n",
+          Printf.sprintf "must be at most %d for %s (got %d)" c.max_n c.name
+            p.n )
   in
   let read field v = if List.mem field c.reads then least field v 1 else None in
   let rec one_of = function
@@ -129,7 +141,7 @@ let invalid (p : params) =
               p.topology )
   in
   List.find_map Fun.id
-    [ topology; least "n" p.n c.min_n; least "g" p.g 1; least "k" p.k 1;
+    [ topology; least "n" p.n c.min_n; most; least "g" p.g 1; least "k" p.k 1;
       read "bound" p.bound; read "cap" p.cap ]
 
 let normalize (p : params) =

@@ -65,8 +65,15 @@ type tuple = { params : params; f : int; initial : bool array }
     and election need [n >= 2], coin and consensus [n >= 1]; [g], [k]
     and the [bound] or [cap] the family reads must be positive, and
     only lr takes a topology other than ["ring"].  Every resolver
-    below assumes this returned [None]. *)
-val invalid : params -> (string * string) option
+    below assumes this returned [None].
+
+    With [explored] (the default) [n] must also be at most the family's
+    largest checkable size -- lr 5, election 10, coin 13, consensus 4 --
+    so a query like [check lr -n 99] is refused at once instead of
+    exploring for minutes before the 2M-state ceiling stops it.  Monte
+    Carlo ([prtb simulate], [/simulate]) passes [~explored:false]:
+    large rings are what it is for. *)
+val invalid : ?explored:bool -> params -> (string * string) option
 
 (** The parameters [prtb simulate] and [/simulate] run at: [g = k = 1],
     the ring, barrier 4 and 50 consensus rounds. *)

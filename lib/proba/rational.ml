@@ -113,42 +113,6 @@ let to_float = function
   | B (n, d) -> Bigint.to_float n /. Bigint.to_float d
 
 (* ------------------------------------------------------------------ *)
-(* Exact float conversions.  Every finite IEEE double is a dyadic
-   rational, so [of_float_exact] is exact; [to_float_down]/[to_float_up]
-   are its correctly-rounded directed inverses (the foundation of
-   {!Interval.of_rational}'s outward rounding). *)
-
-(* Count of trailing zero bits; [m] nonzero, magnitude below [2^62].
-   Two's-complement [land]/[asr] make this sign-agnostic. *)
-let tz_int m =
-  let rec go m k = if m land 1 = 1 then k else go (m asr 1) (k + 1) in
-  go m 0
-
-let of_float_exact f =
-  if not (Float.is_finite f) then
-    invalid_arg "Rational.of_float_exact: not finite";
-  if f = 0.0 then zero
-  else begin
-    let m, e = Float.frexp f in
-    (* |m| in [0.5, 1): m * 2^53 is an integer of at most 53 bits, so
-       the conversion below is exact and fits a native int. *)
-    let m53 = int_of_float (Float.ldexp m 53) in
-    let e = e - 53 in
-    if e >= 0 then of_bigint (Bigint.shift_left (Bigint.of_int m53) e)
-    else begin
-      let k = Stdlib.min (tz_int m53) (-e) in
-      let n = m53 asr k and d = -e - k in
-      (* canonical by construction: either d = 0, or n is odd *)
-      if d = 0 then of_int n
-      else if d <= 61 then S (n, 1 lsl d)
-      else demote (Bigint.of_int n) (Bigint.shift_left Bigint.one d)
-    end
-  end
-
-(* Directed conversions continue after the comparison section ([sign],
-   [is_zero]) below. *)
-
-(* ------------------------------------------------------------------ *)
 (* Comparisons. *)
 
 let sign = function S (n, _) -> compare n 0 | B (n, _) -> Bigint.sign n
@@ -193,71 +157,6 @@ let leq a b = compare a b <= 0
 let lt a b = compare a b < 0
 let geq a b = compare a b >= 0
 let gt a b = compare a b > 0
-
-(* ------------------------------------------------------------------ *)
-(* Directed conversions (second half; see [of_float_exact] above). *)
-
-(* The truncated 53-bit mantissa of [|q|]: [Some (m, sticky)] with
-   [m = mant * 2^exp2] already assembled as a float (exactly), and
-   [sticky] true iff [|q| > m], i.e. the truncation dropped mass.
-   [None] when [|q| >= 2^1024] (beyond the finite doubles). *)
-let directed_mag q =
-  let a = Bigint.abs (num q) and b = den q in
-  (* 2^(e-1) <= |q| < 2^(e+1) *)
-  let e = Bigint.bit_length a - Bigint.bit_length b in
-  let exp2 = Stdlib.max (e - 53) (-1074) in
-  let n', d' =
-    if exp2 <= 0 then (Bigint.shift_left a (-exp2), b)
-    else (a, Bigint.shift_left b exp2)
-  in
-  let qt, r = Bigint.divmod n' d' in
-  let sticky = not (Bigint.is_zero r) in
-  (* qt = floor(|q| * 2^-exp2) < 2^54; renormalize to at most 53 bits *)
-  let qt = Bigint.to_int_exn qt in
-  let qt, exp2, sticky =
-    if qt >= 1 lsl 53 then (qt asr 1, exp2 + 1, sticky || qt land 1 = 1)
-    else (qt, exp2, sticky)
-  in
-  if exp2 > 971 then None  (* qt >= 2^52, so |q| >= 2^1024 *)
-  else Some (Float.ldexp (float_of_int qt) exp2, sticky)
-
-(* Small fast path: a 53-bit numerator over a power-of-two denominator
-   converts exactly (no subnormal range: |n/d| >= 2^-53), so both
-   directed roundings coincide.  Covers every fair-coin probability. *)
-let exact_small = function
-  | S (n, d)
-    when d land (d - 1) = 0 && d <= 1 lsl 53 && n >= -(1 lsl 53)
-         && n <= 1 lsl 53 ->
-    Some (float_of_int n /. float_of_int d)
-  | S _ | B _ -> None
-
-let to_float_down q =
-  match exact_small q with
-  | Some f -> f
-  | None ->
-    if is_zero q then 0.0
-    else if sign q > 0 then
-      (match directed_mag q with
-       | Some (m, _) -> m
-       | None -> max_float)
-    else
-      (match directed_mag q with
-       | Some (m, sticky) -> if sticky then -.Float.succ m else -.m
-       | None -> neg_infinity)
-
-let to_float_up q =
-  match exact_small q with
-  | Some f -> f
-  | None ->
-    if is_zero q then 0.0
-    else if sign q > 0 then
-      (match directed_mag q with
-       | Some (m, sticky) -> if sticky then Float.succ m else m
-       | None -> infinity)
-    else
-      (match directed_mag q with
-       | Some (m, _) -> -.m
-       | None -> -.max_float)
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic. *)

@@ -4,7 +4,8 @@
     the numerator/denominator pair is coprime.  All probability
     computations in this library use this type so that statements such as
     [G -5->_{1/4} P] are checked exactly rather than up to floating-point
-    error. *)
+    error.  The one conversion to floats is {!to_float}, which builds
+    the arena's float plane for expected-time value iteration. *)
 
 type t
 
@@ -36,23 +37,6 @@ val of_string : string -> t
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 val to_float : t -> float
-
-(** {1 Directed float conversions}
-
-    Every finite IEEE double is a dyadic rational, so [of_float_exact]
-    loses nothing, and the directed conversions below are correctly
-    rounded: [to_float_down q] is the largest double [<= q] and
-    [to_float_up q] the smallest double [>= q].  Magnitudes beyond
-    [max_float] saturate to [max_float] on the inward side and to the
-    matching infinity on the outward side.  These are the foundation of
-    {!Interval}'s outward rounding. *)
-
-(** Exact rational value of a finite double.
-    Raises [Invalid_argument] on nan/infinities. *)
-val of_float_exact : float -> t
-
-val to_float_down : t -> float
-val to_float_up : t -> float
 
 (** {1 Comparisons} *)
 

@@ -138,8 +138,8 @@ let plane_field fields =
 
 (* The family's own ranges (Models.invalid), checked once the fields
    parse, so an instance the automaton would refuse is a 400 here. *)
-let in_range params =
-  match Models.invalid params with
+let in_range ?explored params =
+  match Models.invalid ?explored params with
   | Some (field, problem) -> reject 400 "SRV103" "field %S %s" field problem
   | None -> ()
 
@@ -176,7 +176,7 @@ let parse_check fields = Check (check_fields fields)
 let parse_simulate fields =
   let sim_model = model_field fields in
   let sim_n = positive "n" (int_field fields "n" ~default:8) in
-  in_range (Models.sim_params sim_model ~n:sim_n);
+  in_range ~explored:false (Models.sim_params sim_model ~n:sim_n);
   Simulate
     { sim_model;
       sim_n;

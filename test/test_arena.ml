@@ -754,60 +754,35 @@ let test_registry_memoizes () =
     (after.Models.cache_hits > before.Models.cache_hits)
 
 (* ------------------------------------------------------------------ *)
-(* The interval plane: its one consumer is the certified two-sided
-   bracket of expected-time value iteration. *)
-
-let test_interval_vi_bracket () =
-  let (Fixture f) = List.hd (Lazy.force fixtures) in
-  let vlo, vhi =
-    Mdp.Expected_time.max_expected_ticks_interval f.arena ~target:f.target ()
-  in
-  let v = Mdp.Expected_time.max_expected_ticks f.arena ~target:f.target () in
-  Array.iteri
-    (fun i x ->
-       if Float.is_finite x then begin
-         if not (vlo.(i) <= x && x <= vhi.(i)) then
-           Alcotest.failf "state %d: %h outside [%h, %h]" i x vlo.(i)
-             vhi.(i)
-       end
-       else if Float.is_finite vhi.(i) then
-         Alcotest.failf "state %d: infinite VI but finite bracket" i)
-    v
-
 (* The orbit quotient's weights are orbit-summed, so its planes run
-   over merged (but still dyadic) branches: the interval plane must
-   collapse to the exact weight on every branch, and the expected-time
-   bracket over it must enclose plain value iteration. *)
+   over merged branches.  They must stay dyadic with a denominator of at
+   most 2^53, so the float plane holds every weight exactly, and value
+   iteration over that plane must match [Legacy] bit for bit. *)
 let test_plane_sym_quotient () =
   let inst = Models.lr ~sym:Analysis.Symmetry.On ~n:3 () in
   let arena = inst.LR.Proof.arena in
   let target = Mdp.Arena.indicator arena LR.Regions.c in
-  let lo, hi = Mdp.Arena.interval_plane arena in
-  let prob_q = arena.Mdp.Arena.prob_q in
-  Alcotest.(check int) "lo length" (Array.length prob_q) (Array.length lo);
-  Alcotest.(check int) "hi length" (Array.length prob_q) (Array.length hi);
+  let prob_f = arena.Mdp.Arena.prob_f in
+  Alcotest.(check int) "float plane length"
+    (Array.length arena.Mdp.Arena.prob_q) (Array.length prob_f);
   Array.iteri
     (fun o p ->
-       if not (lo.(o) = hi.(o)
-               && Proba.Rational.equal p (Proba.Rational.of_float_exact lo.(o)))
-       then
-         Alcotest.failf "branch %d: [%h, %h] is not the point %s" o lo.(o)
-           hi.(o) (Proba.Rational.to_string p))
-    prob_q;
-  let vlo, vhi =
-    Mdp.Expected_time.max_expected_ticks_interval arena ~target ()
-  in
-  let v = Mdp.Expected_time.max_expected_ticks arena ~target () in
-  Array.iteri
-    (fun i x ->
-       if Float.is_finite x then begin
-         if not (vlo.(i) <= x && x <= vhi.(i)) then
-           Alcotest.failf "quotient state %d: %h outside [%h, %h]" i x
-             vlo.(i) vhi.(i)
-       end
-       else if Float.is_finite vhi.(i) then
-         Alcotest.failf "quotient state %d: infinite VI but finite bracket" i)
-    v
+       let exact =
+         match Proba.Bigint.to_int (Proba.Rational.num p),
+               Proba.Bigint.to_int (Proba.Rational.den p) with
+         | Some n, Some d ->
+           d land (d - 1) = 0 && d <= 1 lsl 53
+           && prob_f.(o) *. float_of_int d = float_of_int n
+         | (Some _ | None), _ -> false
+       in
+       if not exact then
+         Alcotest.failf "branch %d: %s is not held exactly as %h" o
+           (Proba.Rational.to_string p) prob_f.(o))
+    arena.Mdp.Arena.prob_q;
+  check_float_arrays "quotient max_expected_ticks"
+    (Legacy.max_expected_ticks inst.LR.Proof.expl
+       ~is_tick:LR.Automaton.is_tick ~target ())
+    (Mdp.Expected_time.max_expected_ticks arena ~target ())
 
 (* ------------------------------------------------------------------ *)
 (* Layer schedule: the sequential engine solves a tick layer in one walk
@@ -1275,9 +1250,7 @@ let () =
           Alcotest.test_case "budgeted partial fragment" `Quick
             test_partial_fragment_differential ] );
       ( "plane",
-        [ Alcotest.test_case "orbit quotient" `Quick test_plane_sym_quotient;
-          Alcotest.test_case "interval VI bracket" `Quick
-            test_interval_vi_bracket ] );
+        [ Alcotest.test_case "orbit quotient" `Quick test_plane_sym_quotient ] );
       ( "schedule",
         [ Alcotest.test_case "toys vs legacy (all engines, all pools)" `Quick
             test_schedule_differential;

@@ -261,7 +261,30 @@ let test_invalid_refusals () =
         ("cap", "must be at least 1 for consensus (got 0)") );
       (* A field a family does not read is not checked. *)
       ( params `Coin ~bound:0 ~cap:0 ~n:1 ~g:1 ~k:0 (),
-        ("k", "must be at least 1 for coin (got 0)") ) ]
+        ("k", "must be at least 1 for coin (got 0)") );
+      ( params `Lr ~n:99 ~g:1 ~k:1 (),
+        ("n", "must be at most 5 for lr (got 99)") );
+      ( params `Lr ~topology:"star" ~n:6 ~g:1 ~k:1 (),
+        ("n", "must be at most 5 for lr (got 6)") );
+      ( params `Election ~n:11 ~g:1 ~k:1 (),
+        ("n", "must be at most 10 for election (got 11)") );
+      ( params `Coin ~bound:4 ~n:14 ~g:1 ~k:1 (),
+        ("n", "must be at most 13 for coin (got 14)") );
+      ( params `Consensus ~cap:2 ~n:5 ~g:1 ~k:1 (),
+        ("n", "must be at most 4 for consensus (got 5)") ) ]
+
+(* Each family's largest checkable n is admitted; Monte Carlo
+   ([~explored:false]) admits any n the automaton takes. *)
+let test_largest_n () =
+  List.iter
+    (fun (family, n) ->
+       Alcotest.(check (option (pair string string)))
+         (Printf.sprintf "%s n=%d admitted" (Models.name family) n) None
+         (Models.invalid (Models.sim_params family ~n));
+       Alcotest.(check (option (pair string string)))
+         (Models.name family ^ " n=99 simulates") None
+         (Models.invalid ~explored:false (Models.sim_params family ~n:99)))
+    [ (`Lr, 5); (`Election, 10); (`Coin, 13); (`Consensus, 4) ]
 
 let () =
   Alcotest.run "models"
@@ -284,4 +307,5 @@ let () =
         [ Alcotest.test_case "family helpers' bytes" `Quick
             test_family_helpers;
           Alcotest.test_case "invalid refusals" `Quick
-            test_invalid_refusals ] ) ]
+            test_invalid_refusals;
+          Alcotest.test_case "largest n" `Quick test_largest_n ] ) ]

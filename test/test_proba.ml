@@ -4,7 +4,6 @@
    values. *)
 
 module B = Proba.Bigint
-module I = Proba.Interval
 module Q = Proba.Rational
 module D = Proba.Dist
 module R = Proba.Rng
@@ -718,133 +717,6 @@ let test_histogram_quantile () =
   Alcotest.(check bool) "median near 50" true (med > 45.0 && med < 55.0)
 
 (* ------------------------------------------------------------------ *)
-(* Interval: the outward-rounded double plane.  Soundness is the
-   invariant everything else rests on -- every operation's result
-   interval must contain the exact rational result -- and tightness
-   (point intervals whenever the result is representable) is what the
-   engines harvest, so both are property-tested against the rational
-   oracle, including operands promoted past the native-int tier. *)
-
-let test_interval_basics () =
-  let half = I.of_rational Q.half in
-  Alcotest.(check bool) "1/2 is a point" true (I.is_point half);
-  check_q "1/2 pins 1/2" Q.half
-    (Option.get (I.exact_value half));
-  let third = I.of_rational (Q.of_ints 1 3) in
-  Alcotest.(check bool) "1/3 is not a point" false (I.is_point third);
-  Alcotest.(check bool) "1/3 interval is one ulp" true
-    (Float.succ (I.lo third) = I.hi third);
-  Alcotest.(check bool) "1/3 inside" true (I.contains third (Q.of_ints 1 3));
-  let q = I.add (I.of_rational (Q.of_ints 1 4)) (I.of_rational (Q.of_ints 1 4)) in
-  Alcotest.(check bool) "1/4+1/4 stays a point" true (I.is_point q);
-  check_q "1/4+1/4 pins 1/2" Q.half (Option.get (I.exact_value q))
-
-let test_interval_compare_to () =
-  let third = I.of_rational (Q.of_ints 1 3) in
-  Alcotest.(check (option int)) "1/3 < 1/2" (Some (-1))
-    (I.compare_to third Q.half);
-  Alcotest.(check (option int)) "1/3 > 1/4" (Some 1)
-    (I.compare_to third (Q.of_ints 1 4));
-  Alcotest.(check (option int)) "1/3 vs 1/3 undecided" None
-    (I.compare_to third (Q.of_ints 1 3));
-  Alcotest.(check (option int)) "1/2 = 1/2 decided" (Some 0)
-    (I.compare_to (I.of_rational Q.half) Q.half)
-
-let test_directed_add_ulp () =
-  (* 1 + 2^-60 rounds to nearest 1.0; the directed versions must
-     straddle the true sum by exactly one ulp on the up side. *)
-  Alcotest.(check (float 0.0)) "add_down exact side" 1.0
-    (I.add_down 1.0 0x1p-60);
-  Alcotest.(check (float 0.0)) "add_up bumps one ulp" (Float.succ 1.0)
-    (I.add_up 1.0 0x1p-60);
-  Alcotest.(check (float 0.0)) "add_down bumps one ulp" (Float.pred 1.0)
-    (I.add_down 1.0 (-0x1p-60));
-  Alcotest.(check (float 0.0)) "add_up exact side" 1.0
-    (I.add_up 1.0 (-0x1p-60))
-
-(* The interval must contain the rational; when it is a point the
-   enclosure must be exact (this is what lets engines skip work). *)
-let encloses iv q =
-  I.contains iv q
-  && (not (I.is_point iv)
-      || (match I.exact_value iv with
-          | Some p -> Q.equal p q
-          | None -> true))
-
-let prop_interval_of_rational_correctly_rounded =
-  (* [to_float_down q] is the largest double <= q (and dually): the
-     neighbour just past it must overshoot. *)
-  QCheck.Test.make ~name:"interval of_rational is correctly rounded"
-    ~count:1000 rational_arb (fun q ->
-        let lo = Q.to_float_down q and hi = Q.to_float_up q in
-        Q.leq (Q.of_float_exact lo) q
-        && Q.leq q (Q.of_float_exact hi)
-        && Q.gt (Q.of_float_exact (Float.succ lo)) q
-        && Q.lt (Q.of_float_exact (Float.pred hi)) q)
-
-let prop_interval_ops_sound =
-  QCheck.Test.make ~name:"interval ops contain the rational result"
-    ~count:1000 (QCheck.pair rational_arb rational_arb) (fun (a, b) ->
-        let ia = I.of_rational a and ib = I.of_rational b in
-        encloses (I.add ia ib) (Q.add a b)
-        && encloses (I.sub ia ib) (Q.sub a b)
-        && encloses (I.mul ia ib) (Q.mul a b)
-        && encloses (I.min ia ib) (if Q.leq a b then a else b)
-        && encloses (I.max ia ib) (if Q.leq a b then b else a))
-
-let prop_interval_promoted_sound =
-  (* Operands built from boundary ints land in the Bigint tier; the
-     directed conversions must stay sound (and the near-overflow
-     saturation to max_float / infinity keeps enclosing). *)
-  QCheck.Test.make ~name:"interval sound across bigint-tier operands"
-    ~count:1000
-    (QCheck.pair boundary_pair_arb boundary_pair_arb)
-    (fun ((n1, d1), (n2, d2)) ->
-       let a = Q.of_ints n1 d1 and b = Q.of_ints n2 d2 in
-       let big = Q.mul a b in
-       let ia = I.of_rational a and ib = I.of_rational b in
-       I.contains (I.of_rational big) big
-       && encloses (I.mul ia ib) big
-       && encloses (I.add ia ib) (Q.add a b))
-
-let prop_interval_dyadic_points =
-  (* Small dyadics are exactly representable, and so are their sums
-     and products at these sizes: the plane must keep them as points
-     (tightness, not just soundness). *)
-  QCheck.Test.make ~name:"interval keeps small dyadic ops as points"
-    ~count:500
-    (let gen =
-       QCheck.Gen.(
-         map
-           (fun (m, e) ->
-              if e >= 0 then Q.of_int (m lsl e) else Q.of_ints m (1 lsl -e))
-           (pair (int_range (-4000) 4000) (int_range (-12) 12)))
-     in
-     QCheck.make ~print:Q.to_string gen
-     |> fun arb -> QCheck.pair arb arb)
-    (fun (a, b) ->
-       let ia = I.of_rational a and ib = I.of_rational b in
-       I.is_point ia && I.is_point ib
-       && encloses (I.add ia ib) (Q.add a b)
-       && I.is_point (I.add ia ib)
-       && encloses (I.mul ia ib) (Q.mul a b)
-       && I.is_point (I.mul ia ib))
-
-let prop_of_float_exact_roundtrip =
-  QCheck.Test.make ~name:"of_float_exact roundtrips through to_float_*"
-    ~count:1000 rational_arb (fun q ->
-        let f = Q.to_float_down q in
-        let r = Q.of_float_exact f in
-        Float.equal (Q.to_float_down r) f && Float.equal (Q.to_float_up r) f)
-
-let prop_interval_compare_to_agrees =
-  QCheck.Test.make ~name:"interval compare_to agrees with rational compare"
-    ~count:1000 (QCheck.pair rational_arb rational_arb) (fun (a, b) ->
-        match I.compare_to (I.of_rational a) b with
-        | None -> true (* undecided is always allowed *)
-        | Some c -> Stdlib.compare (Q.compare a b) 0 = c)
-
-(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -875,15 +747,6 @@ let () =
           prop_divmod_reconstruct; prop_string_roundtrip;
           prop_mul_commutative; prop_add_associative; prop_distributive;
           prop_gcd_divides; prop_shift_roundtrip; prop_shift_left_is_mul ];
-      ("interval",
-       [ Alcotest.test_case "basics" `Quick test_interval_basics;
-         Alcotest.test_case "compare_to" `Quick test_interval_compare_to;
-         Alcotest.test_case "directed add ulp" `Quick test_directed_add_ulp ]);
-      qsuite "interval-props"
-        [ prop_interval_of_rational_correctly_rounded;
-          prop_interval_ops_sound; prop_interval_promoted_sound;
-          prop_interval_dyadic_points; prop_of_float_exact_roundtrip;
-          prop_interval_compare_to_agrees ];
       ("rational",
        [ Alcotest.test_case "canonical" `Quick test_rational_canonical;
          Alcotest.test_case "arith" `Quick test_rational_arith;

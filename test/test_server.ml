@@ -318,6 +318,46 @@ let test_cli_refuses_out_of_range () =
   Alcotest.(check bool) (out ^ " ran nothing") false
     (Astring.String.is_infix ~affix:"E2" out)
 
+(* An n past the family's largest checkable size is refused before
+   anything builds: at once on the CLI, as SRV103 when served.  Monte
+   Carlo still takes it, because large rings are what it is for. *)
+let test_refuses_past_largest_n () =
+  let t0 = Unix.gettimeofday () in
+  let code, out = cli_failing "check lr -n 99" in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "usage error" 124 code;
+  Alcotest.(check bool) (out ^ " names -n") true
+    (Astring.String.is_infix ~affix:"-n must be at most 5 for lr (got 99)"
+       out);
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.3f s" elapsed) true (elapsed < 1.0);
+  let before = Models.stats () in
+  List.iter
+    (fun target ->
+       let r = get target in
+       Alcotest.(check int) (target ^ " status") 400 r.Server.Http.status;
+       Alcotest.(check string) (target ^ " code") "SRV103"
+         (str_at [ "error"; "code" ] (parse_body r)))
+    [ "/check?model=lr&n=99"; "/cert?model=lr&n=99";
+      "/check?model=election&n=11" ];
+  let after = Models.stats () in
+  Alcotest.(check int) "no exploration" before.Models.explorations
+    after.Models.explorations;
+  Alcotest.(check int) "no registry build" before.Models.builds
+    after.Models.builds;
+  let simulate = "GET /simulate?model=lr&n=99 HTTP/1.1\r\n\r\n" in
+  let req =
+    match H.read_request (H.of_string simulate) with
+    | `Request req -> req
+    | `Eof | `Error _ -> Alcotest.fail "request did not parse"
+  in
+  match Server.Protocol.of_request req with
+  | Ok (Server.Protocol.Simulate s) ->
+    Alcotest.(check int) "simulate n" 99 s.Server.Protocol.sim_n
+  | Ok _ -> Alcotest.fail "not a simulate query"
+  | Error e ->
+    Alcotest.failf "simulate n=99 refused: %s" e.Server.Protocol.message
+
 (* The text report and the JSON lint report have no served twin to be
    compared against, so their bytes are pinned by digest: a rendering
    change that alters any of them must update this table on purpose.
@@ -910,6 +950,8 @@ let () =
             test_simulate_matches_cli;
           Alcotest.test_case "CLI refuses out-of-range parameters" `Quick
             test_cli_refuses_out_of_range;
+          Alcotest.test_case "refuses n past the largest checkable" `Quick
+            test_refuses_past_largest_n;
           Alcotest.test_case "CLI text and lint bytes pinned" `Quick
             test_cli_bytes_pinned;
           Alcotest.test_case "CLI snapshot and dot bytes pinned" `Quick

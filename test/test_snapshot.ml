@@ -1,10 +1,9 @@
 (* Arena snapshots (lib/snapshot): round-trips and refusals.
 
    Round-trips assert what docs/SNAPSHOTS.md promises: a loaded arena
-   is bit-identical to the freshly compiled one on every plane -- the
-   exact rational plane is serialized, the float plane is recomputed
-   exactly as [Arena.compile] computes it, and the dyadic and interval
-   planes rebuild from the exact plane -- so every engine verdict is
+   is bit-identical to the freshly compiled one on both planes -- the
+   exact rational plane is serialized and the float plane is recomputed
+   exactly as [Arena.compile] computes it -- so every engine verdict is
    byte-for-byte the same.  Refusals assert the strict-parser
    contract: version skew, truncation, a one-byte tamper and a
    fingerprint mismatch are all named errors, never a silently wrong
@@ -20,7 +19,7 @@ module Codec = Snapshot.Codec
 
 let bits = Int64.bits_of_float
 
-(* Bit-identical across all three probability planes, plus the
+(* Bit-identical across both probability planes, plus the
    structural arrays the engines traverse. *)
 let check_arena (type s a) name ~(fresh : (s, a) Mdp.Arena.t)
     ~(loaded : (s, a) Mdp.Arena.t) =
@@ -58,14 +57,7 @@ let check_arena (type s a) name ~(fresh : (s, a) Mdp.Arena.t)
     true
     (Array.for_all2
        (fun a b -> bits a = bits b)
-       fresh.Mdp.Arena.prob_f loaded.Mdp.Arena.prob_f);
-  let flo, fhi = Mdp.Arena.interval_plane fresh in
-  let llo, lhi = Mdp.Arena.interval_plane loaded in
-  Alcotest.(check bool)
-    (name ^ ": interval plane")
-    true
-    (Array.for_all2 (fun a b -> bits a = bits b) flo llo
-     && Array.for_all2 (fun a b -> bits a = bits b) fhi lhi)
+       fresh.Mdp.Arena.prob_f loaded.Mdp.Arena.prob_f)
 
 let claim_string = function
   | Ok c -> Format.asprintf "%a" Core.Claim.pp c
