@@ -166,17 +166,15 @@ let check_lr_faults n g k faults budget release seed =
     { Faults.Lr.params = { LR.Automaton.n; g; k }; faults; release }
   in
   let verdict = Faults.Lr.check_budgeted ~budget ~seed config in
-  Format.printf "T∧live -13->_{1/8} C∧live:@.  %a@."
-    Faults.Resilient.pp_verdict verdict;
+  Format.printf "T∧live -13->_{1/8} C∧live:@.  %a@." Faults.Lr.pp_verdict
+    verdict;
   match verdict with
-  | Faults.Resilient.Estimate _ | Faults.Resilient.Exhausted _ -> ()
-  | Faults.Resilient.Exact _ ->
+  | Faults.Lr.Estimate _ -> ()
+  | Faults.Lr.Exact { inst; _ } ->
     (* The whole wrapped space fit the budget, so the two-arrow
-       derivation (same exploration, two more backward inductions) is
+       derivation (the same arena, two more backward inductions) is
        affordable; show the degraded constants it certifies. *)
-    let d =
-      Faults.Lr.derive ?max_states:budget.Core.Budget.max_states config
-    in
+    let d = Faults.Lr.derivation inst in
     Printf.printf "degraded derivation over %d states:\n"
       d.Faults.Lr.states;
     List.iter
@@ -239,7 +237,7 @@ let budget_arg =
   in
   Arg.(value & opt (some budget_conv) None
        & info [ "budget" ] ~docv:"SPEC"
-           ~doc:"Verification budget, e.g. states:100000,wall:30s,retries:4. \
+           ~doc:"Verification budget, e.g. states:100000,wall:30s. \
                  When exact exploration does not fit, the checker degrades \
                  to a Monte Carlo estimate instead of failing.")
 

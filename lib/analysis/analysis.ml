@@ -46,28 +46,9 @@ let run_explored ?arena cfg expl =
       skipped :=
         [ "PA020/PA021 (no is_tick classifier for this model)" ];
       []
-    | Some is_tick ->
-      let zeno = Time_checks.zero_time_cycles ~model cfg.pa arena in
-      let divergence =
-        (* the derived exploration re-traverses the (possibly broken)
-           distributions, so shield it *)
-        match
-          Time_checks.tick_divergence ~model ~is_tick
-            ~max_states:cfg.max_states cfg.pa
-        with
-        | diags -> diags
-        | exception Mdp.Explore.Too_many_states n ->
-          [ Diagnostic.v PA000 Warning ~model
-              (Printf.sprintf
-                 "PA021 skipped: the tick-redirected exploration exceeded \
-                  %d states" n) ]
-        | exception Proba.Dist.Not_a_distribution msg ->
-          [ Diagnostic.v PA000 Warning ~model
-              (Printf.sprintf
-                 "PA021 skipped: malformed distribution (%s); fix PA001 \
-                  first" msg) ]
-      in
-      zeno @ divergence
+    | Some _ ->
+      Time_checks.zero_time_cycles ~model cfg.pa arena
+      @ Time_checks.tick_divergence ~model cfg.pa arena
   in
   let diags =
     Pa_checks.stochasticity ~model cfg.pa arena
@@ -98,28 +79,19 @@ let run_explored ?arena cfg expl =
     diags
 
 let run cfg =
-  let budget = Core.Budget.v ~max_states:cfg.max_states () in
-  let part = Mdp.Explore.run_budgeted ~budget cfg.pa in
-  if part.Mdp.Explore.complete then
-    run_explored cfg part.Mdp.Explore.fragment
-  else begin
-    (* The fragment is a sound under-approximation, but its frontier
-       states carry no steps, so the state-space checks would drown in
-       spurious PA010s; report the partial count and audit only the
-       claims. *)
-    let interned = Mdp.Explore.num_states part.Mdp.Explore.fragment in
+  match Mdp.Explore.run ~max_states:cfg.max_states cfg.pa with
+  | expl -> run_explored cfg expl
+  | exception Mdp.Explore.Too_many_states n ->
+    (* The state-space checks need the whole reachable fragment; report
+       the bound and audit only the claims. *)
     Report.make
-      { Report.model = cfg.name; states = interned; choices = 0;
-        branches = 0;
+      { Report.model = cfg.name; states = n; choices = 0; branches = 0;
         skipped = [ "all state-space checks (exploration bound hit)" ] }
       ([ Diagnostic.v PA000 Warning ~model:cfg.name
            (Printf.sprintf
-              "exploration stopped after interning %d states (%s); \
-               state-space checks skipped (claims were still audited for \
-               composability)"
-              interned
-              (Option.value part.Mdp.Explore.stopped
-                 ~default:"budget exhausted")) ]
+              "exploration stopped after interning %d states (state budget \
+               hit (%d states interned)); state-space checks skipped \
+               (claims were still audited for composability)"
+              n n) ]
        @ Claim_checks.composition ~model:cfg.name ~claims:cfg.claims
            ~plan:cfg.plan)
-  end

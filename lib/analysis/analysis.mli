@@ -49,9 +49,9 @@ type ('s, 'a) config
       was orbit-reduced through {!Symmetry.canonicalizer}, so the
       verifier expands orbits for full coverage and does not advise
       reduction of an already-reduced fragment;
-    - [max_states]: exploration bound for this model (default
-      [2_000_000]); exceeding it yields a PA000 warning carrying the
-      partial interned-state count instead of an exception;
+    - [max_states]: {!run}'s exploration bound for this model
+      (default [2_000_000]); reaching it yields a PA000 warning
+      carrying the bound instead of an exception;
     - [max_equal_pairs]: comparison budget for the PA003 sampling
       (default [1_000_000] pairs). *)
 val config :
@@ -72,8 +72,8 @@ val config :
 val run : ('s, 'a) config -> Report.t
 
 (** Run the battery against an exploration already at hand (e.g. a
-    proof instance's); the config's [max_states] still bounds the
-    derived exploration PA021 performs.  Pass [?arena] to reuse an
+    proof instance's); nothing is explored again.  Pass [?arena] to
+    reuse an
     existing compilation of the same fragment (it must have been
     compiled with this config's [is_tick]); omitted, the fragment is
     compiled once here. *)

@@ -33,10 +33,12 @@ exception Not_certified of string
 
    The orbit of a state under the group generated by the declared
    permutations, by closure: repeatedly apply every generator until no
-   new state appears.  Orbits of the models here are tiny (at most the
-   process count for rotations, [n!] for full symmetric groups at small
-   [n]), so an array with linear membership is the right structure --
-   anything fancier would pay more in hashing than it saves.
+   new state appears.  Rotation orbits hold at most the process count,
+   but a full symmetric group's hold up to [n!] states (720 at n = 6),
+   so membership is a newest-first scan of the members only while the
+   orbit is small, and a table keyed by the automaton's [hash] once it
+   outgrows [scan_limit] members (when the caller passes [hash]).
+   Members are pairwise unequal, so both find the same index.
 
    [close] numbers the members in discovery order and returns them in
    an array, member [i] at index [i], with their count (the array may
@@ -55,8 +57,11 @@ let index_of equal y members i =
   done;
   !i
 
-let close ?(max_orbit = 40_320) ~equal ~edge gens s =
+let scan_limit = 32
+
+let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
   let members = ref (Array.make 8 s) and count = ref 1 in
+  let table = ref None in
   let lo = ref 0 in
   while !lo < !count do
     let hi = !count in
@@ -64,8 +69,15 @@ let close ?(max_orbit = 40_320) ~equal ~edge gens s =
       let sx = !members.(x) in
       for j = 0 to Array.length gens - 1 do
         let y = gens.(j).on_state sx in
-        let i = index_of equal y !members (!count - 1) in
-        if i >= 0 then edge x j i
+        (* [!count] when [y] is new; the table binds it to that. *)
+        let i =
+          match !table with
+          | Some t -> Mdp.Funtbl.find_or_add t y (fun () -> !count)
+          | None ->
+            let i = index_of equal y !members (!count - 1) in
+            if i >= 0 then i else !count
+        in
+        if i < !count then edge x j i
         else if !count >= max_orbit then
           invalid_arg
             (Printf.sprintf
@@ -80,7 +92,15 @@ let close ?(max_orbit = 40_320) ~equal ~edge gens s =
           end;
           !members.(!count) <- y;
           edge x j !count;
-          incr count
+          incr count;
+          match hash, !table with
+          | Some hash, None when !count > scan_limit ->
+            let t = Mdp.Funtbl.create ~equal ~hash (4 * !count) in
+            for m = 0 to !count - 1 do
+              Mdp.Funtbl.add t !members.(m) m
+            done;
+            table := Some t
+          | _ -> ()
         end
       done
     done;
@@ -90,19 +110,19 @@ let close ?(max_orbit = 40_320) ~equal ~edge gens s =
 
 let no_edge _ _ _ = ()
 
-let orbit ?max_orbit ~equal gens s =
+let orbit ?max_orbit ?hash ~equal gens s =
   let members, k =
-    close ?max_orbit ~equal ~edge:no_edge (Array.of_list gens) s
+    close ?max_orbit ?hash ~equal ~edge:no_edge (Array.of_list gens) s
   in
   List.init k (fun p -> members.(k - 1 - p))
 
-let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ~equal spec =
+let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ?hash ~equal spec =
   match spec.generators with
   | [] -> fun s -> s
   | gens ->
     let gens = Array.of_list gens in
     fun s ->
-      let members, k = close ?max_orbit ~equal ~edge:no_edge gens s in
+      let members, k = close ?max_orbit ?hash ~equal ~edge:no_edge gens s in
       let best = ref s in
       for p = k - 1 downto 0 do
         if compare members.(p) !best < 0 then best := members.(p)
@@ -411,7 +431,7 @@ let certifier ~model ~reduced ?max_orbit ~stride spec pa =
            states of the full automaton.  The orbit is closed, so every
            image is a member; member [p] of the newest-first array has
            discovery index [k - 1 - p]. *)
-        let members, k = close ?max_orbit ~equal ~edge gens rep in
+        let members, k = close ?max_orbit ~hash ~equal ~edge gens rep in
         full_states := !full_states + k;
         let members = Array.init k (fun p -> facts members.(k - 1 - p)) in
         check_set members (fun p j ->
@@ -473,7 +493,7 @@ let certifier ~model ~reduced ?max_orbit ~stride spec pa =
       let advisory =
         if reduced then []
         else begin
-          let canon = canonicalizer ~equal spec in
+          let canon = canonicalizer ~hash ~equal spec in
           let reps = Mdp.Funtbl.create ~equal ~hash 1024 in
           let distinct = ref 0 in
           for i = 0 to n - 1 do
@@ -550,7 +570,9 @@ let explored ~model ~mode ?max_states ?max_orbit ?helpers spec pa =
   | Off -> (Mdp.Explore.run ?max_states pa, None)
   | On | Auto ->
     let equal = Core.Pa.equal_state pa in
-    let canon = canonicalizer ?max_orbit ~equal spec in
+    let canon =
+      canonicalizer ?max_orbit ~hash:(Core.Pa.hash_state pa) ~equal spec
+    in
     let range, finish =
       certifier ~model ~reduced:true ?max_orbit ~stride:1 spec pa
     in

@@ -70,17 +70,21 @@ exception Not_certified of string
 
 (** [orbit ~equal gens s]: closure of [s] under the generators.
     Raises [Invalid_argument] past [max_orbit] (default [40_320]
-    = 8!), which indicates a non-bijective declaration. *)
+    = 8!), which indicates a non-bijective declaration.  [hash] must
+    agree with [equal] (pass the automaton's [Core.Pa.hash_state]);
+    given, membership in an orbit past 32 members is a table lookup
+    instead of a scan, with the same result. *)
 val orbit :
-  ?max_orbit:int -> equal:('s -> 's -> bool) ->
+  ?max_orbit:int -> ?hash:('s -> int) -> equal:('s -> 's -> bool) ->
   ('s, 'a) generator list -> 's -> 's list
 
 (** [canonicalizer ~equal spec] maps each state to its orbit
     representative: the minimum of the orbit under [compare] (default
     [Stdlib.compare]).  With no generators this is the identity.
-    Intended as the [canon] argument of [Mdp.Explore.run]. *)
+    Intended as the [canon] argument of [Mdp.Explore.run].  [hash] as
+    for {!orbit}. *)
 val canonicalizer :
-  ?compare:('s -> 's -> int) -> ?max_orbit:int ->
+  ?compare:('s -> 's -> int) -> ?max_orbit:int -> ?hash:('s -> int) ->
   equal:('s -> 's -> bool) -> ('s, 'a) spec -> 's -> 's
 
 (** Evidence that the group was verified on a fragment: per-generator

@@ -1,4 +1,3 @@
-module D = Proba.Dist
 module A = Mdp.Arena
 
 let witness_limit = 5
@@ -30,64 +29,28 @@ let zero_time_cycles ~model pa arena =
 (* ------------------------------------------------------------------ *)
 (* PA021 *)
 
-(* The derived automaton: every tick edge (and every terminal state)
-   falls into an absorbing sink.  "Some adversary avoids ticking
-   forever with positive probability from s" is then exactly "s is not
-   in always_reaches {sink}". *)
+(* Ticking is the target: a tick step counts as reaching it (the
+   fixpoints read only the non-tick steps) and so does a terminal state,
+   which PA010 reports instead.  A flagged state is one where some
+   adversary keeps the probability of ever ticking below 1. *)
 
-type 's wstate = St of 's | Sink
-type 'a waction = Act of 'a | Stop
-
-let tick_divergence ~model ~is_tick ~max_states pa =
-  let equal_w a b =
-    match (a, b) with
-    | St a, St b -> Core.Pa.equal_state pa a b
-    | Sink, Sink -> true
-    | _ -> false
+let tick_divergence ~model pa arena =
+  let terminal =
+    Array.init (A.num_states arena) (fun i -> A.num_steps_of arena i = 0)
   in
-  let wrapped =
-    Core.Pa.make
-      ~equal_state:equal_w
-      ~hash_state:(function
-        | St s -> Core.Pa.hash_state pa s
-        | Sink -> 0x7b3f)
-      ~pp_state:(fun fmt -> function
-        | St s -> Core.Pa.pp_state pa fmt s
-        | Sink -> Format.pp_print_string fmt "<ticked>")
-      ~start:(List.map (fun s -> St s) (Core.Pa.start pa))
-      ~enabled:(function
-        | Sink -> []
-        | St s ->
-          (match Core.Pa.enabled pa s with
-           | [] -> [ { Core.Pa.action = Stop; dist = D.point Sink } ]
-           | steps ->
-             List.map
-               (fun { Core.Pa.action; dist } ->
-                  if is_tick action then
-                    { Core.Pa.action = Act action; dist = D.point Sink }
-                  else
-                    { Core.Pa.action = Act action;
-                      dist = D.map ~equal:equal_w (fun s' -> St s') dist })
-               steps))
-      ()
+  let avoids =
+    Mdp.Qualitative.can_avoid arena ~target:terminal
+      ~steps:(fun k -> not (A.is_tick_step arena ~step:k))
   in
-  let warena = A.of_pa ~max_states wrapped in
-  let target =
-    Array.init (A.num_states warena) (fun i ->
-        match A.state warena i with Sink -> true | St _ -> false)
-  in
-  let always = Mdp.Qualitative.always_reaches warena ~target in
   let diags = ref [] in
-  for i = Array.length always - 1 downto 0 do
-    if not always.(i) then
-      match A.state warena i with
-      | Sink -> ()
-      | St s ->
-        diags :=
-          Diagnostic.v PA021 Error ~model ~witness:(show_state pa s)
-            "tick divergence fails: from this reachable state some \
-             adversary avoids performing a tick forever with positive \
-             probability, so no finite time bound can cover its executions"
-          :: !diags
+  for i = Array.length avoids - 1 downto 0 do
+    if avoids.(i) then
+      diags :=
+        Diagnostic.v PA021 Error ~model
+          ~witness:(show_state pa (A.state arena i))
+          "tick divergence fails: from this reachable state some \
+           adversary avoids performing a tick forever with positive \
+           probability, so no finite time bound can cover its executions"
+        :: !diags
   done;
   Diagnostic.cap ~limit:witness_limit !diags

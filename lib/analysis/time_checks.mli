@@ -11,13 +11,12 @@
       fixpoint asymptotic (wraps {!Mdp.Zeno} as a diagnostic; the arena must carry the model's tick mask);
     - {!tick_divergence} (PA021): some adversary can, with positive
       probability, avoid scheduling a [tick] forever -- i.e. the
-      minimum probability of ever ticking is below 1 somewhere
-      reachable, so time need not diverge under every adversary.  This
-      is decided by a qualitative (probability-1) reachability query
-      ({!Mdp.Qualitative.always_reaches}) on a derived automaton in
-      which every tick edge is redirected to an absorbing [<ticked>]
-      sink; terminal states are also redirected, so deadlocks are
-      reported once (by PA010), not twice. *)
+      minimum probability of ever ticking is below 1 at some reachable
+      state, so time need not diverge under every adversary.  This is
+      decided on the arena the other checks read, at every state it
+      holds, by {!Mdp.Qualitative.can_avoid} over the non-tick steps:
+      tick steps and terminal states count as ticking, so deadlocks
+      are reported once (by PA010), not twice. *)
 
 (** PA020 ([Error]): wraps {!Mdp.Zeno.check}; the witness lists the
     offending strongly connected component. *)
@@ -25,10 +24,10 @@ val zero_time_cycles :
   model:string ->
   ('s, 'a) Core.Pa.t -> ('s, 'a) Mdp.Arena.t -> Diagnostic.t list
 
-(** PA021 ([Error]): one diagnostic per reachable state (capped) from
-    which some adversary avoids ticking forever with positive
-    probability.  Performs its own exploration of the derived
-    automaton, bounded by [max_states]. *)
+(** PA021 ([Error]): one diagnostic per arena state (capped, in index
+    order) from which some adversary avoids ticking forever with
+    positive probability.  The arena must carry the model's tick
+    mask. *)
 val tick_divergence :
-  model:string -> is_tick:('a -> bool) -> max_states:int ->
-  ('s, 'a) Core.Pa.t -> Diagnostic.t list
+  model:string ->
+  ('s, 'a) Core.Pa.t -> ('s, 'a) Mdp.Arena.t -> Diagnostic.t list

@@ -1,10 +1,6 @@
-type t = {
-  max_states : int option;
-  wall : float option;
-  retries : int;
-}
+type t = { max_states : int option; wall : float option }
 
-let v ?max_states ?wall ?(retries = 6) () = { max_states; wall; retries }
+let v ?max_states ?wall () = { max_states; wall }
 let unlimited = v ()
 
 let parse_wall s =
@@ -46,7 +42,7 @@ let of_string spec =
            Error
              (Printf.sprintf
                 "budget field %S is not of the form key:value (expected \
-                 states:N, wall:SECONDS or retries:N)"
+                 states:N or wall:SECONDS)"
                 field)
          | Some i ->
            let key = String.sub field 0 i in
@@ -66,18 +62,10 @@ let of_string spec =
               (match parse_wall value with
                | Ok w -> go { acc with wall = Some w } rest
                | Error e -> Error e)
-            | "retries" ->
-              (match int_of_string_opt value with
-               | Some n when n >= 0 -> go { acc with retries = n } rest
-               | Some _ | None ->
-                 Error
-                   (Printf.sprintf
-                      "retries budget %S is not a nonnegative int" value))
             | other ->
               Error
                 (Printf.sprintf
-                   "unknown budget dimension %S (expected states, wall or \
-                    retries)"
+                   "unknown budget dimension %S (expected states or wall)"
                    other)))
     in
     go unlimited fields
@@ -86,9 +74,7 @@ let to_string b =
   let fields =
     List.filter_map Fun.id
       [ Option.map (Printf.sprintf "states:%d") b.max_states;
-        Option.map (Printf.sprintf "wall:%gs") b.wall;
-        (if b.retries = unlimited.retries then None
-         else Some (Printf.sprintf "retries:%d" b.retries)) ]
+        Option.map (Printf.sprintf "wall:%gs") b.wall ]
   in
   match fields with [] -> "unlimited" | _ -> String.concat "," fields
 
@@ -98,26 +84,13 @@ type clock = { b : t; started : float }
 
 let now () = Unix.gettimeofday ()
 let start b = { b; started = now () }
-let budget c = c.b
 let elapsed c = now () -. c.started
 
-let exhausted ?states c =
-  let over_states =
-    match c.b.max_states, states with
-    | Some bound, Some n when n >= bound ->
-      Some (Printf.sprintf "state budget hit (%d states interned)" n)
-    | _ -> None
-  in
-  match over_states with
-  | Some _ as r -> r
-  | None ->
-    (match c.b.wall with
-     | Some w when elapsed c >= w ->
-       Some (Printf.sprintf "wall budget hit (%.1fs elapsed)" (elapsed c))
-     | _ -> None)
-
-let remaining c =
-  Option.map (fun w -> w -. elapsed c) c.b.wall
+let exhausted c =
+  match c.b.wall with
+  | Some w when elapsed c >= w ->
+    Some (Printf.sprintf "wall budget hit (%.1fs elapsed)" (elapsed c))
+  | _ -> None
 
 exception Deadline_exceeded of string
 
@@ -129,10 +102,16 @@ let ambient : clock option ref Domain.DLS.key =
 let current_deadline () = !(Domain.DLS.get ambient)
 let set_deadline c = Domain.DLS.get ambient := c
 
+(* When [c]'s wall allowance runs out; never without one. *)
+let expiry c =
+  match c.b.wall with Some w -> c.started +. w | None -> Float.infinity
+
 let with_deadline c f =
   let cell = Domain.DLS.get ambient in
   let saved = !cell in
-  cell := Some c;
+  (match saved with
+   | Some outer when expiry outer <= expiry c -> ()
+   | Some _ | None -> cell := Some c);
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 let expired_reason c =

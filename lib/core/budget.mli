@@ -1,33 +1,26 @@
 (** Resource budgets for the verification engines.
 
-    The exact engines are only as useful as their worst failure mode: an
-    exploration that dies with an exception after minutes of work helps
-    nobody.  A budget bounds what an engine may consume -- interned
-    states, wall-clock seconds -- and a {!clock} tracks consumption so
-    that several phases (exploration, then Monte Carlo fallback) can
-    share one allowance.  Engines never raise on exhaustion; they return
-    partial work labelled with {!exhausted}'s reason.
-
-    The retry fields drive the Monte Carlo backoff policy: when an
-    estimate is requested under a wall budget, trials run in batches
-    that grow geometrically ([retries] rounds, doubling each time) until
-    the clock runs out, so short budgets still produce an interval and
-    long budgets tighten it. *)
+    A budget bounds what a verification may consume -- interned
+    states, wall-clock seconds.  The state bound is the exploration's
+    [max_states], reached by raising; the wall allowance is a {!clock}
+    shared by several phases (exploration, then a Monte Carlo
+    fallback): the exact phases run under it as the ambient deadline,
+    and the budgeted estimator reads {!exhausted} between its chunks. *)
 
 type t = {
   max_states : int option;  (** interned-state bound for exploration *)
   wall : float option;  (** wall-clock allowance, in seconds *)
-  retries : int;  (** Monte Carlo batch rounds (doubling backoff) *)
 }
 
-(** No bounds at all; [retries] = 6. *)
+(** No bounds at all. *)
 val unlimited : t
 
-val v : ?max_states:int -> ?wall:float -> ?retries:int -> unit -> t
+val v : ?max_states:int -> ?wall:float -> unit -> t
 
 (** [of_string spec] parses a comma-separated budget such as
-    ["states:100000,wall:30s,retries:4"].  [wall] accepts a plain
-    number of seconds or the suffixes [ms], [s], [m]. *)
+    ["states:100000,wall:30s"].  [wall] accepts a plain number of
+    seconds or the suffixes [ms], [s], [m]; any other dimension is
+    refused by name. *)
 val of_string : string -> (t, string) result
 
 (** Parse one duration ([50ms], [30s], [2m], or plain seconds) to
@@ -44,19 +37,10 @@ val pp : Format.formatter -> t -> unit
 type clock
 
 val start : t -> clock
-val budget : clock -> t
 
-(** Seconds since {!start}. *)
-val elapsed : clock -> float
-
-(** [None] while within bounds; otherwise a human-readable reason
-    naming the dimension that ran out ([states] is the current
-    interned-state count of the consumer). *)
-val exhausted : ?states:int -> clock -> string option
-
-(** Seconds left on the wall allowance, or [None] if the budget has no
-    wall dimension.  Negative once the allowance is spent. *)
-val remaining : clock -> float option
+(** [None] while the wall allowance lasts (always, without one);
+    otherwise a human-readable reason. *)
+val exhausted : clock -> string option
 
 (** {1 Ambient deadlines}
 
@@ -77,7 +61,8 @@ exception Deadline_exceeded of string
 
 (** [with_deadline c f] runs [f ()] with the ambient deadline set to
     [c], restoring the previous deadline (even on exceptions).  Nesting
-    is allowed; the innermost deadline wins for the dynamic extent. *)
+    is allowed; a nested deadline never extends the one already armed:
+    whichever expires first is in force for the dynamic extent. *)
 val with_deadline : clock -> (unit -> 'a) -> 'a
 
 (** Low-level variants of {!with_deadline} for non-nested lifetimes

@@ -689,7 +689,7 @@ let e13_faults ctx =
     Faults.Lr.check_budgeted ~budget:tiny ~seed:ctx.config.seed config
   in
   Format.printf "@.degradation ladder under a %s budget:@.  %a@.@."
-    (Core.Budget.to_string tiny) Faults.Resilient.pp_verdict verdict
+    (Core.Budget.to_string tiny) Faults.Lr.pp_verdict verdict
 
 let guarded id f ctx =
   try f ctx with

@@ -114,9 +114,22 @@ let live_crit =
   Core.Pred.make "C∧live" (fun w -> some_live_in w (fun r -> r = LS.Crit))
 
 (* ----------------------------------------------------------------- *)
-(* Re-derived claims. *)
+(* One exploration answers every question about a configuration. *)
+
+type instance = { config : config; arena : (wstate, waction) Mdp.Arena.t }
+
+let explore ?max_states config =
+  { config; arena = Mdp.Arena.of_pa ?max_states ~is_tick (make config) }
 
 type arrow = wstate Mdp.Checker.arrow
+
+let check inst ~label ~pre ~post ~time ~prob =
+  Mdp.Checker.check_arrow inst.arena ~label
+    ~granularity:inst.config.params.LA.g ~schema:(schema inst.config.faults)
+    ~pre ~post ~time ~prob
+
+(* ----------------------------------------------------------------- *)
+(* Re-derived claims. *)
 
 type derivation = {
   states : int;
@@ -126,18 +139,11 @@ type derivation = {
   direct : Q.t;
 }
 
-let derive ?max_states config =
-  let pa = make config in
-  let expl = Mdp.Explore.run ?max_states pa in
-  let arena = Mdp.Arena.compile ~is_tick expl in
-  let granularity = config.params.LA.g in
-  let sch = schema config.faults in
-  let check ~label ~pre ~post ~time ~prob =
-    Mdp.Checker.check_arrow arena ~label ~granularity ~schema:sch ~pre
-      ~post ~time ~prob
-  in
-  (* Two passes: learn the exact attained minimum, then certify the
-     claim at exactly that bound (the "degraded" constant). *)
+let derivation inst =
+  let check = check inst in
+  (* Two asks: learn the exact attained minimum, then certify the
+     claim at exactly that bound (the "degraded" constant).  The
+     arena's solved-pass memo answers the second without a sweep. *)
   let tight ~label ~pre ~post ~time =
     let first = check ~label ~pre ~post ~time ~prob:Q.one in
     if first.claim <> None then first
@@ -163,25 +169,86 @@ let derive ?max_states config =
     (check ~label:"direct" ~pre:live_trying ~post:live_crit
        ~time:(Q.of_int 13) ~prob:Q.one).attained
   in
-  { states = Mdp.Explore.num_states expl; arrow1; arrow2; composed;
+  { states = Mdp.Arena.num_states inst.arena; arrow1; arrow2; composed;
     direct }
+
+let derive ?max_states config = derivation (explore ?max_states config)
+
+(* ----------------------------------------------------------------- *)
+(* The budgeted ladder. *)
+
+type estimate = {
+  est : Sim.Monte_carlo.budgeted;
+  meets_point : bool;
+  reason : string;
+}
+
+type verdict =
+  | Exact of { arrow : arrow; inst : instance }
+  | Estimate of estimate
 
 let check_budgeted ?(budget = Core.Budget.unlimited) ?(seed = 0)
     ?(time = Q.of_int 13) ?(prob = Q.of_ints 1 8) config =
-  let pa = make config in
-  let granularity = config.params.LA.g in
-  let { LA.n; g; k } = config.params in
-  let start = Inject.init ~budget:config.faults (LS.all_trying ~n ~g ~k) in
-  let within = Core.Timed.within ~granularity ~time in
-  let fallback clock =
-    let setup =
-      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa;
-        duration; start }
-    in
-    Sim.Monte_carlo.estimate_reach_budgeted setup
-      ~target:(Core.Pred.mem live_crit) ~within ~clock ~seed ()
+  let clock = Core.Budget.start budget in
+  let exact () =
+    let inst = explore ?max_states:budget.Core.Budget.max_states config in
+    ( inst,
+      check inst ~label:"T∧live -13-> C∧live" ~pre:live_trying
+        ~post:live_crit ~time ~prob )
   in
-  Resilient.check_arrow ~budget ~fallback ~pa ~is_tick
-    ~label:"T∧live -13-> C∧live" ~granularity
-    ~schema:(schema config.faults) ~pre:live_trying ~post:live_crit ~time
-    ~prob ()
+  let degrade reason =
+    let { LA.n; g; k } = config.params in
+    let pa = make config in
+    let setup =
+      { Sim.Monte_carlo.pa; scheduler = Sim.Scheduler.uniform pa; duration;
+        start = Inject.init ~budget:config.faults (LS.all_trying ~n ~g ~k) }
+    in
+    let est =
+      Sim.Monte_carlo.estimate_reach_budgeted setup
+        ~target:(Core.Pred.mem live_crit)
+        ~within:(Core.Timed.within ~granularity:g ~time)
+        ~clock ~seed ()
+    in
+    let meets_point =
+      Proba.Stat.Proportion.estimate est.Sim.Monte_carlo.prop
+      >= Q.to_float prob
+    in
+    Estimate { est; meets_point; reason }
+  in
+  (* The wall allowance is armed as the ambient deadline, so the
+     engines' poll points cut exploration, compile and sweeps alike.  A
+     caller's earlier deadline stays in force, and when it is the one
+     that fires, the exception is not this ladder's to catch. *)
+  match Core.Budget.with_deadline clock exact with
+  | inst, arrow -> Exact { arrow; inst }
+  | exception Mdp.Explore.Too_many_states m ->
+    degrade
+      (Printf.sprintf
+         "exact exploration stopped after %d states: state budget hit (%d \
+          states interned)"
+         m m)
+  | exception Core.Budget.Deadline_exceeded reason
+    when Core.Budget.exhausted clock <> None ->
+    degrade (Printf.sprintf "exact check abandoned: %s" reason)
+
+let pp_verdict fmt = function
+  | Exact { arrow; inst } ->
+    Format.fprintf fmt
+      "@[<v>exact: min P = %s over %d pre-states (%d states explored): \
+       %s@]"
+      (Q.to_string arrow.Mdp.Checker.attained) arrow.Mdp.Checker.pre_states
+      (Mdp.Arena.num_states inst.arena)
+      (if arrow.Mdp.Checker.claim <> None then "bound holds"
+       else "bound MISSED")
+  | Estimate e ->
+    let lo, hi = Proba.Stat.Proportion.wilson_ci e.est.Sim.Monte_carlo.prop in
+    Format.fprintf fmt
+      "@[<v>Monte Carlo ESTIMATE (not a proof; %s):@ p-hat = %.4f, 95%% \
+       CI [%.4f, %.4f], %d trials in %d batches%s@]"
+      e.reason
+      (Proba.Stat.Proportion.estimate e.est.Sim.Monte_carlo.prop)
+      lo hi e.est.Sim.Monte_carlo.trials_run
+      e.est.Sim.Monte_carlo.batches
+      (match e.est.Sim.Monte_carlo.stopped with
+       | None -> ""
+       | Some r -> Printf.sprintf " (stopped: %s)" r)

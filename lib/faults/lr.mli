@@ -8,9 +8,10 @@
     the adversary can wait until a process holds both forks and crash it
     then, locking the ring forever -- the attained probability of
     reaching the critical region drops to exactly 0.  With
-    [release:true] a positive degraded bound survives; {!derive} both
-    computes it and certifies it through the claim DSL, so Theorem 3.4
-    composition is exercised over the fault-extended schema. *)
+    [release:true] a positive degraded bound survives; {!derivation}
+    both computes it and certifies it through the claim DSL, so
+    Theorem 3.4 composition is exercised over the fault-extended
+    schema. *)
 
 type config = {
   params : Lehmann_rabin.Automaton.params;
@@ -57,10 +58,24 @@ val live_trying : wstate Core.Pred.t
 (** [C∧live]: some live process is in its critical region. *)
 val live_crit : wstate Core.Pred.t
 
-(** {1 Re-derived claims} *)
+(** {1 One exploration}
+
+    Every question about a configuration -- the ladder's exact rung,
+    the derivation, the lint -- reads one compiled arena. *)
+
+type instance = {
+  config : config;
+  arena : (wstate, waction) Mdp.Arena.t;  (** compiled with {!is_tick} *)
+}
+
+(** [explore config] explores and compiles the wrapped ring once.
+    Raises {!Mdp.Explore.Too_many_states} at [max_states]. *)
+val explore : ?max_states:int -> config -> instance
 
 (** A degraded arrow, its claim certified at [prob = attained]. *)
 type arrow = wstate Mdp.Checker.arrow
+
+(** {1 Re-derived claims} *)
 
 type derivation = {
   states : int;  (** explored wrapped states *)
@@ -72,16 +87,43 @@ type derivation = {
       (** exact min for [T∧live -13-> C∧live], the paper's horizon *)
 }
 
-(** [derive config] explores the wrapped automaton exhaustively and
-    certifies the degraded bound.  Raises {!Mdp.Explore.Too_many_states}
-    beyond [max_states]; use {!check_budgeted} for the never-raising
-    path. *)
+(** [derivation inst] certifies the degraded bound on [inst]'s arena.
+    [direct] is the same solved pass as {!check_budgeted}'s default
+    arrow, so after an {!Exact} verdict it solves nothing. *)
+val derivation : instance -> derivation
+
+(** [derive config] is [derivation (explore config)]. *)
 val derive : ?max_states:int -> config -> derivation
 
-(** [check_budgeted config] runs the {!Resilient} ladder on
-    [T∧live -time->_prob C∧live] (defaults: the paper's [13] and
-    [1/8]).  The Monte Carlo fallback simulates from the wrapped
-    all-trying start under the uniform scheduler. *)
+(** {1 The budgeted ladder}
+
+    The exact rung gives the true minimum over all adversaries, but the
+    state space may not fit the budget; the ladder then falls back to
+    Monte Carlo under the {e same} clock.  The verdict says which rung
+    answered.  An {!Exact} verdict is a bound over {e all} adversaries
+    of the schema, while an {!Estimate} samples the uniform scheduler
+    and is labelled accordingly -- it is evidence, not proof. *)
+
+type estimate = {
+  est : Sim.Monte_carlo.budgeted;
+  meets_point : bool;  (** point estimate [>= prob] (not a guarantee) *)
+  reason : string;  (** why the exact rung was abandoned *)
+}
+
+type verdict =
+  | Exact of { arrow : arrow; inst : instance }
+      (** the checked arrow, and the instance it was checked on *)
+  | Estimate of estimate
+
+(** [check_budgeted config] checks [T∧live -time->_prob C∧live]
+    (defaults: the paper's [13] and [1/8]) on one exploration bounded
+    by [budget]'s states, with its wall allowance armed as the ambient
+    deadline.  When either stops the exact rung, a budgeted Monte Carlo
+    estimate from the wrapped all-trying start under the uniform
+    scheduler answers instead; the call does not raise on either. *)
 val check_budgeted :
   ?budget:Core.Budget.t -> ?seed:int -> ?time:Proba.Rational.t ->
-  ?prob:Proba.Rational.t -> config -> wstate Resilient.verdict
+  ?prob:Proba.Rational.t -> config -> verdict
+
+(** Human-readable rendering, naming the rung that answered. *)
+val pp_verdict : Format.formatter -> verdict -> unit

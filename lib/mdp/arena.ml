@@ -167,7 +167,6 @@ let explored a = a.expl
 let automaton a = Explore.automaton a.expl
 let num_states a = a.n
 let num_expanded a = a.expanded
-let is_expanded a i = i < a.expanded
 let is_complete a = a.expanded = a.n
 let num_choices a = Array.length a.tick
 let num_branches a = Array.length a.tgt

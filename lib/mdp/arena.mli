@@ -27,10 +27,12 @@
     and branch order is exactly the {!Explore} order.  Only the tick
     mask and the float plane are built per compile.
 
-    Budgeted partial fragments compile unchanged: frontier states
-    (indices [>= num_expanded]) have empty step rows, which downstream
-    sweeps treat as stuck -- the same under-approximation semantics as
-    {!Explore.partial}. *)
+    A fragment with a frontier (a snapshot may store one, through
+    {!Explore.of_parts}) compiles unchanged: frontier states (indices
+    [>= num_expanded]) have empty step rows, which downstream sweeps
+    treat as stuck.  That under-approximates reachability, the sound
+    direction for a min-reach lower bound; {!Explore.run} itself never
+    returns a frontier. *)
 
 (** A solved pass: {!Finite_horizon.min_reach} within a tick horizon
     or {!Expected_time.max_expected_ticks}, folded over a state set to
@@ -114,7 +116,6 @@ val explored : ('s, 'a) t -> ('s, 'a) Explore.t
 val automaton : ('s, 'a) t -> ('s, 'a) Core.Pa.t
 val num_states : ('s, 'a) t -> int
 val num_expanded : ('s, 'a) t -> int
-val is_expanded : ('s, 'a) t -> int -> bool
 val is_complete : ('s, 'a) t -> bool
 val num_choices : ('s, 'a) t -> int
 val num_branches : ('s, 'a) t -> int

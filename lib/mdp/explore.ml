@@ -18,13 +18,6 @@ type ('s, 'a) t = {
   canon : ('s -> 's) option;  (** [Some] when the fragment is a quotient *)
 }
 
-type ('s, 'a) partial = {
-  fragment : ('s, 'a) t;
-  complete : bool;
-  frontier : int;
-  stopped : string option;
-}
-
 (* Process-wide count of BFS explorations, surfaced through
    [Models.stats] so the CLI can assert that memoization collapses
    repeated model uses into one exploration.  Atomic because several
@@ -63,15 +56,12 @@ let push b x =
 
 let trim b = Array.sub b.arr 0 b.len
 
-(* Shared BFS.  Interning order is FIFO visitation order, so states are
+(* The BFS.  Interning order is FIFO visitation order, so states are
    expanded in index order (the next one to expand is
-   [states.arr.(expanded)]), an incomplete run's frontier is exactly
-   the index suffix [expanded ..], and each expansion appends one CSR
-   row.  [stop] is consulted before each expansion; [hard_max]
-   reproduces the legacy contract of {!run} (raise the moment a state
-   beyond the bound would be interned). *)
-let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
-    ?(on_intern = fun _ _ -> ()) m =
+   [states.arr.(expanded)]) and each expansion appends one CSR row.  It
+   raises the moment a state beyond [max_states] would be interned, and
+   at the ambient deadline's poll before each expansion. *)
+let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
   Atomic.incr explorations_counter;
   let table =
     Funtbl.create ~equal:(Core.Pa.equal_state m) ~hash:(Core.Pa.hash_state m)
@@ -86,9 +76,7 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
      untouched. *)
   let add s =
     Funtbl.find_or_add table s (fun () ->
-        (match hard_max with
-         | Some bound when states.len >= bound -> raise (Too_many_states bound)
-         | Some _ | None -> ());
+        if states.len >= max_states then raise (Too_many_states max_states);
         let i = states.len in
         push states s;
         on_intern i s;
@@ -112,48 +100,33 @@ let bfs ?hard_max ?(stop = fun ~interned:_ -> None) ?canon
     else branch_of j (o + 1)
   in
   let expanded = ref 0 in
-  let stopped = ref None in
-  while !stopped = None && !expanded < states.len do
+  while !expanded < states.len do
     Core.Budget.poll ();
-    match stop ~interned:states.len with
-    | Some _ as reason -> stopped := reason
-    | None ->
-      List.iter
-        (fun step ->
-           let first = tgt.len in
-           List.iter
-             (fun (target, w) ->
-                let j = intern target in
-                match branch_of j first with
-                | Some o ->
-                  prob_q.arr.(o) <- Proba.Rational.add prob_q.arr.(o) w
-                | None ->
-                  push tgt j;
-                  push prob_q w)
-             (Proba.Dist.support step.Core.Pa.dist);
-           push actions step.Core.Pa.action;
-           push out_off tgt.len)
-        (Core.Pa.enabled m states.arr.(!expanded));
-      push step_off actions.len;
-      incr expanded
-  done;
-  (* Frontier states (indices >= expanded) get empty step rows:
-     downstream analyses treat them as stuck, which under-approximates
-     reachability -- the sound direction for min-reach lower bounds. *)
-  for _ = !expanded + 1 to states.len do
-    push step_off actions.len
+    List.iter
+      (fun step ->
+         let first = tgt.len in
+         List.iter
+           (fun (target, w) ->
+              let j = intern target in
+              match branch_of j first with
+              | Some o ->
+                prob_q.arr.(o) <- Proba.Rational.add prob_q.arr.(o) w
+              | None ->
+                push tgt j;
+                push prob_q w)
+           (Proba.Dist.support step.Core.Pa.dist);
+         push actions step.Core.Pa.action;
+         push out_off tgt.len)
+      (Core.Pa.enabled m states.arr.(!expanded));
+    push step_off actions.len;
+    incr expanded
   done;
   let csr =
     { step_off = trim step_off; out_off = trim out_off; tgt = trim tgt;
       prob_q = trim prob_q; actions = trim actions }
   in
-  ( { pa = m; states = trim states; table; csr; start_indices;
-      expanded = !expanded; canon },
-    !stopped )
-
-let run ?(max_states = 5_000_000) ?canon ?on_intern m =
-  let fragment, _ = bfs ~hard_max:max_states ?canon ?on_intern m in
-  fragment
+  { pa = m; states = trim states; table; csr; start_indices;
+    expanded = !expanded; canon }
 
 (* Rehydration constructor for snapshot loading: rebuilds the intern
    table from the state array instead of re-running the BFS, so it does
@@ -205,21 +178,9 @@ let of_parts ?canon ~pa ~states ~csr ~start_indices ~expanded () =
   Array.iteri (fun i s -> Funtbl.add table s i) states;
   { pa; states; table; csr; start_indices; expanded; canon }
 
-let run_budgeted ?(budget = Core.Budget.unlimited) ?clock ?canon m =
-  let clock =
-    match clock with Some c -> c | None -> Core.Budget.start budget
-  in
-  let stop ~interned = Core.Budget.exhausted ~states:interned clock in
-  let fragment, stopped = bfs ~stop ?canon m in
-  { fragment;
-    complete = stopped = None;
-    frontier = Array.length fragment.states - fragment.expanded;
-    stopped }
-
 let automaton e = e.pa
 let num_states e = Array.length e.states
 let num_expanded e = e.expanded
-let is_expanded e i = i < e.expanded
 let is_complete e = e.expanded = Array.length e.states
 
 let num_choices e = Array.length e.csr.actions

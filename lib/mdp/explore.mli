@@ -6,7 +6,14 @@
     its transition distributions.  The BFS appends each expanded
     state's steps straight into CSR (compressed sparse row) arrays,
     {!csr}, which {!Arena.compile} shares rather than copies; every
-    downstream analysis reads them through the arena. *)
+    downstream analysis reads them through the arena.
+
+    An exploration stops in one of two ways only, both by raising: at
+    its [max_states] bound ({!Too_many_states}) and at the ambient
+    deadline ({!Core.Budget.Deadline_exceeded}).  {!run} therefore
+    always returns a complete fragment; a fragment with a frontier
+    (states interned but not expanded) comes only from {!of_parts},
+    when a snapshot stored one. *)
 
 exception Too_many_states of int
 
@@ -34,8 +41,11 @@ type 'a csr = {
 type ('s, 'a) t
 
 (** [run ?max_states m] explores [m] from its start states.
-    Raises {!Too_many_states} when the bound (default [5_000_000]) is
-    exceeded -- prefer {!run_budgeted}, which keeps the partial work.
+    Raises [Too_many_states max_states] the moment a state beyond the
+    bound (default [5_000_000]) would be interned, so exactly
+    [max_states] states were interned, and
+    {!Core.Budget.Deadline_exceeded} at the ambient deadline, polled
+    before each expansion.
 
     [canon] (default: none) maps every state to the form it is
     interned under, so the exploration builds the quotient of [m] under
@@ -64,31 +74,6 @@ val run :
   ?max_states:int -> ?canon:('s -> 's) -> ?on_intern:(int -> 's -> unit) ->
   ('s, 'a) Core.Pa.t -> ('s, 'a) t
 
-(** A possibly-incomplete exploration.  When the budget ran out,
-    [fragment] still holds every interned state; the [frontier] states
-    (the index suffix, see {!is_expanded}) were discovered but not
-    expanded and report no steps.  Downstream backward inductions treat
-    them as stuck, which {e under}-approximates reachability -- so a
-    min-reach value computed on the fragment is a sound lower bound for
-    the full automaton, though claims must not be certified from it
-    (pre-states beyond the frontier were never examined). *)
-type ('s, 'a) partial = {
-  fragment : ('s, 'a) t;
-  complete : bool;
-  frontier : int;  (** number of interned-but-unexpanded states *)
-  stopped : string option;  (** which budget dimension ran out *)
-}
-
-(** [run_budgeted ?budget ?clock m] explores within [budget], never
-    raising on exhaustion.  Pass [clock] to share one allowance across
-    phases (e.g. exploration, then a Monte Carlo fallback); otherwise a
-    fresh clock is started.  The state bound is checked before each
-    expansion, so the interned count can overshoot it by the branching
-    of the last expanded state. *)
-val run_budgeted :
-  ?budget:Core.Budget.t -> ?clock:Core.Budget.clock -> ?canon:('s -> 's) ->
-  ('s, 'a) Core.Pa.t -> ('s, 'a) partial
-
 (** [of_parts ~pa ~states ~csr ~start_indices ~expanded ()] rebuilds a
     fragment from previously-explored parts (an arena snapshot) without
     re-running the BFS: the intern table is reconstructed from [states]
@@ -114,11 +99,9 @@ val automaton : ('s, 'a) t -> ('s, 'a) Core.Pa.t
 
 val num_states : ('s, 'a) t -> int
 
-(** States whose steps were computed; the frontier of an incomplete
+(** States whose steps were computed; the frontier of a snapshot
     fragment is the index range [num_expanded .. num_states - 1]. *)
 val num_expanded : ('s, 'a) t -> int
-
-val is_expanded : ('s, 'a) t -> int -> bool
 
 (** [true] iff every interned state was expanded ({!run} results
     always are). *)
@@ -153,8 +136,7 @@ val indicator : ('s, 'a) t -> 's Core.Pred.t -> bool array
     any.  Used for exhaustive invariant checking (Lemma 6.1). *)
 val check_invariant : ('s, 'a) t -> ('s -> bool) -> 's option
 
-(** Process-wide count of explorations performed ({!run} and
-    {!run_budgeted} both count).  Read by [Models.stats] so surfaces
+(** Process-wide count of explorations performed by {!run}.  Read by [Models.stats] so surfaces
     can assert that the registry cache collapses repeated model uses
     into a single exploration. *)
 val explorations : unit -> int

@@ -24,7 +24,7 @@ let exists_step (a : _ Arena.t) i p =
   let rec go k = k < a.Arena.step_off.(i + 1) && (p k || go (k + 1)) in
   go a.Arena.step_off.(i)
 
-let safe_core (a : _ Arena.t) ~avoid =
+let safe_core ?(steps = fun _ -> true) (a : _ Arena.t) ~avoid =
   let n = a.Arena.n in
   if Array.length avoid <> n then
     invalid_arg "Qualitative: avoid array has wrong length";
@@ -39,7 +39,7 @@ let safe_core (a : _ Arena.t) ~avoid =
       if s.(i) then begin
         let ok =
           a.Arena.step_off.(i + 1) = a.Arena.step_off.(i)
-          || exists_step a i (fun k -> step_stays_in a s k)
+          || exists_step a i (fun k -> steps k && step_stays_in a s k)
         in
         if not ok then begin
           s.(i) <- false;
@@ -50,12 +50,12 @@ let safe_core (a : _ Arena.t) ~avoid =
   done;
   s
 
-let can_avoid (a : _ Arena.t) ~target =
+let can_avoid ?(steps = fun _ -> true) (a : _ Arena.t) ~target =
   let n = a.Arena.n in
   if Array.length target <> n then
     invalid_arg "Qualitative: target array has wrong length";
   let avoid = Array.map not target in
-  let core = safe_core a ~avoid in
+  let core = safe_core ~steps a ~avoid in
   (* Least fixpoint: states (outside the target) from which some step
      has a positive-probability outcome already in the bad region. *)
   let bad = Array.copy core in
@@ -65,7 +65,8 @@ let can_avoid (a : _ Arena.t) ~target =
     changed := false;
     for i = 0 to n - 1 do
       if (not bad.(i)) && avoid.(i) then begin
-        if exists_step a i (fun k -> step_touches a bad k) then begin
+        if exists_step a i (fun k -> steps k && step_touches a bad k)
+        then begin
           bad.(i) <- true;
           changed := true
         end

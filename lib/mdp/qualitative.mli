@@ -29,10 +29,16 @@ val always_reaches : ('s, 'a) Arena.t -> target:bool array -> bool array
 (** [safe_core arena ~avoid] is the largest set [S ⊆ avoid] such that
     every state of [S] is terminal or has a step whose support stays in
     [S] -- the region in which the adversary can avoid leaving [avoid]
-    surely. *)
-val safe_core : ('s, 'a) Arena.t -> avoid:bool array -> bool array
+    surely.  [steps] (default: every step) restricts the adversary to
+    the steps it accepts; a state whose every step is refused and that
+    is not terminal leaves [S]. *)
+val safe_core :
+  ?steps:(int -> bool) -> ('s, 'a) Arena.t -> avoid:bool array -> bool array
 
 (** [can_avoid arena ~target] is the set where some adversary keeps the
     probability of reaching [target] below 1 (the complement of
-    {!always_reaches}). *)
-val can_avoid : ('s, 'a) Arena.t -> target:bool array -> bool array
+    {!always_reaches}).  With [steps], a refused step counts as one
+    that reaches [target] surely: both fixpoints read only the accepted
+    steps. *)
+val can_avoid :
+  ?steps:(int -> bool) -> ('s, 'a) Arena.t -> target:bool array -> bool array

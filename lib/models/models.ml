@@ -925,8 +925,10 @@ let lint_lr_crash ~max_states ?sym:_ () =
       faults = Faults.Fault.v ~crash:1 ();
       release = true }
   in
-  let d = Faults.Lr.derive ~max_states config in
-  Analysis.run
+  let inst = Faults.Lr.explore ~max_states config in
+  let d = Faults.Lr.derivation inst in
+  let arena = inst.Faults.Lr.arena in
+  Analysis.run_explored ~arena
     (Analysis.config ~name:"lr-crash" ~is_tick:Faults.Lr.is_tick
        ~claims:
          (claims [ d.Faults.Lr.arrow1; d.Faults.Lr.arrow2 ]
@@ -934,8 +936,8 @@ let lint_lr_crash ~max_states ?sym:_ () =
        ~fault_view:
          (Faults.Inject.faulted,
           Faults.Inject.effective_proc Faults.Lr.proc_of_action)
-       ~max_states
-       (Faults.Lr.make config))
+       (Mdp.Arena.automaton arena))
+    (Mdp.Arena.explored arena)
 
 (* The proof-module builders explore eagerly, so a tight state budget
    surfaces as [Too_many_states] before [Analysis.run_explored] can

@@ -157,27 +157,26 @@ let exact ~schema ~max_states (c : Protocol.check_query) body =
       [ ("code", J.Str "SRV121"); ("message", J.Str msg) ]
 
 (* The Estimate rung of the deadline ladder: one seeded Monte Carlo
-   trial (the budgeted estimator's at-least-one-trial guarantee, under
-   an already-expired clock) against the query's own instance, so a
-   degraded body still carries quantitative content.  Deterministic for
-   a fixed query: a fixed seed, the family's horizon, and a trial count
-   pinned to 1 -- which is what lets tests fixture the body. *)
+   trial against the query's own instance, so a degraded body still
+   carries quantitative content.  It runs from [under_deadline]'s
+   [expired], where the spent deadline is no longer armed.
+   Deterministic for a fixed query: a fixed seed, the family's horizon,
+   and one trial -- which is what lets tests fixture the body. *)
 let deadline_estimate (c : Protocol.check_query) =
   match Models.simulation (Protocol.params c) with
   | Error _ -> J.Null
   | Ok (Models.Simulation m) ->
-    let expired = Core.Budget.start (Core.Budget.v ~wall:0.0 ~retries:1 ()) in
-    let b =
-      Sim.Monte_carlo.estimate_reach_budgeted m.setup ~target:m.target
-        ~within:m.horizon ~clock:expired ~initial_trials:1 ~seed:1994 ()
+    let trials = 1 in
+    let prop =
+      Sim.Monte_carlo.estimate_reach m.setup ~target:m.target
+        ~within:m.horizon ~trials ~seed:1994
     in
-    let lo, hi = Proba.Stat.Proportion.wilson_ci b.Sim.Monte_carlo.prop in
+    let lo, hi = Proba.Stat.Proportion.wilson_ci prop in
     J.Obj
       [ ("kind", J.Str "monte-carlo");
         ("within", J.Int m.horizon);
-        ("trials", J.Int b.Sim.Monte_carlo.trials_run);
-        ( "estimate",
-          J.Num (Proba.Stat.Proportion.estimate b.Sim.Monte_carlo.prop) );
+        ("trials", J.Int trials);
+        ("estimate", J.Num (Proba.Stat.Proportion.estimate prop));
         ("ci95", J.Arr [ J.Num lo; J.Num hi ]) ]
 
 (* The SRV122 body deliberately contains nothing timing-dependent

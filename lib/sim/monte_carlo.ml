@@ -32,8 +32,7 @@ let run_trial setup ~target ~within rng =
    (the fork helpers carry the caller's) and raise
    [Core.Budget.Deadline_exceeded]; [estimate_reach_budgeted] is the
    cooperative variant that degrades instead of raising and therefore
-   ignores the ambient clock -- its at-least-one-trial guarantee is what
-   the deadline-degraded serving path relies on. *)
+   ignores the ambient clock. *)
 let estimate_reach ?helpers setup ~target ~within ~trials ~seed =
   let rngs = split_rngs (Proba.Rng.create ~seed) trials in
   let successes =
@@ -55,6 +54,9 @@ type budgeted = {
   stopped : string option;
 }
 
+(* The doubling rounds of the budgeted estimator. *)
+let rounds = 6
+
 (* The clock is read when a chunk starts, never mid-chunk; once it has
    fired no later chunk starts, and chunks already running still count.
    The first chunk of the first round is exempt, so even an expired
@@ -66,11 +68,10 @@ let estimate_reach_budgeted ?helpers setup ~target ~within
   let clock =
     match clock with Some c -> c | None -> Core.Budget.start budget
   in
-  let retries = max 1 (Core.Budget.budget clock).Core.Budget.retries in
   let root = Proba.Rng.create ~seed in
   let stopped = Atomic.make None in
-  let rec rounds round batch ~trials_run ~successes =
-    if round > retries || Atomic.get stopped <> None then
+  let rec run_rounds round batch ~trials_run ~successes =
+    if round > rounds || Atomic.get stopped <> None then
       (trials_run, successes, round - 1)
     else begin
       let rngs = split_rngs root batch in
@@ -99,12 +100,12 @@ let estimate_reach_budgeted ?helpers setup ~target ~within
       let ran, won =
         Array.fold_left (fun (r, w) (r', w') -> (r + r', w + w')) (0, 0) counts
       in
-      rounds (round + 1) (batch * 2) ~trials_run:(trials_run + ran)
+      run_rounds (round + 1) (batch * 2) ~trials_run:(trials_run + ran)
         ~successes:(successes + won)
     end
   in
   let trials_run, successes, finished =
-    rounds 1 (max 1 initial_trials) ~trials_run:0 ~successes:0
+    run_rounds 1 (max 1 initial_trials) ~trials_run:0 ~successes:0
   in
   let stopped = Atomic.get stopped in
   {

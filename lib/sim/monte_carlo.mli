@@ -39,8 +39,8 @@ type budgeted = {
 
 (** [estimate_reach_budgeted setup ~target ~within ?budget ?clock
     ?initial_trials ~seed ()] is {!estimate_reach} under a wall-clock
-    allowance: trials run in [budget.retries] batches that double in
-    size ([initial_trials], then twice that, ...) so short budgets
+    allowance: trials run in six batches that double in size
+    ([initial_trials], then twice that, ...) so short budgets
     still produce an interval and long budgets tighten it.  The clock
     is consulted when a chunk of trials starts (each chunk of the first
     round is one trial); pass [clock] to share an allowance already

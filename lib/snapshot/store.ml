@@ -198,7 +198,9 @@ let rebuild (type s a i) (d : (s, a, i) Analysis.Description.t) sections : i =
   let canon =
     match cert with
     | Some c when c.Sym.reduced ->
-      Some (Sym.canonicalizer ~equal:(Core.Pa.equal_state d.pa) d.spec)
+      Some
+        (Sym.canonicalizer ~hash:(Core.Pa.hash_state d.pa)
+           ~equal:(Core.Pa.equal_state d.pa) d.spec)
     | Some _ | None -> None
   in
   let expl =

@@ -182,6 +182,30 @@ let test_tick_blockable () =
   Alcotest.(check bool) "error severity" true
     (Report.mem_error Diag.PA021 report)
 
+(* PA021 past the first tick: state 0 can only tick, into state 1,
+   where the adversary can repeat a non-tick self-loop forever.  The
+   check must read every reachable state, not only those reached before
+   a tick: exactly state 1 is flagged. *)
+let test_tick_blockable_after_tick () =
+  let enabled = function
+    | 0 -> [ { Core.Pa.action = "tick"; dist = D.point 1 } ]
+    | _ ->
+      [ { Core.Pa.action = "stay"; dist = D.point 1 };
+        { Core.Pa.action = "tick"; dist = D.point 1 } ]
+  in
+  let pa =
+    Core.Pa.make ~start:[ 0 ] ~enabled
+      ~pp_state:(fun fmt -> Format.fprintf fmt "s%d") ()
+  in
+  let report = lint ~is_tick:(fun a -> a = "tick") "blockable-later" pa in
+  check_mem "PA021" Diag.PA021 report;
+  Alcotest.(check (list (option string))) "witnessed at s1 only"
+    [ Some "s1" ]
+    (List.filter_map
+       (fun d ->
+          if d.Diag.code = Diag.PA021 then Some d.Diag.witness else None)
+       (Report.diagnostics report))
+
 (* The Walker discipline (deadline c, budget b) is exactly what makes
    every adversary tick: the same shape must pass PA020/PA021. *)
 let walker_enabled = function
@@ -456,6 +480,8 @@ let () =
             test_zero_time_cycle;
           Alcotest.test_case "PA021 tick blockable" `Quick
             test_tick_blockable;
+          Alcotest.test_case "PA021 tick blockable after a tick" `Quick
+            test_tick_blockable_after_tick;
           Alcotest.test_case "CL001 non-closed compose" `Quick
             test_compose_not_closed;
           Alcotest.test_case "CL002 unsatisfiable sets" `Quick

@@ -604,19 +604,20 @@ let test_expected_time_differential () =
     (Lazy.force fixtures)
 
 (* ------------------------------------------------------------------ *)
-(* Budgeted partial fragments: the arena must preserve the frontier's
-   stuck-state semantics, so values on a partial fragment match the
-   legacy engines on the same fragment. *)
+(* Partial fragments (a snapshot may store one): the arena must
+   preserve the frontier's stuck-state semantics, so values on a
+   partial fragment match the legacy engines on the same fragment. *)
+
+let lr3_frontier () =
+  Test_support.Rows.frontier_cut ~max_states:500
+    (Mdp.Explore.run (LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 }))
 
 let test_partial_fragment_differential () =
-  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
-  let partial =
-    Mdp.Explore.run_budgeted ~budget:(Core.Budget.v ~max_states:500 ()) pa
-  in
-  Alcotest.(check bool) "fragment is partial" false partial.Mdp.Explore.complete;
-  Alcotest.(check bool) "nonempty frontier" true
-    (partial.Mdp.Explore.frontier > 0);
-  let expl = partial.Mdp.Explore.fragment in
+  let expl = lr3_frontier () in
+  Alcotest.(check bool) "fragment is partial" false
+    (Mdp.Explore.is_complete expl);
+  Alcotest.(check bool) "500 states interned" true
+    (Mdp.Explore.num_states expl >= 500);
   let arena = Mdp.Arena.compile ~is_tick:LR.Automaton.is_tick expl in
   Alcotest.(check int) "arena mirrors frontier"
     (Mdp.Explore.num_expanded expl)
@@ -848,12 +849,7 @@ let schedule_fixtures =
                      [ (s + 1, Q.of_ints 1 3); (4, Q.of_ints 1 3);
                        (5, Q.of_ints 1 3) ]);
                 step "tick" (point s) ]));
-       (let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
-        let expl =
-          (Mdp.Explore.run_budgeted ~budget:(Core.Budget.v ~max_states:500 ())
-             pa)
-            .Mdp.Explore.fragment
-        in
+       (let expl = lr3_frontier () in
         Fixture
           { name = "budgeted partial fragment";
             expl;

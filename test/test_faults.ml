@@ -1,6 +1,6 @@
 (* Tests for the fault-injection subsystem and the budgeted, gracefully
    degrading verification engines: spec/budget parsing, the Inject
-   wrapper's invariants, partial exploration, budgeted Monte Carlo, and
+   wrapper's invariants, the exploration bound, budgeted Monte Carlo, and
    the end-to-end re-derivation of the Lehmann-Rabin bound under one
    crash. *)
 
@@ -48,12 +48,15 @@ let test_fault_of_string () =
   Alcotest.(check string) "none prints none" "none" (F.to_string F.none)
 
 let test_budget_of_string () =
-  (match Core.Budget.of_string "states:100000,wall:30s,retries:4" with
+  (match Core.Budget.of_string "states:100000,wall:30s" with
    | Ok b ->
      Alcotest.(check bool) "states" true (b.Core.Budget.max_states = Some 100000);
-     Alcotest.(check bool) "wall" true (b.Core.Budget.wall = Some 30.0);
-     Alcotest.(check int) "retries" 4 b.Core.Budget.retries
+     Alcotest.(check bool) "wall" true (b.Core.Budget.wall = Some 30.0)
    | Error e -> Alcotest.fail e);
+  (* Monte Carlo's six doubling rounds are a constant, not a budget. *)
+  Alcotest.(check (result unit string)) "retries refused by name"
+    (Error "unknown budget dimension \"retries\" (expected states or wall)")
+    (Result.map ignore (Core.Budget.of_string "states:10,retries:4"));
   (match Core.Budget.of_string "wall:500ms" with
    | Ok b ->
      Alcotest.(check bool) "ms suffix" true (b.Core.Budget.wall = Some 0.5);
@@ -200,33 +203,22 @@ let test_inject_merges_pa_equal_outcomes () =
    | _ -> Alcotest.fail "explore should coalesce the split outcomes")
 
 (* ------------------------------------------------------------------ *)
-(* Budgeted exploration *)
+(* Bounded exploration: [max_states] is the one state bound *)
 
 let test_run_budgeted_complete () =
   let pa = LR.Automaton.make { n = 2; g = 1; k = 1 } in
-  let part = Mdp.Explore.run_budgeted pa in
-  Alcotest.(check bool) "complete" true part.Mdp.Explore.complete;
-  Alcotest.(check bool) "no stop reason" true
-    (part.Mdp.Explore.stopped = None);
-  Alcotest.(check int) "empty frontier" 0 part.Mdp.Explore.frontier;
-  Alcotest.(check int) "same count as run"
-    (Mdp.Explore.num_states (Mdp.Explore.run pa))
-    (Mdp.Explore.num_states part.Mdp.Explore.fragment)
+  let n = Mdp.Explore.num_states (Mdp.Explore.run pa) in
+  (* A bound of exactly the reachable count is not reached. *)
+  let expl = Mdp.Explore.run ~max_states:n pa in
+  Alcotest.(check bool) "complete" true (Mdp.Explore.is_complete expl);
+  Alcotest.(check int) "same count as unbounded" n
+    (Mdp.Explore.num_states expl)
 
 let test_run_budgeted_partial () =
   let pa = LR.Automaton.make { n = 3; g = 1; k = 1 } in
-  let budget = Core.Budget.v ~max_states:50 () in
-  let part = Mdp.Explore.run_budgeted ~budget pa in
-  Alcotest.(check bool) "incomplete" false part.Mdp.Explore.complete;
-  Alcotest.(check bool) "reason recorded" true
-    (part.Mdp.Explore.stopped <> None);
-  Alcotest.(check bool) "frontier nonempty" true
-    (part.Mdp.Explore.frontier > 0);
-  (* interned states = expanded + frontier; never raises *)
-  Alcotest.(check int) "frontier + expanded = interned"
-    (Mdp.Explore.num_states part.Mdp.Explore.fragment)
-    (Mdp.Explore.num_expanded part.Mdp.Explore.fragment
-     + part.Mdp.Explore.frontier)
+  Alcotest.check_raises "raises at exactly the bound"
+    (Mdp.Explore.Too_many_states 50)
+    (fun () -> ignore (Mdp.Explore.run ~max_states:50 pa))
 
 (* ------------------------------------------------------------------ *)
 (* Budgeted Monte Carlo *)
@@ -241,7 +233,7 @@ let test_estimate_budgeted_deterministic () =
   let run () =
     Sim.Monte_carlo.estimate_reach_budgeted setup
       ~target:(Core.Pred.mem FL.live_crit) ~within:13
-      ~budget:(Core.Budget.v ~retries:2 ()) ~initial_trials:16 ~seed:7 ()
+      ~initial_trials:1 ~seed:7 ()
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same trials" a.Sim.Monte_carlo.trials_run
@@ -249,9 +241,10 @@ let test_estimate_budgeted_deterministic () =
   Alcotest.(check int) "same successes"
     (Proba.Stat.Proportion.successes a.Sim.Monte_carlo.prop)
     (Proba.Stat.Proportion.successes b.Sim.Monte_carlo.prop);
-  (* 2 retry rounds from 16: 16 + 32 trials when nothing stops early *)
-  Alcotest.(check int) "doubling batches" 48 a.Sim.Monte_carlo.trials_run;
-  Alcotest.(check int) "two batches" 2 a.Sim.Monte_carlo.batches
+  (* six rounds from 1: 1 + 2 + ... + 32 trials when nothing stops
+     early *)
+  Alcotest.(check int) "doubling batches" 63 a.Sim.Monte_carlo.trials_run;
+  Alcotest.(check int) "six batches" 6 a.Sim.Monte_carlo.batches
 
 let test_estimate_budgeted_always_runs_one_trial () =
   let config = lr_config () in
@@ -315,14 +308,18 @@ let test_derive_no_faults_matches_paper () =
 
 let test_check_budgeted_exact () =
   match FL.check_budgeted ~seed:9 (lr_config ()) with
-  | Faults.Resilient.Exact { arrow; states } ->
+  | FL.Exact { arrow; inst } ->
     Alcotest.(check bool) "attained 3/4" true
       (Q.equal arrow.Mdp.Checker.attained (Q.of_ints 3 4));
     Alcotest.(check bool) "meets 1/8" true (arrow.Mdp.Checker.claim <> None);
-    Alcotest.(check int) "full space" 9700 states
-  | Faults.Resilient.Estimate _ ->
+    Alcotest.(check int) "full space" 9700
+      (Mdp.Arena.num_states inst.FL.arena);
+    (* The derivation reads the same arena: its direct 13-unit minimum
+       is the ladder's arrow, solved once. *)
+    Alcotest.(check bool) "direct is the ladder's minimum" true
+      (Q.equal (FL.derivation inst).FL.direct arrow.Mdp.Checker.attained)
+  | FL.Estimate _ ->
     Alcotest.fail "expected the exact rung under an unlimited budget"
-  | Faults.Resilient.Exhausted r -> Alcotest.fail r
 
 let test_check_budgeted_degrades () =
   (* A state budget far below the 9700-state space forces the Monte
@@ -331,14 +328,11 @@ let test_check_budgeted_degrades () =
     FL.check_budgeted ~budget:(Core.Budget.v ~max_states:200 ()) ~seed:10
       (lr_config ())
   with
-  | Faults.Resilient.Estimate e ->
-    Alcotest.(check bool) "says why" true
-      (e.Faults.Resilient.reason <> "");
+  | FL.Estimate e ->
+    Alcotest.(check bool) "says why" true (e.FL.reason <> "");
     Alcotest.(check bool) "ran trials" true
-      (e.Faults.Resilient.est.Sim.Monte_carlo.trials_run > 0)
-  | Faults.Resilient.Exact _ ->
-    Alcotest.fail "200 states cannot hold the wrapped space"
-  | Faults.Resilient.Exhausted r -> Alcotest.fail r
+      (e.FL.est.Sim.Monte_carlo.trials_run > 0)
+  | FL.Exact _ -> Alcotest.fail "200 states cannot hold the wrapped space"
 
 (* Satellite regression: a 50 ms wall allowance must come back promptly
    with a structured verdict.  The ambient deadline's poll points cut
@@ -348,7 +342,7 @@ let test_wall_deadline_returns_promptly () =
   let t0 = Unix.gettimeofday () in
   let verdict =
     FL.check_budgeted
-      ~budget:(Core.Budget.v ~wall:0.05 ~retries:1 ())
+      ~budget:(Core.Budget.v ~wall:0.05 ())
       ~seed:11 (lr_config ())
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -357,15 +351,14 @@ let test_wall_deadline_returns_promptly () =
        (elapsed *. 1000.))
     true (elapsed < 5.0);
   match verdict with
-  | Faults.Resilient.Estimate e ->
+  | FL.Estimate e ->
     Alcotest.(check bool) "at least one trial despite the tiny wall" true
-      (e.Faults.Resilient.est.Sim.Monte_carlo.trials_run >= 1);
-    Alcotest.(check bool) "says why" true (e.Faults.Resilient.reason <> "")
-  | Faults.Resilient.Exact _ ->
+      (e.FL.est.Sim.Monte_carlo.trials_run >= 1);
+    Alcotest.(check bool) "says why" true (e.FL.reason <> "")
+  | FL.Exact _ ->
     (* A machine fast enough to finish the 9700-state exact check
        inside 50 ms satisfies the bound trivially. *)
     ()
-  | Faults.Resilient.Exhausted r -> Alcotest.fail r
 
 (* An already-expired ambient deadline must cut the BFS inner loop via
    its poll point, not only between phases. *)
@@ -379,22 +372,39 @@ let test_ambient_deadline_cuts_exploration () =
   Alcotest.(check bool) "deadline unset after with_deadline" true
     (Core.Budget.current_deadline () = None)
 
-let test_check_arrow_exhausted_without_fallback () =
-  let config = lr_config () in
-  let pa = FL.make config in
+(* A nested deadline never extends an earlier one already armed: an
+   unlimited budget inside an expired caller deadline still stops at the
+   caller's, and the ladder leaves that exception to the caller. *)
+let test_nested_deadline_keeps_the_earlier () =
+  let pa = FL.make (lr_config ()) in
+  let expired = Core.Budget.start (Core.Budget.v ~wall:0.0 ()) in
+  let unlimited = Core.Budget.start Core.Budget.unlimited in
+  (match
+     Core.Budget.with_deadline expired (fun () ->
+         Core.Budget.with_deadline unlimited (fun () -> Mdp.Explore.run pa))
+   with
+   | exception Core.Budget.Deadline_exceeded _ -> ()
+   | _ -> Alcotest.fail "the inner deadline extended the outer one");
   match
-    Faults.Resilient.check_arrow
-      ~budget:(Core.Budget.v ~max_states:200 ())
-      ~pa ~is_tick:FL.is_tick ~label:"T∧live -13-> C∧live"
-      ~granularity:1
-      ~schema:(FL.schema config.FL.faults) ~pre:FL.live_trying
-      ~post:FL.live_crit ~time:(Q.of_int 13) ~prob:(Q.of_ints 1 8) ()
+    Core.Budget.with_deadline expired (fun () ->
+        FL.check_budgeted ~budget:(Core.Budget.v ~wall:30.0 ()) (lr_config ()))
   with
-  | Faults.Resilient.Exhausted reason ->
-    Alcotest.(check bool) "reason carries the count" true
-      (reason <> "")
-  | Faults.Resilient.Exact _ | Faults.Resilient.Estimate _ ->
-    Alcotest.fail "expected Exhausted with no fallback"
+  | exception Core.Budget.Deadline_exceeded _ -> ()
+  | _ -> Alcotest.fail "the ladder caught the caller's deadline"
+
+(* The ladder always has its Monte Carlo rung; a state-ceiling stop
+   names the bound it stopped at. *)
+let test_check_arrow_exhausted_without_fallback () =
+  match
+    FL.check_budgeted ~budget:(Core.Budget.v ~max_states:200 ()) ~seed:12
+      (lr_config ())
+  with
+  | FL.Estimate e ->
+    Alcotest.(check string) "reason carries the bound"
+      "exact exploration stopped after 200 states: state budget hit (200 \
+       states interned)"
+      e.FL.reason
+  | FL.Exact _ -> Alcotest.fail "200 states cannot hold the wrapped space"
 
 (* ------------------------------------------------------------------ *)
 
@@ -436,5 +446,7 @@ let () =
             test_wall_deadline_returns_promptly;
           Alcotest.test_case "ambient deadline cuts BFS" `Quick
             test_ambient_deadline_cuts_exploration;
+          Alcotest.test_case "nested deadline keeps the earlier" `Quick
+            test_nested_deadline_keeps_the_earlier;
           Alcotest.test_case "exhausted without fallback" `Quick
             test_check_arrow_exhausted_without_fallback ] ) ]

@@ -576,8 +576,7 @@ let test_monte_carlo_budgeted_counts () =
     (fun (name, Models.Simulation m) ->
        let run helpers =
          MC.estimate_reach_budgeted ~helpers m.setup ~target:m.target
-           ~within:m.horizon ~initial_trials:32
-           ~budget:(Core.Budget.v ~retries:3 ()) ~seed:5 ()
+           ~within:m.horizon ~initial_trials:4 ~seed:5 ()
        in
        let inline = run 0 and forked = run 3 in
        Alcotest.(check int) (name ^ ": trials") inline.MC.trials_run

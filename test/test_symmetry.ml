@@ -757,7 +757,7 @@ let test_streamed_broken () =
 (* ------------------------------------------------------------------ *)
 (* Exploration against the reference BFS: the same states in the same
    order, the same steps, start indices and expansion count, reduced
-   and unreduced, complete and budgeted.  The reduced runs count the
+   and unreduced, unbounded and bounded.  The reduced runs count the
    canonicalizer's calls on both sides. *)
 
 let same_steps (a : _ Test_support.Rows.step array)
@@ -772,7 +772,7 @@ let same_steps (a : _ Test_support.Rows.step array)
   in
   Array.length a = Array.length b && Array.for_all2 same_step a b
 
-let same_exploration name ?budget pa spec ~reduced =
+let same_exploration name ?max_states pa spec ~reduced =
   let canon_calls = ref 0 in
   let counted () =
     let canon = Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec in
@@ -782,35 +782,21 @@ let same_exploration name ?budget pa spec ~reduced =
       canon s
   in
   let canon () = if reduced then Some (counted ()) else None in
-  let states, steps, starts, expanded, stopped =
-    match budget with
-    | None -> Reference_bfs.bfs ?canon:(canon ()) pa
-    | Some b ->
-      let clock = Core.Budget.start b in
-      Reference_bfs.bfs ?canon:(canon ())
-        ~stop:(fun ~interned -> Core.Budget.exhausted ~states:interned clock)
-        pa
+  let states, steps, starts, expanded, _ =
+    Reference_bfs.bfs ?hard_max:max_states ?canon:(canon ()) pa
   in
   let reference_calls = !canon_calls in
   let interned = ref [] in
   let expl =
-    match budget with
-    | None ->
-      Mdp.Explore.run ?canon:(canon ())
-        ~on_intern:(fun i s -> interned := (i, s) :: !interned)
-        pa
-    | Some budget ->
-      let part = Mdp.Explore.run_budgeted ~budget ?canon:(canon ()) pa in
-      Alcotest.(check bool) (name ^ ": stopped alike") (stopped = None)
-        part.Mdp.Explore.complete;
-      part.Mdp.Explore.fragment
+    Mdp.Explore.run ?max_states ?canon:(canon ())
+      ~on_intern:(fun i s -> interned := (i, s) :: !interned)
+      pa
   in
   Alcotest.(check int) (name ^ ": states") (Array.length states)
     (Mdp.Explore.num_states expl);
   (* [on_intern] saw every index once, in order, with its state. *)
-  if budget = None then
-    Alcotest.(check bool) (name ^ ": on_intern in index order") true
-      (List.rev !interned = List.mapi (fun i s -> (i, s)) (Array.to_list states));
+  Alcotest.(check bool) (name ^ ": on_intern in index order") true
+    (List.rev !interned = List.mapi (fun i s -> (i, s)) (Array.to_list states));
   Alcotest.(check int) (name ^ ": expanded") expanded
     (Mdp.Explore.num_expanded expl);
   Alcotest.(check (list int)) (name ^ ": start indices") starts
@@ -827,10 +813,9 @@ let same_exploration name ?budget pa spec ~reduced =
     states;
   (expl, reference_calls, !canon_calls)
 
-let both_ways name ?budget pa spec =
-  ignore
-    (same_exploration (name ^ " unreduced") ?budget pa spec ~reduced:false);
-  ignore (same_exploration (name ^ " reduced") ?budget pa spec ~reduced:true)
+let both_ways name pa spec =
+  ignore (same_exploration (name ^ " unreduced") pa spec ~reduced:false);
+  ignore (same_exploration (name ^ " reduced") pa spec ~reduced:true)
 
 let test_explore_lr () =
   let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
@@ -876,17 +861,34 @@ let test_explore_others () =
     (BO.Automaton.make ~initial bo)
     (BO.Symmetry.spec bo ~initial)
 
+(* A bound the reachable set fits in changes nothing; a tighter one
+   stops both BFSs at exactly the bound. *)
 let test_explore_budgeted () =
   let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
-  let budget = Core.Budget.v ~max_states:200 () in
+  let spec = LR.Symmetry.ring ~n:3 () in
   List.iter
     (fun reduced ->
-       let expl, _, _ =
-         same_exploration "lr budgeted" ~budget pa (LR.Symmetry.ring ~n:3 ())
-           ~reduced
+       let full, _, _ = same_exploration "lr" pa spec ~reduced in
+       let fits = Mdp.Explore.num_states full in
+       ignore (same_exploration "lr bounded" ~max_states:fits pa spec ~reduced);
+       let refused f =
+         match f () with
+         | _ -> None
+         | exception Reference_bfs.Too_many_states b -> Some b
+         | exception Mdp.Explore.Too_many_states b -> Some b
        in
-       Alcotest.(check bool) "the fragment has a frontier" false
-         (Mdp.Explore.is_complete expl))
+       let canon () =
+         if reduced then
+           Some (Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec)
+         else None
+       in
+       Alcotest.(check (option int)) "reference stops at the bound"
+         (Some 200)
+         (refused (fun () ->
+              ignore (Reference_bfs.bfs ~hard_max:200 ?canon:(canon ()) pa)));
+       Alcotest.(check (option int)) "explore stops at the bound" (Some 200)
+         (refused (fun () ->
+              ignore (Mdp.Explore.run ~max_states:200 ?canon:(canon ()) pa))))
     [ false; true ]
 
 (* Every case-study fragment spreads its states over distinct hashes;
@@ -1179,6 +1181,44 @@ let test_orbit_refuses_non_bijection () =
     (fun () ->
        ignore (Sym.orbit ~equal:Int.equal [ succ ] 0))
 
+(* A full symmetric group's orbit, S_7 on seven distinct labels (5 040
+   members), against the reference closure: the hashed membership past
+   the scan limit must close the same orbit, numbered exactly as the
+   scan numbers it, and canonicalize every member alike. *)
+let test_large_orbit () =
+  let n = 7 in
+  let swap =
+    Sym.generator ~name:"swap01" ~on_action:Fun.id ~on_state:(fun a ->
+        let b = Array.copy a in
+        b.(0) <- a.(1);
+        b.(1) <- a.(0);
+        b)
+  and cycle =
+    Sym.generator ~name:"cycle" ~on_action:Fun.id ~on_state:(fun a ->
+        Array.init n (fun i -> a.((i + 1) mod n)))
+  in
+  let pa =
+    Core.Pa.make ~start:[ Array.init n Fun.id ] ~enabled:(fun _ -> []) ()
+  in
+  let equal = Core.Pa.equal_state pa and hash = Core.Pa.hash_state pa in
+  let s = [| 3; 0; 6; 1; 5; 2; 4 |] in
+  let gens = [ swap; cycle ] in
+  let hashed = Sym.orbit ~hash ~equal gens s in
+  Alcotest.(check int) "7! members" 5040 (List.length hashed);
+  Alcotest.(check bool) "numbered as the scan numbers it" true
+    (hashed = Sym.orbit ~equal gens s);
+  Alcotest.(check bool) "the reference closure's members" true
+    (List.sort compare hashed
+     = List.sort compare (Legacy.orbit ~equal gens s));
+  let spec = Sym.spec gens in
+  let canon = Sym.canonicalizer ~hash ~equal spec in
+  let reference = Legacy.canonicalizer ~equal spec in
+  List.iteri
+    (fun i m ->
+       if i mod 97 = 0 && canon m <> reference m then
+         Alcotest.failf "member %d canonicalizes differently" i)
+    hashed
+
 let test_canonicalizer () =
   let canon = Sym.canonicalizer ~equal:Int.equal (Sym.spec [ rot3 ]) in
   Alcotest.(check (list int)) "every state maps to the orbit minimum"
@@ -1259,5 +1299,7 @@ let () =
           Alcotest.test_case "non-bijection refused" `Quick
             test_orbit_refuses_non_bijection;
           Alcotest.test_case "canonicalizer" `Quick test_canonicalizer;
+          Alcotest.test_case "large S_n orbit: reference closure" `Quick
+            test_large_orbit;
           QCheck_alcotest.to_alcotest fingerprint_merge_law ] )
     ]
