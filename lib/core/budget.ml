@@ -89,7 +89,9 @@ let elapsed c = now () -. c.started
 let exhausted c =
   match c.b.wall with
   | Some w when elapsed c >= w ->
-    Some (Printf.sprintf "wall budget hit (%.1fs elapsed)" (elapsed c))
+    Some
+      (Printf.sprintf "wall budget of %.0f ms hit (%.0f ms elapsed)"
+         (w *. 1000.) (elapsed c *. 1000.))
   | _ -> None
 
 exception Deadline_exceeded of string

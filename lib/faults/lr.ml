@@ -244,7 +244,7 @@ let pp_verdict fmt = function
     let lo, hi = Proba.Stat.Proportion.wilson_ci e.est.Sim.Monte_carlo.prop in
     Format.fprintf fmt
       "@[<v>Monte Carlo ESTIMATE (not a proof; %s):@ p-hat = %.4f, 95%% \
-       CI [%.4f, %.4f], %d trials in %d batches%s@]"
+       CI [%.4f, %.4f], %d trials in %d completed batches%s@]"
       e.reason
       (Proba.Stat.Proportion.estimate e.est.Sim.Monte_carlo.prop)
       lo hi e.est.Sim.Monte_carlo.trials_run

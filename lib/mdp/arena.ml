@@ -121,7 +121,7 @@ let solved a pass ~target ~over solve =
 
 (* The fingerprint digests only deterministic inputs: the CSR skeleton
    (offsets, targets), the exact probability plane rendered through
-   [Rational.to_wire] (canonical bytes, Bigint-tier safe), the tick
+   [Rational.add_wire] (canonical bytes, Bigint-tier safe), the tick
    mask, and a structural hash of each interned state and action in
    index order.  [Stdlib.Hashtbl.hash] on immutable model values is a
    pure function of their structure, so the digest is identical across
@@ -133,9 +133,18 @@ let fingerprint a =
   match Atomic.get a.fp with
   | Some s -> s
   | None ->
-    let buf = Buffer.create 8192 in
-    let add_int i = Buffer.add_string buf (string_of_int i);
-      Buffer.add_char buf ',' in
+    (* About eight bytes per number, so the buffer seldom grows. *)
+    let buf =
+      Buffer.create
+        (64
+         + 8
+           * (Array.length a.step_off + Array.length a.out_off
+              + (2 * Array.length a.tgt) + Array.length a.actions + a.n))
+    in
+    let add_int i =
+      Proba.Decimal.add buf i;
+      Buffer.add_char buf ','
+    in
     Buffer.add_string buf "arena/1;";
     add_int a.n;
     add_int a.expanded;
@@ -144,7 +153,7 @@ let fingerprint a =
     Array.iter add_int a.tgt;
     Array.iter
       (fun q ->
-         Buffer.add_string buf (Proba.Rational.to_wire q);
+         Proba.Rational.add_wire buf q;
          Buffer.add_char buf ',')
       a.prob_q;
     Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0'))

@@ -175,7 +175,11 @@ let of_parts ?canon ~pa ~states ~csr ~start_indices ~expanded () =
     Funtbl.create ~equal:(Core.Pa.equal_state pa) ~hash:(Core.Pa.hash_state pa)
       (max 16 (2 * n))
   in
-  Array.iteri (fun i s -> Funtbl.add table s i) states;
+  Array.iteri
+    (fun i s ->
+       let j = Funtbl.find_or_add table s (fun () -> i) in
+       if j <> i then invalid "state %d repeats state %d" i j)
+    states;
   { pa; states; table; csr; start_indices; expanded; canon }
 
 let automaton e = e.pa

@@ -83,7 +83,8 @@ val run :
     different one silently changes which states {!index} resolves.
     The one validator of the {!csr} format: raises [Invalid_argument],
     naming the array, when a length, an offset or an index is
-    inconsistent, or when a frontier state has steps. *)
+    inconsistent, when a frontier state has steps, or when two entries
+    of [states] are the same state (naming both indices). *)
 val of_parts :
   ?canon:('s -> 's) ->
   pa:('s, 'a) Core.Pa.t ->

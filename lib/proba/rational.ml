@@ -299,7 +299,17 @@ let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 let to_wire = to_string
 
-let of_wire s =
+let add_wire buf = function
+  | S (n, 1) -> Decimal.add buf n
+  | S (n, d) ->
+    Decimal.add buf n;
+    Buffer.add_char buf '/';
+    Decimal.add buf d
+  | B _ as q -> Buffer.add_string buf (to_string q)
+
+(* The general reader: parse any spelling, then accept only if
+   re-rendering reproduces the input. *)
+let of_wire_general s =
   let plausible =
     (* cheap shape gate so [of_string]'s decimal branch and exotic
        accepted spellings never reach the expensive parse *)
@@ -315,3 +325,28 @@ let of_wire s =
     | q when String.equal (to_string q) s -> Ok q
     | _ -> Error (Printf.sprintf "non-canonical rational %S" s)
     | exception _ -> Error (Printf.sprintf "malformed rational %S" s)
+
+let rec find_slash s i stop =
+  if i < stop && s.[i] <> '/' then find_slash s (i + 1) stop
+  else i
+
+(* The small tier reads the wire of an [S] value in native ints: ["n"]
+   with [n <> min_int], or ["n/d"] with [d > 1] and [gcd(|n|, d) = 1],
+   each component spelled as [string_of_int] spells it.  Those are
+   exactly the canonical renderings of [S] values, so the result needs
+   no re-rendering; every other byte sequence, canonical or not, goes
+   to the general reader, which owns every refusal. *)
+let of_wire_sub s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Rational.of_wire_sub";
+  let stop = pos + len in
+  let slash = find_slash s pos stop in
+  match Decimal.parse s pos (slash - pos) with
+  | Some n when n <> min_int && slash = stop -> Ok (S (n, 1))
+  | Some n when n <> min_int -> (
+      match Decimal.parse s (slash + 1) (stop - slash - 1) with
+      | Some d when d > 1 && gcd_int d (Stdlib.abs n) = 1 -> Ok (S (n, d))
+      | Some _ | None -> of_wire_general (String.sub s pos len))
+  | Some _ | None -> of_wire_general (String.sub s pos len)
+
+let of_wire s = of_wire_sub s 0 (String.length s)

@@ -98,8 +98,22 @@ val pp : Format.formatter -> t -> unit
     {!to_string}). *)
 val to_wire : t -> string
 
+(** [add_wire buf q] appends the bytes of [to_wire q] to [buf]; a
+    small-tier value is written digit by digit, with no intermediate
+    string. *)
+val add_wire : Buffer.t -> t -> unit
+
 (** [of_wire s] parses exactly the strings {!to_wire} emits.
     Non-canonical spellings of a value (["2/4"], ["+1/2"], ["1/-2"],
     decimals) are rejected, so an encoded weight has one and only one
-    byte representation -- tampering cannot hide behind an alias. *)
+    byte representation -- tampering cannot hide behind an alias.
+    The canonical wire of a small-tier value (["n"] or ["n/d"], both
+    native ints) is read in place; every other input goes through
+    {!of_string} and is accepted only if {!to_wire} gives its bytes
+    back, so both paths accept and refuse the same strings. *)
 val of_wire : string -> (t, string) result
+
+(** [of_wire_sub s pos len] is [of_wire (String.sub s pos len)],
+    without the copy when the bytes are a small-tier wire.  Raises
+    [Invalid_argument] when the range is not inside [s]. *)
+val of_wire_sub : string -> int -> int -> (t, string) result

@@ -27,6 +27,49 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
+(* The one "len:bytes" frame reader.  It walks offsets in place: a
+   cursor over the whole input, a length prefix read as a canonical
+   decimal, and the payload left where it is for the caller to parse
+   or copy.  Each caller names its own failures. *)
+type frame_error =
+  | Unterminated  (* the input ends inside the length prefix *)
+  | Prefix_too_long
+  | Bad_prefix  (* not the canonical decimal of a length *)
+  | Missing of int  (* payload bytes past the end of the input *)
+
+exception Frame of frame_error
+
+type cursor = { s : string; mutable pos : int }
+
+let rec find_colon s start i =
+  if i >= String.length s then raise (Frame Unterminated)
+  else if String.unsafe_get s i = ':' then i
+  else if i - start > 12 then raise (Frame Prefix_too_long)
+  else find_colon s start (i + 1)
+
+(* Reads the frame at the cursor and leaves the cursor after it; the
+   payload runs from the returned offset to the cursor. *)
+let frame c =
+  let colon = find_colon c.s c.pos c.pos in
+  let n =
+    match Proba.Decimal.parse c.s c.pos (colon - c.pos) with
+    | Some n when n >= 0 -> n
+    | Some _ | None -> raise (Frame Bad_prefix)
+  in
+  let stop = colon + 1 + n in
+  if stop > String.length c.s then
+    raise (Frame (Missing (stop - String.length c.s)));
+  c.pos <- stop;
+  colon + 1
+
+(* Frames inside a section payload: any framing fault is one of two
+   named refusals. *)
+let inner_frame what c =
+  try frame c with
+  | Frame (Missing _) -> corrupt "%s frame: truncated" what
+  | Frame (Unterminated | Prefix_too_long | Bad_prefix) ->
+    corrupt "%s frame: bad length prefix" what
+
 let check_magic bytes =
   let m = String.length magic in
   if String.length bytes >= m && String.sub bytes 0 m = magic then ()
@@ -45,44 +88,31 @@ let decode bytes =
   try
     check_magic bytes;
     let len = String.length bytes in
-    let pos = ref (String.length magic) in
+    let c = { s = bytes; pos = String.length magic } in
     let read_framed what =
-      let start = !pos in
-      let rec find_colon i =
-        if i >= len then
-          corrupt "truncated snapshot (%s: unterminated length prefix)" what
-        else if bytes.[i] = ':' then i
-        else if i - start > 12 then
-          corrupt "corrupt snapshot (%s: length prefix too long)" what
-        else find_colon (i + 1)
-      in
-      let colon = find_colon start in
-      let n =
-        match int_of_string_opt (String.sub bytes start (colon - start)) with
-        | Some n when n >= 0 -> n
-        | Some _ | None ->
-          corrupt "corrupt snapshot (%s: bad length prefix)" what
-      in
-      if colon + 1 + n > len then
-        corrupt "truncated snapshot (%s: %d payload bytes missing)" what
-          (colon + 1 + n - len);
-      pos := colon + 1 + n;
-      String.sub bytes (colon + 1) n
+      match frame c with
+      | start -> String.sub bytes start (c.pos - start)
+      | exception Frame Unterminated ->
+        corrupt "truncated snapshot (%s: unterminated length prefix)" what
+      | exception Frame Prefix_too_long ->
+        corrupt "corrupt snapshot (%s: length prefix too long)" what
+      | exception Frame Bad_prefix ->
+        corrupt "corrupt snapshot (%s: bad length prefix)" what
+      | exception Frame (Missing k) ->
+        corrupt "truncated snapshot (%s: %d payload bytes missing)" what k
     in
     let sections = ref [] in
     let sealed = ref false in
     while not !sealed do
-      if !pos >= len then corrupt "truncated snapshot (no trailing digest)";
-      let before = !pos in
+      if c.pos >= len then corrupt "truncated snapshot (no trailing digest)";
+      let before = c.pos in
       let name = read_framed "section name" in
       let payload = read_framed (Printf.sprintf "section %S" name) in
       if name = "digest" then begin
-        if !pos <> len then
+        if c.pos <> len then
           corrupt "corrupt snapshot (%d trailing bytes after the digest)"
-            (len - !pos);
-        let computed =
-          Digest.to_hex (Digest.string (String.sub bytes 0 before))
-        in
+            (len - c.pos);
+        let computed = Digest.to_hex (Digest.substring bytes 0 before) in
         if not (String.equal computed payload) then
           corrupt
             "snapshot digest mismatch (stored %s, computed %s): truncated \
@@ -99,21 +129,41 @@ let decode bytes =
 (* Scalar-array payloads. *)
 
 let ints_to_string arr =
-  String.concat ","
-    (Array.to_list (Array.map string_of_int arr))
+  let buf = Buffer.create (8 * Array.length arr) in
+  Array.iteri
+    (fun i x ->
+       if i > 0 then Buffer.add_char buf ',';
+       Proba.Decimal.add buf x)
+    arr;
+  Buffer.contents buf
+
+let rec next_comma s i =
+  if i < String.length s && String.unsafe_get s i <> ',' then
+    next_comma s (i + 1)
+  else i
+
+let commas s =
+  let k = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = ',' then incr k
+  done;
+  !k
 
 let ints_of_string s =
   if s = "" then Ok [||]
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | p :: rest ->
-        (match int_of_string_opt p with
-         | Some i -> go (i :: acc) rest
-         | None -> Error (Printf.sprintf "bad integer %S" p))
+  else begin
+    let arr = Array.make (commas s + 1) 0 in
+    let rec go k pos =
+      let stop = next_comma s pos in
+      match Proba.Decimal.parse s pos (stop - pos) with
+      | None ->
+        Error (Printf.sprintf "bad integer %S" (String.sub s pos (stop - pos)))
+      | Some x ->
+        arr.(k) <- x;
+        if stop = String.length s then Ok arr else go (k + 1) (stop + 1)
     in
-    go [] parts
+    go 0 0
+  end
 
 let bools_to_string arr =
   String.init (Array.length arr) (fun i -> if arr.(i) then '1' else '0')
@@ -140,60 +190,49 @@ let strs_to_string lst =
 
 let strs_of_string s =
   try
-    let len = String.length s in
-    let pos = ref 0 in
+    let c = { s; pos = 0 } in
     let acc = ref [] in
-    while !pos < len do
-      let start = !pos in
-      let rec find_colon i =
-        if i >= len || i - start > 12 then
-          corrupt "string frame: bad length prefix"
-        else if s.[i] = ':' then i
-        else find_colon (i + 1)
-      in
-      let colon = find_colon start in
-      let n =
-        match int_of_string_opt (String.sub s start (colon - start)) with
-        | Some n when n >= 0 -> n
-        | Some _ | None -> corrupt "string frame: bad length prefix"
-      in
-      if colon + 1 + n > len then corrupt "string frame: truncated";
-      acc := String.sub s (colon + 1) n :: !acc;
-      pos := colon + 1 + n
+    while c.pos < String.length s do
+      let start = inner_frame "string" c in
+      acc := String.sub s start (c.pos - start) :: !acc
     done;
     Ok (List.rev !acc)
   with Corrupt msg -> Error msg
 
+(* Each weight is rendered once into [wire], so its length prefix is
+   known before its bytes are copied. *)
 let rats_to_string arr =
-  let buf = Buffer.create 1024 in
-  Array.iter (fun q -> enc buf (Proba.Rational.to_wire q)) arr;
+  let buf = Buffer.create (8 * Array.length arr) in
+  let wire = Buffer.create 32 in
+  Array.iter
+    (fun q ->
+       Buffer.clear wire;
+       Proba.Rational.add_wire wire q;
+       Proba.Decimal.add buf (Buffer.length wire);
+       Buffer.add_char buf ':';
+       Buffer.add_buffer buf wire)
+    arr;
   Buffer.contents buf
 
+(* Two walks over the frames: the first counts them and refuses bad
+   framing, so a framing fault is named before any bad weight; the
+   second parses each weight where it lies. *)
 let rats_of_string s =
   try
-    let len = String.length s in
-    let pos = ref 0 in
-    let acc = ref [] in
-    while !pos < len do
-      let start = !pos in
-      let rec find_colon i =
-        if i >= len || i - start > 12 then
-          corrupt "rational frame: bad length prefix"
-        else if s.[i] = ':' then i
-        else find_colon (i + 1)
-      in
-      let colon = find_colon start in
-      let n =
-        match int_of_string_opt (String.sub s start (colon - start)) with
-        | Some n when n >= 0 -> n
-        | Some _ | None -> corrupt "rational frame: bad length prefix"
-      in
-      if colon + 1 + n > len then corrupt "rational frame: truncated";
-      let wire = String.sub s (colon + 1) n in
-      (match Proba.Rational.of_wire wire with
-       | Ok q -> acc := q :: !acc
-       | Error e -> corrupt "bad rational %S: %s" wire e);
-      pos := colon + 1 + n
+    let c = { s; pos = 0 } in
+    let count = ref 0 in
+    while c.pos < String.length s do
+      ignore (inner_frame "rational" c);
+      incr count
     done;
-    Ok (Array.of_list (List.rev !acc))
+    c.pos <- 0;
+    let arr = Array.make !count Proba.Rational.zero in
+    for k = 0 to !count - 1 do
+      let start = frame c in
+      let len = c.pos - start in
+      match Proba.Rational.of_wire_sub s start len with
+      | Ok q -> arr.(k) <- q
+      | Error e -> corrupt "bad rational %S: %s" (String.sub s start len) e
+    done;
+    Ok arr
   with Corrupt msg -> Error msg

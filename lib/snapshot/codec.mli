@@ -32,7 +32,12 @@ val decode : string -> ((string * string) list, string) result
     Sections store machine integers and booleans as text (portable
     across word sizes and endianness, trivially inspectable), and
     exact rationals through {!Proba.Rational.to_wire} (canonical
-    bytes, Bigint-tier safe). *)
+    bytes, Bigint-tier safe).  The readers accept only what the
+    writers emit: an integer (an element, or a frame's length prefix)
+    is exactly [string_of_int]'s spelling, so ["01"], ["+5"], ["-0"],
+    ["0x10"] and ["1_0"] are refused, and a rational is exactly
+    {!Proba.Rational.of_wire}'s.  Frames are read in place, with no
+    per-element string. *)
 
 val strs_to_string : string list -> string
 val strs_of_string : string -> (string list, string) result

@@ -717,6 +717,178 @@ let test_histogram_quantile () =
   Alcotest.(check bool) "median near 50" true (med > 45.0 && med < 55.0)
 
 (* ------------------------------------------------------------------ *)
+(* Canonical decimals and the rational wire form.  The in-place readers
+   are checked against the spec-level readers they replace: an int is
+   canonical when [string_of_int] gives its bytes back, and a wire
+   rational when [of_string] parses it and [to_string] gives its bytes
+   back. *)
+
+module Dec = Proba.Decimal
+
+let reference_parse s =
+  match int_of_string_opt s with
+  | Some i when string_of_int i = s -> Some i
+  | Some _ | None -> None
+
+let reference_of_wire s =
+  let plausible =
+    s <> ""
+    && String.for_all
+         (fun c -> (c >= '0' && c <= '9') || c = '/' || c = '-')
+         s
+  in
+  if not plausible then Error (Printf.sprintf "malformed rational %S" s)
+  else
+    match Q.of_string s with
+    | q when String.equal (Q.to_string q) s -> Ok q
+    | _ -> Error (Printf.sprintf "non-canonical rational %S" s)
+    | exception _ -> Error (Printf.sprintf "malformed rational %S" s)
+
+let same_result a b =
+  match a, b with
+  | Ok x, Ok y -> Q.equal x y
+  | Error x, Error y -> String.equal x y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let show_result = function
+  | Ok q -> "Ok " ^ Q.to_string q
+  | Error e -> "Error " ^ e
+
+let decimal_ints =
+  [ 0; 1; -1; 9; 10; -10; 99; 100; 12345; -12345; 999_999; 1_000_000;
+    (1 lsl 31) - 1; 1 lsl 31; 123_456_789_012_345_678; max_int; max_int - 1;
+    min_int; min_int + 1 ]
+
+let rendered i =
+  let buf = Buffer.create 8 in
+  Buffer.add_char buf '.';
+  Dec.add buf i;
+  Buffer.sub buf 1 (Buffer.length buf - 1)
+
+let test_decimal_canonical () =
+  List.iter
+    (fun i ->
+       let s = string_of_int i in
+       Alcotest.(check string) ("renders " ^ s) s (rendered i);
+       Alcotest.(check (option int)) ("parses " ^ s) (Some i)
+         (Dec.parse s 0 (String.length s));
+       (* in place: the range is read, not its surroundings *)
+       let framed = "7," ^ s ^ ",7" in
+       Alcotest.(check (option int)) ("parses framed " ^ s) (Some i)
+         (Dec.parse framed 2 (String.length s)))
+    decimal_ints
+
+let test_decimal_refusals () =
+  List.iter
+    (fun s ->
+       Alcotest.(check (option int)) (Printf.sprintf "refuses %S" s) None
+         (Dec.parse s 0 (String.length s));
+       Alcotest.(check (option int)) (Printf.sprintf "reference refuses %S" s)
+         None (reference_parse s))
+    [ ""; "-"; "+5"; "0x10"; "0b1"; "1_0"; "01"; "00"; "-0"; "-01"; " 1";
+      "1 "; "1,"; "9223372036854775808"; "-9223372036854775809";
+      "99999999999999999999"; "100000000000000000000" ];
+  Alcotest.check_raises "range outside the string"
+    (Invalid_argument "Decimal.parse") (fun () -> ignore (Dec.parse "12" 1 2))
+
+let decimal_text =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '+'; '_'; 'x'; ' ' ])
+        (int_range 0 6))
+
+let full_int =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [ int; int_range (-1000) 1000;
+          map (fun k -> max_int - k) (int_range 0 3);
+          map (fun k -> min_int + k) (int_range 0 3) ])
+
+let prop_decimal_roundtrip =
+  QCheck.Test.make ~name:"decimal writes and reads string_of_int"
+    ~count:1000 full_int (fun i ->
+        let s = string_of_int i in
+        rendered i = s && Dec.parse s 0 (String.length s) = Some i)
+
+let prop_decimal_matches_reference =
+  QCheck.Test.make ~name:"decimal parse matches the reference" ~count:2000
+    decimal_text (fun s -> Dec.parse s 0 (String.length s) = reference_parse s)
+
+(* Canonical and non-canonical spellings on both tiers and across the
+   native-int boundary. *)
+let wire_corpus =
+  let big = "340282366920938463463374607431768211456" (* 2^128 *) in
+  [ "0"; "1"; "-1"; "1/2"; "-1/2"; "7/4096"; "-3/8"; "+1"; "-0"; "01"; "00";
+    "0/3"; "0/1"; "2/4"; "1/1"; "3/1"; "1/-2"; "-1/-2"; "1//2"; "1/0"; "";
+    "-"; "/"; "1/"; "/2"; "1/02"; "-01/2"; "1.5"; "0.5"; " 1"; "1 "; "a";
+    "1/2/3"; "123456789012345678"; "1234567890123456789";
+    "12345678901234567890"; "-12345678901234567890";
+    "9223372036854775807"; "-9223372036854775807";
+    "9223372036854775808"; "-9223372036854775808";
+    "-9223372036854775809"; "1/9223372036854775807";
+    "1/9223372036854775808"; "-9223372036854775808/3";
+    "-9223372036854775808/2"; "9223372036854775807/9223372036854775806";
+    "5/12345678901234567890"; big; "-" ^ big; "1/" ^ big; "3/" ^ big;
+    "2/" ^ big; big ^ "/3"; big ^ "/1"; "0/" ^ big ]
+
+let test_wire_corpus () =
+  List.iter
+    (fun s ->
+       let want = reference_of_wire s and got = Q.of_wire s in
+       Alcotest.(check string) (Printf.sprintf "of_wire %S" s)
+         (show_result want) (show_result got);
+       Alcotest.(check bool) (Printf.sprintf "same value for %S" s) true
+         (same_result want got);
+       let framed = "9:" ^ s ^ "/7" in
+       Alcotest.(check string) (Printf.sprintf "of_wire_sub %S" s)
+         (show_result want)
+         (show_result (Q.of_wire_sub framed 2 (String.length s))))
+    wire_corpus;
+  (* the corpus's canonical spellings all round-trip through the writer *)
+  List.iter
+    (fun s ->
+       match Q.of_wire s with
+       | Ok q ->
+         let buf = Buffer.create 8 in
+         Q.add_wire buf q;
+         Alcotest.(check string) ("add_wire " ^ s) s (Buffer.contents buf)
+       | Error _ -> ())
+    wire_corpus
+
+let wire_rational =
+  QCheck.make ~print:Q.to_string
+    QCheck.Gen.(
+      oneof
+        [ map2 (fun n d -> Q.of_ints n (if d = 0 then 1 else d)) boundary_int
+            boundary_int;
+          map2
+            (fun n e -> Q.make (B.of_int n) (B.pow B.two e))
+            boundary_int (int_range 0 130);
+          map2
+            (fun e n -> Q.make (B.pow (B.of_int 3) e) (B.of_int (1 + abs n)))
+            (int_range 30 90) (int_range (-1000) 1000) ])
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~name:"rational wire round-trips" ~count:1000
+    wire_rational (fun q ->
+        let buf = Buffer.create 8 in
+        Q.add_wire buf q;
+        let w = Buffer.contents buf in
+        String.equal w (Q.to_wire q)
+        && (match Q.of_wire w with Ok q' -> Q.equal q q' | Error _ -> false))
+
+let wire_text =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      string_size ~gen:(oneofl [ '0'; '1'; '2'; '4'; '9'; '-'; '/'; '+' ])
+        (int_range 0 8))
+
+let prop_wire_matches_reference =
+  QCheck.Test.make ~name:"of_wire matches the general reader" ~count:3000
+    wire_text (fun s -> same_result (reference_of_wire s) (Q.of_wire s))
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -769,6 +941,13 @@ let () =
           prop_rational_compare_matches_reference;
           prop_rational_results_canonical;
           prop_rational_representation_unique ];
+      ("wire",
+       [ Alcotest.test_case "decimal canonical" `Quick test_decimal_canonical;
+         Alcotest.test_case "decimal refusals" `Quick test_decimal_refusals;
+         Alcotest.test_case "of_wire corpus" `Quick test_wire_corpus ]);
+      qsuite "wire-props"
+        [ prop_decimal_roundtrip; prop_decimal_matches_reference;
+          prop_wire_roundtrip; prop_wire_matches_reference ];
       ("dist",
        [ Alcotest.test_case "point" `Quick test_dist_point;
          Alcotest.test_case "make validates" `Quick test_dist_make_validates;

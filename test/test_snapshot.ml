@@ -19,6 +19,40 @@ module Codec = Snapshot.Codec
 
 let bits = Int64.bits_of_float
 
+(* The arena fingerprint as first specified: every number rendered
+   through [string_of_int] and [Rational.to_wire] into one string, then
+   digested.  [Arena.fingerprint] writes the same bytes in place. *)
+let reference_fingerprint ~n ~expanded ~step_off ~out_off ~tgt ~prob_q ~tick
+    ~actions ~states =
+  let buf = Buffer.create 8192 in
+  let add_int i =
+    Buffer.add_string buf (string_of_int i);
+    Buffer.add_char buf ','
+  in
+  Buffer.add_string buf "arena/1;";
+  add_int n;
+  add_int expanded;
+  Array.iter add_int step_off;
+  Array.iter add_int out_off;
+  Array.iter add_int tgt;
+  Array.iter
+    (fun q ->
+       Buffer.add_string buf (Q.to_wire q);
+       Buffer.add_char buf ',')
+    prob_q;
+  Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) tick;
+  Buffer.add_char buf ';';
+  Array.iter (fun act -> add_int (Hashtbl.hash act)) actions;
+  Buffer.add_char buf ';';
+  Array.iter (fun s -> add_int (Hashtbl.hash s)) states;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let arena_reference_fingerprint (type s a) (a : (s, a) Mdp.Arena.t) =
+  let open Mdp.Arena in
+  reference_fingerprint ~n:a.n ~expanded:a.expanded ~step_off:a.step_off
+    ~out_off:a.out_off ~tgt:a.tgt ~prob_q:a.prob_q ~tick:a.tick
+    ~actions:a.actions ~states:(Array.init a.n (state a))
+
 (* Bit-identical across both probability planes, plus the
    structural arrays the engines traverse. *)
 let check_arena (type s a) name ~(fresh : (s, a) Mdp.Arena.t)
@@ -26,6 +60,10 @@ let check_arena (type s a) name ~(fresh : (s, a) Mdp.Arena.t)
   Alcotest.(check string)
     (name ^ ": fingerprint")
     (Mdp.Arena.fingerprint fresh)
+    (Mdp.Arena.fingerprint loaded);
+  Alcotest.(check string)
+    (name ^ ": fingerprint bytes")
+    (arena_reference_fingerprint fresh)
     (Mdp.Arena.fingerprint loaded);
   Alcotest.(check int) (name ^ ": states") fresh.Mdp.Arena.n
     loaded.Mdp.Arena.n;
@@ -349,6 +387,169 @@ let test_refuse_structure () =
            Codec.rats_to_string (Array.sub q 0 (Array.length q - 1))),
         "prob_q", "branches" ) ]
 
+(* A states array holding one state twice, resealed with the
+   fingerprint such an arena would have: the digest and the fingerprint
+   both agree with the bytes, so only the intern table's rebuild can
+   see that index 1 is index 0 again. *)
+let test_refuse_duplicate_state () =
+  match Codec.decode (Lazy.force small_snapshot) with
+  | Error e -> Alcotest.failf "decode of a good snapshot failed: %s" e
+  | Ok sections ->
+    let get of_string name =
+      Result.get_ok (of_string (List.assoc name sections))
+    in
+    let ints = get Codec.ints_of_string in
+    let states : LR.State.t array =
+      Marshal.from_string (List.assoc "states" sections) 0
+    in
+    states.(1) <- states.(0);
+    let counts = ints "counts" in
+    let fingerprint =
+      reference_fingerprint ~n:counts.(0) ~expanded:counts.(1)
+        ~step_off:(ints "step_off") ~out_off:(ints "out_off") ~tgt:(ints "tgt")
+        ~prob_q:(get Codec.rats_of_string "prob_q")
+        ~tick:(get Codec.bools_of_string "tick")
+        ~actions:
+          (Marshal.from_string (List.assoc "actions" sections) 0
+           : LR.Automaton.action array)
+        ~states
+    in
+    let bytes =
+      Codec.encode
+        (List.map
+           (fun (name, payload) ->
+              match name with
+              | "states" -> (name, Marshal.to_string states [])
+              | "fingerprint" -> (name, fingerprint)
+              | _ -> (name, payload))
+           sections)
+    in
+    refused "duplicate state" ~expect:"state 1 repeats state 0" bytes
+
+(* Int sections hold [string_of_int]'s spelling and nothing else: each
+   alias of a stored offset is refused naming the section, although it
+   denotes the very value the fingerprint was taken over. *)
+let test_refuse_int_spellings () =
+  let out_off =
+    Result.get_ok
+      (Codec.ints_of_string
+         (List.assoc "out_off"
+            (Result.get_ok (Codec.decode (Lazy.force small_snapshot)))))
+  in
+  let k = Array.length out_off - 1 in
+  let v = out_off.(k) in
+  Alcotest.(check bool) "a value with two digits" true (v >= 10);
+  let digits = string_of_int v in
+  List.iter
+    (fun alias ->
+       let respelled payload =
+         let cut = String.rindex payload ',' + 1 in
+         String.sub payload 0 cut ^ alias
+       in
+       let bytes = with_section "out_off" respelled in
+       refused ("out_off as " ^ alias) ~expect:{|section "out_off"|} bytes;
+       refused ("out_off as " ^ alias)
+         ~expect:(Printf.sprintf "bad integer %S" alias) bytes)
+    [ Printf.sprintf "0x%x" v; "+" ^ digits;
+      String.sub digits 0 1 ^ "_"
+      ^ String.sub digits 1 (String.length digits - 1);
+      "0" ^ digits ]
+
+(* ----------------------------------------------------------------- *)
+(* The section codecs on their own. *)
+
+let test_codec_ints () =
+  List.iter
+    (fun arr ->
+       let s = Codec.ints_to_string arr in
+       Alcotest.(check string) "same bytes as string_of_int"
+         (String.concat "," (Array.to_list (Array.map string_of_int arr)))
+         s;
+       Alcotest.(check (array int)) ("round trip " ^ s) arr
+         (Result.get_ok (Codec.ints_of_string s)))
+    [ [||]; [| 0 |]; [| -1 |]; [| 0; 1; -1; 10; -10; 123456 |];
+      [| max_int; min_int; max_int - 1; min_int + 1; 0 |] ];
+  List.iter
+    (fun (s, bad) ->
+       match Codec.ints_of_string s with
+       | Ok _ -> Alcotest.failf "ints %S accepted" s
+       | Error e ->
+         Alcotest.(check string) ("ints " ^ s)
+           (Printf.sprintf "bad integer %S" bad) e)
+    [ ("1,,2", ""); ("1,2,", ""); (",", ""); ("1,0x10", "0x10");
+      ("+5", "+5"); ("1_0,3", "1_0"); ("01", "01"); ("-0", "-0");
+      ("9223372036854775808", "9223372036854775808");
+      ("1, 2", " 2") ]
+
+let test_codec_rats () =
+  let big =
+    Q.make (Proba.Bigint.pow Proba.Bigint.two 100) (Proba.Bigint.of_int 3)
+  in
+  List.iter
+    (fun arr ->
+       let s = Codec.rats_to_string arr in
+       Alcotest.(check string) "same bytes as to_wire"
+         (String.concat ""
+            (Array.to_list
+               (Array.map
+                  (fun q ->
+                     let w = Q.to_wire q in
+                     string_of_int (String.length w) ^ ":" ^ w)
+                  arr)))
+         s;
+       Alcotest.(check (list string)) ("round trip " ^ s)
+         (Array.to_list (Array.map Q.to_string arr))
+         (Array.to_list
+            (Array.map Q.to_string (Result.get_ok (Codec.rats_of_string s)))))
+    [ [||]; [| Q.zero |];
+      (* equal spellings of one length in a row, and different values
+         of one length in between *)
+      [| Q.half; Q.half; Q.of_ints 1 3; Q.half; Q.of_ints 2 3; Q.one; Q.one;
+         Q.of_ints (-1) 2; Q.neg Q.one; Q.half |];
+      [| Q.of_int max_int; Q.of_int min_int; Q.of_ints 1 max_int;
+         Q.of_ints (-7) 4096; big; Q.neg big; big |] ];
+  List.iter
+    (fun (s, expect) ->
+       match Codec.rats_of_string s with
+       | Ok _ -> Alcotest.failf "rats %S accepted" s
+       | Error e ->
+         Alcotest.(check bool)
+           (Printf.sprintf "rats %S: %S names %S" s e expect)
+           true (contains ~sub:expect e))
+    [ ("3:2/4", "non-canonical rational \"2/4\"");
+      ("3:1/22:+1", "malformed rational \"+1\"");
+      ("2:-0", "non-canonical");
+      ("3:1/1", "non-canonical");
+      ("9:1/2", "rational frame: truncated");
+      ("x:1", "rational frame: bad length prefix");
+      ("01:1", "rational frame: bad length prefix") ]
+
+let prop_codec_ints =
+  QCheck.Test.make ~name:"int sections round-trip" ~count:300
+    QCheck.(
+      array (oneof [ int; int_range (-20) 20; oneofl [ max_int; min_int ] ]))
+    (fun arr -> Codec.ints_of_string (Codec.ints_to_string arr) = Ok arr)
+
+let prop_codec_rats =
+  let rat =
+    QCheck.Gen.(
+      map2
+        (fun n d -> Q.of_ints n (if d = 0 then 1 else d))
+        (oneof [ int; int_range (-9) 9 ])
+        (oneof [ int; int_range (-9) 9 ]))
+  in
+  QCheck.Test.make ~name:"rational sections round-trip" ~count:300
+    (QCheck.make
+       ~print:(fun a ->
+           String.concat " " (Array.to_list (Array.map Q.to_string a)))
+       QCheck.Gen.(array rat))
+    (fun arr ->
+       match Codec.rats_of_string (Codec.rats_to_string arr) with
+       | Ok back ->
+         Array.length back = Array.length arr
+         && Array.for_all2 Q.equal arr back
+       | Error _ -> false)
+
 (* Configs [prtb compile] never writes: a field the model does not read
    off its neutral value, or consensus off its conventions.  Each is
    refused naming the field, before any arena is rebuilt. *)
@@ -409,6 +610,11 @@ let () =
           Alcotest.test_case "coin" `Quick test_roundtrip_coin;
           Alcotest.test_case "consensus" `Quick test_roundtrip_consensus;
           Alcotest.test_case "coin n=1" `Quick test_roundtrip_coin_one ] );
+      ( "codec",
+        [ Alcotest.test_case "int sections" `Quick test_codec_ints;
+          Alcotest.test_case "rational sections" `Quick test_codec_rats;
+          QCheck_alcotest.to_alcotest prop_codec_ints;
+          QCheck_alcotest.to_alcotest prop_codec_rats ] );
       ( "preload",
         [ Alcotest.test_case "keys match the resolver" `Quick
             test_preload_keys ] );
@@ -420,6 +626,10 @@ let () =
             test_refuse_fingerprint_mismatch;
           Alcotest.test_case "inconsistent transition arrays" `Quick
             test_refuse_structure;
+          Alcotest.test_case "duplicate state" `Quick
+            test_refuse_duplicate_state;
+          Alcotest.test_case "non-canonical integers" `Quick
+            test_refuse_int_spellings;
           Alcotest.test_case "config prtb compile never writes" `Quick
             test_refuse_foreign_config;
           Alcotest.test_case "missing file" `Quick test_load_missing_file;
