@@ -571,20 +571,37 @@ let simulate_cmd =
 (* export-dot *)
 
 (* The small instance's arena with the family's Monte Carlo target
-   highlighted. *)
+   highlighted.  Larger graphs are not viewable: past [dot_limit]
+   states the command refuses, naming both numbers. *)
+let dot_limit = 2000
+
 let export_dot system n bound output =
   match
     Models.resolve (cli_params system n 1 1 None bound 1)
   with
   | exception Failure msg -> Error (`Msg msg)
   | inst ->
-    let dot, states =
+    let states, dot =
       Models.with_arena inst
         { Models.visit =
             (fun arena _ target ->
-               ( Mdp.Dot.to_string arena ~max_states:2000 ~highlight:target
-                   (),
-                 Mdp.Arena.num_states arena )) }
+               let states = Mdp.Arena.num_states arena in
+               ( states,
+                 if states > dot_limit then None
+                 else
+                   Some
+                     (Mdp.Dot.to_string arena ~max_states:dot_limit
+                        ~highlight:target ()) )) }
+    in
+    let dot =
+      match dot with
+      | Some dot -> dot
+      | None ->
+        refuse
+          (Printf.sprintf
+             "%d states exceed export-dot's %d-state limit; export a \
+              smaller instance (lower -n)"
+             states dot_limit)
     in
     (match output with
      | None -> print_string dot

@@ -69,10 +69,10 @@ let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
       let sx = !members.(x) in
       for j = 0 to Array.length gens - 1 do
         let y = gens.(j).on_state sx in
-        (* [!count] when [y] is new; the table binds it to that. *)
+        (* [!count] when [y] is new; the table numbers it so. *)
         let i =
           match !table with
-          | Some t -> Mdp.Funtbl.find_or_add t y (fun () -> !count)
+          | Some t -> Mdp.Funtbl.find_or_add t y ignore
           | None ->
             let i = index_of equal y !members (!count - 1) in
             if i >= 0 then i else !count
@@ -97,7 +97,7 @@ let close ?(max_orbit = 40_320) ?hash ~equal ~edge gens s =
           | Some hash, None when !count > scan_limit ->
             let t = Mdp.Funtbl.create ~equal ~hash (4 * !count) in
             for m = 0 to !count - 1 do
-              Mdp.Funtbl.add t !members.(m) m
+              ignore (Mdp.Funtbl.find_or_add t !members.(m) ignore)
             done;
             table := Some t
           | _ -> ()
@@ -495,22 +495,19 @@ let certifier ~model ~reduced ?max_orbit ~stride spec pa =
         else begin
           let canon = canonicalizer ~hash ~equal spec in
           let reps = Mdp.Funtbl.create ~equal ~hash 1024 in
-          let distinct = ref 0 in
           for i = 0 to n - 1 do
-            ignore
-              (Mdp.Funtbl.find_or_add reps (canon (state i)) (fun () ->
-                   incr distinct;
-                   !distinct))
+            ignore (Mdp.Funtbl.find_or_add reps (canon (state i)) ignore)
           done;
-          if !distinct < n then
+          let distinct = Mdp.Funtbl.length reps in
+          if distinct < n then
             [ Diagnostic.v Diagnostic.PA032 Diagnostic.Info ~model
                 (Printf.sprintf
                    "model is symmetric under the certified group but was \
                     explored unreduced: %d states collapse to %d orbit \
                     representatives (%.2fx); explore with symmetry \
                     reduction (--sym on) to check the quotient"
-                   n !distinct
-                   (float_of_int n /. float_of_int !distinct)) ]
+                   n distinct
+                   (float_of_int n /. float_of_int distinct)) ]
           else []
         end
       in

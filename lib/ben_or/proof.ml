@@ -21,15 +21,22 @@ let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
   Analysis.Description.build ?max_states ~sym
     (describe { Automaton.n; f; cap; g; k } ~initial)
 
-let agreement_violation inst =
-  Mdp.Explore.check_invariant inst.expl Automaton.agreement
+let agreement = Core.Pred.make "Agreement" Automaton.agreement
+
+let never_decides_false =
+  Core.Pred.make "never decides 0" (Automaton.never_decides false)
+
+let never_decides_true =
+  Core.Pred.make "never decides 1" (Automaton.never_decides true)
+
+let agreement_violation inst = Mdp.Explore.check_invariant inst.expl agreement
 
 let validity_violation inst =
   let unanimous v = Array.for_all (Bool.equal v) inst.initial in
   if unanimous true then
-    Mdp.Explore.check_invariant inst.expl (Automaton.never_decides false)
+    Mdp.Explore.check_invariant inst.expl never_decides_false
   else if unanimous false then
-    Mdp.Explore.check_invariant inst.expl (Automaton.never_decides true)
+    Mdp.Explore.check_invariant inst.expl never_decides_true
   else None
 
 type arrow = Automaton.state Mdp.Checker.arrow

@@ -10,14 +10,13 @@ let sup i = i.sup
 let evidence i = i.evidence
 let is_axiom i = i.is_axiom
 
+let checked ~over sub sup =
+  { sub; sup; evidence = Printf.sprintf "verified over %d states" over;
+    is_axiom = false }
+
 let verify ~states sub sup =
-  let ok = List.for_all (fun s -> not (Pred.mem sub s) || Pred.mem sup s) states in
-  if ok then
-    Some
-      { sub; sup;
-        evidence =
-          Printf.sprintf "verified over %d states" (List.length states);
-        is_axiom = false }
+  if List.for_all (fun s -> not (Pred.mem sub s) || Pred.mem sup s) states
+  then Some (checked ~over:(List.length states) sub sup)
   else None
 
 let axiom ~reason sub sup = { sub; sup; evidence = reason; is_axiom = true }

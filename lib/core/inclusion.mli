@@ -22,6 +22,11 @@ val is_axiom : 's t -> bool
     certificate if a counterexample exists. *)
 val verify : states:'s list -> 's Pred.t -> 's Pred.t -> 's t option
 
+(** [checked ~over sub sup] records an inclusion its caller verified
+    over [over] states (by a subset test of their state sets), with
+    the evidence {!verify} gives over that many states. *)
+val checked : over:int -> 's Pred.t -> 's Pred.t -> 's t
+
 (** [axiom ~reason sub sup] records an assumed inclusion. *)
 val axiom : reason:string -> 's Pred.t -> 's Pred.t -> 's t
 

@@ -17,8 +17,14 @@ val make : string -> ('s -> bool) -> 's t
 val name : 's t -> string
 val mem : 's t -> 's -> bool
 
-(** [union p q] is named ["p ∪ q"]. *)
+(** [union p q] is named ["p ∪ q"] and keeps its operands. *)
 val union : 's t -> 's t -> 's t
+
+(** [operands u] is [Some (p, q)] when [u] is [union p q], and [None]
+    for every other predicate.  A consumer that holds the state sets of
+    [p] and [q] gets [u]'s as their union, without testing [u] state by
+    state ([Mdp.Explore.set] does). *)
+val operands : 's t -> ('s t * 's t) option
 
 (** [inter p q] is named ["p ∩ q"]. *)
 val inter : 's t -> 's t -> 's t

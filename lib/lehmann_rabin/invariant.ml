@@ -18,8 +18,13 @@ let neighbors_exclusive s =
   not (List.exists (fun i -> critical i && critical ((i + 1) mod n))
          (List.init n (fun i -> i)))
 
-let check expl = Mdp.Explore.check_invariant expl lemma_6_1
-let check_exclusion expl = Mdp.Explore.check_invariant expl neighbors_exclusive
+let lemma_6_1_pred = Core.Pred.make "Lemma 6.1" lemma_6_1
+
+let exclusive_pred =
+  Core.Pred.make "neighbors exclusive" neighbors_exclusive
+
+let check expl = Mdp.Explore.check_invariant expl lemma_6_1_pred
+let check_exclusion expl = Mdp.Explore.check_invariant expl exclusive_pred
 
 let lemma_general topo s =
   let ok = ref true in
@@ -37,4 +42,5 @@ let lemma_general topo s =
   !ok
 
 let check_general topo expl =
-  Mdp.Explore.check_invariant expl (lemma_general topo)
+  Mdp.Explore.check_invariant expl
+    (Core.Pred.make "Lemma 6.1 (general)" (lemma_general topo))

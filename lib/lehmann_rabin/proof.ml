@@ -146,10 +146,10 @@ let max_expected_time_on arena ~granularity =
 let liveness_on arena =
   let target = Mdp.Arena.indicator arena Regions.c in
   let always = Mdp.Qualitative.always_reaches arena ~target in
+  let t = Mdp.Arena.set arena Regions.t in
   let ok = ref true in
   for i = 0 to Mdp.Arena.num_states arena - 1 do
-    if Core.Pred.mem Regions.t (Mdp.Arena.state arena i)
-    && not always.(i) then ok := false
+    if Mdp.Bitset.mem t i && not always.(i) then ok := false
   done;
   !ok
 

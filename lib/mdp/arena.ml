@@ -17,7 +17,7 @@ type ('s, 'a) t = {
   actions : 'a array;
   fp : string option Atomic.t;
   zero_time : Zero_time.t option Atomic.t;
-  passes : ((pass * string * string) * summary) list Atomic.t;
+  passes : ((pass * Bitset.t * Bitset.t) * summary) list Atomic.t;
 }
 
 (* Process-wide count of compilations, surfaced through [Models.stats]
@@ -88,33 +88,27 @@ let zero_time a =
       | None -> z
     end
 
-(* Keyed by the pass and its two state sets, one bit per state.  A
-   domain that loses the CAS adopts a racing copy or prepends again. *)
-let bits n mem =
-  String.init ((n + 7) / 8) (fun byte ->
-      let c = ref 0 in
-      for i = 8 * byte to Int.min n (8 * byte + 8) - 1 do
-        if mem i then c := !c lor (1 lsl (i land 7))
-      done;
-      Char.chr !c)
-
+(* Keyed by the pass and its two state sets.  A domain that loses the
+   CAS adopts a racing copy or prepends again. *)
 let solved a pass ~target ~over solve =
-  if Array.length target <> a.n then
-    invalid_arg "Arena.solved: target has wrong length";
-  let over = bits a.n over in
-  let key = (pass, bits a.n (Array.get target), over) in
-  let find = List.assoc_opt key in
+  if Bitset.length target <> a.n || Bitset.length over <> a.n then
+    invalid_arg "Arena.solved: a set has the wrong universe";
+  let find =
+    List.find_map (fun ((p, t, o), s) ->
+        if p = pass && Bitset.equal t target && Bitset.equal o over then Some s
+        else None)
+  in
   match find (Atomic.get a.passes) with
   | Some s -> s
   | None ->
-    let s =
-      solve (fun i -> Char.code over.[i lsr 3] land (1 lsl (i land 7)) <> 0)
-    in
+    let s = solve () in
     let rec publish () =
       let seen = Atomic.get a.passes in
       match find seen with
       | Some published -> published
-      | None when Atomic.compare_and_set a.passes seen ((key, s) :: seen) -> s
+      | None
+        when Atomic.compare_and_set a.passes seen
+               (((pass, target, over), s) :: seen) -> s
       | None -> publish ()
     in
     publish ()
@@ -182,7 +176,7 @@ let num_branches a = Array.length a.tgt
 let state a i = Explore.state a.expl i
 let index a s = Explore.index a.expl s
 let start_indices a = Explore.start_indices a.expl
-let states_where a pred = Explore.states_where a.expl pred
+let set a pred = Explore.set a.expl pred
 let indicator a pred = Explore.indicator a.expl pred
 
 let num_steps_of a i = a.step_off.(i + 1) - a.step_off.(i)

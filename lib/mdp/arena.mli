@@ -57,7 +57,7 @@ type ('s, 'a) t = private {
       (** memoized structural fingerprint; use {!fingerprint} *)
   zero_time : Zero_time.t option Atomic.t;
       (** memoized zero-time component order; use {!zero_time} *)
-  passes : ((pass * string * string) * summary) list Atomic.t;
+  passes : ((pass * Bitset.t * Bitset.t) * summary) list Atomic.t;
       (** memoized solved passes; use {!solved} *)
 }
 
@@ -87,16 +87,16 @@ val assemble : tick:bool array -> ('s, 'a) Explore.t -> ('s, 'a) t
     write-once [Atomic]). *)
 val zero_time : ('s, 'a) t -> Zero_time.t
 
-(** [solved arena pass ~target ~over solve] is [solve member] on the
-    first ask ([member] reads [over] as packed once per state) and the
-    stored summary later.  The key is the pass and both sets as bitsets
-    of state indices, compared exactly.  Write-once per key by CAS like
-    {!zero_time}: racing domains may both solve, either copy is the
-    answer; a [solve] that raises (a deadline) stores nothing.  Raises
-    [Invalid_argument] unless [target] has [num_states] entries. *)
+(** [solved arena pass ~target ~over solve] is [solve ()] on the first
+    ask and the stored summary later.  The key is the pass and both
+    state sets (read from {!set}), compared exactly.  Write-once per
+    key by CAS like {!zero_time}: racing domains may both solve, either
+    copy is the answer; a [solve] that raises (a deadline) stores
+    nothing.  Raises [Invalid_argument] unless both sets range over
+    [num_states] indices. *)
 val solved :
-  ('s, 'a) t -> pass -> target:bool array -> over:(int -> bool) ->
-  ((int -> bool) -> summary) -> summary
+  ('s, 'a) t -> pass -> target:Bitset.t -> over:Bitset.t ->
+  (unit -> summary) -> summary
 
 (** A deterministic structural digest of the compiled fragment (32 hex
     characters), stamped into certificate leaves ([lib/cert]) so a
@@ -122,7 +122,12 @@ val num_branches : ('s, 'a) t -> int
 val state : ('s, 'a) t -> int -> 's
 val index : ('s, 'a) t -> 's -> int option
 val start_indices : ('s, 'a) t -> int list
-val states_where : ('s, 'a) t -> ('s -> bool) -> int list
+
+(** The fragment's memoized state set of a predicate: swept once per
+    name, unions ORed from their operands ({!Explore.set}). *)
+val set : ('s, 'a) t -> 's Core.Pred.t -> Bitset.t
+
+(** {!set} as a boolean array, the target form the engines read. *)
 val indicator : ('s, 'a) t -> 's Core.Pred.t -> bool array
 
 (** {1 Step helpers} *)

@@ -12,12 +12,12 @@ type 's arrow = {
   claim : 's Core.Claim.t option;
 }
 
-(* [values] folded over the [member] states from [seed]: the first
+(* [values] folded over the [over] states from [seed]: the first
    member is the witness until a later one is strictly [better]. *)
-let summarize ~seed ~better ~wrap values member =
+let summarize ~seed ~better ~wrap values over =
   let best = ref seed and witness = ref None and members = ref 0 in
   for i = 0 to Array.length values - 1 do
-    if member i then begin
+    if Bitset.mem over i then begin
       incr members;
       if !witness = None || better values.(i) !best then begin
         best := values.(i);
@@ -27,15 +27,13 @@ let summarize ~seed ~better ~wrap values member =
   done;
   { Arena.extremum = wrap !best; witness = !witness; members = !members }
 
-let mem a set i = Core.Pred.mem set (Arena.state a i)
-
 let min_reach_over a ~target ~ticks ~over =
-  let target = Arena.indicator a target in
+  let target = Arena.set a target and over = Arena.set a over in
   match
-    Arena.solved a (Arena.Min_reach ticks) ~target ~over:(mem a over)
-      (fun member ->
-         summarize ~seed:Q.one ~better:Q.lt ~wrap:(fun p -> Arena.Prob p)
-           (Finite_horizon.min_reach a ~target ~ticks) member)
+    Arena.solved a (Arena.Min_reach ticks) ~target ~over (fun () ->
+        summarize ~seed:Q.one ~better:Q.lt ~wrap:(fun p -> Arena.Prob p)
+          (Finite_horizon.min_reach a ~target:(Bitset.to_bools target) ~ticks)
+          over)
   with
   | { Arena.extremum = Arena.Prob p; witness; members } ->
     (p, Option.map (Arena.state a) witness, members)
@@ -44,12 +42,13 @@ let min_reach_over a ~target ~ticks ~over =
 (* Expected ticks are never negative nor nan, so the fold from 0 on
    [>] is the plain maximum of the members. *)
 let max_expected_over a ~target ~over =
-  let target = Arena.indicator a target in
+  let target = Arena.set a target and over = Arena.set a over in
   match
-    Arena.solved a Arena.Max_expected_ticks ~target ~over:(mem a over)
-      (fun member ->
-         summarize ~seed:0.0 ~better:( > ) ~wrap:(fun t -> Arena.Ticks t)
-           (Expected_time.max_expected_ticks a ~target ()) member)
+    Arena.solved a Arena.Max_expected_ticks ~target ~over (fun () ->
+        summarize ~seed:0.0 ~better:( > ) ~wrap:(fun t -> Arena.Ticks t)
+          (Expected_time.max_expected_ticks a
+             ~target:(Bitset.to_bools target) ())
+          over)
   with
   | { Arena.extremum = Arena.Ticks t; witness; members } ->
     (t, Option.map (Arena.state a) witness, members)
@@ -77,7 +76,6 @@ let check_arrow a ~label ~granularity ~schema ~pre ~post ~time ~prob =
   { label; pre; post; time; prob; attained; witness; pre_states; claim }
 
 let verify_inclusion a sub sup =
-  let states =
-    Array.to_list (Array.init (Arena.num_states a) (Arena.state a))
-  in
-  Core.Inclusion.verify ~states sub sup
+  if Bitset.subset (Arena.set a sub) (Arena.set a sup) then
+    Some (Core.Inclusion.checked ~over:(Arena.num_states a) sub sup)
+  else None

@@ -43,8 +43,9 @@ val check_arrow :
     the [over] states of {!Finite_horizon.min_reach} toward [target]
     (1 when there are none), the first state in index order attaining
     it, and the number of [over] states.  Solved once per arena and
-    question ({!Arena.solved}): a repeated ask sweeps the two
-    predicates and solves no tick layer. *)
+    question ({!Arena.solved}): both sets come from the arena's set
+    memo ({!Arena.set}), so a repeated ask sweeps nothing and solves no
+    tick layer. *)
 val min_reach_over :
   ('s, 'a) Arena.t -> target:'s Core.Pred.t -> ticks:int ->
   over:'s Core.Pred.t -> Proba.Rational.t * 's option * int
@@ -57,7 +58,10 @@ val max_expected_over :
 
 (** [verify_inclusion arena sub sup] checks [sub ⊆ sup] over the
     reachable states, yielding a certificate for
-    {!Core.Claim.strengthen_pre} / {!Core.Claim.weaken_post}. *)
+    {!Core.Claim.strengthen_pre} / {!Core.Claim.weaken_post}: a
+    word-wise subset test of the two memoized sets ({!Arena.set}),
+    with the evidence {!Core.Inclusion.verify} gives over the same
+    states. *)
 val verify_inclusion :
   ('s, 'a) Arena.t -> 's Core.Pred.t -> 's Core.Pred.t ->
   's Core.Inclusion.t option

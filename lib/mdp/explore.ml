@@ -10,12 +10,13 @@ type 'a csr = {
 
 type ('s, 'a) t = {
   pa : ('s, 'a) Core.Pa.t;
-  states : 's array;
-  table : ('s, int) Funtbl.t;
+  table : 's Funtbl.t;  (** the states, numbered by index *)
   csr : 'a csr;
   start_indices : int list;
   expanded : int;
   canon : ('s -> 's) option;  (** [Some] when the fragment is a quotient *)
+  sets : ('s Core.Pred.t * Bitset.t) list Atomic.t;
+      (** swept predicates, at most one per name; use {!set} *)
 }
 
 (* Process-wide count of BFS explorations, surfaced through
@@ -26,6 +27,11 @@ type ('s, 'a) t = {
 let explorations_counter = Atomic.make 0
 let explorations () = Atomic.get explorations_counter
 
+(* Process-wide count of the sets [set] stored, so a test can pin one
+   sweep per region and fragment. *)
+let sweeps_counter = Atomic.make 0
+let sweeps () = Atomic.get sweeps_counter
+
 (* Where [s] lands in [table]: looked up as it is first, and only on a
    miss through [canon].  The table holds fixpoints of [canon] alone
    and [canon] is idempotent, so a hit is already [s]'s representative
@@ -35,9 +41,8 @@ let resolve table canon s ~found ~missed =
   match canon with
   | None -> missed s
   | Some canon ->
-    (match Funtbl.find table s with
-     | Some i -> found i
-     | None -> missed (canon s))
+    let i = Funtbl.find table s in
+    if i >= 0 then found i else missed (canon s)
 
 (* A growable array: [push] doubles the backing store when it is full,
    and [trim] copies out the pushed prefix, once, when the BFS ends. *)
@@ -57,8 +62,8 @@ let push b x =
 let trim b = Array.sub b.arr 0 b.len
 
 (* The BFS.  Interning order is FIFO visitation order, so states are
-   expanded in index order (the next one to expand is
-   [states.arr.(expanded)]) and each expansion appends one CSR row.  It
+   expanded in index order (the next one to expand is the table's key
+   [expanded]) and each expansion appends one CSR row.  It
    raises the moment a state beyond [max_states] would be interned, and
    at the ambient deadline's poll before each expansion. *)
 let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
@@ -67,20 +72,17 @@ let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
     Funtbl.create ~equal:(Core.Pa.equal_state m) ~hash:(Core.Pa.hash_state m)
       1024
   in
-  let states = buf () in
   (* Interning the canonical form is the whole of orbit reduction:
      every state of an orbit interns to its representative's index, so
      the BFS explores the quotient MDP and everything downstream (arena
      compilation included) is oblivious.  [find_or_add] interns with a
      single hash-and-probe; a raised [Too_many_states] leaves the table
-     untouched. *)
+     untouched.  The table numbers states in interning order, so it
+     holds the state array too. *)
   let add s =
-    Funtbl.find_or_add table s (fun () ->
-        if states.len >= max_states then raise (Too_many_states max_states);
-        let i = states.len in
-        push states s;
-        on_intern i s;
-        i)
+    Funtbl.find_or_add table s (fun i ->
+        if i >= max_states then raise (Too_many_states max_states);
+        on_intern i s)
   in
   let intern s = resolve table canon s ~found:Fun.id ~missed:add in
   let start_indices = List.map intern (Core.Pa.start m) in
@@ -100,7 +102,7 @@ let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
     else branch_of j (o + 1)
   in
   let expanded = ref 0 in
-  while !expanded < states.len do
+  while !expanded < Funtbl.length table do
     Core.Budget.poll ();
     List.iter
       (fun step ->
@@ -117,7 +119,7 @@ let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
            (Proba.Dist.support step.Core.Pa.dist);
          push actions step.Core.Pa.action;
          push out_off tgt.len)
-      (Core.Pa.enabled m states.arr.(!expanded));
+      (Core.Pa.enabled m (Funtbl.key table !expanded));
     push step_off actions.len;
     incr expanded
   done;
@@ -125,8 +127,8 @@ let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
     { step_off = trim step_off; out_off = trim out_off; tgt = trim tgt;
       prob_q = trim prob_q; actions = trim actions }
   in
-  { pa = m; states = trim states; table; csr; start_indices;
-    expanded = !expanded; canon }
+  { pa = m; table; csr; start_indices; expanded = !expanded; canon;
+    sets = Atomic.make [] }
 
 (* Rehydration constructor for snapshot loading: rebuilds the intern
    table from the state array instead of re-running the BFS, so it does
@@ -173,44 +175,71 @@ let of_parts ?canon ~pa ~states ~csr ~start_indices ~expanded () =
   done;
   let table =
     Funtbl.create ~equal:(Core.Pa.equal_state pa) ~hash:(Core.Pa.hash_state pa)
-      (max 16 (2 * n))
+      n
   in
   Array.iteri
     (fun i s ->
-       let j = Funtbl.find_or_add table s (fun () -> i) in
+       let j = Funtbl.find_or_add table s ignore in
        if j <> i then invalid "state %d repeats state %d" i j)
     states;
-  { pa; states; table; csr; start_indices; expanded; canon }
+  { pa; table; csr; start_indices; expanded; canon; sets = Atomic.make [] }
 
 let automaton e = e.pa
-let num_states e = Array.length e.states
+let num_states e = Funtbl.length e.table
 let num_expanded e = e.expanded
-let is_complete e = e.expanded = Array.length e.states
+let is_complete e = e.expanded = num_states e
 
 let num_choices e = Array.length e.csr.actions
 let num_branches e = Array.length e.csr.tgt
 
-let state e i = e.states.(i)
+let state e i = Funtbl.key e.table i
 let index e s =
-  resolve e.table e.canon s ~found:Option.some ~missed:(Funtbl.find e.table)
+  let i =
+    resolve e.table e.canon s ~found:Fun.id ~missed:(Funtbl.find e.table)
+  in
+  if i >= 0 then Some i else None
 let start_indices e = e.start_indices
 let csr e = e.csr
 
-let states_where e pred =
-  let acc = ref [] in
-  for i = Array.length e.states - 1 downto 0 do
-    if pred e.states.(i) then acc := i :: !acc
-  done;
-  !acc
+(* Sweep first, then publish by CAS, as [Arena.solved] does: a domain
+   that loses the race to a name adopts the stored set, so two domains
+   may sweep one name but only one set is kept.  Re-sweeping a
+   physically different predicate under a stored name keeps the memo
+   sound, and the proof rules' identification of a set with its name
+   honest. *)
+let rec set e p =
+  match Core.Pred.operands p with
+  | Some (l, r) -> Bitset.union (set e l) (set e r)
+  | None ->
+    let name = Core.Pred.name p in
+    let find =
+      List.find_opt (fun (q, _) -> String.equal (Core.Pred.name q) name)
+    in
+    (match find (Atomic.get e.sets) with
+     | Some (q, stored) when q == p -> stored
+     | _ ->
+       let swept =
+         Bitset.init (num_states e) (fun i -> Core.Pred.mem p (state e i))
+       in
+       let rec publish () =
+         let seen = Atomic.get e.sets in
+         match find seen with
+         | Some (_, stored) when Bitset.equal stored swept -> stored
+         | Some _ ->
+           invalid_arg
+             (Printf.sprintf
+                "Explore.set: predicate %S names a different state set on \
+                 this fragment"
+                name)
+         | None when Atomic.compare_and_set e.sets seen ((p, swept) :: seen)
+           ->
+           Atomic.incr sweeps_counter;
+           swept
+         | None -> publish ()
+       in
+       publish ())
 
-let indicator e pred =
-  Array.map (fun s -> Core.Pred.mem pred s) e.states
+let indicator e pred = Bitset.to_bools (set e pred)
 
 let check_invariant e pred =
-  let n = Array.length e.states in
-  let rec go i =
-    if i >= n then None
-    else if not (pred e.states.(i)) then Some e.states.(i)
-    else go (i + 1)
-  in
-  go 0
+  Option.map (state e) (Bitset.first_absent (set e pred))

@@ -127,17 +127,38 @@ val start_indices : ('s, 'a) t -> int list
 (** The fragment's transitions; {!Arena.compile} shares these arrays. *)
 val csr : ('s, 'a) t -> 'a csr
 
-(** [states_where expl pred] lists the indices satisfying a predicate. *)
-val states_where : ('s, 'a) t -> ('s -> bool) -> int list
+(** [set expl pred] is the set of states satisfying [pred], by index.
+    Each fragment keeps a memo of the sets it has swept, keyed by
+    predicate name:
 
-(** [indicator expl pred] is the predicate as a boolean array. *)
+    - a union ({!Core.Pred.operands}) is the union of its operands'
+      sets and is never swept or stored;
+    - any other predicate is swept over the states the first time its
+      name is asked for, and its set stored under that name;
+    - a physically different predicate under a stored name is swept
+      again and must yield the stored set: otherwise [set] raises
+      [Invalid_argument] naming it.
+
+    The memo therefore holds at most one set per name.  Domain-safe: a
+    domain sweeps, then publishes its set by CAS; one that loses the
+    race to a name adopts the stored set (or is refused as above), and
+    a sweep that raises stores nothing. *)
+val set : ('s, 'a) t -> 's Core.Pred.t -> Bitset.t
+
+(** [indicator expl pred] is {!set} as a boolean array. *)
 val indicator : ('s, 'a) t -> 's Core.Pred.t -> bool array
 
-(** [check_invariant expl pred] returns the first violating state, if
-    any.  Used for exhaustive invariant checking (Lemma 6.1). *)
-val check_invariant : ('s, 'a) t -> ('s -> bool) -> 's option
+(** [check_invariant expl pred] returns the first state, in index
+    order, outside [set expl pred], if any.  Used for exhaustive
+    invariant checking (Lemma 6.1). *)
+val check_invariant : ('s, 'a) t -> 's Core.Pred.t -> 's option
 
 (** Process-wide count of explorations performed by {!run}.  Read by [Models.stats] so surfaces
     can assert that the registry cache collapses repeated model uses
     into a single exploration. *)
 val explorations : unit -> int
+
+(** Process-wide count of the sets {!set} has stored: one per name and
+    fragment, however many domains raced to sweep it.  Tests read it to
+    pin one sweep per region and fragment. *)
+val sweeps : unit -> int

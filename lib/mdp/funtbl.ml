@@ -1,70 +1,104 @@
-(* Separate-chaining hash table over caller-supplied hash/equal, with
-   doubling resize at load factor 2. *)
+(* Linear probing over a power-of-two slot count, kept at most half
+   full.  [slot_idx.(s)] is the index of the key in slot [s] ([-1] when
+   the slot is empty) and [slot_hash.(s)] its full hash; the slot is
+   chosen from the hash's high bits after a Fibonacci multiply, so keys
+   whose hashes differ only in high bits (or are small consecutive
+   ints) still spread. *)
 
-type ('k, 'v) t = {
+type 'k t = {
   equal : 'k -> 'k -> bool;
   hash : 'k -> int;
-  mutable buckets : ('k * 'v) list array;
+  mutable bits : int;  (** log2 of the slot count *)
+  mutable slot_hash : int array;
+  mutable slot_idx : int array;
+  mutable keys : 'k array;  (** key [i] at [i]; grown on demand *)
   mutable size : int;
+  hint : int;  (** the length of [keys] once the first key arrives *)
 }
 
+let slots_for n =
+  let bits = ref 4 in
+  while 1 lsl !bits < 2 * n do
+    incr bits
+  done;
+  !bits
+
 let create ~equal ~hash n =
-  let n = Stdlib.max 16 n in
-  { equal; hash; buckets = Array.make n []; size = 0 }
+  let bits = slots_for n in
+  { equal; hash; bits;
+    slot_hash = Array.make (1 lsl bits) 0;
+    slot_idx = Array.make (1 lsl bits) (-1);
+    keys = [||];
+    size = 0;
+    hint = Int.max 16 n }
 
 let length t = t.size
 
-let bucket_of t k = t.hash k land max_int mod Array.length t.buckets
+(* The 64-bit golden-ratio constant cut to an OCaml int (it stays
+   odd): multiplying by it mixes every bit of the hash into the high
+   bits, which pick the slot. *)
+let home bits h = (h * 0x1E37_79B9_7F4A_7C15) lsr (Sys.int_size - bits)
+
+(* The slot holding [k], or the empty slot where it would go. *)
+let probe t k h =
+  let mask = (1 lsl t.bits) - 1 in
+  let rec go s =
+    let i = Array.unsafe_get t.slot_idx s in
+    if i < 0 then s
+    else if Array.unsafe_get t.slot_hash s = h && t.equal k t.keys.(i) then s
+    else go ((s + 1) land mask)
+  in
+  go (home t.bits h)
 
 let find t k =
-  let rec go = function
-    | [] -> None
-    | (k', v) :: rest -> if t.equal k k' then Some v else go rest
-  in
-  go t.buckets.(bucket_of t k)
+  let h = t.hash k in
+  t.slot_idx.(probe t k h)
 
-let mem t k = find t k <> None
+let key t i =
+  if i < 0 || i >= t.size then invalid_arg "Funtbl.key: index out of range";
+  t.keys.(i)
 
-let resize t =
-  let old = t.buckets in
-  t.buckets <- Array.make (2 * Array.length old) [];
-  Array.iter
-    (List.iter (fun ((k, _) as binding) ->
-         let b = bucket_of t k in
-         t.buckets.(b) <- binding :: t.buckets.(b)))
-    old
+(* Doubles the slot arrays and re-homes every index by its stored
+   hash: no key is hashed or compared again. *)
+let grow t =
+  let old_hash = t.slot_hash and old_idx = t.slot_idx in
+  t.bits <- t.bits + 1;
+  let mask = (1 lsl t.bits) - 1 in
+  t.slot_hash <- Array.make (1 lsl t.bits) 0;
+  t.slot_idx <- Array.make (1 lsl t.bits) (-1);
+  Array.iteri
+    (fun s i ->
+       if i >= 0 then begin
+         let h = old_hash.(s) in
+         let s = ref (home t.bits h) in
+         while t.slot_idx.(!s) >= 0 do
+           s := (!s + 1) land mask
+         done;
+         t.slot_hash.(!s) <- h;
+         t.slot_idx.(!s) <- i
+       end)
+    old_idx
 
-let add t k v =
-  let b = bucket_of t k in
-  let chain = t.buckets.(b) in
-  let existed = List.exists (fun (k', _) -> t.equal k k') chain in
-  let chain =
-    if existed then List.filter (fun (k', _) -> not (t.equal k k')) chain
-    else chain
-  in
-  t.buckets.(b) <- (k, v) :: chain;
-  if not existed then begin
-    t.size <- t.size + 1;
-    if t.size > 2 * Array.length t.buckets then resize t
+let push_key t k =
+  if t.size = Array.length t.keys then begin
+    let keys = Array.make (if t.size = 0 then t.hint else 2 * t.size) k in
+    Array.blit t.keys 0 keys 0 t.size;
+    t.keys <- keys
+  end;
+  t.keys.(t.size) <- k
+
+let find_or_add t k admit =
+  let h = t.hash k in
+  let s = probe t k h in
+  let i = t.slot_idx.(s) in
+  if i >= 0 then i
+  else begin
+    let i = t.size in
+    admit i;
+    push_key t k;
+    t.slot_hash.(s) <- h;
+    t.slot_idx.(s) <- i;
+    t.size <- i + 1;
+    if 2 * t.size > 1 lsl t.bits then grow t;
+    i
   end
-
-let find_or_add t k make =
-  let b = bucket_of t k in
-  let rec go = function
-    | [] ->
-      let v = make () in
-      t.buckets.(b) <- (k, v) :: t.buckets.(b);
-      t.size <- t.size + 1;
-      if t.size > 2 * Array.length t.buckets then resize t;
-      v
-    | (k', v) :: rest -> if t.equal k k' then v else go rest
-  in
-  go t.buckets.(b)
-
-let iter f t = Array.iter (List.iter (fun (k, v) -> f k v)) t.buckets
-
-let fold f t init =
-  Array.fold_left
-    (fun acc chain ->
-       List.fold_left (fun acc (k, v) -> f k v acc) acc chain)
-    init t.buckets

@@ -39,26 +39,26 @@ type frame_error =
 
 exception Frame of frame_error
 
-type cursor = { s : string; mutable pos : int }
+(* The bytes [pos .. stop - 1] of [s] are left to read. *)
+type cursor = { s : string; mutable pos : int; stop : int }
 
-let rec find_colon s start i =
-  if i >= String.length s then raise (Frame Unterminated)
-  else if String.unsafe_get s i = ':' then i
+let rec find_colon c start i =
+  if i >= c.stop then raise (Frame Unterminated)
+  else if String.unsafe_get c.s i = ':' then i
   else if i - start > 12 then raise (Frame Prefix_too_long)
-  else find_colon s start (i + 1)
+  else find_colon c start (i + 1)
 
 (* Reads the frame at the cursor and leaves the cursor after it; the
    payload runs from the returned offset to the cursor. *)
 let frame c =
-  let colon = find_colon c.s c.pos c.pos in
+  let colon = find_colon c c.pos c.pos in
   let n =
     match Proba.Decimal.parse c.s c.pos (colon - c.pos) with
     | Some n when n >= 0 -> n
     | Some _ | None -> raise (Frame Bad_prefix)
   in
   let stop = colon + 1 + n in
-  if stop > String.length c.s then
-    raise (Frame (Missing (stop - String.length c.s)));
+  if stop > c.stop then raise (Frame (Missing (stop - c.stop)));
   c.pos <- stop;
   colon + 1
 
@@ -84,14 +84,22 @@ let check_magic bytes =
       version (String.trim magic)
   else corrupt "not a prtba snapshot (bad magic)"
 
-let decode bytes =
+type span = { src : string; ofs : int; len : int }
+
+let span_to_string sp = String.sub sp.src sp.ofs sp.len
+
+let cursor sp = { s = sp.src; pos = sp.ofs; stop = sp.ofs + sp.len }
+
+let whole s = { src = s; ofs = 0; len = String.length s }
+
+let decode_spans bytes =
   try
     check_magic bytes;
     let len = String.length bytes in
-    let c = { s = bytes; pos = String.length magic } in
+    let c = { s = bytes; pos = String.length magic; stop = len } in
     let read_framed what =
       match frame c with
-      | start -> String.sub bytes start (c.pos - start)
+      | start -> { src = bytes; ofs = start; len = c.pos - start }
       | exception Frame Unterminated ->
         corrupt "truncated snapshot (%s: unterminated length prefix)" what
       | exception Frame Prefix_too_long ->
@@ -106,9 +114,10 @@ let decode bytes =
     while not !sealed do
       if c.pos >= len then corrupt "truncated snapshot (no trailing digest)";
       let before = c.pos in
-      let name = read_framed "section name" in
+      let name = span_to_string (read_framed "section name") in
       let payload = read_framed (Printf.sprintf "section %S" name) in
       if name = "digest" then begin
+        let payload = span_to_string payload in
         if c.pos <> len then
           corrupt "corrupt snapshot (%d trailing bytes after the digest)"
             (len - c.pos);
@@ -125,6 +134,11 @@ let decode bytes =
     Ok (List.rev !sections)
   with Corrupt msg -> Error msg
 
+let decode bytes =
+  Result.map
+    (List.map (fun (name, sp) -> (name, span_to_string sp)))
+    (decode_spans bytes)
+
 (* ------------------------------------------------------------------ *)
 (* Scalar-array payloads. *)
 
@@ -137,44 +151,45 @@ let ints_to_string arr =
     arr;
   Buffer.contents buf
 
-let rec next_comma s i =
-  if i < String.length s && String.unsafe_get s i <> ',' then
-    next_comma s (i + 1)
+let rec next_comma s i last =
+  if i < last && String.unsafe_get s i <> ',' then next_comma s (i + 1) last
   else i
 
-let commas s =
+let commas s ofs last =
   let k = ref 0 in
-  for i = 0 to String.length s - 1 do
+  for i = ofs to last - 1 do
     if String.unsafe_get s i = ',' then incr k
   done;
   !k
 
-let ints_of_string s =
-  if s = "" then Ok [||]
+let ints_of_span { src = s; ofs; len } =
+  let last = ofs + len in
+  if len = 0 then Ok [||]
   else begin
-    let arr = Array.make (commas s + 1) 0 in
+    let arr = Array.make (commas s ofs last + 1) 0 in
     let rec go k pos =
-      let stop = next_comma s pos in
+      let stop = next_comma s pos last in
       match Proba.Decimal.parse s pos (stop - pos) with
       | None ->
         Error (Printf.sprintf "bad integer %S" (String.sub s pos (stop - pos)))
       | Some x ->
         arr.(k) <- x;
-        if stop = String.length s then Ok arr else go (k + 1) (stop + 1)
+        if stop = last then Ok arr else go (k + 1) (stop + 1)
     in
-    go 0 0
+    go 0 ofs
   end
+
+let ints_of_string s = ints_of_span (whole s)
 
 let bools_to_string arr =
   String.init (Array.length arr) (fun i -> if arr.(i) then '1' else '0')
 
-let bools_of_string s =
-  let n = String.length s in
+let bools_of_span { src = s; ofs; len = n } =
   let arr = Array.make n false in
   let rec go i =
     if i >= n then Ok arr
     else
-      match s.[i] with
+      match s.[ofs + i] with
       | '1' ->
         arr.(i) <- true;
         go (i + 1)
@@ -183,6 +198,8 @@ let bools_of_string s =
   in
   go 0
 
+let bools_of_string s = bools_of_span (whole s)
+
 let strs_to_string lst =
   let buf = Buffer.create 256 in
   List.iter (fun s -> enc buf s) lst;
@@ -190,9 +207,9 @@ let strs_to_string lst =
 
 let strs_of_string s =
   try
-    let c = { s; pos = 0 } in
+    let c = cursor (whole s) in
     let acc = ref [] in
-    while c.pos < String.length s do
+    while c.pos < c.stop do
       let start = inner_frame "string" c in
       acc := String.sub s start (c.pos - start) :: !acc
     done;
@@ -217,15 +234,16 @@ let rats_to_string arr =
 (* Two walks over the frames: the first counts them and refuses bad
    framing, so a framing fault is named before any bad weight; the
    second parses each weight where it lies. *)
-let rats_of_string s =
+let rats_of_span sp =
+  let s = sp.src in
   try
-    let c = { s; pos = 0 } in
+    let c = cursor sp in
     let count = ref 0 in
-    while c.pos < String.length s do
+    while c.pos < c.stop do
       ignore (inner_frame "rational" c);
       incr count
     done;
-    c.pos <- 0;
+    c.pos <- sp.ofs;
     let arr = Array.make !count Proba.Rational.zero in
     for k = 0 to !count - 1 do
       let start = frame c in
@@ -236,3 +254,5 @@ let rats_of_string s =
     done;
     Ok arr
   with Corrupt msg -> Error msg
+
+let rats_of_string s = rats_of_span (whole s)

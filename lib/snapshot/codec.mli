@@ -21,10 +21,19 @@ val magic : string
     preceding bytes. *)
 val encode : (string * string) list -> string
 
+(** A section payload where it lies: the [len] bytes of [src] from
+    offset [ofs]. *)
+type span = { src : string; ofs : int; len : int }
+
+val span_to_string : span -> string
+
 (** Strict inverse of {!encode}: the sections in file order, digest
-    verified and consumed.  All failure modes are named errors
-    ("unsupported snapshot version", "truncated snapshot", "snapshot
-    digest mismatch", ...). *)
+    verified and consumed, each payload left in place in the input.
+    All failure modes are named errors ("unsupported snapshot
+    version", "truncated snapshot", "snapshot digest mismatch", ...). *)
+val decode_spans : string -> ((string * span) list, string) result
+
+(** {!decode_spans} with each payload copied out. *)
 val decode : string -> ((string * string) list, string) result
 
 (** {1 Scalar-array payload codecs}
@@ -39,11 +48,18 @@ val decode : string -> ((string * string) list, string) result
     {!Proba.Rational.of_wire}'s.  Frames are read in place, with no
     per-element string. *)
 
+(** The [_of_span] readers parse a payload in place and accept and
+    refuse exactly what the [_of_string] reader of the same bytes
+    does, with the same messages. *)
+
 val strs_to_string : string list -> string
 val strs_of_string : string -> (string list, string) result
 val ints_to_string : int array -> string
 val ints_of_string : string -> (int array, string) result
+val ints_of_span : span -> (int array, string) result
 val bools_to_string : bool array -> string
 val bools_of_string : string -> (bool array, string) result
+val bools_of_span : span -> (bool array, string) result
 val rats_to_string : Proba.Rational.t array -> string
 val rats_of_string : string -> (Proba.Rational.t array, string) result
+val rats_of_span : span -> (Proba.Rational.t array, string) result

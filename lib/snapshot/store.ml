@@ -118,13 +118,15 @@ exception Refuse of string
 
 let refuse fmt = Printf.ksprintf (fun s -> raise (Refuse s)) fmt
 
+(* Sections are spans of the loaded bytes: every reader parses in
+   place, and only the small ones (config, fingerprint) are copied. *)
 let section sections name =
   match List.assoc_opt name sections with
   | Some payload -> payload
   | None -> refuse "snapshot is missing section %S" name
 
-let parsed of_string sections name =
-  match of_string (section sections name) with
+let parsed of_span sections name =
+  match of_span (section sections name) with
   | Ok v -> v
   | Error e -> refuse "snapshot section %S: %s" name e
 
@@ -134,7 +136,8 @@ let int_of what s =
   | None -> refuse "snapshot config: bad %s %S" what s
 
 let config_of_sections sections =
-  match Codec.strs_of_string (section sections "config") with
+  match Codec.strs_of_string (Codec.span_to_string (section sections "config"))
+  with
   | Error e -> refuse "snapshot section \"config\": %s" e
   | Ok [ model; n; g; k; topology; bound; cap; f; initial_s; sym_s ] ->
     let initial =
@@ -155,14 +158,20 @@ let config_of_sections sections =
       (List.length fields)
 
 (* [Marshal.from_string] is only reached after the container digest
-   verified, so the blob is byte-identical to what [encode] wrote; the
-   try still turns a truncated-blob [Failure] into a refusal rather
-   than an escape. *)
-let unmarshal : type v. (string * string) list -> string -> v =
+   verified, so the blob is byte-identical to what [encode] wrote.  It
+   reads the blob where it lies, after its header says the blob ends
+   inside the section; the try turns a bad header's [Failure] into a
+   refusal rather than an escape. *)
+let unmarshal : type v. (string * Codec.span) list -> string -> v =
   fun sections name ->
-  let payload = section sections name in
-  try (Marshal.from_string payload 0 : v)
-  with Failure _ | Invalid_argument _ ->
+  let { Codec.src; ofs; len } = section sections name in
+  try
+    if
+      len < Marshal.header_size
+      || Marshal.total_size (Bytes.unsafe_of_string src) ofs > len
+    then raise Exit;
+    (Marshal.from_string src ofs : v)
+  with Exit | Failure _ | Invalid_argument _ ->
     refuse "snapshot section %S: undecodable blob" name
 
 (* Rebuild fragment + arena from the sections, under the current model
@@ -172,22 +181,21 @@ let unmarshal : type v. (string * string) list -> string -> v =
    the snapshot is stale (model code changed since it was compiled) and
    is refused. *)
 let rebuild (type s a i) (d : (s, a, i) Analysis.Description.t) sections : i =
-  let counts = parsed Codec.ints_of_string sections "counts" in
+  let counts = parsed Codec.ints_of_span sections "counts" in
   if Array.length counts <> 2 then
     refuse "snapshot section \"counts\": expected 2 integers, found %d"
       (Array.length counts);
-  let starts = parsed Codec.ints_of_string sections "starts" in
-  let step_off = parsed Codec.ints_of_string sections "step_off" in
-  let out_off = parsed Codec.ints_of_string sections "out_off" in
-  let tgt = parsed Codec.ints_of_string sections "tgt" in
-  let tick = parsed Codec.bools_of_string sections "tick" in
-  let prob_q = parsed Codec.rats_of_string sections "prob_q" in
+  let starts = parsed Codec.ints_of_span sections "starts" in
+  let step_off = parsed Codec.ints_of_span sections "step_off" in
+  let out_off = parsed Codec.ints_of_span sections "out_off" in
+  let tgt = parsed Codec.ints_of_span sections "tgt" in
+  let tick = parsed Codec.bools_of_span sections "tick" in
+  let prob_q = parsed Codec.rats_of_span sections "prob_q" in
   let states : s array = unmarshal sections "states" in
   let actions : a array = unmarshal sections "actions" in
   let cert : Sym.certificate option =
-    match section sections "sym" with
-    | "" -> None
-    | _ -> Some (unmarshal sections "sym")
+    if (section sections "sym").Codec.len = 0 then None
+    else Some (unmarshal sections "sym")
   in
   if Array.length states <> counts.(0) then
     refuse "snapshot states array has %d entries, counts say %d"
@@ -214,7 +222,7 @@ let rebuild (type s a i) (d : (s, a, i) Analysis.Description.t) sections : i =
     try Mdp.Arena.assemble ~tick expl
     with Invalid_argument msg -> refuse "snapshot arena: %s" msg
   in
-  let stored_fp = section sections "fingerprint" in
+  let stored_fp = Codec.span_to_string (section sections "fingerprint") in
   let rebuilt_fp = Mdp.Arena.fingerprint arena in
   if not (String.equal stored_fp rebuilt_fp) then
     refuse
@@ -252,7 +260,7 @@ let instantiate sections =
   (c, wrap (rebuild d sections))
 
 let of_string bytes =
-  match Codec.decode bytes with
+  match Codec.decode_spans bytes with
   | Error e -> Error e
   | Ok sections -> (
       try Ok (instantiate sections) with

@@ -706,36 +706,249 @@ let test_compile_shares_csr () =
       ("actions", a.Mdp.Arena.actions == b.Mdp.Arena.actions) ]
 
 (* ------------------------------------------------------------------ *)
+(* The set memo (Mdp.Explore.set, read through Mdp.Arena) *)
+
+(* [p]'s set by a direct [Pred.mem] sweep, the reference every memo
+   answer must equal. *)
+let direct arena p =
+  Array.init (Mdp.Arena.num_states arena) (fun i ->
+      Core.Pred.mem p (Mdp.Arena.state arena i))
+
+let members set = Array.fold_left (fun k b -> if b then k + 1 else k) 0 set
+
+let rec check_set what arena p =
+  let got = Mdp.Arena.set arena p in
+  let name = Printf.sprintf "%s: %s" what (Core.Pred.name p) in
+  if Mdp.Bitset.to_bools got <> direct arena p then
+    Alcotest.failf "%s differs from a direct sweep" name;
+  if Mdp.Arena.indicator arena p <> direct arena p then
+    Alcotest.failf "%s: indicator differs from a direct sweep" name;
+  match Core.Pred.operands p with
+  | Some (l, r) ->
+    check_set what arena l;
+    check_set what arena r;
+    if
+      not
+        (Mdp.Bitset.equal got
+           (Mdp.Bitset.union (Mdp.Arena.set arena l) (Mdp.Arena.set arena r)))
+    then Alcotest.failf "%s is not the OR of its operands" name
+  | None -> ()
+
+type sets = Sets : {
+  name : string;
+  arena : ('s, 'a) Mdp.Arena.t;
+  preds : 's Core.Pred.t list;
+} -> sets
+
+let arrow_sets arrows =
+  List.concat_map
+    (fun (a : _ Mdp.Checker.arrow) -> [ a.Mdp.Checker.pre; a.post ])
+    arrows
+
+(* Every set the LR ladder asks for: the regions, the arrows' sets and
+   the renamings' padded unions. *)
+let lr_preds good =
+  let open LR.Regions in
+  let fgp = Core.Pred.union_all [ f; good; p ] in
+  let gp = Core.Pred.union good p in
+  [ t; rt; f; good; p; c; rt_or_c; p_or_c; fgp; gp; Core.Pred.union fgp c;
+    Core.Pred.union gp c ]
+
+let built_in ~sym =
+  let lr = Models.lr ~sym ~n:3 () in
+  let star = Models.lr_topo ~sym ~topo:(LR.Topology.star 3) () in
+  let ir = Models.election ~sym ~n:4 () in
+  let sc = Models.coin ~sym ~n:2 ~bound:3 () in
+  let bo =
+    Models.consensus ~sym ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
+  in
+  let line =
+    if sym = Analysis.Symmetry.On then []
+    else
+      let i = Models.lr_topo ~topo:(LR.Topology.line 3) () in
+      [ Sets
+          { name = "lr line"; arena = i.LR.Proof.tarena;
+            preds =
+              lr_preds (LR.Regions.g_of i.LR.Proof.topo)
+              @ arrow_sets (LR.Proof.arrows_topo i) } ]
+  in
+  [ Sets
+      { name = "lr"; arena = lr.LR.Proof.arena;
+        preds = lr_preds LR.Regions.g @ arrow_sets (LR.Proof.arrows lr) };
+    Sets
+      { name = "lr star"; arena = star.LR.Proof.tarena;
+        preds =
+          lr_preds (LR.Regions.g_of star.LR.Proof.topo)
+          @ arrow_sets (LR.Proof.arrows_topo star) };
+    Sets
+      { name = "election"; arena = ir.IR.Proof.arena;
+        preds = arrow_sets (IR.Proof.arrows ir) };
+    Sets
+      { name = "coin"; arena = sc.SC.Proof.arena;
+        preds = arrow_sets (SC.Proof.arrows sc) };
+    Sets
+      { name = "consensus"; arena = bo.BO.Proof.arena;
+        preds =
+          arrow_sets
+            [ BO.Proof.decision_arrow bo ~rounds:1 ~prob:Q.zero;
+              BO.Proof.decision_arrow bo ~rounds:2 ~prob:Q.zero ] } ]
+  @ line
+
+let test_sets_case_studies () =
+  List.iter
+    (fun sym ->
+       List.iter
+         (fun (Sets { name; arena; preds }) ->
+            let what =
+              Printf.sprintf "%s --sym %s" name
+                (Analysis.Symmetry.mode_to_string sym)
+            in
+            List.iter (check_set what arena) preds)
+         (built_in ~sym))
+    [ Analysis.Symmetry.Off; Analysis.Symmetry.On ]
+
+(* Random atoms over each random model's states, and random unions of
+   them (nested, and with the model's goal), against direct sweeps;
+   every ordered pair's inclusion against the list version. *)
+let test_sets_random () =
+  let some = ref 0 and none = ref 0 in
+  for seed = 0 to 199 do
+    let m = Test_support.Random_pa.make seed in
+    let arena = Mdp.Arena.compile (Mdp.Explore.run m.pa) in
+    let n = Mdp.Arena.num_states arena in
+    let rng = Random.State.make [| seed; 7 |] in
+    let atoms =
+      List.init 4 (fun j ->
+          let table = Array.init 64 (fun _ -> Random.State.int rng 3 = 0) in
+          Core.Pred.make (Printf.sprintf "r%d" j) (fun s -> table.(s)))
+    in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    let unions =
+      List.init 4 (fun _ ->
+          Core.Pred.union (pick atoms)
+            (Core.Pred.union_all [ pick atoms; m.goal; pick atoms ]))
+    in
+    let preds = (m.goal :: atoms) @ unions in
+    List.iter (check_set m.name arena) preds;
+    let states = List.init n (Mdp.Arena.state arena) in
+    List.iter
+      (fun sub ->
+         List.iter
+           (fun sup ->
+              let fast = Mdp.Checker.verify_inclusion arena sub sup in
+              let slow = Core.Inclusion.verify ~states sub sup in
+              (match fast with Some _ -> incr some | None -> incr none);
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s: %s ⊆ %s" m.name (Core.Pred.name sub)
+                   (Core.Pred.name sup))
+                (Option.map Core.Inclusion.evidence slow)
+                (Option.map Core.Inclusion.evidence fast))
+           preds)
+      preds
+  done;
+  Alcotest.(check bool) "some inclusions hold" true (!some > 0);
+  Alcotest.(check bool) "some inclusions fail (None)" true (!none > 0)
+
+(* A name is one set per fragment: another predicate under a stored
+   name is swept and refused if its set differs; one with the same set
+   is accepted without displacing the stored predicate. *)
+let test_sets_refuse_renamed () =
+  let arena = Mdp.Arena.compile (Mdp.Explore.run Test_support.Toys.Walker.pa) in
+  let n = Mdp.Arena.num_states arena in
+  let all = Core.Pred.make "X" (fun _ -> true) in
+  Alcotest.(check int) "swept" n (members (Mdp.Arena.indicator arena all));
+  let same = Core.Pred.make "X" (fun _ -> true) in
+  Alcotest.(check int) "same set accepted" n
+    (members (Mdp.Arena.indicator arena same));
+  let before = Mdp.Explore.sweeps () in
+  ignore (Mdp.Arena.set arena all);
+  Alcotest.(check int) "the stored predicate still hits" before
+    (Mdp.Explore.sweeps ());
+  Alcotest.check_raises "a different set under the name"
+    (Invalid_argument
+       "Explore.set: predicate \"X\" names a different state set on this \
+        fragment") (fun () ->
+        ignore (Mdp.Arena.set arena (Core.Pred.make "X" (fun _ -> false))));
+  (* A sweep that raises stores nothing: the name is free again. *)
+  Alcotest.check_raises "a raising sweep propagates" (Failure "boom")
+    (fun () ->
+       ignore
+         (Mdp.Arena.set arena (Core.Pred.make "Y" (fun _ -> failwith "boom"))));
+  Alcotest.(check int) "the name is free after a failed sweep" 0
+    (members (Mdp.Arena.indicator arena (Core.Pred.make "Y" (fun _ -> false))))
+
+(* A predicate that counts its calls is swept once per fragment however
+   many passes, inclusions, indicators and invariant checks ask. *)
+let test_sets_counting () =
+  let arena = Mdp.Arena.compile (Mdp.Explore.run Test_support.Toys.Walker.pa) in
+  let n = Mdp.Arena.num_states arena in
+  let calls = ref 0 in
+  let counted = Core.Pred.make "counted" (fun _ -> incr calls; true) in
+  let goal = Test_support.Toys.Walker.done_ in
+  for prob = 0 to 2 do
+    ignore
+      (Mdp.Checker.check_arrow arena ~label:"x" ~granularity:1
+         ~schema:Core.Schema.unit_time ~pre:counted ~post:goal
+         ~time:(Q.of_int (1 + prob)) ~prob:Q.zero)
+  done;
+  ignore (Mdp.Checker.max_expected_over arena ~target:goal ~over:counted);
+  ignore (Mdp.Checker.verify_inclusion arena goal counted);
+  ignore
+    (Mdp.Checker.verify_inclusion arena (Core.Pred.union counted goal)
+       counted);
+  ignore (Mdp.Arena.indicator arena counted);
+  ignore (Mdp.Explore.check_invariant (Mdp.Arena.explored arena) counted);
+  Alcotest.(check int) "one call per state" n !calls
+
+(* The proof region of [prtb check lr] on a fresh fragment, with its
+   passes forked across domains as the CLI runs them: one set each is
+   stored for T, RT, F, G, P, C and Lemma 6.1, however the domains race
+   to sweep them; every union is ORed; a second check stores nothing,
+   and neither do the serial passes the region does not run. *)
+let test_sets_check_lr_once () =
+  List.iter
+    (fun sym ->
+       let inst = LR.Proof.build ~sym ~n:3 () in
+       let before = Mdp.Explore.sweeps () in
+       ignore (Models.check_fields (Models.Lr inst));
+       Alcotest.(check int) "seven sets" 7 (Mdp.Explore.sweeps () - before);
+       ignore (Models.check_fields (Models.Lr inst));
+       ignore (LR.Proof.composed inst);
+       ignore (LR.Proof.liveness_holds inst);
+       Alcotest.(check int) "none after" 7 (Mdp.Explore.sweeps () - before))
+    [ Analysis.Symmetry.Off; Analysis.Symmetry.On ]
+
+(* ------------------------------------------------------------------ *)
 (* Mdp.Funtbl.find_or_add *)
 
 let test_find_or_add () =
   let t = Mdp.Funtbl.create ~equal:String.equal ~hash:Hashtbl.hash 4 in
-  let calls = ref 0 in
-  let make v () =
-    incr calls;
-    v
-  in
-  Alcotest.(check int) "miss installs" 1 (Mdp.Funtbl.find_or_add t "a" (make 1));
-  Alcotest.(check int) "make called once" 1 !calls;
-  Alcotest.(check int) "hit returns binding" 1
-    (Mdp.Funtbl.find_or_add t "a" (make 99));
-  Alcotest.(check int) "make not called on hit" 1 !calls;
-  Alcotest.(check (option int)) "find sees it" (Some 1) (Mdp.Funtbl.find t "a");
-  (* A raising [make] leaves the table unchanged. *)
+  let admitted = ref [] in
+  let admit i = admitted := i :: !admitted in
+  Alcotest.(check int) "miss installs" 0 (Mdp.Funtbl.find_or_add t "a" admit);
+  Alcotest.(check (list int)) "admit told the index" [ 0 ] !admitted;
+  Alcotest.(check int) "hit returns the index" 0
+    (Mdp.Funtbl.find_or_add t "a" admit);
+  Alcotest.(check (list int)) "admit not called on hit" [ 0 ] !admitted;
+  Alcotest.(check int) "find sees it" 0 (Mdp.Funtbl.find t "a");
+  (* A raising [admit] leaves the table unchanged. *)
   Alcotest.(check bool) "raise propagates" true
     (try
-       ignore (Mdp.Funtbl.find_or_add t "b" (fun () -> failwith "boom"));
+       ignore (Mdp.Funtbl.find_or_add t "b" (fun _ -> failwith "boom"));
        false
      with Failure _ -> true);
-  Alcotest.(check bool) "failed key absent" false (Mdp.Funtbl.mem t "b");
+  Alcotest.(check int) "failed key absent" (-1) (Mdp.Funtbl.find t "b");
   Alcotest.(check int) "length unchanged" 1 (Mdp.Funtbl.length t);
+  Alcotest.(check int) "the next key takes the refused index" 1
+    (Mdp.Funtbl.find_or_add t "b" ignore);
   (* Interning survives resize. *)
   for i = 0 to 99 do
-    ignore (Mdp.Funtbl.find_or_add t (string_of_int i) (fun () -> i))
+    Alcotest.(check int) (string_of_int i) (i + 2)
+      (Mdp.Funtbl.find_or_add t (string_of_int i) ignore)
   done;
-  Alcotest.(check int) "after resize" 101 (Mdp.Funtbl.length t);
-  Alcotest.(check int) "old binding intact" 1
-    (Mdp.Funtbl.find_or_add t "a" (make 42))
+  Alcotest.(check int) "after resize" 102 (Mdp.Funtbl.length t);
+  Alcotest.(check int) "old index intact" 0
+    (Mdp.Funtbl.find_or_add t "a" admit)
 
 (* ------------------------------------------------------------------ *)
 (* Registry memoization: a second resolution of the same model must hit
@@ -1262,6 +1475,17 @@ let () =
             test_arena_structure;
           Alcotest.test_case "compile shares the fragment's arrays" `Quick
             test_compile_shares_csr ] );
+      ( "sets",
+        [ Alcotest.test_case "case studies vs direct sweeps" `Quick
+            test_sets_case_studies;
+          Alcotest.test_case "random models, unions and inclusions" `Quick
+            test_sets_random;
+          Alcotest.test_case "a name is one set" `Quick
+            test_sets_refuse_renamed;
+          Alcotest.test_case "counting predicate swept once" `Quick
+            test_sets_counting;
+          Alcotest.test_case "check lr sweeps each region once" `Quick
+            test_sets_check_lr_once ] );
       ( "funtbl",
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",

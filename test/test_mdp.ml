@@ -11,28 +11,36 @@ let check_q = Alcotest.check rational
 (* ------------------------------------------------------------------ *)
 (* Funtbl *)
 
+let intern t k = Mdp.Funtbl.find_or_add t k ignore
+let keys t = Array.init (Mdp.Funtbl.length t) (Mdp.Funtbl.key t)
+
 let test_funtbl_basic () =
   let t = Mdp.Funtbl.create ~equal:String.equal ~hash:Hashtbl.hash 4 in
   Alcotest.(check int) "empty" 0 (Mdp.Funtbl.length t);
-  Mdp.Funtbl.add t "a" 1;
-  Mdp.Funtbl.add t "b" 2;
-  Alcotest.(check (option int)) "find a" (Some 1) (Mdp.Funtbl.find t "a");
-  Alcotest.(check (option int)) "find missing" None (Mdp.Funtbl.find t "z");
-  Alcotest.(check bool) "mem" true (Mdp.Funtbl.mem t "b");
-  Mdp.Funtbl.add t "a" 10;
-  Alcotest.(check (option int)) "replace" (Some 10) (Mdp.Funtbl.find t "a");
-  Alcotest.(check int) "size after replace" 2 (Mdp.Funtbl.length t)
+  Alcotest.(check int) "a numbered first" 0 (intern t "a");
+  Alcotest.(check int) "b numbered second" 1 (intern t "b");
+  Alcotest.(check int) "find a" 0 (Mdp.Funtbl.find t "a");
+  Alcotest.(check int) "find missing" (-1) (Mdp.Funtbl.find t "z");
+  Alcotest.(check int) "re-intern keeps the index" 0 (intern t "a");
+  Alcotest.(check int) "size after re-intern" 2 (Mdp.Funtbl.length t);
+  Alcotest.(check string) "key 1" "b" (Mdp.Funtbl.key t 1);
+  Alcotest.(check (array string)) "keys" [| "a"; "b" |] (keys t);
+  Alcotest.check_raises "key past the end"
+    (Invalid_argument "Funtbl.key: index out of range") (fun () ->
+        ignore (Mdp.Funtbl.key t 2))
 
 let test_funtbl_resize () =
   let t = Mdp.Funtbl.create ~equal:Int.equal ~hash:Hashtbl.hash 4 in
-  for i = 1 to 1000 do Mdp.Funtbl.add t i (i * i) done;
+  for i = 1 to 1000 do
+    Alcotest.(check int) (Printf.sprintf "intern %d" i) (i - 1)
+      (intern t (i * i))
+  done;
   Alcotest.(check int) "size" 1000 (Mdp.Funtbl.length t);
   for i = 1 to 1000 do
-    Alcotest.(check (option int)) (string_of_int i) (Some (i * i))
-      (Mdp.Funtbl.find t i)
+    Alcotest.(check int) (string_of_int i) (i - 1) (Mdp.Funtbl.find t (i * i))
   done;
-  let sum = Mdp.Funtbl.fold (fun k _ acc -> acc + k) t 0 in
-  Alcotest.(check int) "fold" (1000 * 1001 / 2) sum
+  let sum = Array.fold_left ( + ) 0 (keys t) in
+  Alcotest.(check int) "keys" (1000 * 1001 * 2001 / 6) sum
 
 let test_funtbl_custom_equal () =
   (* Keys equal modulo 10. *)
@@ -40,11 +48,54 @@ let test_funtbl_custom_equal () =
     Mdp.Funtbl.create ~equal:(fun a b -> a mod 10 = b mod 10)
       ~hash:(fun a -> a mod 10) 4
   in
-  Mdp.Funtbl.add t 3 "x";
-  Alcotest.(check (option string)) "modular hit" (Some "x")
-    (Mdp.Funtbl.find t 13);
-  Mdp.Funtbl.add t 23 "y";
-  Alcotest.(check int) "merged" 1 (Mdp.Funtbl.length t)
+  Alcotest.(check int) "first" 0 (intern t 3);
+  Alcotest.(check int) "modular hit" 0 (Mdp.Funtbl.find t 13);
+  Alcotest.(check int) "merged" 0 (intern t 23);
+  Alcotest.(check int) "one key" 1 (Mdp.Funtbl.length t);
+  Alcotest.(check int) "the first spelling kept" 3 (Mdp.Funtbl.key t 0)
+
+(* Every key hashes alike: lookups fall back on [equal] along one run
+   of slots, through several doublings. *)
+let test_funtbl_constant_hash () =
+  let calls = ref 0 in
+  let equal a b =
+    incr calls;
+    String.equal a b
+  in
+  let t = Mdp.Funtbl.create ~equal ~hash:(fun _ -> 42) 2 in
+  let keys = Array.init 300 (Printf.sprintf "k%d") in
+  Array.iteri
+    (fun i k -> Alcotest.(check int) k i (intern t k))
+    keys;
+  Array.iteri
+    (fun i k -> Alcotest.(check int) ("find " ^ k) i (Mdp.Funtbl.find t k))
+    keys;
+  Alcotest.(check int) "absent" (-1) (Mdp.Funtbl.find t "nope");
+  Alcotest.(check bool) "equal decides" true (!calls > 0);
+  Alcotest.(check int) "size" 300 (Mdp.Funtbl.length t)
+
+(* Growth re-homes slots from the stored hashes: no key is hashed
+   again, and every index stays where it was. *)
+let test_funtbl_growth () =
+  let hashed = ref 0 in
+  let hash k =
+    incr hashed;
+    Hashtbl.hash k
+  in
+  let t = Mdp.Funtbl.create ~equal:Int.equal ~hash 1 in
+  for i = 0 to 4095 do
+    ignore (intern t (7 * i));
+    if i land (i + 1) = 0 then
+      for j = 0 to i do
+        if Mdp.Funtbl.find t (7 * j) <> j then
+          Alcotest.failf "index of %d moved after %d keys" (7 * j) (i + 1)
+      done
+  done;
+  let before = !hashed in
+  Alcotest.(check int) "key 4095" (7 * 4095) (Mdp.Funtbl.key t 4095);
+  Alcotest.(check int) "key reads no hash" before !hashed;
+  Alcotest.(check int) "one hash per intern and find" (4096 + 4096 + 4095)
+    before
 
 (* ------------------------------------------------------------------ *)
 (* Explore *)
@@ -94,24 +145,54 @@ let test_explore_max_states () =
     (try ignore (Mdp.Explore.run ~max_states:2 Test_support.Toys.Walker.pa); false
      with Mdp.Explore.Too_many_states _ -> true)
 
+(* The rebuilt intern table still refuses a state array that lists one
+   state twice, naming both indices. *)
+let test_of_parts_repeated () =
+  let s0 = Mdp.Explore.state walker_expl 0 in
+  let s1 = Mdp.Explore.state walker_expl 1 in
+  let parts states =
+    Mdp.Explore.of_parts ~pa:Test_support.Toys.Walker.pa ~states
+      ~csr:
+        { Mdp.Explore.step_off = Array.make (Array.length states + 1) 0;
+          out_off = [| 0 |]; tgt = [||]; prob_q = [||]; actions = [||] }
+      ~start_indices:[ 0 ] ~expanded:0 ()
+  in
+  Alcotest.(check int) "distinct states load" 2
+    (Mdp.Explore.num_states (parts [| s0; s1 |]));
+  Alcotest.check_raises "repeat refused"
+    (Invalid_argument "Explore.of_parts: state 2 repeats state 0") (fun () ->
+        ignore (parts [| s0; s1; s0 |]))
+
 let test_explore_invariant () =
   Alcotest.(check bool) "invariant holds" true
-    (Mdp.Explore.check_invariant walker_expl (fun s ->
-         match s with
-         | Test_support.Toys.Walker.Done -> true
-         | Test_support.Toys.Walker.Walk { c; b } -> c + b >= 1)
+    (Mdp.Explore.check_invariant walker_expl
+       (Core.Pred.make "budget left" (fun s ->
+            match s with
+            | Test_support.Toys.Walker.Done -> true
+            | Test_support.Toys.Walker.Walk { c; b } -> c + b >= 1))
      = None);
   (match
-     Mdp.Explore.check_invariant walker_expl (fun s -> s = Test_support.Toys.Walker.Done)
+     Mdp.Explore.check_invariant walker_expl
+       (Core.Pred.make "done" (fun s -> s = Test_support.Toys.Walker.Done))
    with
    | Some _ -> ()
    | None -> Alcotest.fail "expected a violation")
 
+(* The indices where a predicate holds, read off its state set. *)
 let test_explore_states_where () =
-  let walks =
-    Mdp.Explore.states_where walker_expl (fun s -> s <> Test_support.Toys.Walker.Done)
+  let walking =
+    Core.Pred.make "walking" (fun s -> s <> Test_support.Toys.Walker.Done)
   in
-  Alcotest.(check int) "three walk states" 3 (List.length walks)
+  let set = Mdp.Explore.set walker_expl walking in
+  let walks =
+    List.filter (Mdp.Bitset.mem set)
+      (List.init (Mdp.Explore.num_states walker_expl) Fun.id)
+  in
+  Alcotest.(check int) "three walk states" 3 (List.length walks);
+  Alcotest.(check bool) "each a walk state" true
+    (List.for_all
+       (fun i -> Mdp.Explore.state walker_expl i <> Test_support.Toys.Walker.Done)
+       walks)
 
 (* ------------------------------------------------------------------ *)
 (* Finite_horizon: step-bounded on Choice and Cascade (every step a
@@ -646,13 +727,17 @@ let () =
     [ ("funtbl",
        [ Alcotest.test_case "basic" `Quick test_funtbl_basic;
          Alcotest.test_case "resize" `Quick test_funtbl_resize;
-         Alcotest.test_case "custom equal" `Quick test_funtbl_custom_equal ]);
+         Alcotest.test_case "custom equal" `Quick test_funtbl_custom_equal;
+         Alcotest.test_case "constant hash" `Quick test_funtbl_constant_hash;
+         Alcotest.test_case "growth keeps indices" `Quick test_funtbl_growth ]);
       ("explore",
        [ Alcotest.test_case "choice" `Quick test_explore_choice;
          Alcotest.test_case "roundtrip" `Quick test_explore_roundtrip;
          Alcotest.test_case "walker states" `Quick test_explore_walker_states;
          Alcotest.test_case "max_states" `Quick test_explore_max_states;
          Alcotest.test_case "invariant" `Quick test_explore_invariant;
+         Alcotest.test_case "of_parts refuses a repeated state" `Quick
+           test_of_parts_repeated;
          Alcotest.test_case "states_where" `Quick test_explore_states_where ]);
       ("finite-horizon",
        [ Alcotest.test_case "choice min/max" `Quick test_fh_choice_min_max;

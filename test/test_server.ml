@@ -439,6 +439,22 @@ let test_cli_io_failures_exit_1 () =
   Alcotest.(check int) "check lr --bogus" 124
     (fst (cli_failing "check lr --bogus"))
 
+(* An instance past export-dot's size limit is a refusal (exit 1, a
+   [prtb:] message naming the state count and the limit), not an
+   uncaught exception, and writes no file. *)
+let test_export_dot_limit_refused () =
+  let path = Filename.temp_file "prtb-dot" ".dot" in
+  Sys.remove path;
+  let code, out =
+    cli_failing ("export-dot lr -n 3 -o " ^ Filename.quote path)
+  in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check string) "message"
+    "prtb: 8092 states exceed export-dot's 2000-state limit; export a \
+     smaller instance (lower -n)\n"
+    out;
+  Alcotest.(check bool) "no file written" false (Sys.file_exists path)
+
 let test_lint_served () =
   let r = get "/lint?target=example:race" in
   Alcotest.(check int) "200" 200 r.Server.Http.status;
@@ -958,6 +974,8 @@ let () =
             test_cli_files_pinned;
           Alcotest.test_case "CLI I/O failures exit 1" `Quick
             test_cli_io_failures_exit_1;
+          Alcotest.test_case "export-dot refuses past its limit" `Quick
+            test_export_dot_limit_refused;
           Alcotest.test_case "lint served" `Quick test_lint_served;
           Alcotest.test_case "budget exhaustion verdict" `Quick
             test_budget_exhausted_verdict;

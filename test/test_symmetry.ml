@@ -313,9 +313,7 @@ module Legacy = struct
           for i = 0 to n - 1 do
             ignore
               (Mdp.Funtbl.find_or_add reps (canon (Mdp.Explore.state expl i))
-                 (fun () ->
-                    incr distinct;
-                    !distinct))
+                 (fun _ -> incr distinct))
           done;
           if !distinct < n then
             [ Diagnostic.v Diagnostic.PA032 Diagnostic.Info ~model
@@ -360,15 +358,13 @@ module Reference_bfs = struct
     let queue = Queue.create () in
     let intern s =
       let s = canon s in
-      Funtbl.find_or_add table s (fun () ->
+      Funtbl.find_or_add table s (fun _ ->
           (match hard_max with
            | Some bound when !count >= bound -> raise (Too_many_states bound)
            | Some _ | None -> ());
-          let i = !count in
           incr count;
           states := s :: !states;
-          Queue.add s queue;
-          i)
+          Queue.add s queue)
     in
     let start_indices = List.map intern (Core.Pa.start m) in
     let steps_acc = ref [] in
