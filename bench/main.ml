@@ -123,7 +123,11 @@ let bench_tests () =
            Mdp.Finite_horizon.max_reach arena ~target:lr3_target ~ticks:13))
   in
   (* Symmetry reduction: the canonicalizer is the per-successor cost
-     --sym adds to exploration (orbit closure + minimum).  The lr4
+     --sym adds to exploration.  For LR it is the spec's in-place one,
+     which compares images without building them: on a 2-core x86-64
+     host this state costs 90 ns and 11 words per call, against 317 ns
+     and 105 words through the generic orbit closure (a plain loop of
+     2 M calls, best of 7, median of three rounds).  The lr4
      kernel times [Analysis.Symmetry.explored] on the 162964-state
      instance: the exploration that interns its 40846 orbit
      representatives through the canonicalizer, plus the certification

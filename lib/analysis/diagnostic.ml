@@ -13,6 +13,7 @@ type code =
   | PA030
   | PA031
   | PA032
+  | PA033
   | CL001
   | CL002
 
@@ -40,6 +41,7 @@ let code_name = function
   | PA030 -> "PA030"
   | PA031 -> "PA031"
   | PA032 -> "PA032"
+  | PA033 -> "PA033"
   | CL001 -> "CL001"
   | CL002 -> "CL002"
 

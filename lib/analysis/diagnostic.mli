@@ -30,6 +30,7 @@ type code =
   | PA030  (** a declared state/action permutation is not a PA automorphism *)
   | PA031  (** a predicate is not invariant under the verified group *)
   | PA032  (** symmetric model explored without orbit reduction (advisory) *)
+  | PA033  (** an orbit representative is not its orbit's minimum *)
   | CL001  (** compose premise: schema not execution closed *)
   | CL002  (** claim predicate unsatisfiable on the explored fragment *)
 

@@ -14,17 +14,29 @@ type ('s, 'a) generator = {
   gen_name : string;
   on_state : 's -> 's;
   on_action : 'a -> 'a;
+  maps_to : ('s -> 's -> bool) option;
 }
 
 let generator ~name ~on_state ~on_action =
-  { gen_name = name; on_state; on_action }
+  { gen_name = name; on_state; on_action; maps_to = None }
+
+let with_maps_to maps_to g = { g with maps_to = Some maps_to }
 
 type ('s, 'a) spec = {
   generators : ('s, 'a) generator list;
-  invariant_preds : (string * ('s -> bool)) list;
+  invariant_preds : 's Core.Pred.t list;
+  canon : ('s -> 's) option;
 }
 
-let spec ?(preds = []) generators = { generators; invariant_preds = preds }
+(* The certifier packs a member's predicates into one int. *)
+let max_preds = Sys.int_size - 1
+
+let spec ?(preds = []) ?canon generators =
+  if List.length preds > max_preds then
+    invalid_arg
+      (Printf.sprintf "Symmetry.spec: %d predicates, at most %d"
+         (List.length preds) max_preds);
+  { generators; invariant_preds = preds; canon }
 
 exception Not_certified of string
 
@@ -116,10 +128,12 @@ let orbit ?max_orbit ?hash ~equal gens s =
   in
   List.init k (fun p -> members.(k - 1 - p))
 
-let canonicalizer ?(compare = Stdlib.compare) ?max_orbit ?hash ~equal spec =
-  match spec.generators with
-  | [] -> fun s -> s
-  | gens ->
+let canonicalizer ?compare ?max_orbit ?hash ~equal spec =
+  match spec.canon, compare, spec.generators with
+  | Some canon, None, _ -> canon
+  | _, _, [] -> fun s -> s
+  | _, compare, gens ->
+    let compare = Option.value compare ~default:Stdlib.compare in
     let gens = Array.of_list gens in
     fun s ->
       let members, k = close ?max_orbit ?hash ~equal ~edge:no_edge gens s in
@@ -155,79 +169,50 @@ let certificate_to_json c =
       ("preds", Json.Arr (List.map (fun p -> Json.Str p) c.preds_checked)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Equivariance verification. *)
+(* Equivariance verification.
 
-(* Distribution support with outcomes merged up to [equal] -- the image
-   of a distribution under a permutation may identify targets the
-   original kept apart only when the permutation is NOT injective,
-   which is exactly what the comparison below would then expose. *)
-let rec merge_into ~equal t w = function
-  | [] -> [ (t, w) ]
-  | (t', w') :: rest when equal t t' -> (t', Q.add w w') :: rest
-  | x :: rest -> x :: merge_into ~equal t w rest
+   What the checks read of a state -- its hash, its predicates packed
+   into one int, and its enabled steps with each support merged up to
+   [equal] -- is computed once per state into [facts]: flat arrays a
+   range of representatives reuses from state to state, so checking an
+   orbit member allocates no closure, list or array of its own.  An
+   orbit member is the source of one check per generator and the target
+   of one per generator too.  Facts are numbered as they are added;
+   fact [m]'s steps are [soff.(m) .. soff.(m + 1) - 1] and step [k]'s
+   merged outcomes [ooff.(k) .. ooff.(k + 1) - 1], in first-occurrence
+   order. *)
 
-let merged_support ~equal outs =
-  List.fold_left (fun acc (t, w) -> merge_into ~equal t w acc) [] outs
-
-(* [merged_support] of the g-image of [outs], without the image list. *)
-let rec merged_image ~equal g acc = function
-  | [] -> acc
-  | (u, w) :: rest ->
-    merged_image ~equal g (merge_into ~equal (g.on_state u) w acc) rest
-
-let rec mem_outcome ~equal t w = function
-  | [] -> false
-  | (t', w') :: rest ->
-    (equal t t' && Q.equal w w') || mem_outcome ~equal t w rest
-
-(* Multiset equality of two merged supports.  Merged targets are
-   pairwise unequal on each side, so an outcome of [a] can match at most
-   one of [b] and no two of [a] match the same one: membership is
-   enough. *)
-let dist_equal ~equal a b =
-  List.compare_lengths a b = 0
-  && List.for_all (fun (t, w) -> mem_outcome ~equal t w b) a
-
-(* What the checks read of one state, each computed once: an orbit
-   member is the source of one check per generator and the target of
-   one per generator too. *)
 type ('s, 'a) facts = {
-  state : 's;
-  hash : int;
-  steps : ('s, 'a) Core.Pa.step list;
-  merged : ('a * ('s * Q.t) list) array;  (** [steps], supports merged *)
-  holds : bool array;  (** the spec's predicates, in order *)
+  mutable len : int;
+  mutable st : 's array;
+  mutable hs : int array;
+  mutable mask : int array;  (** bit [q]: predicate [q] holds *)
+  mutable soff : int array;
+  mutable act : 'a array;
+  mutable ooff : int array;
+  mutable tgt : 's array;
+  mutable w : Q.t array;
+  (* Scratch of one equivariance check: the merged image of a step's
+     outcomes, and the target steps already matched (stamped). *)
+  mutable img : 's array;
+  mutable img_w : Q.t array;
+  mutable used : int array;
+  mutable stamp : int;
 }
 
-(* Does [t]'s multiset of (action, distribution) pairs equal the
-   g-image of [s]'s, where [t] is [g s]?  Each image step takes the
-   first unused target step it equals, which is multiset equality. *)
-let rec take_first ~equal ~equal_action target used a outs i =
-  i < Array.length target
-  &&
-  if
-    (not used.(i))
-    && (let a', outs' = target.(i) in
-        equal_action a a' && dist_equal ~equal outs outs')
-  then begin
-    used.(i) <- true;
-    true
+(* [arr], or a copy with room for [n] entries, new ones [fill]. *)
+let room arr n fill =
+  if n <= Array.length arr then arr
+  else begin
+    let grown = Array.make (Int.max n (2 * Array.length arr)) fill in
+    Array.blit arr 0 grown 0 (Array.length arr);
+    grown
   end
-  else take_first ~equal ~equal_action target used a outs (i + 1)
 
-let equivariant ~equal ~equal_action g s t =
-  let target = t.merged in
-  let used = Array.make (Array.length target) false in
-  let rec all = function
-    | [] -> true
-    | st :: rest ->
-      take_first ~equal ~equal_action target used
-        (g.on_action st.Core.Pa.action)
-        (merged_image ~equal g [] (Proba.Dist.support st.Core.Pa.dist))
-        0
-      && all rest
-  in
-  List.compare_length_with s.steps (Array.length target) = 0 && all s.steps
+let no_facts () =
+  { len = 0; st = [||]; hs = [||]; mask = [||]; soff = [| 0 |];
+    act = [||]; ooff = [| 0 |]; tgt = [||]; w = [||]; img = [||];
+    img_w = [||]; used = [||]; stamp = 0 }
 
 (* Deterministic 30-bit fingerprint accumulator: position-dependent
    mixing of the state hashes a generator was spot-checked at, printed
@@ -265,6 +250,7 @@ let slots names =
 type partial = {
   pa030 : string option array;
   pa031 : string option array;
+  pa033 : string option;  (** the first representative not its orbit's minimum *)
   fps : int array;
   mixes : int array;
   checked : int;
@@ -278,6 +264,7 @@ let merge a b =
   let first x y = match x with Some _ -> x | None -> y in
   { pa030 = Array.map2 first a.pa030 b.pa030;
     pa031 = Array.map2 first a.pa031 b.pa031;
+    pa033 = first a.pa033 b.pa033;
     fps =
       Array.mapi
         (fun slot left ->
@@ -299,12 +286,49 @@ let merge a b =
    (40 846 representatives) read 725, 723 and 751 ms. *)
 let chunk = 16
 
+(* How [certifier] packs the predicates: [plan] lists the indices in
+   evaluation order, and a union both of whose operands are listed (by
+   physical identity) gets [left]/[right], its operands' indices, and
+   the OR of their bits instead of a call; its operands come before it
+   in [plan]. *)
+let pred_plan preds =
+  let n = Array.length preds in
+  let index p =
+    let rec go q = if q = n then -1 else if preds.(q) == p then q else go (q + 1) in
+    go 0
+  in
+  let left = Array.make n (-1) and right = Array.make n (-1) in
+  Array.iteri
+    (fun q p ->
+       match Core.Pred.operands p with
+       | Some (l, r) when index l >= 0 && index r >= 0 ->
+         left.(q) <- index l;
+         right.(q) <- index r
+       | Some _ | None -> ())
+    preds;
+  let placed = Array.make n false and plan = ref [] in
+  let rec place q =
+    if not placed.(q) then begin
+      placed.(q) <- true;
+      if left.(q) >= 0 then begin
+        place left.(q);
+        place right.(q)
+      end;
+      plan := q :: !plan
+    end
+  in
+  for q = 0 to n - 1 do
+    place q
+  done;
+  (Array.of_list (List.rev !plan), left, right)
+
 (* The checks of [spec] over representatives of [pa]: [range state lo
    hi] checks [state lo .. state (hi - 1)] in order, and [finish] turns
    the ranges' results, in index order, into the diagnostics and the
    certificate of an [n]-state fragment.  [stride] samples an
    unreduced fragment; a reduced one is checked at every orbit member
-   instead. *)
+   instead, and each representative must be the [Stdlib.compare]
+   minimum of its orbit (PA033). *)
 let certifier ~model ~reduced ?max_orbit ~stride spec pa =
   let equal = Core.Pa.equal_state pa in
   let equal_action = Core.Pa.equal_action pa in
@@ -313,9 +337,10 @@ let certifier ~model ~reduced ?max_orbit ~stride spec pa =
   let gens = Array.of_list spec.generators in
   let preds = Array.of_list spec.invariant_preds in
   let gnames = Array.map (fun g -> g.gen_name) gens in
-  let pnames = Array.map fst preds in
+  let pnames = Array.map Core.Pred.name preds in
   let ngens = Array.length gens in
   let gslot = slots gnames and pslot = slots pnames in
+  let plan, left, right = pred_plan preds in
   let start030 = Array.make ngens None in
   (* Start-set invariance: the image of a start state must be a start
      state, else the permutation moves the automaton, not just its
@@ -336,118 +361,283 @@ let certifier ~model ~reduced ?max_orbit ~stride spec pa =
                      (pp_state s0) (pp_state img)))
          starts)
     gens;
-  let facts s =
-    let steps = Core.Pa.enabled pa s in
-    { state = s;
-      hash = hash s;
-      steps;
-      merged =
-        Array.of_list
-          (List.map
-             (fun st ->
-                ( st.Core.Pa.action,
-                  merged_support ~equal (Proba.Dist.support st.Core.Pa.dist)
-                ))
-             steps);
-      holds = Array.map (fun (_, pred) -> pred s) preds }
+  let mask_of s =
+    let m = ref 0 in
+    for i = 0 to Array.length plan - 1 do
+      let q = plan.(i) in
+      let holds =
+        if left.(q) < 0 then Core.Pred.mem preds.(q) s
+        else ((!m lsr left.(q)) lor (!m lsr right.(q))) land 1 = 1
+      in
+      if holds then m := !m lor (1 lsl q)
+    done;
+    !m
+  in
+  (* Facts of [s], appended to [f].  Every helper takes what varies as
+     arguments, so none allocates a closure per call.  The step being
+     added is [k], its outcomes from [ooff.(k)] on; an outcome with an
+     earlier outcome's target is merged into it. *)
+  let rec merge_into f t w o o1 =
+    o < o1
+    && (if equal t f.tgt.(o) then begin
+          f.w.(o) <- Q.add w f.w.(o);
+          true
+        end
+        else merge_into f t w (o + 1) o1)
+  in
+  let rec add_outcomes f k = function
+    | [] -> ()
+    | (t, w) :: rest ->
+      let o1 = f.ooff.(k + 1) in
+      if not (merge_into f t w f.ooff.(k) o1) then begin
+        if o1 >= Array.length f.tgt then begin
+          f.tgt <- room f.tgt (o1 + 1) t;
+          f.w <- room f.w (Array.length f.tgt) w
+        end;
+        f.tgt.(o1) <- t;
+        f.w.(o1) <- w;
+        f.ooff.(k + 1) <- o1 + 1
+      end;
+      add_outcomes f k rest
+  in
+  let rec add_steps f = function
+    | [] -> ()
+    | st :: rest ->
+      let k = f.soff.(f.len + 1) in
+      if k >= Array.length f.act then
+        f.act <- room f.act (k + 1) st.Core.Pa.action;
+      if k + 1 >= Array.length f.ooff then f.ooff <- room f.ooff (k + 2) 0;
+      f.act.(k) <- st.Core.Pa.action;
+      f.ooff.(k + 1) <- f.ooff.(k);
+      f.soff.(f.len + 1) <- k + 1;
+      add_outcomes f k (Proba.Dist.support st.Core.Pa.dist);
+      add_steps f rest
+  in
+  let add_facts f s =
+    let m = f.len in
+    if m >= Array.length f.st then begin
+      f.st <- room f.st (m + 1) s;
+      f.hs <- room f.hs (Array.length f.st) 0;
+      f.mask <- room f.mask (Array.length f.st) 0;
+      f.soff <- room f.soff (Array.length f.st + 1) 0
+    end;
+    f.st.(m) <- s;
+    f.hs.(m) <- hash s;
+    f.mask.(m) <- mask_of s;
+    f.soff.(m + 1) <- f.soff.(m);
+    add_steps f (Core.Pa.enabled pa s);
+    f.len <- m + 1
+  in
+  (* The merged [g]-image of outcomes [o .. o1 - 1] into [img], whose
+     first [len] entries are taken; returns the image's length. *)
+  let rec image_into f u w i len =
+    if i = len then begin
+      if len >= Array.length f.img then begin
+        f.img <- room f.img (len + 1) u;
+        f.img_w <- room f.img_w (Array.length f.img) w
+      end;
+      f.img.(len) <- u;
+      f.img_w.(len) <- w;
+      len + 1
+    end
+    else if equal u f.img.(i) then begin
+      f.img_w.(i) <- Q.add w f.img_w.(i);
+      len
+    end
+    else image_into f u w (i + 1) len
+  in
+  let rec image f g len o o1 =
+    if o = o1 then len
+    else image f g (image_into f (g.on_state f.tgt.(o)) f.w.(o) 0 len) (o + 1) o1
+  in
+  let rec mem f u w o o1 =
+    o < o1 && ((equal u f.tgt.(o) && Q.equal w f.w.(o)) || mem f u w (o + 1) o1)
+  in
+  let rec all f len i k' =
+    i = len
+    || (mem f f.img.(i) f.img_w.(i) f.ooff.(k') f.ooff.(k' + 1)
+        && all f len (i + 1) k')
+  in
+  (* Through the generator's own [maps_to], no image is built: outcome
+     [o] of the source step against the outcomes of target step [k']. *)
+  let rec mem_in_place f maps_to u w o o1 =
+    o < o1
+    && ((maps_to u f.tgt.(o) && Q.equal w f.w.(o))
+        || mem_in_place f maps_to u w (o + 1) o1)
+  in
+  let rec all_in_place f maps_to o o1 k' =
+    o = o1
+    || (mem_in_place f maps_to f.tgt.(o) f.w.(o) f.ooff.(k') f.ooff.(k' + 1)
+        && all_in_place f maps_to (o + 1) o1 k')
+  in
+  (* Does target step [k'] carry the image of step [k]'s distribution,
+     of [len] merged outcomes? *)
+  let carries f g len k k' =
+    f.ooff.(k' + 1) - f.ooff.(k') = len
+    &&
+    match g.maps_to with
+    | None -> all f len 0 k'
+    | Some maps_to -> all_in_place f maps_to f.ooff.(k) f.ooff.(k + 1) k'
+  in
+  (* The first unmatched step [k' < t1] with action [a] and the image
+     distribution, now matched. *)
+  let rec take f g k a len k' t1 =
+    k' < t1
+    &&
+    if
+      f.used.(k') <> f.stamp
+      && equal_action a f.act.(k')
+      && carries f g len k k'
+    then begin
+      f.used.(k') <- f.stamp;
+      true
+    end
+    else take f g k a len (k' + 1) t1
+  in
+  let rec steps f g k s1 t0 t1 =
+    k = s1
+    ||
+    let len =
+      match g.maps_to with
+      | None -> image f g 0 f.ooff.(k) f.ooff.(k + 1)
+      | Some _ -> f.ooff.(k + 1) - f.ooff.(k)
+    in
+    take f g k (g.on_action f.act.(k)) len t0 t1 && steps f g (k + 1) s1 t0 t1
+  in
+  (* Does fact [t]'s multiset of (action, merged distribution) pairs
+     equal the [g]-image of fact [m]'s, where [t] is [g m]?  Each image
+     step takes the first unmatched target step it equals, which is
+     multiset equality.  Merged targets are pairwise unequal on each
+     side, so an image outcome can match at most one target outcome and
+     membership decides each distribution.  The image distribution is
+     built and merged up to [equal] unless [g] has [maps_to]; a
+     bijection maps unequal outcomes to unequal images, so there is
+     nothing to merge. *)
+  let equivariant f g m t =
+    let s0 = f.soff.(m) and s1 = f.soff.(m + 1) in
+    let t0 = f.soff.(t) and t1 = f.soff.(t + 1) in
+    s1 - s0 = t1 - t0
+    && begin
+      f.stamp <- f.stamp + 1;
+      if f.soff.(f.len) > Array.length f.used then
+        f.used <- room f.used f.soff.(f.len) 0;
+      steps f g s0 s1 t0 t1
+    end
   in
   (* Representatives [lo, hi), checked in order.  A slot with a start
      witness is skipped here exactly as it is after any other witness. *)
   let range state lo hi =
     let pa030 = Array.copy start030 in
     let pa031 = Array.make (Array.length preds) None in
+    let pa033 = ref None in
     let fps = Array.make ngens 0 and mixes = Array.make ngens 0 in
     let full_states = ref 0 and states_checked = ref 0 in
-    (* [s] against [targets.(j)], its image under generator [j]. *)
-    let check s targets =
+    let f = no_facts () in
+    (* [targets.(j)]: the fact that is generator [j]'s image of the one
+       being checked. *)
+    let targets = Array.make ngens 0 in
+    let check m =
       incr states_checked;
-      Array.iteri
-        (fun j g ->
-           let slot = gslot.(j) in
-           if pa030.(slot) = None then begin
-             let t = targets.(j) in
-             fps.(slot) <- mix fps.(slot) (s.hash + t.hash);
-             mixes.(slot) <- mixes.(slot) + 1;
-             if not (equivariant ~equal ~equal_action g s t) then
-               pa030.(slot) <-
-                 Some
-                   (Printf.sprintf "steps(%s) is not the %s-image of steps(%s)"
-                      (pp_state t.state) g.gen_name (pp_state s.state))
-           end)
-        gens;
-      Array.iteri
-        (fun q pname ->
-           let slot = pslot.(q) in
-           if pa031.(slot) = None then begin
-             let here = s.holds.(q) in
-             Array.iteri
-               (fun j g ->
-                  let t = targets.(j) in
-                  if pa031.(slot) = None && t.holds.(q) <> here then
-                    pa031.(slot) <-
-                      Some
-                        (Printf.sprintf
-                           "%s holds of %s but not of its %s-image %s" pname
-                           (pp_state (if here then s.state else t.state))
-                           g.gen_name
-                           (pp_state (if here then t.state else s.state))))
-               gens
-           end)
-        pnames
-    in
-    (* Check a set of states in order.  [image p j] is the index in the
-       set of generator [j]'s image of member [p], or [-1] when the set
-       does not hold it and the image is computed directly. *)
-    let check_set members image =
-      Array.iteri
-        (fun p s ->
-           check s
-             (Array.mapi
-                (fun j g ->
-                   let i = image p j in
-                   if i >= 0 then members.(i) else facts (g.on_state s.state))
-                gens))
-        members
+      for j = 0 to ngens - 1 do
+        let slot = gslot.(j) in
+        if pa030.(slot) = None then begin
+          let t = targets.(j) in
+          fps.(slot) <- mix fps.(slot) (f.hs.(m) + f.hs.(t));
+          mixes.(slot) <- mixes.(slot) + 1;
+          if not (equivariant f gens.(j) m t) then
+            pa030.(slot) <-
+              Some
+                (Printf.sprintf "steps(%s) is not the %s-image of steps(%s)"
+                   (pp_state f.st.(t)) gens.(j).gen_name (pp_state f.st.(m)))
+        end
+      done;
+      (* One comparison per generator when no predicate tells [m] from
+         its images; otherwise the first witness, by predicate, then
+         generator. *)
+      let here = f.mask.(m) in
+      let differ = ref 0 in
+      for j = 0 to ngens - 1 do
+        differ := !differ lor (here lxor f.mask.(targets.(j)))
+      done;
+      if !differ <> 0 then
+        for q = 0 to Array.length preds - 1 do
+          let slot = pslot.(q) in
+          let holds x = (f.mask.(x) lsr q) land 1 = 1 in
+          for j = 0 to ngens - 1 do
+            let t = targets.(j) in
+            if pa031.(slot) = None && holds t <> holds m then begin
+              let yes, no = if holds m then (m, t) else (t, m) in
+              pa031.(slot) <-
+                Some
+                  (Printf.sprintf "%s holds of %s but not of its %s-image %s"
+                     pnames.(q) (pp_state f.st.(yes)) gens.(j).gen_name
+                     (pp_state f.st.(no)))
+            end
+          done
+        done
     in
     (* The orbit closure's image table by discovery index, reused from
        orbit to orbit. *)
     let edges = ref [||] in
     let edge x j y =
       let at = (x * ngens) + j in
-      if at >= Array.length !edges then begin
-        let grown = Array.make (2 * (at + 1)) 0 in
-        Array.blit !edges 0 grown 0 (Array.length !edges);
-        edges := grown
-      end;
+      if at >= Array.length !edges then edges := room !edges (at + 1) 0;
       !edges.(at) <- y
     in
     for i = lo to hi - 1 do
       let rep = state i in
+      f.len <- 0;
       if reduced then begin
         (* A reduced fragment stores one representative per orbit;
            checking equivariance at EVERY orbit member is what makes
            the certificate cover the unreduced reachable set: the
            orbits of the representatives are exactly the reachable
-           states of the full automaton.  The orbit is closed, so every
-           image is a member; member [p] of the newest-first array has
-           discovery index [k - 1 - p]. *)
+           states of the full automaton, provided no orbit has two
+           representatives -- which holds when each is its orbit's
+           minimum.  The orbit is closed, so every image is a member:
+           fact [d] is member [d] in discovery order, and the members
+           are checked newest first. *)
         let members, k = close ?max_orbit ~hash ~equal ~edge gens rep in
         full_states := !full_states + k;
-        let members = Array.init k (fun p -> facts members.(k - 1 - p)) in
-        check_set members (fun p j ->
-            k - 1 - !edges.(((k - 1 - p) * ngens) + j))
+        for d = 0 to k - 1 do
+          add_facts f members.(d)
+        done;
+        if !pa033 = None then begin
+          let least = ref rep in
+          for d = 1 to k - 1 do
+            if Stdlib.compare members.(d) !least < 0 then least := members.(d)
+          done;
+          if !least != rep then
+            pa033 :=
+              Some
+                (Printf.sprintf "representative %s; its orbit member %s is smaller"
+                   (pp_state rep) (pp_state !least))
+        end;
+        for d = k - 1 downto 0 do
+          for j = 0 to ngens - 1 do
+            targets.(j) <- !edges.((d * ngens) + j)
+          done;
+          check d
+        done
       end
       else begin
         incr full_states;
-        if i mod stride = 0 then check_set [| facts rep |] (fun _ _ -> -1)
+        if i mod stride = 0 then begin
+          add_facts f rep;
+          for j = 0 to ngens - 1 do
+            add_facts f (gens.(j).on_state rep);
+            targets.(j) <- j + 1
+          done;
+          check 0
+        end
       end
     done;
-    { pa030; pa031; fps; mixes; checked = !states_checked;
+    { pa030; pa031; pa033 = !pa033; fps; mixes; checked = !states_checked;
       full = !full_states }
   in
   let finish parts ~n ~state =
     (* The empty range is the identity of [merge]. *)
-    let { pa030; pa031; fps; checked; full; _ } =
+    let { pa030; pa031; pa033; fps; checked; full; _ } =
       Array.fold_left merge (range state 0 0) parts
     in
     (* One diagnostic per declared name whose slot holds a witness. *)
@@ -474,6 +664,14 @@ let certifier ~model ~reduced ?max_orbit ~stride spec pa =
                "predicate %s is not invariant under the declared symmetry \
                 group; orbit reduction would be unsound"
                pname))
+      @
+      match pa033 with
+      | Some w ->
+        [ Diagnostic.v ~witness:w Diagnostic.PA033 Diagnostic.Error ~model
+            "an orbit representative is not the Stdlib.compare minimum of \
+             its orbit, so the quotient may hold an orbit twice; orbit \
+             reduction would be unsound" ]
+      | None -> []
     in
     if diags <> [] || ngens = 0 then (diags, None)
     else begin

@@ -19,7 +19,10 @@
     - [PA031] (error): a claim/reachability predicate is not invariant
       under the verified group -- orbit reduction would be unsound.
     - [PA032] (info): the model is certifiably symmetric but was
-      explored unreduced; reports the measured compression ratio. *)
+      explored unreduced; reports the measured compression ratio.
+    - [PA033] (error): on a quotient, a representative is not the
+      [Stdlib.compare] minimum of its orbit, so the canonicalizer that
+      built the quotient may have given one orbit two representatives. *)
 
 (** How surfaces request reduction: [Off] never reduces, [On] demands
     a certificate and fails ({!Not_certified}) without one, [Auto]
@@ -39,29 +42,59 @@ type ('s, 'a) generator = private {
   gen_name : string;
   on_state : 's -> 's;
   on_action : 'a -> 'a;
+  maps_to : ('s -> 's -> bool) option;
 }
 
 val generator :
   name:string -> on_state:('s -> 's) -> on_action:('a -> 'a) ->
   ('s, 'a) generator
 
+(** [with_maps_to maps_to g] is [g] with an in-place image test:
+    [maps_to u v] must equal [equal (g.on_state u) v] for every pair of
+    states, decided without building the image.  The certifier then
+    compares each orbit member's successors with its image's through
+    [maps_to] and builds no image of them.  It assumes [g] is a
+    bijection, as a declaration must be anyway: it does not merge
+    outcomes whose images coincide. *)
+val with_maps_to :
+  ('s -> 's -> bool) -> ('s, 'a) generator -> ('s, 'a) generator
+
 (** What a model declares: group generators, plus the named predicates
     (claim pre/post sets, reachability targets) that any sound
-    reduction must leave invariant.
+    reduction must leave invariant, and optionally its own orbit
+    canonicalizer.
 
     Declare a set that {e generates} the group, not every element of
     it: orbit closure, equivariance checks and predicate comparisons
     each cost one image per orbit member per generator, and certifying
     the generators certifies every composition of them.  One rotation
     generates a ring's rotations; [n-1] transpositions generate all
-    [n!] permutations. *)
+    [n!] permutations.
+
+    [canon], when given, is what {!canonicalizer} returns: a faster
+    function that must map each state to the state the generic closure
+    would, the [Stdlib.compare] minimum of its orbit, and must keep no
+    shared mutable scratch (exploration, served workers and Monte Carlo
+    domains call it concurrently).  A model builds it from its own
+    representation, as [Lehmann_rabin.Symmetry] does from a permutation
+    table of the group.  The certifier closes every representative's
+    orbit anyway and refuses (PA033) a representative that is not its
+    orbit's minimum, so an in-orbit wrong answer cannot go unnoticed;
+    one that leaves the orbit is the model's obligation, like a
+    generator's bijectivity. *)
 type ('s, 'a) spec = {
   generators : ('s, 'a) generator list;
-  invariant_preds : (string * ('s -> bool)) list;
+  invariant_preds : 's Core.Pred.t list;
+  canon : ('s -> 's) option;
 }
 
+(** [spec ?preds ?canon generators].  The certifier packs each state's
+    predicates into one int, so there may be at most [Sys.int_size - 1]
+    of them ([Invalid_argument] otherwise); a {!Core.Pred.union} of two
+    listed predicates costs an OR of their bits, not a call. *)
 val spec :
-  ?preds:(string * ('s -> bool)) list ->
+  ?preds:'s Core.Pred.t list ->
+  ?canon:('s -> 's) ->
   ('s, 'a) generator list -> ('s, 'a) spec
 
 (** Raised by {!require} (and by surfaces running with [--sym on])
@@ -80,9 +113,11 @@ val orbit :
 
 (** [canonicalizer ~equal spec] maps each state to its orbit
     representative: the minimum of the orbit under [compare] (default
-    [Stdlib.compare]).  With no generators this is the identity.
-    Intended as the [canon] argument of [Mdp.Explore.run].  [hash] as
-    for {!orbit}. *)
+    [Stdlib.compare]).  With no generators this is the identity.  When
+    [spec] carries its own [canon] and no [compare] is given, that is
+    returned; otherwise the orbit is closed as {!orbit} does and its
+    minimum taken.  Intended as the [canon] argument of
+    [Mdp.Explore.run].  [hash] as for {!orbit}. *)
 val canonicalizer :
   ?compare:('s -> 's -> int) -> ?max_orbit:int -> ?hash:('s -> int) ->
   equal:('s -> 's -> bool) -> ('s, 'a) spec -> 's -> 's
@@ -111,8 +146,13 @@ val certificate_to_json : certificate -> Json.t
 
     [reduced] says [expl] was explored through a {!canonicalizer}: the
     verifier then expands each representative's full orbit and checks
-    every member (sound coverage of the unreduced reachable set), and
-    PA032 is suppressed.  On unreduced fragments larger than
+    every member (sound coverage of the unreduced reachable set),
+    checks that the representative is its orbit's [Stdlib.compare]
+    minimum (PA033), and PA032 is suppressed.  Each member's facts
+    (hash, enabled steps with merged supports, predicates packed into
+    an int) are built once into scratch arrays the range reuses, so a
+    predicate check costs one int comparison per member and generator
+    when nothing differs.  On unreduced fragments larger than
     [max_checks] (state, generator) evaluations, states are
     stride-sampled; the certificate records actual coverage.
 

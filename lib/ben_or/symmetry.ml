@@ -63,9 +63,11 @@ let spec ?(extra = []) (params : Automaton.params) ~initial =
   let start = Automaton.start params initial in
   Analysis.Symmetry.spec
     ~preds:
-      ([ ("Init", fun s -> s = start);
-         ("Decided", Automaton.some_decided);
-         ("Agreement", Automaton.agreement);
-         ("Quiescent", Automaton.quiescent) ]
-       @ extra)
+      (List.map
+         (fun (name, mem) -> Core.Pred.make name mem)
+         ([ ("Init", fun s -> s = start);
+            ("Decided", Automaton.some_decided);
+            ("Agreement", Automaton.agreement);
+            ("Quiescent", Automaton.quiescent) ]
+          @ extra))
     (generators params ~initial)

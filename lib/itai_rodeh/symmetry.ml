@@ -21,10 +21,10 @@ let generators (params : Automaton.params) =
         ~name:(Printf.sprintf "swap(%d,%d)" a (a + 1))
         ~on_state:(apply_state pi) ~on_action:(apply_action pi))
 
-let pred p = (Core.Pred.name p, fun s -> Core.Pred.mem p s)
-
 let spec ?(extra = []) (params : Automaton.params) =
   let rungs =
-    List.init params.Automaton.n (fun k -> pred (Automaton.at_most (k + 1)))
+    List.init params.Automaton.n (fun k -> Automaton.at_most (k + 1))
   in
-  Analysis.Symmetry.spec ~preds:(rungs @ extra) (generators params)
+  Analysis.Symmetry.spec
+    ~preds:(rungs @ List.map (fun (name, mem) -> Core.Pred.make name mem) extra)
+    (generators params)

@@ -43,17 +43,22 @@ let is_external = function
   | Drop_second _ -> false
 
 (* --------------------------------------------------------------- *)
-(* State update helpers (purely functional). *)
+(* State update helpers (purely functional).  A successor shares with
+   its source every array it does not change, and snapshots marshal
+   that sharing, so which arrays are copied is part of the output. *)
 
 let set_proc s i p =
   let procs = Array.copy s.State.procs in
   procs.(i) <- p;
   { s with State.procs }
 
-let set_res s j taken =
+(* [set_proc] then setting [Res j] to [taken]: both arrays copied. *)
+let set_proc_res s i p j taken =
+  let procs = Array.copy s.State.procs in
+  procs.(i) <- p;
   let res = Array.copy s.State.res in
   res.(j) <- taken;
-  { s with State.res }
+  { State.procs; res }
 
 (* A process step: consume one budget unit, restart the deadline. *)
 let stepped params (p : State.proc) region =
@@ -67,106 +72,104 @@ let stepped params (p : State.proc) region =
 (* Becoming ready through a user action: fresh deadline and budget. *)
 let granted params region = { State.region; c = params.gg; b = params.gk }
 
-let tick_step params s =
-  let all_ok =
-    Array.for_all
-      (fun p -> (not (State.ready p.State.region)) || p.State.c > 0)
-      s.State.procs
-  in
-  if not all_ok then []
+let point action target = { Core.Pa.action; dist = D.point target }
+
+(* Every step is consed onto [acc], the per-process ones right to left,
+   so the list reads: tick, the users' steps by process, then the
+   processes' own steps by process. *)
+let rec tick_allowed (procs : State.proc array) i =
+  i < 0
+  || ((not (State.ready procs.(i).State.region)) || procs.(i).State.c > 0)
+     && tick_allowed procs (i - 1)
+
+let tick_step params s acc =
+  let procs = s.State.procs in
+  if not (tick_allowed procs (Array.length procs - 1)) then acc
   else begin
-    let procs =
-      Array.map
-        (fun p ->
-           if State.ready p.State.region then
-             { p with State.c = p.State.c - 1; b = params.gk }
-           else p)
-        s.State.procs
-    in
-    [ { Core.Pa.action = Tick; dist = D.point { s with State.procs } } ]
+    let ticked = Array.copy procs in
+    for i = 0 to Array.length procs - 1 do
+      let p = procs.(i) in
+      if State.ready p.State.region then
+        ticked.(i) <- { p with State.c = p.State.c - 1; b = params.gk }
+    done;
+    point Tick { s with State.procs = ticked } :: acc
   end
 
-let user_steps params s =
-  let step_for i (p : State.proc) =
-    match p.State.region with
-    | State.Rem ->
-      [ { Core.Pa.action = Try i;
-          dist = D.point (set_proc s i (granted params State.Flip)) } ]
-    | State.Crit ->
-      [ { Core.Pa.action = Exit i;
-          dist = D.point (set_proc s i (granted params State.Exit_f)) } ]
-    | State.Flip | State.Wait _ | State.Second _ | State.Drop _
-    | State.Pre | State.Exit_f | State.Exit_s _ | State.Exit_r -> []
-  in
-  List.concat (List.mapi step_for (Array.to_list s.State.procs))
+let user_step params s i acc =
+  match s.State.procs.(i).State.region with
+  | State.Rem -> point (Try i) (set_proc s i (granted params State.Flip)) :: acc
+  | State.Crit ->
+    point (Exit i) (set_proc s i (granted params State.Exit_f)) :: acc
+  | State.Flip | State.Wait _ | State.Second _ | State.Drop _ | State.Pre
+  | State.Exit_f | State.Exit_s _ | State.Exit_r -> acc
 
-let proc_steps params s =
-  let step_for i (p : State.proc) =
-    if not (State.ready p.State.region) || p.State.b <= 0 then []
-    else begin
-      let resource u = Topology.res params.topo i u in
-      match p.State.region with
-      | State.Flip ->
-        let branch u = set_proc s i (stepped params p (State.Wait u)) in
-        [ { Core.Pa.action = Flip i;
-            dist = D.coin (branch State.L) (branch State.R) } ]
-      | State.Wait u ->
-        let target =
-          if s.State.res.(resource u) then
-            (* Busy-wait: the resource is taken; the step only burns
-               budget and restarts the deadline. *)
-            set_proc s i (stepped params p (State.Wait u))
-          else
-            set_res (set_proc s i (stepped params p (State.Second u)))
-              (resource u) true
-        in
-        [ { Core.Pa.action = Wait i; dist = D.point target } ]
-      | State.Second u ->
-        let other = State.opp u in
-        let target =
-          if s.State.res.(resource other) then
-            set_proc s i (stepped params p (State.Drop u))
-          else
-            set_res (set_proc s i (stepped params p State.Pre))
-              (resource other) true
-        in
-        [ { Core.Pa.action = Second i; dist = D.point target } ]
-      | State.Drop u ->
-        let target =
-          set_res (set_proc s i (stepped params p State.Flip)) (resource u)
-            false
-        in
-        [ { Core.Pa.action = Drop i; dist = D.point target } ]
-      | State.Pre ->
-        [ { Core.Pa.action = Crit i;
-            dist = D.point (set_proc s i (stepped params p State.Crit)) } ]
-      | State.Exit_f ->
-        let choose keep =
-          let target =
-            set_res
-              (set_proc s i (stepped params p (State.Exit_s keep)))
-              (resource (State.opp keep))
-              false
-          in
-          { Core.Pa.action = Drop_first (i, keep); dist = D.point target }
-        in
-        [ choose State.L; choose State.R ]
-      | State.Exit_s u ->
-        let target =
-          set_res (set_proc s i (stepped params p State.Exit_r)) (resource u)
-            false
-        in
-        [ { Core.Pa.action = Drop_second i; dist = D.point target } ]
-      | State.Exit_r ->
-        [ { Core.Pa.action = Rem i;
-            dist = D.point (set_proc s i (stepped params p State.Rem)) } ]
-      | State.Rem | State.Crit -> []
-    end
-  in
-  List.concat (List.mapi step_for (Array.to_list s.State.procs))
+(* The side is an argument, not a literal: [Wait L] written out is one
+   static block every successor would share, and the snapshot bytes
+   record sharing. *)
+let[@inline never] flipped params s i p u =
+  set_proc s i (stepped params p (State.Wait u))
+
+(* Keep side [keep], put the opposite resource back. *)
+let[@inline never] drop_first params s i p keep =
+  point
+    (Drop_first (i, keep))
+    (set_proc_res s i
+       (stepped params p (State.Exit_s keep))
+       (Topology.res params.topo i (State.opp keep))
+       false)
+
+let proc_step params s i acc =
+  let p = s.State.procs.(i) in
+  if not (State.ready p.State.region) || p.State.b <= 0 then acc
+  else begin
+    let topo = params.topo in
+    match p.State.region with
+    | State.Flip ->
+      { Core.Pa.action = Flip i;
+        dist = D.coin (flipped params s i p State.L) (flipped params s i p State.R) }
+      :: acc
+    | State.Wait u ->
+      let r = Topology.res topo i u in
+      let target =
+        if s.State.res.(r) then
+          (* Busy-wait: the resource is taken; the step only burns
+             budget and restarts the deadline. *)
+          set_proc s i (stepped params p (State.Wait u))
+        else set_proc_res s i (stepped params p (State.Second u)) r true
+      in
+      point (Wait i) target :: acc
+    | State.Second u ->
+      let r = Topology.res topo i (State.opp u) in
+      let target =
+        if s.State.res.(r) then set_proc s i (stepped params p (State.Drop u))
+        else set_proc_res s i (stepped params p State.Pre) r true
+      in
+      point (Second i) target :: acc
+    | State.Drop u ->
+      point (Drop i)
+        (set_proc_res s i (stepped params p State.Flip) (Topology.res topo i u)
+           false)
+      :: acc
+    | State.Pre -> point (Crit i) (set_proc s i (stepped params p State.Crit)) :: acc
+    | State.Exit_f ->
+      drop_first params s i p State.L :: drop_first params s i p State.R :: acc
+    | State.Exit_s u ->
+      point (Drop_second i)
+        (set_proc_res s i (stepped params p State.Exit_r) (Topology.res topo i u)
+           false)
+      :: acc
+    | State.Exit_r ->
+      point (Rem i) (set_proc s i (stepped params p State.Rem)) :: acc
+    | State.Rem | State.Crit -> acc
+  end
+
+let rec from_each step params s i acc =
+  if i < 0 then acc else from_each step params s (i - 1) (step params s i acc)
 
 let enabled_general gp s =
-  tick_step gp s @ user_steps gp s @ proc_steps gp s
+  let last = Array.length s.State.procs - 1 in
+  tick_step gp s
+    (from_each user_step gp s last (from_each proc_step gp s last []))
 
 let make_general ~topo ~g ~k =
   let gp = { topo; gg = g; gk = k } in

@@ -4,8 +4,17 @@ let trying = function
   | State.Rem | State.Crit | State.Exit_f | State.Exit_s _ | State.Exit_r ->
     false
 
-(* Hot: pattern matches, not polymorphic compare; loops, not lists. *)
-let some_region pred s = Array.exists (fun p -> pred p.State.region) s.State.procs
+(* Hot: pattern matches, not polymorphic compare; loops, not lists,
+   and no closure built per call, so no predicate allocates. *)
+let rec exists_region pred (procs : State.proc array) i =
+  i < Array.length procs
+  && (pred procs.(i).State.region || exists_region pred procs (i + 1))
+
+let some_region pred s = exists_region pred s.State.procs 0
+
+let rec every_region pred (procs : State.proc array) i =
+  i = Array.length procs
+  || (pred procs.(i).State.region && every_region pred procs (i + 1))
 
 let some_process s good =
   let n = State.num_procs s in
@@ -25,9 +34,7 @@ let quiet region =
   trying region
   || (match region with State.Rem | State.Exit_r -> true | _ -> false)
 
-let in_rt s =
-  some_region trying s
-  && Array.for_all (fun p -> quiet p.State.region) s.State.procs
+let in_rt s = some_region trying s && every_region quiet s.State.procs 0
 
 let rt = Core.Pred.make "RT" in_rt
 
@@ -82,30 +89,29 @@ let g = Core.Pred.make "G" (fun s -> in_rt s && some_process s good_at)
 (* Generalized goodness over an arbitrary topology: process [i],
    committed toward side [u], is good when no {e other} process sharing
    its second resource (the opposite side) potentially controls it. *)
-let good_at_general topo s i =
-  let pi = s.State.procs.(i).State.region in
-  let good_toward u =
-    committed_toward pi u
-    && begin
-      let second = Topology.res topo i (State.opp u) in
-      List.for_all
-        (fun (j, side_j) ->
-           j = i
-           ||
-           let rj = s.State.procs.(j).State.region in
-           (match rj with
-            | State.Exit_r | State.Rem | State.Flip -> true
-            | State.Wait _ | State.Second _ | State.Drop _ ->
-              not (points rj side_j)
-            | State.Pre | State.Crit | State.Exit_f | State.Exit_s _ ->
-              false))
-        (Topology.contenders topo second)
-    end
-  in
-  good_toward State.L || good_toward State.R
+let rec none_controls s i = function
+  | [] -> true
+  | (j, side_j) :: rest ->
+    (j = i
+     ||
+     let rj = s.State.procs.(j).State.region in
+     match rj with
+     | State.Exit_r | State.Rem | State.Flip -> true
+     | State.Wait _ | State.Second _ | State.Drop _ -> not (points rj side_j)
+     | State.Pre | State.Crit | State.Exit_f | State.Exit_s _ -> false)
+    && none_controls s i rest
 
-let g_of topo =
-  Core.Pred.make "G" (fun s -> in_rt s && some_process s (good_at_general topo))
+let good_toward topo s i u =
+  committed_toward s.State.procs.(i).State.region u
+  && none_controls s i (Topology.contenders topo (Topology.res topo i (State.opp u)))
+
+let rec some_good topo s i =
+  i < State.num_procs s
+  && (good_toward topo s i State.L
+      || good_toward topo s i State.R
+      || some_good topo s (i + 1))
+
+let g_of topo = Core.Pred.make "G" (fun s -> in_rt s && some_good topo s 0)
 
 let rt_or_c = Core.Pred.union rt c
 let p_or_c = Core.Pred.union p c

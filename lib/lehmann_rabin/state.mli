@@ -92,5 +92,9 @@ val pp : Format.formatter -> t -> unit
     {!Core.Pa.make}, together with {!hash}. *)
 val equal : t -> t -> bool
 
+(** [equal_proc p q] is [p = q], physical equality first, allocating
+    nothing. *)
+val equal_proc : proc -> proc -> bool
+
 (** Structural hash over the whole state; equal states hash equally. *)
 val hash : t -> int

@@ -30,8 +30,21 @@ val generators :
 
 (** [spec topo] declares the topology's generators together with
     the generalized region predicates (goodness via
-    {!Regions.g_of}).  [extra] appends further predicates to hold
-    invariant. *)
+    {!Regions.g_of}) and, when there are generators, the in-place
+    orbit canonicalizer.  [extra] appends further predicates to hold
+    invariant.
+
+    The canonicalizer tables the generated group's permutations once.
+    It compares images of a state position by position, in
+    [Stdlib.compare]'s order, without building them, and builds only
+    the least, so it returns exactly what the generic closure of
+    [Analysis.Symmetry.canonicalizer] returns, down to which [proc]
+    records sit at which position: the element that builds the winner
+    is the one the closure would have used, found by replaying the
+    closure's discovery order over group elements when the state has a
+    nontrivial stabilizer.  It keeps no mutable state between calls,
+    so any number of domains may call it at once.  The certifier
+    checks every representative it produced (PA033). *)
 val spec :
   ?extra:(string * (State.t -> bool)) list ->
   Topology.t -> (State.t, Automaton.action) Analysis.Symmetry.spec

@@ -127,6 +127,9 @@ let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
     { step_off = trim step_off; out_off = trim out_off; tgt = trim tgt;
       prob_q = trim prob_q; actions = trim actions }
   in
+  (* The fragment keeps its states as the table's keys: drop the slots
+     doubling left past the last one. *)
+  Funtbl.trim table;
   { pa = m; table; csr; start_indices; expanded = !expanded; canon;
     sets = Atomic.make [] }
 
@@ -182,10 +185,12 @@ let of_parts ?canon ~pa ~states ~csr ~start_indices ~expanded () =
        let j = Funtbl.find_or_add table s ignore in
        if j <> i then invalid "state %d repeats state %d" i j)
     states;
+  Funtbl.trim table;
   { pa; table; csr; start_indices; expanded; canon; sets = Atomic.make [] }
 
 let automaton e = e.pa
 let num_states e = Funtbl.length e.table
+let key_capacity e = Funtbl.capacity e.table
 let num_expanded e = e.expanded
 let is_complete e = e.expanded = num_states e
 

@@ -100,6 +100,11 @@ val automaton : ('s, 'a) t -> ('s, 'a) Core.Pa.t
 
 val num_states : ('s, 'a) t -> int
 
+(** Room in the intern table's array of states: [num_states] once
+    {!run} or {!of_parts} has returned, so a fragment holds no unused
+    slots. *)
+val key_capacity : ('s, 'a) t -> int
+
 (** States whose steps were computed; the frontier of a snapshot
     fragment is the index range [num_expanded .. num_states - 1]. *)
 val num_expanded : ('s, 'a) t -> int

@@ -33,6 +33,10 @@ let create ~equal ~hash n =
     hint = Int.max 16 n }
 
 let length t = t.size
+let capacity t = Array.length t.keys
+
+let trim t =
+  if Array.length t.keys > t.size then t.keys <- Array.sub t.keys 0 t.size
 
 (* The 64-bit golden-ratio constant cut to an OCaml int (it stays
    odd): multiplying by it mixes every bit of the hash into the high

@@ -26,6 +26,13 @@ val length : 'k t -> int
 (** [find t k] is the index of [k], or [-1] when [k] is absent. *)
 val find : 'k t -> 'k -> int
 
+(** The number of keys the key array has room for before it grows. *)
+val capacity : 'k t -> int
+
+(** [trim t] shrinks the key array to [length t] entries: for a table
+    that takes no more keys (a later insert grows it again). *)
+val trim : 'k t -> unit
+
 (** [key t i] is the key with index [i]; raises [Invalid_argument]
     unless [0 <= i < length t]. *)
 val key : 'k t -> int -> 'k

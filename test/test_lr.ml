@@ -296,6 +296,33 @@ let test_regions_f_p () =
   Alcotest.(check bool) "in P" true (Core.Pred.mem LR.Regions.p s);
   Alcotest.(check bool) "P not in F" false (Core.Pred.mem LR.Regions.f s)
 
+(* The region predicates run once per orbit member in certification
+   and once per state in every sweep: over every state of the ring and
+   the star they allocate nothing. *)
+let test_regions_allocate_nothing () =
+  List.iter
+    (fun topo ->
+       let expl = Mdp.Explore.run (Au.make_general ~topo ~g:1 ~k:1) in
+       let states =
+         Array.init (Mdp.Explore.num_states expl) (Mdp.Explore.state expl)
+       in
+       List.iter
+         (fun p ->
+            let hits = ref 0 in
+            let before = Gc.minor_words () in
+            for i = 0 to Array.length states - 1 do
+              if Core.Pred.mem p states.(i) then incr hits
+            done;
+            let words = Gc.minor_words () -. before in
+            if words > 0. then
+              Alcotest.failf "%s on %s: %.0f words over %d states"
+                (Core.Pred.name p) (LR.Topology.name topo) words
+                (Array.length states))
+         [ LR.Regions.t; LR.Regions.c; LR.Regions.rt; LR.Regions.f;
+           LR.Regions.p; LR.Regions.g; LR.Regions.g_of topo;
+           LR.Regions.p_or_c; LR.Regions.rt_or_c ])
+    [ LR.Topology.ring 3; LR.Topology.star 3 ]
+
 let test_regions_good () =
   (* Process 0 committed to the left; its right neighbor (process 1)
      does not potentially control Res 0: good. *)
@@ -689,7 +716,9 @@ let () =
          Alcotest.test_case "F and P" `Quick test_regions_f_p;
          Alcotest.test_case "good processes" `Quick test_regions_good;
          Alcotest.test_case "good vs drop neighbor" `Quick
-           test_regions_good_drop_neighbor ]);
+           test_regions_good_drop_neighbor;
+         Alcotest.test_case "no allocation" `Quick
+           test_regions_allocate_nothing ]);
       ("invariant",
        [ Alcotest.test_case "Lemma 6.1 exhaustive" `Quick
            test_invariant_exhaustive;

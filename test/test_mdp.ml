@@ -163,6 +163,37 @@ let test_of_parts_repeated () =
     (Invalid_argument "Explore.of_parts: state 2 repeats state 0") (fun () ->
         ignore (parts [| s0; s1; s0 |]))
 
+(* A fragment keeps no unused room for states: the intern table's key
+   array doubles while the BFS runs (5 000 states overflow its first
+   4 096 slots) and is trimmed to the state count when it ends, as a
+   rebuilt one is sized. *)
+let test_explore_trimmed () =
+  let chain =
+    Core.Pa.make ~start:[ 0 ]
+      ~enabled:(fun i ->
+          if i >= 4_999 then []
+          else [ { Core.Pa.action = (); dist = Proba.Dist.point (i + 1) } ])
+      ()
+  in
+  let expl = Mdp.Explore.run chain in
+  Alcotest.(check int) "states" 5_000 (Mdp.Explore.num_states expl);
+  Alcotest.(check int) "room for exactly the states" 5_000
+    (Mdp.Explore.key_capacity expl);
+  Alcotest.(check int) "the walker too"
+    (Mdp.Explore.num_states walker_expl)
+    (Mdp.Explore.key_capacity walker_expl);
+  let rebuilt =
+    Mdp.Explore.of_parts ~pa:chain
+      ~states:(Array.init 5_000 (Mdp.Explore.state expl))
+      ~csr:(Mdp.Explore.csr expl)
+      ~start_indices:(Mdp.Explore.start_indices expl)
+      ~expanded:5_000 ()
+  in
+  Alcotest.(check int) "rebuilt: room for exactly the states" 5_000
+    (Mdp.Explore.key_capacity rebuilt);
+  Alcotest.(check (option int)) "still indexed" (Some 4_321)
+    (Mdp.Explore.index expl 4_321)
+
 let test_explore_invariant () =
   Alcotest.(check bool) "invariant holds" true
     (Mdp.Explore.check_invariant walker_expl
@@ -738,7 +769,8 @@ let () =
          Alcotest.test_case "invariant" `Quick test_explore_invariant;
          Alcotest.test_case "of_parts refuses a repeated state" `Quick
            test_of_parts_repeated;
-         Alcotest.test_case "states_where" `Quick test_explore_states_where ]);
+         Alcotest.test_case "states_where" `Quick test_explore_states_where;
+         Alcotest.test_case "intern table trimmed" `Quick test_explore_trimmed ]);
       ("finite-horizon",
        [ Alcotest.test_case "choice min/max" `Quick test_fh_choice_min_max;
          Alcotest.test_case "cascade" `Quick test_fh_cascade;

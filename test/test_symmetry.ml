@@ -228,7 +228,8 @@ module Legacy = struct
            end)
         gens;
       List.iter
-        (fun (pname, pred) ->
+        (fun p ->
+           let pname = Core.Pred.name p and pred = Core.Pred.mem p in
            if not (Hashtbl.mem pa031 pname) then
              let here = pred s in
              List.iter
@@ -277,7 +278,8 @@ module Legacy = struct
              (Hashtbl.find_opt pa030 g.gen_name))
         gens
       @ List.filter_map
-          (fun (pname, _) ->
+          (fun p ->
+             let pname = Core.Pred.name p in
              Option.map
                (fun w ->
                   Diagnostic.v ~witness:w Diagnostic.PA031 Diagnostic.Error
@@ -300,7 +302,7 @@ module Legacy = struct
           states_checked = !states_checked;
           full_states = !full_states;
           reduced;
-          preds_checked = List.map fst spec.invariant_preds }
+          preds_checked = List.map Core.Pred.name spec.invariant_preds }
       in
       (* PA032: the group is certified but the fragment was explored
          unreduced -- measure what reduction would save. *)
@@ -1222,6 +1224,179 @@ let test_canonicalizer () =
   let id = Sym.canonicalizer ~equal:Int.equal (Sym.spec []) in
   Alcotest.(check int) "no generators: identity" 7 (id 7)
 
+(* ------------------------------------------------------------------ *)
+(* LR's in-place canonicalizer ([LR.Symmetry.spec]'s [canon]) against
+   the generic closure it replaces: the same representative for every
+   reachable state, built from the same [proc] records in the same
+   positions -- snapshots marshal that sharing -- and [s] itself
+   exactly when the closure returns [s]. *)
+
+let reference_canon pa spec =
+  Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) { spec with Sym.canon = None }
+
+let same_form name (s : LR.State.t) (got : LR.State.t) (want : LR.State.t) =
+  if not (got = want) then
+    Alcotest.failf "%s: %a canonicalizes to %a, not %a" name LR.State.pp s
+      LR.State.pp got LR.State.pp want;
+  if (got == s) <> (want == s) then
+    Alcotest.failf "%s: %a: returned itself on one side only" name LR.State.pp
+      s;
+  Array.iteri
+    (fun q p ->
+       if p != want.LR.State.procs.(q) then
+         Alcotest.failf "%s: %a: another record at position %d" name
+           LR.State.pp s q)
+    got.LR.State.procs
+
+let reachable topo =
+  let expl = Mdp.Explore.run (LR.Automaton.make_general ~topo ~g:1 ~k:1) in
+  Array.init (Mdp.Explore.num_states expl) (Mdp.Explore.state expl)
+
+let test_inplace_canon () =
+  List.iter
+    (fun (topo, declared) ->
+       let name = LR.Topology.name topo in
+       let pa = LR.Automaton.make_general ~topo ~g:1 ~k:1 in
+       let spec = LR.Symmetry.spec topo in
+       Alcotest.(check bool) (name ^ ": declares its own canonicalizer")
+         declared (spec.Sym.canon <> None);
+       let canon = Sym.canonicalizer ~equal:(Core.Pa.equal_state pa) spec in
+       let reference = reference_canon pa spec in
+       Array.iter (fun s -> same_form name s (canon s) (reference s))
+         (reachable topo))
+    [ (LR.Topology.ring 3, true); (LR.Topology.ring 4, true);
+      (LR.Topology.star 3, true); (LR.Topology.star 4, true);
+      (LR.Topology.line 3, false) ]
+
+(* LR's generators carry an in-place image test, which the certifier
+   trusts instead of building images: it must say what [on_state]
+   followed by [State.equal] says, on images, on fixed points and on
+   unrelated states. *)
+let test_maps_to () =
+  List.iter
+    (fun topo ->
+       let states = reachable topo in
+       List.iter
+         (fun g ->
+            match g.Sym.maps_to with
+            | None -> Alcotest.failf "%s: no in-place image test" g.Sym.gen_name
+            | Some maps_to ->
+              Array.iteri
+                (fun i u ->
+                   let image = g.Sym.on_state u in
+                   List.iter
+                     (fun v ->
+                        if maps_to u v <> LR.State.equal image v then
+                          Alcotest.failf "%s: maps_to %a %a disagrees"
+                            g.Sym.gen_name LR.State.pp u LR.State.pp v)
+                     [ image; u; states.((i + 1) mod Array.length states) ])
+                states)
+         (LR.Symmetry.spec topo).Sym.generators)
+    [ LR.Topology.ring 3; LR.Topology.star 3 ]
+
+(* The canonicalizer runs on Monte Carlo pool domains, served workers
+   and proof-region tasks at once, so it must keep no shared scratch:
+   two domains canonicalizing every reachable state at the same time
+   get what one domain gets. *)
+let test_canon_two_domains () =
+  List.iter
+    (fun topo ->
+       let name = LR.Topology.name topo ^ " on two domains" in
+       let pa = LR.Automaton.make_general ~topo ~g:1 ~k:1 in
+       let canon =
+         Sym.canonicalizer ~equal:(Core.Pa.equal_state pa)
+           (LR.Symmetry.spec topo)
+       in
+       let states = reachable topo in
+       let sequential = Array.map canon states in
+       Array.iter
+         (Array.iteri (fun i got -> same_form name states.(i) got sequential.(i)))
+         (Test_support.Two_domains.run (fun () -> Array.map canon states)))
+    [ LR.Topology.ring 3; LR.Topology.star 3 ]
+
+(* A canonicalizer that picks an orbit's greatest member builds a
+   quotient of the right size, but its representatives are not the
+   minima the certifier demands: [--sym on] refuses it by code, and
+   [Auto] falls back to the unreduced exploration. *)
+let test_pa033_refused () =
+  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
+  let ring = LR.Symmetry.ring ~n:3 () in
+  let greatest =
+    Sym.canonicalizer ~compare:(fun a b -> Stdlib.compare b a)
+      ~equal:(Core.Pa.equal_state pa) ring
+  in
+  let spec = { ring with Sym.canon = Some greatest } in
+  let diags, cert =
+    Sym.verify ~model:"lr-greatest" ~reduced:true spec
+      (Mdp.Explore.run ~canon:greatest pa)
+  in
+  Alcotest.(check bool) "PA033 fired" true
+    (has_code Analysis.Diagnostic.PA033 diags);
+  Alcotest.(check bool) "no certificate" true (cert = None);
+  (match Sym.explored ~model:"lr-greatest" ~mode:Sym.On spec pa with
+   | _ -> Alcotest.fail "a quotient of orbit maxima was certified"
+   | exception Sym.Not_certified msg ->
+     Alcotest.(check bool) ("refused by code: " ^ msg) true
+       (Astring.String.is_infix ~affix:"PA033" msg));
+  let expl, cert = Sym.explored ~model:"lr-greatest" ~mode:Sym.Auto spec pa in
+  Alcotest.(check bool) "auto: no certificate" true (cert = None);
+  Alcotest.(check int) "auto: fell back unreduced" 8092
+    (Mdp.Explore.num_states expl)
+
+(* [--sym on] and [--sym off] bodies differ in one field only: the
+   float [max_expected_time], which Gauss-Seidel reaches in another
+   visiting order on the quotient (8.9166666666624224 against
+   8.9166666666633319 on the n=3 ring).  Every exact field agrees. *)
+let test_sym_bodies () =
+  List.iter
+    (fun topology ->
+       let body sym =
+         Server.Service.check_json
+           { Server.Protocol.model = `Lr; n = 3; g = 1; k = 1; topology;
+             bound = 4; cap = 2; max_states = None; sym; plane = "interval";
+             deadline_ms = None }
+       in
+       match body "on", body "off" with
+       | Analysis.Json.Obj on, Analysis.Json.Obj off ->
+         Alcotest.(check (list string)) (topology ^ ": fields")
+           (List.map fst off) (List.map fst on);
+         List.iter2
+           (fun (field, a) (_, b) ->
+              match field, a, b with
+              | "max_expected_time", Analysis.Json.Num x, Analysis.Json.Num y ->
+                if Float.abs (x -. y) >= 1e-9 then
+                  Alcotest.failf "%s: max_expected_time %.17g against %.17g"
+                    topology x y
+              | "max_expected_time", _, _ ->
+                Alcotest.failf "%s: max_expected_time is not a float" topology
+              | _ ->
+                if a <> b then Alcotest.failf "%s: field %s differs" topology field)
+           on off
+       | _ -> Alcotest.failf "%s: not a JSON object" topology)
+    [ "ring"; "star" ]
+
+(* Words allocated per orbit member by [explored ~mode:On] on the n=3
+   ring (8 092 members), exploration and certification together, inline
+   on one domain: 202 are measured.  A return to per-member closures,
+   lists or image states crosses the ceiling. *)
+let words_per_member_ceiling = 1.25 *. 202.
+
+let test_allocation_guard () =
+  let pa = LR.Automaton.make { LR.Automaton.n = 3; g = 1; k = 1 } in
+  let spec = LR.Symmetry.ring ~n:3 () in
+  let per_member =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Parallel.Fork.mark_inline ();
+           let before = Gc.minor_words () in
+           let _, cert = Sym.explored ~model:"lr" ~mode:Sym.On spec pa in
+           (Gc.minor_words () -. before)
+           /. float_of_int (cert_exn cert).Sym.full_states))
+  in
+  if per_member > words_per_member_ceiling then
+    Alcotest.failf "%.0f words per orbit member, over the ceiling of %.0f"
+      per_member words_per_member_ceiling
+
 (* [verify] folds each range of representatives from 0 and rejoins
    the folds: for any hash sequence and any split point the join must
    equal the fold over the whole sequence. *)
@@ -1295,6 +1470,17 @@ let () =
           Alcotest.test_case "non-bijection refused" `Quick
             test_orbit_refuses_non_bijection;
           Alcotest.test_case "canonicalizer" `Quick test_canonicalizer;
+          Alcotest.test_case "LR in place: reference closure" `Quick
+            test_inplace_canon;
+          Alcotest.test_case "LR in place: two domains" `Quick
+            test_canon_two_domains;
+          Alcotest.test_case "LR in place: image test" `Quick test_maps_to;
+          Alcotest.test_case "PA033: orbit maxima refused" `Quick
+            test_pa033_refused;
+          Alcotest.test_case "sym on/off bodies: one float apart" `Quick
+            test_sym_bodies;
+          Alcotest.test_case "words per orbit member" `Quick
+            test_allocation_guard;
           Alcotest.test_case "large S_n orbit: reference closure" `Quick
             test_large_orbit;
           QCheck_alcotest.to_alcotest fingerprint_merge_law ] )
