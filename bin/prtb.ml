@@ -520,11 +520,11 @@ let simulate system n scheduler trials seed within =
   with
   | exception Failure msg -> Error (`Msg msg)
   | Error msg -> Error (`Msg msg)
-  | Ok (Models.Simulation m) ->
+  | Ok (Models.Simulation (setup, m)) ->
     (match within with
      | Some t ->
        let prop =
-         Sim.Monte_carlo.estimate_reach m.setup ~target:m.target ~within:t
+         Sim.Monte_carlo.estimate_reach setup ~target:m.target ~within:t
            ~trials ~seed
        in
        let lo, hi = Proba.Stat.Proportion.wilson_ci prop in
@@ -536,10 +536,9 @@ let simulate system n scheduler trials seed within =
          lo hi trials scheduler
      | None ->
        let summary, missed =
-         Sim.Monte_carlo.estimate_time m.setup ~target:m.target ~trials ~seed
-           ()
+         Sim.Monte_carlo.estimate_time setup ~target:m.target ~trials ~seed ()
        in
-       print_string (m.time_report ~trials ~missed summary));
+       print_string (m.time_report ~scheduler ~trials ~missed summary));
     Ok ()
 
 let simulate_cmd =
@@ -581,27 +580,16 @@ let export_dot system n bound output =
   with
   | exception Failure msg -> Error (`Msg msg)
   | inst ->
-    let states, dot =
-      Models.with_arena inst
-        { Models.visit =
-            (fun arena _ target ->
-               let states = Mdp.Arena.num_states arena in
-               ( states,
-                 if states > dot_limit then None
-                 else
-                   Some
-                     (Mdp.Dot.to_string arena ~max_states:dot_limit
-                        ~highlight:target ()) )) }
-    in
+    let (Models.View v) = Models.view inst in
+    let states = Mdp.Arena.num_states v.arena in
+    if states > dot_limit then
+      refuse
+        (Printf.sprintf
+           "%d states exceed export-dot's %d-state limit; export a \
+            smaller instance (lower -n)"
+           states dot_limit);
     let dot =
-      match dot with
-      | Some dot -> dot
-      | None ->
-        refuse
-          (Printf.sprintf
-             "%d states exceed export-dot's %d-state limit; export a \
-              smaller instance (lower -n)"
-             states dot_limit)
+      Mdp.Dot.to_string v.arena ~max_states:dot_limit ~highlight:v.target ()
     in
     (match output with
      | None -> print_string dot

@@ -1,4 +1,6 @@
 module Q = Proba.Rational
+module J = Analysis.Json
+module Desc = Analysis.Description
 
 type instance = {
   params : Automaton.params;
@@ -8,18 +10,28 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+let monte_carlo ({ Automaton.cap; g; _ } as params) ~initial =
+  { Desc.schedulers = (fun pa -> [ ("uniform", Sim.Scheduler.uniform pa) ]);
+    start = Automaton.start params initial; target = Automaton.some_decided;
+    reach = "some process decided"; horizon = 4 * cap * g;
+    time_report =
+      (fun ~scheduler:_ ~trials ~missed s ->
+         Printf.sprintf
+           "E[decision time] ~ %.3f  (%d trials, %d missed; mixed start, \
+            uniform scheduler)\n"
+           (Proba.Stat.Summary.mean s) trials missed) }
+
 let describe params ~initial =
-  { Analysis.Description.label = "ben_or";
-    pa = Automaton.make ~initial params;
+  { Desc.label = "ben_or"; pa = Automaton.make ~initial params;
     spec = Symmetry.spec params ~initial; is_tick = Automaton.is_tick;
     instance =
       (fun arena sym ->
-         { params; initial; expl = Mdp.Arena.explored arena; arena; sym }) }
+         { params; initial; expl = Mdp.Arena.explored arena; arena; sym });
+    monte_carlo = Some (monte_carlo params ~initial) }
 
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     ~f ~cap ~initial () =
-  Analysis.Description.build ?max_states ~sym
-    (describe { Automaton.n; f; cap; g; k } ~initial)
+  Desc.build ?max_states ~sym (describe { Automaton.n; f; cap; g; k } ~initial)
 
 let agreement = Core.Pred.make "Agreement" Automaton.agreement
 
@@ -89,3 +101,39 @@ let capped_liveness inst =
   let target = Mdp.Arena.indicator inst.arena decided_pred in
   let always = Mdp.Qualitative.always_reaches inst.arena ~target in
   always.(List.hd (Mdp.Arena.start_indices inst.arena))
+
+let view inst =
+  let { Automaton.n; f; cap; _ } = inst.params in
+  let curve () = decision_curve inst ~rounds:(List.init cap (fun r -> r + 1)) in
+  let point i p =
+    J.Obj [ ("rounds", J.Int (i + 1)); ("min_prob", Desc.rat p) ]
+  in
+  { Desc.arena = inst.arena; cert = inst.sym;
+    target = Automaton.some_decided;
+    fields =
+      (fun ~helpers ->
+         Desc.groups ~helpers
+           [| (fun () ->
+                 [ ("f", J.Int f);
+                   ("agreement", Desc.holds (agreement_violation inst)) ]);
+              (fun () ->
+                 [ ("decision_curve", J.Arr (List.mapi point (curve ()))) ]) |]);
+    body =
+      (fun () ->
+         Printf.printf "agreement: %s\n"
+           (match agreement_violation inst with
+            | None -> "holds"
+            | Some _ -> "VIOLATED");
+         List.iteri
+           (fun idx q ->
+              Printf.printf "min P[decided within %d round(s)] = %s\n"
+                (idx + 1) (Q.to_string q))
+           (curve ()));
+    composed = (fun () -> composed inst ~rounds:cap);
+    claims =
+      (fun () ->
+         Desc.claims
+           [ decision_arrow inst ~rounds:cap ~prob:(Q.pow Q.half n) ]
+           (Error "no composition"));
+    symmetry = (fun () -> Symmetry.spec inst.params ~initial:inst.initial);
+    is_tick = Automaton.is_tick }

@@ -45,6 +45,11 @@ val build :
   n:int -> f:int -> cap:int ->
   initial:Automaton.bit array -> unit -> instance
 
+(** The instance as the surfaces read it: agreement, the decision curve,
+    {!composed} at the round cap, and the cap's arrow at [2^-n] for lint. *)
+val view :
+  instance -> (Automaton.state, Automaton.action) Analysis.Description.view
+
 (** [None] when agreement holds on every reachable state. *)
 val agreement_violation : instance -> Automaton.state option
 

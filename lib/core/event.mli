@@ -50,10 +50,6 @@ val next :
 val reach :
   ?duration:('a -> int) -> 's Pred.t -> within:int -> ('s, 'a) t
 
-(** [reach_within_steps u ~steps]: like {!reach} but bounding the number
-    of steps rather than elapsed time. *)
-val reach_within_steps : 's Pred.t -> steps:int -> ('s, 'a) t
-
 (** [eventually u]: unbounded reachability (accepts as soon as [u] is
     visited; rejects only at maximal executions). *)
 val eventually : 's Pred.t -> ('s, 'a) t
@@ -84,9 +80,6 @@ val disj : ('s, 'a) t -> ('s, 'a) t -> ('s, 'a) t
 
 (** Complement. *)
 val negate : ('s, 'a) t -> ('s, 'a) t
-
-(** [conj_all events] folds {!conj}; raises [Invalid_argument] on []. *)
-val conj_all : ('s, 'a) t list -> ('s, 'a) t
 
 (** {1 Proposition 4.2 premise}
 

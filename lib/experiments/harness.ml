@@ -54,6 +54,20 @@ let banner id title claim =
 
 let verdict = function true -> "OK" | false -> "VIOLATED"
 
+(* How many rungs of a ladder hold, of how many. *)
+let rungs_ok arrows =
+  Printf.sprintf "%d/%d"
+    (List.length (List.filter (fun a -> a.Mdp.Checker.claim <> None) arrows))
+    (List.length arrows)
+
+(* A composed claim as its (time, probability) pair. *)
+let time_prob = function
+  | Ok c ->
+    Printf.sprintf "(%s, %s)"
+      (Q.to_string (Core.Claim.time c))
+      (Q.to_string (Core.Claim.prob c))
+  | Error _ -> "FAILED"
+
 (* ----------------------------------------------------------------- *)
 
 let e1_arrows ctx =
@@ -112,14 +126,17 @@ let e2_composed ctx =
     ctx.config.lr_ns;
   print_newline ()
 
-let lr_sim_setup ~n ~g ~k scheduler_of =
-  let params = { LR.Automaton.n; g; k } in
-  let pa = LR.Automaton.make params in
-  (pa,
-   { Sim.Monte_carlo.pa;
-     scheduler = scheduler_of pa;
-     duration = LR.Automaton.duration;
-     start = LR.State.all_trying ~n ~g ~k })
+(* The ring's Monte Carlo setups, one per named scheduler, from its
+   description. *)
+let lr_sim_setups ~n ~g ~k =
+  let d = LR.Proof.describe { LR.Automaton.n; g; k } in
+  let mc = Option.get d.Analysis.Description.monte_carlo in
+  List.map
+    (fun (name, scheduler) ->
+       ( name,
+         { Sim.Monte_carlo.pa = d.pa; scheduler;
+           duration = LR.Automaton.duration; start = mc.start } ))
+    (mc.schedulers d.pa)
 
 let e3_expected ctx =
   banner "E3" "expected time to progress (Sec. 6.2 recurrence)"
@@ -141,10 +158,7 @@ let e3_expected ctx =
   List.iter
     (fun n ->
        List.iter
-         (fun (name, sched_of) ->
-            let _, setup =
-              lr_sim_setup ~n ~g:ctx.config.lr_g ~k:ctx.config.lr_k sched_of
-            in
+         (fun (name, setup) ->
             let summary, missed =
               Sim.Monte_carlo.estimate_time setup
                 ~target:(Core.Pred.mem LR.Regions.c)
@@ -159,11 +173,7 @@ let e3_expected ctx =
                   ctx.config.sim_trials missed;
                 string_of_int n; name; Printf.sprintf "%.3f" mean;
                 verdict (mean <= 63.0) ])
-         [ ("uniform", LR.Schedulers.uniform);
-           ("eager", LR.Schedulers.eager);
-           ("delayer", LR.Schedulers.delayer);
-           ("starver", LR.Schedulers.starver);
-           ("round-robin", LR.Schedulers.round_robin) ])
+         (lr_sim_setups ~n ~g:ctx.config.lr_g ~k:ctx.config.lr_k))
     ctx.config.sim_ns;
   Table.print t;
   print_newline ()
@@ -242,7 +252,7 @@ let e5_invariant ctx =
   (* Randomized walks at sizes beyond exhaustive reach. *)
   List.iter
     (fun n ->
-       let pa, _ = lr_sim_setup ~n ~g:1 ~k:1 LR.Schedulers.uniform in
+       let pa = LR.Automaton.make { LR.Automaton.n; g = 1; k = 1 } in
        let rng = Proba.Rng.create ~seed:ctx.config.seed in
        let violations = ref 0 in
        let visited = ref 0 in
@@ -335,8 +345,7 @@ let e7_scaling ctx =
     ctx.config.ir_ns;
   (* Simulator throughput. *)
   let n = List.hd ctx.config.sim_ns in
-  let pa, setup = lr_sim_setup ~n ~g:1 ~k:1 LR.Schedulers.uniform in
-  ignore pa;
+  let setup = List.assoc "uniform" (lr_sim_setups ~n ~g:1 ~k:1) in
   let steps = ref 0 in
   let (_ : unit), sim_time =
     time_of (fun () ->
@@ -451,23 +460,16 @@ let e9_election ctx =
     (fun n ->
        let inst = ir_instance ctx ~n in
        let arrows = IR.Proof.arrows inst in
-       let holds a = a.Mdp.Checker.claim <> None in
-       let all_ok = List.for_all holds arrows in
        let composed =
          match IR.Proof.compose_arrows arrows with
          | Ok c -> Format.asprintf "%a" Core.Claim.pp c
          | Error e -> "FAILED: " ^ e
        in
        Table.row t
-         [ string_of_int n;
-           Printf.sprintf "%d/%d"
-             (List.length (List.filter holds arrows))
-             (List.length arrows);
-           composed;
+         [ string_of_int n; rungs_ok arrows; composed;
            Q.to_string (IR.Proof.direct_bound inst);
            Q.to_string (Core.Expected.value (IR.Proof.expected_bound ~n));
-           Printf.sprintf "%.3f" (IR.Proof.max_expected_time inst) ];
-       ignore all_ok)
+           Printf.sprintf "%.3f" (IR.Proof.max_expected_time inst) ])
     ctx.config.ir_ns;
   Table.print t;
   print_newline ()
@@ -499,14 +501,7 @@ let e10_topologies ctx =
          | Some a -> Q.to_string a.Mdp.Checker.attained
          | None -> "?"
        in
-       let composed =
-         match LR.Proof.compose_arrows_topo inst arrows with
-         | Ok c ->
-           Printf.sprintf "(%s, %s)"
-             (Q.to_string (Core.Claim.time c))
-             (Q.to_string (Core.Claim.prob c))
-         | Error _ -> "FAILED"
-       in
+       let composed = time_prob (LR.Proof.compose_arrows_topo inst arrows) in
        Table.row t
          [ LR.Topology.name topo;
            string_of_int (Mdp.Explore.num_states inst.LR.Proof.texpl);
@@ -536,20 +531,9 @@ let e11_shared_coin ctx =
     (fun (n, bound) ->
        let inst = Models.coin ~n ~bound () in
        let arrows = SC.Proof.arrows inst in
-       let ok =
-         List.length (List.filter (fun a -> a.Mdp.Checker.claim <> None) arrows)
-       in
-       let composed =
-         match SC.Proof.compose_arrows arrows with
-         | Ok c ->
-           Printf.sprintf "(%s, %s)"
-             (Q.to_string (Core.Claim.time c))
-             (Q.to_string (Core.Claim.prob c))
-         | Error _ -> "FAILED"
-       in
        Table.row t
-         [ string_of_int n; string_of_int bound;
-           Printf.sprintf "%d/%d" ok (List.length arrows); composed;
+         [ string_of_int n; string_of_int bound; rungs_ok arrows;
+           time_prob (SC.Proof.compose_arrows arrows);
            Q.to_string (SC.Proof.direct_bound inst);
            Printf.sprintf "%.3f" (SC.Proof.expected_exact inst);
            Printf.sprintf "%.3f" (SC.Proof.expected_theory inst);

@@ -1,4 +1,6 @@
 module Q = Proba.Rational
+module J = Analysis.Json
+module Desc = Analysis.Description
 
 type instance = {
   params : Automaton.params;
@@ -7,16 +9,28 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+let monte_carlo ({ Automaton.n; g; _ } as params) =
+  { Desc.schedulers = (fun pa -> [ ("uniform", Sim.Scheduler.uniform pa) ]);
+    start = Automaton.start params; target = Automaton.leader_elected;
+    reach = "leader elected"; horizon = 2 * n * g;
+    time_report =
+      (fun ~scheduler:_ ~trials ~missed s ->
+         Printf.sprintf
+           "E[election time] ~ %.3f  (%d trials, %d missed; derived bound \
+            %d)\n"
+           (Proba.Stat.Summary.mean s) trials missed
+           (2 * (n - 1))) }
+
 let describe params =
-  { Analysis.Description.label = "itai_rodeh"; pa = Automaton.make params;
+  { Desc.label = "itai_rodeh"; pa = Automaton.make params;
     spec = Symmetry.spec params; is_tick = Automaton.is_tick;
     instance =
-      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym })
-  }
+      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym });
+    monte_carlo = Some (monte_carlo params) }
 
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     () =
-  Analysis.Description.build ?max_states ~sym (describe { Automaton.n; g; k })
+  Desc.build ?max_states ~sym (describe { Automaton.n; g; k })
 
 type arrow = Automaton.state Mdp.Checker.arrow
 
@@ -82,3 +96,34 @@ let liveness_holds inst =
   let target = Mdp.Arena.indicator inst.arena leader_pred in
   let always = Mdp.Qualitative.always_reaches inst.arena ~target in
   Array.for_all (fun b -> b) always
+
+let view inst =
+  let expected () =
+    Core.Expected.value (expected_bound ~n:inst.params.Automaton.n)
+  in
+  { Desc.arena = inst.arena; cert = inst.sym;
+    target = Automaton.leader_elected;
+    fields =
+      (fun ~helpers ->
+         Desc.groups ~helpers
+           [| (fun () ->
+                 let arrows = arrows inst in
+                 Desc.arrow_fields ~sets:false arrows (compose_arrows arrows));
+              (fun () ->
+                 [ ("expected_bound", Desc.rat (expected ()));
+                   ("max_expected_time", J.Num (max_expected_time inst)) ])
+           |]);
+    body =
+      (fun () ->
+         let arrows = arrows inst in
+         Desc.print_ladder 4 arrows (compose_arrows arrows);
+         Printf.printf "expected bound: %s; measured worst case: %.3f\n"
+           (Q.to_string (expected ()))
+           (max_expected_time inst));
+    composed = (fun () -> composed inst);
+    claims =
+      (fun () ->
+         let arrows = arrows inst in
+         Desc.claims arrows (compose_arrows arrows));
+    symmetry = (fun () -> Symmetry.spec inst.params);
+    is_tick = Automaton.is_tick }

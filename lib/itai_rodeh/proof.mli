@@ -33,6 +33,11 @@ val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> unit -> instance
 
+(** The instance as the surfaces read it: the ladder and its
+    composition, the derived and the measured expected time. *)
+val view :
+  instance -> (Automaton.state, Automaton.action) Analysis.Description.view
+
 (** A rung, labelled [L]k. *)
 type arrow = Automaton.state Mdp.Checker.arrow
 

@@ -1,4 +1,6 @@
 module Q = Proba.Rational
+module J = Analysis.Json
+module Desc = Analysis.Description
 
 type instance = {
   params : Automaton.params;
@@ -7,17 +9,30 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+(* Some process is critical: what the checker and Monte Carlo reach. *)
+let target = Core.Pred.mem Regions.c
+
+let monte_carlo ({ Automaton.n; g; k } : Automaton.params) =
+  { Desc.schedulers = Schedulers.all; start = State.all_trying ~n ~g ~k;
+    target; reach = "some process critical"; horizon = 13 * g;
+    time_report =
+      (fun ~scheduler ~trials ~missed s ->
+         let lo, hi = Proba.Stat.Summary.mean_ci s in
+         Printf.sprintf
+           "E[time to critical] ~ %.3f  (95%% CI [%.3f, %.3f], %d trials, \
+            %d missed, scheduler %s; paper bound 63)\n"
+           (Proba.Stat.Summary.mean s) lo hi trials missed scheduler) }
+
 let describe params =
-  { Analysis.Description.label = "lr"; pa = Automaton.make params;
-    spec = Symmetry.ring ~n:params.Automaton.n ();
-    is_tick = Automaton.is_tick;
+  { Desc.label = "lr"; pa = Automaton.make params;
+    spec = Symmetry.ring ~n:params.Automaton.n (); is_tick = Automaton.is_tick;
     instance =
-      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym })
-  }
+      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym });
+    monte_carlo = Some (monte_carlo params) }
 
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     () =
-  Analysis.Description.build ?max_states ~sym (describe { Automaton.n; g; k })
+  Desc.build ?max_states ~sym (describe { Automaton.n; g; k })
 
 type arrow = State.t Mdp.Checker.arrow
 
@@ -223,17 +238,18 @@ type topo_instance = {
 }
 
 let describe_topo ~topo ~g ~k =
-  { Analysis.Description.label = Printf.sprintf "lr:%s" (Topology.name topo);
+  { Desc.label = Printf.sprintf "lr:%s" (Topology.name topo);
     pa = Automaton.make_general ~topo ~g ~k; spec = Symmetry.spec topo;
     is_tick = Automaton.is_tick;
     instance =
       (fun tarena tsym ->
          { topo; tg = g; tk = k; texpl = Mdp.Arena.explored tarena; tarena;
-           tsym }) }
+           tsym });
+    monte_carlo = None }
 
 let build_topo ?max_states ?(g = 1) ?(k = 1)
     ?(sym = Analysis.Symmetry.Off) ~topo () =
-  Analysis.Description.build ?max_states ~sym (describe_topo ~topo ~g ~k)
+  Desc.build ?max_states ~sym (describe_topo ~topo ~g ~k)
 
 let arrow_topo inst =
   spec_on inst.tarena ~granularity:inst.tg ~g_pred:(Regions.g_of inst.topo)
@@ -251,3 +267,98 @@ let direct_bound_topo inst = direct_bound_on inst.tarena ~granularity:inst.tg
 let max_expected_time_topo inst =
   max_expected_time_on inst.tarena ~granularity:inst.tg
 let invariant_topo inst = Invariant.check_general inst.topo inst.texpl
+
+(* ----------------------------------------------------------------- *)
+(* What the surfaces read of a ring or topology instance. *)
+
+(* What one pass of the check region yields. *)
+type pass =
+  | Fields of (string * J.t) list
+  | Arrow of arrow
+  | Renamings of renaming list
+
+(* The ring's and a topology's view differ in [G], asked for once per
+   set of arrows as the public functions ask (a fresh [G] is swept
+   again), and in the ring's statements and derivation ([ring]). *)
+let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
+  let arrow () = spec_on arena ~granularity ~g_pred:(g_pred ()) in
+  let arrows () = List.map (arrow ()) steps in
+  let compose ?renamings arrows =
+    compose_on arena ~g_pred:(g_pred ()) ?renamings arrows
+  in
+  let worst () = max_expected_time_on arena ~granularity in
+  let direct () = direct_bound_on arena ~granularity in
+  { Desc.arena; cert; target; is_tick = Automaton.is_tick; symmetry;
+    (* One task per engine call, longest first -- value iteration, the
+       14-layer direct bound, the arrows by their tick layers (A.11: 6,
+       A.15: 4, A.3, A.14, A.1) with the composition's inclusions (about
+       as long as A.11) among them, then the invariant -- so that
+       claiming tasks in index order keeps the domains evenly loaded.
+       The fields and the composition are assembled after the region,
+       in field order. *)
+    fields =
+      (fun ~helpers ->
+         let arrow = arrow () in
+         match
+           Parallel.Fork.run ?helpers
+             [| (fun () ->
+                  Fields
+                    ((if ring then
+                        [ ( "expected_bound",
+                            Desc.rat (Core.Expected.value (expected_bound ()))
+                          ) ]
+                      else [])
+                     @ [ ("max_expected_time", J.Num (worst ())) ]));
+                (fun () -> Fields [ ("direct_bound", Desc.rat (direct ())) ]);
+                (fun () -> Arrow (arrow `G_to_P));
+                (fun () -> Renamings (renamings_on arena ~g_pred:(g_pred ())));
+                (fun () -> Arrow (arrow `RT_to_FGP));
+                (fun () -> Arrow (arrow `T_to_RTC));
+                (fun () -> Arrow (arrow `F_to_GP));
+                (fun () -> Arrow (arrow `P_to_C));
+                (fun () -> Fields [ ("invariant", Desc.holds (invariant ())) ])
+             |]
+         with
+         | [| Fields vi; Fields direct; Arrow a11; Renamings renamings;
+              Arrow a15; Arrow a3; Arrow a14; Arrow a1; Fields invariant |] ->
+           let arrows = [ a1; a3; a15; a14; a11 ] in
+           invariant
+           @ Desc.arrow_fields ~sets:true arrows (compose ~renamings arrows)
+           @ direct @ vi
+         | _ -> assert false);
+    body =
+      (fun () ->
+         (match invariant () with
+          | None ->
+            Printf.printf "Lemma 6.1%s: holds on every reachable state\n%!"
+              (if ring then "" else " (generalized)")
+          | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." State.pp s);
+         let arrows = arrows () in
+         Desc.print_ladder ~statements:ring 5 arrows (compose arrows);
+         if ring then begin
+           Format.printf "@.expected-time derivation:@.%a@." Core.Expected.pp
+             (expected_bound ());
+           Printf.printf "measured worst-case expected time: %.3f\n"
+             (worst ())
+         end
+         else
+           Printf.printf
+             "direct 13-unit minimum: %s; worst expected time: %.3f\n"
+             (Q.to_string (direct ())) (worst ()));
+    composed = (fun () -> compose (arrows ()));
+    claims =
+      (fun () ->
+         let arrows = arrows () in
+         Desc.claims arrows (compose arrows)) }
+
+let view inst =
+  view_on ~ring:true ~arena:inst.arena ~cert:inst.sym
+    ~granularity:inst.params.Automaton.g ~g_pred:(fun () -> Regions.g)
+    ~invariant:(fun () -> Invariant.check inst.expl)
+    ~symmetry:(fun () -> Symmetry.ring ~n:inst.params.Automaton.n ())
+
+let view_topo inst =
+  view_on ~ring:false ~arena:inst.tarena ~cert:inst.tsym
+    ~granularity:inst.tg ~g_pred:(fun () -> Regions.g_of inst.topo)
+    ~invariant:(fun () -> invariant_topo inst)
+    ~symmetry:(fun () -> Symmetry.spec inst.topo)

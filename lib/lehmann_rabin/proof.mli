@@ -31,6 +31,10 @@ val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> unit -> instance
 
+(** The instance as the surfaces read it: the invariant, the five
+    arrows and their composition, the direct and expected-time bounds. *)
+val view : instance -> (State.t, Automaton.action) Analysis.Description.view
+
 (** One phase statement together with what the checker found, labelled
     with the paper's proposition, e.g. ["A.11"]. *)
 type arrow = State.t Mdp.Checker.arrow
@@ -150,3 +154,8 @@ val max_expected_time_topo : topo_instance -> float
 
 (** Lemma 6.1 generalized; [None] when it holds. *)
 val invariant_topo : topo_instance -> State.t option
+
+(** {!view} on a topology, without the paper's expected-time
+    derivation. *)
+val view_topo :
+  topo_instance -> (State.t, Automaton.action) Analysis.Description.view

@@ -1,4 +1,3 @@
-module Q = Proba.Rational
 module D = Proba.Dist
 module J = Analysis.Json
 module Sym = Analysis.Symmetry
@@ -13,8 +12,8 @@ module Race = Race
 (* The case-study table.  Plain data about a family -- names, ranges,
    the fields it reads, conventions, its report heading -- is a row of
    [case_studies]; building an instance is one lookup, [case], into the
-   family library's description; behaviour that depends on the
-   automaton's types is a match over the closed [instance] variant. *)
+   family library's description; everything a surface reads of a built
+   instance is the family's view of it, from one opener, [view]. *)
 
 type family = [ `Lr | `Election | `Coin | `Consensus ]
 
@@ -202,28 +201,16 @@ let key ~max_states ~sym { params = p; f; initial } =
     (match max_states with None -> "" | Some m -> string_of_int m)
     (Sym.mode_to_string sym)
 
-type 'r visitor = {
-  visit :
-    's 'a. ('s, 'a) Mdp.Arena.t -> Sym.certificate option -> ('s -> bool) ->
-    'r;
-}
+type view = View : ('s, 'a) Desc.view -> view
 
-let lr_target = Core.Pred.mem LR.Regions.c
-
-let with_arena inst v =
-  match inst with
-  | Lr i -> v.visit i.LR.Proof.arena i.LR.Proof.sym lr_target
-  | Lr_topo i -> v.visit i.LR.Proof.tarena i.LR.Proof.tsym lr_target
-  | Election i ->
-    v.visit i.IR.Proof.arena i.IR.Proof.sym IR.Automaton.leader_elected
-  | Coin i ->
-    v.visit i.SC.Proof.arena i.SC.Proof.sym
-      (SC.Automaton.decided i.SC.Proof.params)
-  | Consensus i ->
-    v.visit i.BO.Proof.arena i.BO.Proof.sym BO.Automaton.some_decided
-
-let fingerprint inst =
-  with_arena inst { visit = (fun arena _ _ -> Mdp.Arena.fingerprint arena) }
+(* Each family's view only packs its instance's fields and closures, so
+   opening an instance builds nothing. *)
+let view = function
+  | Lr i -> View (LR.Proof.view i)
+  | Lr_topo i -> View (LR.Proof.view_topo i)
+  | Election i -> View (IR.Proof.view i)
+  | Coin i -> View (SC.Proof.view i)
+  | Consensus i -> View (BO.Proof.view i)
 
 (* ------------------------------------------------------------------ *)
 (* The registry.  One mutex guards [building] and [builds] (the table
@@ -244,9 +231,8 @@ let builds_counter = ref 0
 let table =
   Parallel.Cache.create
     ~cost:(fun inst ->
-        with_arena inst
-          { visit =
-              (fun arena _ _ -> 4096 + (512 * Mdp.Arena.num_states arena)) })
+        let (View v) = view inst in
+        4096 + (512 * Mdp.Arena.num_states v.arena))
     ()
 
 let building : (string, unit) Hashtbl.t = Hashtbl.create 8
@@ -402,53 +388,12 @@ let pp_stats fmt s =
    same body, which is what makes served bodies bit-identical to the
    CLI's. *)
 
-let rat r = J.Str (Q.to_string r)
-
-let holds = function None -> J.Str "holds" | Some _ -> J.Str "violated"
-
-let composed_json = function
-  | Ok c ->
-    J.Obj
-      [ ("ok", J.Bool true);
-        ("claim", J.Str (Format.asprintf "%a" Core.Claim.pp c)) ]
-  | Error e -> J.Obj [ ("ok", J.Bool false); ("error", J.Str e) ]
-
-(* The state count a body reports: for a certified orbit quotient, the
-   unreduced reachable count recovered from the certificate -- which is
-   what makes [sym=on] and [sym=off] bodies identical. *)
-let body_states inst =
-  with_arena inst
-    { visit =
-        (fun arena cert _ ->
-           match cert with
-           | Some c when c.Sym.reduced -> c.Sym.full_states
-           | _ -> Mdp.Arena.num_states arena) }
-
 let params_json (p : params) =
   let c = case_study p.family in
   let read field v = if List.mem field c.reads then [ (field, J.Int v) ] else [] in
   [ ("n", J.Int p.n); ("g", J.Int p.g); ("k", J.Int p.k) ]
   @ (if c.topologies = [] then [] else [ ("topology", J.Str p.topology) ])
   @ read "bound" p.bound @ read "cap" p.cap
-
-(* The ["arrows"] and ["composed"] fields.  LR's arrows name their
-   sets ([sets]); a ladder's rungs are named by their labels alone. *)
-let arrow_fields ~sets arrows composed =
-  let arrow (a : _ Mdp.Checker.arrow) =
-    let named =
-      if sets then
-        [ ("pre", J.Str (Core.Pred.name a.pre));
-          ("post", J.Str (Core.Pred.name a.post)) ]
-      else []
-    in
-    J.Obj
-      ((("label", J.Str a.label) :: named)
-       @ [ ("time", rat a.time); ("prob", rat a.prob);
-           ("attained", rat a.attained);
-           ("holds", J.Bool (a.claim <> None)) ])
-  in
-  [ ("arrows", J.Arr (List.map arrow arrows));
-    ("composed", composed_json composed) ]
 
 (* Below this many arena states the proof region runs inline: spawning
    and joining a helper domain costs more than the passes it would
@@ -460,124 +405,18 @@ let arrow_fields ~sets arrows composed =
    (2 708) 75.2 vs 58.6 ms, election n=6 (4 089) 44.9 vs 36.6 ms. *)
 let inline_below = 1024
 
-(* What one pass of the LR proof region yields. *)
-type lr_pass =
-  | Fields of (string * J.t) list
-  | Arrow of LR.Proof.arrow
-  | Renamings of LR.Proof.renaming list
-
-(* The LR ring and topologies run one task per engine call, longest
-   first -- value iteration, the 14-layer direct bound, the arrows by
-   their tick layers (A.11: 6, A.15: 4, A.3, A.14, A.1) with the
-   composition's inclusions (about as long as A.11) among them, then
-   the invariant -- so that claiming tasks in index order keeps the
-   domains evenly loaded.  The fields and the composition are
-   assembled after the region, in field order. *)
-let lr_fields ?helpers ~states ~invariant ~arrow ~renamings ~compose
-    ~direct_bound ~vi () =
-  match
-    Parallel.Fork.run ?helpers
-      [| (fun () -> Fields (vi ()));
-         (fun () -> Fields [ ("direct_bound", rat (direct_bound ())) ]);
-         (fun () -> Arrow (arrow `G_to_P));
-         (fun () -> Renamings (renamings ()));
-         (fun () -> Arrow (arrow `RT_to_FGP));
-         (fun () -> Arrow (arrow `T_to_RTC));
-         (fun () -> Arrow (arrow `F_to_GP));
-         (fun () -> Arrow (arrow `P_to_C));
-         (fun () -> Fields [ ("invariant", invariant ()) ]) |]
-  with
-  | [| Fields vi; Fields direct; Arrow a11; Renamings renamings; Arrow a15;
-       Arrow a3; Arrow a14; Arrow a1; Fields invariant |] ->
-    let arrows = [ a1; a3; a15; a14; a11 ] in
-    (states :: invariant)
-    @ arrow_fields ~sets:true arrows (compose ~renamings arrows)
-    @ direct @ vi
-  | _ -> assert false
-
-(* Each family's independent passes run through one fork region: the
-   LR families' as in [lr_fields], the others' as contiguous groups of
-   fields, concatenated in field order.  Every engine runs whole on one
-   domain, so each pass computes exactly what it computes alone. *)
+(* The state count, then the view's fields.  For a certified orbit
+   quotient the count is the unreduced one the certificate records --
+   which is what makes [sym=on] and [sym=off] bodies identical. *)
 let check_fields inst =
-  let helpers =
-    if
-      with_arena inst
-        { visit = (fun arena _ _ -> Mdp.Arena.num_states arena) }
-      < inline_below
-    then Some 0
-    else None
-  in
-  let states = ("states", J.Int (body_states inst)) in
-  let groups tasks =
-    List.concat (Array.to_list (Parallel.Fork.run ?helpers tasks))
-  in
-  match inst with
-  | Lr i ->
-    lr_fields ?helpers ~states
-      ~invariant:(fun () -> holds (LR.Invariant.check i.LR.Proof.expl))
-      ~arrow:(LR.Proof.arrow i)
-      ~renamings:(fun () -> LR.Proof.renamings i)
-      ~compose:(fun ~renamings -> LR.Proof.compose_arrows ~renamings i)
-      ~direct_bound:(fun () -> LR.Proof.direct_bound i)
-      ~vi:(fun () ->
-          [ ( "expected_bound",
-              rat (Core.Expected.value (LR.Proof.expected_bound ())) );
-            ("max_expected_time", J.Num (LR.Proof.max_expected_time i)) ])
-      ()
-  | Lr_topo i ->
-    lr_fields ?helpers ~states
-      ~invariant:(fun () -> holds (LR.Proof.invariant_topo i))
-      ~arrow:(LR.Proof.arrow_topo i)
-      ~renamings:(fun () -> LR.Proof.renamings_topo i)
-      ~compose:(fun ~renamings -> LR.Proof.compose_arrows_topo ~renamings i)
-      ~direct_bound:(fun () -> LR.Proof.direct_bound_topo i)
-      ~vi:(fun () ->
-          [ ("max_expected_time", J.Num (LR.Proof.max_expected_time_topo i))
-          ])
-      ()
-  | Election i ->
-    groups
-    [| (fun () -> [ states ]);
-       (fun () ->
-          let arrows = IR.Proof.arrows i in
-          arrow_fields ~sets:false arrows (IR.Proof.compose_arrows arrows));
-       (fun () ->
-          [ ( "expected_bound",
-              rat
-                (Core.Expected.value
-                   (IR.Proof.expected_bound
-                      ~n:i.IR.Proof.params.IR.Automaton.n)) );
-            ("max_expected_time", J.Num (IR.Proof.max_expected_time i)) ]) |]
-  | Coin i ->
-    groups
-    [| (fun () -> [ states ]);
-       (fun () ->
-          let arrows = SC.Proof.arrows i in
-          arrow_fields ~sets:false arrows (SC.Proof.compose_arrows arrows));
-       (fun () -> [ ("direct_bound", rat (SC.Proof.direct_bound i)) ]);
-       (fun () ->
-          [ ("expected_exact", J.Num (SC.Proof.expected_exact i));
-            ("expected_theory", J.Num (SC.Proof.expected_theory i)) ]) |]
-  | Consensus i ->
-    let { BO.Automaton.f; cap; _ } = i.BO.Proof.params in
-    groups
-    [| (fun () ->
-          [ states;
-            ("f", J.Int f);
-            ("agreement", holds (BO.Proof.agreement_violation i)) ]);
-       (fun () ->
-          let curve =
-            BO.Proof.decision_curve i ~rounds:(List.init cap (fun r -> r + 1))
-          in
-          [ ( "decision_curve",
-              J.Arr
-                (List.mapi
-                   (fun idx p ->
-                      J.Obj
-                        [ ("rounds", J.Int (idx + 1)); ("min_prob", rat p) ])
-                   curve) ) ]) |]
-
+  let (View v) = view inst in
+  let states = Mdp.Arena.num_states v.arena in
+  let helpers = if states < inline_below then Some 0 else None in
+  ( "states",
+    J.Int
+      (match v.cert with Some c when c.Sym.reduced -> c.Sym.full_states
+       | _ -> states) )
+  :: v.fields ~helpers
 
 (* ------------------------------------------------------------------ *)
 (* Certificates. *)
@@ -594,218 +433,70 @@ let leaf_params (p : params) =
   @ if c.topologies = [] then [] else [ ("topology", p.topology) ]
 
 let certificate ~config inst =
-  let emit = function
-    | Error e -> Error e
-    | Ok claim ->
-      Ok (Cert.Emit.emit ~config ~fingerprint:(fingerprint inst) claim)
-  in
-  match inst with
-  | Lr i -> emit (LR.Proof.composed i)
-  | Lr_topo i -> emit (LR.Proof.composed_topo i)
-  | Election i -> emit (IR.Proof.composed i)
-  | Coin i -> emit (SC.Proof.composed i)
-  | Consensus i ->
-    emit
-      (BO.Proof.composed i ~rounds:i.BO.Proof.params.BO.Automaton.cap)
+  let (View v) = view inst in
+  Result.map
+    (fun claim ->
+       Cert.Emit.emit ~config ~fingerprint:(Mdp.Arena.fingerprint v.arena)
+         claim)
+    (v.composed ())
 
 (* ------------------------------------------------------------------ *)
 (* The [prtb check] text report. *)
 
-(* [reachable states] under a certified quotient: the representative
-   count plus the full space it stands for, so logs stay comparable
-   across --sym settings. *)
-let print_states label count (cert : Sym.certificate option) =
-  match cert with
-  | Some c when c.Sym.reduced ->
-    Printf.printf "%s: %d (orbit quotient of %d)\n%!" label count
-      c.Sym.full_states
-  | _ -> Printf.printf "%s: %d\n%!" label count
-
-let print_cert (cert : Sym.certificate option) =
-  match cert with
-  | None -> ()
-  | Some c ->
-    Printf.printf
-      "symmetry certificate: %d generator(s) verified on %d state(s), \
-       %d predicate(s) invariant%s\n%!"
-      (List.length c.Sym.cert_generators)
-      c.Sym.states_checked
-      (List.length c.Sym.preds_checked)
-      (if c.Sym.reduced then " (quotient exploration)" else "")
-
-(* The arrows one per line, then the composition.  A ladder's line is
-   [label attained (verdict)]; the ring's ([statements]) spells out
-   each statement and follows the composed claim with its
-   derivation. *)
-let print_ladder ?(statements = false) width arrows composed =
-  List.iter
-    (fun (a : _ Mdp.Checker.arrow) ->
-       let verdict = if a.claim <> None then "holds" else "FAILS" in
-       if statements then
-         Format.printf "%-*s %s -%s->_%s %s : attained %s (%s)@." width
-           a.label (Core.Pred.name a.pre) (Q.to_string a.time)
-           (Q.to_string a.prob) (Core.Pred.name a.post)
-           (Q.to_string a.attained) verdict
-       else
-         Format.printf "%-*s attained %s (%s)@." width a.label
-           (Q.to_string a.attained) verdict)
-    arrows;
-  match composed with
-  | Ok claim when statements ->
-    Format.printf "@.composed: %a@.@.%a@." Core.Claim.pp claim
-      Core.Claim.pp_derivation claim
-  | Ok claim -> Format.printf "composed: %a@." Core.Claim.pp claim
-  | Error e -> Printf.printf "composition failed: %s\n" e
-
-let print_body inst =
-  with_arena inst
-    { visit =
-        (fun arena cert _ ->
-           print_states "reachable states" (Mdp.Arena.num_states arena) cert;
-           print_cert cert) };
-  let lemma_6_1 what = function
-    | None ->
-      Printf.printf "Lemma 6.1%s: holds on every reachable state\n%!" what
-    | Some s -> Format.printf "Lemma 6.1 VIOLATED at %a@." LR.State.pp s
-  in
-  match inst with
-  | Lr i ->
-    lemma_6_1 "" (LR.Invariant.check i.LR.Proof.expl);
-    let arrows = LR.Proof.arrows i in
-    print_ladder ~statements:true 5 arrows (LR.Proof.compose_arrows i arrows);
-    Format.printf "@.expected-time derivation:@.%a@." Core.Expected.pp
-      (LR.Proof.expected_bound ());
-    Printf.printf "measured worst-case expected time: %.3f\n"
-      (LR.Proof.max_expected_time i)
-  | Lr_topo i ->
-    lemma_6_1 " (generalized)" (LR.Proof.invariant_topo i);
-    let arrows = LR.Proof.arrows_topo i in
-    print_ladder 5 arrows (LR.Proof.compose_arrows_topo i arrows);
-    Printf.printf "direct 13-unit minimum: %s; worst expected time: %.3f\n"
-      (Q.to_string (LR.Proof.direct_bound_topo i))
-      (LR.Proof.max_expected_time_topo i)
-  | Election i ->
-    let arrows = IR.Proof.arrows i in
-    print_ladder 4 arrows (IR.Proof.compose_arrows arrows);
-    Printf.printf "expected bound: %s; measured worst case: %.3f\n"
-      (Q.to_string
-         (Core.Expected.value
-            (IR.Proof.expected_bound ~n:i.IR.Proof.params.IR.Automaton.n)))
-      (IR.Proof.max_expected_time i)
-  | Coin i ->
-    let arrows = SC.Proof.arrows i in
-    print_ladder 4 arrows (SC.Proof.compose_arrows arrows);
-    Printf.printf
-      "direct minimum within %d: %s\nexpected time: exact %.3f vs B^2/n = \
-       %.3f\n"
-      i.SC.Proof.params.SC.Automaton.bound
-      (Q.to_string (SC.Proof.direct_bound i))
-      (SC.Proof.expected_exact i)
-      (SC.Proof.expected_theory i)
-  | Consensus i ->
-    Printf.printf "agreement: %s\n"
-      (match BO.Proof.agreement_violation i with
-       | None -> "holds"
-       | Some _ -> "VIOLATED");
-    List.iteri
-      (fun idx q ->
-         Printf.printf "min P[decided within %d round(s)] = %s\n" (idx + 1)
-           (Q.to_string q))
-      (BO.Proof.decision_curve i
-         ~rounds:
-           (List.init i.BO.Proof.params.BO.Automaton.cap (fun r -> r + 1)))
-
 (* The heading goes out before the build, so a refused build still
-   names what was asked for. *)
+   names what was asked for.  Under a certified quotient the state line
+   adds the full space it stands for, so logs stay comparable across
+   --sym settings. *)
 let report ?max_states ?sym (p : params) =
   Printf.printf "%s\n%!" ((case_study p.family).heading (normalize p));
-  print_body (resolve ?max_states ?sym p)
+  let (View v) = view (resolve ?max_states ?sym p) in
+  let states = Mdp.Arena.num_states v.arena in
+  (match v.cert with
+   | Some c when c.Sym.reduced ->
+     Printf.printf "reachable states: %d (orbit quotient of %d)\n%!" states
+       c.Sym.full_states
+   | _ -> Printf.printf "reachable states: %d\n%!" states);
+  Option.iter
+    (fun (c : Sym.certificate) ->
+       Printf.printf
+         "symmetry certificate: %d generator(s) verified on %d state(s), \
+          %d predicate(s) invariant%s\n%!"
+         (List.length c.cert_generators) c.states_checked
+         (List.length c.preds_checked)
+         (if c.reduced then " (quotient exploration)" else ""))
+    v.cert;
+  v.body ()
 
 (* ------------------------------------------------------------------ *)
-(* Monte Carlo. *)
+(* Monte Carlo: the family's setup from its description.  A tick lasts
+   one time unit. *)
 
 type simulation =
-  | Simulation : {
-      setup : ('s, 'a) Sim.Monte_carlo.setup;
-      target : 's -> bool;
-      reach : string;
-      horizon : int;
-      time_report :
-        trials:int -> missed:int -> Proba.Stat.Summary.t -> string;
-    }
-      -> simulation
+  | Simulation :
+      ('s, 'a) Sim.Monte_carlo.setup * ('s, 'a) Desc.monte_carlo -> simulation
 
 let simulation ?(scheduler = "uniform") p =
-  let { params = p; f; initial } = normalize p in
-  let { n; g; k; _ } = p in
-  let mean = Proba.Stat.Summary.mean in
-  (* A tick lasts one time unit.  Every family but lr runs the uniform
-     scheduler only. *)
-  let run (d : (_, _, _) Desc.t) ?schedulers ~start ~target ~reach ~horizon
-      time_report =
-    let named =
-      Option.value schedulers
-        ~default:[ ("uniform", Sim.Scheduler.uniform d.pa) ]
-    in
-    match List.assoc_opt scheduler named, schedulers with
-    | Some sched, _ ->
-      let duration a = if d.is_tick a then 1 else 0 in
-      Ok
-        (Simulation
-           { setup = { pa = d.pa; scheduler = sched; duration; start };
-             target; reach; horizon; time_report })
-    | None, Some _ -> Error (Printf.sprintf "unknown scheduler %S" scheduler)
-    | None, None ->
-      Error
-        (Printf.sprintf "scheduler %S applies to the lr model only" scheduler)
-  in
-  match p.family with
-  | `Lr when p.topology <> "ring" ->
+  let t = normalize p in
+  let (Case (d, _)) = case t in
+  match d.monte_carlo with
+  | None ->
     Error
-      (Printf.sprintf "no Monte Carlo setup for the %s topology" p.topology)
-  | `Lr ->
-    let d = LR.Proof.describe { n; g; k } in
-    run d ~schedulers:(LR.Schedulers.all d.pa)
-      ~start:(LR.State.all_trying ~n ~g ~k) ~target:lr_target
-      ~reach:"some process critical" ~horizon:(13 * g)
-      (fun ~trials ~missed s ->
-         let lo, hi = Proba.Stat.Summary.mean_ci s in
-         Printf.sprintf
-           "E[time to critical] ~ %.3f  (95%% CI [%.3f, %.3f], %d trials, \
-            %d missed, scheduler %s; paper bound 63)\n"
-           (mean s) lo hi trials missed scheduler)
-  | `Election ->
-    let params = { IR.Automaton.n; g; k } in
-    run (IR.Proof.describe params) ~start:(IR.Automaton.start params)
-      ~target:IR.Automaton.leader_elected ~reach:"leader elected"
-      ~horizon:(2 * n * g)
-      (fun ~trials ~missed s ->
-         Printf.sprintf
-           "E[election time] ~ %.3f  (%d trials, %d missed; derived bound \
-            %d)\n"
-           (mean s) trials missed
-           (2 * (n - 1)))
-  | `Coin ->
-    let params = { SC.Automaton.n; bound = p.bound; g; k } in
-    run (SC.Proof.describe params) ~start:(SC.Automaton.start params)
-      ~target:(SC.Automaton.decided params) ~reach:"decided"
-      ~horizon:(4 * p.bound * p.bound * g)
-      (fun ~trials ~missed s ->
-         Printf.sprintf
-           "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = %.3f)\n"
-           (mean s) trials missed (SC.Proof.theory params))
-  | `Consensus ->
-    let params = { BO.Automaton.n; f; cap = p.cap; g; k } in
-    run
-      (BO.Proof.describe params ~initial)
-      ~start:(BO.Automaton.start params initial)
-      ~target:BO.Automaton.some_decided ~reach:"some process decided"
-      ~horizon:(4 * p.cap * g)
-      (fun ~trials ~missed s ->
-         Printf.sprintf
-           "E[decision time] ~ %.3f  (%d trials, %d missed; mixed start, \
-            uniform scheduler)\n"
-           (mean s) trials missed)
+      (Printf.sprintf "no Monte Carlo setup for the %s topology"
+         t.params.topology)
+  | Some mc -> (
+      let named = mc.schedulers d.pa in
+      match List.assoc_opt scheduler named with
+      | Some sched ->
+        let duration a = if d.is_tick a then 1 else 0 in
+        Ok
+          (Simulation
+             ({ pa = d.pa; scheduler = sched; duration; start = mc.start }, mc))
+      | None when List.length named > 1 ->
+        Error (Printf.sprintf "unknown scheduler %S" scheduler)
+      | None ->
+        Error
+          (Printf.sprintf "scheduler %S applies to the lr model only"
+             scheduler))
 
 (* ------------------------------------------------------------------ *)
 (* The walker of examples/quickstart.ml, registered here so the lint
@@ -847,65 +538,20 @@ module Walker = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Lint runners.  A case-study target resolves its instance through the
-   registry and hands the instance's arena to the analysis, so a
-   process that both checks and lints a model explores and compiles it
-   once.
-
-   Every case study also hands its declared symmetry spec to the
-   analysis, so [prtb lint] verifies the generators (PA030), the
+(* Lint runners.  A case-study target hands the registry instance's
+   arena to the analysis, so a process that both checks and lints a
+   model explores and compiles it once, and its view's declared
+   symmetry, so [prtb lint] verifies the generators (PA030) and the
    predicate invariance (PA031) and nudges unreduced-but-symmetric runs
-   (PA032) alongside the classic PA checks.  [sym] selects the
-   exploration mode (the certificate gating the quotient is
-   re-derived inside the analysis pass; lint targets are small enough
-   that the duplicated verification is in the noise). *)
-
-(* The checked arrows' claims by label, then the composed claim. *)
-let claims arrows composed =
-  List.filter_map
-    (fun (a : _ Mdp.Checker.arrow) ->
-       Option.map (fun c -> (a.label, c)) a.claim)
-    arrows
-  @ match composed with Ok c -> [ ("composed", c) ] | Error _ -> []
+   (PA032).  [sym] selects the exploration mode. *)
 
 let lint_case name p ~max_states ?sym () =
-  let run (d : (_, _, _) Desc.t) ~claims arena cert =
-    Analysis.run_explored ~arena
-      (Analysis.config ~name ~is_tick:d.is_tick ~claims ~max_states
-         ~symmetry:d.spec ~sym_reduced:(cert <> None) d.pa)
-      (Mdp.Arena.explored arena)
-  in
-  match resolve ~max_states ?sym p with
-  | Lr i ->
-    let arrows = LR.Proof.arrows i in
-    run (LR.Proof.describe i.LR.Proof.params)
-      ~claims:(claims arrows (LR.Proof.compose_arrows i arrows))
-      i.LR.Proof.arena i.LR.Proof.sym
-  | Lr_topo i ->
-    let arrows = LR.Proof.arrows_topo i in
-    run
-      (LR.Proof.describe_topo ~topo:i.LR.Proof.topo ~g:i.LR.Proof.tg
-         ~k:i.LR.Proof.tk)
-      ~claims:(claims arrows (LR.Proof.compose_arrows_topo i arrows))
-      i.LR.Proof.tarena i.LR.Proof.tsym
-  | Election i ->
-    let arrows = IR.Proof.arrows i in
-    run (IR.Proof.describe i.IR.Proof.params)
-      ~claims:(claims arrows (IR.Proof.compose_arrows arrows))
-      i.IR.Proof.arena i.IR.Proof.sym
-  | Coin i ->
-    let arrows = SC.Proof.arrows i in
-    run (SC.Proof.describe i.SC.Proof.params)
-      ~claims:(claims arrows (SC.Proof.compose_arrows arrows))
-      i.SC.Proof.arena i.SC.Proof.sym
-  | Consensus i ->
-    let { BO.Automaton.n; cap; _ } = i.BO.Proof.params in
-    let arrow =
-      BO.Proof.decision_arrow i ~rounds:cap ~prob:(Q.pow Q.half n)
-    in
-    run (BO.Proof.describe i.BO.Proof.params ~initial:i.BO.Proof.initial)
-      ~claims:(claims [ arrow ] (Error "no composition"))
-      i.BO.Proof.arena i.BO.Proof.sym
+  let (View v) = view (resolve ~max_states ?sym p) in
+  Analysis.run_explored ~arena:v.arena
+    (Analysis.config ~name ~is_tick:v.is_tick ~claims:(v.claims ())
+       ~max_states ~symmetry:(v.symmetry ()) ~sym_reduced:(v.cert <> None)
+       (Mdp.Arena.automaton v.arena))
+    (Mdp.Arena.explored v.arena)
 
 let lint_walker ~max_states ?sym:_ () =
   Analysis.run
@@ -931,7 +577,7 @@ let lint_lr_crash ~max_states ?sym:_ () =
   Analysis.run_explored ~arena
     (Analysis.config ~name:"lr-crash" ~is_tick:Faults.Lr.is_tick
        ~claims:
-         (claims [ d.Faults.Lr.arrow1; d.Faults.Lr.arrow2 ]
+         (Desc.claims [ d.Faults.Lr.arrow1; d.Faults.Lr.arrow2 ]
             d.Faults.Lr.composed)
        ~fault_view:
          (Faults.Inject.faulted,

@@ -13,10 +13,14 @@
 
     A query's {!params} normalize to a full parameter {!tuple}: the
     registry key is printed from it, and {!case} maps it to the family
-    library's {!Analysis.Description}, which the registry builds and
-    the snapshot loader rebuilds.  What a family reads, its conventions
-    and its report heading are rows of one table.  The registry also
-    owns the built-in [prtb lint] targets. *)
+    library's {!Analysis.Description}, which the registry builds, the
+    snapshot loader rebuilds and Monte Carlo reads.  What a family
+    reads, its conventions and its report heading are rows of one
+    table.  Everything a surface reads of a built instance -- the
+    arena, the [/check] fields, the text report, the certificate, the
+    lint claims -- is the family library's
+    {!Analysis.Description.view} of it, from one opener, {!view}.  The
+    registry also owns the built-in [prtb lint] targets. *)
 
 (** The Example 4.1 two-coin automaton (here so the lint-target table
     needs nothing from the experiments library). *)
@@ -110,17 +114,11 @@ val case : tuple -> case
 val resolve :
   ?max_states:int -> ?sym:Analysis.Symmetry.mode -> params -> instance
 
-(** A function over an instance's compiled arena, whatever its state
-    type: the arena, its symmetry certificate, and the family's
-    reachability target (the critical region, an elected leader, a
-    decided coin or process). *)
-type 'r visitor = {
-  visit :
-    's 'a. ('s, 'a) Mdp.Arena.t -> Analysis.Symmetry.certificate option ->
-    ('s -> bool) -> 'r;
-}
+(** The family library's view of an instance, whatever its state type.
+    Opening one builds nothing: no pass runs until a closure is called. *)
+type view = View : ('s, 'a) Analysis.Description.view -> view
 
-val with_arena : instance -> 'r visitor -> 'r
+val view : instance -> view
 
 (** {1 What the surfaces print} *)
 
@@ -129,9 +127,9 @@ val params_json : params -> (string * Analysis.Json.t) list
 
 (** The [/check] result fields after the header, as [prtb check
     --format json] prints them.  Independent passes (the arrows, the
-    direct bound, value iteration, ...) run concurrently through a
-    {!Parallel}[.Fork] region, inline on a server worker; the fields are
-    the same bytes on any schedule. *)
+    direct bound, value iteration, ...) run concurrently through the
+    view's {!Parallel}[.Fork] region, inline on a server worker; the
+    fields are the same bytes on any schedule. *)
 val check_fields : instance -> (string * Analysis.Json.t) list
 
 (** The family parameters every certificate leaf records. *)
@@ -151,25 +149,17 @@ val report :
 
 (** {1 Monte Carlo} *)
 
+(** A seeded setup under the chosen scheduler, with its family's target. *)
 type simulation =
-  | Simulation : {
-      setup : ('s, 'a) Sim.Monte_carlo.setup;
-      target : 's -> bool;
-      reach : string;  (** what [target] means, e.g. ["decided"] *)
-      horizon : int;
-          (** the family's time bound at these parameters, in slots:
-              the deadline estimate's [within] *)
-      time_report :
-        trials:int -> missed:int -> Proba.Stat.Summary.t -> string;
-          (** the [prtb simulate] expected-time line *)
-    }
+  | Simulation :
+      ('s, 'a) Sim.Monte_carlo.setup * ('s, 'a) Analysis.Description.monte_carlo
       -> simulation
 
 (** The seeded Monte Carlo setup for [p] under the named scheduler
     (default ["uniform"]; lr also runs [eager], [delayer], [starver]
-    and [round-robin]).  [Error] names an unknown scheduler, a
-    non-uniform one outside lr, or an lr topology other than the
-    ring. *)
+    and [round-robin]), from the description {!case} gives [p]'s tuple.
+    [Error] names an unknown scheduler, a non-uniform one outside lr,
+    or an lr topology other than the ring. *)
 val simulation : ?scheduler:string -> params -> (simulation, string) result
 
 (** {1 Typed builders}

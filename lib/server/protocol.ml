@@ -173,7 +173,15 @@ let check_fields fields =
 
 let parse_check fields = Check (check_fields fields)
 
+(* Monte Carlo runs a family at [Models.sim_params], so a query naming
+   a /check field is refused rather than answered for parameters it did
+   not ask about. *)
 let parse_simulate fields =
+  List.iter
+    (fun name ->
+       if fields name <> None then
+         reject 400 "SRV103" "field %S is not read by /simulate" name)
+    [ "g"; "k"; "topology"; "bound"; "cap"; "max_states"; "sym"; "plane" ];
   let sim_model = model_field fields in
   let sim_n = positive "n" (int_field fields "n" ~default:8) in
   in_range ~explored:false (Models.sim_params sim_model ~n:sim_n);

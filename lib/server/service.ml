@@ -156,6 +156,11 @@ let exact ~schema ~max_states (c : Protocol.check_query) body =
     header ~schema ~verdict:"not-certified" c
       [ ("code", J.Str "SRV121"); ("message", J.Str msg) ]
 
+let proportion_fields p =
+  let lo, hi = Proba.Stat.Proportion.wilson_ci p in
+  [ ("estimate", J.Num (Proba.Stat.Proportion.estimate p));
+    ("ci95", J.Arr [ J.Num lo; J.Num hi ]) ]
+
 (* The Estimate rung of the deadline ladder: one seeded Monte Carlo
    trial against the query's own instance, so a degraded body still
    carries quantitative content.  It runs from [under_deadline]'s
@@ -165,19 +170,16 @@ let exact ~schema ~max_states (c : Protocol.check_query) body =
 let deadline_estimate (c : Protocol.check_query) =
   match Models.simulation (Protocol.params c) with
   | Error _ -> J.Null
-  | Ok (Models.Simulation m) ->
-    let trials = 1 in
+  | Ok (Models.Simulation (setup, m)) ->
     let prop =
-      Sim.Monte_carlo.estimate_reach m.setup ~target:m.target
-        ~within:m.horizon ~trials ~seed:1994
+      Sim.Monte_carlo.estimate_reach setup ~target:m.target
+        ~within:m.horizon ~trials:1 ~seed:1994
     in
-    let lo, hi = Proba.Stat.Proportion.wilson_ci prop in
     J.Obj
-      [ ("kind", J.Str "monte-carlo");
-        ("within", J.Int m.horizon);
-        ("trials", J.Int trials);
-        ("estimate", J.Num (Proba.Stat.Proportion.estimate prop));
-        ("ci95", J.Arr [ J.Num lo; J.Num hi ]) ]
+      ([ ("kind", J.Str "monte-carlo");
+         ("within", J.Int m.horizon);
+         ("trials", J.Int 1) ]
+       @ proportion_fields prop)
 
 (* The SRV122 body deliberately contains nothing timing-dependent
    (no elapsed milliseconds, no interned-state count): where the
@@ -250,12 +252,6 @@ let cert_json ?(max_states = default_max_states) (c : Protocol.check_query) =
 (* ------------------------------------------------------------------ *)
 (* /simulate. *)
 
-let proportion_json p =
-  let lo, hi = Proba.Stat.Proportion.wilson_ci p in
-  J.Obj
-    [ ("estimate", J.Num (Proba.Stat.Proportion.estimate p));
-      ("ci95", J.Arr [ J.Num lo; J.Num hi ]) ]
-
 let summary_json s missed =
   let lo, hi = Proba.Stat.Summary.mean_ci s in
   J.Obj
@@ -281,20 +277,20 @@ let simulate_json t (s : Protocol.simulate_query) =
       (Models.sim_params s.Protocol.sim_model ~n:s.Protocol.sim_n)
   with
   | Error msg -> Error (Protocol.error ~status:400 ~code:"SRV103" msg)
-  | Ok (Models.Simulation m) ->
+  | Ok (Models.Simulation (setup, m)) ->
     (match s.Protocol.within with
      | Some within ->
        let prop =
-         Sim.Monte_carlo.estimate_reach m.setup ~target:m.target ~within
+         Sim.Monte_carlo.estimate_reach setup ~target:m.target ~within
            ~trials ~seed
        in
        Ok
          (sim_header s ~trials
-            [ ("within", J.Int within); ("reach", proportion_json prop) ])
+            [ ("within", J.Int within);
+              ("reach", J.Obj (proportion_fields prop)) ])
      | None ->
        let summary, missed =
-         Sim.Monte_carlo.estimate_time m.setup ~target:m.target ~trials ~seed
-           ()
+         Sim.Monte_carlo.estimate_time setup ~target:m.target ~trials ~seed ()
        in
        Ok (sim_header s ~trials [ ("time", summary_json summary missed) ]))
 
@@ -459,7 +455,10 @@ let rec dispatch t query =
       if sleep_ms > 0 then Unix.sleepf (float_of_int sleep_ms /. 1000.0);
       ok_reply t (J.to_string (health_json t))
     | Protocol.Stats -> ok_reply t (J.to_string (stats_json t))
-    | Protocol.Check c ->
+    | Protocol.Check c | Protocol.Cert c ->
+      let body =
+        match query with Protocol.Cert _ -> cert_json | _ -> check_json
+      in
       let c =
         { c with
           Protocol.deadline_ms =
@@ -467,16 +466,7 @@ let rec dispatch t query =
       in
       track t (fun () ->
           with_cache t query (fun () ->
-              Ok (check_json ~max_states:t.config.max_states c)))
-    | Protocol.Cert c ->
-      let c =
-        { c with
-          Protocol.deadline_ms =
-            effective_deadline t c.Protocol.deadline_ms }
-      in
-      track t (fun () ->
-          with_cache t query (fun () ->
-              Ok (cert_json ~max_states:t.config.max_states c)))
+              Ok (body ~max_states:t.config.max_states c)))
     | Protocol.Simulate s ->
       let dl = effective_deadline t s.Protocol.sim_deadline_ms in
       track t (fun () ->

@@ -1,4 +1,6 @@
 module Q = Proba.Rational
+module J = Analysis.Json
+module Desc = Analysis.Description
 
 type instance = {
   params : Automaton.params;
@@ -7,17 +9,30 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+let theory (p : Automaton.params) =
+  let b = float_of_int p.Automaton.bound in
+  b *. b /. float_of_int p.Automaton.n
+
+let monte_carlo ({ Automaton.bound; g; _ } as params) =
+  { Desc.schedulers = (fun pa -> [ ("uniform", Sim.Scheduler.uniform pa) ]);
+    start = Automaton.start params; target = Automaton.decided params;
+    reach = "decided"; horizon = 4 * bound * bound * g;
+    time_report =
+      (fun ~scheduler:_ ~trials ~missed s ->
+         Printf.sprintf
+           "E[decision time] ~ %.3f  (%d trials, %d missed; B^2/n = %.3f)\n"
+           (Proba.Stat.Summary.mean s) trials missed (theory params)) }
+
 let describe params =
-  { Analysis.Description.label = "shared_coin"; pa = Automaton.make params;
+  { Desc.label = "shared_coin"; pa = Automaton.make params;
     spec = Symmetry.spec params; is_tick = Automaton.is_tick;
     instance =
-      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym })
-  }
+      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym });
+    monte_carlo = Some (monte_carlo params) }
 
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     ~bound () =
-  Analysis.Description.build ?max_states ~sym
-    (describe { Automaton.n; bound; g; k })
+  Desc.build ?max_states ~sym (describe { Automaton.n; bound; g; k })
 
 type arrow = Automaton.state Mdp.Checker.arrow
 
@@ -74,13 +89,40 @@ let expected_exact inst =
   | value, _, 1 -> value /. float_of_int inst.params.Automaton.g
   | _ -> nan
 
-let theory (p : Automaton.params) =
-  let b = float_of_int p.Automaton.bound in
-  b *. b /. float_of_int p.Automaton.n
-
 let expected_theory inst = theory inst.params
 
 let liveness_holds inst =
   let target = Mdp.Arena.indicator inst.arena (decided_pred inst) in
   let always = Mdp.Qualitative.always_reaches inst.arena ~target in
   Array.for_all (fun b -> b) always
+
+let view inst =
+  { Desc.arena = inst.arena; cert = inst.sym;
+    target = Automaton.decided inst.params;
+    fields =
+      (fun ~helpers ->
+         Desc.groups ~helpers
+           [| (fun () ->
+                 let arrows = arrows inst in
+                 Desc.arrow_fields ~sets:false arrows (compose_arrows arrows));
+              (fun () -> [ ("direct_bound", Desc.rat (direct_bound inst)) ]);
+              (fun () ->
+                 [ ("expected_exact", J.Num (expected_exact inst));
+                   ("expected_theory", J.Num (expected_theory inst)) ]) |]);
+    body =
+      (fun () ->
+         let arrows = arrows inst in
+         Desc.print_ladder 4 arrows (compose_arrows arrows);
+         Printf.printf
+           "direct minimum within %d: %s\nexpected time: exact %.3f vs \
+            B^2/n = %.3f\n"
+           inst.params.Automaton.bound
+           (Q.to_string (direct_bound inst))
+           (expected_exact inst) (expected_theory inst));
+    composed = (fun () -> composed inst);
+    claims =
+      (fun () ->
+         let arrows = arrows inst in
+         Desc.claims arrows (compose_arrows arrows));
+    symmetry = (fun () -> Symmetry.spec inst.params);
+    is_tick = Automaton.is_tick }

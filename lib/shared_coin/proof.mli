@@ -37,6 +37,11 @@ val build :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   n:int -> bound:int -> unit -> instance
 
+(** The instance as the surfaces read it: the ladder and its
+    composition, the direct bound, the exact and [B^2/n] expected time. *)
+val view :
+  instance -> (Automaton.state, Automaton.action) Analysis.Description.view
+
 (** A rung, labelled [D]d. *)
 type arrow = Automaton.state Mdp.Checker.arrow
 

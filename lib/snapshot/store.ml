@@ -38,11 +38,11 @@ let describe c loaded =
         (Codec.bools_to_string c.initial)
     else ""
   in
+  let (Models.View v) = Models.view loaded in
   Printf.sprintf "%s n=%d g=%d k=%d%s sym=%s (%d states)" c.model c.n c.g
     c.k extra
     (Sym.mode_to_string c.sym)
-    (Models.with_arena loaded
-       { Models.visit = (fun arena _ _ -> Mdp.Arena.num_states arena) })
+    (Mdp.Arena.num_states v.arena)
 
 (* ------------------------------------------------------------------ *)
 (* Encoding. *)
@@ -92,11 +92,8 @@ let encode c loaded =
     invalid_arg
       (Printf.sprintf "Snapshot.Store.encode: config says %S, got a %s \
                        instance" c.model model);
-  let sections =
-    Models.with_arena loaded
-      { Models.visit = (fun arena cert _ -> arena_sections arena cert) }
-  in
-  Codec.encode (("config", config_payload c) :: sections)
+  let (Models.View v) = Models.view loaded in
+  Codec.encode (("config", config_payload c) :: arena_sections v.arena v.cert)
 
 let save ~path c loaded =
   let bytes = encode c loaded in

@@ -542,9 +542,9 @@ let simulations () =
 
 let test_monte_carlo_pool_bit_identical () =
   List.iter
-    (fun (name, Models.Simulation m) ->
+    (fun (name, Models.Simulation (setup, m)) ->
        let run helpers =
-         MC.estimate_reach ~helpers m.setup ~target:m.target
+         MC.estimate_reach ~helpers setup ~target:m.target
            ~within:m.horizon ~trials:300 ~seed:42
        in
        let inline = run 0 and forked = run 3 in
@@ -558,9 +558,9 @@ let test_monte_carlo_pool_bit_identical () =
 
 let test_monte_carlo_times_bit_identical () =
   List.iter
-    (fun (name, Models.Simulation m) ->
+    (fun (name, Models.Simulation (setup, m)) ->
        let run helpers =
-         MC.estimate_time ~helpers m.setup ~target:m.target ~trials:200
+         MC.estimate_time ~helpers setup ~target:m.target ~trials:200
            ~seed:7 ()
        in
        let s_inline, missed_inline = run 0
@@ -573,9 +573,9 @@ let test_monte_carlo_budgeted_counts () =
   (* Unlimited budget: the forked run must run exactly the batched trial
      count the inline run runs, with the same successes. *)
   List.iter
-    (fun (name, Models.Simulation m) ->
+    (fun (name, Models.Simulation (setup, m)) ->
        let run helpers =
-         MC.estimate_reach_budgeted ~helpers m.setup ~target:m.target
+         MC.estimate_reach_budgeted ~helpers setup ~target:m.target
            ~within:m.horizon ~initial_trials:4 ~seed:5 ()
        in
        let inline = run 0 and forked = run 3 in

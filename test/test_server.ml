@@ -379,7 +379,23 @@ let test_cli_bytes_pinned () =
       ("check consensus -n 3 --cap 2", "24db3254a1f9be5217a6f3e4a60ad647");
       ("check lr -n 3 --faults crash:1", "c60389a13746e7f9891ad29fbc944d86");
       ("lint --format json", "d780930cc9183b0e94a1412b218cc9df");
-      ("lint --format json --sym on", "3ab6ee6c16a8863bb52700ba5cd3b388") ]
+      ("lint --format json --sym on", "3ab6ee6c16a8863bb52700ba5cd3b388");
+      ( "simulate lr -n 4 --scheduler uniform --seed 7 --trials 300",
+        "da9ee2fb954213459e130e0af3df8497" );
+      ( "simulate lr -n 4 --scheduler eager --seed 7 --trials 300",
+        "fe94d6c892bbf739582c6527d35ea882" );
+      ( "simulate lr -n 4 --scheduler delayer --seed 7 --trials 300",
+        "dc49cd652e340afae7755ee50850c2aa" );
+      ( "simulate lr -n 4 --scheduler starver --seed 7 --trials 300",
+        "e468c201c2e79a567664ed47443b5227" );
+      ( "simulate lr -n 4 --scheduler round-robin --seed 7 --trials 300",
+        "6340b618d72e671e7733695144d80134" );
+      ( "simulate election -n 4 --seed 7 --trials 300",
+        "f1f7781a022dfcfd532d09ba9a17767e" );
+      ( "simulate coin -n 4 --seed 7 --trials 300",
+        "59c13fece2c0fec05ace3e983bf3a7ae" );
+      ( "simulate consensus -n 4 --seed 7 --trials 300",
+        "ac9d6273aa3d0163dd4fed28b870f922" ) ]
 
 (* The files [compile] and [export-dot] write are pinned by digest too:
    snapshot bytes carry the arena's CSR arrays, interned states and
@@ -536,8 +552,20 @@ let test_structured_errors () =
       ("/check?model=election&n=1", 400, "SRV103");
       ("/cert?model=lr&n=1", 400, "SRV103");
       ("/simulate?model=lr&n=1", 400, "SRV103");
+      ("/simulate?model=coin&n=3&bound=2", 400, "SRV103");
+      ("/simulate?model=coin&n=3&g=3", 400, "SRV103");
+      ("/simulate?model=lr&topology=star", 400, "SRV103");
       ("/lint?target=unknown", 404, "SRV104");
       ("/health?sleep_ms=90000", 400, "SRV103") ];
+  (* A field /simulate does not read is refused by name, not ignored. *)
+  List.iter
+    (fun (target, field) ->
+       let message = str_at [ "error"; "message" ] (parse_body (get target)) in
+       Alcotest.(check bool) (message ^ " names " ^ field) true
+         (Astring.String.is_infix ~affix:(Printf.sprintf "%S" field) message))
+    [ ("/simulate?model=coin&n=3&bound=2", "bound");
+      ("/simulate?model=coin&n=3&g=3", "g");
+      ("/simulate?model=lr&topology=star", "topology") ];
   let r = get ~meth:"POST" ~body:"{not json" "/check" in
   Alcotest.(check int) "malformed body status" 400 r.Server.Http.status;
   let j = parse_body r in

@@ -1182,7 +1182,10 @@ let test_orbit_refuses_non_bijection () =
 (* A full symmetric group's orbit, S_7 on seven distinct labels (5 040
    members), against the reference closure: the hashed membership past
    the scan limit must close the same orbit, numbered exactly as the
-   scan numbers it, and canonicalize every member alike. *)
+   scan numbers it, and canonicalize every member alike.  The reference
+   canonical form of every member is the one orbit's minimum (what
+   [Legacy.canonicalizer] folds for each), taken once from the
+   reference closure. *)
 let test_large_orbit () =
   let n = 7 in
   let swap =
@@ -1205,15 +1208,17 @@ let test_large_orbit () =
   Alcotest.(check int) "7! members" 5040 (List.length hashed);
   Alcotest.(check bool) "numbered as the scan numbers it" true
     (hashed = Sym.orbit ~equal gens s);
+  let reference = Legacy.orbit ~equal gens s in
   Alcotest.(check bool) "the reference closure's members" true
-    (List.sort compare hashed
-     = List.sort compare (Legacy.orbit ~equal gens s));
-  let spec = Sym.spec gens in
-  let canon = Sym.canonicalizer ~hash ~equal spec in
-  let reference = Legacy.canonicalizer ~equal spec in
+    (List.sort compare hashed = List.sort compare reference);
+  let canon = Sym.canonicalizer ~hash ~equal (Sym.spec gens) in
+  let minimum =
+    List.fold_left (fun best x -> if compare x best < 0 then x else best)
+      s reference
+  in
   List.iteri
     (fun i m ->
-       if i mod 97 = 0 && canon m <> reference m then
+       if i mod 97 = 0 && canon m <> minimum then
          Alcotest.failf "member %d canonicalizes differently" i)
     hashed
 
