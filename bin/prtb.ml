@@ -369,12 +369,16 @@ let check_cmd =
        | Failure msg -> refuse msg
        | Analysis.Symmetry.Not_certified msg -> not_certified msg
        | Mdp.Explore.Too_many_states m ->
+         (* Only fault-free runs explore under this ceiling, so the
+            advice keeps the question: a smaller instance, or the
+            orbit quotient of the same one. *)
          refuse
            (Printf.sprintf
-              "exploration stopped after interning %d states; rerun with \
-               --faults ... --budget states:N,wall:Ts to degrade \
-               gracefully to a Monte Carlo estimate"
-              m));
+              "exploration stopped after interning %d states (ceiling \
+               %d); shrink the instance%s"
+              m Server.Service.default_max_states
+              (if sym = Analysis.Symmetry.On then ""
+               else " or rerun with --sym on")));
       report_stats stats;
       Ok ()
   in

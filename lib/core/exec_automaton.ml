@@ -10,7 +10,7 @@ and ('s, 'a) kind =
   | Truncated
   | Step of 'a * (Q.t * ('s, 'a) node) list
 
-let unfold_from _m adv start_frag ~max_depth =
+let unfold _m adv s ~max_depth =
   let rec build frag depth =
     if depth >= max_depth then { frag; kind = Truncated }
     else begin
@@ -26,9 +26,7 @@ let unfold_from _m adv start_frag ~max_depth =
         { frag; kind = Step (step.Pa.action, children) }
     end
   in
-  build start_frag 0
-
-let unfold m adv s ~max_depth = unfold_from m adv (Exec.initial s) ~max_depth
+  build (Exec.initial s) 0
 
 let rec size node =
   match node.kind with

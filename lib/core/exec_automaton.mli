@@ -35,12 +35,6 @@ val unfold :
   ('s, 'a) Pa.t -> ('s, 'a) Adversary.t -> 's -> max_depth:int ->
   ('s, 'a) node
 
-(** [unfold_from m adv frag ~max_depth] starts from an arbitrary
-    fragment, as in [H(M, A, alpha)]. *)
-val unfold_from :
-  ('s, 'a) Pa.t -> ('s, 'a) Adversary.t -> ('s, 'a) Exec.t ->
-  max_depth:int -> ('s, 'a) node
-
 (** Number of nodes in the tree. *)
 val size : ('s, 'a) node -> int
 

@@ -31,30 +31,3 @@ let pp_action m = m.pp_action
 
 let is_terminal m s = m.enabled s = []
 let is_deterministic_at m s = List.length (m.enabled s) <= 1
-
-let steps_with_action m s a =
-  List.filter (fun step -> m.equal_action step.action a) (m.enabled s)
-
-let map_state ~to_ ~of_ ?pp_state m =
-  let pp_state =
-    match pp_state with
-    | Some pp -> pp
-    | None -> fun fmt t -> m.pp_state fmt (of_ t)
-  in
-  { start = List.map to_ m.start;
-    enabled =
-      (fun t ->
-         List.map
-           (fun step -> { step with dist = Proba.Dist.map to_ step.dist })
-           (m.enabled (of_ t)));
-    equal_state = (fun a b -> m.equal_state (of_ a) (of_ b));
-    hash_state = (fun t -> m.hash_state (of_ t));
-    equal_action = m.equal_action;
-    is_external = m.is_external;
-    pp_state;
-    pp_action = m.pp_action }
-
-let restrict m keep =
-  { m with
-    enabled =
-      (fun s -> List.filter (fun step -> keep s step.action) (m.enabled s)) }

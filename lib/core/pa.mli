@@ -53,20 +53,3 @@ val is_terminal : ('s, 'a) t -> 's -> bool
 (** At most one step enabled (the per-state half of "fully
     probabilistic", Definition 2.1). *)
 val is_deterministic_at : ('s, 'a) t -> 's -> bool
-
-(** [steps_with_action m s a] filters the enabled steps by action. *)
-val steps_with_action : ('s, 'a) t -> 's -> 'a -> ('s, 'a) step list
-
-(** {1 Transformations} *)
-
-(** [map_state ~to_ ~of_ m] relabels states along a bijection
-    ([to_ (of_ s) = s] is the caller's obligation). *)
-val map_state :
-  to_:('s -> 't) -> of_:('t -> 's) ->
-  ?pp_state:(Format.formatter -> 't -> unit) ->
-  ('s, 'a) t -> ('t, 'a) t
-
-(** [restrict m keep] removes steps leading outside [keep] is {e not}
-    provided -- instead, [restrict] removes enabled steps whose action
-    fails the given filter.  Useful to study sub-schedulers. *)
-val restrict : ('s, 'a) t -> ('s -> 'a -> bool) -> ('s, 'a) t

@@ -59,31 +59,4 @@ let to_string t =
   List.iter emit rows;
   Buffer.contents buf
 
-let csv_cell cell =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell
-  in
-  if not needs_quoting then cell
-  else begin
-    let buf = Buffer.create (String.length cell + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-         if c = '"' then Buffer.add_string buf "\"\""
-         else Buffer.add_char buf c)
-      cell;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let to_csv t =
-  let buf = Buffer.create 256 in
-  let emit cells =
-    Buffer.add_string buf (String.concat "," (List.map csv_cell cells));
-    Buffer.add_char buf '\n'
-  in
-  emit t.headers;
-  List.iter emit (List.rev t.rows);
-  Buffer.contents buf
-
 let print t = print_string (to_string t)

@@ -11,8 +11,4 @@ val row : t -> string list -> unit
 (** Render with aligned columns. *)
 val to_string : t -> string
 
-(** RFC-4180-style CSV rendering (quotes cells containing commas,
-    quotes or newlines). *)
-val to_csv : t -> string
-
 val print : t -> unit

@@ -103,6 +103,8 @@ let every_live_in w pred =
 let all_live_trying w =
   some_live_in w (fun _ -> true) && every_live_in w LRg.trying
 
+(* [T∧live]: stable under crashes of trying processes, so the adversary
+   cannot leave it by spending its budget. *)
 let live_trying = Core.Pred.make "T∧live" all_live_trying
 
 let almost_there =

@@ -49,12 +49,6 @@ val schema : Fault.spec -> Core.Schema.t
     Liveness under crashes is relative to the survivors: the paper's
     [T -13->_{1/8} C] becomes a statement about {e live} processes. *)
 
-(** [T∧live]: some process is live, and every live process is in its
-    trying region.  (Stable under crashes of trying processes, which is
-    what makes it a usable pre-set: the adversary cannot leave the set
-    by spending its budget.) *)
-val live_trying : wstate Core.Pred.t
-
 (** [C∧live]: some live process is in its critical region. *)
 val live_crit : wstate Core.Pred.t
 

@@ -251,12 +251,10 @@ let build_topo ?max_states ?(g = 1) ?(k = 1)
     ?(sym = Analysis.Symmetry.Off) ~topo () =
   Desc.build ?max_states ~sym (describe_topo ~topo ~g ~k)
 
-let arrow_topo inst =
-  spec_on inst.tarena ~granularity:inst.tg ~g_pred:(Regions.g_of inst.topo)
-
-let arrows_topo inst = List.map (arrow_topo inst) steps
-
-let renamings_topo inst = renamings_on inst.tarena ~g_pred:(Regions.g_of inst.topo)
+let arrows_topo inst =
+  List.map
+    (spec_on inst.tarena ~granularity:inst.tg ~g_pred:(Regions.g_of inst.topo))
+    steps
 
 let compose_arrows_topo ?renamings inst arrows =
   compose_on inst.tarena ~g_pred:(Regions.g_of inst.topo) ?renamings arrows

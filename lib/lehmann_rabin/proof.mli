@@ -77,7 +77,7 @@ val renamings : instance -> renaming list
     topology instance), in that order; the ladder reads the five by
     position and raises [Invalid_argument] on a list of any other
     length.  [renamings] (default: verified here) must be [renamings
-    inst] (or [renamings_topo]); the result is the same either way. *)
+    inst]; the result is the same either way. *)
 val compose_arrows :
   ?renamings:renaming list ->
   instance -> arrow list -> (State.t Core.Claim.t, string) result
@@ -137,13 +137,9 @@ val build_topo :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   topo:Topology.t -> unit -> topo_instance
 
-(** {!arrow} on a topology, with the generalized goodness set. *)
-val arrow_topo : topo_instance -> step -> arrow
-
+(** {!arrows} on a topology, with the generalized goodness set. *)
 val arrows_topo : topo_instance -> arrow list
 val composed_topo : topo_instance -> (State.t Core.Claim.t, string) result
-
-val renamings_topo : topo_instance -> renaming list
 
 (** {!compose_arrows} for a topology instance, over {!arrows_topo}. *)
 val compose_arrows_topo :

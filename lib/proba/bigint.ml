@@ -197,11 +197,6 @@ let to_int x =
     end
   | _ -> None
 
-let to_int_exn x =
-  match to_int x with
-  | Some n -> n
-  | None -> failwith "Bigint.to_int_exn: out of range"
-
 let to_float x =
   let acc = ref 0.0 in
   for i = Array.length x.mag - 1 downto 0 do
@@ -349,7 +344,7 @@ let to_string x =
       if v.sign = 0 then acc
       else begin
         let q, r = divmod v ten_9 in
-        chunks (to_int_exn r :: acc) q
+        chunks (Option.get (to_int r) :: acc) q
       end
     in
     match chunks [] (abs x) with

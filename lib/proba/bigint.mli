@@ -24,9 +24,6 @@ val of_int : int -> t
 (** [to_int x] returns [Some n] if [x] fits in a native [int]. *)
 val to_int : t -> int option
 
-(** [to_int_exn x] is [to_int x] or raises [Failure] if out of range. *)
-val to_int_exn : t -> int
-
 (** [to_float x] converts with rounding; very large values map to
     [infinity]/[neg_infinity]. *)
 val to_float : t -> float

@@ -72,13 +72,3 @@ let pick r xs =
   match xs with
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int r (List.length xs))
-
-let shuffle r xs =
-  let a = Array.of_list xs in
-  for i = Array.length a - 1 downto 1 do
-    let j = int r (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  Array.to_list a

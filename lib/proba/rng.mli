@@ -32,6 +32,3 @@ val bool : t -> bool
 
 (** [pick rng xs] draws a uniform element of a non-empty list. *)
 val pick : t -> 'a list -> 'a
-
-(** [shuffle rng xs] returns a uniformly random permutation. *)
-val shuffle : t -> 'a list -> 'a list

@@ -71,70 +71,3 @@ module Proportion = struct
       (Float.max 0.0 (center -. half), Float.min 1.0 (center +. half))
     end
 end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;
-    mutable underflow : int;
-    mutable overflow : int;
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
-    { lo; hi; width = (hi -. lo) /. float_of_int bins;
-      counts = Array.make bins 0; underflow = 0; overflow = 0; total = 0 }
-
-  let add t x =
-    t.total <- t.total + 1;
-    if x < t.lo then t.underflow <- t.underflow + 1
-    else if x >= t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let i = int_of_float ((x -. t.lo) /. t.width) in
-      let i = if i >= Array.length t.counts then Array.length t.counts - 1 else i in
-      t.counts.(i) <- t.counts.(i) + 1
-    end
-
-  let count t = t.total
-  let bin_counts t = Array.copy t.counts
-  let underflow t = t.underflow
-  let overflow t = t.overflow
-
-  let quantile t q =
-    if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile";
-    if t.total = 0 then nan
-    else begin
-      let target = q *. float_of_int t.total in
-      let acc = ref (float_of_int t.underflow) in
-      let result = ref t.hi in
-      (try
-         for i = 0 to Array.length t.counts - 1 do
-           let c = float_of_int t.counts.(i) in
-           if !acc +. c >= target && c > 0.0 then begin
-             let frac = (target -. !acc) /. c in
-             result := t.lo +. ((float_of_int i +. frac) *. t.width);
-             raise Exit
-           end;
-           acc := !acc +. c
-         done
-       with Exit -> ());
-      !result
-    end
-
-  let pp fmt t =
-    Format.fprintf fmt "@[<v>";
-    let peak = Array.fold_left Stdlib.max 1 t.counts in
-    Array.iteri
-      (fun i c ->
-         let lo = t.lo +. (float_of_int i *. t.width) in
-         let bar = String.make (c * 40 / peak) '#' in
-         Format.fprintf fmt "[%8.2f) %6d %s@," lo c bar)
-      t.counts;
-    if t.underflow > 0 then Format.fprintf fmt "underflow %d@," t.underflow;
-    if t.overflow > 0 then Format.fprintf fmt "overflow %d@," t.overflow;
-    Format.fprintf fmt "@]"
-end

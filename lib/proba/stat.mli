@@ -48,26 +48,3 @@ module Proportion : sig
   (** Wilson score interval at the given [z] (default 1.96). *)
   val wilson_ci : ?z:float -> t -> float * float
 end
-
-(** {1 Histograms} *)
-
-module Histogram : sig
-  type t
-
-  (** [create ~lo ~hi ~bins] covers [lo, hi) with equal-width bins plus
-      underflow/overflow counters.  Raises [Invalid_argument] if
-      [bins <= 0] or [hi <= lo]. *)
-  val create : lo:float -> hi:float -> bins:int -> t
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val bin_counts : t -> int array
-  val underflow : t -> int
-  val overflow : t -> int
-
-  (** [quantile h q] approximates the [q]-quantile (0 <= q <= 1) from the
-      binned data by linear interpolation within the selected bin. *)
-  val quantile : t -> float -> float
-
-  val pp : Format.formatter -> t -> unit
-end

@@ -36,9 +36,6 @@ type limits = {
   max_body : int;  (** body bytes (via [Content-Length]) *)
 }
 
-(** 8 KiB lines, 64 headers, 1 MiB bodies. *)
-val default_limits : limits
-
 (** What to answer before closing: an HTTP status plus a short
     reason. *)
 type error = { status : int; reason : string }
@@ -49,7 +46,8 @@ type error = { status : int; reason : string }
 type reader
 
 (** [reader ?limits read] pulls bytes with [read buf off len] (returning
-    [0] for end-of-input, like [Unix.read]). *)
+    [0] for end-of-input, like [Unix.read]).  [limits] defaults to 8 KiB
+    lines, 64 headers and 1 MiB bodies. *)
 val reader : ?limits:limits -> (bytes -> int -> int -> int) -> reader
 
 (** A reader over a fixed string (tests). *)
@@ -70,9 +68,6 @@ val header : request -> string -> string option
 (** HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; the
     [Connection] header overrides either way. *)
 val keep_alive : request -> bool
-
-(** Percent-decoded [k=v&k2=v2] pairs. *)
-val parse_query : string -> (string * string) list
 
 (** {1 Responses} *)
 

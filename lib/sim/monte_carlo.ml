@@ -125,10 +125,11 @@ let time_trial setup ~target ~max_steps rng =
     Some (float_of_int outcome.Engine.elapsed)
   else None
 
-(* Summaries are running (Welford) statistics, so [record] is replayed
+(* Summaries are running (Welford) statistics, so each time is added
    in trial order after the forked region: identical floats on any
    schedule. *)
-let run_times ?helpers setup ~target ~trials ~seed ~max_steps record =
+let estimate_time ?helpers setup ~target ~trials ~seed
+    ?(max_steps = 1_000_000) () =
   let rngs = split_rngs (Proba.Rng.create ~seed) trials in
   let times =
     run_chunks ?helpers trials (fun lo hi ->
@@ -136,28 +137,11 @@ let run_times ?helpers setup ~target ~trials ~seed ~max_steps record =
             Core.Budget.poll ();
             time_trial setup ~target ~max_steps rngs.(lo + j)))
   in
+  let summary = Proba.Stat.Summary.create () in
   let missed = ref 0 in
   Array.iter
-    (Array.iter (function Some t -> record t | None -> incr missed))
+    (Array.iter (function
+         | Some t -> Proba.Stat.Summary.add summary t
+         | None -> incr missed))
     times;
-  !missed
-
-let estimate_time ?helpers setup ~target ~trials ~seed
-    ?(max_steps = 1_000_000) () =
-  let summary = Proba.Stat.Summary.create () in
-  let missed =
-    run_times ?helpers setup ~target ~trials ~seed ~max_steps
-      (Proba.Stat.Summary.add summary)
-  in
-  (summary, missed)
-
-let histogram_time ?helpers setup ~target ~trials ~seed
-    ?(max_steps = 1_000_000) ~lo ~hi ~bins () =
-  let summary = Proba.Stat.Summary.create () in
-  let hist = Proba.Stat.Histogram.create ~lo ~hi ~bins in
-  let _missed =
-    run_times ?helpers setup ~target ~trials ~seed ~max_steps (fun x ->
-        Proba.Stat.Summary.add summary x;
-        Proba.Stat.Histogram.add hist x)
-  in
-  (hist, summary)
+  (summary, !missed)

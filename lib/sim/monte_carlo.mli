@@ -62,11 +62,3 @@ val estimate_time :
   ?helpers:int ->
   ('s, 'a) setup -> target:('s -> bool) -> trials:int -> seed:int ->
   ?max_steps:int -> unit -> Proba.Stat.Summary.t * int
-
-(** [histogram_time] like {!estimate_time} but also bins the elapsed
-    times. *)
-val histogram_time :
-  ?helpers:int ->
-  ('s, 'a) setup -> target:('s -> bool) -> trials:int -> seed:int ->
-  ?max_steps:int -> lo:float -> hi:float -> bins:int -> unit ->
-  Proba.Stat.Histogram.t * Proba.Stat.Summary.t

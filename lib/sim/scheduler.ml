@@ -19,30 +19,6 @@ let priority m rank _rng frag =
     in
     Some (List.fold_left better first rest)
 
-let weighted m weight rng frag =
-  let s = Core.Exec.lstate frag in
-  match Core.Pa.enabled m s with
-  | [] -> None
-  | steps ->
-    let weighted_steps =
-      List.filter_map
-        (fun step ->
-           let w = weight s step.Core.Pa.action in
-           if w > 0 then Some (step, w) else None)
-        steps
-    in
-    (match weighted_steps with
-     | [] -> Some (Proba.Rng.pick rng steps)
-     | _ ->
-       let total = List.fold_left (fun acc (_, w) -> acc + w) 0 weighted_steps in
-       let ticket = Proba.Rng.int rng total in
-       let rec pick acc = function
-         | [] -> assert false
-         | (step, w) :: rest ->
-           if ticket < acc + w then step else pick (acc + w) rest
-       in
-       Some (pick 0 weighted_steps))
-
 let halt_when pred sched rng frag =
   if pred (Core.Exec.lstate frag) then None else sched rng frag
 

@@ -19,11 +19,6 @@ val uniform : ('s, 'a) Core.Pa.t -> ('s, 'a) t
     [rank state action] (ties broken by enabling order). *)
 val priority : ('s, 'a) Core.Pa.t -> ('s -> 'a -> int) -> ('s, 'a) t
 
-(** [weighted m weight] picks among enabled steps with probability
-    proportional to [weight state action]; steps of weight [<= 0] are
-    only taken when no positive-weight step exists (then uniformly). *)
-val weighted : ('s, 'a) Core.Pa.t -> ('s -> 'a -> int) -> ('s, 'a) t
-
 (** [halt_when pred sched] halts as soon as the last state satisfies
     [pred], otherwise defers. *)
 val halt_when : ('s -> bool) -> ('s, 'a) t -> ('s, 'a) t

@@ -149,6 +149,56 @@ module Walker = struct
   let done_ = Core.Pred.make "done" (fun s -> s = Done)
 end
 
+(* Three [Walker]s in parallel, a 3-process timed system: [Tick] is
+   joint (every walker ticks, or none does) and each [Flip] moves one
+   walker alone.  The minimum probability that all finish within one
+   time unit is (1/2)^3, the maximum (3/4)^3. *)
+
+module Three_walkers = struct
+  let replace i x = List.mapi (fun j y -> if j = i then x else y)
+
+  let enabled ws =
+    let steps action w =
+      List.filter (fun st -> st.Core.Pa.action = action) (Walker.enabled w)
+    in
+    let tick =
+      List.fold_right
+        (fun w acc ->
+           match steps Walker.Tick w, acc with
+           | [ st ], Some rest ->
+             Some
+               (D.map (fun (x, xs) -> x :: xs) (D.product st.Core.Pa.dist rest))
+           | _ -> None)
+        ws (Some (D.point []))
+    in
+    let flips =
+      List.concat
+        (List.mapi
+           (fun i w ->
+              List.map
+                (fun st ->
+                   { st with
+                     Core.Pa.dist =
+                       D.map (fun x -> replace i x ws) st.Core.Pa.dist })
+                (steps Walker.Flip w))
+           ws)
+    in
+    (match tick with
+     | Some dist -> [ { Core.Pa.action = Walker.Tick; dist } ]
+     | None -> [])
+    @ flips
+
+  let pa =
+    Core.Pa.make
+      ~pp_state:(Format.pp_print_list Walker.pp_state)
+      ~pp_action:Walker.pp_action
+      ~start:[ [ Walker.start; Walker.start; Walker.start ] ]
+      ~enabled ()
+
+  let all_done =
+    Core.Pred.make "all done" (List.for_all (fun s -> s = Walker.Done))
+end
+
 (* ------------------------------------------------------------------ *)
 (* An untimed automaton where the adversary can avoid the target by
    self-looping: used by the qualitative tests. *)

@@ -108,19 +108,12 @@ let test_pa_basic () =
     (List.length (Core.Pa.enabled m Test_support.Toys.Choice.S0));
   Alcotest.(check bool) "terminal" true (Core.Pa.is_terminal m Test_support.Toys.Choice.S1);
   Alcotest.(check bool) "not deterministic" false
-    (Core.Pa.is_deterministic_at m Test_support.Toys.Choice.S0);
-  Alcotest.(check int) "steps_with_action" 1
-    (List.length (Core.Pa.steps_with_action m Test_support.Toys.Choice.S0 Test_support.Toys.Choice.A))
+    (Core.Pa.is_deterministic_at m Test_support.Toys.Choice.S0)
 
 let test_pa_empty_start () =
   Alcotest.check_raises "no start states"
     (Invalid_argument "Pa.make: no start states") (fun () ->
         ignore (Core.Pa.make ~start:([] : int list) ~enabled:(fun _ -> []) ()))
-
-let test_pa_restrict () =
-  let m = Core.Pa.restrict Test_support.Toys.Choice.pa (fun _ a -> a = Test_support.Toys.Choice.A) in
-  Alcotest.(check int) "restricted" 1
-    (List.length (Core.Pa.enabled m Test_support.Toys.Choice.S0))
 
 (* ------------------------------------------------------------------ *)
 (* Adversary *)
@@ -682,205 +675,21 @@ let test_timed_elapsed () =
   Alcotest.(check int) "two ticks" 2 (Core.Timed.elapsed_slots f)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_of_exec () =
-  let frag =
-    Core.Exec.snoc
-      (Core.Exec.snoc (Core.Exec.snoc (Core.Exec.initial 0) "try" 1)
-         "tick" 1)
-      "crit" 2
-  in
-  Alcotest.(check (list string)) "filters internals" [ "try"; "crit" ]
-    (Core.Trace.of_exec ~is_external:(fun a -> a <> "tick") frag);
-  Alcotest.(check (list string)) "all external" [ "try"; "tick"; "crit" ]
-    (Core.Trace.of_exec ~is_external:(fun _ -> true) frag)
-
-let test_trace_distribution () =
-  let open Test_support.Toys.Race in
-  let tree =
-    Core.Exec_automaton.unfold pa dependency_adversary start ~max_depth:4
-  in
-  let d = Core.Trace.distribution ~is_external:(fun _ -> true) tree in
-  check_q "P flips alone on tails" Q.half
-    (Proba.Dist.prob_of d [ Flip_p ]);
-  check_q "both flip on heads" Q.half
-    (Proba.Dist.prob_of d [ Flip_p; Flip_q ]);
-  Alcotest.(check int) "two traces" 2 (Proba.Dist.size d)
-
-let test_trace_distribution_truncated () =
-  let adv = Core.Adversary.first_enabled Test_support.Toys.Cascade.pa in
-  let tree =
-    Core.Exec_automaton.unfold Test_support.Toys.Cascade.pa adv
-      (Test_support.Toys.Cascade.Level 0) ~max_depth:2
-  in
-  Alcotest.(check bool) "truncated tree rejected" true
-    (try
-       ignore (Core.Trace.distribution ~is_external:(fun _ -> true) tree);
-       false
-     with Failure _ -> true)
-
-let test_trace_prefix () =
-  let open Test_support.Toys.Race in
-  let tree =
-    Core.Exec_automaton.unfold pa dependency_adversary start ~max_depth:4
-  in
-  let p prefix =
-    fst (Core.Trace.prob_of_prefix ~is_external:(fun _ -> true) tree prefix)
-  in
-  check_q "empty prefix" Q.one (p []);
-  check_q "P always flips first" Q.one (p [ Flip_p ]);
-  check_q "Q follows half the time" Q.half (p [ Flip_p; Flip_q ]);
-  check_q "Q never first" Q.zero (p [ Flip_q ])
-
-(* ------------------------------------------------------------------ *)
-(* Randomized adversaries *)
-
-let test_rand_of_deterministic () =
-  let open Test_support.Toys.Race in
-  let det =
-    Core.Exec_automaton.unfold pa dependency_adversary start ~max_depth:4
-  in
-  let rand =
-    Core.Rand_adversary.unfold pa
-      (Core.Rand_adversary.of_deterministic dependency_adversary)
-      start ~max_depth:4
-  in
-  let conj =
-    Core.Event.conj
-      (Core.Event.first Flip_p p_heads)
-      (Core.Event.first Flip_q q_tails)
-  in
-  check_q "same event probability"
-    (Core.Exec_automaton.prob_exact conj det)
-    (Core.Exec_automaton.prob_exact conj rand)
-
-let test_rand_mix () =
-  let open Test_support.Toys.Race in
-  (* first(flip_Q, tails) separates the two deterministic adversaries:
-     1/2 under fair, 3/4 under dependency.  [mix] randomizes at every
-     decision point independently; the two agree until P's coin lands
-     tails, where only the fair component wants to continue -- and the
-     mixture follows the non-halting side, so Q always flips and the
-     value is exactly the fair one, 1/2.  Either way the value stays in
-     the convex hull [1/2, 3/4] of the deterministic vertices -- the
-     reason the paper can afford to ignore randomized adversaries. *)
-  let mixture =
-    Core.Rand_adversary.mix Q.half
-      (Core.Rand_adversary.of_deterministic dependency_adversary)
-      (Core.Rand_adversary.of_deterministic fair_adversary)
-  in
-  let tree = Core.Rand_adversary.unfold pa mixture start ~max_depth:4 in
-  let first_q = Core.Event.first Flip_q q_tails in
-  let value = Core.Exec_automaton.prob_exact first_q tree in
-  check_q "mixture follows the non-halting side" Q.half value;
-  Alcotest.(check bool) "within the deterministic hull" true
-    (Q.geq value Q.half && Q.leq value (Q.of_ints 3 4));
-  check_q "tree mass still 1" Q.one (Core.Exec_automaton.total_mass tree)
-
-let test_rand_uniform_enabled () =
-  (* Section 2's example: steps reaching s1 with prob 1/2 and 1/3; the
-     uniformly randomizing adversary attains the average 5/12, strictly
-     between the deterministic extremes. *)
-  let tree =
-    Core.Rand_adversary.unfold Test_support.Toys.Choice.pa
-      (Core.Rand_adversary.uniform_enabled Test_support.Toys.Choice.pa)
-      Test_support.Toys.Choice.S0 ~max_depth:3
-  in
-  let ev = Core.Event.eventually Test_support.Toys.Choice.s1 in
-  check_q "average of 1/2 and 1/3" (Q.of_ints 5 12)
-    (Core.Exec_automaton.prob_exact ev tree)
-
-let test_rand_mix_validates () =
-  let halt = Core.Rand_adversary.of_deterministic Core.Adversary.halt in
-  Alcotest.(check bool) "bad mixing weight" true
-    (try
-       ignore
-         (Core.Rand_adversary.mix (Q.of_int 2) halt halt
-            (Core.Exec.initial Test_support.Toys.Choice.S0));
-       false
-     with Proba.Dist.Not_a_distribution _ -> true);
-  (* Halting both sides halts the mixture. *)
-  Alcotest.(check bool) "both halt" true
-    (Core.Rand_adversary.mix Q.half halt halt
-       (Core.Exec.initial Test_support.Toys.Choice.S0)
-     = None)
-
-(* ------------------------------------------------------------------ *)
-(* Compose (parallel composition) *)
-
-module Sync = struct
-  type state = S0 | S1 | S2
-  type tstate = T0 | T1
-
-  let m1 =
-    Core.Pa.make ~start:[ S0 ]
-      ~enabled:(function
-          | S0 -> [ { Core.Pa.action = "x"; dist = D.coin S1 S2 } ]
-          | S1 | S2 -> [])
-      ()
-
-  let m2 =
-    Core.Pa.make ~start:[ T0 ]
-      ~enabled:(function
-          | T0 -> [ { Core.Pa.action = "x"; dist = D.point T1 } ]
-          | T1 -> [])
-      ()
-end
-
-let test_compose_sync () =
-  let p = Core.Compose.product ~sync:(fun _ -> true) Sync.m1 Sync.m2 in
-  Alcotest.(check int) "one start" 1 (List.length (Core.Pa.start p));
-  (match Core.Pa.enabled p (Sync.S0, Sync.T0) with
-   | [ step ] ->
-     Alcotest.(check string) "joint action" "x" step.Core.Pa.action;
-     check_q "joint branch" Q.half
-       (Proba.Dist.prob_of step.Core.Pa.dist (Sync.S1, Sync.T1));
-     check_q "other branch" Q.half
-       (Proba.Dist.prob_of step.Core.Pa.dist (Sync.S2, Sync.T1))
-   | steps -> Alcotest.failf "expected one joint step, got %d"
-                (List.length steps));
-  (* Synchronization blocks when one side cannot move. *)
-  Alcotest.(check int) "blocked" 0
-    (List.length (Core.Pa.enabled p (Sync.S1, Sync.T0)))
-
-let test_compose_interleave () =
-  let p = Core.Compose.product ~sync:(fun _ -> false) Sync.m1 Sync.m2 in
-  (* Both components offer their step independently. *)
-  Alcotest.(check int) "two interleaved steps" 2
-    (List.length (Core.Pa.enabled p (Sync.S0, Sync.T0)));
-  (match Core.Pa.enabled p (Sync.S1, Sync.T0) with
-   | [ step ] ->
-     Alcotest.(check bool) "m2 moves alone" true
-       (Proba.Dist.is_point step.Core.Pa.dist = Some (Sync.S1, Sync.T1))
-   | _ -> Alcotest.fail "expected exactly m2's step")
+(* A hand-built parallel composition *)
 
 let test_compose_three_walkers () =
   (* Three clocked walkers synchronizing on Tick: the composed system
      is a 3-process timed system; the minimum probability that all
      finish within one time unit is (1/2)^3. *)
-  let open Test_support.Toys.Walker in
-  let joint =
-    Core.Compose.product_list ~sync:is_tick [ pa; pa; pa ]
-  in
-  let arena = Mdp.Arena.of_pa ~is_tick joint in
-  let all_done = Core.Pred.make "all done" (List.for_all (fun s -> s = Done)) in
-  let target = Mdp.Arena.indicator arena all_done in
+  let open Test_support.Toys in
+  let arena = Mdp.Arena.of_pa ~is_tick:Walker.is_tick Three_walkers.pa in
+  let target = Mdp.Arena.indicator arena Three_walkers.all_done in
   let v = Mdp.Finite_horizon.min_reach arena ~target ~ticks:1 in
   let start_i = List.hd (Mdp.Arena.start_indices arena) in
   check_q "min P[all done within 1] = 1/8" (Q.of_ints 1 8) v.(start_i);
   let vmax = Mdp.Finite_horizon.max_reach arena ~target ~ticks:1 in
   check_q "max P[all done within 1] = (3/4)^3" (Q.of_ints 27 64)
     vmax.(start_i)
-
-let test_compose_list_empty () =
-  Alcotest.(check bool) "empty product rejected" true
-    (try
-       ignore
-         (Core.Compose.product_list ~sync:(fun _ -> false)
-            ([] : (int, string) Core.Pa.t list));
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Schema / Inclusion *)
@@ -1101,8 +910,7 @@ let () =
          Alcotest.test_case "find/fold" `Quick test_exec_find_fold ]);
       ("pa",
        [ Alcotest.test_case "basic" `Quick test_pa_basic;
-         Alcotest.test_case "empty start" `Quick test_pa_empty_start;
-         Alcotest.test_case "restrict" `Quick test_pa_restrict ]);
+         Alcotest.test_case "empty start" `Quick test_pa_empty_start ]);
       ("adversary",
        [ Alcotest.test_case "first_enabled" `Quick
            test_adversary_first_enabled;
@@ -1168,26 +976,9 @@ let () =
        [ Alcotest.test_case "within" `Quick test_timed_within;
          Alcotest.test_case "patient" `Quick test_timed_patient;
          Alcotest.test_case "elapsed" `Quick test_timed_elapsed ]);
-      ("trace",
-       [ Alcotest.test_case "of_exec" `Quick test_trace_of_exec;
-         Alcotest.test_case "distribution" `Quick test_trace_distribution;
-         Alcotest.test_case "truncated rejected" `Quick
-           test_trace_distribution_truncated;
-         Alcotest.test_case "prefix probabilities" `Quick
-           test_trace_prefix ]);
-      ("rand-adversary",
-       [ Alcotest.test_case "of_deterministic" `Quick
-           test_rand_of_deterministic;
-         Alcotest.test_case "mixture averages" `Quick test_rand_mix;
-         Alcotest.test_case "uniform over enabled" `Quick
-           test_rand_uniform_enabled;
-         Alcotest.test_case "mix validates" `Quick test_rand_mix_validates ]);
       ("compose",
-       [ Alcotest.test_case "synchronization" `Quick test_compose_sync;
-         Alcotest.test_case "interleaving" `Quick test_compose_interleave;
-         Alcotest.test_case "three walkers" `Quick
-           test_compose_three_walkers;
-         Alcotest.test_case "empty list" `Quick test_compose_list_empty ]);
+       [ Alcotest.test_case "three walkers" `Quick
+           test_compose_three_walkers ]);
       ("schema/inclusion",
        [ Alcotest.test_case "schema" `Quick test_schema;
          Alcotest.test_case "inclusion" `Quick test_inclusion ]);

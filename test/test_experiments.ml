@@ -1,6 +1,6 @@
 (* Tests for the experiment-harness support library: the table
-   renderer, the Example 4.1 automaton it ships, and the configuration
-   profiles. *)
+   renderer, the Example 4.1 automaton it ships, the text of E4 and the
+   configuration profiles. *)
 
 module Q = Proba.Rational
 
@@ -73,16 +73,6 @@ let test_table_unicode_width () =
       (List.for_all (fun l -> width l = width first) rest)
   | [] -> Alcotest.fail "empty table"
 
-let test_table_csv () =
-  let t = Experiments.Table.create [ "a"; "b" ] in
-  Experiments.Table.row t [ "plain"; "1,5" ];
-  Experiments.Table.row t [ "say \"hi\""; "x" ];
-  let csv = Experiments.Table.to_csv t in
-  let lines = String.split_on_char '\n' csv in
-  Alcotest.(check (list string)) "csv escaping"
-    [ "a,b"; "plain,\"1,5\""; "\"say \"\"hi\"\"\",x"; "" ]
-    lines
-
 (* ------------------------------------------------------------------ *)
 (* Race (Example 4.1 support automaton) *)
 
@@ -108,6 +98,73 @@ let test_race_adversaries_agree_with_exploration () =
   Alcotest.(check int) "reachable states" 9 (Mdp.Explore.num_states expl)
 
 (* ------------------------------------------------------------------ *)
+(* E4: the one product caller of [Exec_automaton] and [Event] *)
+
+(* Runs [f] with stdout sent to a temporary file and returns what it
+   printed. *)
+let capture_stdout f =
+  let file = Filename.temp_file "prtb_e4" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+    f;
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  text
+
+(* [prtb experiments e4] prints this table byte for byte: no timing,
+   every probability exact.  Rows keep the table's trailing padding. *)
+let e4_text =
+  String.concat "\n"
+    [ "";
+      "=== E4: independence proof rules (Sec. 4, Prop 4.2, Ex. 4.1) ===";
+      "paper claim: P[first(flip_P,H) ∩ first(flip_Q,T)] >= 1/4 \
+       under every adversary; naive conditional independence fails";
+      "";
+      "Proposition 4.2 premise (every flip step gives its set probability \
+       >= 1/2): OK";
+      "";
+      "adversary            event                  probability  \
+       Prop 4.2 bound  ";
+      "-------------------  ---------------------  -----------  \
+       ----------------";
+      "fair                 first(flip_P, H)       1/2          \
+       -               ";
+      "fair                 first(flip_Q, T)       1/2          \
+       -               ";
+      "fair                 conjunction            1/4          \
+       >= 1/4 (product)";
+      "fair                 next(...)              1/2          \
+       >= 1/2 (min)    ";
+      "fair                 P[H,T | both flipped]  1/4          \
+       naive claim: 1/4";
+      "dependency (Ex 4.1)  first(flip_P, H)       1/2          \
+       -               ";
+      "dependency (Ex 4.1)  first(flip_Q, T)       3/4          \
+       -               ";
+      "dependency (Ex 4.1)  conjunction            1/4          \
+       >= 1/4 (product)";
+      "dependency (Ex 4.1)  next(...)              1/2          \
+       >= 1/2 (min)    ";
+      "dependency (Ex 4.1)  P[H,T | both flipped]  1/2          \
+       naive claim: 1/4";
+      "";
+      "" ]
+
+let test_e4_pinned () =
+  let e4 = List.assoc "e4" Experiments.Harness.experiments in
+  let ctx = Experiments.Harness.make_ctx Experiments.Harness.quick in
+  Alcotest.(check string) "prtb experiments e4" e4_text
+    (capture_stdout (fun () -> e4 ctx))
+
+(* ------------------------------------------------------------------ *)
 (* Config profiles *)
 
 let test_profiles_ordered () =
@@ -131,12 +188,12 @@ let () =
        [ Alcotest.test_case "alignment" `Quick test_table_alignment;
          Alcotest.test_case "pads/truncates" `Quick
            test_table_pads_and_truncates_rows;
-         Alcotest.test_case "unicode width" `Quick test_table_unicode_width;
-         Alcotest.test_case "csv" `Quick test_table_csv ]);
+         Alcotest.test_case "unicode width" `Quick test_table_unicode_width ]);
       ("race",
        [ Alcotest.test_case "all states" `Quick test_race_all_states;
          Alcotest.test_case "premise" `Quick test_race_premise;
          Alcotest.test_case "exploration" `Quick
            test_race_adversaries_agree_with_exploration ]);
+      ("e4", [ Alcotest.test_case "pinned text" `Quick test_e4_pinned ]);
       ("profiles",
        [ Alcotest.test_case "ordering" `Quick test_profiles_ordered ]) ]

@@ -554,43 +554,6 @@ let prop_dist_total_one =
        Q.equal Q.one (Q.sum (List.map snd (D.support d))))
 
 (* ------------------------------------------------------------------ *)
-(* Pspace *)
-
-let test_pspace_probability_and_conditional () =
-  let d = D.uniform [ 1; 2; 3; 4; 5; 6 ] in
-  let even n = n mod 2 = 0 in
-  let low n = n <= 3 in
-  check_q "P(even)" Q.half (Proba.Pspace.probability d even);
-  (match Proba.Pspace.conditional d even ~given:low with
-   | Some p -> check_q "P(even | <=3) = 1/3" (Q.of_ints 1 3) p
-   | None -> Alcotest.fail "condition has positive probability");
-  Alcotest.(check bool) "null condition" true
-    (Proba.Pspace.conditional d even ~given:(fun n -> n > 6) = None)
-
-let test_pspace_independence () =
-  (* Two fair coins: the coordinates are independent; on a single coin,
-     an event is not independent of itself (unless trivial). *)
-  let two = D.product (D.coin true false) (D.coin true false) in
-  Alcotest.(check bool) "coordinates independent" true
-    (Proba.Pspace.independent two fst snd);
-  Alcotest.(check bool) "event vs itself" false
-    (Proba.Pspace.independent two fst fst);
-  Alcotest.(check bool) "trivial event independent of anything" true
-    (Proba.Pspace.independent two fst (fun _ -> true))
-
-let test_pspace_algebra_and_moments () =
-  let d = D.uniform [ 1; 2; 3; 4 ] in
-  let e1 n = n <= 2 and e2 n = n mod 2 = 0 in
-  check_q "inter" (Q.of_ints 1 4)
-    (Proba.Pspace.probability d (Proba.Pspace.inter e1 e2));
-  check_q "union" (Q.of_ints 3 4)
-    (Proba.Pspace.probability d (Proba.Pspace.union e1 e2));
-  check_q "complement" Q.half
-    (Proba.Pspace.probability d (Proba.Pspace.complement e1));
-  check_q "variance of uniform 1..4" (Q.of_ints 5 4)
-    (Proba.Pspace.variance d Q.of_int)
-
-(* ------------------------------------------------------------------ *)
 (* Rng tests *)
 
 let test_rng_deterministic () =
@@ -660,12 +623,6 @@ let test_rng_pick () =
     (Invalid_argument "Rng.pick: empty list") (fun () ->
         ignore (R.pick r ([] : int list)))
 
-let test_rng_shuffle () =
-  let r = R.create ~seed:3 in
-  let xs = List.init 20 (fun i -> i) in
-  let ys = R.shuffle r xs in
-  Alcotest.(check (list int)) "permutation" xs (List.sort compare ys)
-
 (* ------------------------------------------------------------------ *)
 (* Stat tests *)
 
@@ -699,22 +656,6 @@ let test_proportion_extremes () =
   let lo, hi = S.Proportion.wilson_ci p in
   Alcotest.(check (float 1e-9)) "hi at 1" 1.0 hi;
   Alcotest.(check bool) "lo below 1 but high" true (lo > 0.9 && lo < 1.0)
-
-let test_histogram () =
-  let h = S.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (S.Histogram.add h) [ 0.5; 1.5; 2.5; 3.5; 4.5; -1.0; 11.0 ];
-  Alcotest.(check int) "count" 7 (S.Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (S.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (S.Histogram.overflow h);
-  Alcotest.(check int) "bin 0" 1 (S.Histogram.bin_counts h).(0)
-
-let test_histogram_quantile () =
-  let h = S.Histogram.create ~lo:0.0 ~hi:100.0 ~bins:100 in
-  for i = 1 to 1000 do
-    S.Histogram.add h (float_of_int (i mod 100))
-  done;
-  let med = S.Histogram.quantile h 0.5 in
-  Alcotest.(check bool) "median near 50" true (med > 45.0 && med < 55.0)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical decimals and the rational wire form.  The in-place readers
@@ -963,12 +904,6 @@ let () =
          Alcotest.test_case "filter" `Quick test_dist_filter;
          Alcotest.test_case "sample" `Quick test_dist_sample ]);
       qsuite "dist-props" [ prop_dist_bind_assoc; prop_dist_total_one ];
-      ("pspace",
-       [ Alcotest.test_case "probability/conditional" `Quick
-           test_pspace_probability_and_conditional;
-         Alcotest.test_case "independence" `Quick test_pspace_independence;
-         Alcotest.test_case "algebra/moments" `Quick
-           test_pspace_algebra_and_moments ]);
       ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "seed sensitivity" `Quick
@@ -978,14 +913,10 @@ let () =
          Alcotest.test_case "int coverage" `Quick test_rng_int_coverage;
          Alcotest.test_case "split" `Quick test_rng_split_independent;
          Alcotest.test_case "copy" `Quick test_rng_copy;
-         Alcotest.test_case "pick" `Quick test_rng_pick;
-         Alcotest.test_case "shuffle" `Quick test_rng_shuffle ]);
+         Alcotest.test_case "pick" `Quick test_rng_pick ]);
       ("stat",
        [ Alcotest.test_case "summary" `Quick test_summary_known;
          Alcotest.test_case "summary ci" `Quick test_summary_ci_contains_mean;
          Alcotest.test_case "proportion" `Quick test_proportion;
          Alcotest.test_case "proportion extremes" `Quick
-           test_proportion_extremes;
-         Alcotest.test_case "histogram" `Quick test_histogram;
-         Alcotest.test_case "histogram quantile" `Quick
-           test_histogram_quantile ]) ]
+           test_proportion_extremes ]) ]

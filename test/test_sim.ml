@@ -46,27 +46,6 @@ let test_scheduler_priority () =
       (step.Core.Pa.action = Toys.Choice.B)
   | None -> Alcotest.fail "expected a step"
 
-let test_scheduler_weighted () =
-  let weight _ a = if a = Toys.Choice.A then 3 else 1 in
-  let sched = Sim.Scheduler.weighted Toys.Choice.pa weight in
-  let rng = Proba.Rng.create ~seed:5 in
-  let a_count = ref 0 in
-  let trials = 2000 in
-  for _ = 1 to trials do
-    match sched rng (Core.Exec.initial Toys.Choice.S0) with
-    | Some { Core.Pa.action = Toys.Choice.A; _ } -> incr a_count
-    | Some _ -> ()
-    | None -> Alcotest.fail "unexpected halt"
-  done;
-  let share = float_of_int !a_count /. float_of_int trials in
-  Alcotest.(check bool) "roughly 3:1" true (share > 0.70 && share < 0.80)
-
-let test_scheduler_weighted_all_zero () =
-  let sched = Sim.Scheduler.weighted Toys.Choice.pa (fun _ _ -> 0) in
-  let rng = Proba.Rng.create ~seed:6 in
-  Alcotest.(check bool) "falls back to uniform" true
-    (sched rng (Core.Exec.initial Toys.Choice.S0) <> None)
-
 let test_scheduler_halt_when () =
   let sched =
     Sim.Scheduler.halt_when
@@ -312,17 +291,6 @@ let test_mc_time_eager () =
   let mean = Proba.Stat.Summary.mean summary in
   Alcotest.(check bool) "mean near 1" true (mean > 0.85 && mean < 1.15)
 
-let test_mc_histogram () =
-  let hist, summary =
-    Sim.Monte_carlo.histogram_time (walker_setup delayer_sched)
-      ~target:(fun s -> s = Toys.Walker.Done)
-      ~trials:1000 ~seed:104 ~lo:0.0 ~hi:20.0 ~bins:20 ()
-  in
-  Alcotest.(check int) "hist count matches"
-    (Proba.Stat.Summary.count summary) (Proba.Stat.Histogram.count hist);
-  Alcotest.(check bool) "some mass in low bins" true
-    ((Proba.Stat.Histogram.bin_counts hist).(1) > 0)
-
 let test_scheduler_of_choice () =
   (* Replay "always pick the first enabled step" as a policy. *)
   let sched = Sim.Scheduler.of_choice (fun _ -> Some 0) Toys.Walker.pa in
@@ -438,9 +406,6 @@ let () =
          Alcotest.test_case "uniform terminal" `Quick
            test_scheduler_uniform_terminal;
          Alcotest.test_case "priority" `Quick test_scheduler_priority;
-         Alcotest.test_case "weighted" `Quick test_scheduler_weighted;
-         Alcotest.test_case "weighted all zero" `Quick
-           test_scheduler_weighted_all_zero;
          Alcotest.test_case "halt_when" `Quick test_scheduler_halt_when;
          Alcotest.test_case "of_choice" `Quick test_scheduler_of_choice ]);
       ("engine",
@@ -475,5 +440,5 @@ let () =
          Alcotest.test_case "reach under eager" `Quick test_mc_reach_eager;
          Alcotest.test_case "reproducible" `Quick test_mc_reach_reproducible;
          Alcotest.test_case "expected time (delayer)" `Quick test_mc_time;
-         Alcotest.test_case "expected time (eager)" `Quick test_mc_time_eager;
-         Alcotest.test_case "histogram" `Quick test_mc_histogram ]) ]
+         Alcotest.test_case "expected time (eager)" `Quick test_mc_time_eager ])
+    ]
