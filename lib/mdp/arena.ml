@@ -1,4 +1,5 @@
 module Q = Proba.Rational
+module Bigint = Proba.Bigint
 
 type pass = Min_reach of int | Max_expected_ticks
 type extremum = Prob of Q.t | Ticks of float
@@ -17,6 +18,7 @@ type ('s, 'a) t = {
   actions : 'a array;
   fp : string option Atomic.t;
   zero_time : Zero_time.t option Atomic.t;
+  fixed : int array option option Atomic.t;
   passes : ((pass * Bitset.t * Bitset.t) * summary) list Atomic.t;
 }
 
@@ -43,6 +45,7 @@ let make ~tick expl =
     actions;
     fp = Atomic.make None;
     zero_time = Atomic.make None;
+    fixed = Atomic.make None;
     passes = Atomic.make [] }
 
 let compile ?is_tick expl =
@@ -86,6 +89,73 @@ let zero_time a =
       match Atomic.get a.zero_time with
       | Some published -> published
       | None -> z
+    end
+
+(* A weight [a/2^k] packs as [a lsl 6 lor k].  [k] stops at 56, so
+   [a <= 2^k] shifted by 6 stays below [max_int]; no shipped model
+   comes near (the paper's coins give [k <= 3]). *)
+let max_shift = 56
+
+(* [-1] unless [q] is [a/2^k], [0 <= a] and [k <= max_shift]. *)
+let pack q =
+  match Bigint.to_int (Q.num q), Bigint.to_int (Q.den q) with
+  | Some a, Some d when a >= 0 && d land (d - 1) = 0 ->
+    let k = ref 0 in
+    while 1 lsl !k < d do incr k done;
+    if !k <= max_shift then (a lsl 6) lor !k else -1
+  | _ -> -1
+
+(* Every weight dyadic and every step's weights summing to exactly 1,
+   checked on the common scale [2^max_shift]: a running sum past it
+   already fails, so it cannot overflow.  A fragment holds few distinct
+   weights, so the last few packed are looked up first ([Q.equal] is
+   allocation-free on the small tier) and [pack]'s bigints are made
+   once per distinct weight. *)
+let dyadic_weights a =
+  let w = Array.make (Array.length a.tgt) 0 in
+  let one = 1 lsl max_shift in
+  let seen = ref [] in
+  let rec find q = function
+    | [] -> -1
+    | (q', p) :: rest -> if Q.equal q q' then p else find q rest
+  in
+  let packed q =
+    match find q !seen with
+    | -1 ->
+      let p = pack q in
+      if p >= 0 && List.compare_length_with !seen 16 < 0 then
+        seen := (q, p) :: !seen;
+      p
+    | p -> p
+  in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length a.out_off - 1 do
+    let sum = ref 0 and o = ref a.out_off.(!k) in
+    while !ok && !o < a.out_off.(!k + 1) do
+      let p = packed a.prob_q.(!o) in
+      w.(!o) <- p;
+      if p < 0 then ok := false
+      else begin
+        sum := !sum + ((p lsr 6) lsl (max_shift - (p land 63)));
+        if !sum > one then ok := false
+      end;
+      incr o
+    done;
+    if !sum <> one then ok := false;
+    incr k
+  done;
+  if !ok then Some w else None
+
+let fixed_weights a =
+  match Atomic.get a.fixed with
+  | Some w -> w
+  | None ->
+    let w = dyadic_weights a in
+    if Atomic.compare_and_set a.fixed None (Some w) then w
+    else begin
+      match Atomic.get a.fixed with
+      | Some published -> published
+      | None -> w
     end
 
 (* Keyed by the pass and its two state sets.  A domain that loses the

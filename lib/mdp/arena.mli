@@ -57,6 +57,8 @@ type ('s, 'a) t = private {
       (** memoized structural fingerprint; use {!fingerprint} *)
   zero_time : Zero_time.t option Atomic.t;
       (** memoized zero-time component order; use {!zero_time} *)
+  fixed : int array option option Atomic.t;
+      (** memoized dyadic weights; use {!fixed_weights} *)
   passes : ((pass * Bitset.t * Bitset.t) * summary) list Atomic.t;
       (** memoized solved passes; use {!solved} *)
 }
@@ -86,6 +88,14 @@ val assemble : tick:bool array -> ('s, 'a) Explore.t -> ('s, 'a) t
     target set; computed on first use and memoized (domain-safe,
     write-once [Atomic]). *)
 val zero_time : ('s, 'a) t -> Zero_time.t
+
+(** The exact plane as packed dyadic integers, for the fixed-point
+    tier of {!Finite_horizon}: branch [o]'s weight [a/2^k] (in lowest
+    terms, [k <= 56]) is [fixed.(o) = a lsl 6 lor k].  [None] unless
+    every weight is dyadic and every step's weights sum to exactly 1.
+    Computed on first use from [prob_q] and memoized on the arena
+    (domain-safe, write-once [Atomic]); one int per branch. *)
+val fixed_weights : ('s, 'a) t -> int array option
 
 (** [solved arena pass ~target ~over solve] is [solve ()] on the first
     ask and the stored summary later.  The key is the pass and both

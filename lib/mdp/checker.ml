@@ -13,7 +13,9 @@ type 's arrow = {
 }
 
 (* [values] folded over the [over] states from [seed]: the first
-   member is the witness until a later one is strictly [better]. *)
+   member is the witness until a later one is strictly [better].  The
+   reach pass folds its own values ([Finite_horizon.min_reach_over]),
+   so that only the minimum leaves the fixed-point tier. *)
 let summarize ~seed ~better ~wrap values over =
   let best = ref seed and witness = ref None and members = ref 0 in
   for i = 0 to Array.length values - 1 do
@@ -31,9 +33,11 @@ let min_reach_over a ~target ~ticks ~over =
   let target = Arena.set a target and over = Arena.set a over in
   match
     Arena.solved a (Arena.Min_reach ticks) ~target ~over (fun () ->
-        summarize ~seed:Q.one ~better:Q.lt ~wrap:(fun p -> Arena.Prob p)
-          (Finite_horizon.min_reach a ~target:(Bitset.to_bools target) ~ticks)
-          over)
+        let p, witness, members =
+          Finite_horizon.min_reach_over a ~target:(Bitset.to_bools target)
+            ~ticks ~over
+        in
+        { Arena.extremum = Arena.Prob p; witness; members })
   with
   | { Arena.extremum = Arena.Prob p; witness; members } ->
     (p, Option.map (Arena.state a) witness, members)

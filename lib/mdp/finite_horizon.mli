@@ -24,10 +24,18 @@
     make every minimum trivially zero; the timing schemas of the paper
     (e.g. [Unit-Time]) likewise force time to keep flowing.
 
-    There is one engine.  It is sequential, computes in exact
-    rationals and reads the arena's exact probability plane directly;
-    branch order is the exploration order, so values are bit-identical
-    to the historical path that converted per call. *)
+    There is one engine, sequential, with two tiers of exact values
+    sharing that walk.  When every weight of the arena is dyadic and
+    every step's weights sum to 1 ({!Arena.fixed_weights}: the paper's
+    fair coins), a value is an int [m] meaning [m/2^61], and each
+    product is checked exact (the low bits it shifts out are zero), so
+    a layer allocates nothing.  The first product that would need more
+    than 61 fractional bits ends that tier: the pass goes on in exact
+    rationals ({!Proba.Rational}) from the last completed layer, as
+    does every pass on an arena with other weights.  Both tiers compute
+    the same exact values, and the rationals handed out are canonical,
+    so results are bit-identical whichever tier produced them.  Branch
+    order is the exploration order. *)
 
 exception No_convergence of string
 
@@ -44,6 +52,15 @@ val max_reach :
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
 
+(** [min_reach_over arena ~target ~ticks ~over] is {!min_reach} folded
+    over the members of [over] (a set over the arena's states): the
+    minimum ([1] for an empty set), the first member in index order
+    attaining it, and the number of members.  Only the minimum is
+    converted to a rational. *)
+val min_reach_over :
+  ('s, 'a) Arena.t -> target:bool array -> ticks:int -> over:Bitset.t ->
+  Proba.Rational.t * int option * int
+
 (** [min_reach_with_policy] additionally returns an optimal memoryless
     (per-layer) adversary: [policy.(t).(s)] is the index of the step the
     minimizing adversary takes at state [s] with [t] ticks of budget
@@ -54,5 +71,6 @@ val min_reach_with_policy :
 
 (** Tick layers solved so far by this process, across every entry
     point above and every domain: the engine's unit of work, printed
-    by [prtb check --stats]. *)
+    by [prtb check --stats].  A layer counts once when it closes, on
+    whichever tier closed it, so a pass of [ticks] adds [ticks + 1]. *)
 val layers_solved : unit -> int

@@ -19,12 +19,29 @@
 
     These fixpoints are support-only: they read the transition
     {e structure}, never a probability plane, so the qualitative pass
-    is free of exact arithmetic. *)
+    is free of exact arithmetic.  Each is a worklist over one
+    predecessor index ({!preds}): a state is pushed at most once, each
+    index entry [(i, j)] is read at most once (with a scan of [i]'s
+    branches for those into [j]), and nothing is allocated past the
+    working arrays. *)
 
-(** [always_reaches arena ~target] is the boolean vector of states where
-    [Pmin(eventually target) = 1].  Terminal states count as staying
-    put: a terminal non-target state never reaches the target. *)
-val always_reaches : ('s, 'a) Arena.t -> target:bool array -> bool array
+(** The arena's transitions turned around:
+    [preds.(pred_off.(j)) .. preds.(pred_off.(j + 1) - 1)] are the
+    distinct states with a branch into state [j].  Built in
+    O(states + branches) per call and never memoized; {!Expected_time}
+    builds one per pass, reads it for its qualitative fixpoints, then
+    compacts it in place to the states it evaluates for its dirty
+    marking. *)
+type preds = private { pred_off : int array; preds : int array }
+
+val preds : ('s, 'a) Arena.t -> preds
+
+(** [always_reaches ?preds arena ~target] is the boolean vector of
+    states where [Pmin(eventually target) = 1].  Terminal states count
+    as staying put: a terminal non-target state never reaches the
+    target.  [preds] must be [preds arena]; it is built when omitted. *)
+val always_reaches :
+  ?preds:preds -> ('s, 'a) Arena.t -> target:bool array -> bool array
 
 (** [safe_core arena ~avoid] is the largest set [S ⊆ avoid] such that
     every state of [S] is terminal or has a step whose support stays in

@@ -49,6 +49,13 @@ type case_study = {
       (* the largest n at which a check (for lr, one with --sym on)
          finishes under the 2M-state ceiling in about 30 s on two cores;
          past it a check hits that ceiling or takes longer *)
+  max_sim_n : int;
+      (* the largest n at which Monte Carlo ([prtb simulate] at its
+         default 2 000 trials) finishes in about 30 s and 256 MiB on two
+         cores: lr n=100 took 28.5 s, coin n=200 21.3 s, consensus n=7
+         2.7 s and 203 MiB (n=8: 22.7 s and 634 MiB); election stops
+         at 62, the most per-process predicates its symmetry spec takes
+         (n=62: 5.8 s) *)
   topologies : string list;  (* [] if the family runs on the ring only *)
   reads : string list;  (* which of "bound" and "cap" it reads *)
   convention : (int -> int * bool array) option;
@@ -58,7 +65,8 @@ type case_study = {
 
 let case_studies =
   [ { family = `Lr; name = "lr"; aliases = [ "lehmann-rabin"; "dining" ];
-      min_n = 2; max_n = 5; topologies = "ring" :: List.map fst lr_general;
+      min_n = 2; max_n = 5; max_sim_n = 100;
+      topologies = "ring" :: List.map fst lr_general;
       reads = []; convention = None;
       heading =
         (fun { params = p; _ } ->
@@ -68,17 +76,19 @@ let case_studies =
              Printf.sprintf "Lehmann-Rabin on %s, g=%d k=%d"
                (LR.Topology.name (lr_topology p)) p.g p.k) };
     { family = `Election; name = "election"; aliases = [ "itai-rodeh" ];
-      min_n = 2; max_n = 10; topologies = []; reads = []; convention = None;
+      min_n = 2; max_n = 10; max_sim_n = 62; topologies = []; reads = [];
+      convention = None;
       heading = (fun t -> Printf.sprintf "Leader election, n=%d" t.params.n) };
     { family = `Coin; name = "coin"; aliases = [ "shared-coin" ]; min_n = 1;
-      max_n = 13; topologies = []; reads = [ "bound" ]; convention = None;
+      max_n = 13; max_sim_n = 200; topologies = []; reads = [ "bound" ];
+      convention = None;
       heading =
         (fun { params = p; _ } ->
            Printf.sprintf "Shared coin, n=%d barrier=±%d" p.n p.bound) };
     (* Ben-Or runs with the largest fault bound [n] tolerates and a mixed
        start: process [n-1] proposes 1, the others 0. *)
     { family = `Consensus; name = "consensus"; aliases = [ "ben-or" ];
-      min_n = 1; max_n = 4; topologies = []; reads = [ "cap" ];
+      min_n = 1; max_n = 4; max_sim_n = 7; topologies = []; reads = [ "cap" ];
       convention =
         Some (fun n -> ((n - 1) / 2, Array.init n (fun i -> i = n - 1)));
       heading =
@@ -112,12 +122,17 @@ let invalid ?(explored = true) (p : params) =
           Printf.sprintf "must be at least %d for %s (got %d)" m c.name v )
   in
   let most =
-    if (not explored) || p.n <= c.max_n then None
-    else
+    if explored && p.n > c.max_n then
       Some
         ( "n",
           Printf.sprintf "must be at most %d for %s (got %d)" c.max_n c.name
             p.n )
+    else if p.n > c.max_sim_n then
+      Some
+        ( "n",
+          Printf.sprintf "must be at most %d for %s Monte Carlo (got %d)"
+            c.max_sim_n c.name p.n )
+    else None
   in
   let read field v = if List.mem field c.reads then least field v 1 else None in
   let rec one_of = function

@@ -76,7 +76,11 @@ type tuple = { params : params; f : int; initial : bool array }
     so a query like [check lr -n 99] is refused at once instead of
     exploring for minutes before the 2M-state ceiling stops it.  Monte
     Carlo ([prtb simulate], [/simulate]) passes [~explored:false]:
-    large rings are what it is for. *)
+    large rings are what it is for, up to the family's Monte Carlo
+    ceiling -- lr 100, election 62, coin 200, consensus 7, each the
+    largest [n] whose default 2 000 trials finish in about 30 s and
+    256 MiB on two cores -- past which [n] is refused as [must be at
+    most .. for .. Monte Carlo]. *)
 val invalid : ?explored:bool -> params -> (string * string) option
 
 (** The parameters [prtb simulate] and [/simulate] run at: [g = k = 1],

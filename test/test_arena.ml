@@ -297,6 +297,54 @@ module Legacy = struct
 
   let always_reaches expl ~target = Array.map not (can_avoid expl ~target)
 
+  (* The sweeps [Qualitative] ran before its worklists, with the
+     adversary held to the steps [steps] accepts (global step indices):
+     the safe core, then the region that can avoid the target. *)
+  let can_avoid_steps expl ~steps ~target =
+    let n = Explore.num_states expl in
+    let step_off = (Explore.csr expl).Explore.step_off in
+    let exists_step i p =
+      let found = ref false in
+      Array.iteri
+        (fun j step -> if steps (step_off.(i) + j) && p step then found := true)
+        (Rows.steps expl i);
+      !found
+    in
+    let avoid = Array.map not target in
+    let core = Array.copy avoid in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for i = 0 to n - 1 do
+        if
+          core.(i)
+          && step_off.(i + 1) > step_off.(i)
+          && not
+               (exists_step i (fun step ->
+                    Array.for_all (fun (j, _) -> core.(j)) step.Rows.outcomes))
+        then begin
+          core.(i) <- false;
+          changed := true
+        end
+      done
+    done;
+    let bad = Array.copy core in
+    changed := true;
+    while !changed do
+      changed := false;
+      for i = 0 to n - 1 do
+        if
+          (not bad.(i)) && avoid.(i)
+          && exists_step i (fun step ->
+                 Array.exists (fun (j, _) -> bad.(j)) step.Rows.outcomes)
+        then begin
+          bad.(i) <- true;
+          changed := true
+        end
+      done
+    done;
+    (core, bad)
+
   (* Pre-refactor expected-time value iteration *)
 
   let et_expectation v outcomes =
@@ -572,6 +620,34 @@ let test_qualitative_differential () =
          (Legacy.safe_core f.expl ~avoid)
          (Mdp.Qualitative.safe_core f.arena ~avoid))
     (Lazy.force fixtures)
+
+(* The worklists against the sweeps on the 200 seeded random models,
+   each with a seeded quarter of its steps refused (and once with every
+   step accepted): deadlocks, self-loops and states whose every step is
+   refused all occur. *)
+let test_qualitative_steps_random () =
+  for seed = 0 to 199 do
+    let m = Test_support.Random_pa.make seed in
+    let expl = Mdp.Explore.run m.pa in
+    let arena = Mdp.Arena.compile expl in
+    let target = Mdp.Explore.indicator expl m.goal in
+    let rng = Random.State.make [| seed; 11 |] in
+    let refused =
+      Array.init (Mdp.Arena.num_choices arena) (fun _ ->
+          Random.State.int rng 4 = 0)
+    in
+    List.iter
+      (fun (label, steps) ->
+         let what name = Printf.sprintf "%s %s (%s)" m.name name label in
+         let core, bad = Legacy.can_avoid_steps expl ~steps ~target in
+         Alcotest.(check (array bool)) (what "safe_core") core
+           (Mdp.Qualitative.safe_core ~steps arena
+              ~avoid:(Array.map not target));
+         Alcotest.(check (array bool)) (what "can_avoid") bad
+           (Mdp.Qualitative.can_avoid ~steps arena ~target))
+      [ ("some steps refused", fun k -> not refused.(k));
+        ("every step", fun _ -> true) ]
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Expected time *)
@@ -1440,6 +1516,100 @@ let test_vi_skips_settled () =
     (Lazy.force schedule_fixtures @ Lazy.force random_fixtures)
 
 (* ------------------------------------------------------------------ *)
+(* The fixed-point tier of the reach engine, where it must step aside:
+   values past 61 fractional bits, and weights that do not sum to 1. *)
+
+(* A chain of fair flips: from [i < 70], one tick flips a coin between
+   [i + 1] and the deadlock [-1]; [70] is the goal.  From [0] the goal
+   is [2^-70] away, so within 75 ticks some layer needs more than 61
+   fractional bits and the pass goes on in rationals. *)
+let flips =
+  lazy
+    (let open Proba.Dist in
+     let pa =
+       Core.Pa.make ~start:[ 0 ]
+         ~enabled:(fun i ->
+             if i < 0 || i >= 70 then []
+             else [ step "tick" (coin (i + 1) (-1)) ])
+         ()
+     in
+     toy "70 fair flips" ~ticks:75 ~goal:(( = ) 70) pa)
+
+let test_fixed_past_61_bits () =
+  let (Fixture f) = Lazy.force flips in
+  Alcotest.(check bool) "fair flips are dyadic" true
+    (Mdp.Arena.fixed_weights f.arena <> None);
+  List.iter
+    (fun (name, legacy, engine) ->
+       let before = Mdp.Finite_horizon.layers_solved () in
+       let got = engine f.arena ~target:f.target ~ticks:f.ticks in
+       Alcotest.(check int) (name ^ ": each layer counted once")
+         (f.ticks + 1)
+         (Mdp.Finite_horizon.layers_solved () - before);
+       check_q_arrays name
+         (legacy f.expl ~is_tick:f.is_tick ~target:f.target ~ticks:f.ticks)
+         got)
+    [ ("min_reach", Legacy.min_reach, Mdp.Finite_horizon.min_reach);
+      ("max_reach", Legacy.max_reach, Mdp.Finite_horizon.max_reach) ];
+  let start = List.hd (Mdp.Explore.start_indices f.expl) in
+  Alcotest.(check string) "2^-70 from the start" "1/1180591620717411303424"
+    (Q.to_string
+       (Mdp.Finite_horizon.min_reach f.arena ~target:f.target
+          ~ticks:f.ticks).(start))
+
+(* Dyadic weights that sum to 5/4 or to 3/4, set straight into a
+   fragment's CSR (exploration would refuse them): no fixed-point memo,
+   and the rational tier gives [Legacy]'s values, past 1 for 5/4. *)
+let test_unnormalized_weights () =
+  let q = Q.of_ints in
+  List.iter
+    (fun (label, stay, go) ->
+       let expl =
+         Mdp.Explore.of_parts
+           ~pa:(Core.Pa.make ~start:[ 0 ] ~enabled:(fun _ -> []) ())
+           ~states:[| 0; 1 |]
+           ~csr:
+             { Mdp.Explore.step_off = [| 0; 1; 1 |];
+               out_off = [| 0; 2 |];
+               tgt = [| 0; 1 |];
+               prob_q = [| stay; go |];
+               actions = [| ("tick", 0) |] }
+           ~start_indices:[ 0 ] ~expanded:2 ()
+       in
+       let is_tick = Test_support.Random_pa.is_tick in
+       let arena = Mdp.Arena.compile ~is_tick expl in
+       Alcotest.(check bool) (label ^ ": no fixed-point weights") true
+         (Mdp.Arena.fixed_weights arena = None);
+       let target = [| false; true |] in
+       let legacy = Legacy.max_reach expl ~is_tick ~target ~ticks:6 in
+       check_q_arrays (label ^ " min_reach")
+         (Legacy.min_reach expl ~is_tick ~target ~ticks:6)
+         (Mdp.Finite_horizon.min_reach arena ~target ~ticks:6);
+       check_q_arrays (label ^ " max_reach") legacy
+         (Mdp.Finite_horizon.max_reach arena ~target ~ticks:6);
+       Alcotest.(check bool) (label ^ ": a value past 1") (Q.gt (Q.add stay go) Q.one)
+         (Q.gt legacy.(0) Q.one))
+    [ ("sum 5/4", q 3 4, q 1 2); ("sum 3/4", q 1 2, q 1 4) ]
+
+(* The 14-layer direct bound's pass on the lr n=3 ring runs on the
+   fixed-point tier: once the arena's memos exist, the layers allocate
+   nothing, and what is left (the rationals handed out, one per state)
+   stays under one word per state per layer: 0.21 words, where the
+   rational tier took 21. *)
+let test_reach_words () =
+  let (Fixture f) = List.hd (Lazy.force fixtures) in
+  let ticks = 13 in
+  let run () = Mdp.Finite_horizon.min_reach f.arena ~target:f.target ~ticks in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (run ()));
+  let words = Gc.minor_words () -. before in
+  let per = words /. float_of_int (Mdp.Arena.num_states f.arena * (ticks + 1)) in
+  if per >= 1.0 then
+    Alcotest.failf "%s: %.2f words per state per layer (%.0f words)" f.name
+      per words
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "arena"
@@ -1452,6 +1622,14 @@ let () =
             test_policy_differential;
           Alcotest.test_case "qualitative fixpoints" `Quick
             test_qualitative_differential;
+          Alcotest.test_case "qualitative fixpoints, refused steps" `Quick
+            test_qualitative_steps_random;
+          Alcotest.test_case "reach past 61 fractional bits" `Quick
+            test_fixed_past_61_bits;
+          Alcotest.test_case "reach on weights not summing to 1" `Quick
+            test_unnormalized_weights;
+          Alcotest.test_case "reach words per state per layer" `Quick
+            test_reach_words;
           Alcotest.test_case "expected time" `Quick
             test_expected_time_differential;
           Alcotest.test_case "expected time skips settled states" `Quick

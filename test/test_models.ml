@@ -274,17 +274,26 @@ let test_invalid_refusals () =
         ("n", "must be at most 4 for consensus (got 5)") ) ]
 
 (* Each family's largest checkable n is admitted; Monte Carlo
-   ([~explored:false]) admits any n the automaton takes. *)
+   ([~explored:false]) admits any n the automaton takes up to the
+   family's own ceiling, and refuses one more by name. *)
 let test_largest_n () =
   List.iter
-    (fun (family, n) ->
+    (fun (family, n, ceiling) ->
+       let name = Models.name family in
+       let sim n = Models.invalid ~explored:false (Models.sim_params family ~n) in
        Alcotest.(check (option (pair string string)))
-         (Printf.sprintf "%s n=%d admitted" (Models.name family) n) None
+         (Printf.sprintf "%s n=%d admitted" name n) None
          (Models.invalid (Models.sim_params family ~n));
        Alcotest.(check (option (pair string string)))
-         (Models.name family ^ " n=99 simulates") None
-         (Models.invalid ~explored:false (Models.sim_params family ~n:99)))
-    [ (`Lr, 5); (`Election, 10); (`Coin, 13); (`Consensus, 4) ]
+         (Printf.sprintf "%s n=%d simulates" name ceiling) None (sim ceiling);
+       Alcotest.(check (option (pair string string)))
+         (Printf.sprintf "%s n=%d does not simulate" name (ceiling + 1))
+         (Some
+            ( "n",
+              Printf.sprintf "must be at most %d for %s Monte Carlo (got %d)"
+                ceiling name (ceiling + 1) ))
+         (sim (ceiling + 1)))
+    [ (`Lr, 5, 100); (`Election, 10, 62); (`Coin, 13, 200); (`Consensus, 4, 7) ]
 
 let () =
   Alcotest.run "models"

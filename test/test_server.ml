@@ -320,7 +320,8 @@ let test_cli_refuses_out_of_range () =
 
 (* An n past the family's largest checkable size is refused before
    anything builds: at once on the CLI, as SRV103 when served.  Monte
-   Carlo still takes it, because large rings are what it is for. *)
+   Carlo still takes it, because large rings are what it is for, up to
+   the family's Monte Carlo ceiling. *)
 let test_refuses_past_largest_n () =
   let t0 = Unix.gettimeofday () in
   let code, out = cli_failing "check lr -n 99" in
@@ -351,12 +352,30 @@ let test_refuses_past_largest_n () =
     | `Request req -> req
     | `Eof | `Error _ -> Alcotest.fail "request did not parse"
   in
-  match Server.Protocol.of_request req with
-  | Ok (Server.Protocol.Simulate s) ->
-    Alcotest.(check int) "simulate n" 99 s.Server.Protocol.sim_n
-  | Ok _ -> Alcotest.fail "not a simulate query"
-  | Error e ->
-    Alcotest.failf "simulate n=99 refused: %s" e.Server.Protocol.message
+  (match Server.Protocol.of_request req with
+   | Ok (Server.Protocol.Simulate s) ->
+     Alcotest.(check int) "simulate n" 99 s.Server.Protocol.sim_n
+   | Ok _ -> Alcotest.fail "not a simulate query"
+   | Error e ->
+     Alcotest.failf "simulate n=99 refused: %s" e.Server.Protocol.message);
+  (* Past the family's Monte Carlo ceiling, Monte Carlo refuses too. *)
+  let t0 = Unix.gettimeofday () in
+  let code, out = cli_failing "simulate lr -n 1600" in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "simulate: usage error" 124 code;
+  Alcotest.(check bool) (out ^ " names -n") true
+    (Astring.String.is_infix
+       ~affix:"-n must be at most 100 for lr Monte Carlo (got 1600)" out);
+  Alcotest.(check bool)
+    (Printf.sprintf "simulate refused in %.3f s" elapsed) true (elapsed < 1.0);
+  let r = get "/simulate?model=lr&n=1600" in
+  Alcotest.(check int) "/simulate status" 400 r.Server.Http.status;
+  let j = parse_body r in
+  Alcotest.(check string) "/simulate code" "SRV103"
+    (str_at [ "error"; "code" ] j);
+  Alcotest.(check string) "/simulate message"
+    {|field "n" must be at most 100 for lr Monte Carlo (got 1600)|}
+    (str_at [ "error"; "message" ] j)
 
 (* The text report and the JSON lint report have no served twin to be
    compared against, so their bytes are pinned by digest: a rendering
