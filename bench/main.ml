@@ -16,7 +16,8 @@
    the subsystem kernels of [guarded_prefixes] -- regressed more than
    3x against a previously persisted baseline: a coarse guard, robust
    to CI noise).  The guard keys on kernel names, so renaming a kernel
-   drops it from the guard. *)
+   drops it from the guard.  --help prints the flags; an unknown
+   argument exits 2. *)
 
 open Bechamel
 open Toolkit
@@ -493,21 +494,62 @@ let check_against ~path rows =
       (List.rev fs);
     exit 1
 
-let arg_value argv flag =
-  let rec go = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> go rest
-    | [] -> None
+let usage =
+  String.concat "\n"
+    [ "usage: main.exe [--quick] [--tables-only | --bench-only] [--json PATH]";
+      "                [--check-against PATH]";
+      "Regenerates the experiment tables, then times the kernels.";
+      "  --quick               smaller experiment instances";
+      "  --tables-only         the tables only, no timing";
+      "  --bench-only          the timings only, no tables";
+      "  --json PATH           write per-kernel ns/run and metadata to PATH";
+      "  --check-against PATH  exit 1 if a guarded kernel is over 3x slower";
+      "                        than in the baseline at PATH";
+      "  --help                print this and exit";
+      "" ]
+
+type options = {
+  quick : bool;
+  tables_only : bool;
+  bench_only : bool;
+  json_path : string option;
+  check_path : string option;
+}
+
+(* Every argument is a known flag or a known flag's value: [--help]
+   prints the usage and exits 0, anything else exits 2 naming it. *)
+let parse argv =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+         prerr_string ("main.exe: " ^ msg ^ "\n" ^ usage);
+         exit 2)
+      fmt
   in
-  go argv
+  let rec go o = function
+    | [] -> o
+    | ("--help" | "-help" | "-h") :: _ ->
+      print_string usage;
+      exit 0
+    | "--quick" :: rest -> go { o with quick = true } rest
+    | "--tables-only" :: rest -> go { o with tables_only = true } rest
+    | "--bench-only" :: rest -> go { o with bench_only = true } rest
+    | "--json" :: path :: rest -> go { o with json_path = Some path } rest
+    | "--check-against" :: path :: rest ->
+      go { o with check_path = Some path } rest
+    | [ ("--json" | "--check-against") as flag ] ->
+      fail "%s needs a PATH" flag
+    | arg :: _ -> fail "unknown argument %S" arg
+  in
+  go
+    { quick = false; tables_only = false; bench_only = false;
+      json_path = None; check_path = None }
+    argv
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" argv in
-  let tables_only = List.mem "--tables-only" argv in
-  let bench_only = List.mem "--bench-only" argv in
-  let json_path = arg_value argv "--json" in
-  let check_path = arg_value argv "--check-against" in
+  let { quick; tables_only; bench_only; json_path; check_path } =
+    parse (List.tl (Array.to_list Sys.argv))
+  in
   if not bench_only then begin
     let config =
       if quick then Experiments.Harness.quick else Experiments.Harness.default

@@ -237,22 +237,26 @@ let budget_arg =
   in
   Arg.(value & opt (some budget_conv) None
        & info [ "budget" ] ~docv:"SPEC"
-           ~doc:"Verification budget, e.g. states:100000,wall:30s. \
-                 When exact exploration does not fit, the checker degrades \
-                 to a Monte Carlo estimate instead of failing.")
+           ~doc:"With --faults: verification budget, e.g. \
+                 states:100000,wall:30s.  When exact exploration does not \
+                 fit, the checker degrades to a Monte Carlo estimate \
+                 instead of failing.")
 
+(* [--budget], [--release] and [--seed] read as [None] when absent, so
+   a run without --faults can refuse them by name. *)
 let release_arg =
-  Arg.(value & opt bool true
+  Arg.(value & opt (some bool) None
        & info [ "release" ] ~docv:"BOOL"
-           ~doc:"Whether crashed processes free their held resources \
-                 (default true).  With --release=false a crashed \
+           ~doc:"With --faults: whether crashed processes free their held \
+                 resources (default true).  With --release=false a crashed \
                  philosopher keeps its forks and the degraded bound \
                  collapses to 0.")
 
 let check_seed_arg =
-  Arg.(value & opt int 1994
+  Arg.(value & opt (some int) None
        & info [ "seed" ] ~docv:"S"
-           ~doc:"PRNG seed for the Monte Carlo fallback.")
+           ~doc:"With --faults: PRNG seed for the Monte Carlo fallback \
+                 (default 1994).")
 
 let check_format_arg =
   Arg.(value
@@ -332,6 +336,12 @@ let check_cmd =
     match
       let p = cli_params system n g k topology bound cap in
       let query () = cli_check_query p sym plane deadline in
+      List.iter
+        (fun (flag, given) ->
+           if given && faults = None then
+             failwith (flag ^ " applies to --faults runs only; drop it"))
+        [ ("--budget", budget <> None); ("--release", release <> None);
+          ("--seed", seed <> None) ];
       match format, emit_cert, faults with
       | _, true, Some _ ->
         failwith "--emit-cert does not cover --faults runs; drop one"
@@ -356,7 +366,8 @@ let check_cmd =
           under_cli_deadline deadline (fun () ->
               check_lr_faults n g k f
                 (Option.value budget ~default:Core.Budget.unlimited)
-                release seed)
+                (Option.value release ~default:true)
+                (Option.value seed ~default:1994))
       | `Text, false, None ->
         fun () ->
           under_cli_deadline deadline (fun () ->

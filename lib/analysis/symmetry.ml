@@ -290,7 +290,8 @@ let chunk = 16
    evaluation order, and a union both of whose operands are listed (by
    physical identity) gets [left]/[right], its operands' indices, and
    the OR of their bits instead of a call; its operands come before it
-   in [plan]. *)
+   in [plan].  A predicate listed again (the same value) copies the bit
+   of its first listing: both its indices are that one. *)
 let pred_plan preds =
   let n = Array.length preds in
   let index p =
@@ -301,6 +302,9 @@ let pred_plan preds =
   Array.iteri
     (fun q p ->
        match Core.Pred.operands p with
+       | _ when index p < q ->
+         left.(q) <- index p;
+         right.(q) <- index p
        | Some (l, r) when index l >= 0 && index r >= 0 ->
          left.(q) <- index l;
          right.(q) <- index r

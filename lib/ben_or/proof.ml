@@ -53,9 +53,11 @@ let validity_violation inst =
 
 type arrow = Automaton.state Mdp.Checker.arrow
 
+(* The fragment's one [Init]. *)
 let init_pred inst =
-  let start = Automaton.start inst.params inst.initial in
-  Core.Pred.make "Init" (fun s -> s = start)
+  Mdp.Explore.region inst.expl "Init" (fun () ->
+      let start = Automaton.start inst.params inst.initial in
+      Core.Pred.make "Init" (fun s -> s = start))
 
 let decided_pred =
   Core.Pred.make "Decided" Automaton.some_decided

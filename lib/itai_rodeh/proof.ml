@@ -36,12 +36,16 @@ type arrow = Automaton.state Mdp.Checker.arrow
 
 let schema = Core.Schema.unit_time
 
+(* The fragment's one [at most k active]: each rung's post-set is the
+   next one's pre-set, and the leader the bounds aim at. *)
+let at_most inst k =
+  Mdp.Explore.region inst.expl (Printf.sprintf "at most %d active" k)
+    (fun () -> Automaton.at_most k)
+
 let rung inst k =
   Mdp.Checker.check_arrow inst.arena ~label:(Printf.sprintf "L%d" k)
-    ~granularity:inst.params.Automaton.g ~schema
-    ~pre:(Automaton.at_most k)
-    ~post:(Automaton.at_most (k - 1))
-    ~time:Q.one ~prob:Q.half
+    ~granularity:inst.params.Automaton.g ~schema ~pre:(at_most inst k)
+    ~post:(at_most inst (k - 1)) ~time:Q.one ~prob:Q.half
 
 let rec downfrom k = if k < 2 then [] else k :: downfrom (k - 1)
 
@@ -65,12 +69,10 @@ let compose_arrows arrows =
 
 let composed inst = compose_arrows (arrows inst)
 
-let leader_pred = Automaton.at_most 1
-
 let direct_bound inst =
   let best, _, _ =
-    Mdp.Checker.min_reach_over inst.arena ~target:leader_pred
-      ~over:(Automaton.at_most inst.params.Automaton.n)
+    Mdp.Checker.min_reach_over inst.arena ~target:(at_most inst 1)
+      ~over:(at_most inst inst.params.Automaton.n)
       ~ticks:
         (Core.Timed.within ~granularity:inst.params.Automaton.g
            ~time:(Q.of_int (inst.params.Automaton.n - 1)))
@@ -85,15 +87,17 @@ let expected_bound ~n =
   in
   Core.Expected.sum ~label:"E[election]" (List.map per_rung (downfrom n))
 
+let any = Core.Pred.make "any" (fun _ -> true)
+
 let max_expected_time inst =
   let worst, _, _ =
-    Mdp.Checker.max_expected_over inst.arena ~target:leader_pred
-      ~over:(Core.Pred.make "any" (fun _ -> true))
+    Mdp.Checker.max_expected_over inst.arena ~target:(at_most inst 1)
+      ~over:any
   in
   worst /. float_of_int inst.params.Automaton.g
 
 let liveness_holds inst =
-  let target = Mdp.Arena.indicator inst.arena leader_pred in
+  let target = Mdp.Arena.indicator inst.arena (at_most inst 1) in
   let always = Mdp.Qualitative.always_reaches inst.arena ~target in
   Array.for_all (fun b -> b) always
 

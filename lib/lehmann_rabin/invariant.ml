@@ -1,16 +1,21 @@
-let lemma_6_1 s =
-  let n = State.num_procs s in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let right_holder = State.holds s.State.procs.(i).State.region State.R in
-    let left_holder =
-      State.holds s.State.procs.((i + 1) mod n).State.region State.L
-    in
-    (* Res i is between process i (right side) and i+1 (left side). *)
-    if s.State.res.(i) <> (right_holder || left_holder) then ok := false;
-    if right_holder && left_holder then ok := false
-  done;
-  !ok
+(* How many of [contenders] hold the resource they share. *)
+let rec holders (s : State.t) count = function
+  | [] -> count
+  | (j, side) :: rest ->
+    holders s
+      (if State.holds s.State.procs.(j).State.region side then count + 1
+       else count)
+      rest
+
+let rec resources_agree topo (s : State.t) r =
+  r = Topology.num_resources topo
+  ||
+  let k = holders s 0 (Topology.contenders topo r) in
+  (if s.State.res.(r) then k = 1 else k = 0)
+  && resources_agree topo s (r + 1)
+
+let lemma topo =
+  Core.Pred.make "Lemma 6.1" (fun s -> resources_agree topo s 0)
 
 let neighbors_exclusive s =
   let n = State.num_procs s in
@@ -18,29 +23,18 @@ let neighbors_exclusive s =
   not (List.exists (fun i -> critical i && critical ((i + 1) mod n))
          (List.init n (fun i -> i)))
 
-let lemma_6_1_pred = Core.Pred.make "Lemma 6.1" lemma_6_1
-
 let exclusive_pred =
   Core.Pred.make "neighbors exclusive" neighbors_exclusive
 
-let check expl = Mdp.Explore.check_invariant expl lemma_6_1_pred
-let check_exclusion expl = Mdp.Explore.check_invariant expl exclusive_pred
-
-let lemma_general topo s =
-  let ok = ref true in
-  for r = 0 to Topology.num_resources topo - 1 do
-    let holders =
-      List.filter
-        (fun (j, side) -> State.holds s.State.procs.(j).State.region side)
-        (Topology.contenders topo r)
-    in
-    (match holders with
-     | [] -> if s.State.res.(r) then ok := false
-     | [ _ ] -> if not s.State.res.(r) then ok := false
-     | _ :: _ :: _ -> ok := false)
-  done;
-  !ok
-
 let check_general topo expl =
   Mdp.Explore.check_invariant expl
-    (Core.Pred.make "Lemma 6.1 (general)" (lemma_general topo))
+    (Mdp.Explore.region expl "Lemma 6.1" (fun () -> lemma topo))
+
+(* A ring fragment's processes are the ring's: its size is the number
+   of processes in any of its states. *)
+let check expl =
+  check_general
+    (Topology.ring (State.num_procs (Mdp.Explore.state expl 0)))
+    expl
+
+let check_exclusion expl = Mdp.Explore.check_invariant expl exclusive_pred

@@ -1,28 +1,30 @@
 (** Lemma 6.1: the resource variables are determined by the local
     states, and neighbors never hold the same resource.
 
-    For every reachable state [s] and every [i]:
-    - [Res i = taken] iff process [i] holds its right resource
-      (pc in [{S→, D→, P, C, E_F, E_S→}]) or process [i+1] holds its
-      left resource (pc in [{S←, D←, P, C, E_F, E_S←}]);
-    - not both at once (mutual exclusion on each resource). *)
+    For every reachable state and every resource [r], [Res r = taken]
+    iff one of the processes sharing [r] holds it on its side, and
+    never two.  On [Topology.ring n], where resource [i] lies between
+    processes [i] and [i+1], this is the paper's statement: there is
+    one formula, and the ring is a topology like any other. *)
 
-(** Does the state satisfy both clauses of Lemma 6.1? *)
-val lemma_6_1 : State.t -> bool
+(** [lemma topo], named ["Lemma 6.1"], allocates nothing. *)
+val lemma : Topology.t -> State.t Core.Pred.t
 
 (** The derived safety property of the protocol: no two {e adjacent}
     processes are simultaneously in their critical regions (they would
     both hold the resource between them). *)
 val neighbors_exclusive : State.t -> bool
 
-(** [check expl] exhaustively verifies {!lemma_6_1} over the explored
-    reachable states, returning a counterexample if any. *)
+(** [check_general topo expl] verifies {!lemma} [topo] over the
+    explored states, returning the first counterexample, if any; the
+    predicate is the fragment's one ["Lemma 6.1"] ([Mdp.Explore.region]). *)
+val check_general :
+  Topology.t -> (State.t, Automaton.action) Mdp.Explore.t -> State.t option
+
+(** [check expl] is {!check_general} on the ring of [expl]'s size. *)
 val check :
   (State.t, Automaton.action) Mdp.Explore.t -> State.t option
 
 (** Same for {!neighbors_exclusive}. *)
 val check_exclusion :
   (State.t, Automaton.action) Mdp.Explore.t -> State.t option
-
-val check_general :
-  Topology.t -> (State.t, Automaton.action) Mdp.Explore.t -> State.t option

@@ -9,6 +9,15 @@ type instance = {
   sym : Analysis.Symmetry.certificate option;
 }
 
+type topo_instance = {
+  topo : Topology.t;
+  tg : int;
+  tk : int;
+  texpl : (State.t, Automaton.action) Mdp.Explore.t;
+  tarena : (State.t, Automaton.action) Mdp.Arena.t;
+  tsym : Analysis.Symmetry.certificate option;
+}
+
 (* Some process is critical: what the checker and Monte Carlo reach. *)
 let target = Core.Pred.mem Regions.c
 
@@ -23,25 +32,51 @@ let monte_carlo ({ Automaton.n; g; k } : Automaton.params) =
             %d missed, scheduler %s; paper bound 63)\n"
            (Proba.Stat.Summary.mean s) lo hi trials missed scheduler) }
 
+(* The ring and a topology differ in their label, automaton, symmetry
+   spec, Monte Carlo setup and instance record, nothing else. *)
+let describe_with ~label ~pa ~spec ?monte_carlo instance =
+  { Desc.label; pa; spec; is_tick = Automaton.is_tick; instance; monte_carlo }
+
 let describe params =
-  { Desc.label = "lr"; pa = Automaton.make params;
-    spec = Symmetry.ring ~n:params.Automaton.n (); is_tick = Automaton.is_tick;
-    instance =
-      (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym });
-    monte_carlo = Some (monte_carlo params) }
+  describe_with ~label:"lr" ~pa:(Automaton.make params)
+    ~spec:(Symmetry.ring ~n:params.Automaton.n ())
+    ~monte_carlo:(monte_carlo params)
+    (fun arena sym -> { params; expl = Mdp.Arena.explored arena; arena; sym })
 
 let build ?max_states ?(g = 1) ?(k = 1) ?(sym = Analysis.Symmetry.Off) ~n
     () =
   Desc.build ?max_states ~sym (describe { Automaton.n; g; k })
 
+let describe_topo ~topo ~g ~k =
+  describe_with
+    ~label:(Printf.sprintf "lr:%s" (Topology.name topo))
+    ~pa:(Automaton.make_general ~topo ~g ~k) ~spec:(Symmetry.spec topo)
+    (fun tarena tsym ->
+       { topo; tg = g; tk = k; texpl = Mdp.Arena.explored tarena; tarena;
+         tsym })
+
+let build_topo ?max_states ?(g = 1) ?(k = 1)
+    ?(sym = Analysis.Symmetry.Off) ~topo () =
+  Desc.build ?max_states ~sym (describe_topo ~topo ~g ~k)
+
 type arrow = State.t Mdp.Checker.arrow
 
 let schema = Core.Schema.unit_time
 
+(* The ring is [Topology.ring n]: every pass below reads a ring
+   instance as this topology instance. *)
+let on_ring inst =
+  let { Automaton.n; g; k } = inst.params in
+  { topo = Topology.ring n; tg = g; tk = k; texpl = inst.expl;
+    tarena = inst.arena; tsym = inst.sym }
+
+(* The fragment's one [G]: built on the first request, the same value
+   after, so it is swept once per fragment. *)
+let good t = Mdp.Explore.region t.texpl "G" (fun () -> Regions.g_of t.topo)
+
 (* ----------------------------------------------------------------- *)
-(* The five arrows and their composition, over any compiled arena and
-   any goodness predicate (the ring and the generalized topologies
-   differ only in [G]). *)
+(* The five arrows and their composition, over a topology instance and
+   its goodness predicate. *)
 
 (* Each phase statement's label, sets, time and probability. *)
 let statement ~g_pred = function
@@ -55,10 +90,10 @@ let statement ~g_pred = function
     ("A.14", Regions.f, Core.Pred.union g_pred Regions.p, Q.of_int 2, Q.half)
   | `G_to_P -> ("A.11", g_pred, Regions.p, Q.of_int 5, Q.of_ints 1 4)
 
-let spec_on arena ~granularity ~g_pred step =
+let spec_on t ~g_pred step =
   let label, pre, post, time, prob = statement ~g_pred step in
-  Mdp.Checker.check_arrow arena ~label ~granularity ~schema ~pre ~post
-    ~time ~prob
+  Mdp.Checker.check_arrow t.tarena ~label ~granularity:t.tg ~schema ~pre
+    ~post ~time ~prob
 
 type step = [ `P_to_C | `T_to_RTC | `RT_to_FGP | `F_to_GP | `G_to_P ]
 
@@ -87,15 +122,15 @@ type renaming = {
   to_post : State.t Core.Inclusion.t option;
 }
 
-let renamings_on arena ~g_pred =
+let renamings_on t ~g_pred =
   List.map
     (fun (step, pad, pre, post) ->
        let _, arrow_pre, arrow_post, _, _ = statement ~g_pred step in
        { to_pre =
-           Mdp.Checker.verify_inclusion arena pre
+           Mdp.Checker.verify_inclusion t.tarena pre
              (Core.Pred.union arrow_pre pad);
          to_post =
-           Mdp.Checker.verify_inclusion arena
+           Mdp.Checker.verify_inclusion t.tarena
              (Core.Pred.union arrow_post pad)
              post })
     (rungs ~g_pred)
@@ -105,7 +140,7 @@ let renamings_on arena ~g_pred =
    3.2, rename its sets with the verified inclusions, then chain with
    Theorem 3.4.  The first arrow that does not hold is the error, then
    the first inclusion that failed to verify. *)
-let compose_on arena ~g_pred ?renamings arrows =
+let compose_on t ~g_pred ?renamings arrows =
   match
     ( List.find_opt (fun a -> Option.is_none a.Mdp.Checker.claim) arrows,
       List.filter_map (fun a -> a.Mdp.Checker.claim) arrows )
@@ -118,7 +153,7 @@ let compose_on arena ~g_pred ?renamings arrows =
       let renamings =
         match renamings with
         | Some r -> r
-        | None -> renamings_on arena ~g_pred
+        | None -> renamings_on t ~g_pred
       in
       let need set = function
         | Some incl -> incl
@@ -145,45 +180,36 @@ let compose_on arena ~g_pred ?renamings arrows =
       with Failure msg | Core.Claim.Rule_violation msg -> Error msg)
   | None, _ -> invalid_arg "Proof.compose_arrows: not the five ladder arrows"
 
-let direct_bound_on arena ~granularity =
+let direct_bound_topo t =
   let best, _, _ =
-    Mdp.Checker.min_reach_over arena ~target:Regions.c ~over:Regions.t
-      ~ticks:(Core.Timed.within ~granularity ~time:(Q.of_int 13))
+    Mdp.Checker.min_reach_over t.tarena ~target:Regions.c ~over:Regions.t
+      ~ticks:(Core.Timed.within ~granularity:t.tg ~time:(Q.of_int 13))
   in
   best
 
-let max_expected_time_on arena ~granularity =
+let max_expected_time_topo t =
   let worst, _, _ =
-    Mdp.Checker.max_expected_over arena ~target:Regions.c ~over:Regions.t
+    Mdp.Checker.max_expected_over t.tarena ~target:Regions.c ~over:Regions.t
   in
-  worst /. float_of_int granularity
+  worst /. float_of_int t.tg
 
-let liveness_on arena =
-  let target = Mdp.Arena.indicator arena Regions.c in
-  let always = Mdp.Qualitative.always_reaches arena ~target in
-  let t = Mdp.Arena.set arena Regions.t in
-  let ok = ref true in
-  for i = 0 to Mdp.Arena.num_states arena - 1 do
-    if Mdp.Bitset.mem t i && not always.(i) then ok := false
-  done;
-  !ok
+let arrows_topo t = List.map (spec_on t ~g_pred:(good t)) steps
+let compose_arrows_topo t arrows = compose_on t ~g_pred:(good t) arrows
+let composed_topo t = compose_arrows_topo t (arrows_topo t)
+let invariant_topo t = Invariant.check_general t.topo t.texpl
 
 (* ----------------------------------------------------------------- *)
 (* Ring interface. *)
 
 let arrow inst =
-  spec_on inst.arena ~granularity:inst.params.Automaton.g ~g_pred:Regions.g
+  let t = on_ring inst in
+  spec_on t ~g_pred:(good t)
 
-let arrows inst = List.map (arrow inst) steps
-
-let renamings inst = renamings_on inst.arena ~g_pred:Regions.g
-
-let compose_arrows ?renamings inst arrows =
-  compose_on inst.arena ~g_pred:Regions.g ?renamings arrows
-let composed inst = compose_arrows inst (arrows inst)
-
-let direct_bound inst =
-  direct_bound_on inst.arena ~granularity:inst.params.Automaton.g
+let arrows inst = arrows_topo (on_ring inst)
+let compose_arrows inst arrows = compose_arrows_topo (on_ring inst) arrows
+let composed inst = composed_topo (on_ring inst)
+let direct_bound inst = direct_bound_topo (on_ring inst)
+let max_expected_time inst = max_expected_time_topo (on_ring inst)
 
 let expected_bound () =
   let b prob time loops =
@@ -199,9 +225,6 @@ let expected_bound () =
     [ Core.Expected.constant ~label:"T to RT (Prop A.3)" (Q.of_int 2);
       v;
       Core.Expected.constant ~label:"P to C (Prop A.1)" Q.one ]
-
-let max_expected_time inst =
-  max_expected_time_on inst.arena ~granularity:inst.params.Automaton.g
 
 let worst_adversary inst =
   let arena = inst.arena in
@@ -223,48 +246,15 @@ let worst_adversary inst =
   in
   (value, Sim.Scheduler.of_choice choose (Mdp.Arena.automaton arena))
 
-let liveness_holds inst = liveness_on inst.arena
-
-(* ----------------------------------------------------------------- *)
-(* Generalized topologies (the paper's "more general than rings"). *)
-
-type topo_instance = {
-  topo : Topology.t;
-  tg : int;
-  tk : int;
-  texpl : (State.t, Automaton.action) Mdp.Explore.t;
-  tarena : (State.t, Automaton.action) Mdp.Arena.t;
-  tsym : Analysis.Symmetry.certificate option;
-}
-
-let describe_topo ~topo ~g ~k =
-  { Desc.label = Printf.sprintf "lr:%s" (Topology.name topo);
-    pa = Automaton.make_general ~topo ~g ~k; spec = Symmetry.spec topo;
-    is_tick = Automaton.is_tick;
-    instance =
-      (fun tarena tsym ->
-         { topo; tg = g; tk = k; texpl = Mdp.Arena.explored tarena; tarena;
-           tsym });
-    monte_carlo = None }
-
-let build_topo ?max_states ?(g = 1) ?(k = 1)
-    ?(sym = Analysis.Symmetry.Off) ~topo () =
-  Desc.build ?max_states ~sym (describe_topo ~topo ~g ~k)
-
-let arrows_topo inst =
-  List.map
-    (spec_on inst.tarena ~granularity:inst.tg ~g_pred:(Regions.g_of inst.topo))
-    steps
-
-let compose_arrows_topo ?renamings inst arrows =
-  compose_on inst.tarena ~g_pred:(Regions.g_of inst.topo) ?renamings arrows
-
-let composed_topo inst = compose_arrows_topo inst (arrows_topo inst)
-
-let direct_bound_topo inst = direct_bound_on inst.tarena ~granularity:inst.tg
-let max_expected_time_topo inst =
-  max_expected_time_on inst.tarena ~granularity:inst.tg
-let invariant_topo inst = Invariant.check_general inst.topo inst.texpl
+let liveness_holds inst =
+  let target = Mdp.Arena.indicator inst.arena Regions.c in
+  let always = Mdp.Qualitative.always_reaches inst.arena ~target in
+  let t = Mdp.Arena.set inst.arena Regions.t in
+  let ok = ref true in
+  for i = 0 to Mdp.Arena.num_states inst.arena - 1 do
+    if Mdp.Bitset.mem t i && not always.(i) then ok := false
+  done;
+  !ok
 
 (* ----------------------------------------------------------------- *)
 (* What the surfaces read of a ring or topology instance. *)
@@ -275,18 +265,16 @@ type pass =
   | Arrow of arrow
   | Renamings of renaming list
 
-(* The ring's and a topology's view differ in [G], asked for once per
-   set of arrows as the public functions ask (a fresh [G] is swept
-   again), and in the ring's statements and derivation ([ring]). *)
-let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
-  let arrow () = spec_on arena ~granularity ~g_pred:(g_pred ()) in
-  let arrows () = List.map (arrow ()) steps in
-  let compose ?renamings arrows =
-    compose_on arena ~g_pred:(g_pred ()) ?renamings arrows
-  in
-  let worst () = max_expected_time_on arena ~granularity in
-  let direct () = direct_bound_on arena ~granularity in
-  { Desc.arena; cert; target; is_tick = Automaton.is_tick; symmetry;
+(* The ring's and a topology's view differ in the ring's statements and
+   derivation ([ring]) and in their symmetry spec.  The fragment's [G]
+   is a value: asked for once, as the view opens. *)
+let view_on ~ring ~symmetry t ~g_pred =
+  let arrow = spec_on t ~g_pred in
+  let arrows () = List.map arrow steps in
+  let compose ?renamings arrows = compose_on t ~g_pred ?renamings arrows in
+  let worst () = max_expected_time_topo t in
+  { Desc.arena = t.tarena; cert = t.tsym; target; is_tick = Automaton.is_tick;
+    symmetry;
     (* One task per engine call, longest first -- value iteration, the
        14-layer direct bound, the arrows by their tick layers (A.11: 6,
        A.15: 4, A.3, A.14, A.1) with the composition's inclusions (about
@@ -296,7 +284,6 @@ let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
        in field order. *)
     fields =
       (fun ~helpers ->
-         let arrow = arrow () in
          match
            Parallel.Fork.run ?helpers
              [| (fun () ->
@@ -307,14 +294,16 @@ let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
                           ) ]
                       else [])
                      @ [ ("max_expected_time", J.Num (worst ())) ]));
-                (fun () -> Fields [ ("direct_bound", Desc.rat (direct ())) ]);
+                (fun () ->
+                  Fields [ ("direct_bound", Desc.rat (direct_bound_topo t)) ]);
                 (fun () -> Arrow (arrow `G_to_P));
-                (fun () -> Renamings (renamings_on arena ~g_pred:(g_pred ())));
+                (fun () -> Renamings (renamings_on t ~g_pred));
                 (fun () -> Arrow (arrow `RT_to_FGP));
                 (fun () -> Arrow (arrow `T_to_RTC));
                 (fun () -> Arrow (arrow `F_to_GP));
                 (fun () -> Arrow (arrow `P_to_C));
-                (fun () -> Fields [ ("invariant", Desc.holds (invariant ())) ])
+                (fun () ->
+                  Fields [ ("invariant", Desc.holds (invariant_topo t)) ])
              |]
          with
          | [| Fields vi; Fields direct; Arrow a11; Renamings renamings;
@@ -326,7 +315,7 @@ let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
          | _ -> assert false);
     body =
       (fun () ->
-         (match invariant () with
+         (match invariant_topo t with
           | None ->
             Printf.printf "Lemma 6.1%s: holds on every reachable state\n%!"
               (if ring then "" else " (generalized)")
@@ -342,7 +331,7 @@ let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
          else
            Printf.printf
              "direct 13-unit minimum: %s; worst expected time: %.3f\n"
-             (Q.to_string (direct ())) (worst ()));
+             (Q.to_string (direct_bound_topo t)) (worst ()));
     composed = (fun () -> compose (arrows ()));
     claims =
       (fun () ->
@@ -350,13 +339,10 @@ let view_on ~ring ~arena ~cert ~granularity ~g_pred ~invariant ~symmetry =
          Desc.claims arrows (compose arrows)) }
 
 let view inst =
-  view_on ~ring:true ~arena:inst.arena ~cert:inst.sym
-    ~granularity:inst.params.Automaton.g ~g_pred:(fun () -> Regions.g)
-    ~invariant:(fun () -> Invariant.check inst.expl)
+  let t = on_ring inst in
+  view_on ~ring:true t ~g_pred:(good t)
     ~symmetry:(fun () -> Symmetry.ring ~n:inst.params.Automaton.n ())
 
-let view_topo inst =
-  view_on ~ring:false ~arena:inst.tarena ~cert:inst.tsym
-    ~granularity:inst.tg ~g_pred:(fun () -> Regions.g_of inst.topo)
-    ~invariant:(fun () -> invariant_topo inst)
-    ~symmetry:(fun () -> Symmetry.spec inst.topo)
+let view_topo t =
+  view_on ~ring:false t ~g_pred:(good t)
+    ~symmetry:(fun () -> Symmetry.spec t.topo)

@@ -8,7 +8,14 @@
     {v T -13->_{1/8} C v}
 
     and the expected-time recurrence of Section 6.2 gives the 63-unit
-    expected-progress bound. *)
+    expected-progress bound.
+
+    There is one pipeline, on a topology: the ring is [Topology.ring n],
+    and every pass on a ring {!instance} is its [_topo] twin on that
+    topology.  The ring keeps its own record, automaton ({!Automaton.make}),
+    labels, statements and expected-time derivation.  Each fragment has
+    one [G], {!Regions.g_of} built through [Mdp.Explore.region], and one
+    Lemma 6.1 ({!Invariant.check_general}). *)
 
 type instance = {
   params : Automaton.params;
@@ -44,14 +51,10 @@ type arrow = State.t Mdp.Checker.arrow
     [F -2->_{1/2} G ∪ P] (A.14), [G -5->_{1/4} P] (A.11). *)
 type step = [ `P_to_C | `T_to_RTC | `RT_to_FGP | `F_to_GP | `G_to_P ]
 
-(** The five steps in proof order, as listed in {!step}. *)
-val steps : step list
-
 (** [arrow inst step] checks one phase statement. *)
 val arrow : instance -> step -> arrow
 
-(** The paper's five arrows, in proof order: [List.map (arrow inst)
-    steps]. *)
+(** The paper's five arrows, in the proof order {!step} lists. *)
 val arrows : instance -> arrow list
 
 (** Compose the five arrows into [T -13->_{1/8} C] using the claim DSL
@@ -61,25 +64,13 @@ val arrows : instance -> arrow list
     with an explanation if some arrow failed to check. *)
 val composed : instance -> (State.t Core.Claim.t, string) result
 
-(** The inclusions that rename the ladder's padded arrows so that they
-    chain, verified over the reachable states.  They depend on the
-    phase statements' sets only, so they can be checked while the
-    arrows are. *)
-type renaming
-
-(** [renamings inst] verifies every inclusion the composition needs. *)
-val renamings : instance -> renaming list
-
-(** [compose_arrows ?renamings inst arrows] composes arrows already
-    checked on [inst], so a caller that also reports the arrows checks
-    each one once: [composed inst] is [compose_arrows inst (arrows
-    inst)].  [arrows] must be [arrows inst] (or [arrows_topo] for a
-    topology instance), in that order; the ladder reads the five by
-    position and raises [Invalid_argument] on a list of any other
-    length.  [renamings] (default: verified here) must be [renamings
-    inst]; the result is the same either way. *)
+(** [compose_arrows inst arrows] composes arrows already checked on
+    [inst], so a caller that also reports the arrows checks each one
+    once: [composed inst] is [compose_arrows inst (arrows inst)].
+    [arrows] must be [arrows inst] (or [arrows_topo] for a topology
+    instance), in that order; the ladder reads the five by position and
+    raises [Invalid_argument] on a list of any other length. *)
 val compose_arrows :
-  ?renamings:renaming list ->
   instance -> arrow list -> (State.t Core.Claim.t, string) result
 
 (** Exact minimum of [P(reach C within 13)] over reachable [T]-states:
@@ -114,9 +105,9 @@ val worst_adversary :
 
     The paper's concluding remarks ask whether the analysis extends to
     "topologies that are more general than rings"; these entry points
-    run the whole pipeline -- the five arrows with the generalized
-    goodness set {!Regions.g_of}, the Theorem 3.4 composition, the
-    direct bound, the invariant -- on any {!Topology.t}. *)
+    run the whole pipeline -- the five arrows with the goodness set
+    {!Regions.g_of}, the Theorem 3.4 composition, the direct bound, the
+    invariant -- on any {!Topology.t}. *)
 
 type topo_instance = {
   topo : Topology.t;
@@ -137,18 +128,17 @@ val build_topo :
   ?max_states:int -> ?g:int -> ?k:int -> ?sym:Analysis.Symmetry.mode ->
   topo:Topology.t -> unit -> topo_instance
 
-(** {!arrows} on a topology, with the generalized goodness set. *)
+(** {!arrows} on a topology. *)
 val arrows_topo : topo_instance -> arrow list
 val composed_topo : topo_instance -> (State.t Core.Claim.t, string) result
 
 (** {!compose_arrows} for a topology instance, over {!arrows_topo}. *)
 val compose_arrows_topo :
-  ?renamings:renaming list ->
   topo_instance -> arrow list -> (State.t Core.Claim.t, string) result
 val direct_bound_topo : topo_instance -> Proba.Rational.t
 val max_expected_time_topo : topo_instance -> float
 
-(** Lemma 6.1 generalized; [None] when it holds. *)
+(** Lemma 6.1 on the topology; [None] when it holds. *)
 val invariant_topo : topo_instance -> State.t option
 
 (** {!view} on a topology, without the paper's expected-time

@@ -16,14 +16,6 @@ let rec every_region pred (procs : State.proc array) i =
   i = Array.length procs
   || (pred procs.(i).State.region && every_region pred procs (i + 1))
 
-let some_process s good =
-  let n = State.num_procs s in
-  let i = ref 0 in
-  while !i < n && not (good s !i) do
-    incr i
-  done;
-  !i < n
-
 let t = Core.Pred.make "T" (some_region trying)
 
 let c =
@@ -56,39 +48,17 @@ let points region side =
   | State.Rem | State.Flip | State.Pre | State.Crit | State.Exit_f
   | State.Exit_s _ | State.Exit_r -> false
 
-(* X in {E_R, R, F, #_side}. *)
-let harmless_or_points region side =
-  (match region with
-   | State.Exit_r | State.Rem | State.Flip -> true
-   | State.Wait _ | State.Second _ | State.Drop _ -> points region side
-   | State.Pre | State.Crit | State.Exit_f | State.Exit_s _ -> false)
-
 let committed_toward region side =
   match region with
   | State.Wait u | State.Second u -> same u side
   | State.Rem | State.Flip | State.Drop _ | State.Pre | State.Crit
   | State.Exit_f | State.Exit_s _ | State.Exit_r -> false
 
-let good_at s i =
-  let pi = s.State.procs.(i).State.region in
-  (* Committed to the left: the second resource is the right one,
-     contested by the right neighbor pointing left. *)
-  (committed_toward pi State.L
-   && harmless_or_points (State.right_neighbor s i).State.region State.R)
-  || (committed_toward pi State.R
-      && harmless_or_points (State.left_neighbor s i).State.region State.L)
-
-let good_processes s =
-  if not (in_rt s) then []
-  else
-    List.filter (good_at s)
-      (List.init (State.num_procs s) (fun i -> i))
-
-let g = Core.Pred.make "G" (fun s -> in_rt s && some_process s good_at)
-
-(* Generalized goodness over an arbitrary topology: process [i],
-   committed toward side [u], is good when no {e other} process sharing
-   its second resource (the opposite side) potentially controls it. *)
+(* Goodness over a topology: process [i], committed toward side [u], is
+   good when no {e other} process sharing its second resource (the
+   opposite side) potentially controls it.  On the ring the only other
+   sharer is the neighbor on that side, and this is the paper's
+   condition: the neighbor is in {E_R, R, F} or points away. *)
 let rec none_controls s i = function
   | [] -> true
   | (j, side_j) :: rest ->

@@ -2,7 +2,11 @@
 
     All predicates are over reachable states of the automaton; the
     checker evaluates them only on explored (hence reachable) states, as
-    the paper's definitions require. *)
+    the paper's definitions require.  Each set has one definition: the
+    one that depends on the conflict topology, [G], is {!g_of}, and the
+    ring is [g_of (Topology.ring n)], not a second formula.  The proof
+    asks a fragment for its [G] through [Mdp.Explore.region], so one
+    fragment holds one [G]. *)
 
 (** [X_i in T] in the paper's sense: pc in [{F, W, S, D, P}]. *)
 val trying : State.region -> bool
@@ -24,18 +28,13 @@ val f : State.t Core.Pred.t
 (** [P]: some process is in its pre-critical region. *)
 val p : State.t Core.Pred.t
 
-(** [G]: a state of [RT] with a {e good} process -- a committed process
-    (pc in [{W, S}]) whose second resource is not potentially controlled
-    by its neighbor on that side. *)
-val g : State.t Core.Pred.t
-
-(** [good_processes s] lists the indices witnessing membership in [G]. *)
-val good_processes : State.t -> int list
-
-(** [g_of topo] is the goodness set generalized to an arbitrary
-    topology: a committed process is good when {e no} other process
-    sharing its second resource potentially controls (or holds) it.  On
-    [Topology.ring n] this coincides with {!g}. *)
+(** [g_of topo] is [G] on [topo]: a state of [RT] with a {e good}
+    process -- a committed process (pc in [{W, S}]) whose second
+    resource no {e other} process sharing it potentially controls (or
+    holds).  On [Topology.ring n] the one other sharer is the neighbor
+    on that side, and this is the paper's ring definition; the paper
+    defines [G] for the ring only, and this is the one definition, on
+    every topology.  Allocates nothing. *)
 val g_of : Topology.t -> State.t Core.Pred.t
 
 (** The goodness-free ladder sets used to stitch the five arrows

@@ -59,14 +59,6 @@ let initial_general ~num_procs ~num_resources ~g ~k =
 
 let num_procs s = Array.length s.procs
 
-let left_neighbor s i =
-  let n = Array.length s.procs in
-  s.procs.((i + n - 1) mod n)
-
-let right_neighbor s i =
-  let n = Array.length s.procs in
-  s.procs.((i + 1) mod n)
-
 let side_arrow = function L -> "←" | R -> "→"
 
 let pp_region fmt = function

@@ -76,11 +76,6 @@ val initial_general :
 
 val num_procs : t -> int
 
-(** Navigation on the ring. *)
-val left_neighbor : t -> int -> proc
-
-val right_neighbor : t -> int -> proc
-
 val pp : Format.formatter -> t -> unit
 
 (** [equal a b] is structural equality [a = b], written out per field

@@ -227,8 +227,8 @@ let canonicalizer topo =
   | [] -> None
   | perms -> Some (canon (group topo perms))
 
-let regions topo =
-  [ Regions.t; Regions.c; Regions.rt; Regions.f; Regions.p; Regions.g_of topo;
+let regions ~g =
+  [ Regions.t; Regions.c; Regions.rt; Regions.f; Regions.p; g;
     Regions.p_or_c; Regions.rt_or_c ]
 
 let declared ~extra ~preds topo =
@@ -236,11 +236,13 @@ let declared ~extra ~preds topo =
     ~preds:(preds @ List.map (fun (name, mem) -> Core.Pred.make name mem) extra)
     ?canon:(canonicalizer topo) (generators topo)
 
-let spec ?(extra = []) topo = declared ~extra ~preds:(regions topo) topo
+let spec ?(extra = []) topo =
+  declared ~extra ~preds:(regions ~g:(Regions.g_of topo)) topo
 
+(* The ring's certificates and snapshots record [G] twice: listing the
+   one [G] value twice keeps their nine names, and the certifier
+   evaluates it once per state. *)
 let ring ?(extra = []) ~n () =
-  (* The ring proof's goodness set is the specialized [Regions.g]; it
-     coincides with [g_of (ring n)] but is the predicate the claims
-     actually name, so register it too. *)
   let topo = Topology.ring n in
-  declared ~extra ~preds:(regions topo @ [ Regions.g ]) topo
+  let g = Regions.g_of topo in
+  declared ~extra ~preds:(regions ~g @ [ g ]) topo

@@ -7,7 +7,8 @@
     The region ladder of the proof ({!Regions}) is registered as the
     invariant predicates, so [Analysis.Symmetry.verify] certifies at
     once that reduction is sound {e and} that the proof's claims
-    survive it.
+    survive it.  The ring and every other topology register the same
+    definitions, with goodness {!Regions.g_of} of the topology.
 
     The declared generators are {!Topology.generators}, a generating
     subset of the automorphisms: on [Topology.ring n] one rotation,
@@ -49,8 +50,10 @@ val spec :
   ?extra:(string * (State.t -> bool)) list ->
   Topology.t -> (State.t, Automaton.action) Analysis.Symmetry.spec
 
-(** [ring ~n ()] is {!spec} on [Topology.ring n] with the ring-proof
-    goodness set {!Regions.g} also registered. *)
+(** [ring ~n ()] is {!spec} on [Topology.ring n] with its one [G]
+    listed a second time, physically the same value, so the ring's
+    certificate keeps the nine predicate names it has always recorded
+    while the certifier evaluates [G] once per state. *)
 val ring :
   ?extra:(string * (State.t -> bool)) list ->
   n:int -> unit -> (State.t, Automaton.action) Analysis.Symmetry.spec

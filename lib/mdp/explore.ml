@@ -17,6 +17,8 @@ type ('s, 'a) t = {
   canon : ('s -> 's) option;  (** [Some] when the fragment is a quotient *)
   sets : ('s Core.Pred.t * Bitset.t) list Atomic.t;
       (** swept predicates, at most one per name; use {!set} *)
+  regions : 's Core.Pred.t list Atomic.t;
+      (** the fragment's own predicates, one per name; use {!region} *)
 }
 
 (* Process-wide count of BFS explorations, surfaced through
@@ -27,8 +29,8 @@ type ('s, 'a) t = {
 let explorations_counter = Atomic.make 0
 let explorations () = Atomic.get explorations_counter
 
-(* Process-wide count of the sets [set] stored, so a test can pin one
-   sweep per region and fragment. *)
+(* Process-wide count of the sweeps [set] ran, stored or not, so a test
+   can pin one sweep per region and fragment. *)
 let sweeps_counter = Atomic.make 0
 let sweeps () = Atomic.get sweeps_counter
 
@@ -131,7 +133,7 @@ let run ?(max_states = 5_000_000) ?canon ?(on_intern = fun _ _ -> ()) m =
      doubling left past the last one. *)
   Funtbl.trim table;
   { pa = m; table; csr; start_indices; expanded = !expanded; canon;
-    sets = Atomic.make [] }
+    sets = Atomic.make []; regions = Atomic.make [] }
 
 (* Rehydration constructor for snapshot loading: rebuilds the intern
    table from the state array instead of re-running the BFS, so it does
@@ -186,7 +188,8 @@ let of_parts ?canon ~pa ~states ~csr ~start_indices ~expanded () =
        if j <> i then invalid "state %d repeats state %d" i j)
     states;
   Funtbl.trim table;
-  { pa; table; csr; start_indices; expanded; canon; sets = Atomic.make [] }
+  { pa; table; csr; start_indices; expanded; canon; sets = Atomic.make [];
+    regions = Atomic.make [] }
 
 let automaton e = e.pa
 let num_states e = Funtbl.length e.table
@@ -226,6 +229,7 @@ let rec set e p =
        let swept =
          Bitset.init (num_states e) (fun i -> Core.Pred.mem p (state e i))
        in
+       Atomic.incr sweeps_counter;
        let rec publish () =
          let seen = Atomic.get e.sets in
          match find seen with
@@ -238,11 +242,31 @@ let rec set e p =
                 name)
          | None when Atomic.compare_and_set e.sets seen ((p, swept) :: seen)
            ->
-           Atomic.incr sweeps_counter;
            swept
          | None -> publish ()
        in
        publish ())
+
+(* Build, then publish by CAS: a domain that loses the race to a name
+   adopts the stored predicate. *)
+let region e name build =
+  let find = List.find_opt (fun q -> String.equal (Core.Pred.name q) name) in
+  match find (Atomic.get e.regions) with
+  | Some q -> q
+  | None ->
+    let p = build () in
+    if not (String.equal (Core.Pred.name p) name) then
+      invalid_arg
+        (Printf.sprintf "Explore.region: %S built a predicate named %S" name
+           (Core.Pred.name p));
+    let rec publish () =
+      let seen = Atomic.get e.regions in
+      match find seen with
+      | Some q -> q
+      | None when Atomic.compare_and_set e.regions seen (p :: seen) -> p
+      | None -> publish ()
+    in
+    publish ()
 
 let indicator e pred = Bitset.to_bools (set e pred)
 

@@ -13,7 +13,10 @@
     deadline ({!Core.Budget.Deadline_exceeded}).  {!run} therefore
     always returns a complete fragment; a fragment with a frontier
     (states interned but not expanded) comes only from {!of_parts},
-    when a snapshot stored one. *)
+    when a snapshot stored one.
+
+    A fragment holds one definition per region name: the predicate
+    ({!region}) and the set swept for it ({!set}). *)
 
 exception Too_many_states of int
 
@@ -150,6 +153,14 @@ val csr : ('s, 'a) t -> 'a csr
     a sweep that raises stores nothing. *)
 val set : ('s, 'a) t -> 's Core.Pred.t -> Bitset.t
 
+(** [region expl name build] is the fragment's one predicate named
+    [name]: the first request stores [build ()], and every later one
+    returns that value, so {!set} finds it by [==] and never sweeps it
+    again.  Write-once and published by CAS as {!set}'s store is.
+    Raises [Invalid_argument] if [build] names its predicate otherwise. *)
+val region :
+  ('s, 'a) t -> string -> (unit -> 's Core.Pred.t) -> 's Core.Pred.t
+
 (** [indicator expl pred] is {!set} as a boolean array. *)
 val indicator : ('s, 'a) t -> 's Core.Pred.t -> bool array
 
@@ -163,7 +174,8 @@ val check_invariant : ('s, 'a) t -> 's Core.Pred.t -> 's option
     into a single exploration. *)
 val explorations : unit -> int
 
-(** Process-wide count of the sets {!set} has stored: one per name and
-    fragment, however many domains raced to sweep it.  Tests read it to
-    pin one sweep per region and fragment. *)
+(** Process-wide count of the sweeps {!set} has run, stored or not:
+    one that lost a race or checked a physically different predicate
+    against a stored set counts too.  Tests read it to pin one sweep
+    per region and fragment. *)
 val sweeps : unit -> int

@@ -38,12 +38,16 @@ type arrow = Automaton.state Mdp.Checker.arrow
 
 let schema = Core.Schema.unit_time
 
+(* The fragment's one [|counter| >= d]: each rung's post-set is the
+   next one's pre-set, and the decided set the bounds aim at. *)
+let at_least inst d =
+  Mdp.Explore.region inst.expl (Printf.sprintf "|counter| >= %d" d)
+    (fun () -> Automaton.at_least inst.params d)
+
 let rung inst d =
   Mdp.Checker.check_arrow inst.arena ~label:(Printf.sprintf "D%d" d)
-    ~granularity:inst.params.Automaton.g ~schema
-    ~pre:(Automaton.at_least inst.params d)
-    ~post:(Automaton.at_least inst.params (d + 1))
-    ~time:Q.one ~prob:Q.half
+    ~granularity:inst.params.Automaton.g ~schema ~pre:(at_least inst d)
+    ~post:(at_least inst (d + 1)) ~time:Q.one ~prob:Q.half
 
 let rungs inst = List.init inst.params.Automaton.bound (fun d -> d)
 
@@ -64,13 +68,12 @@ let compose_arrows arrows =
 
 let composed inst = compose_arrows (arrows inst)
 
-let decided_pred inst =
-  Automaton.at_least inst.params inst.params.Automaton.bound
+let decided_pred inst = at_least inst inst.params.Automaton.bound
 
 let direct_bound inst =
   let best, _, _ =
     Mdp.Checker.min_reach_over inst.arena ~target:(decided_pred inst)
-      ~over:(Automaton.at_least inst.params 0)
+      ~over:(at_least inst 0)
       ~ticks:
         (Core.Timed.within ~granularity:inst.params.Automaton.g
            ~time:(Q.of_int inst.params.Automaton.bound))
@@ -78,13 +81,15 @@ let direct_bound inst =
   best
 
 (* nan when the start state's representative was never interned. *)
+let start_pred inst =
+  Mdp.Explore.region inst.expl "Start" (fun () ->
+      let start = Mdp.Arena.index inst.arena (Automaton.start inst.params) in
+      Core.Pred.make "Start" (fun s -> Mdp.Arena.index inst.arena s = start))
+
 let expected_exact inst =
-  let start = Mdp.Arena.index inst.arena (Automaton.start inst.params) in
   match
     Mdp.Checker.max_expected_over inst.arena ~target:(decided_pred inst)
-      ~over:
-        (Core.Pred.make "Start" (fun s ->
-             Mdp.Arena.index inst.arena s = start))
+      ~over:(start_pred inst)
   with
   | value, _, 1 -> value /. float_of_int inst.params.Automaton.g
   | _ -> nan

@@ -850,7 +850,9 @@ let built_in ~sym =
   in
   [ Sets
       { name = "lr"; arena = lr.LR.Proof.arena;
-        preds = lr_preds LR.Regions.g @ arrow_sets (LR.Proof.arrows lr) };
+        preds =
+          lr_preds (LR.Regions.g_of (LR.Topology.ring 3))
+          @ arrow_sets (LR.Proof.arrows lr) };
     Sets
       { name = "lr star"; arena = star.LR.Proof.tarena;
         preds =
@@ -927,7 +929,8 @@ let test_sets_random () =
 
 (* A name is one set per fragment: another predicate under a stored
    name is swept and refused if its set differs; one with the same set
-   is accepted without displacing the stored predicate. *)
+   is accepted without displacing the stored predicate.  A name is one
+   region too. *)
 let test_sets_refuse_renamed () =
   let arena = Mdp.Arena.compile (Mdp.Explore.run Test_support.Toys.Walker.pa) in
   let n = Mdp.Arena.num_states arena in
@@ -951,7 +954,28 @@ let test_sets_refuse_renamed () =
        ignore
          (Mdp.Arena.set arena (Core.Pred.make "Y" (fun _ -> failwith "boom"))));
   Alcotest.(check int) "the name is free after a failed sweep" 0
-    (members (Mdp.Arena.indicator arena (Core.Pred.make "Y" (fun _ -> false))))
+    (members (Mdp.Arena.indicator arena (Core.Pred.make "Y" (fun _ -> false))));
+  (* A region is built once: later requests get the first value, which
+     the set memo then finds without a sweep. *)
+  let expl = Mdp.Arena.explored arena in
+  let z =
+    Mdp.Explore.region expl "Z" (fun () -> Core.Pred.make "Z" (fun _ -> true))
+  in
+  ignore (Mdp.Arena.set arena z);
+  let before = Mdp.Explore.sweeps () in
+  let again =
+    Mdp.Explore.region expl "Z" (fun () -> failwith "built twice")
+  in
+  Alcotest.(check bool) "the same region" true (again == z);
+  ignore (Mdp.Arena.set arena again);
+  Alcotest.(check int) "no sweep for the stored region" before
+    (Mdp.Explore.sweeps ());
+  Alcotest.check_raises "a region under another name"
+    (Invalid_argument "Explore.region: \"W\" built a predicate named \"V\"")
+    (fun () ->
+       ignore
+         (Mdp.Explore.region expl "W" (fun () ->
+              Core.Pred.make "V" (fun _ -> true))))
 
 (* A predicate that counts its calls is swept once per fragment however
    many passes, inclusions, indicators and invariant checks ask. *)
@@ -976,23 +1000,72 @@ let test_sets_counting () =
   ignore (Mdp.Explore.check_invariant (Mdp.Arena.explored arena) counted);
   Alcotest.(check int) "one call per state" n !calls
 
-(* The proof region of [prtb check lr] on a fresh fragment, with its
-   passes forked across domains as the CLI runs them: one set each is
-   stored for T, RT, F, G, P, C and Lemma 6.1, however the domains race
-   to sweep them; every union is ORed; a second check stores nothing,
-   and neither do the serial passes the region does not run. *)
-let test_sets_check_lr_once () =
+(* The proof region of [prtb check] on a fresh fragment of each family:
+   one sweep each for the regions it asks for (on lr, T, RT, F, G, P, C
+   and Lemma 6.1; every union is ORed), counted on a serial first pass
+   so that no two domains race to one name.  A second check, with its
+   passes forked across domains as the CLI runs them, and then the
+   certificate sweep nothing, and neither do the serial passes the
+   region does not run. *)
+let test_sets_check_once () =
+  let config =
+    { Cert.Node.model = "test"; n = 0; plane = "exact"; sym = "off";
+      faults = "none"; budget = "states:2000000"; params = [] }
+  in
+  let on = Analysis.Symmetry.On in
   List.iter
-    (fun sym ->
-       let inst = LR.Proof.build ~sym ~n:3 () in
+    (fun (what, regions, inst, more) ->
+       let (Models.View v) = Models.view inst in
        let before = Mdp.Explore.sweeps () in
-       ignore (Models.check_fields (Models.Lr inst));
-       Alcotest.(check int) "seven sets" 7 (Mdp.Explore.sweeps () - before);
-       ignore (Models.check_fields (Models.Lr inst));
-       ignore (LR.Proof.composed inst);
-       ignore (LR.Proof.liveness_holds inst);
-       Alcotest.(check int) "none after" 7 (Mdp.Explore.sweeps () - before))
-    [ Analysis.Symmetry.Off; Analysis.Symmetry.On ]
+       ignore (v.fields ~helpers:(Some 0));
+       Alcotest.(check int) (what ^ ": one sweep per region") regions
+         (Mdp.Explore.sweeps () - before);
+       let before = Mdp.Explore.sweeps () in
+       ignore (Models.check_fields inst);
+       ignore (Models.certificate ~config inst);
+       more ();
+       Alcotest.(check int) (what ^ ": none after") before
+         (Mdp.Explore.sweeps ()))
+    [ (let i = LR.Proof.build ~n:3 () in
+       ("lr", 7, Models.Lr i,
+        fun () ->
+          ignore (LR.Proof.composed i);
+          ignore (LR.Proof.liveness_holds i)));
+      (let i = LR.Proof.build ~sym:on ~n:3 () in
+       ("lr --sym on", 7, Models.Lr i,
+        fun () ->
+          ignore (LR.Proof.composed i);
+          ignore (LR.Invariant.check i.LR.Proof.expl)));
+      (let i = LR.Proof.build_topo ~topo:(LR.Topology.line 3) () in
+       ("lr line", 7, Models.Lr_topo i,
+        fun () -> ignore (LR.Proof.composed_topo i)));
+      (let i = LR.Proof.build_topo ~sym:on ~topo:(LR.Topology.star 3) () in
+       ("lr star --sym on", 7, Models.Lr_topo i,
+        fun () -> ignore (LR.Proof.composed_topo i)));
+      (let i = IR.Proof.build ~n:4 () in
+       ("election", 5, Models.Election i,
+        fun () -> ignore (IR.Proof.liveness_holds i)));
+      (let i = SC.Proof.build ~n:2 ~bound:3 () in
+       ("coin", 5, Models.Coin i,
+        fun () -> ignore (SC.Proof.liveness_holds i)));
+      (let i =
+         BO.Proof.build ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
+       in
+       ("consensus", 3, Models.Consensus i,
+        fun () -> ignore (BO.Proof.capped_liveness i))) ]
+
+(* The fault ladder's regions are one value each: a second derivation
+   on one wrapped-ring arena sweeps nothing. *)
+let test_sets_faults_once () =
+  let inst =
+    Faults.Lr.explore
+      { Faults.Lr.params = { LR.Automaton.n = 3; g = 1; k = 1 };
+        faults = Faults.Fault.v ~crash:1 (); release = true }
+  in
+  ignore (Faults.Lr.derivation inst);
+  let before = Mdp.Explore.sweeps () in
+  ignore (Faults.Lr.derivation inst);
+  Alcotest.(check int) "none after" before (Mdp.Explore.sweeps ())
 
 (* ------------------------------------------------------------------ *)
 (* Mdp.Funtbl.find_or_add *)
@@ -1663,7 +1736,9 @@ let () =
           Alcotest.test_case "counting predicate swept once" `Quick
             test_sets_counting;
           Alcotest.test_case "check lr sweeps each region once" `Quick
-            test_sets_check_lr_once ] );
+            test_sets_check_once;
+          Alcotest.test_case "fault ladder sweeps each region once" `Quick
+            test_sets_faults_once ] );
       ( "funtbl",
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",

@@ -297,8 +297,8 @@ let test_regions_f_p () =
   Alcotest.(check bool) "P not in F" false (Core.Pred.mem LR.Regions.f s)
 
 (* The region predicates run once per orbit member in certification
-   and once per state in every sweep: over every state of the ring and
-   the star they allocate nothing. *)
+   and, with Lemma 6.1, once per state in every sweep: over every state
+   of the n=3 ring and star they allocate nothing. *)
 let test_regions_allocate_nothing () =
   List.iter
     (fun topo ->
@@ -319,40 +319,47 @@ let test_regions_allocate_nothing () =
                 (Core.Pred.name p) (LR.Topology.name topo) words
                 (Array.length states))
          [ LR.Regions.t; LR.Regions.c; LR.Regions.rt; LR.Regions.f;
-           LR.Regions.p; LR.Regions.g; LR.Regions.g_of topo;
-           LR.Regions.p_or_c; LR.Regions.rt_or_c ])
+           LR.Regions.p; LR.Regions.g_of topo; LR.Regions.p_or_c;
+           LR.Regions.rt_or_c; LR.Invariant.lemma topo ])
     [ LR.Topology.ring 3; LR.Topology.star 3 ]
+
+(* The crafted cases run against [g_of (Topology.ring 3)]; the
+   witnesses are the paper's ring formula's ([Test_support.Lr_ring]). *)
+let ring_g = LR.Regions.g_of (LR.Topology.ring 3)
+let good_processes = Test_support.Lr_ring.good_processes
 
 let test_regions_good () =
   (* Process 0 committed to the left; its right neighbor (process 1)
      does not potentially control Res 0: good. *)
   let s = craft [| St.Wait St.L; St.Flip; St.Rem |] in
-  Alcotest.(check bool) "good" true (Core.Pred.mem LR.Regions.g s);
-  Alcotest.(check (list int)) "witness is 0" [ 0 ]
-    (LR.Regions.good_processes s);
+  Alcotest.(check bool) "good" true (Core.Pred.mem ring_g s);
+  Alcotest.(check (list int)) "witness is 0" [ 0 ] (good_processes s);
   (* Now the right neighbor points left (controls Res 0): not good. *)
   let s = craft [| St.Wait St.L; St.Wait St.L; St.Rem |] in
   Alcotest.(check bool) "not good via 0" false
-    (List.mem 0 (LR.Regions.good_processes s));
+    (List.mem 0 (good_processes s));
   (* ... but process 1 itself is: committed left, and process 2 is
      harmless. *)
-  Alcotest.(check bool) "1 is good" true
-    (List.mem 1 (LR.Regions.good_processes s));
+  Alcotest.(check bool) "1 is good" true (List.mem 1 (good_processes s));
+  Alcotest.(check bool) "in G via 1" true (Core.Pred.mem ring_g s);
   (* All committed toward each other in a cycle: nobody is good. *)
   let s = craft [| St.Wait St.L; St.Wait St.L; St.Wait St.L |] in
   Alcotest.(check (list int)) "symmetric wait cycle: none good" []
-    (LR.Regions.good_processes s);
-  Alcotest.(check bool) "not in G" false (Core.Pred.mem LR.Regions.g s)
+    (good_processes s);
+  Alcotest.(check bool) "not in G" false (Core.Pred.mem ring_g s)
 
 let test_regions_good_drop_neighbor () =
   (* D pointing toward the contested resource blocks goodness. *)
   let s = craft [| St.Wait St.L; St.Drop St.L; St.Rem |] in
   Alcotest.(check bool) "drop neighbor pointing left blocks 0" false
-    (List.mem 0 (LR.Regions.good_processes s));
+    (List.mem 0 (good_processes s));
+  Alcotest.(check bool) "nobody else is good: not in G" false
+    (Core.Pred.mem ring_g s);
   (* D pointing away is harmless. *)
   let s = craft [| St.Wait St.L; St.Drop St.R; St.Rem |] in
   Alcotest.(check bool) "drop pointing right is fine" true
-    (List.mem 0 (LR.Regions.good_processes s))
+    (List.mem 0 (good_processes s));
+  Alcotest.(check bool) "in G" true (Core.Pred.mem ring_g s)
 
 (* ------------------------------------------------------------------ *)
 (* Invariant (Lemma 6.1) *)
@@ -367,9 +374,12 @@ let test_invariant_exhaustive () =
 let test_invariant_detects_corruption () =
   let s = craft [| St.Second St.R; St.Rem; St.Rem |] in
   let corrupted = { s with St.res = Array.map not s.St.res } in
+  let lemma = LR.Invariant.lemma (LR.Topology.ring 3) in
   Alcotest.(check bool) "corrupted state rejected" false
-    (LR.Invariant.lemma_6_1 corrupted);
-  Alcotest.(check bool) "crafted state fine" true (LR.Invariant.lemma_6_1 s)
+    (Core.Pred.mem lemma corrupted);
+  Alcotest.(check bool) "crafted state fine" true (Core.Pred.mem lemma s);
+  Alcotest.(check bool) "the ring formula agrees" false
+    (Test_support.Lr_ring.lemma_6_1 corrupted)
 
 let test_invariant_neighbor_crit () =
   let s = craft [| St.Crit; St.Rem; St.Rem |] in
@@ -507,21 +517,42 @@ let test_topology_validation () =
 
 let test_topology_ring_equivalence () =
   (* The generalized automaton over Topology.ring n must agree with the
-     ring automaton, and the generalized goodness with the ring one, on
-     every reachable state. *)
+     ring automaton on the reachable state count. *)
   let inst = Lazy.force inst in
-  let expl = inst.LR.Proof.expl in
   let topo = LR.Topology.ring 3 in
   let gen = Mdp.Explore.run (Au.make_general ~topo ~g:1 ~k:1) in
-  Alcotest.(check int) "same state count" (Mdp.Explore.num_states expl)
-    (Mdp.Explore.num_states gen);
-  let g_gen = LR.Regions.g_of topo in
-  for i = 0 to Mdp.Explore.num_states expl - 1 do
-    let st = Mdp.Explore.state expl i in
-    if Core.Pred.mem LR.Regions.g st <> Core.Pred.mem g_gen st then
-      Alcotest.failf "goodness disagrees at %s"
-        (Format.asprintf "%a" LR.State.pp st)
-  done
+  Alcotest.(check int) "same state count"
+    (Mdp.Explore.num_states inst.LR.Proof.expl)
+    (Mdp.Explore.num_states gen)
+
+(* G and Lemma 6.1 on [Topology.ring n] against the paper's ring
+   formulas, on every reachable state of the unreduced n=3 and n=4
+   rings (8 092 and 162 964 states), each set met at least once. *)
+let test_ring_formulas_agree () =
+  List.iter
+    (fun (n, states) ->
+       let expl = Mdp.Explore.run (Au.make { Au.n; g = 1; k = 1 }) in
+       Alcotest.(check int) (Printf.sprintf "n=%d states" n) states
+         (Mdp.Explore.num_states expl);
+       let topo = LR.Topology.ring n in
+       List.iter
+         (fun (name, p, reference) ->
+            let hits = ref 0 in
+            for i = 0 to states - 1 do
+              let st = Mdp.Explore.state expl i in
+              let mem = Core.Pred.mem p st in
+              if mem then incr hits;
+              if mem <> reference st then
+                Alcotest.failf "n=%d: %s disagrees at %s" n name
+                  (Format.asprintf "%a" St.pp st)
+            done;
+            Alcotest.(check bool)
+              (Printf.sprintf "n=%d: %s holds somewhere" n name) true
+              (!hits > 0))
+         [ ("G", LR.Regions.g_of topo, Test_support.Lr_ring.g);
+           ("Lemma 6.1", LR.Invariant.lemma topo,
+            Test_support.Lr_ring.lemma_6_1) ])
+    [ (3, 8092); (4, 162964) ]
 
 let test_topology_line_star_arrows () =
   List.iter
@@ -748,6 +779,8 @@ let () =
          Alcotest.test_case "validation" `Quick test_topology_validation;
          Alcotest.test_case "ring equivalence" `Quick
            test_topology_ring_equivalence;
+         Alcotest.test_case "ring formulas agree (n=3, 4)" `Quick
+           test_ring_formulas_agree;
          Alcotest.test_case "line/star arrows" `Quick
            test_topology_line_star_arrows;
          Alcotest.test_case "worst adversary replay" `Quick

@@ -490,6 +490,24 @@ let test_export_dot_limit_refused () =
     out;
   Alcotest.(check bool) "no file written" false (Sys.file_exists path)
 
+(* The fault ladder's flags mean nothing without --faults: a check
+   without it refuses each one by name (exit 124) instead of running
+   the normal report. *)
+let test_cli_fault_flags_need_faults () =
+  List.iter
+    (fun (flag, args) ->
+       let code, out = cli_failing ("check coin -n 2 " ^ args) in
+       Alcotest.(check int) ("exit code of " ^ args) 124 code;
+       Alcotest.(check string) ("message of " ^ args)
+         ("prtb: " ^ flag ^ " applies to --faults runs only; drop it\n")
+         out)
+    [ ("--budget", "--budget states:10");
+      ("--release", "--release false");
+      ("--seed", "--seed 5");
+      ("--budget", "--budget states:10 --release false --seed 5");
+      ("--seed", "--format json --seed 5");
+      ("--release", "--emit-cert --release true") ]
+
 let test_lint_served () =
   let r = get "/lint?target=example:race" in
   Alcotest.(check int) "200" 200 r.Server.Http.status;
@@ -1023,6 +1041,8 @@ let () =
             test_cli_io_failures_exit_1;
           Alcotest.test_case "export-dot refuses past its limit" `Quick
             test_export_dot_limit_refused;
+          Alcotest.test_case "fault flags need --faults" `Quick
+            test_cli_fault_flags_need_faults;
           Alcotest.test_case "lint served" `Quick test_lint_served;
           Alcotest.test_case "budget exhaustion verdict" `Quick
             test_budget_exhausted_verdict;
