@@ -17,11 +17,12 @@ val neighbors_exclusive : State.t -> bool
 
 (** [check_general topo expl] verifies {!lemma} [topo] over the
     explored states, returning the first counterexample, if any; the
-    predicate is the fragment's one ["Lemma 6.1"] ([Mdp.Explore.region]). *)
+    predicate is the fragment's one ["Lemma 6.1"] ([Mdp.Explore.region]),
+    so [topo] must be the topology [expl] was explored on. *)
 val check_general :
   Topology.t -> (State.t, Automaton.action) Mdp.Explore.t -> State.t option
 
-(** [check expl] is {!check_general} on the ring of [expl]'s size. *)
+(** [check expl] is {!check_general} on the ring fragment [expl]'s ring. *)
 val check :
   (State.t, Automaton.action) Mdp.Explore.t -> State.t option
 

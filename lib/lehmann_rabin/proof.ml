@@ -70,8 +70,8 @@ let on_ring inst =
   { topo = Topology.ring n; tg = g; tk = k; texpl = inst.expl;
     tarena = inst.arena; tsym = inst.sym }
 
-(* The fragment's one [G]: built on the first request, the same value
-   after, so it is swept once per fragment. *)
+(* The fragment's one [G] on its own topology [t.topo]: built on the
+   first request, the same value after, so swept once per fragment. *)
 let good t = Mdp.Explore.region t.texpl "G" (fun () -> Regions.g_of t.topo)
 
 (* ----------------------------------------------------------------- *)

@@ -209,49 +209,52 @@ let index e s =
 let start_indices e = e.start_indices
 let csr e = e.csr
 
-(* Sweep first, then publish by CAS, as [Arena.solved] does: a domain
-   that loses the race to a name adopts the stored set, so two domains
-   may sweep one name but only one set is kept.  Re-sweeping a
-   physically different predicate under a stored name keeps the memo
-   sound, and the proof rules' identification of a set with its name
-   honest. *)
+let named name_of name =
+  List.find_opt (fun x -> String.equal (name_of x) name)
+
+(* Publish [entry] under [name] by CAS unless an entry is stored
+   already, and return the stored one: a domain that loses the race to
+   a name gets the winner's.  Both memos below are write-once this
+   way. *)
+let rec publish store name_of name entry =
+  let seen = Atomic.get store in
+  match named name_of name seen with
+  | Some kept -> kept
+  | None when Atomic.compare_and_set store seen (entry :: seen) -> entry
+  | None -> publish store name_of name entry
+
+let set_name (q, _) = Core.Pred.name q
+
+(* Sweep first, then publish, as [Arena.solved] does: a domain that
+   loses the race to a name adopts the stored set, so two domains may
+   sweep one name but only one set is kept.  Re-sweeping a physically
+   different predicate under a stored name keeps the memo sound, and
+   the proof rules' identification of a set with its name honest. *)
 let rec set e p =
   match Core.Pred.operands p with
   | Some (l, r) -> Bitset.union (set e l) (set e r)
   | None ->
     let name = Core.Pred.name p in
-    let find =
-      List.find_opt (fun (q, _) -> String.equal (Core.Pred.name q) name)
-    in
-    (match find (Atomic.get e.sets) with
+    (match named set_name name (Atomic.get e.sets) with
      | Some (q, stored) when q == p -> stored
      | _ ->
        let swept =
          Bitset.init (num_states e) (fun i -> Core.Pred.mem p (state e i))
        in
        Atomic.incr sweeps_counter;
-       let rec publish () =
-         let seen = Atomic.get e.sets in
-         match find seen with
-         | Some (_, stored) when Bitset.equal stored swept -> stored
-         | Some _ ->
-           invalid_arg
-             (Printf.sprintf
-                "Explore.set: predicate %S names a different state set on \
-                 this fragment"
-                name)
-         | None when Atomic.compare_and_set e.sets seen ((p, swept) :: seen)
-           ->
-           swept
-         | None -> publish ()
-       in
-       publish ())
+       let _, stored = publish e.sets set_name name (p, swept) in
+       if Bitset.equal stored swept then stored
+       else
+         invalid_arg
+           (Printf.sprintf
+              "Explore.set: predicate %S names a different state set on \
+               this fragment"
+              name))
 
-(* Build, then publish by CAS: a domain that loses the race to a name
-   adopts the stored predicate. *)
+(* Build, then publish: a domain that loses the race to a name adopts
+   the stored predicate. *)
 let region e name build =
-  let find = List.find_opt (fun q -> String.equal (Core.Pred.name q) name) in
-  match find (Atomic.get e.regions) with
+  match named Core.Pred.name name (Atomic.get e.regions) with
   | Some q -> q
   | None ->
     let p = build () in
@@ -259,14 +262,7 @@ let region e name build =
       invalid_arg
         (Printf.sprintf "Explore.region: %S built a predicate named %S" name
            (Core.Pred.name p));
-    let rec publish () =
-      let seen = Atomic.get e.regions in
-      match find seen with
-      | Some q -> q
-      | None when Atomic.compare_and_set e.regions seen (p :: seen) -> p
-      | None -> publish ()
-    in
-    publish ()
+    publish e.regions Core.Pred.name name p
 
 let indicator e pred = Bitset.to_bools (set e pred)
 

@@ -154,10 +154,12 @@ val csr : ('s, 'a) t -> 'a csr
 val set : ('s, 'a) t -> 's Core.Pred.t -> Bitset.t
 
 (** [region expl name build] is the fragment's one predicate named
-    [name]: the first request stores [build ()], and every later one
-    returns that value, so {!set} finds it by [==] and never sweeps it
-    again.  Write-once and published by CAS as {!set}'s store is.
-    Raises [Invalid_argument] if [build] names its predicate otherwise. *)
+    [name]: the first request stores [build ()], which sweeps nothing,
+    and every later one returns that value, so {!set} finds it by [==]
+    and sweeps it once.  What [build] makes must depend only on the
+    fragment: a later request's [build] is never run.  Write-once by CAS
+    as {!set}'s store is.  Raises [Invalid_argument] if [build] names
+    its predicate otherwise. *)
 val region :
   ('s, 'a) t -> string -> (unit -> 's Core.Pred.t) -> 's Core.Pred.t
 

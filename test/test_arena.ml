@@ -1006,66 +1006,119 @@ let test_sets_counting () =
    so that no two domains race to one name.  A second check, with its
    passes forked across domains as the CLI runs them, and then the
    certificate sweep nothing, and neither do the serial passes the
-   region does not run. *)
+   region does not run.  A second fresh fragment runs its first pass
+   forked, so domains race to the cold names: a sweep that loses the
+   race counts too, and every later pass still sweeps nothing. *)
 let test_sets_check_once () =
   let config =
     { Cert.Node.model = "test"; n = 0; plane = "exact"; sym = "off";
       faults = "none"; budget = "states:2000000"; params = [] }
   in
   let on = Analysis.Symmetry.On in
+  let later what (inst, more) =
+    let before = Mdp.Explore.sweeps () in
+    ignore (Models.check_fields inst);
+    ignore (Models.certificate ~config inst);
+    more ();
+    Alcotest.(check int) what before (Mdp.Explore.sweeps ())
+  in
   List.iter
-    (fun (what, regions, inst, more) ->
+    (fun (what, regions, fresh) ->
+       let ((inst, _) as serial) = fresh () in
        let (Models.View v) = Models.view inst in
        let before = Mdp.Explore.sweeps () in
        ignore (v.fields ~helpers:(Some 0));
        Alcotest.(check int) (what ^ ": one sweep per region") regions
          (Mdp.Explore.sweeps () - before);
+       later (what ^ ": none after") serial;
+       let ((inst, _) as forked) = fresh () in
+       let (Models.View v) = Models.view inst in
        let before = Mdp.Explore.sweeps () in
-       ignore (Models.check_fields inst);
-       ignore (Models.certificate ~config inst);
-       more ();
-       Alcotest.(check int) (what ^ ": none after") before
-         (Mdp.Explore.sweeps ()))
-    [ (let i = LR.Proof.build ~n:3 () in
-       ("lr", 7, Models.Lr i,
-        fun () ->
-          ignore (LR.Proof.composed i);
-          ignore (LR.Proof.liveness_holds i)));
-      (let i = LR.Proof.build ~sym:on ~n:3 () in
-       ("lr --sym on", 7, Models.Lr i,
-        fun () ->
-          ignore (LR.Proof.composed i);
-          ignore (LR.Invariant.check i.LR.Proof.expl)));
-      (let i = LR.Proof.build_topo ~topo:(LR.Topology.line 3) () in
-       ("lr line", 7, Models.Lr_topo i,
-        fun () -> ignore (LR.Proof.composed_topo i)));
-      (let i = LR.Proof.build_topo ~sym:on ~topo:(LR.Topology.star 3) () in
-       ("lr star --sym on", 7, Models.Lr_topo i,
-        fun () -> ignore (LR.Proof.composed_topo i)));
-      (let i = IR.Proof.build ~n:4 () in
-       ("election", 5, Models.Election i,
-        fun () -> ignore (IR.Proof.liveness_holds i)));
-      (let i = SC.Proof.build ~n:2 ~bound:3 () in
-       ("coin", 5, Models.Coin i,
-        fun () -> ignore (SC.Proof.liveness_holds i)));
-      (let i =
-         BO.Proof.build ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |] ()
-       in
-       ("consensus", 3, Models.Consensus i,
-        fun () -> ignore (BO.Proof.capped_liveness i))) ]
+       ignore (v.fields ~helpers:(Some 2));
+       Alcotest.(check bool) (what ^ ": forked, a sweep per region or more")
+         true
+         (Mdp.Explore.sweeps () - before >= regions);
+       later (what ^ ": none after a forked first pass") forked)
+    [ ("lr", 7,
+       fun () ->
+         let i = LR.Proof.build ~n:3 () in
+         ( Models.Lr i,
+           fun () ->
+             ignore (LR.Proof.composed i);
+             ignore (LR.Proof.liveness_holds i) ));
+      ("lr --sym on", 7,
+       fun () ->
+         let i = LR.Proof.build ~sym:on ~n:3 () in
+         ( Models.Lr i,
+           fun () ->
+             ignore (LR.Proof.composed i);
+             ignore (LR.Invariant.check i.LR.Proof.expl) ));
+      ("lr line", 7,
+       fun () ->
+         let i = LR.Proof.build_topo ~topo:(LR.Topology.line 3) () in
+         (Models.Lr_topo i, fun () -> ignore (LR.Proof.composed_topo i)));
+      ("lr star --sym on", 7,
+       fun () ->
+         let i = LR.Proof.build_topo ~sym:on ~topo:(LR.Topology.star 3) () in
+         (Models.Lr_topo i, fun () -> ignore (LR.Proof.composed_topo i)));
+      ("election", 5,
+       fun () ->
+         let i = IR.Proof.build ~n:4 () in
+         (Models.Election i, fun () -> ignore (IR.Proof.liveness_holds i)));
+      ("coin", 5,
+       fun () ->
+         let i = SC.Proof.build ~n:2 ~bound:3 () in
+         (Models.Coin i, fun () -> ignore (SC.Proof.liveness_holds i)));
+      ("consensus", 3,
+       fun () ->
+         let i =
+           BO.Proof.build ~n:3 ~f:1 ~cap:2 ~initial:[| false; false; true |]
+             ()
+         in
+         (Models.Consensus i, fun () -> ignore (BO.Proof.capped_liveness i)))
+    ]
 
-(* The fault ladder's regions are one value each: a second derivation
-   on one wrapped-ring arena sweeps nothing. *)
-let test_sets_faults_once () =
-  let inst =
-    Faults.Lr.explore
-      { Faults.Lr.params = { LR.Automaton.n = 3; g = 1; k = 1 };
-        faults = Faults.Fault.v ~crash:1 (); release = true }
+(* Domains that ask for one cold name at once keep one value: each
+   [build] waits until every domain is building, and each sweep until
+   every domain is sweeping, so all but one lose the CAS and adopt the
+   winner's predicate or set.  Every sweep counts, and a later request
+   sweeps nothing. *)
+let test_sets_racing_domains () =
+  let domains = 3 in
+  let expl = Mdp.Explore.run Test_support.Toys.Walker.pa in
+  let first = Mdp.Explore.state expl 0 in
+  let gate count =
+    Atomic.incr count;
+    while Atomic.get count < domains do Domain.cpu_relax () done
   in
-  ignore (Faults.Lr.derivation inst);
+  let race f =
+    List.map Domain.join (List.init domains (fun _ -> Domain.spawn f))
+  in
+  let building = Atomic.make 0 in
+  let built =
+    race (fun () ->
+        Mdp.Explore.region expl "R" (fun () ->
+            gate building;
+            Core.Pred.make "R" (fun _ -> true)))
+  in
+  let r = List.hd built in
+  Alcotest.(check bool) "one region" true (List.for_all (( == ) r) built);
+  let sweeping = Atomic.make 0 in
+  let s =
+    Core.Pred.make "S" (fun x -> if x == first then gate sweeping; true)
+  in
   let before = Mdp.Explore.sweeps () in
-  ignore (Faults.Lr.derivation inst);
-  Alcotest.(check int) "none after" before (Mdp.Explore.sweeps ())
+  let sets = race (fun () -> Mdp.Explore.set expl s) in
+  Alcotest.(check int) "every sweep counts" domains
+    (Mdp.Explore.sweeps () - before);
+  let kept = List.hd sets in
+  Alcotest.(check bool) "one set" true (List.for_all (( == ) kept) sets);
+  let before = Mdp.Explore.sweeps () in
+  Alcotest.(check bool) "the stored set" true (Mdp.Explore.set expl s == kept);
+  ignore (Mdp.Explore.set expl r);
+  ignore (Mdp.Explore.set expl r);
+  Alcotest.(check int) "the region swept once" (before + 1)
+    (Mdp.Explore.sweeps ())
 
 (* ------------------------------------------------------------------ *)
 (* Mdp.Funtbl.find_or_add *)
@@ -1737,8 +1790,8 @@ let () =
             test_sets_counting;
           Alcotest.test_case "check lr sweeps each region once" `Quick
             test_sets_check_once;
-          Alcotest.test_case "fault ladder sweeps each region once" `Quick
-            test_sets_faults_once ] );
+          Alcotest.test_case "racing domains keep one region and one set"
+            `Quick test_sets_racing_domains ] );
       ( "funtbl",
         [ Alcotest.test_case "find_or_add" `Quick test_find_or_add ] );
       ( "registry",
