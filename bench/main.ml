@@ -45,9 +45,20 @@ let bench_tests () =
            let target = Mdp.Arena.indicator arena LR.Regions.p in
            Mdp.Finite_horizon.min_reach arena ~target ~ticks:5))
   in
+  (* The arena memoizes its solved passes, zero-time order and weights,
+     so a kernel that asks [lr3] again times memo hits.  e2 and e8
+     compile a fresh arena from the cached fragment on every run, whose
+     memos start empty: they time the passes (and the compile, which
+     [arena:compile] times alone); the fragment keeps its region
+     sets. *)
+  let fresh_lr3 () =
+    { lr3 with
+      LR.Proof.arena =
+        Mdp.Arena.compile ~is_tick:LR.Automaton.is_tick lr3.LR.Proof.expl }
+  in
   let e2 =
     Test.make ~name:"e2:check+compose T -13->_1/8 C (n=3)"
-      (Staged.stage (fun () -> LR.Proof.composed lr3))
+      (Staged.stage (fun () -> LR.Proof.composed (fresh_lr3 ())))
   in
   let e3 =
     Test.make ~name:"e3:max expected time (VI, n=3)"
@@ -86,7 +97,7 @@ let bench_tests () =
   in
   let e8 =
     Test.make ~name:"e8:direct bound (13 units, n=3)"
-      (Staged.stage (fun () -> LR.Proof.direct_bound lr3))
+      (Staged.stage (fun () -> LR.Proof.direct_bound (fresh_lr3 ())))
   in
   let e9 =
     Test.make ~name:"e9:election ladder (n=4)"

@@ -38,6 +38,11 @@ type ('s, 'a) view = {
   is_tick : 'a -> bool;
 }
 
+let share arena sets =
+  List.iter (fun p -> ignore (Mdp.Arena.set arena p)) sets;
+  ignore (Mdp.Arena.zero_time arena);
+  ignore (Mdp.Arena.fixed_weights arena)
+
 (* Every engine runs whole on one domain, so each group computes
    exactly what it computes alone. *)
 let groups ~helpers tasks =

@@ -52,6 +52,14 @@ type ('s, 'a) view = {
 
 (** {1 What the views share} *)
 
+(** [share arena sets] builds, before a region forks, the memos its
+    tasks would otherwise race to build on two domains at once: the set
+    of each predicate in [sets] (those more than one task asks for),
+    the zero-time order and the fixed weights.  Each is then built once,
+    and the zero-time pass leaves its work vectors in the forking
+    domain's {!Mdp.Scratch} pool for that domain's own task. *)
+val share : ('s, 'a) Mdp.Arena.t -> 's Core.Pred.t list -> unit
+
 (** Groups of fields through one fork region, concatenated in order. *)
 val groups :
   helpers:int option -> (unit -> (string * Json.t) list) array ->

@@ -44,9 +44,6 @@ let duration base_duration = function
   | Step a -> base_duration a
   | Crash _ | Lost _ | Stall _ | Resume _ -> 0
 
-let lift_pred p =
-  Core.Pred.make (Core.Pred.name p) (fun w -> Core.Pred.mem p w.base)
-
 let wrap ~hooks ~budget m =
   let lift w s = { w with base = s } in
   let equal_state a b =

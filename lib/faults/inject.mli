@@ -104,10 +104,6 @@ val is_injection : 'a action -> bool
 (** Durations lift from the base: injections are instantaneous. *)
 val duration : ('a -> int) -> 'a action -> int
 
-(** [lift_pred p] evaluates [p] on the base component, {e keeping
-    [p]'s name} so claim-level predicate matching is unaffected. *)
-val lift_pred : 's Core.Pred.t -> 's state Core.Pred.t
-
 (** [wrap ~hooks ~budget m] is the fault-extended automaton.  Its start
     states are [m]'s, wrapped with the full budget.  Injected actions
     are internal. *)

@@ -109,6 +109,7 @@ let view inst =
     target = Automaton.leader_elected;
     fields =
       (fun ~helpers ->
+         Desc.share inst.arena [ at_most inst 1 ];
          Desc.groups ~helpers
            [| (fun () ->
                  let arrows = arrows inst in

@@ -281,9 +281,12 @@ let view_on ~ring ~symmetry t ~g_pred =
        as long as A.11) among them, then the invariant -- so that
        claiming tasks in index order keeps the domains evenly loaded.
        The fields and the composition are assembled after the region,
-       in field order. *)
+       in field order.  The six regions are asked for before it: every
+       one is read by more than one task. *)
     fields =
       (fun ~helpers ->
+         Desc.share t.tarena
+           [ Regions.c; Regions.t; g_pred; Regions.p; Regions.f; Regions.rt ];
          match
            Parallel.Fork.run ?helpers
              [| (fun () ->

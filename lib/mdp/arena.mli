@@ -137,7 +137,8 @@ val start_indices : ('s, 'a) t -> int list
     name, unions ORed from their operands ({!Explore.set}). *)
 val set : ('s, 'a) t -> 's Core.Pred.t -> Bitset.t
 
-(** {!set} as a boolean array, the target form the engines read. *)
+(** {!set} as a boolean array, the target form of the engines' [bool
+    array] entry points; the checker hands the engines {!set} itself. *)
 val indicator : ('s, 'a) t -> 's Core.Pred.t -> bool array
 
 (** {1 Step helpers} *)

@@ -59,6 +59,8 @@ let equal a b =
   done;
   !k = nw
 
+let of_bools a = init (Array.length a) (Array.get a)
+
 let to_bools s =
   let a = Array.make s.n false in
   for i = 0 to s.n - 1 do

@@ -29,4 +29,7 @@ val subset : t -> t -> bool
 (** Same universe size and same members. *)
 val equal : t -> t -> bool
 
+(** The set of the indices [i] with [a.(i)], over [Array.length a]. *)
+val of_bools : bool array -> t
+
 val to_bools : t -> bool array

@@ -12,30 +12,12 @@ type 's arrow = {
   claim : 's Core.Claim.t option;
 }
 
-(* [values] folded over the [over] states from [seed]: the first
-   member is the witness until a later one is strictly [better].  The
-   reach pass folds its own values ([Finite_horizon.min_reach_over]),
-   so that only the minimum leaves the fixed-point tier. *)
-let summarize ~seed ~better ~wrap values over =
-  let best = ref seed and witness = ref None and members = ref 0 in
-  for i = 0 to Array.length values - 1 do
-    if Bitset.mem over i then begin
-      incr members;
-      if !witness = None || better values.(i) !best then begin
-        best := values.(i);
-        witness := Some i
-      end
-    end
-  done;
-  { Arena.extremum = wrap !best; witness = !witness; members = !members }
-
 let min_reach_over a ~target ~ticks ~over =
   let target = Arena.set a target and over = Arena.set a over in
   match
     Arena.solved a (Arena.Min_reach ticks) ~target ~over (fun () ->
         let p, witness, members =
-          Finite_horizon.min_reach_over a ~target:(Bitset.to_bools target)
-            ~ticks ~over
+          Finite_horizon.min_reach_over a ~target ~ticks ~over
         in
         { Arena.extremum = Arena.Prob p; witness; members })
   with
@@ -43,16 +25,14 @@ let min_reach_over a ~target ~ticks ~over =
     (p, Option.map (Arena.state a) witness, members)
   | _ -> assert false (* the key's pass fixes the kind *)
 
-(* Expected ticks are never negative nor nan, so the fold from 0 on
-   [>] is the plain maximum of the members. *)
 let max_expected_over a ~target ~over =
   let target = Arena.set a target and over = Arena.set a over in
   match
     Arena.solved a Arena.Max_expected_ticks ~target ~over (fun () ->
-        summarize ~seed:0.0 ~better:( > ) ~wrap:(fun t -> Arena.Ticks t)
-          (Expected_time.max_expected_ticks a
-             ~target:(Bitset.to_bools target) ())
-          over)
+        let t, witness, members =
+          Expected_time.max_expected_over a ~target ~over
+        in
+        { Arena.extremum = Arena.Ticks t; witness; members })
   with
   | { Arena.extremum = Arena.Ticks t; witness; members } ->
     (t, Option.map (Arena.state a) witness, members)

@@ -44,8 +44,8 @@ val check_arrow :
     (1 when there are none), the first state in index order attaining
     it, and the number of [over] states.  Solved once per arena and
     question ({!Arena.solved}): both sets come from the arena's set
-    memo ({!Arena.set}), so a repeated ask sweeps nothing and solves no
-    tick layer. *)
+    memo ({!Arena.set}) and reach the engine as they are stored, so a
+    repeated ask sweeps nothing and solves no tick layer. *)
 val min_reach_over :
   ('s, 'a) Arena.t -> target:'s Core.Pred.t -> ticks:int ->
   over:'s Core.Pred.t -> Proba.Rational.t * 's option * int

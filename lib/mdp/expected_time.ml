@@ -32,27 +32,26 @@ let expectation (a : _ Arena.t) v k =
    own value and move the delta by nothing: skipping it changes
    neither the iterates, nor any sweep's delta, nor the sweep count.
    The predecessors are read from the qualitative pass's index
-   ([preds]), which this compacts. *)
-let value_iterate (a : _ Arena.t) ~preds ~finite ~target ~epsilon
-    ~max_sweeps =
+   ([preds]), which this compacts.  [v] and [flag] are borrowed: every
+   entry below [n] is written before it is read. *)
+let dead = '\000' and clean = '\001' and dirty = '\002'
+
+let value_iterate (a : _ Arena.t) ~preds ~flag v ~epsilon ~max_sweeps =
   let n = a.Arena.n in
   let step_off = a.Arena.step_off and out_off = a.Arena.out_off in
   let tgt = a.Arena.tgt and prob_f = a.Arena.prob_f in
   let tick = a.Arena.tick in
   let { Qualitative.pred_off; preds } = preds in
-  let v =
-    Array.init n (fun i ->
-        if target.(i) then 0.0
-        else if finite.(i) then 0.0
-        else infinity)
-  in
-  (* Only non-target finite states are ever evaluated: [flag] is
-     [dead] for the others, and [dirty] or [clean] for them.  They
-     start dirty. *)
-  let dead = '\000' and clean = '\001' and dirty = '\002' in
-  let flag =
-    Bytes.init n (fun i -> if (not target.(i)) && finite.(i) then dirty else dead)
-  in
+  (* Only non-target finite states are ever evaluated: [flag] turns from
+     {!Qualitative.classify}'s classes into [dead] for the others, and
+     [dirty] or [clean] for them.  They start dirty, at 0 like the
+     target; a state some adversary keeps from the target starts, and
+     stays, at infinity. *)
+  for i = 0 to n - 1 do
+    let c = Bytes.unsafe_get flag i in
+    v.(i) <- (if c = '\001' then infinity else 0.0);
+    Bytes.unsafe_set flag i (if c = '\000' then dirty else dead)
+  done;
   (* The index lists every predecessor, and the qualitative pass is
      done with it: each range is compacted in place to its evaluated
      states, the only ones a marking loop may mark.  Skipping the dead
@@ -127,40 +126,67 @@ let value_iterate (a : _ Arena.t) ~preds ~finite ~target ~epsilon
       failwith "Expected_time: value iteration did not converge"
     else if sweep () > epsilon then go (k + 1)
   in
-  go 0;
-  v
+  go 0
 
-let solve a ~target ~epsilon ~max_sweeps =
-  let preds = Qualitative.preds a in
-  let finite = Qualitative.always_reaches ~preds a ~target in
-  (finite, value_iterate a ~preds ~finite ~target ~epsilon ~max_sweeps)
+(* One pass on borrowed vectors: the index, one flag per state and the
+   values.  [k] reads them while they are borrowed: after the pass a
+   state's flag is [dead] exactly where it is a target or some
+   adversary avoids the target. *)
+let solve (a : _ Arena.t) ~target ~epsilon ~max_sweeps k =
+  let n = a.Arena.n in
+  Qualitative.with_preds a @@ fun preds ->
+  Scratch.bytes n @@ fun flag ->
+  Qualitative.classify preds a ~target flag;
+  Scratch.floats n @@ fun v ->
+  value_iterate a ~preds ~flag v ~epsilon ~max_sweeps;
+  k flag v
 
-let max_expected_ticks a ~target ?(epsilon = 1e-12)
-    ?(max_sweeps = 1_000_000) () =
-  snd (solve a ~target ~epsilon ~max_sweeps)
+let default_epsilon = 1e-12 and default_max_sweeps = 1_000_000
+
+(* Expected ticks are never negative nor nan, so the fold from 0 on
+   [>] is the plain maximum of the members; the first member is the
+   witness until a later one is strictly greater. *)
+let max_expected_over (a : _ Arena.t) ~target ~over =
+  if Bitset.length over <> a.Arena.n then
+    invalid_arg "Expected_time: over set has wrong length";
+  solve a ~target ~epsilon:default_epsilon ~max_sweeps:default_max_sweeps
+  @@ fun _ v ->
+  let best = ref 0.0 and witness = ref (-1) and members = ref 0 in
+  for i = 0 to a.Arena.n - 1 do
+    if Bitset.mem over i then begin
+      incr members;
+      if !witness < 0 || v.(i) > !best then begin
+        best := v.(i);
+        witness := i
+      end
+    end
+  done;
+  (!best, (if !witness < 0 then None else Some !witness), !members)
+
+let max_expected_ticks (a : _ Arena.t) ~target ?(epsilon = default_epsilon)
+    ?(max_sweeps = default_max_sweeps) () =
+  solve a ~target:(Bitset.of_bools target) ~epsilon ~max_sweeps
+    (fun _ v -> Array.sub v 0 a.Arena.n)
 
 let max_expected_ticks_with_policy (a : _ Arena.t) ~target
-    ?(epsilon = 1e-12) ?(max_sweeps = 1_000_000) () =
-  let finite, v = solve a ~target ~epsilon ~max_sweeps in
-  let n = a.Arena.n in
+    ?(epsilon = default_epsilon) ?(max_sweeps = default_max_sweeps) () =
+  solve a ~target:(Bitset.of_bools target) ~epsilon ~max_sweeps
+  @@ fun flag v ->
   let policy =
-    Array.init n (fun i ->
-        if target.(i) || not finite.(i) then -1
+    Array.init a.Arena.n (fun i ->
+        let lo = a.Arena.step_off.(i) and hi = a.Arena.step_off.(i + 1) in
+        if Bytes.get flag i = dead || hi = lo then -1
         else begin
-          let lo = a.Arena.step_off.(i) and hi = a.Arena.step_off.(i + 1) in
-          if hi = lo then -1
-          else begin
-            let best_k = ref 0 and best_v = ref neg_infinity in
-            for k = lo to hi - 1 do
-              let cost = if a.Arena.tick.(k) then 1.0 else 0.0 in
-              let e = cost +. expectation a v k in
-              if e > !best_v then begin
-                best_v := e;
-                best_k := k - lo
-              end
-            done;
-            !best_k
-          end
+          let best_k = ref 0 and best_v = ref neg_infinity in
+          for k = lo to hi - 1 do
+            let cost = if a.Arena.tick.(k) then 1.0 else 0.0 in
+            let e = cost +. expectation a v k in
+            if e > !best_v then begin
+              best_v := e;
+              best_k := k - lo
+            end
+          done;
+          !best_k
         end)
   in
-  (v, policy)
+  (Array.sub v 0 a.Arena.n, policy)

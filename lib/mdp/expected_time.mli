@@ -25,7 +25,23 @@
     skips the states none of whose successors changed since their last
     evaluation: they would recompute the same bits, so the iterates,
     every sweep's largest update and the sweep count are those of
-    sweeping every state. *)
+    sweeping every state.
+
+    The index, the flags and the value vector of a pass are borrowed
+    from the domain's {!Scratch} pool, so {!max_expected_over}, the
+    form the checker runs, allocates no state-sized vector once the
+    domain's pool holds them; the [bool array] entry points run the
+    same pass and copy its values out. *)
+
+(** [max_expected_over arena ~target ~over] is the maximum of
+    {!max_expected_ticks} toward the set [target] over the members of
+    [over] ([0.] when there are none), the first member in index order
+    attaining it, and the number of members, at the default [epsilon]
+    and [max_sweeps].  Raises [Invalid_argument] unless both sets range
+    over the arena's states. *)
+val max_expected_over :
+  ('s, 'a) Arena.t -> target:Bitset.t -> over:Bitset.t ->
+  float * int option * int
 
 (** [max_expected_ticks arena ~target ()] returns per-state worst-case
     expected ticks-to-target ([infinity] where some adversary avoids

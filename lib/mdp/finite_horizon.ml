@@ -14,11 +14,13 @@ let no_convergence max_sweeps =
 let layers = Atomic.make 0
 let layers_solved () = Atomic.get layers
 
-(* The arena's CSR arrays plus the target set: building it is O(1),
-   no per-call conversion or copying. *)
+(* The arena's CSR arrays plus what the Bellman operator does at each
+   state, one byte each in [kind]: [evaluated], or left at its initial
+   value as a target ([reached], 1) or a [deadlock] (0).  [kind] is
+   borrowed ({!Scratch}) for the pass. *)
 type compact = {
   n : int;
-  target : bool array;
+  kind : Bytes.t;
   step_off : int array;
   out_off : int array;
   tgt : int array;
@@ -27,17 +29,23 @@ type compact = {
   zero_time : Zero_time.t;
 }
 
-let compact (a : _ Arena.t) ~target =
-  if Array.length target <> a.Arena.n then
-    invalid_arg "Finite_horizon: target array has wrong length";
-  { n = a.Arena.n;
-    target;
-    step_off = a.Arena.step_off;
-    out_off = a.Arena.out_off;
-    tgt = a.Arena.tgt;
-    tick = a.Arena.tick;
-    prob = a.Arena.prob_q;
-    zero_time = Arena.zero_time a }
+let evaluated = '\000' and reached = '\001' and deadlock = '\002'
+
+let with_compact (a : _ Arena.t) ~target k =
+  let n = a.Arena.n and step_off = a.Arena.step_off in
+  if Bitset.length target <> n then
+    invalid_arg "Finite_horizon: target set has wrong length";
+  let zero_time = Arena.zero_time a in
+  Scratch.bytes n @@ fun kind ->
+  for s = 0 to n - 1 do
+    Bytes.unsafe_set kind s
+      (if Bitset.mem target s then reached
+       else if step_off.(s + 1) = step_off.(s) then deadlock
+       else evaluated)
+  done;
+  k
+    { n; kind; step_off; out_off = a.Arena.out_off; tgt = a.Arena.tgt;
+      tick = a.Arena.tick; prob = a.Arena.prob_q; zero_time }
 
 (* One tick layer: given the value vector [v_next] for one tick less
    of budget, the fixpoint of
@@ -58,7 +66,7 @@ let walk c update =
   let max_sweeps = c.n + 2 in
   for comp = 0 to Zero_time.num_components z - 1 do
     let lo = z.comp_off.(comp) and hi = z.comp_off.(comp + 1) in
-    if not z.cyclic.(comp) then begin
+    if Bytes.unsafe_get z.cyclic comp = '\000' then begin
       if comp land 4095 = 0 then Core.Budget.poll ();
       ignore (update z.order.(lo) : bool)
     end
@@ -79,14 +87,13 @@ let walk c update =
   Atomic.incr layers
 
 (* A state the Bellman operator leaves at its initial value. *)
-let settled c s = c.target.(s) || c.step_off.(s + 1) = c.step_off.(s)
+let settled c s = Bytes.unsafe_get c.kind s <> evaluated
 
 (* The minimum starts every evaluated state at 1, the maximum at 0;
    a target is 1 and a deadlock 0 on both. *)
 let initial c ~minimize s =
-  if c.target.(s) then true
-  else if c.step_off.(s + 1) = c.step_off.(s) then false
-  else minimize
+  let k = Bytes.unsafe_get c.kind s in
+  if k = evaluated then minimize else k = reached
 
 (* ------------------------------------------------------------------ *)
 (* The fixed-point tier.  A value is an int [m] standing for [m/2^61],
@@ -172,12 +179,13 @@ let update_exact c ~best v v_next s =
 type values = Fixed of int array | Exact of Q.t array
 
 (* Layers [from .. ticks] on either tier: [v_next] holds layer
-   [from - 1] (all [zero] for [from = 0]), each layer starts from [one]
-   or [zero] per state ([initial]) and [update] closes it;
-   [on_layer t v_next v] sees each layer as it closes. *)
+   [from - 1] (all [zero] for [from = 0]) and [v] is written over, each
+   layer starts from [one] or [zero] per state ([initial]) and [update]
+   closes it; [on_layer t v_next v] sees each layer as it closes.  The
+   result is whichever of the two vectors holds layer [ticks]. *)
 let layers c ~minimize ~from ~ticks ~one ~zero ~update
-    ?(on_layer = fun _ _ _ -> ()) v_next =
-  let v_next = ref v_next and v = ref (Array.make c.n zero) in
+    ?(on_layer = fun _ _ _ -> ()) v_next v =
+  let v_next = ref v_next and v = ref v in
   for t = from to ticks do
     let cur = !v and prev = !v_next in
     for s = 0 to c.n - 1 do
@@ -193,48 +201,60 @@ let layers c ~minimize ~from ~ticks ~one ~zero ~update
 let exact_layers c ~minimize ~from ~ticks ?on_layer v_next =
   let best = if minimize then Q.min else Q.max in
   layers c ~minimize ~from ~ticks ~one:Q.one ~zero:Q.zero
-    ~update:(update_exact c ~best) ?on_layer v_next
+    ~update:(update_exact c ~best) ?on_layer v_next (Array.make c.n Q.zero)
 
-(* The fixed tier first when the arena's weights allow it; an inexact
-   product hands the last closed layer to the rational tier, which
-   solves the rest. *)
-let run arena ~target ~ticks ~minimize =
+(* The fixed tier first when the arena's weights allow it, on two
+   borrowed vectors; an inexact product hands the last closed layer to
+   the rational tier, which solves the rest.  [k] reads the values
+   while they are borrowed: the first [c.n] entries of a [Fixed]
+   vector are the pass's. *)
+let run arena ~target ~ticks ~minimize k =
   if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-  let c = compact arena ~target in
+  with_compact arena ~target @@ fun c ->
   match Arena.fixed_weights arena with
   | None ->
-    Exact (exact_layers c ~minimize ~from:0 ~ticks (Array.make c.n Q.zero))
+    k c
+      (Exact (exact_layers c ~minimize ~from:0 ~ticks (Array.make c.n Q.zero)))
   | Some w ->
-    let closed = ref (-1) and last = ref (Array.make c.n 0) in
-    (try
-       Fixed
-         (layers c ~minimize ~from:0 ~ticks ~one:fixed_one ~zero:0
-            ~update:(update_fixed c w ~minimize)
-            ~on_layer:(fun t _ v ->
-                closed := t;
-                last := v)
-            !last)
-     with Inexact ->
-       Exact
-         (exact_layers c ~minimize ~from:(!closed + 1) ~ticks
-            (Array.map to_rational !last)))
+    Scratch.ints c.n @@ fun v_next ->
+    Scratch.ints c.n @@ fun v ->
+    Array.fill v_next 0 c.n 0;
+    let closed = ref (-1) and last = ref v_next in
+    (match
+       layers c ~minimize ~from:0 ~ticks ~one:fixed_one ~zero:0
+         ~update:(update_fixed c w ~minimize)
+         ~on_layer:(fun t _ v ->
+             closed := t;
+             last := v)
+         v_next v
+     with
+     | v -> k c (Fixed v)
+     | exception Inexact ->
+       let last = !last in
+       k c
+         (Exact
+            (exact_layers c ~minimize ~from:(!closed + 1) ~ticks
+               (Array.init c.n (fun s -> to_rational last.(s))))))
 
-let rationals = function
-  | Fixed v -> Array.map to_rational v
+let rationals c = function
+  | Fixed v -> Array.init c.n (fun s -> to_rational v.(s))
   | Exact v -> v
 
+let reach arena ~target ~ticks ~minimize =
+  run arena ~target ~ticks ~minimize rationals
+
 let min_reach arena ~target ~ticks =
-  rationals (run arena ~target ~ticks ~minimize:true)
+  reach arena ~target:(Bitset.of_bools target) ~ticks ~minimize:true
 
 let max_reach arena ~target ~ticks =
-  rationals (run arena ~target ~ticks ~minimize:false)
+  reach arena ~target:(Bitset.of_bools target) ~ticks ~minimize:false
 
 (* The first member is the witness until a later one is strictly
    lower; only the minimum found is converted. *)
 let min_reach_over arena ~target ~ticks ~over =
-  let fold lt seed v =
+  let fold n lt seed v =
     let best = ref seed and witness = ref (-1) and members = ref 0 in
-    for i = 0 to Array.length v - 1 do
+    for i = 0 to n - 1 do
       if Bitset.mem over i then begin
         incr members;
         if !witness < 0 || lt v.(i) !best then begin
@@ -245,16 +265,20 @@ let min_reach_over arena ~target ~ticks ~over =
     done;
     (!best, (if !witness < 0 then None else Some !witness), !members)
   in
-  match run arena ~target ~ticks ~minimize:true with
+  if Bitset.length over <> Arena.num_states arena then
+    invalid_arg "Finite_horizon: over set has wrong length";
+  run arena ~target ~ticks ~minimize:true @@ fun c -> function
   | Fixed v ->
-    let best, witness, members = fold (fun (a : int) b -> a < b) fixed_one v in
+    let best, witness, members =
+      fold c.n (fun (a : int) b -> a < b) fixed_one v
+    in
     (to_rational best, witness, members)
-  | Exact v -> fold Q.lt Q.one v
+  | Exact v -> fold c.n Q.lt Q.one v
 
 let argbest c v_next v =
   Array.init c.n (fun s ->
       let lo = c.step_off.(s) and hi = c.step_off.(s + 1) in
-      if c.target.(s) || hi = lo then -1
+      if settled c s then -1
       else begin
         let best_k = ref 0 in
         let best_v = ref None in
@@ -277,7 +301,7 @@ let argbest c v_next v =
 
 let min_reach_with_policy arena ~target ~ticks =
   if ticks < 0 then invalid_arg "Finite_horizon: negative tick horizon";
-  let c = compact arena ~target in
+  with_compact arena ~target:(Bitset.of_bools target) @@ fun c ->
   let policy = Array.make (ticks + 1) [||] in
   let v =
     exact_layers c ~minimize:true ~from:0 ~ticks

@@ -35,14 +35,23 @@
     does every pass on an arena with other weights.  Both tiers compute
     the same exact values, and the rationals handed out are canonical,
     so results are bit-identical whichever tier produced them.  Branch
-    order is the exploration order. *)
+    order is the exploration order.
+
+    The target is a set of the arena's states ({!Bitset.t}, as
+    {!Arena.set} memoizes it); the entry points that take a [bool
+    array] convert it and run the same pass.  A pass's per-state flags
+    and the fixed tier's two value vectors are borrowed from the
+    domain's {!Scratch} pool, so passes run one after another on a
+    domain allocate them once; the rational tier allocates its
+    vectors. *)
 
 exception No_convergence of string
 
 (** [min_reach arena ~target ~ticks] gives, per state index, the
     minimum over all adversaries of the probability that a [target]
     state is visited within [ticks] ticks (a state already in [target]
-    has value 1).  Raises [Invalid_argument] if [ticks < 0]. *)
+    has value 1).  Raises [Invalid_argument] if [ticks < 0] or the
+    target has another length than the arena's state count. *)
 val min_reach :
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
@@ -52,13 +61,14 @@ val max_reach :
   ('s, 'a) Arena.t -> target:bool array -> ticks:int ->
   Proba.Rational.t array
 
-(** [min_reach_over arena ~target ~ticks ~over] is {!min_reach} folded
-    over the members of [over] (a set over the arena's states): the
-    minimum ([1] for an empty set), the first member in index order
-    attaining it, and the number of members.  Only the minimum is
-    converted to a rational. *)
+(** [min_reach_over arena ~target ~ticks ~over] is {!min_reach} toward
+    the set [target], folded over the members of [over]: the minimum
+    ([1] for an empty set), the first member in index order attaining
+    it, and the number of members.  Only the minimum is converted to a
+    rational, so on the fixed tier the pass allocates no state-sized
+    vector. *)
 val min_reach_over :
-  ('s, 'a) Arena.t -> target:bool array -> ticks:int -> over:Bitset.t ->
+  ('s, 'a) Arena.t -> target:Bitset.t -> ticks:int -> over:Bitset.t ->
   Proba.Rational.t * int option * int
 
 (** [min_reach_with_policy] additionally returns an optimal memoryless

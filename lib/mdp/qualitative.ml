@@ -13,13 +13,15 @@ type preds = { pred_off : int array; preds : int array }
 (* Count each state's distinct predecessors, sum to each range's end,
    then fill every range from its end back to its start.  [last.(j)]
    is the predecessor [j] was last given, so a state reaching [j] by
-   several branches is listed once. *)
-let preds (a : _ Arena.t) =
+   several branches is listed once; it is borrowed for each walk over
+   the edges and handed back before [k] runs.  The index is borrowed
+   too, and only [k]'s to read. *)
+let with_preds (a : _ Arena.t) k =
   let n = a.Arena.n and step_off = a.Arena.step_off in
   let out_off = a.Arena.out_off and tgt = a.Arena.tgt in
-  let pred_off = Array.make (n + 1) 0 in
-  let last = Array.make n (-1) in
   let each_edge f =
+    Scratch.ints n @@ fun last ->
+    Array.fill last 0 n (-1);
     for p = 0 to n - 1 do
       for o = out_off.(step_off.(p)) to out_off.(step_off.(p + 1)) - 1 do
         let j = tgt.(o) in
@@ -30,16 +32,17 @@ let preds (a : _ Arena.t) =
       done
     done
   in
+  Scratch.ints (n + 1) @@ fun pred_off ->
+  Array.fill pred_off 0 (n + 1) 0;
   each_edge (fun _ j -> pred_off.(j) <- pred_off.(j) + 1);
   for j = 1 to n do
     pred_off.(j) <- pred_off.(j) + pred_off.(j - 1)
   done;
-  let preds = Array.make pred_off.(n) 0 in
-  Array.fill last 0 n (-1);
+  Scratch.ints pred_off.(n) @@ fun preds ->
   each_edge (fun p j ->
       pred_off.(j) <- pred_off.(j) - 1;
       preds.(pred_off.(j)) <- p);
-  { pred_off; preds }
+  k { pred_off; preds }
 
 (* Does step [k] put positive mass on [j]? *)
 let step_hits (a : _ Arena.t) k j =
@@ -58,33 +61,40 @@ let drain stack top f =
     f stack.(!top)
   done
 
-let safe_core_in p ~steps (a : _ Arena.t) ~avoid =
+(* One byte per state in [s]: the states marked [inside] are the set
+   [safe_core_in] shrinks to its core, marking each one that leaves
+   [outside]; any other byte (a target, below) is neither and stays. *)
+let outside = '\000' and inside = '\001' and target = '\002'
+
+let safe_core_in p ~steps (a : _ Arena.t) s =
   let n = a.Arena.n and step_off = a.Arena.step_off in
   let out_off = a.Arena.out_off and tgt = a.Arena.tgt in
-  if Array.length avoid <> n then
-    invalid_arg "Qualitative: avoid array has wrong length";
-  let s = Array.copy avoid in
-  (* [good.(i)]: the accepted steps of [i] still kept surely inside [s];
-     [intact] flags those steps.  A state leaves [s] when its count
-     drops to 0, unless it is terminal (terminal states stay). *)
-  let good = Array.make n 0 in
-  let intact = Bytes.make (Array.length a.Arena.out_off - 1) '\000' in
-  let stack = Array.make n 0 and top = ref 0 in
+  let member i = Bytes.unsafe_get s i = inside in
+  (* [intact] flags the accepted steps of a member that still stay
+     surely inside [s]; it is written for every step of a member before
+     it is read.  A member leaves [s] when none of its steps is intact,
+     unless it is terminal (terminal states stay). *)
+  Scratch.bytes (Array.length out_off - 1) @@ fun intact ->
+  Scratch.ints n @@ fun stack ->
+  let top = ref 0 in
+  let leave i =
+    Bytes.unsafe_set s i outside;
+    stack.(!top) <- i;
+    incr top
+  in
   for i = 0 to n - 1 do
-    if s.(i) then begin
+    if member i then begin
+      let kept = ref false in
       for k = step_off.(i) to step_off.(i + 1) - 1 do
         let o = ref out_off.(k) in
-        while !o < out_off.(k + 1) && s.(tgt.(!o)) do incr o done;
+        while !o < out_off.(k + 1) && member tgt.(!o) do incr o done;
         if !o = out_off.(k + 1) && steps k then begin
           Bytes.unsafe_set intact k '\001';
-          good.(i) <- good.(i) + 1
+          kept := true
         end
+        else Bytes.unsafe_set intact k '\000'
       done;
-      if good.(i) = 0 && step_off.(i + 1) > step_off.(i) then begin
-        s.(i) <- false;
-        stack.(!top) <- i;
-        incr top
-      end
+      if (not !kept) && step_off.(i + 1) > step_off.(i) then leave i
     end
   done;
   (* Greatest fixpoint: a state leaving [s] breaks every intact step
@@ -92,32 +102,34 @@ let safe_core_in p ~steps (a : _ Arena.t) ~avoid =
   drain stack top (fun j ->
       for e = p.pred_off.(j) to p.pred_off.(j + 1) - 1 do
         let i = p.preds.(e) in
-        if s.(i) then begin
+        if member i then begin
+          let kept = ref false in
           for k = step_off.(i) to step_off.(i + 1) - 1 do
-            if Bytes.unsafe_get intact k = '\001' && step_hits a k j then begin
-              Bytes.unsafe_set intact k '\000';
-              good.(i) <- good.(i) - 1
-            end
+            if Bytes.unsafe_get intact k = '\001' then
+              if step_hits a k j then Bytes.unsafe_set intact k '\000'
+              else kept := true
           done;
-          if good.(i) = 0 then begin
-            s.(i) <- false;
-            stack.(!top) <- i;
-            incr top
-          end
+          if not !kept then leave i
         end
-      done);
-  s
+      done)
 
-let can_avoid_in p ~steps (a : _ Arena.t) ~target =
+(* [classify_in] writes [s]: [target] on the target, [inside] where some
+   adversary can avoid it, [outside] where every adversary reaches it
+   surely. *)
+let classify_in p ~steps (a : _ Arena.t) ~target:set s =
   let n = a.Arena.n in
-  if Array.length target <> n then
-    invalid_arg "Qualitative: target array has wrong length";
-  let bad = safe_core_in p ~steps a ~avoid:(Array.map not target) in
+  if Bitset.length set <> n then
+    invalid_arg "Qualitative: target set has wrong length";
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set s i (if Bitset.mem set i then target else inside)
+  done;
+  safe_core_in p ~steps a s;
   (* Least fixpoint: states outside the target with an accepted step
      that puts positive mass on the bad region. *)
-  let stack = Array.make n 0 and top = ref 0 in
+  Scratch.ints n @@ fun stack ->
+  let top = ref 0 in
   for i = 0 to n - 1 do
-    if bad.(i) then begin
+    if Bytes.unsafe_get s i = inside then begin
       stack.(!top) <- i;
       incr top
     end
@@ -126,7 +138,7 @@ let can_avoid_in p ~steps (a : _ Arena.t) ~target =
   drain stack top (fun j ->
       for e = p.pred_off.(j) to p.pred_off.(j + 1) - 1 do
         let i = p.preds.(e) in
-        if (not bad.(i)) && not target.(i) then begin
+        if Bytes.unsafe_get s i = outside then begin
           let k = ref step_off.(i) in
           while
             !k < step_off.(i + 1) && not (steps !k && step_hits a !k j)
@@ -134,22 +146,37 @@ let can_avoid_in p ~steps (a : _ Arena.t) ~target =
             incr k
           done;
           if !k < step_off.(i + 1) then begin
-            bad.(i) <- true;
+            Bytes.unsafe_set s i inside;
             stack.(!top) <- i;
             incr top
           end
         end
-      done);
-  bad
+      done)
 
 let every_step _ = true
 
+let classify p a ~target s = classify_in p ~steps:every_step a ~target s
+
+(* The [bool array] entry points: one borrowed flag vector, read back
+   into a fresh array. *)
+let flags (a : _ Arena.t) what v f =
+  let n = a.Arena.n in
+  if Array.length v <> n then
+    invalid_arg (Printf.sprintf "Qualitative: %s array has wrong length" what);
+  with_preds a @@ fun p ->
+  Scratch.bytes n @@ fun s ->
+  f p s;
+  Array.init n (fun i -> Bytes.unsafe_get s i = inside)
+
 let safe_core ?(steps = every_step) a ~avoid =
-  safe_core_in (preds a) ~steps a ~avoid
+  flags a "avoid" avoid (fun p s ->
+      Array.iteri
+        (fun i b -> Bytes.unsafe_set s i (if b then inside else outside))
+        avoid;
+      safe_core_in p ~steps a s)
 
 let can_avoid ?(steps = every_step) a ~target =
-  can_avoid_in (preds a) ~steps a ~target
+  flags a "target" target (fun p ->
+      classify_in p ~steps a ~target:(Bitset.of_bools target))
 
-let always_reaches ?preds:p a ~target =
-  let p = match p with Some p -> p | None -> preds a in
-  Array.map not (can_avoid_in p ~steps:every_step a ~target)
+let always_reaches a ~target = Array.map not (can_avoid a ~target)

@@ -22,26 +22,41 @@
     is free of exact arithmetic.  Each is a worklist over one
     predecessor index ({!preds}): a state is pushed at most once, each
     index entry [(i, j)] is read at most once (with a scan of [i]'s
-    branches for those into [j]), and nothing is allocated past the
-    working arrays. *)
+    branches for those into [j]).  The flags are one byte per state and
+    the index, counts and stacks are borrowed from the domain's
+    {!Scratch} pool, so a pass allocates no state-sized vector of its
+    own. *)
 
 (** The arena's transitions turned around:
     [preds.(pred_off.(j)) .. preds.(pred_off.(j + 1) - 1)] are the
-    distinct states with a branch into state [j].  Built in
-    O(states + branches) per call and never memoized; {!Expected_time}
-    builds one per pass, reads it for its qualitative fixpoints, then
-    compacts it in place to the states it evaluates for its dirty
-    marking. *)
+    distinct states with a branch into state [j].  Both vectors are
+    borrowed ({!Scratch}) and may be longer than the index. *)
 type preds = private { pred_off : int array; preds : int array }
 
-val preds : ('s, 'a) Arena.t -> preds
+(** [with_preds arena k] builds the index in O(states + branches) and
+    runs [k] on it; the index must not escape [k].  {!Expected_time}
+    builds one per pass, reads it for {!classify}, then compacts it in
+    place to the states it evaluates for its dirty marking. *)
+val with_preds : ('s, 'a) Arena.t -> (preds -> 'r) -> 'r
 
-(** [always_reaches ?preds arena ~target] is the boolean vector of
-    states where [Pmin(eventually target) = 1].  Terminal states count
-    as staying put: a terminal non-target state never reaches the
-    target.  [preds] must be [preds arena]; it is built when omitted. *)
-val always_reaches :
-  ?preds:preds -> ('s, 'a) Arena.t -> target:bool array -> bool array
+(** [classify preds arena ~target flags] writes one byte per state
+    into [flags.[0 .. n - 1]]: ['\002'] on the [target],
+    ['\001'] where some adversary keeps the probability of reaching it
+    below 1, and ['\000'] where [Pmin(eventually target) = 1].
+    Terminal states count as staying put: a terminal non-target state
+    never reaches the target.  [preds] must be [arena]'s.  Raises
+    [Invalid_argument] unless [target] ranges over the arena's
+    states. *)
+val classify :
+  preds -> ('s, 'a) Arena.t -> target:Bitset.t -> Bytes.t -> unit
+
+(** The entry points below read and return [bool array]s for tests,
+    examples and single questions; each runs the pass above on its own
+    index and a borrowed flag vector, then copies the flags out. *)
+
+(** [always_reaches arena ~target] is the boolean vector of states
+    where [Pmin(eventually target) = 1]. *)
+val always_reaches : ('s, 'a) Arena.t -> target:bool array -> bool array
 
 (** [safe_core arena ~avoid] is the largest set [S ⊆ avoid] such that
     every state of [S] is terminal or has a step whose support stays in

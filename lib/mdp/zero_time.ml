@@ -1,10 +1,10 @@
 type t = {
   order : int array;
   comp_off : int array;
-  cyclic : bool array;
+  cyclic : Bytes.t;
 }
 
-let num_components z = Array.length z.cyclic
+let num_components z = Bytes.length z.cyclic
 
 let components z =
   let comp = Array.make (Array.length z.order) 0 in
@@ -15,60 +15,85 @@ let components z =
   done;
   comp
 
-(* Iterative Tarjan over a CSR copy of the zero-time edges.  Tarjan
-   closes a component only after every component reachable from it, so
-   the emission order is already successors-first. *)
+(* Iterative Tarjan over the zero-time edges, read straight from the
+   CSR arrays: the branches of [v]'s non-tick steps, in step and branch
+   order.  Tarjan closes a component only after every component
+   reachable from it, so the emission order is already
+   successors-first.  [index], [low] and the two flag vectors are
+   borrowed, and [index] and [on_stack] cleared first.  The DFS path
+   and the open components' stack are only as deep as the longest
+   zero-time path and the largest open component (11 states at lr n=4
+   [--sym on]), so they start small and double when full:
+   frame [d] of [path] is the state at depth [d], its next step and its
+   next branch.  A closed state's [low] is free, so it records the
+   state's component, from which the component offsets are read at the
+   end. *)
 let of_csr ~n ~step_off ~out_off ~tgt ~tick =
-  let zoff = Array.make (n + 1) 0 in
-  for s = 0 to n - 1 do
-    let deg = ref 0 in
-    for k = step_off.(s) to step_off.(s + 1) - 1 do
-      if not tick.(k) then deg := !deg + out_off.(k + 1) - out_off.(k)
-    done;
-    zoff.(s + 1) <- zoff.(s) + !deg
-  done;
-  let zadj = Array.make zoff.(n) 0 in
-  let fill = ref 0 in
-  for s = 0 to n - 1 do
-    for k = step_off.(s) to step_off.(s + 1) - 1 do
-      if not tick.(k) then
-        for o = out_off.(k) to out_off.(k + 1) - 1 do
-          zadj.(!fill) <- tgt.(o);
-          incr fill
-        done
-    done
-  done;
-  let index = Array.make n (-1) and low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = Array.make n 0 and sp = ref 0 in
-  (* DFS frames: [call] holds the path, [cursor.(v)] the next edge of v *)
-  let call = Array.make n 0 and depth = ref 0 in
-  let cursor = Array.make n 0 in
+  Scratch.ints n @@ fun index ->
+  Scratch.ints n @@ fun low ->
+  Scratch.bytes n @@ fun on_stack ->
+  Scratch.bytes n @@ fun cyclic ->
+  Array.fill index 0 n (-1);
+  Bytes.fill on_stack 0 n '\000';
+  let stack = ref (Array.make 64 0) and sp = ref 0 in
+  let path = ref (Array.make 192 0) and depth = ref 0 in
+  let grow a =
+    let wider = Array.make (2 * Array.length !a) 0 in
+    Array.blit !a 0 wider 0 (Array.length !a);
+    a := wider
+  in
   let counter = ref 0 in
   let order = Array.make n 0 and emitted = ref 0 in
-  let comp_end = Array.make (n + 1) 0 and cyclic = Array.make n false in
   let ncomp = ref 0 in
   let visit v =
     index.(v) <- !counter;
     low.(v) <- !counter;
     incr counter;
-    stack.(!sp) <- v;
+    if !sp = Array.length !stack then grow stack;
+    !stack.(!sp) <- v;
     incr sp;
-    on_stack.(v) <- true;
-    cursor.(v) <- zoff.(v);
-    call.(!depth) <- v;
+    Bytes.set on_stack v '\001';
+    let at = 3 * !depth in
+    if at = Array.length !path then grow path;
+    let f = !path in
+    f.(at) <- v;
+    f.(at + 1) <- step_off.(v);
+    f.(at + 2) <- out_off.(step_off.(v));
     incr depth
   in
+  (* The next zero-time successor of the state at depth [d], or [-1]. *)
+  let rec next d =
+    let f = !path and at = 3 * d in
+    let k = f.(at + 1) in
+    if k = step_off.(f.(at) + 1) then -1
+    else if tick.(k) || f.(at + 2) = out_off.(k + 1) then begin
+      f.(at + 1) <- k + 1;
+      f.(at + 2) <- out_off.(k + 1);
+      next d
+    end
+    else begin
+      let o = f.(at + 2) in
+      f.(at + 2) <- o + 1;
+      tgt.(o)
+    end
+  in
   let self_loop v =
-    let rec go e = e < zoff.(v + 1) && (zadj.(e) = v || go (e + 1)) in
-    go zoff.(v)
+    let found = ref false in
+    for k = step_off.(v) to step_off.(v + 1) - 1 do
+      if not tick.(k) then
+        for o = out_off.(k) to out_off.(k + 1) - 1 do
+          if tgt.(o) = v then found := true
+        done
+    done;
+    !found
   in
   let close v =
     let start = !emitted in
     let rec pop () =
       decr sp;
-      let w = stack.(!sp) in
-      on_stack.(w) <- false;
+      let w = !stack.(!sp) in
+      Bytes.set on_stack w '\000';
+      low.(w) <- !ncomp;
       order.(!emitted) <- w;
       incr emitted;
       if w <> v then pop ()
@@ -82,32 +107,34 @@ let of_csr ~n ~step_off ~out_off ~tgt ~tick =
       Array.sort Int.compare members;
       Array.blit members 0 order start size
     end;
-    cyclic.(!ncomp) <- size > 1 || self_loop v;
-    incr ncomp;
-    comp_end.(!ncomp) <- !emitted
+    Bytes.set cyclic !ncomp
+      (if size > 1 || self_loop v then '\001' else '\000');
+    incr ncomp
   in
   for root = 0 to n - 1 do
     if index.(root) < 0 then begin
       visit root;
       while !depth > 0 do
-        let v = call.(!depth - 1) in
-        let e = cursor.(v) in
-        if e < zoff.(v + 1) then begin
-          cursor.(v) <- e + 1;
-          let w = zadj.(e) in
+        let d = !depth - 1 in
+        let v = !path.(3 * d) in
+        let w = next d in
+        if w >= 0 then begin
           if index.(w) < 0 then visit w
-          else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w)
+          else if Bytes.get on_stack w = '\001' && index.(w) < low.(v) then
+            low.(v) <- index.(w)
         end
         else begin
           decr depth;
           (if !depth > 0 then
-             let parent = call.(!depth - 1) in
+             let parent = !path.(3 * (!depth - 1)) in
              if low.(v) < low.(parent) then low.(parent) <- low.(v));
           if low.(v) = index.(v) then close v
         end
       done
     end
   done;
-  { order;
-    comp_off = Array.sub comp_end 0 (!ncomp + 1);
-    cyclic = Array.sub cyclic 0 !ncomp }
+  let comp_off = Array.make (!ncomp + 1) n in
+  for i = n - 1 downto 0 do
+    comp_off.(low.(order.(i))) <- i
+  done;
+  { order; comp_off; cyclic = Bytes.sub cyclic 0 !ncomp }

@@ -19,9 +19,10 @@ type t = private {
   comp_off : int array;
       (** component [c] is [order.(comp_off.(c)) ..
           order.(comp_off.(c + 1) - 1)]; length [num_components + 1] *)
-  cyclic : bool array;
-      (** per component: it has a zero-time cycle (more than one
-          member, or a zero-time self-loop) *)
+  cyclic : Bytes.t;
+      (** per component, ['\001'] when it has a zero-time cycle (more
+          than one member, or a zero-time self-loop), ['\000']
+          otherwise *)
 }
 (** Components are in reverse topological order: every zero-time
     successor of a member of component [c] lies in a component
@@ -34,7 +35,8 @@ val components : t -> int array
 
 (** [of_csr ~n ~step_off ~out_off ~tgt ~tick] computes the order from an
     arena's CSR arrays (Tarjan's algorithm, iterative, O(states +
-    branches)). *)
+    branches)).  Its working arrays are borrowed from {!Scratch}; only
+    the result is allocated. *)
 val of_csr :
   n:int ->
   step_off:int array ->

@@ -106,6 +106,7 @@ let view inst =
     target = Automaton.decided inst.params;
     fields =
       (fun ~helpers ->
+         Desc.share inst.arena [ at_least inst 0; decided_pred inst ];
          Desc.groups ~helpers
            [| (fun () ->
                  let arrows = arrows inst in

@@ -141,11 +141,7 @@ let test_inject_helpers () =
     (FL.duration (I.Step LR.Automaton.Tick));
   Alcotest.(check bool) "tick classified" true
     (FL.is_tick (I.Step LR.Automaton.Tick));
-  Alcotest.(check bool) "crash not a tick" false (FL.is_tick (I.Crash 0));
-  (* lifted predicates keep their names (Pred matching is by name) *)
-  let p = Core.Pred.make "T" (fun _ -> true) in
-  Alcotest.(check string) "lifted name" "T"
-    (Core.Pred.name (I.lift_pred p))
+  Alcotest.(check bool) "crash not a tick" false (FL.is_tick (I.Crash 0))
 
 let test_faults_schema () =
   let sch = FL.schema (F.v ~crash:1 ()) in

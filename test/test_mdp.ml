@@ -753,9 +753,39 @@ let prop_random_clocked_zeno_free =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* ------------------------------------------------------------------ *)
+(* Scratch *)
+
+(* On a fresh domain, whose pool starts empty: nested borrows get
+   distinct vectors, a returned vector is lent again (also after the
+   borrower raised, and for one more entry than it was made for), and a
+   longer vector serves a shorter borrow. *)
+let test_scratch_lending () =
+  let two n =
+    Mdp.Scratch.ints n (fun a -> Mdp.Scratch.ints n (fun b -> (a, b)))
+  in
+  Domain.join
+    (Domain.spawn (fun () ->
+         let a, b = two 100 in
+         Alcotest.(check bool) "nested borrows differ" true (a != b);
+         Alcotest.(check bool) "long enough" true
+           (Array.length a >= 100 && Array.length b >= 100);
+         (try Mdp.Scratch.ints 100 (fun _ -> raise Exit) with Exit -> ());
+         let c, d = two 101 in
+         Alcotest.(check bool) "handed back on raise, lent again" true
+           ((c == a || c == b) && (d == a || d == b));
+         let v = Mdp.Scratch.floats 5000 Fun.id in
+         Alcotest.(check bool) "a longer vector for a shorter borrow" true
+           (Mdp.Scratch.floats 10 Fun.id == v);
+         let f = Mdp.Scratch.bytes 7 Fun.id in
+         Alcotest.(check bool) "bytes lent again" true
+           (Mdp.Scratch.bytes 7 Fun.id == f)))
+
 let () =
   Alcotest.run "mdp"
-    [ ("funtbl",
+    [ ("scratch",
+       [ Alcotest.test_case "lending" `Quick test_scratch_lending ]);
+      ("funtbl",
        [ Alcotest.test_case "basic" `Quick test_funtbl_basic;
          Alcotest.test_case "resize" `Quick test_funtbl_resize;
          Alcotest.test_case "custom equal" `Quick test_funtbl_custom_equal;

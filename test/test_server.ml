@@ -86,6 +86,44 @@ let cli_failing args =
   | Unix.WEXITED code -> (code, out)
   | _ -> Alcotest.failf "%s was killed" cmd
 
+(* The engines' work vectors, borrowed from their domain's pool, carry
+   nothing from one pass to the next.  On one domain, with regions run
+   inline: the check region of a fresh lr n=3 instance, then of
+   election n=5 (fewer states, so longer vectors come back), then an lr
+   n=3 region cut by a 1 ms deadline while vectors are borrowed, then
+   lr n=3 again.  Each body's fields end the body of a fresh [prtb
+   check --format json] process, byte for byte. *)
+let test_pool_reuse () =
+  let fields inst = J.to_string (J.Obj (Models.check_fields inst)) in
+  let lr3 () = Models.Lr (Lehmann_rabin.Proof.build ~n:3 ()) in
+  let first, election, cut, again =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Parallel.Fork.mark_inline ();
+           let first = fields (lr3 ()) in
+           let election =
+             fields (Models.Election (Itai_rodeh.Proof.build ~n:5 ()))
+           in
+           let inst = lr3 () in
+           let clock = Core.Budget.start (Core.Budget.v ~wall:0.001 ()) in
+           let cut =
+             match Core.Budget.with_deadline clock (fun () -> fields inst) with
+             | _ -> false
+             | exception Core.Budget.Deadline_exceeded _ -> true
+           in
+           (first, election, cut, fields (lr3 ()))))
+  in
+  let ends what args got =
+    let printed = String.trim (cli ("check --format json " ^ args)) in
+    let tail = "," ^ String.sub got 1 (String.length got - 1) in
+    if not (String.ends_with ~suffix:tail printed) then
+      Alcotest.failf "%s: fields %s do not end %s" what got printed
+  in
+  ends "lr n=3, first" "lr -n 3" first;
+  ends "election n=5, after lr" "election -n 5" election;
+  Alcotest.(check bool) "the 1 ms deadline cut the region" true cut;
+  ends "lr n=3, after the cut" "lr -n 3" again
+
 (* ------------------------------------------------------------------ *)
 
 (* At rest the body is a fixed string: nothing in flight, so the
@@ -1011,6 +1049,8 @@ let () =
         [ Alcotest.test_case "health" `Quick test_health;
           Alcotest.test_case "served check == CLI json" `Quick
             test_check_matches_cli;
+          Alcotest.test_case "pooled work vectors carry nothing over" `Quick
+            test_pool_reuse;
           Alcotest.test_case "repeat hits cache, registry idle" `Quick
             test_repeat_hits_cache;
           Alcotest.test_case "POST shares GET's cache entry" `Quick
